@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-lostcancel api-check fmt check bench bench-record bench-smoke fuzz-smoke kernel-check shard-check approx-check profile profile-smoke trace-smoke
+.PHONY: all build test race vet vet-lostcancel api-check fmt check bench bench-record bench-smoke bench-test bench-pair fuzz-smoke kernel-check shard-check approx-check profile profile-smoke trace-smoke
 
 all: check
 
@@ -108,6 +108,22 @@ bench-smoke:
 	$(GO) run ./cmd/benchrec record -smoke -label smoke -o /tmp/BENCH_smoke.json
 	$(GO) run ./cmd/benchrec validate /tmp/BENCH_smoke.json
 	$(GO) run ./cmd/benchrec gate /tmp/BENCH_smoke.json
+
+# bench-test runs the repository benchmark's own tests. bench/ is a nested
+# module, so the root `go test ./...` never reaches it; its smoke tier runs
+# every workload in both modes against the real binary in about ten seconds.
+bench-test:
+	cd bench && $(GO) test ./...
+
+# bench-pair is the before/after measurement a performance claim needs:
+#   make bench-pair BASE=<rev> W=<workload> [PAIRS=10] [TRACE=0]
+# checks BASE out into a git worktree, runs at least ten alternating pairs
+# of bench/run.sh --out (BASE's checkout, then this tree, or the reverse)
+# and finishes with `bench compare`. See scripts/bench_pair.sh.
+PAIRS ?= 10
+bench-pair:
+	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make bench-pair BASE=<rev> W=<workload> [PAIRS=10]"; exit 2; }
+	TRACE=$(or $(TRACE),0) sh scripts/bench_pair.sh $(BASE) $(W) $(PAIRS)
 
 # profile records the default workload with mutex/block/heap pprof capture
 # enabled; inspect with `go tool pprof profiles/mutex-profile-001.pprof`.

@@ -287,8 +287,12 @@ func (e *Engine) searchOneLocked(ctx context.Context, values []float64, k int) (
 	if err != nil {
 		return nil, vptree.Stats{}, err
 	}
+	q, err := e.prepare(z)
+	if err != nil {
+		return nil, vptree.Stats{}, err
+	}
 	g := lifecycle.NewGate(ctx, lifecycle.Limits{})
-	res, st, _, err := e.searchIndexLimited(ctx, z, k, g)
+	res, st, _, err := e.searchIndexLimited(ctx, q, k, g)
 	if err != nil {
 		return nil, st, err
 	}

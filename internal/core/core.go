@@ -452,7 +452,11 @@ func (e *Engine) Add(s *series.Series) (int, error) {
 
 // searchIndex runs a kNN query on whichever index the engine was built with.
 func (e *Engine) searchIndex(z []float64, k int) ([]vptree.Result, vptree.Stats, error) {
-	res, st, _, err := e.searchIndexLimited(context.Background(), z, k, nil)
+	q, err := e.prepare(z)
+	if err != nil {
+		return nil, vptree.Stats{}, err
+	}
+	res, st, _, err := e.searchIndexLimited(context.Background(), q, k, nil)
 	return res, st, err
 }
 
@@ -532,6 +536,17 @@ func (e *Engine) seriesLocked(id int) (*series.Series, error) {
 
 // StandardizedValues returns the stored z-scored values of sequence id.
 func (e *Engine) StandardizedValues(id int) ([]float64, error) {
+	return e.store.Get(id)
+}
+
+// StandardizedView is StandardizedValues for callers that only read: when
+// the store keeps its rows in memory the stored row itself is returned
+// (rows are immutable once appended), otherwise a copy. The caller must not
+// modify the result.
+func (e *Engine) StandardizedView(id int) ([]float64, error) {
+	if rows, ok := seqstore.Rows(e.store); ok {
+		return rows.Row(id)
+	}
 	return e.store.Get(id)
 }
 

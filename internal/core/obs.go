@@ -8,6 +8,14 @@ import (
 	"repro/internal/vptree"
 )
 
+// QueryPreparesCounter returns reg's engine_query_prepares_total, the count
+// of spectral.Prepare calls made on behalf of requests. The engine counts the
+// queries it prepares itself; the scatter layer, which prepares once for all
+// of its shards, counts into the same instrument.
+func QueryPreparesCounter(reg *obs.Registry) *obs.Counter {
+	return reg.Counter("engine_query_prepares_total", "query spectra and bound contexts computed (one per index-search request, however many shards serve it)")
+}
+
 // engineMetrics bundles every registry instrument the engine's hot paths
 // update. All fields are nil when the engine was built without a Hub; obs
 // instruments are nil-safe, so call sites update them unconditionally and
@@ -42,6 +50,7 @@ type engineMetrics struct {
 
 	queryAborted   *obs.Counter
 	queryTruncated *obs.Counter
+	queryPrepares  *obs.Counter
 
 	// Pool contention & scheduling attribution (see docs/observability.md
 	// "Per-worker metrics"). The histograms observe one value per worker
@@ -100,6 +109,7 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 
 		queryAborted:   reg.Counter("engine_query_aborted_total", "queries aborted by context cancellation or deadline expiry"),
 		queryTruncated: reg.Counter("engine_query_truncated_total", "queries returning budget-truncated partial results"),
+		queryPrepares:  QueryPreparesCounter(reg),
 
 		poolTasks:       reg.Histogram("pool_worker_tasks", "queries executed per worker per BatchSearch", kBuckets),
 		poolBusy:        reg.Histogram("pool_worker_busy_seconds", "per-worker time executing queries, per BatchSearch", obs.HistogramOpts{}),

@@ -159,6 +159,14 @@ type Request struct {
 	// (re-standardizing an already standardized curve is not bit-stable in
 	// floating point).
 	Standardized bool
+	// Prepared, when non-nil, is the already standardized and transformed
+	// query of a KindSimilar request to a core.Engine, which searches with
+	// it as-is and ignores Values. It is how the sharded scatter path hands
+	// one query to N engines: built once per request, the same pointer in
+	// every shard's sub-request, so the FFT and bound context are computed
+	// once, not once per shard. It is only ever read (see
+	// spectral.Prepared).
+	Prepared *spectral.Prepared
 	// QueryBursts, when non-nil, is a pre-detected burst pattern for the
 	// burst kinds: detection is skipped and the pattern is matched as-is,
 	// with ID as the sequence to exclude (negative = none). An empty
@@ -457,28 +465,32 @@ func annotateOutcome(sp *obs.Span, truncated bool) {
 	sp.Annotate("truncated", "true")
 }
 
+// prepare builds the spectrum and bound context of the standardized query
+// z — the work a search does before it touches the index, done once per
+// request (engine_query_prepares_total counts it).
+func (e *Engine) prepare(z []float64) (*spectral.Prepared, error) {
+	e.met.queryPrepares.Inc()
+	return spectral.Prepare(z)
+}
+
 // searchIndexLimited runs a gated kNN query on whichever index the engine
 // was built with. Refinement reads go through a context-aware store view so
 // a hung-up caller aborts even between the gate's amortized checks.
-func (e *Engine) searchIndexLimited(ctx context.Context, z []float64, k int, g *lifecycle.Gate) ([]vptree.Result, vptree.Stats, bool, error) {
+func (e *Engine) searchIndexLimited(ctx context.Context, q *spectral.Prepared, k int, g *lifecycle.Gate) ([]vptree.Result, vptree.Stats, bool, error) {
 	store := seqstore.WithContext(ctx, e.store)
 	if e.mvp != nil {
-		res, st, truncated, err := e.mvp.SearchLimited(z, k, store, g)
+		res, st, truncated, err := e.mvp.SearchPrepared(q, k, store, g)
 		if err != nil {
 			return nil, vptree.Stats{}, false, err
 		}
-		out := make([]vptree.Result, len(res))
-		for i, r := range res {
-			out[i] = vptree.Result{ID: r.ID, Dist: r.Dist}
-		}
-		return out, vptree.Stats{
+		return res, vptree.Stats{
 			BoundsComputed: st.BoundsComputed,
 			NodesVisited:   st.NodesVisited,
 			Candidates:     st.Candidates,
 			FullRetrievals: st.FullRetrievals,
 		}, truncated, nil
 	}
-	return e.tree.SearchLimited(z, k, e.features, store, g)
+	return e.tree.SearchPrepared(q, k, e.features, store, g)
 }
 
 // queryValues resolves a request's Values to standardized z-values,
@@ -500,16 +512,22 @@ func (e *Engine) querySimilar(ctx context.Context, g *lifecycle.Gate, req Reques
 	e.met.similarK.Observe(float64(req.K))
 	fam := obs.SpanFromContext(ctx)
 
-	sp := fam.Child("standardize")
-	z, err := e.queryValues(req)
-	sp.Finish()
-	if err != nil {
-		return nil, err
+	q := req.Prepared
+	if q == nil {
+		sp := fam.Child("standardize")
+		z, err := e.queryValues(req)
+		sp.Finish()
+		if err != nil {
+			return nil, err
+		}
+		if q, err = e.prepare(z); err != nil {
+			return nil, err
+		}
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	sp = fam.Child("index_search")
-	res, st, truncated, err := e.searchIndexLimited(ctx, z, req.K, g)
+	sp := fam.Child("index_search")
+	res, st, truncated, err := e.searchIndexLimited(ctx, q, req.K, g)
 	sp.Finish()
 	annotateSearch(sp, st)
 	e.met.recordSearch(st)
@@ -534,13 +552,17 @@ func (e *Engine) querySimilarID(ctx context.Context, g *lifecycle.Gate, req Requ
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	sp := fam.Child("fetch_standardized")
-	z, err := e.store.Get(req.ID)
+	z, err := e.StandardizedView(req.ID)
 	sp.Finish()
 	if err != nil {
 		return nil, err
 	}
+	q, err := e.prepare(z)
+	if err != nil {
+		return nil, err
+	}
 	sp = fam.Child("index_search")
-	res, st, truncated, err := e.searchIndexLimited(ctx, z, req.K+1, g)
+	res, st, truncated, err := e.searchIndexLimited(ctx, q, req.K+1, g)
 	sp.Finish()
 	annotateSearch(sp, st)
 	e.met.recordSearch(st)

@@ -49,16 +49,29 @@ func Inverse(X []complex128) ([]complex128, error) {
 
 // ForwardReal computes the normalized DFT of a real-valued sequence.
 func ForwardReal(x []float64) ([]complex128, error) {
-	if len(x) == 0 {
-		return nil, ErrEmpty
-	}
 	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
+	if err := ForwardRealInto(c, x); err != nil {
+		return nil, err
 	}
-	transform(c, false)
-	scale(c, 1/math.Sqrt(float64(len(x))))
 	return c, nil
+}
+
+// ForwardRealInto is ForwardReal into caller-owned storage: dst, which must
+// have len(x), receives the coefficients. Callers that keep only part of the
+// spectrum reuse one dst across transforms.
+func ForwardRealInto(dst []complex128, x []float64) error {
+	if len(x) == 0 {
+		return ErrEmpty
+	}
+	if len(dst) != len(x) {
+		return errors.New("fft: destination length mismatch")
+	}
+	for i, v := range x {
+		dst[i] = complex(v, 0)
+	}
+	transform(dst, false)
+	scale(dst, 1/math.Sqrt(float64(len(x))))
+	return nil
 }
 
 // InverseReal inverts a spectrum known to come from a real sequence and

@@ -1,0 +1,260 @@
+// Package knn is the part of a compressed-index k-nearest-neighbour search
+// that does not depend on the index's shape (fig. 11): collecting candidates
+// while maintaining σ_UB, the k-th smallest upper bound seen; discarding the
+// candidates whose lower bound exceeds it; and refining the survivors in
+// increasing lower-bound order against the full sequences, with early
+// abandoning. Package vptree and package mvptree differ only in how they
+// traverse; both collect into and refine from a Scratch.
+//
+// Scratch ownership: a Scratch comes from a process-wide pool (Get) and goes
+// back when the search returns (Release). Nothing reachable from it — the
+// candidate list, the σ_UB heap, the kernel output buffers, the read buffer
+// — may outlive the search that holds it; the neighbours Refine returns are
+// freshly allocated for exactly that reason.
+package knn
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"sort"
+	"sync"
+
+	"repro/internal/lifecycle"
+	"repro/internal/seqstore"
+	"repro/internal/series"
+)
+
+// Result is one neighbour: the sequence ID and its exact Euclidean distance.
+type Result struct {
+	ID   int
+	Dist float64
+}
+
+// candidate is a compressed object that survived traversal.
+type candidate struct {
+	id     int
+	lb, ub float64
+}
+
+// Scratch is the mutable state of one search.
+type Scratch struct {
+	k       int
+	cands   []candidate
+	ubTop   []float64 // max-heap of the k smallest upper bounds seen
+	sigmaUB float64
+	// lb/ub are the block kernel's output buffers (see BoundBufs).
+	lb, ub []float64
+	// row receives full sequences from stores without row views.
+	row []float64
+}
+
+var pool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// Get returns a Scratch ready for one k-NN search. The caller must Release
+// it when the search returns, on every path.
+func Get(k int) *Scratch {
+	s := pool.Get().(*Scratch)
+	s.k = k
+	s.cands = s.cands[:0]
+	s.ubTop = s.ubTop[:0]
+	s.sigmaUB = math.Inf(1)
+	return s
+}
+
+// Release returns s to the pool. s must not be used afterwards.
+func (s *Scratch) Release() { pool.Put(s) }
+
+// BoundBufs returns the two kernel output buffers, each of length n.
+func (s *Scratch) BoundBufs(n int) (lb, ub []float64) {
+	s.lb = slices.Grow(s.lb[:0], n)[:n]
+	s.ub = slices.Grow(s.ub[:0], n)[:n]
+	return s.lb, s.ub
+}
+
+// SigmaUB returns the k-th smallest upper bound of any candidate added so
+// far (+Inf until k have been) — with k=1 exactly the paper's best-so-far
+// σ_UB.
+func (s *Scratch) SigmaUB() float64 { return s.sigmaUB }
+
+// Collected returns how many candidates have been added.
+func (s *Scratch) Collected() int { return len(s.cands) }
+
+// Add records a candidate and updates σ_UB.
+func (s *Scratch) Add(id int, lb, ub float64) {
+	s.cands = append(s.cands, candidate{id: id, lb: lb, ub: ub})
+	if len(s.ubTop) < s.k {
+		s.ubTop = append(s.ubTop, ub)
+		siftUpMax(s.ubTop, len(s.ubTop)-1)
+		if len(s.ubTop) == s.k {
+			s.sigmaUB = s.ubTop[0]
+		}
+	} else if ub < s.ubTop[0] {
+		s.ubTop[0] = ub
+		siftDownMax(s.ubTop, 0)
+		s.sigmaUB = s.ubTop[0]
+	}
+}
+
+func siftUpMax(h []float64, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p] >= h[i] {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+func siftDownMax(h []float64, i int) {
+	for {
+		l, r := 2*i+1, 2*i+2
+		big := i
+		if l < len(h) && h[l] > h[big] {
+			big = l
+		}
+		if r < len(h) && h[r] > h[big] {
+			big = r
+		}
+		if big == i {
+			return
+		}
+		h[i], h[big] = h[big], h[i]
+		i = big
+	}
+}
+
+// Filter ends the collection phase: it discards every candidate whose lower
+// bound exceeds σ_UB, orders the rest by increasing lower bound and applies
+// the gate's δ sampled-stop. It returns how many candidates enter
+// refinement (before the δ cut) and how many the σ_UB filter dropped.
+//
+// ε-relaxation: the filter runs against σ_UB/(1+ε) instead of σ_UB. A
+// candidate dropped in the relaxed band carries a proven floor (its own
+// lower bound), recorded on the gate so BoundGap stays sound. At ε=0 the
+// relaxed radius IS σ_UB and the filter is bit-identical to exact.
+func (s *Scratch) Filter(g *lifecycle.Gate) (kept, dropped int) {
+	sub := s.sigmaUB
+	rsub := g.Relax(sub)
+	pruned := s.cands[:0]
+	for _, c := range s.cands {
+		if c.lb <= rsub {
+			pruned = append(pruned, c)
+		} else {
+			if c.lb <= sub {
+				g.MarkRelaxed(c.lb)
+			}
+			dropped++
+		}
+	}
+	kept = len(pruned)
+	slices.SortFunc(pruned, func(a, b candidate) int {
+		switch {
+		case a.lb < b.lb:
+			return -1
+		case a.lb > b.lb:
+			return 1
+		default:
+			return 0
+		}
+	})
+	// δ sampled-stop: refine only the first ⌈(1−δ)·n⌉ of the lb-sorted
+	// candidates (never fewer than k). The skipped tail's smallest lower
+	// bound — the first skipped entry, by sort order — is its proven floor.
+	if cut := g.DeltaCut(len(pruned), s.k); cut < len(pruned) {
+		g.MarkRelaxed(pruned[cut].lb)
+		pruned = pruned[:cut]
+	}
+	s.cands = pruned
+	return kept, dropped
+}
+
+// RefineStats reports the work one Refine performed.
+type RefineStats struct {
+	// FullRetrievals counts uncompressed sequences read from the store.
+	FullRetrievals int
+	// ExactDistances counts exact Euclidean evaluations, including ones
+	// that early-abandoned partway through the sequence.
+	ExactDistances int
+	// EarlyAbandons counts the evaluations that abandoned.
+	EarlyAbandons int
+	// CutoffSkips counts the candidates left unread because every remaining
+	// lower bound exceeded the k-th best distance.
+	CutoffSkips int
+}
+
+// Refine measures the filtered candidates against query in increasing
+// lower-bound order and returns the k nearest in canonical (Dist, ID)
+// order. Ranking ties by ID makes the result set independent of refinement
+// order — and therefore of tree shape — which is what lets a sharded
+// engine's per-shard top-k lists merge to exactly the single-engine answer
+// (see internal/shard).
+//
+// Each candidate costs one gate Exact unit and one store read. A store with
+// row views (seqstore.Rows) is read in place; any other is read into the
+// scratch's buffer. A budget that runs out keeps the neighbours refined so
+// far; a read or context error aborts with that error. The stats are valid
+// on every return.
+func (s *Scratch) Refine(query []float64, store seqstore.Store, g *lifecycle.Gate) ([]Result, RefineStats, error) {
+	var st RefineStats
+	rows, inPlace := seqstore.Rows(store)
+	if !inPlace {
+		s.row = slices.Grow(s.row[:0], len(query))[:len(query)]
+	}
+	var best []Result
+	worst := math.Inf(1) // k-th best distance once k neighbours are known
+	for ci, c := range s.cands {
+		// ε-relaxed cutoff: stop once every remaining lower bound exceeds
+		// worst/(1+ε). A cutoff that would not have fired at ε=0 records
+		// the skipped candidate's lower bound as the proven floor.
+		if len(best) >= s.k && c.lb > g.Relax(worst) {
+			if c.lb <= worst {
+				g.MarkRelaxed(c.lb)
+			}
+			st.CutoffSkips = len(s.cands) - ci
+			break // every later candidate has an even larger lower bound
+		}
+		if ok, err := g.Exact(); err != nil {
+			return nil, st, err
+		} else if !ok {
+			break // budget exhausted: keep the neighbours refined so far
+		}
+		row := s.row
+		var err error
+		if inPlace {
+			row, err = rows.Row(c.id)
+		} else {
+			err = store.GetInto(c.id, row)
+		}
+		if err != nil {
+			return nil, st, fmt.Errorf("knn: refine id %d: %w", c.id, err)
+		}
+		st.FullRetrievals++
+		st.ExactDistances++
+		d, abandoned, err := series.EuclideanEarlyAbandon(query, row, worst)
+		if err != nil {
+			return nil, st, err
+		}
+		if abandoned {
+			st.EarlyAbandons++
+			continue
+		}
+		if best == nil {
+			best = make([]Result, 0, min(s.k, len(s.cands))+1)
+		}
+		pos := sort.Search(len(best), func(i int) bool {
+			return best[i].Dist > d || (best[i].Dist == d && best[i].ID > c.id)
+		})
+		best = append(best, Result{})
+		copy(best[pos+1:], best[pos:])
+		best[pos] = Result{ID: c.id, Dist: d}
+		if len(best) > s.k {
+			best = best[:s.k]
+		}
+		if len(best) == s.k {
+			worst = best[s.k-1].Dist
+		}
+	}
+	return best, st, nil
+}

@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/knn"
 	"repro/internal/spectral"
 )
 
@@ -113,10 +114,7 @@ type Stats struct {
 }
 
 // Result is one neighbour.
-type Result struct {
-	ID   int
-	Dist float64
-}
+type Result = knn.Result
 
 // Build constructs the tree over spectra with database ids.
 func Build(specs []*spectral.HalfSpectrum, ids []int, opts Options) (*Tree, error) {

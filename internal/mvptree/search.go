@@ -2,13 +2,10 @@ package mvptree
 
 import (
 	"errors"
-	"fmt"
-	"math"
-	"slices"
 
+	"repro/internal/knn"
 	"repro/internal/lifecycle"
 	"repro/internal/seqstore"
-	"repro/internal/series"
 	"repro/internal/spectral"
 )
 
@@ -17,29 +14,23 @@ type vpBound struct {
 	lb, ub float64
 }
 
+// searcher is one traversal: the tree and query being read plus the pooled
+// scratch (candidates, σ_UB) being written.
 type searcher struct {
-	t       *Tree
-	ctx     *spectral.QueryContext
-	g       *lifecycle.Gate // nil ⇒ unlimited
-	k       int
-	st      *Stats
-	cands   []candidate
-	sigmaUB float64
-	ubTop   []float64
+	t   *Tree
+	ctx *spectral.QueryContext
+	g   *lifecycle.Gate // nil ⇒ unlimited
+	st  Stats
+	*knn.Scratch
 	// path holds the query bounds to the vantage points on the current
 	// root path (outermost first), capped at Options.PathDists.
 	path []vpBound
 }
 
-type candidate struct {
-	id     int
-	lb, ub float64
-}
-
 // Search returns the k nearest neighbours of query, refining candidates
 // against store. The feature table is in-memory (t.Features()).
 func (t *Tree) Search(query []float64, k int, store seqstore.Store) ([]Result, Stats, error) {
-	res, st, _, err := t.search(query, k, store, nil)
+	res, st, _, err := t.SearchLimited(query, k, store, nil)
 	return res, st, err
 }
 
@@ -48,126 +39,53 @@ func (t *Tree) Search(query []float64, k int, store seqstore.Store) ([]Result, S
 // (best-so-far neighbours, truncated=true). A nil gate makes it identical
 // to Search.
 func (t *Tree) SearchLimited(query []float64, k int, store seqstore.Store, g *lifecycle.Gate) ([]Result, Stats, bool, error) {
-	return t.search(query, k, store, g)
+	if err := t.admit(k, len(query), g); err != nil {
+		return nil, Stats{}, false, err
+	}
+	q, err := spectral.Prepare(query)
+	if err != nil {
+		return nil, Stats{}, false, err
+	}
+	return t.SearchPrepared(q, k, store, g)
 }
 
-func (t *Tree) search(query []float64, k int, store seqstore.Store, g *lifecycle.Gate) ([]Result, Stats, bool, error) {
-	var st Stats
+// admit validates a search's arguments and runs the gate's entry check, so a
+// bad k, a wrong-length query or a dead context costs no transform.
+func (t *Tree) admit(k, queryLen int, g *lifecycle.Gate) error {
 	if k < 1 {
-		return nil, st, false, errors.New("mvptree: k must be >= 1")
+		return errors.New("mvptree: k must be >= 1")
 	}
-	if len(query) != t.seqLen {
-		return nil, st, false, spectral.ErrMismatch
+	if queryLen != t.seqLen {
+		return spectral.ErrMismatch
 	}
-	if err := g.Check(); err != nil {
-		return nil, st, false, err
+	return g.Check()
+}
+
+// SearchPrepared is SearchLimited for a query whose spectrum and bound
+// context already exist (see spectral.Prepared) — the one traversal entry;
+// the by-values entry points prepare and delegate. q is only read.
+func (t *Tree) SearchPrepared(q *spectral.Prepared, k int, store seqstore.Store, g *lifecycle.Gate) ([]Result, Stats, bool, error) {
+	if err := t.admit(k, len(q.Values()), g); err != nil {
+		return nil, Stats{}, false, err
 	}
-	hq, err := spectral.FromValues(query)
-	if err != nil {
-		return nil, st, false, err
-	}
-	s := &searcher{
-		t: t, ctx: spectral.NewQueryContext(hq), g: g, k: k, st: &st,
-		sigmaUB: math.Inf(1),
-	}
+	sc := knn.Get(k)
+	defer sc.Release()
+	s := &searcher{t: t, ctx: q.Context(), g: g, Scratch: sc}
+	st := &s.st
 	if err := s.visit(t.root); err != nil {
-		return nil, st, false, err
+		return nil, *st, false, err
 	}
 	// See vptree: a truncated traversal still refines up to k candidates.
 	if g.Truncated() {
 		g.Grace(k)
 	}
-
-	// ε-relaxation mirrors vptree: filter against σ_UB/(1+ε), recording the
-	// proven floor of anything dropped in the relaxed band so BoundGap stays
-	// sound. At ε=0 the relaxed radius IS σ_UB — bit-identical to exact.
-	sub := s.sigmaUB
-	rsub := g.Relax(sub)
-	pruned := s.cands[:0]
-	for _, c := range s.cands {
-		if c.lb <= rsub {
-			pruned = append(pruned, c)
-		} else if c.lb <= sub {
-			g.MarkRelaxed(c.lb)
-		}
+	st.Candidates, _ = sc.Filter(g)
+	res, rs, err := sc.Refine(q.Values(), store, g)
+	st.FullRetrievals = rs.FullRetrievals
+	if err != nil {
+		return nil, *st, false, err
 	}
-	st.Candidates = len(pruned)
-	sortByLB(pruned)
-	// δ sampled-stop: refine only the first ⌈(1−δ)·n⌉ lb-sorted candidates
-	// (never fewer than k); the first skipped entry's lb is the proven floor.
-	if cut := g.DeltaCut(len(pruned), k); cut < len(pruned) {
-		g.MarkRelaxed(pruned[cut].lb)
-		pruned = pruned[:cut]
-	}
-
-	var results []Result
-	worst := math.Inf(1)
-	buf := make([]float64, t.seqLen)
-	for _, c := range pruned {
-		if len(results) >= k && c.lb > g.Relax(worst) {
-			if c.lb <= worst {
-				g.MarkRelaxed(c.lb)
-			}
-			break
-		}
-		if ok, gerr := g.Exact(); gerr != nil {
-			return nil, st, false, gerr
-		} else if !ok {
-			break // budget exhausted: keep the neighbours refined so far
-		}
-		if err := store.GetInto(c.id, buf); err != nil {
-			return nil, st, false, fmt.Errorf("mvptree: refine id %d: %w", c.id, err)
-		}
-		st.FullRetrievals++
-		bound := math.Inf(1)
-		if len(results) >= k {
-			bound = worst
-		}
-		d, abandoned, err := series.EuclideanEarlyAbandon(query, buf, bound)
-		if err != nil {
-			return nil, st, false, err
-		}
-		if abandoned {
-			continue
-		}
-		results = insertResult(results, Result{ID: c.id, Dist: d}, k)
-		if len(results) >= k {
-			worst = results[len(results)-1].Dist
-		}
-	}
-	return results, st, g.Truncated(), nil
-}
-
-func sortByLB(c []candidate) {
-	slices.SortFunc(c, func(a, b candidate) int {
-		switch {
-		case a.lb < b.lb:
-			return -1
-		case a.lb > b.lb:
-			return 1
-		default:
-			return 0
-		}
-	})
-}
-
-// insertResult keeps the k smallest results in canonical (Dist, ID)
-// lexicographic order, so tied distances rank by ascending ID regardless
-// of refinement order — the contract the sharded gather merge relies on
-// (see internal/shard).
-func insertResult(res []Result, r Result, k int) []Result {
-	pos := len(res)
-	for pos > 0 && (res[pos-1].Dist > r.Dist ||
-		(res[pos-1].Dist == r.Dist && res[pos-1].ID > r.ID)) {
-		pos--
-	}
-	res = append(res, Result{})
-	copy(res[pos+1:], res[pos:])
-	res[pos] = r
-	if len(res) > k {
-		res = res[:k]
-	}
-	return res
+	return res, *st, g.Truncated(), nil
 }
 
 func (s *searcher) bounds(ref int) (lb, ub float64, err error) {
@@ -185,21 +103,6 @@ func (s *searcher) bounds(ref int) (lb, ub float64, err error) {
 		return c.BoundsFast(s.ctx)
 	}
 	return c.SafeBoundsFast(s.ctx)
-}
-
-func (s *searcher) add(id int, lb, ub float64) {
-	s.cands = append(s.cands, candidate{id: id, lb: lb, ub: ub})
-	if len(s.ubTop) < s.k {
-		s.ubTop = append(s.ubTop, ub)
-		siftUpMax(s.ubTop, len(s.ubTop)-1)
-		if len(s.ubTop) == s.k {
-			s.sigmaUB = s.ubTop[0]
-		}
-	} else if ub < s.ubTop[0] {
-		s.ubTop[0] = ub
-		siftDownMax(s.ubTop, 0)
-		s.sigmaUB = s.ubTop[0]
-	}
 }
 
 func (s *searcher) visit(nd *node) error {
@@ -222,12 +125,12 @@ func (s *searcher) visit(nd *node) error {
 	if err != nil {
 		return err
 	}
-	s.add(nd.vp1ID, lb1, ub1)
+	s.Add(nd.vp1ID, lb1, ub1)
 	lb2, ub2, err := s.bounds(nd.vp2Ref)
 	if err != nil {
 		return err
 	}
-	s.add(nd.vp2ID, lb2, ub2)
+	s.Add(nd.vp2ID, lb2, ub2)
 
 	// Push path bounds for the leaves below (same order as construction).
 	pushed := 0
@@ -293,7 +196,7 @@ func (s *searcher) visitLeaf(nd *node) error {
 		if err != nil {
 			return err
 		}
-		s.add(e.id, lb, ub)
+		s.Add(e.id, lb, ub)
 	}
 	return nil
 }
@@ -305,11 +208,11 @@ func (s *searcher) visitLeaf(nd *node) error {
 // (every such object is at distance ≥ lb − m > radius). At ε=0 the relaxed
 // radius IS σ_UB — decisions are bit-identical to exact.
 func (s *searcher) lbPrune(lb, m float64) bool {
-	r := s.g.Relax(s.sigmaUB)
+	r := s.g.Relax(s.SigmaUB())
 	if lb <= m+r {
 		return false
 	}
-	if lb <= m+s.sigmaUB {
+	if lb <= m+s.SigmaUB() {
 		s.g.MarkRelaxed(r)
 	}
 	return true
@@ -318,11 +221,11 @@ func (s *searcher) lbPrune(lb, m float64) bool {
 // ubPrune is lbPrune's twin for partitions whose objects all have
 // vantage-point distance > m, keyed on the query↔vp upper bound ub.
 func (s *searcher) ubPrune(ub, m float64) bool {
-	r := s.g.Relax(s.sigmaUB)
+	r := s.g.Relax(s.SigmaUB())
 	if ub >= m-r {
 		return false
 	}
-	if ub >= m-s.sigmaUB {
+	if ub >= m-s.SigmaUB() {
 		s.g.MarkRelaxed(r)
 	}
 	return true
@@ -332,41 +235,12 @@ func (s *searcher) ubPrune(ub, m float64) bool {
 // the stored exact d(x, vp_i) and the query's interval pb to vp_i prove
 // d(q, x) ≥ max(d − pb.ub, pb.lb − d).
 func (s *searcher) pathPrune(d float64, pb vpBound) bool {
-	r := s.g.Relax(s.sigmaUB)
+	r := s.g.Relax(s.SigmaUB())
 	if d-pb.ub <= r && pb.lb-d <= r {
 		return false
 	}
-	if d-pb.ub <= s.sigmaUB && pb.lb-d <= s.sigmaUB {
+	if d-pb.ub <= s.SigmaUB() && pb.lb-d <= s.SigmaUB() {
 		s.g.MarkRelaxed(r)
 	}
 	return true
-}
-
-func siftUpMax(h []float64, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p] >= h[i] {
-			return
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-}
-
-func siftDownMax(h []float64, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(h) && h[l] > h[big] {
-			big = l
-		}
-		if r < len(h) && h[r] > h[big] {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
 }

@@ -3,7 +3,10 @@ package seqstore
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestWithContextPassthroughForBackground(t *testing.T) {
@@ -41,5 +44,57 @@ func TestWithContextFailsReadsAfterCancel(t *testing.T) {
 	}
 	if s.Len() != 1 || s.SeqLen() != 2 {
 		t.Fatal("metadata methods must pass through")
+	}
+}
+
+// The engine hands a search WithContext(ctx, Instrument(backend)); the
+// zero-copy path must resolve through both wrappers over Memory, count like
+// GetInto, and stay off over Disk.
+func TestRowsResolvesThroughWrappers(t *testing.T) {
+	mem, _ := NewMemory(2)
+	if _, err := mem.Append([]float64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := WithContext(ctx, Instrument(mem, reg))
+	rr, ok := Rows(s)
+	if !ok {
+		t.Fatal("Rows must resolve through ctx + Instrument over Memory")
+	}
+	row, err := rr.Row(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, _ := mem.Row(0)
+	if &row[0] != &stored[0] {
+		t.Fatal("Row must return the stored row in place")
+	}
+	if got := reg.Counter("seqstore_reads_total", "").Value(); got != 1 {
+		t.Errorf("seqstore_reads_total = %d, want 1", got)
+	}
+	if got := reg.Counter("seqstore_read_bytes_total", "").Value(); got != 16 {
+		t.Errorf("seqstore_read_bytes_total = %d, want 16", got)
+	}
+
+	before := mem.Reads()
+	cancel()
+	if _, err := rr.Row(0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Row after cancel = %v, want Canceled", err)
+	}
+	if mem.Reads() != before {
+		t.Fatal("a cancelled Row must not reach the underlying store")
+	}
+
+	disk, err := Create(filepath.Join(t.TempDir(), "seq.bin"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	if _, ok := Rows(WithContext(live, Instrument(disk, reg))); ok {
+		t.Fatal("Rows must stay false over Disk")
 	}
 }

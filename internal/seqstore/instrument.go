@@ -1,10 +1,6 @@
 package seqstore
 
-import (
-	"errors"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // instrumented mirrors every Store operation into obs counters while
 // delegating to the wrapped backend. Counts are in addition to the
@@ -91,7 +87,7 @@ func (s *instrumented) Row(id int) ([]float64, error) {
 	rr, ok := s.Store.(RowReader)
 	if !ok {
 		s.errors.Inc()
-		return nil, errors.New("seqstore: backend does not expose rows")
+		return nil, errNoRows
 	}
 	row, err := rr.Row(id)
 	if err == nil {

@@ -47,7 +47,8 @@ type Store interface {
 	// out if a later step fails). Truncating beyond Len is an error.
 	Truncate(n int) error
 	// Reads returns the number of Get/GetInto calls served (the random-I/O
-	// counter the experiments report).
+	// counter the experiments report); a lookup that fails its range check
+	// was not served and is not counted.
 	Reads() int64
 	// ResetReads zeroes the read counter.
 	ResetReads()
@@ -63,8 +64,8 @@ var ErrNotFound = errors.New("seqstore: sequence not found")
 // backends whose rows are stable in memory implement it (Memory rows are
 // immutable once appended); the disk backend does not — it must read into a
 // buffer anyway. Resolve it through Rows, never by direct type assertion:
-// instrumentation wrappers forward Row unconditionally, and Rows checks the
-// base backend actually supports it.
+// the instrumentation and context wrappers forward Row unconditionally, and
+// Rows checks the base backend actually supports it.
 type RowReader interface {
 	// Row returns the stored sequence as a read-only view. Callers must not
 	// modify or retain it past the surrounding read-locked section.
@@ -92,6 +93,10 @@ func Rows(s Store) (RowReader, bool) {
 	}
 	return rr, true
 }
+
+// errNoRows is what a wrapper's Row returns over a backend without row
+// views; Rows reports false for such a store, so callers never see it.
+var errNoRows = errors.New("seqstore: backend does not expose rows")
 
 // ErrBadLength is returned when a sequence's length does not match the store.
 var ErrBadLength = errors.New("seqstore: sequence length mismatch")
@@ -145,12 +150,12 @@ func (m *Memory) Get(id int) ([]float64, error) {
 // valid indefinitely for reading (rows are copied on Append and never
 // mutated; Truncate drops references but cannot recycle the backing array).
 func (m *Memory) Row(id int) ([]float64, error) {
-	m.reads.Add(1)
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	if id < 0 || id >= len(m.data) {
 		return nil, ErrNotFound
 	}
+	m.reads.Add(1)
 	return m.data[id], nil
 }
 
@@ -159,7 +164,6 @@ func (m *Memory) GetInto(id int, dst []float64) error {
 	if len(dst) != m.seqLen {
 		return ErrBadLength
 	}
-	m.reads.Add(1)
 	m.mu.RLock()
 	if id < 0 || id >= len(m.data) {
 		m.mu.RUnlock()
@@ -167,6 +171,7 @@ func (m *Memory) GetInto(id int, dst []float64) error {
 	}
 	src := m.data[id]
 	m.mu.RUnlock()
+	m.reads.Add(1)
 	// src is immutable once appended (Append stores a private copy), so the
 	// copy may run outside the lock.
 	copy(dst, src)
@@ -331,10 +336,10 @@ func (d *Disk) GetInto(id int, dst []float64) error {
 	if len(dst) != d.seqLen {
 		return ErrBadLength
 	}
-	d.reads.Add(1)
 	if id < 0 || id >= int(d.count.Load()) {
 		return ErrNotFound
 	}
+	d.reads.Add(1)
 	bp := d.bufs.Get().(*[]byte)
 	defer d.bufs.Put(bp)
 	buf := *bp

@@ -1,6 +1,7 @@
 package seqstore
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -125,6 +126,21 @@ func TestReadCounter(t *testing.T) {
 			}
 			if st.Reads() != 7 {
 				t.Errorf("Reads = %d, want 7", st.Reads())
+			}
+			// A lookup that fails its range check was not served.
+			if _, err := st.Get(1); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("Get(1) = %v, want ErrNotFound", err)
+			}
+			if err := st.GetInto(-1, make([]float64, 4)); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("GetInto(-1) = %v, want ErrNotFound", err)
+			}
+			if rr, ok := Rows(st); ok {
+				if _, err := rr.Row(1); !errors.Is(err, ErrNotFound) {
+					t.Fatalf("Row(1) = %v, want ErrNotFound", err)
+				}
+			}
+			if st.Reads() != 7 {
+				t.Errorf("Reads after failed lookups = %d, want 7", st.Reads())
 			}
 			st.ResetReads()
 			if st.Reads() != 0 {

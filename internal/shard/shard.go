@@ -36,6 +36,7 @@ import (
 	"repro/internal/lifecycle"
 	"repro/internal/obs"
 	"repro/internal/series"
+	"repro/internal/spectral"
 	"repro/internal/vptree"
 )
 
@@ -94,6 +95,7 @@ type shardMetrics struct {
 	scatterTotal *obs.Counter
 	gatherLat    *obs.Timer
 	queryErrors  *obs.Counter
+	prepares     *obs.Counter
 }
 
 func newShardMetrics(reg *obs.Registry) shardMetrics {
@@ -101,6 +103,7 @@ func newShardMetrics(reg *obs.Registry) shardMetrics {
 		scatterTotal: reg.Counter("shard_scatter_total", "queries fanned out across engine shards"),
 		gatherLat:    reg.Timer("shard_gather_seconds", "time merging per-shard answers into the final top-k"),
 		queryErrors:  reg.Counter("shard_query_errors_total", "scattered sub-queries that returned an error"),
+		prepares:     core.QueryPreparesCounter(reg),
 	}
 }
 
@@ -284,15 +287,22 @@ func (s *ShardedEngine) Series(id int) (*series.Series, error) {
 func (s *ShardedEngine) StandardizedValues(id int) ([]float64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.standardizedValuesLocked(id)
-}
-
-func (s *ShardedEngine) standardizedValuesLocked(id int) ([]float64, error) {
 	if id < 0 || id >= len(s.loc) {
 		return nil, fmt.Errorf("shard: no sequence %d", id)
 	}
 	l := s.loc[id]
 	return s.shards[l.shard].StandardizedValues(l.local)
+}
+
+// standardizedViewLocked is StandardizedValues for the scatter path, which
+// only reads the curve: the owning shard's stored row in place when its
+// store has row views (see core.Engine.StandardizedView).
+func (s *ShardedEngine) standardizedViewLocked(id int) ([]float64, error) {
+	if id < 0 || id >= len(s.loc) {
+		return nil, fmt.Errorf("shard: no sequence %d", id)
+	}
+	l := s.loc[id]
+	return s.shards[l.shard].StandardizedView(l.local)
 }
 
 // Tracer exposes the tracer queries run under (nil-safe, may be nil).
@@ -589,24 +599,35 @@ func (s *ShardedEngine) planLocked(req core.Request, nLive int) (plan, error) {
 	}
 
 	switch req.Kind {
-	case core.KindSimilar, core.KindLinear:
+	case core.KindLinear:
 		z, err := s.queryValues(req)
 		if err != nil {
 			return pl, err
 		}
 		sub.Values, sub.Standardized = z, true
 
+	case core.KindSimilar:
+		z, err := s.queryValues(req)
+		if err != nil {
+			return pl, err
+		}
+		if err := s.prepareInto(&sub, z); err != nil {
+			return pl, err
+		}
+
 	case core.KindSimilarID:
 		// Resolve the stored curve on the owner, then search by value
 		// everywhere: each shard returns k+1 so the merged list survives
 		// dropping the query series itself — the same over-fetch the
 		// single engine uses.
-		z, err := s.standardizedValuesLocked(req.ID)
+		z, err := s.standardizedViewLocked(req.ID)
 		if err != nil {
 			return pl, err
 		}
 		sub.Kind = core.KindSimilar
-		sub.Values, sub.Standardized = z, true
+		if err := s.prepareInto(&sub, z); err != nil {
+			return pl, err
+		}
 		sub.K = req.K + 1
 		pl.dropSelf = req.ID
 
@@ -617,7 +638,7 @@ func (s *ShardedEngine) planLocked(req core.Request, nLive int) (plan, error) {
 		if req.Values != nil {
 			z, err = s.queryValues(req)
 		} else {
-			z, err = s.standardizedValuesLocked(req.ID)
+			z, err = s.standardizedViewLocked(req.ID)
 		}
 		if err != nil {
 			return pl, err
@@ -661,6 +682,20 @@ func (s *ShardedEngine) planLocked(req core.Request, nLive int) (plan, error) {
 		pl.subs[i] = sub
 	}
 	return pl, nil
+}
+
+// prepareInto makes sub an index search for the standardized curve z whose
+// spectrum and bound context are computed here, once: every shard's copy of
+// sub then carries the same *spectral.Prepared, which the shards only read,
+// so the scatter costs one FFT and one context whatever the shard count.
+func (s *ShardedEngine) prepareInto(sub *core.Request, z []float64) error {
+	q, err := spectral.Prepare(z)
+	if err != nil {
+		return err
+	}
+	s.met.prepares.Inc()
+	sub.Values, sub.Standardized, sub.Prepared = z, true, q
+	return nil
 }
 
 // fanExcluding replicates sub across the live shards, rewriting ID to the

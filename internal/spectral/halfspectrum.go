@@ -21,6 +21,8 @@ import (
 	"errors"
 	"math"
 	"math/cmplx"
+	"slices"
+	"sync"
 
 	"repro/internal/fft"
 )
@@ -41,10 +43,17 @@ type HalfSpectrum struct {
 // ErrMismatch is returned when two spectra have different original lengths.
 var ErrMismatch = errors.New("spectral: sequence length mismatch")
 
+// fftWork pools the full-length transform buffers of FromValues, which keeps
+// only the first half of each spectrum it computes.
+var fftWork = sync.Pool{New: func() any { return new([]complex128) }}
+
 // FromValues computes the half-spectrum of a real sequence.
 func FromValues(x []float64) (*HalfSpectrum, error) {
-	X, err := fft.ForwardReal(x)
-	if err != nil {
+	wp := fftWork.Get().(*[]complex128)
+	defer fftWork.Put(wp)
+	*wp = slices.Grow((*wp)[:0], len(x))
+	X := (*wp)[:len(x)]
+	if err := fft.ForwardRealInto(X, x); err != nil {
 		return nil, err
 	}
 	half := len(X)/2 + 1

@@ -1,0 +1,33 @@
+package spectral
+
+// Prepared is everything an index search derives from the query alone: the
+// time-domain values the refinement phase measures exact distances against,
+// their half-spectrum, and the QueryContext the bound kernels read. It is
+// built once per request — by the engine for a single index, by the scatter
+// layer for all of its shards — and handed down by pointer.
+//
+// A Prepared is immutable after Prepare returns: no method writes to it and
+// a search keeps all of its mutable state elsewhere, so any number of
+// concurrent searches may share one.
+type Prepared struct {
+	values []float64
+	ctx    *QueryContext
+}
+
+// Prepare computes the spectrum and bound context of values, which must
+// already be in the form the index stores (z-scored, for the engine). The
+// slice is retained, not copied: the caller must not modify it while the
+// Prepared is in use.
+func Prepare(values []float64) (*Prepared, error) {
+	h, err := FromValues(values)
+	if err != nil {
+		return nil, err
+	}
+	return &Prepared{values: values, ctx: NewQueryContext(h)}, nil
+}
+
+// Values returns the query's time-domain values (read-only).
+func (p *Prepared) Values() []float64 { return p.values }
+
+// Context returns the query's bound context.
+func (p *Prepared) Context() *QueryContext { return p.ctx }

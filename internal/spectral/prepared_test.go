@@ -1,0 +1,107 @@
+package spectral
+
+import (
+	"math"
+	"sort"
+	"testing"
+
+	"repro/internal/stats"
+)
+
+// referenceMoments recomputes a context's sorted magnitudes and prefix sums
+// the slow, obviously ordered way: bins stably sorted by magnitude, i.e. by
+// (magnitude, bin index).
+func referenceMoments(q *HalfSpectrum) (sorted, pw, pwm, pwm2 []float64) {
+	bins := make([]int, q.Bins())
+	for b := range bins {
+		bins[b] = b
+	}
+	sort.SliceStable(bins, func(i, j int) bool {
+		return absFast(q.Coeffs[bins[i]]) < absFast(q.Coeffs[bins[j]])
+	})
+	pw, pwm, pwm2 = []float64{0}, []float64{0}, []float64{0}
+	for i, b := range bins {
+		m, w := absFast(q.Coeffs[b]), q.Weight(b)
+		sorted = append(sorted, m)
+		pw = append(pw, pw[i]+w)
+		pwm = append(pwm, pwm[i]+w*m)
+		pwm2 = append(pwm2, pwm2[i]+w*m*m)
+	}
+	return sorted, pw, pwm, pwm2
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Equal magnitudes are routine (the zero bins of a constant or padded
+// series) and bins carry different Parseval weights, so the order inside a
+// tie reaches the prefix sums. The context must order ties by bin index —
+// a total order, independent of the sort algorithm.
+func TestQueryContextOrdersTiesByBin(t *testing.T) {
+	padded := make([]float64, 64)
+	for i := 0; i < 8; i++ {
+		padded[i] = float64(i%3) - 1
+	}
+	cases := map[string]*HalfSpectrum{
+		// Weights 1,2,2,2,1; every magnitude tied across differing weights.
+		"hand-built ties": {N: 8, Coeffs: []complex128{0.3, 0.1i, complex(0, -0.3), -0.1, 0.3}},
+		"all-zero":        mustSpectrum(t, make([]float64, 32)),
+		"padded":          mustSpectrum(t, padded),
+		"odd length":      mustSpectrum(t, stats.Standardize([]float64{1, 5, 2, 5, 1, 5, 2})),
+	}
+	for name, q := range cases {
+		ctx := NewQueryContext(q)
+		sorted, pw, pwm, pwm2 := referenceMoments(q)
+		if !sameBits(ctx.sorted, sorted) || !sameBits(ctx.pw, pw) ||
+			!sameBits(ctx.pwm, pwm) || !sameBits(ctx.pwm2, pwm2) {
+			t.Errorf("%s: context moments differ from the (magnitude, bin) reference", name)
+		}
+		for b := 0; b < q.Bins(); b++ {
+			if ctx.mags[b] != absFast(q.Coeffs[b]) || ctx.weights[b] != q.Weight(b) ||
+				ctx.qre[b] != real(q.Coeffs[b]) || ctx.qim[b] != imag(q.Coeffs[b]) {
+				t.Errorf("%s: per-bin tables wrong at bin %d", name, b)
+			}
+		}
+	}
+}
+
+// Building a second context must not disturb the first: the sort scratch is
+// pooled, the context's own tables are not.
+func TestQueryContextOwnsItsTables(t *testing.T) {
+	a := mustSpectrum(t, stats.Standardize([]float64{1, 2, 4, 8, 16, 32, 64, 128}))
+	b := mustSpectrum(t, stats.Standardize([]float64{9, 1, 8, 2, 7, 3, 6, 4}))
+	ca := NewQueryContext(a)
+	keep := append([]float64(nil), ca.pwm2...)
+	NewQueryContext(b)
+	if !sameBits(ca.pwm2, keep) {
+		t.Fatal("a later NewQueryContext overwrote an earlier context")
+	}
+}
+
+func TestPrepare(t *testing.T) {
+	x := stats.Standardize([]float64{3, 1, 4, 1, 5, 9, 2, 6})
+	p, err := Prepare(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &p.Values()[0] != &x[0] {
+		t.Error("Prepare must retain the values, not copy them")
+	}
+	want := NewQueryContext(mustSpectrum(t, x))
+	got := p.Context()
+	if !sameBits(got.sorted, want.sorted) || !sameBits(got.pwm2, want.pwm2) || !sameBits(got.qre, want.qre) {
+		t.Error("prepared context differs from FromValues + NewQueryContext")
+	}
+	if _, err := Prepare(nil); err == nil {
+		t.Error("Prepare(nil) must fail")
+	}
+}

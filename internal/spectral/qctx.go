@@ -2,7 +2,9 @@ package spectral
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // QueryContext precomputes query-side aggregates so that bound evaluation
@@ -51,38 +53,70 @@ func absFast(c complex128) float64 {
 	return math.Sqrt(re*re + im*im)
 }
 
-// NewQueryContext builds the reusable context for q.
+// magBin is one bin keyed for the magnitude sort.
+type magBin struct {
+	m   float64
+	bin int
+}
+
+// sortScratch pools the magnitude-sort buffer of NewQueryContext; it is
+// returned before NewQueryContext does, so no context ever aliases it.
+var sortScratch = sync.Pool{New: func() any { return new([]magBin) }}
+
+// NewQueryContext builds the reusable context for q. The context is
+// immutable once built and safe to share between concurrent searches.
 func NewQueryContext(q *HalfSpectrum) *QueryContext {
 	bins := q.Bins()
+	// One backing array for the eight per-bin tables.
+	back := make([]float64, 5*bins+3*(bins+1))
+	take := func(n int) []float64 {
+		s := back[:n:n]
+		back = back[n:]
+		return s
+	}
 	ctx := &QueryContext{
 		q:       q,
-		mags:    make([]float64, bins),
-		sorted:  make([]float64, bins),
-		weights: make([]float64, bins),
-		qre:     make([]float64, bins),
-		qim:     make([]float64, bins),
+		mags:    take(bins),
+		sorted:  take(bins),
+		weights: take(bins),
+		qre:     take(bins),
+		qim:     take(bins),
+		pw:      take(bins + 1),
+		pwm:     take(bins + 1),
+		pwm2:    take(bins + 1),
 	}
-	type mw struct{ m, w float64 }
-	tmp := make([]mw, bins)
+	sp := sortScratch.Get().(*[]magBin)
+	tmp := slices.Grow((*sp)[:0], bins)[:bins]
 	for b := 0; b < bins; b++ {
 		m := absFast(q.Coeffs[b])
 		ctx.mags[b] = m
-		w := q.Weight(b)
-		ctx.weights[b] = w
+		ctx.weights[b] = q.Weight(b)
 		ctx.qre[b] = real(q.Coeffs[b])
 		ctx.qim[b] = imag(q.Coeffs[b])
-		tmp[b] = mw{m: m, w: w}
+		tmp[b] = magBin{m: m, bin: b}
 	}
-	sort.Slice(tmp, func(a, b int) bool { return tmp[a].m < tmp[b].m })
-	ctx.pw = make([]float64, bins+1)
-	ctx.pwm = make([]float64, bins+1)
-	ctx.pwm2 = make([]float64, bins+1)
+	// Ascending magnitude, ties by bin index: the order is total, so the
+	// prefix sums below do not depend on the sort algorithm (equal
+	// magnitudes are routine — the zero bins of constant or padded series).
+	slices.SortFunc(tmp, func(a, b magBin) int {
+		switch {
+		case a.m < b.m:
+			return -1
+		case a.m > b.m:
+			return 1
+		default:
+			return a.bin - b.bin
+		}
+	})
 	for i, e := range tmp {
+		w := ctx.weights[e.bin]
 		ctx.sorted[i] = e.m
-		ctx.pw[i+1] = ctx.pw[i] + e.w
-		ctx.pwm[i+1] = ctx.pwm[i] + e.w*e.m
-		ctx.pwm2[i+1] = ctx.pwm2[i] + e.w*e.m*e.m
+		ctx.pw[i+1] = ctx.pw[i] + w
+		ctx.pwm[i+1] = ctx.pwm[i] + w*e.m
+		ctx.pwm2[i+1] = ctx.pwm2[i] + w*e.m*e.m
 	}
+	*sp = tmp
+	sortScratch.Put(sp)
 	ctx.totalW = ctx.pw[bins]
 	ctx.totalWM = ctx.pwm[bins]
 	ctx.totalWM2 = ctx.pwm2[bins]

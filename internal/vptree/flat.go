@@ -189,7 +189,7 @@ func (s *searcher) visitFlat(f *flatIndex, ni int32) error {
 		s.kBlocks++
 		s.kEvals += int64(m)
 		for i := 0; i < m; i++ {
-			s.add(f.leafIDs[int(nd.leafLo)+i], s.lbBuf[i], s.ubBuf[i])
+			s.Add(f.leafIDs[int(nd.leafLo)+i], s.lbBuf[i], s.ubBuf[i])
 		}
 		return nil
 	}
@@ -200,7 +200,7 @@ func (s *searcher) visitFlat(f *flatIndex, ni int32) error {
 	s.st.BoundsComputed++
 	s.kEvals++
 	if !nd.vpDeleted {
-		s.add(nd.vpID, lb, ub)
+		s.Add(nd.vpID, lb, ub)
 	}
 
 	switch {

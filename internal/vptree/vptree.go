@@ -22,15 +22,14 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/knn"
 	"repro/internal/lifecycle"
 	"repro/internal/seqstore"
-	"repro/internal/series"
 	"repro/internal/spectral"
 )
 
@@ -211,12 +210,6 @@ func (s *Stats) Add(o Stats) {
 	s.UBPrunes += o.UBPrunes
 	s.GuidedDescentHits += o.GuidedDescentHits
 	s.ExactDistances += o.ExactDistances
-}
-
-// Result is one neighbour: the sequence ID and its exact Euclidean distance.
-type Result struct {
-	ID   int
-	Dist float64
 }
 
 // Build constructs the tree over the given spectra. ids[i] is the sequence
@@ -533,18 +526,15 @@ func height(n *node) int {
 	return r + 1
 }
 
-// candidate is a compressed object that survived traversal.
-type candidate struct {
-	id     int
-	lb, ub float64
-}
+// Result is one neighbour: the sequence ID and its exact Euclidean distance.
+type Result = knn.Result
 
 // Search returns the k nearest neighbours of the query values, refining
 // candidates against the full sequences in store. feats resolves compressed
 // features (pass t.Features() for the in-memory configuration or a
 // DiskFeatures for the on-disk one).
 func (t *Tree) Search(query []float64, k int, feats FeatureSource, store seqstore.Store) ([]Result, Stats, error) {
-	res, st, _, err := t.search(query, k, feats, store, nil, nil, false)
+	res, st, _, err := t.searchValues(query, k, feats, store, nil, nil, false)
 	return res, st, err
 }
 
@@ -553,14 +543,14 @@ func (t *Tree) Search(query []float64, k int, feats FeatureSource, store seqstor
 // implementation for the flat≡pointer equivalence harness and benchmarks;
 // results and Stats are identical to Search by construction.
 func (t *Tree) SearchPointer(query []float64, k int, feats FeatureSource, store seqstore.Store) ([]Result, Stats, error) {
-	res, st, _, err := t.search(query, k, feats, store, nil, nil, true)
+	res, st, _, err := t.searchValues(query, k, feats, store, nil, nil, true)
 	return res, st, err
 }
 
 // SearchPointerLimited is SearchLimited forced onto the pointer-tree path
 // (the reference twin of the flat path, for equivalence testing).
 func (t *Tree) SearchPointerLimited(query []float64, k int, feats FeatureSource, store seqstore.Store, g *lifecycle.Gate) (res []Result, st Stats, truncated bool, err error) {
-	return t.search(query, k, feats, store, g, nil, true)
+	return t.searchValues(query, k, feats, store, g, nil, true)
 }
 
 // SearchLimited is Search under a request-lifecycle gate: cancellation is
@@ -570,7 +560,14 @@ func (t *Tree) SearchPointerLimited(query []float64, k int, feats FeatureSource,
 // candidates and returning the best-so-far neighbours with truncated=true.
 // A nil gate makes it identical to Search.
 func (t *Tree) SearchLimited(query []float64, k int, feats FeatureSource, store seqstore.Store, g *lifecycle.Gate) (res []Result, st Stats, truncated bool, err error) {
-	return t.search(query, k, feats, store, g, nil, false)
+	return t.searchValues(query, k, feats, store, g, nil, false)
+}
+
+// SearchPrepared is SearchLimited for a query whose spectrum and bound
+// context already exist — the entry point of callers that run one query
+// against several trees (see spectral.Prepared). q is only read.
+func (t *Tree) SearchPrepared(q *spectral.Prepared, k int, feats FeatureSource, store seqstore.Store, g *lifecycle.Gate) (res []Result, st Stats, truncated bool, err error) {
+	return t.search(q, k, feats, store, g, nil, false)
 }
 
 // SearchExplain runs Search while additionally collecting a structured
@@ -587,25 +584,39 @@ func (t *Tree) SearchExplain(query []float64, k int, feats FeatureSource, store 
 		TreeSize:    t.n,
 		TreeHeight:  t.Height(),
 	}
-	res, st, _, err := t.search(query, k, feats, store, nil, exp, false)
+	res, st, _, err := t.searchValues(query, k, feats, store, nil, exp, false)
 	exp.Stats = st
 	return res, st, exp, err
 }
 
-func (t *Tree) search(query []float64, k int, feats FeatureSource, store seqstore.Store, g *lifecycle.Gate, exp *Explain, forcePointer bool) ([]Result, Stats, bool, error) {
-	var st Stats
+// admit validates a search's arguments and runs the gate's entry check, so a
+// bad k, a wrong-length query or a dead context costs no transform.
+func (t *Tree) admit(k, queryLen int, g *lifecycle.Gate) error {
 	if k < 1 {
-		return nil, st, false, errors.New("vptree: k must be >= 1")
+		return errors.New("vptree: k must be >= 1")
 	}
-	if len(query) != t.seqLen {
-		return nil, st, false, spectral.ErrMismatch
+	if queryLen != t.seqLen {
+		return spectral.ErrMismatch
 	}
-	if err := g.Check(); err != nil {
-		return nil, st, false, err
+	return g.Check()
+}
+
+// searchValues prepares query and delegates to search, the one traversal
+// entry.
+func (t *Tree) searchValues(query []float64, k int, feats FeatureSource, store seqstore.Store, g *lifecycle.Gate, exp *Explain, forcePointer bool) ([]Result, Stats, bool, error) {
+	if err := t.admit(k, len(query), g); err != nil {
+		return nil, Stats{}, false, err
 	}
-	hq, err := spectral.FromValues(query)
+	q, err := spectral.Prepare(query)
 	if err != nil {
-		return nil, st, false, err
+		return nil, Stats{}, false, err
+	}
+	return t.search(q, k, feats, store, g, exp, forcePointer)
+}
+
+func (t *Tree) search(q *spectral.Prepared, k int, feats FeatureSource, store seqstore.Store, g *lifecycle.Gate, exp *Explain, forcePointer bool) ([]Result, Stats, bool, error) {
+	if err := t.admit(k, len(q.Values()), g); err != nil {
+		return nil, Stats{}, false, err
 	}
 
 	var phase time.Time
@@ -613,25 +624,27 @@ func (t *Tree) search(query []float64, k int, feats FeatureSource, store seqstor
 		phase = time.Now()
 	}
 	// Phase 1: traverse, collecting candidates and shrinking σ_UB.
+	sc := knn.Get(k)
+	defer sc.Release()
 	s := &searcher{
-		t: t, hq: hq, k: k, feats: feats, st: &st, exp: exp, g: g,
-		ctx:     spectral.NewQueryContext(hq),
-		sigmaUB: math.Inf(1),
+		t: t, feats: feats, exp: exp, g: g,
+		ctx: q.Context(), Scratch: sc,
 	}
+	st := &s.st
 	// The flat batched-kernel path handles every plain search over the tree's
 	// own in-memory feature table; explain runs, foreign feature sources
 	// (disk) and explicit pointer requests use the pointer tree. Both paths
 	// produce bit-identical results and Stats (see flat.go).
+	var err error
 	if !forcePointer && exp == nil && t.flat != nil && t.flat.covers(feats) {
-		s.lbBuf = make([]float64, t.flat.maxLeaf)
-		s.ubBuf = make([]float64, t.flat.maxLeaf)
+		s.lbBuf, s.ubBuf = sc.BoundBufs(t.flat.maxLeaf)
 		err = s.visitFlat(t.flat, 0)
 		s.flushKernelCounters()
 	} else {
 		err = s.visit(t.root, 0)
 	}
 	if err != nil {
-		return nil, st, false, err
+		return nil, *st, false, err
 	}
 	// A budget that expired during traversal still grants refinement of up
 	// to k collected candidates (bounded overrun), so a truncated search
@@ -643,120 +656,51 @@ func (t *Tree) search(query []float64, k int, feats FeatureSource, store seqstor
 	if exp != nil {
 		now := time.Now()
 		exp.TraverseMS = float64(now.Sub(phase)) / float64(time.Millisecond)
-		exp.Collected = len(s.cands)
-		exp.SigmaUB = s.sigmaUB
+		exp.Collected = sc.Collected()
+		exp.SigmaUB = sc.SigmaUB()
 		phase = now
 	}
 
 	// Phase 2: prune by the k-th smallest upper bound (maintained during
 	// traversal as σ_UB) and refine in increasing lower-bound order with
 	// early abandoning (fig. 11 NNSearch).
-	// ε-relaxation: filter against σ_UB/(1+ε) instead of σ_UB. A candidate
-	// dropped in the relaxed band carries a proven floor (its own lower
-	// bound), recorded on the gate so BoundGap stays sound. At ε=0 the
-	// relaxed radius IS σ_UB and the filter is bit-identical to exact.
-	sub := s.sigmaUB
-	rsub := g.Relax(sub)
-	pruned := s.cands[:0]
-	for _, c := range s.cands {
-		if c.lb <= rsub {
-			pruned = append(pruned, c)
-		} else {
-			if c.lb <= sub {
-				g.MarkRelaxed(c.lb)
-			}
-			st.LBPrunes++
-			if exp != nil {
-				exp.FilterLBPrunes++
-			}
-		}
-	}
-	st.Candidates = len(pruned)
-	slices.SortFunc(pruned, func(a, b candidate) int {
-		switch {
-		case a.lb < b.lb:
-			return -1
-		case a.lb > b.lb:
-			return 1
-		default:
-			return 0
-		}
-	})
-	// δ sampled-stop: refine only the first ⌈(1−δ)·n⌉ of the lb-sorted
-	// candidates (never fewer than k). The skipped tail's smallest lower
-	// bound — the first skipped entry, by sort order — is its proven floor.
-	if cut := g.DeltaCut(len(pruned), k); cut < len(pruned) {
-		g.MarkRelaxed(pruned[cut].lb)
-		pruned = pruned[:cut]
-	}
+	kept, dropped := sc.Filter(g)
+	st.Candidates = kept
+	st.LBPrunes += dropped
 	if exp != nil {
+		exp.FilterLBPrunes += dropped
 		now := time.Now()
 		exp.FilterMS = float64(now.Sub(phase)) / float64(time.Millisecond)
 		phase = now
 	}
 
-	best := newKBest(k)
-	buf := make([]float64, t.seqLen)
-	for ci, c := range pruned {
-		// ε-relaxed cutoff: stop once every remaining lower bound exceeds
-		// worst/(1+ε). A cutoff that would not have fired at ε=0 records
-		// the skipped candidate's lower bound as the proven floor.
-		if w := best.worst(); best.full() && c.lb > g.Relax(w) {
-			if c.lb <= w {
-				g.MarkRelaxed(c.lb)
-			}
-			if exp != nil {
-				exp.CutoffSkips = len(pruned) - ci
-			}
-			break // every later candidate has an even larger lower bound
-		}
-		if ok, gerr := g.Exact(); gerr != nil {
-			return nil, st, false, gerr
-		} else if !ok {
-			break // budget exhausted: keep the neighbours refined so far
-		}
-		if err := store.GetInto(c.id, buf); err != nil {
-			return nil, st, false, fmt.Errorf("vptree: refine id %d: %w", c.id, err)
-		}
-		st.FullRetrievals++
-		bound := best.worst()
-		if !best.full() {
-			bound = math.Inf(1)
-		}
-		st.ExactDistances++
-		d, abandoned, err := series.EuclideanEarlyAbandon(query, buf, bound)
-		if err != nil {
-			return nil, st, false, err
-		}
-		if abandoned {
-			if exp != nil {
-				exp.EarlyAbandons++
-			}
-		} else {
-			best.offer(Result{ID: c.id, Dist: d})
-		}
+	res, rs, err := sc.Refine(q.Values(), store, g)
+	st.FullRetrievals = rs.FullRetrievals
+	st.ExactDistances = rs.ExactDistances
+	if err != nil {
+		return nil, *st, false, err
 	}
 	if exp != nil {
+		exp.CutoffSkips = rs.CutoffSkips
+		exp.EarlyAbandons = rs.EarlyAbandons
 		exp.FullRetrievals = st.FullRetrievals
 		exp.ExactDistances = st.ExactDistances
 		exp.RefineMS = float64(time.Since(phase)) / float64(time.Millisecond)
 	}
-	return best.sorted(), st, g.Truncated(), nil
+	return res, *st, g.Truncated(), nil
 }
 
+// searcher is one traversal: the tree and query being read plus the pooled
+// scratch (candidates, σ_UB) being written.
 type searcher struct {
-	t       *Tree
-	hq      *spectral.HalfSpectrum
-	ctx     *spectral.QueryContext
-	g       *lifecycle.Gate // nil ⇒ unlimited
-	k       int
-	feats   FeatureSource
-	st      *Stats
-	exp     *Explain // nil on the plain (non-explained) path
-	cands   []candidate
-	sigmaUB float64
-	ubTop   []float64 // max-heap of the k smallest upper bounds seen
-	// lbBuf/ubBuf are the per-search kernel output buffers (flat path only),
+	t     *Tree
+	ctx   *spectral.QueryContext
+	g     *lifecycle.Gate // nil ⇒ unlimited
+	feats FeatureSource
+	st    Stats
+	exp   *Explain // nil on the plain (non-explained) path
+	*knn.Scratch
+	// lbBuf/ubBuf are the scratch's kernel output buffers (flat path only),
 	// sized to the largest leaf block so BoundsBlock never allocates.
 	lbBuf, ubBuf []float64
 	// kBlocks/kEvals/kBlocksPruned are this search's flat-kernel counters,
@@ -777,52 +721,6 @@ func (s *searcher) bounds(ref int) (lb, ub float64, err error) {
 	return c.SafeBoundsFast(s.ctx)
 }
 
-// add records a candidate and updates σ_UB (the k-th smallest upper bound of
-// any candidate seen so far — with k=1 exactly the paper's best-so-far σ_UB).
-func (s *searcher) add(id int, lb, ub float64) {
-	s.cands = append(s.cands, candidate{id: id, lb: lb, ub: ub})
-	if len(s.ubTop) < s.k {
-		s.ubTop = append(s.ubTop, ub)
-		siftUpMax(s.ubTop, len(s.ubTop)-1)
-		if len(s.ubTop) == s.k {
-			s.sigmaUB = s.ubTop[0]
-		}
-	} else if ub < s.ubTop[0] {
-		s.ubTop[0] = ub
-		siftDownMax(s.ubTop, 0)
-		s.sigmaUB = s.ubTop[0]
-	}
-}
-
-func siftUpMax(h []float64, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p] >= h[i] {
-			return
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-}
-
-func siftDownMax(h []float64, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(h) && h[l] > h[big] {
-			big = l
-		}
-		if r < len(h) && h[r] > h[big] {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
-}
-
 // lvl returns the explain row for depth (nil off the explained path).
 func (s *searcher) lvl(depth int) *LevelExplain {
 	if s.exp == nil {
@@ -839,11 +737,11 @@ func (s *searcher) lvl(depth int) *LevelExplain {
 // BoundGap sound. At ε=0 the relaxed radius IS σ_UB and the decision is
 // bit-identical to exact.
 func (s *searcher) ubPrune(ub, median float64) bool {
-	r := s.g.Relax(s.sigmaUB)
+	r := s.g.Relax(s.SigmaUB())
 	if ub >= median-r {
 		return false
 	}
-	if ub >= median-s.sigmaUB {
+	if ub >= median-s.SigmaUB() {
 		s.g.MarkRelaxed(r)
 	}
 	return true
@@ -852,11 +750,11 @@ func (s *searcher) ubPrune(ub, median float64) bool {
 // lbPrune is ubPrune's twin for subtrees whose objects are all at
 // vantage-point distance ≤ median, keyed on the query↔vp lower bound lb.
 func (s *searcher) lbPrune(lb, median float64) bool {
-	r := s.g.Relax(s.sigmaUB)
+	r := s.g.Relax(s.SigmaUB())
 	if lb <= median+r {
 		return false
 	}
-	if lb <= median+s.sigmaUB {
+	if lb <= median+s.SigmaUB() {
 		s.g.MarkRelaxed(r)
 	}
 	return true
@@ -889,7 +787,7 @@ func (s *searcher) visit(nd *node, depth int) error {
 			if err != nil {
 				return err
 			}
-			s.add(e.id, lb, ub)
+			s.Add(e.id, lb, ub)
 		}
 		return nil
 	}
@@ -907,7 +805,7 @@ func (s *searcher) visit(nd *node, depth int) error {
 		if l := s.lvl(depth); l != nil {
 			l.Candidates++
 		}
-		s.add(nd.vpID, lb, ub)
+		s.Add(nd.vpID, lb, ub)
 	}
 
 	switch {
@@ -963,40 +861,3 @@ func (s *searcher) visit(nd *node, depth int) error {
 		return s.visit(second, depth+1)
 	}
 }
-
-// kBest keeps the k smallest exact results seen so far.
-type kBest struct {
-	k   int
-	res []Result
-}
-
-func newKBest(k int) *kBest { return &kBest{k: k} }
-
-func (b *kBest) full() bool { return len(b.res) >= b.k }
-
-// worst returns the current k-th best distance (+Inf while not full).
-func (b *kBest) worst() float64 {
-	if !b.full() {
-		return math.Inf(1)
-	}
-	return b.res[len(b.res)-1].Dist
-}
-
-// offer inserts r keeping the k smallest results in canonical
-// (Dist, ID) lexicographic order. Ranking ties by ID makes the result
-// set independent of refinement order — and therefore of tree shape —
-// which is what lets a sharded engine's per-shard top-k lists merge to
-// exactly the single-engine answer (see internal/shard).
-func (b *kBest) offer(r Result) {
-	pos := sort.Search(len(b.res), func(i int) bool {
-		return b.res[i].Dist > r.Dist || (b.res[i].Dist == r.Dist && b.res[i].ID > r.ID)
-	})
-	b.res = append(b.res, Result{})
-	copy(b.res[pos+1:], b.res[pos:])
-	b.res[pos] = r
-	if len(b.res) > b.k {
-		b.res = b.res[:b.k]
-	}
-}
-
-func (b *kBest) sorted() []Result { return b.res }

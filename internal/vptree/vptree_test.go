@@ -348,29 +348,6 @@ func TestMemoryFeaturesBadRef(t *testing.T) {
 	}
 }
 
-func TestKBest(t *testing.T) {
-	b := newKBest(3)
-	if b.full() || !math.IsInf(b.worst(), 1) {
-		t.Error("fresh kBest wrong")
-	}
-	for _, d := range []float64{5, 1, 9, 3, 2} {
-		b.offer(Result{ID: int(d), Dist: d})
-	}
-	res := b.sorted()
-	wantD := []float64{1, 2, 3}
-	if len(res) != 3 {
-		t.Fatalf("len %d", len(res))
-	}
-	for i := range wantD {
-		if res[i].Dist != wantD[i] {
-			t.Errorf("rank %d = %v, want %v", i, res[i].Dist, wantD[i])
-		}
-	}
-	if b.worst() != 3 {
-		t.Errorf("worst = %v", b.worst())
-	}
-}
-
 func TestMedianOf(t *testing.T) {
 	if medianOf([]float64{3, 1, 2}) != 2 {
 		t.Error("odd median wrong")

@@ -1,0 +1,62 @@
+#!/bin/sh
+# bench_pair.sh — paired before/after runs of the repository benchmark.
+#
+#   scripts/bench_pair.sh BASE WORKLOAD [PAIRS]
+#
+# Checks revision BASE out into a git worktree, then runs PAIRS (default
+# and minimum 10) pairs of `bench/run.sh --workload WORKLOAD --out`: one run
+# of BASE's checkout and one of this working tree, pair i on seed i,
+# alternating which side goes first so drift in the machine's state falls
+# on both sides. Finishes with `bench compare` over the two record sets:
+# per row the median and quartile spread of each side, the bound from
+# BENCHMARK.json and a verdict; per-request counts must match exactly.
+#
+# Each side builds and runs from its own checkout (bench/run.sh keeps its
+# binaries and Go cache under <checkout>/.bench_build), so BASE is measured
+# with BASE's own benchmark code. TRACE=1 records the per-layer ledger
+# instead of the end-to-end metrics.
+#
+# Everything it writes is git-ignored: the worktree under .bench_build/,
+# the records under bench/out/pair/.
+set -eu
+
+[ $# -ge 2 ] || { echo "usage: $0 BASE WORKLOAD [PAIRS]" >&2; exit 2; }
+base_rev=$1
+workload=$2
+pairs=${3:-10}
+[ "$pairs" -ge 10 ] || { echo "bench-pair: need at least 10 pairs to claim anything, got $pairs" >&2; exit 2; }
+trace=${TRACE:-0}
+
+root=$(git rev-parse --show-toplevel)
+tree="$root/.bench_build/pair-base"
+out="$root/bench/out/pair"
+a="$out/$workload-base.jsonl"
+b="$out/$workload-change.jsonl"
+
+mkdir -p "$root/.bench_build" "$out"
+rm -f "$a" "$b"
+git -C "$root" worktree remove --force "$tree" 2>/dev/null || true
+git -C "$root" worktree add --detach "$tree" "$base_rev" >/dev/null
+trap 'git -C "$root" worktree remove --force "$tree"' EXIT
+
+log="$out/$workload-last.log"
+run() { # run CHECKOUT RECORDS SEED — prints the run's contract line
+	bash "$1/bench/run.sh" --workload "$workload" --seed "$3" --trace "$trace" --out "$2" >"$log" 2>&1 ||
+		{ cat "$log" >&2; exit 1; }
+	tail -n 1 "$log"
+}
+
+i=1
+while [ "$i" -le "$pairs" ]; do
+	echo "# pair $i/$pairs (seed $i)"
+	if [ $((i % 2)) -eq 1 ]; then
+		run "$tree" "$a" "$i"
+		run "$root" "$b" "$i"
+	else
+		run "$root" "$b" "$i"
+		run "$tree" "$a" "$i"
+	fi
+	i=$((i + 1))
+done
+
+go run -C "$root/bench" . compare "$a" "$b"
