@@ -33,7 +33,10 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-check: vet vet-lostcancel api-check fmt race
+# check runs the tests twice: under the race detector, and plainly — the
+# testing.AllocsPerRun guards skip themselves under -race (it makes sync.Pool
+# drop Puts at random), so only the plain run exercises them.
+check: vet vet-lostcancel api-check fmt race test
 
 # fuzz-smoke gives each spectral fuzz target a short budget on top of the
 # checked-in seed corpus (testdata/fuzz/). Long exploratory runs are manual:

@@ -13,10 +13,13 @@
 package burstdb
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/btree"
 	"repro/internal/burst"
@@ -213,14 +216,19 @@ func (db *DB) Sequences() int { return len(db.bySeq) }
 
 // BurstsOf returns the burst set of one sequence in time order.
 func (db *DB) BurstsOf(seqID int64) []burst.Burst {
-	rids := db.bySeq[seqID]
-	out := make([]burst.Burst, 0, len(rids))
-	for _, rid := range rids {
+	return db.appendBurstsOf(make([]burst.Burst, 0, len(db.bySeq[seqID])), seqID)
+}
+
+// appendBurstsOf is BurstsOf into dst[:0], so a ranking loop scores every
+// candidate through one buffer.
+func (db *DB) appendBurstsOf(dst []burst.Burst, seqID int64) []burst.Burst {
+	dst = dst[:0]
+	for _, rid := range db.bySeq[seqID] {
 		r := db.rows[rid]
-		out = append(out, burst.Burst{Start: int(r.Start), End: int(r.End), Avg: r.Avg})
+		dst = append(dst, burst.Burst{Start: int(r.Start), End: int(r.End), Avg: r.Avg})
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Start < out[b].Start })
-	return out
+	slices.SortFunc(dst, func(a, b burst.Burst) int { return cmp.Compare(a.Start, b.Start) })
+	return dst
 }
 
 // ErrBadRange is returned when qStart > qEnd.
@@ -231,15 +239,16 @@ var ErrBadRange = errors.New("burstdb: query start after query end")
 // (the paper's strict "<"/">" applies to exclusive end dates; spans here are
 // inclusive on both sides).
 func (db *DB) Overlapping(qStart, qEnd int64, plan Plan) ([]Record, ScanStats, error) {
-	return db.overlapping(qStart, qEnd, plan, nil)
+	return db.overlapping(qStart, qEnd, plan, nil, nil)
 }
 
 // overlapping is Overlapping under an optional request-lifecycle gate: each
 // row touched (index entry followed or heap row read) is one gated scan
 // unit, so cancellation aborts mid-scan with the context's error and budget
 // exhaustion stops the scan early (the gate records the truncation; the
-// rows gathered so far are returned).
-func (db *DB) overlapping(qStart, qEnd int64, plan Plan, g *lifecycle.Gate) ([]Record, ScanStats, error) {
+// rows gathered so far are returned). The rows are appended to dst[:0], so a
+// caller issuing one scan after another reuses one buffer.
+func (db *DB) overlapping(qStart, qEnd int64, plan Plan, g *lifecycle.Gate, dst []Record) ([]Record, ScanStats, error) {
 	if qStart > qEnd {
 		return nil, ScanStats{}, ErrBadRange
 	}
@@ -248,7 +257,7 @@ func (db *DB) overlapping(qStart, qEnd int64, plan Plan, g *lifecycle.Gate) ([]R
 	}
 	var st ScanStats
 	st.Plan = plan
-	var out []Record
+	out := dst[:0]
 	var gateErr error
 	// admit gates one row: false stops the scan, recording any ctx error.
 	admit := func() bool {
@@ -448,6 +457,18 @@ func (db *DB) QueryByBurstExplain(query []burst.Burst, k int, exclude int64, pla
 	return matches, agg, exp, err
 }
 
+// qbbScratch is the working memory of one queryByBurst, pooled across
+// queries: the overlap scan's rows, the candidate IDs and the burst set of
+// the candidate being scored. None of it outlives the query; the matches
+// returned are freshly allocated.
+type qbbScratch struct {
+	rows   []Record
+	ids    []int64
+	bursts []burst.Burst
+}
+
+var qbbPool = sync.Pool{New: func() any { return new(qbbScratch) }}
+
 func (db *DB) queryByBurst(query []burst.Burst, k int, exclude int64, plan Plan, exp *QBBExplain, g *lifecycle.Gate) ([]Match, ScanStats, bool, error) {
 	var agg ScanStats
 	if k < 1 {
@@ -456,9 +477,15 @@ func (db *DB) queryByBurst(query []burst.Burst, k int, exclude int64, plan Plan,
 	if err := g.Check(); err != nil {
 		return nil, agg, false, err
 	}
-	candidates := map[int64]bool{}
+	sc := qbbPool.Get().(*qbbScratch)
+	defer qbbPool.Put(sc)
+	// sc.ids collects candidate sequence IDs, with repeats until sorted and
+	// compacted below.
+	sc.ids = sc.ids[:0]
 	for _, qb := range query {
-		rows, st, err := db.overlapping(int64(qb.Start), int64(qb.End), plan, g)
+		var st ScanStats
+		var err error
+		sc.rows, st, err = db.overlapping(int64(qb.Start), int64(qb.End), plan, g, sc.rows)
 		if err != nil {
 			return nil, agg, false, err
 		}
@@ -477,20 +504,17 @@ func (db *DB) queryByBurst(query []burst.Burst, k int, exclude int64, plan Plan,
 				exp.BTreeProbes += st.RowsScanned
 			}
 		}
-		for _, r := range rows {
+		for _, r := range sc.rows {
 			if r.SeqID != exclude {
-				candidates[r.SeqID] = true
+				sc.ids = append(sc.ids, r.SeqID)
 			}
 		}
 	}
-	db.metrics.Candidates.Add(int64(len(candidates)))
 	// Rank candidates in sorted-ID order so a budget that truncates the
-	// ranking loop cuts a deterministic prefix, not a random map walk.
-	ordered := make([]int64, 0, len(candidates))
-	for seqID := range candidates {
-		ordered = append(ordered, seqID)
-	}
-	sort.Slice(ordered, func(a, b int) bool { return ordered[a] < ordered[b] })
+	// ranking loop cuts a deterministic prefix.
+	slices.Sort(sc.ids)
+	ordered := slices.Compact(sc.ids)
+	db.metrics.Candidates.Add(int64(len(ordered)))
 	matches := make([]Match, 0, len(ordered))
 	var gateErr error
 	for _, seqID := range ordered {
@@ -500,7 +524,8 @@ func (db *DB) queryByBurst(query []burst.Burst, k int, exclude int64, plan Plan,
 		} else if !ok {
 			break // budget exhausted: rank only the candidates scored so far
 		}
-		score := burst.BSim(query, db.BurstsOf(seqID))
+		sc.bursts = db.appendBurstsOf(sc.bursts, seqID)
+		score := burst.BSim(query, sc.bursts)
 		if score > 0 {
 			matches = append(matches, Match{SeqID: seqID, Score: score})
 		}
@@ -510,7 +535,7 @@ func (db *DB) queryByBurst(query []burst.Burst, k int, exclude int64, plan Plan,
 	}
 	db.metrics.Matches.Add(int64(len(matches)))
 	if exp != nil {
-		exp.Candidates = len(candidates)
+		exp.Candidates = len(ordered)
 		exp.Matches = len(matches)
 	}
 	sort.Slice(matches, func(a, b int) bool {

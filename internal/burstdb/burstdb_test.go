@@ -2,10 +2,12 @@ package burstdb
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/burst"
+	"repro/internal/israce"
 	"repro/internal/querylog"
 )
 
@@ -216,6 +218,77 @@ func TestQueryByBurst(t *testing.T) {
 	}
 	if _, _, err := db.QueryByBurst(q, 0, -1, PlanAuto); err == nil {
 		t.Error("expected error for k=0")
+	}
+}
+
+// qbbRef is query-by-burst by definition: every sequence with an
+// overlapping burst, scored against a freshly built burst set, best first.
+func qbbRef(db *DB, query []burst.Burst, k int, exclude int64) []Match {
+	var out []Match
+	for seqID := int64(0); seqID < 400; seqID++ {
+		if seqID == exclude {
+			continue
+		}
+		bs := db.BurstsOf(seqID)
+		overlaps := false
+		for _, q := range query {
+			for _, b := range bs {
+				overlaps = overlaps || (b.Start <= q.End && b.End >= q.Start)
+			}
+		}
+		if score := burst.BSim(query, bs); overlaps && score > 0 {
+			out = append(out, Match{SeqID: seqID, Score: score})
+		}
+	}
+	sort.SliceStable(out, func(a, b int) bool { return out[a].Score > out[b].Score })
+	return out[:min(k, len(out))]
+}
+
+// The ranking loop scores every candidate through pooled buffers. A query
+// that follows a much larger one — more overlapping rows, more candidates,
+// longer burst sets — must answer exactly as the definition does, and a
+// steady-state query allocates only its answer, not per candidate.
+func TestQueryByBurstPooledScratchIsClean(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	db := New()
+	for seq := int64(0); seq < 400; seq++ {
+		var bs []burst.Burst
+		for start := rng.Intn(40); start < 1000; start += 30 + rng.Intn(200) {
+			bs = append(bs, burst.Burst{Start: start, End: start + 3 + rng.Intn(25), Avg: 1 + rng.Float64()})
+		}
+		db.InsertBursts(seq, bs)
+	}
+	wide := db.BurstsOf(7)
+	narrow := []burst.Burst{{Start: 300, End: 302, Avg: 1.5}}
+	check := func(name string, query []burst.Burst, k int, exclude int64) {
+		t.Helper()
+		got, _, err := db.QueryByBurst(query, k, exclude, PlanAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := qbbRef(db, query, k, exclude)
+		if len(got) != len(want) || len(got) == 0 {
+			t.Fatalf("%s: %d matches, definition %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s rank %d: %+v, definition %+v", name, i, got[i], want[i])
+			}
+		}
+	}
+	check("narrow, first", narrow, 5, -1)
+	check("wide", wide, 400, 7)
+	check("narrow, after wide", narrow, 5, -1)
+
+	if israce.Enabled {
+		return // sync.Pool drops Puts at random under the race detector
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := db.QueryByBurst(wide, 10, 7, PlanAuto); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 40 {
+		t.Errorf("QueryByBurst over hundreds of candidates allocates %.0f objects", allocs)
 	}
 }
 

@@ -544,8 +544,8 @@ func (e *Engine) StandardizedValues(id int) ([]float64, error) {
 // (rows are immutable once appended), otherwise a copy. The caller must not
 // modify the result.
 func (e *Engine) StandardizedView(id int) ([]float64, error) {
-	if rows, ok := seqstore.Rows(e.store); ok {
-		return rows.Row(id)
+	if rows := seqstore.NewReader(e.store); rows.InPlace() {
+		return rows.Row(id, nil)
 	}
 	return e.store.Get(id)
 }
@@ -651,15 +651,12 @@ func (e *Engine) linearScanStandardized(z []float64, k int, g *lifecycle.Gate) (
 // aborts mid-range, budget exhaustion keeps the best-so-far prefix.
 func (e *Engine) linearScanRange(z []float64, k, lo, hi int, g *lifecycle.Gate) ([]Neighbor, error) {
 	best := make([]Neighbor, 0, k+1)
-	// Flat path: the memory backend exposes its rows as stable read-only
-	// views, so the scan walks them in place — no per-row copy, no buffer.
-	// Disk-backed stores fall back to copying reads. Read accounting is
-	// identical on both paths (Row counts like GetInto).
-	rows, flat := seqstore.Rows(e.store)
-	var buf []float64
-	if !flat {
-		buf = make([]float64, e.SeqLen())
-	}
+	// The memory backend exposes its rows as stable read-only views, so the
+	// scan walks them in place — no per-row copy, no buffer. Disk-backed
+	// stores fall back to copying reads. Read accounting is identical on
+	// both paths (see seqstore.Reader).
+	rows := seqstore.NewReader(e.store)
+	buf := rows.NewBuffer()
 	for id := lo; id < hi; id++ {
 		if ok, gerr := g.Visit(); gerr != nil {
 			return nil, gerr
@@ -669,13 +666,8 @@ func (e *Engine) linearScanRange(z []float64, k, lo, hi int, g *lifecycle.Gate) 
 		if !g.Leaf() {
 			break // ng leaf budget exhausted: best-so-far, flagged approximate
 		}
-		row := buf
-		if flat {
-			var err error
-			if row, err = rows.Row(id); err != nil {
-				return nil, err
-			}
-		} else if err := e.store.GetInto(id, buf); err != nil {
+		row, err := rows.Row(id, buf)
+		if err != nil {
 			return nil, err
 		}
 		bound := math.Inf(1)

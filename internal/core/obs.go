@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"repro/internal/burstdb"
+	"repro/internal/dtw"
 	"repro/internal/obs"
 	"repro/internal/vptree"
 )
@@ -45,8 +46,11 @@ type engineMetrics struct {
 	qbbLat     *obs.Timer
 	qbbResults *obs.Counter
 
-	dtwTotal *obs.Counter
-	dtwLat   *obs.Timer
+	dtwTotal     *obs.Counter
+	dtwLat       *obs.Timer
+	dtwLB        *obs.Counter
+	dtwFull      *obs.Counter
+	dtwAbandoned *obs.Counter
 
 	queryAborted   *obs.Counter
 	queryTruncated *obs.Counter
@@ -104,8 +108,11 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 		qbbLat:     reg.Timer("engine_qbb_latency_seconds", "query-by-burst latency"),
 		qbbResults: reg.Counter("engine_qbb_results_total", "matches returned by query-by-burst"),
 
-		dtwTotal: reg.Counter("engine_dtw_total", "DTW searches served"),
-		dtwLat:   reg.Timer("engine_dtw_latency_seconds", "DTW search latency"),
+		dtwTotal:     reg.Counter("engine_dtw_total", "DTW searches served"),
+		dtwLat:       reg.Timer("engine_dtw_latency_seconds", "DTW search latency"),
+		dtwLB:        reg.Counter("dtw_lb_computed_total", "LB_Keogh lower bounds evaluated by DTW searches"),
+		dtwFull:      reg.Counter("dtw_full_total", "exact banded DTW computations started (candidates the bound cascade did not prune)"),
+		dtwAbandoned: reg.Counter("dtw_abandoned_total", "exact DTW computations cut short by early abandoning"),
 
 		queryAborted:   reg.Counter("engine_query_aborted_total", "queries aborted by context cancellation or deadline expiry"),
 		queryTruncated: reg.Counter("engine_query_truncated_total", "queries returning budget-truncated partial results"),
@@ -176,6 +183,14 @@ func (m *engineMetrics) recordSearch(st vptree.Stats) {
 	m.treeExact.Add(int64(st.ExactDistances))
 }
 
+// recordDTW promotes one DTW cascade's transient dtw.Stats into the
+// cumulative registry counters.
+func (m *engineMetrics) recordDTW(st dtw.Stats) {
+	m.dtwLB.Add(int64(st.LBComputed))
+	m.dtwFull.Add(int64(st.FullDTW))
+	m.dtwAbandoned.Add(int64(st.Abandoned))
+}
+
 // burstDBMetrics builds the shared burstdb counter set (both windows feed
 // the same totals).
 func burstDBMetrics(reg *obs.Registry) burstdb.Metrics {
@@ -200,6 +215,16 @@ func annotateSearch(sp *obs.Span, st vptree.Stats) {
 	sp.Annotate("full_retrievals", strconv.Itoa(st.FullRetrievals))
 	sp.Annotate("lb_prunes", strconv.Itoa(st.LBPrunes))
 	sp.Annotate("ub_prunes", strconv.Itoa(st.UBPrunes))
+}
+
+// annotateDTW attaches a DTW cascade's work counters to its span.
+func annotateDTW(sp *obs.Span, st dtw.Stats) {
+	if sp == nil {
+		return
+	}
+	sp.Annotate("lb_computed", strconv.Itoa(st.LBComputed))
+	sp.Annotate("full_dtw", strconv.Itoa(st.FullDTW))
+	sp.Annotate("abandoned", strconv.Itoa(st.Abandoned))
 }
 
 // Hub returns the observability hub the engine was built with (nil when

@@ -607,6 +607,19 @@ func (e *Engine) queryLinear(ctx context.Context, g *lifecycle.Gate, req Request
 	return &Response{Kind: req.Kind, Neighbors: best, Truncated: truncated}, nil
 }
 
+// scanQuery resolves the query curve of a scan-shaped search (DTW, period
+// search): the request's values, or stored sequence req.ID read as one
+// counted read — in place when the store has row views. Caller holds the
+// read lock.
+func (e *Engine) scanQuery(rows seqstore.Reader, req Request) ([]float64, error) {
+	if req.Values != nil {
+		// Values-mode: search for the given curve, excluding sequence
+		// req.ID (negative = none). See the Request doc.
+		return e.queryValues(req)
+	}
+	return rows.Row(req.ID, rows.NewBuffer())
+}
+
 func (e *Engine) queryDTW(ctx context.Context, g *lifecycle.Gate, req Request) (*Response, error) {
 	defer e.met.dtwLat.StartCtx(ctx)()
 	e.met.dtwTotal.Inc()
@@ -620,31 +633,27 @@ func (e *Engine) queryDTW(ctx context.Context, g *lifecycle.Gate, req Request) (
 	// store view makes it abort promptly on cancellation. Budget accounting
 	// happens inside the gated DTW cascade, whose LB phase touches the same
 	// n candidates.
-	store := seqstore.WithContext(ctx, e.store)
-	var z []float64
-	var err error
-	if req.Values != nil {
-		// Values-mode: search for the given curve, excluding sequence
-		// req.ID (negative = none). See the Request doc.
-		z, err = e.queryValues(req)
-	} else {
-		z, err = store.Get(req.ID)
-	}
+	rows := seqstore.NewReader(seqstore.WithContext(ctx, e.store))
+	z, err := e.scanQuery(rows, req)
 	if err != nil {
 		return nil, err
 	}
-	collection := make([][]float64, 0, e.store.Len())
-	ids := make([]int, 0, e.store.Len())
-	for other := 0; other < e.store.Len(); other++ {
+	// The collection is views of the stored rows, not copies: the cascade
+	// only reads them and the read lock outlives it. A store without row
+	// views (Disk) fills one fresh buffer per row instead.
+	n := e.store.Len()
+	scratch := dtw.Get()
+	defer scratch.Release()
+	collection := scratch.Collection(n)
+	for other := 0; other < n; other++ {
 		if other == req.ID {
 			continue
 		}
-		v, err := store.Get(other)
+		v, err := rows.Row(other, rows.NewBuffer())
 		if err != nil {
 			return nil, err
 		}
 		collection = append(collection, v)
-		ids = append(ids, other)
 	}
 	if len(collection) == 0 {
 		// Nothing to compare against (single-series engine, or a shard
@@ -654,14 +663,22 @@ func (e *Engine) queryDTW(ctx context.Context, g *lifecycle.Gate, req Request) (
 		return &Response{Kind: req.Kind}, nil
 	}
 	sp := fam.Child("dtw_cascade")
-	res, _, truncated, err := dtw.SearchKLimited(collection, z, req.Band, req.K, g)
+	res, st, truncated, err := scratch.SearchKLimited(collection, z, req.Band, req.K, g)
 	sp.Finish()
+	annotateDTW(sp, st)
+	e.met.recordDTW(st)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Neighbor, len(res))
 	for i, r := range res {
-		out[i] = Neighbor{ID: ids[r.Index], Name: e.nameLocked(ids[r.Index]), Dist: r.Dist}
+		// Collection index → sequence ID: the excluded ID, if it is one of
+		// the store's, is the only gap.
+		id := r.Index
+		if req.ID >= 0 && id >= req.ID {
+			id++
+		}
+		out[i] = Neighbor{ID: id, Name: e.nameLocked(id), Dist: r.Dist}
 	}
 	annotateOutcome(fam, truncated)
 	return &Response{Kind: req.Kind, Neighbors: out, Truncated: truncated}, nil
@@ -677,16 +694,8 @@ func (e *Engine) querySimilarPeriods(ctx context.Context, g *lifecycle.Gate, req
 
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	store := seqstore.WithContext(ctx, e.store)
-	var z []float64
-	var err error
-	if req.Values != nil {
-		// Values-mode: search around the given curve, excluding sequence
-		// req.ID (negative = none). See the Request doc.
-		z, err = e.queryValues(req)
-	} else {
-		z, err = store.Get(req.ID)
-	}
+	rows := seqstore.NewReader(seqstore.WithContext(ctx, e.store))
+	z, err := e.scanQuery(rows, req)
 	if err != nil {
 		return nil, err
 	}
@@ -698,8 +707,15 @@ func (e *Engine) querySimilarPeriods(ctx context.Context, g *lifecycle.Gate, req
 	if len(bins) == 0 {
 		return nil, fmt.Errorf("core: no spectral bins within ±%.0f%% of periods %v", 100*relTol, req.Periods)
 	}
+	mask, err := hq.Mask(bins)
+	if err != nil {
+		return nil, err
+	}
 	best := make([]Neighbor, 0, req.K+1)
-	buf := make([]float64, e.SeqLen())
+	// One spectrum, and for stores without row views one read buffer, serve
+	// the whole scan.
+	var ho spectral.HalfSpectrum
+	buf := rows.NewBuffer()
 	for other := 0; other < e.store.Len(); other++ {
 		if other == req.ID {
 			continue
@@ -712,14 +728,14 @@ func (e *Engine) querySimilarPeriods(ctx context.Context, g *lifecycle.Gate, req
 		if !g.Leaf() {
 			break // ng leaf budget exhausted: best-so-far, flagged approximate
 		}
-		if err := store.GetInto(other, buf); err != nil {
-			return nil, err
-		}
-		ho, err := spectral.FromValues(buf)
+		row, err := rows.Row(other, buf)
 		if err != nil {
 			return nil, err
 		}
-		d, err := spectral.MaskedDistance(hq, ho, bins)
+		if err := spectral.FromValuesInto(&ho, row); err != nil {
+			return nil, err
+		}
+		d, err := mask.Distance(hq, &ho)
 		if err != nil {
 			return nil, err
 		}

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/lifecycle"
 	"repro/internal/series"
@@ -35,17 +36,41 @@ var ErrBand = errors.New("dtw: band radius must be >= 0")
 // differences; the result is the square root of the optimal path cost, so
 // Distance(a, b, 0) equals the Euclidean distance.
 func Distance(a, b []float64, r int) (float64, error) {
-	d, _, err := distance(a, b, r, math.Inf(1))
+	d, _, err := DistanceEarlyAbandon(a, b, r, math.Inf(1))
 	return d, err
 }
 
 // DistanceEarlyAbandon is Distance but gives up once every entry of the
 // current DP row exceeds bound², returning (+Inf, true, nil).
 func DistanceEarlyAbandon(a, b []float64, r int, bound float64) (float64, bool, error) {
-	return distance(a, b, r, bound)
+	s := Get()
+	defer s.Release()
+	return s.distance(a, b, r, bound)
 }
 
-func distance(a, b []float64, r int, bound float64) (float64, bool, error) {
+// infBits is the bit pattern of +Inf. The DP rows hold float64 bit
+// patterns: every finite cell value is ≥ +0, so unsigned integer order on
+// the patterns is float order, +Inf sorts above every finite value and every
+// NaN (either sign) sorts above +Inf. An integer min seeded with infBits
+// therefore picks exactly what the float chain `best := +Inf; if x < best
+// { best = x }` picks — a NaN predecessor is skipped — without a branch the
+// data can mispredict.
+const infBits = 0x7FF0000000000000
+
+// distance is the banded DTW kernel. It costs its band: row i of the DP
+// touches only the ≤ 2r+1 cells with |i−j| ≤ r, stored band-relative
+// (slot k+1 holds cell j = i−r+k, so a cell's three predecessors are
+// cur[k], prev[k+1] and prev[k+2] whatever the row) in two rolling rows of
+// 2r+3 slots from the scratch. Slot 0 and slot 2r+2 are never written and
+// stay +Inf, as does every slot a clipped first or last row skips, so
+// predecessors outside the band or the matrix read +Inf with no reset and
+// no boundary test; the virtual cell (−1, −1) = 0 seeds the origin.
+//
+// Per cell it performs the reference DP's operations — min over (left, up,
+// diagonal) skipping NaN, one add, the running row minimum — and per row the
+// same `rowMin > limit` abandon test, so distances and abandon decisions are
+// bit-identical to the full-row DP kept in dtw_test.go.
+func (s *Scratch) distance(a, b []float64, r int, bound float64) (float64, bool, error) {
 	n := len(a)
 	if n == 0 || n != len(b) {
 		return 0, false, ErrLength
@@ -61,54 +86,38 @@ func distance(a, b []float64, r int, bound float64) (float64, bool, error) {
 		limit = bound * bound
 	}
 
-	inf := math.Inf(1)
-	prev := make([]float64, n)
-	cur := make([]float64, n)
-	for j := range prev {
-		prev[j] = inf
+	w := 2*r + 3
+	s.dp = slices.Grow(s.dp[:0], 2*w)[:2*w]
+	prev, cur := s.dp[:w], s.dp[w:]
+	for k := range prev {
+		prev[k], cur[k] = infBits, infBits
 	}
-	for i := 0; i < n; i++ {
-		lo, hi := i-r, i+r
-		if lo < 0 {
-			lo = 0
+	prev[r+1] = 0 // cell (−1, −1): the diagonal predecessor of (0, 0)
+	var last uint64
+	for i, ai := range a {
+		// Band slots klo..khi are the ones whose column i−r+k is in [0, n).
+		klo, khi := max(0, r-i), min(2*r, n-1-i+r)
+		bs := b[i-r+klo : i-r+khi+1]
+		c := cur[klo+1:][:len(bs)]
+		p := prev[klo+1:][:len(bs)+1]
+		left, rowMin := uint64(infBits), uint64(infBits)
+		diag := p[0]
+		for t, bv := range bs {
+			up := p[t+1]
+			best := min(uint64(infBits), up, diag, left)
+			d := ai - bv
+			v := math.Float64bits(math.Float64frombits(best) + d*d)
+			c[t] = v
+			rowMin = min(rowMin, v)
+			left, diag = v, up
 		}
-		if hi >= n {
-			hi = n - 1
-		}
-		for j := range cur {
-			cur[j] = inf
-		}
-		rowMin := inf
-		for j := lo; j <= hi; j++ {
-			d := a[i] - b[j]
-			cost := d * d
-			// Predecessors outside the band hold +Inf (rows are reset),
-			// so the three-way min needs no extra band checks.
-			best := inf
-			if i == 0 && j == 0 {
-				best = 0
-			} else {
-				if j > 0 && cur[j-1] < best {
-					best = cur[j-1]
-				}
-				if prev[j] < best {
-					best = prev[j]
-				}
-				if j > 0 && prev[j-1] < best {
-					best = prev[j-1]
-				}
-			}
-			cur[j] = best + cost
-			if cur[j] < rowMin {
-				rowMin = cur[j]
-			}
-		}
-		if rowMin > limit {
+		last = left
+		if math.Float64frombits(rowMin) > limit {
 			return math.Inf(1), true, nil
 		}
 		prev, cur = cur, prev
 	}
-	return math.Sqrt(prev[n-1]), false, nil
+	return math.Sqrt(math.Float64frombits(last)), false, nil
 }
 
 // Envelope holds the running min/max of a sequence over the band window —
@@ -122,14 +131,25 @@ type Envelope struct {
 // NewEnvelope computes the band envelope of q:
 // Upper[i] = max(q[i−r .. i+r]), Lower[i] = min(q[i−r .. i+r]).
 func NewEnvelope(q []float64, r int) (*Envelope, error) {
+	e := new(Envelope)
+	if err := e.fill(q, r); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// fill rebuilds e for (q, r), reusing its slices.
+func (e *Envelope) fill(q []float64, r int) error {
 	n := len(q)
 	if n == 0 {
-		return nil, ErrLength
+		return ErrLength
 	}
 	if r < 0 {
-		return nil, ErrBand
+		return ErrBand
 	}
-	e := &Envelope{Upper: make([]float64, n), Lower: make([]float64, n), R: r}
+	e.Upper = slices.Grow(e.Upper[:0], n)[:n]
+	e.Lower = slices.Grow(e.Lower[:0], n)[:n]
+	e.R = r
 	// O(n·r) sliding window; r is small relative to n in practice. A deque
 	// would make it O(n) but profiling shows envelope construction is not
 	// on the search hot path (built once per query).
@@ -152,26 +172,37 @@ func NewEnvelope(q []float64, r int) (*Envelope, error) {
 		}
 		e.Upper[i], e.Lower[i] = u, l
 	}
-	return e, nil
+	return nil
 }
 
 // LBKeogh returns the LB_Keogh lower bound on DTW(q, x, r) where e is the
 // envelope of q at radius r: points of x outside [L, U] contribute their
 // squared excursion.
+//
+// The loop has no data-dependent branch: of v−U and L−v at most one is
+// positive, `bits−1 < infBits` is true exactly for the patterns of (0, +Inf]
+// (zero, negatives and NaN fail it), and a point inside the envelope adds
+// +0, which leaves the non-negative sum unchanged. The terms and their order
+// are those of the three-way switch it replaces, so the bound is
+// bit-identical; what is left is the latency of one add per element.
 func LBKeogh(e *Envelope, x []float64) (float64, error) {
 	if len(x) != len(e.Upper) {
 		return 0, ErrLength
 	}
+	upper, lower := e.Upper[:len(x)], e.Lower[:len(x)]
 	sum := 0.0
 	for i, v := range x {
-		switch {
-		case v > e.Upper[i]:
-			d := v - e.Upper[i]
-			sum += d * d
-		case v < e.Lower[i]:
-			d := e.Lower[i] - v
-			sum += d * d
+		above := math.Float64bits(v - upper[i])
+		below := math.Float64bits(lower[i] - v)
+		var m uint64
+		if below-1 < infBits {
+			m = below
 		}
+		if above-1 < infBits {
+			m = above
+		}
+		d := math.Float64frombits(m)
+		sum += d * d
 	}
 	return math.Sqrt(sum), nil
 }
@@ -201,6 +232,42 @@ type Stats struct {
 	Abandoned int
 }
 
+// Scratch is the mutable state of one DTW search: the kernel's two rolling
+// band rows, the query envelope, the LB_Keogh-ranked candidate list and a
+// buffer for the caller's collection of row views.
+//
+// Ownership follows knn.Scratch: a Scratch comes from a process-wide pool
+// (Get) and goes back when the search returns (Release, on every path).
+// Nothing reachable from it may outlive the search that holds it — the
+// neighbours a search returns are freshly allocated for that reason — and
+// Release drops the collection's row views so a pooled Scratch pins no
+// store.
+type Scratch struct {
+	dp    []uint64 // two band-relative DP rows as float64 bit patterns
+	env   Envelope
+	cands []lbCand
+	coll  [][]float64
+}
+
+var pool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// Get returns a Scratch for one search. The caller must Release it.
+func Get() *Scratch { return pool.Get().(*Scratch) }
+
+// Release returns s to the pool. s, and the slice Collection handed out,
+// must not be used afterwards.
+func (s *Scratch) Release() {
+	clear(s.coll[:cap(s.coll)])
+	pool.Put(s)
+}
+
+// Collection returns an empty collection with room for n sequences, for the
+// caller to append row views to and pass to SearchKLimited.
+func (s *Scratch) Collection(n int) [][]float64 {
+	s.coll = slices.Grow(s.coll[:0], n)
+	return s.coll
+}
+
 // Search returns the 1NN of query under DTW with band radius r, over the
 // candidate collection, using the LB_Keogh → early-abandon-DTW cascade. It
 // mirrors the paper's filter-and-refine structure (§8).
@@ -215,7 +282,9 @@ func Search(collection [][]float64, query []float64, r int) (Result, Stats, erro
 // SearchK returns the k nearest neighbours of query under banded DTW,
 // sorted by increasing distance, with the same bound cascade as Search.
 func SearchK(collection [][]float64, query []float64, r, k int) ([]Result, Stats, error) {
-	res, st, _, err := searchK(collection, query, r, k, nil)
+	s := Get()
+	defer s.Release()
+	res, st, _, err := s.SearchKLimited(collection, query, r, k, nil)
 	return res, st, err
 }
 
@@ -223,12 +292,9 @@ func SearchK(collection [][]float64, query []float64, r, k int) ([]Result, Stats
 // evaluation is a gated scan unit and each exact DTW a gated refinement
 // unit, so cancellation aborts within a bounded number of distance
 // computations and budget exhaustion returns the best-so-far neighbours
-// with truncated=true. A nil gate makes it identical to SearchK.
-func SearchKLimited(collection [][]float64, query []float64, r, k int, g *lifecycle.Gate) ([]Result, Stats, bool, error) {
-	return searchK(collection, query, r, k, g)
-}
-
-func searchK(collection [][]float64, query []float64, r, k int, g *lifecycle.Gate) ([]Result, Stats, bool, error) {
+// with truncated=true. A nil gate makes it identical to SearchK. The
+// collection is only read: its sequences may be views of stored rows.
+func (s *Scratch) SearchKLimited(collection [][]float64, query []float64, r, k int, g *lifecycle.Gate) ([]Result, Stats, bool, error) {
 	var st Stats
 	if len(collection) == 0 {
 		return nil, st, false, errors.New("dtw: empty collection")
@@ -239,11 +305,14 @@ func searchK(collection [][]float64, query []float64, r, k int, g *lifecycle.Gat
 	if err := g.Check(); err != nil {
 		return nil, st, false, err
 	}
-	env, err := NewEnvelope(query, r)
-	if err != nil {
+	env := &s.env
+	if err := env.fill(query, r); err != nil {
 		return nil, st, false, err
 	}
-	cands := make([]lbCand, 0, len(collection))
+	// Grown to the collection's size up front, so the appends below never
+	// leave the scratch's backing array.
+	s.cands = slices.Grow(s.cands[:0], len(collection))
+	cands := s.cands
 	for i, x := range collection {
 		if ok, gerr := g.Visit(); gerr != nil {
 			return nil, st, false, gerr
@@ -311,7 +380,7 @@ func searchK(collection [][]float64, query []float64, r, k int, g *lifecycle.Gat
 		if len(best) >= k {
 			bound = worst
 		}
-		d, abandoned, err := DistanceEarlyAbandon(collection[c.idx], query, r, bound)
+		d, abandoned, err := s.distance(collection[c.idx], query, r, bound)
 		if err != nil {
 			return nil, st, false, err
 		}
@@ -322,6 +391,9 @@ func searchK(collection [][]float64, query []float64, r, k int, g *lifecycle.Gat
 		// Insert in canonical (Dist, Index) order, keep k best: tied
 		// distances rank by ascending collection index independently of
 		// refinement order (the sharded gather merge relies on this).
+		if best == nil {
+			best = make([]Result, 0, min(k, len(cands))+1)
+		}
 		pos := len(best)
 		for pos > 0 && (best[pos-1].Dist > d ||
 			(best[pos-1].Dist == d && best[pos-1].Index > c.idx)) {

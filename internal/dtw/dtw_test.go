@@ -6,49 +6,232 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/israce"
 	"repro/internal/querylog"
 	"repro/internal/series"
 )
 
-// naiveDTW is the O(n²)-memory reference implementation.
-func naiveDTW(a, b []float64, r int) float64 {
+// refDistance is the definition the banded kernel must match bit for bit: the
+// full n×n DP matrix, every cell outside the band +Inf, the three-way min
+// taken in the order (left, up, diagonal) with float compares — so a NaN
+// predecessor is skipped — and the row abandoned once its smallest cell
+// exceeds bound². It is the only other DTW in the repository.
+func refDistance(a, b []float64, r int, bound float64) (float64, bool) {
 	n := len(a)
 	if r >= n {
 		r = n - 1
 	}
+	limit := math.Inf(1)
+	if !math.IsInf(bound, 1) {
+		limit = bound * bound
+	}
 	inf := math.Inf(1)
-	dp := make([][]float64, n+1)
-	for i := range dp {
-		dp[i] = make([]float64, n+1)
-		for j := range dp[i] {
-			dp[i][j] = inf
+	dp := refMatrix(n)
+	defer func() { // put back the +Inf this run overwrote: the band only
+		for i := 0; i < n; i++ {
+			for j := max(0, i-r); j <= min(n-1, i+r); j++ {
+				dp[i][j] = inf
+			}
+		}
+	}()
+	for i := 0; i < n; i++ {
+		rowMin := inf
+		for j := max(0, i-r); j <= min(n-1, i+r); j++ {
+			d := a[i] - b[j]
+			best := inf
+			if i == 0 && j == 0 {
+				best = 0
+			} else {
+				if j > 0 && dp[i][j-1] < best {
+					best = dp[i][j-1]
+				}
+				if i > 0 && dp[i-1][j] < best {
+					best = dp[i-1][j]
+				}
+				if i > 0 && j > 0 && dp[i-1][j-1] < best {
+					best = dp[i-1][j-1]
+				}
+			}
+			dp[i][j] = best + d*d
+			if dp[i][j] < rowMin {
+				rowMin = dp[i][j]
+			}
+		}
+		if rowMin > limit {
+			return inf, true
 		}
 	}
-	dp[0][0] = 0
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= n; j++ {
-			if abs(i-j) > r {
-				continue
-			}
-			d := a[i-1] - b[j-1]
-			m := dp[i-1][j-1]
-			if dp[i-1][j] < m {
-				m = dp[i-1][j]
-			}
-			if dp[i][j-1] < m {
-				m = dp[i][j-1]
-			}
-			dp[i][j] = m + d*d
-		}
-	}
-	return math.Sqrt(dp[n][n])
+	return math.Sqrt(dp[n-1][n-1]), false
 }
 
-func abs(x int) int {
-	if x < 0 {
-		return -x
+// refCells backs refMatrix: all +Inf between runs, so the thousands of
+// reference runs of the sweep below do not each pay an n² fill.
+var refCells []float64
+
+func refMatrix(n int) [][]float64 {
+	if len(refCells) < n*n {
+		refCells = make([]float64, n*n)
+		for i := range refCells {
+			refCells[i] = math.Inf(1)
+		}
 	}
-	return x
+	dp := make([][]float64, n)
+	for i := range dp {
+		dp[i] = refCells[i*n : (i+1)*n]
+	}
+	return dp
+}
+
+// refLBKeogh is the three-way switch LBKeogh replaced.
+func refLBKeogh(e *Envelope, x []float64) float64 {
+	sum := 0.0
+	for i, v := range x {
+		switch {
+		case v > e.Upper[i]:
+			d := v - e.Upper[i]
+			sum += d * d
+		case v < e.Lower[i]:
+			d := e.Lower[i] - v
+			sum += d * d
+		}
+	}
+	return math.Sqrt(sum)
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func checkKernelMatchesRef(t *testing.T, a, b []float64, r int, bound float64) {
+	t.Helper()
+	wantD, wantAb := refDistance(a, b, r, bound)
+	gotD, gotAb, err := DistanceEarlyAbandon(a, b, r, bound)
+	if err != nil {
+		t.Fatalf("n=%d r=%d bound=%v: %v", len(a), r, bound, err)
+	}
+	if gotAb != wantAb || !sameBits(gotD, wantD) {
+		t.Fatalf("n=%d r=%d bound=%v: got (%v, %v), reference DP (%v, %v)\na=%v\nb=%v",
+			len(a), r, bound, gotD, gotAb, wantD, wantAb, a, b)
+	}
+}
+
+// boundsAround returns bounds below, exactly at and above the true
+// distance, plus the degenerate ones the limit computation special-cases.
+func boundsAround(a, b []float64, r int) []float64 {
+	d, _ := refDistance(a, b, r, math.Inf(1))
+	return []float64{
+		d / 2, math.Nextafter(d, 0), d, math.Nextafter(d, math.Inf(1)), 2 * d,
+		0, -1, math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+}
+
+// The kernel against the reference DP: every length 1–70, bands from
+// Euclidean to unconstrained, bounds on both sides of and exactly at the
+// true distance, and NaN/±Inf poison at every position of either input.
+// Small integers keep every path cost exactly representable, so "bound at
+// the distance" really is an exact tie.
+func TestKernelMatchesReferenceDP(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	stride := 1
+	if israce.Enabled {
+		stride = 4 // one goroutine, nothing to race: thin the sweep the detector slows tenfold
+	}
+	for n := 1; n <= 70; n++ {
+		a, b := make([]float64, n), make([]float64, n)
+		for i := range a {
+			a[i], b[i] = float64(rng.Intn(9)), float64(rng.Intn(9))
+		}
+		for _, r := range []int{0, 1, 2, 7, n - 1, n, n + 5} {
+			for _, bound := range boundsAround(a, b, r) {
+				checkKernelMatchesRef(t, a, b, r, bound)
+			}
+			if r >= n {
+				continue // clipped to n−1, which the sweep below covers
+			}
+			bounds := boundsAround(a, b, r)[1:4] // just below, at, just above
+			if r == n-1 && n > 8 {
+				bounds = bounds[1:2] // O(n²) cells a run: the exact tie only
+			}
+			for _, poison := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				for pos := (n - 1) % stride; pos < n; pos += stride {
+					pa := append([]float64(nil), a...)
+					pa[pos] = poison
+					pb := append([]float64(nil), b...)
+					pb[n-1-pos] = poison
+					for _, bound := range bounds {
+						checkKernelMatchesRef(t, pa, b, r, bound)
+						checkKernelMatchesRef(t, a, pb, r, bound)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestKernelMatchesReferenceDPProperty(t *testing.T) {
+	prop := func(seed int64, nRaw, rRaw uint8, frac float64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(nRaw)%70
+		r := int(rRaw) % (n + 3)
+		a, b := randSeq(rng, n), randSeq(rng, n)
+		exact, _ := refDistance(a, b, r, math.Inf(1))
+		// frac is arbitrary; fold it into [0, 2) so bounds land on both
+		// sides of the exact distance.
+		for _, bound := range []float64{exact * math.Abs(math.Mod(frac, 2)), exact, math.Inf(1)} {
+			checkKernelMatchesRef(t, a, b, r, bound)
+		}
+		return !t.Failed()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// LBKeogh against the switch it replaced, bit for bit, including points on
+// the envelope, poison in the candidate and poison in the query (which
+// poisons the envelope around it).
+func TestLBKeoghMatchesSwitch(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	poisons := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	for n := 1; n <= 70; n++ {
+		for _, r := range []int{0, 1, 7, n} {
+			q, x := make([]float64, n), make([]float64, n)
+			for i := range q {
+				q[i], x[i] = float64(rng.Intn(5)), float64(rng.Intn(9))-2
+			}
+			check := func(q, x []float64) {
+				t.Helper()
+				env, err := NewEnvelope(q, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := LBKeogh(env, x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := refLBKeogh(env, x); !sameBits(got, want) {
+					t.Fatalf("n=%d r=%d: LBKeogh %v, switch %v\nq=%v\nx=%v", n, r, got, want, q, x)
+				}
+			}
+			check(q, x)
+			for _, poison := range poisons {
+				for pos := 0; pos < n; pos++ {
+					px := append([]float64(nil), x...)
+					px[pos] = poison
+					pq := append([]float64(nil), q...)
+					pq[pos] = poison
+					check(q, px)
+					check(pq, x)
+					check(pq, px)
+				}
+			}
+		}
+	}
+	// An envelope whose curves cross (only a caller can build one) still
+	// takes the upper excursion first, as the switch did.
+	crossed := &Envelope{Upper: []float64{0, 1}, Lower: []float64{2, 3}}
+	got, _ := LBKeogh(crossed, []float64{1, 2})
+	if want := refLBKeogh(crossed, []float64{1, 2}); !sameBits(got, want) {
+		t.Fatalf("crossed envelope: %v vs switch %v", got, want)
+	}
 }
 
 func randSeq(rng *rand.Rand, n int) []float64 {
@@ -78,23 +261,6 @@ func TestDistanceErrors(t *testing.T) {
 	e, _ := NewEnvelope([]float64{1, 2}, 1)
 	if _, err := LBKeogh(e, []float64{1}); err != ErrLength {
 		t.Error("expected ErrLength from LBKeogh")
-	}
-}
-
-func TestDistanceMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 2, 5, 16, 40} {
-		for _, r := range []int{0, 1, 3, n} {
-			a, b := randSeq(rng, n), randSeq(rng, n)
-			got, err := Distance(a, b, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := naiveDTW(a, b, r)
-			if math.Abs(got-want) > 1e-9 {
-				t.Errorf("n=%d r=%d: %v vs naive %v", n, r, got, want)
-			}
-		}
 	}
 }
 
@@ -267,6 +433,20 @@ func BenchmarkDTW1024Band5pct(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Distance(x, y, 51); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The repository benchmark's DTW requests use band 7.
+func BenchmarkDTW1024Band7(b *testing.B) {
+	g := querylog.New(7)
+	x := g.Exemplar(querylog.Cinema).Standardized().Values
+	y := g.Exemplar(querylog.Nordstrom).Standardized().Values
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Distance(x, y, 7); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
+	"sync/atomic"
 )
 
 // ErrEmpty is returned when a transform is requested on empty input.
@@ -109,6 +110,35 @@ func transform(x []complex128, inverse bool) {
 	bluestein(x, inverse)
 }
 
+// twiddles caches, per direction and per log₂(stage size), the stage's
+// size/2 twiddle factors w⁰ … w^(size/2−1), w = e^(∓2πi/size). A table depends
+// on the stage size alone, so every transform length shares them; each is
+// built once, by the serial recurrence w ← w·wStep the butterfly loop used to
+// run inline, which keeps every coefficient — and so every transform —
+// bit-identical to the uncached one.
+var twiddles [2][bits.UintSize]atomic.Pointer[[]complex128]
+
+func stageTwiddles(size int, inverse bool) []complex128 {
+	dir, sign := 0, -1.0
+	if inverse {
+		dir, sign = 1, 1.0
+	}
+	slot := &twiddles[dir][bits.TrailingZeros(uint(size))]
+	if t := slot.Load(); t != nil {
+		return *t
+	}
+	wStep := cmplx.Exp(complex(0, 2*math.Pi/float64(size)*sign))
+	t := make([]complex128, size/2)
+	w := complex(1, 0)
+	for k := range t {
+		t[k] = w
+		w *= wStep
+	}
+	// A concurrent builder computed the same values; either table serves.
+	slot.CompareAndSwap(nil, &t)
+	return *slot.Load()
+}
+
 // radix2 is the iterative in-place Cooley–Tukey FFT for power-of-two lengths.
 func radix2(x []complex128, inverse bool) {
 	n := len(x)
@@ -120,22 +150,16 @@ func radix2(x []complex128, inverse bool) {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
-		step := 2 * math.Pi / float64(size) * sign
-		wStep := cmplx.Exp(complex(0, step))
+		tw := stageTwiddles(size, inverse)
 		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-				w *= wStep
+			lo, hi := x[start : start+half][:len(tw)], x[start+half : start+size][:len(tw)]
+			for k, w := range tw {
+				a := lo[k]
+				b := hi[k] * w
+				lo[k] = a + b
+				hi[k] = a - b
 			}
 		}
 	}

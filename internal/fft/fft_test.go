@@ -2,8 +2,10 @@ package fft
 
 import (
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -284,6 +286,85 @@ func TestPaperExampleMagnitudeVector(t *testing.T) {
 			t.Errorf("mag[%d] = %v, want %v", i, m[i], want[i])
 		}
 	}
+}
+
+// radix2Inline is radix2 before the twiddle tables: every block of every
+// stage re-runs the recurrence w ← w·wStep. The cached transform must match
+// it bit for bit.
+func radix2Inline(x []complex128, inverse bool) {
+	n := len(x)
+	shift := 64 - uint(bits.TrailingZeros(uint(n)))
+	for i := 0; i < n; i++ {
+		j := int(bits.Reverse64(uint64(i)) >> shift)
+		if j > i {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		step := 2 * math.Pi / float64(size) * sign
+		wStep := cmplx.Exp(complex(0, step))
+		for start := 0; start < n; start += size {
+			w := complex(1, 0)
+			for k := 0; k < half; k++ {
+				a := x[start+k]
+				b := x[start+k+half] * w
+				x[start+k] = a + b
+				x[start+k+half] = a - b
+				w *= wStep
+			}
+		}
+	}
+}
+
+func TestCachedTwiddlesAreBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for n := 2; n <= 4096; n <<= 1 {
+		for _, inverse := range []bool{false, true} {
+			x := randComplex(rng, n)
+			x[rng.Intn(n)] = complex(math.Inf(1), math.Copysign(0, -1))
+			want := append([]complex128(nil), x...)
+			radix2Inline(want, inverse)
+			// Twice: the first call may build tables, the second reads them.
+			for pass := 0; pass < 2; pass++ {
+				got := append([]complex128(nil), x...)
+				radix2(got, inverse)
+				for i := range got {
+					if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+						math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+						t.Fatalf("n=%d inverse=%v pass %d bin %d: %v, inline recurrence %v", n, inverse, pass, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// The tables are built on first use by whichever transforms get there
+// first; concurrent first users must all see complete tables.
+func TestTwiddleTablesUnderConcurrentFirstUse(t *testing.T) {
+	const n = 1 << 13 // a stage no other test in this package reaches
+	rng := rand.New(rand.NewSource(22))
+	x := randComplex(rng, n)
+	want := append([]complex128(nil), x...)
+	radix2Inline(want, false)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := append([]complex128(nil), x...)
+			radix2(got, false)
+			if maxDiff(got, want) != 0 {
+				t.Error("concurrent first transform differs from the inline recurrence")
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func BenchmarkForward1024(b *testing.B) {

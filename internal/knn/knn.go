@@ -198,8 +198,8 @@ type RefineStats struct {
 // on every return.
 func (s *Scratch) Refine(query []float64, store seqstore.Store, g *lifecycle.Gate) ([]Result, RefineStats, error) {
 	var st RefineStats
-	rows, inPlace := seqstore.Rows(store)
-	if !inPlace {
+	rows := seqstore.NewReader(store)
+	if !rows.InPlace() {
 		s.row = slices.Grow(s.row[:0], len(query))[:len(query)]
 	}
 	var best []Result
@@ -220,13 +220,7 @@ func (s *Scratch) Refine(query []float64, store seqstore.Store, g *lifecycle.Gat
 		} else if !ok {
 			break // budget exhausted: keep the neighbours refined so far
 		}
-		row := s.row
-		var err error
-		if inPlace {
-			row, err = rows.Row(c.id)
-		} else {
-			err = store.GetInto(c.id, row)
-		}
+		row, err := rows.Row(c.id, s.row)
 		if err != nil {
 			return nil, st, fmt.Errorf("knn: refine id %d: %w", c.id, err)
 		}

@@ -98,3 +98,74 @@ func TestRowsResolvesThroughWrappers(t *testing.T) {
 		t.Fatal("Rows must stay false over Disk")
 	}
 }
+
+// Reader is the one view-or-copy decision: over Memory (through both
+// wrappers) it hands back the stored row and never touches the buffer; over
+// Disk it fills the buffer; either way a row is one counted read, and a
+// failed lookup is none.
+func TestReaderViewsMemoryAndCopiesDisk(t *testing.T) {
+	mem, _ := NewMemory(2)
+	disk, err := Create(filepath.Join(t.TempDir(), "seq.bin"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	for _, s := range []Store{mem, disk} {
+		if _, err := s.Append([]float64{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	reg := obs.NewRegistry()
+	reads := reg.Counter("seqstore_reads_total", "")
+	r := NewReader(WithContext(ctx, Instrument(mem, reg)))
+	if !r.InPlace() || r.NewBuffer() != nil {
+		t.Fatal("Reader over Memory must read in place and need no buffer")
+	}
+	buf := []float64{-1, -1}
+	row, err := r.Row(0, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored, _ := mem.Row(0); &row[0] != &stored[0] {
+		t.Error("Reader over Memory must return the stored row itself")
+	}
+	if buf[0] != -1 || buf[1] != -1 {
+		t.Error("Reader over Memory must leave the buffer alone")
+	}
+	if row, err = r.Row(0, nil); err != nil || row[1] != 2 {
+		t.Errorf("in-place read without a buffer: %v, %v", row, err)
+	}
+	if _, err := r.Row(7, buf); !errors.Is(err, ErrNotFound) {
+		t.Errorf("out-of-range row = %v, want ErrNotFound", err)
+	}
+	if got := reads.Value(); got != 2 {
+		t.Errorf("memory: seqstore_reads_total = %d after two served rows and one miss, want 2", got)
+	}
+
+	reg = obs.NewRegistry()
+	reads = reg.Counter("seqstore_reads_total", "")
+	r = NewReader(WithContext(ctx, Instrument(disk, reg)))
+	if r.InPlace() || len(r.NewBuffer()) != 2 {
+		t.Fatal("Reader over Disk must copy, into a buffer of the sequence length")
+	}
+	row, err = r.Row(0, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &row[0] != &buf[0] || buf[0] != 1 || buf[1] != 2 {
+		t.Errorf("Reader over Disk must fill and return the buffer, got %v (buf %v)", row, buf)
+	}
+	if _, err := r.Row(7, buf); !errors.Is(err, ErrNotFound) {
+		t.Errorf("out-of-range row = %v, want ErrNotFound", err)
+	}
+	if got := reads.Value(); got != 1 {
+		t.Errorf("disk: seqstore_reads_total = %d after one served row and one miss, want 1", got)
+	}
+	cancel()
+	if _, err := r.Row(0, buf); !errors.Is(err, context.Canceled) {
+		t.Errorf("Row after cancel = %v, want Canceled", err)
+	}
+}

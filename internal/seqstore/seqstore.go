@@ -94,6 +94,47 @@ func Rows(s Store) (RowReader, bool) {
 	return rr, true
 }
 
+// Reader reads rows of one store for a scan or a refinement, in place where
+// the backend has row views and into a caller buffer where it does not.
+// Either way a row costs one counted read. It is the one place the
+// view-or-copy decision is made; resolve it once per scan with NewReader.
+type Reader struct {
+	store Store
+	rows  RowReader // nil: copy through GetInto
+}
+
+// NewReader resolves s's row views once (see Rows).
+func NewReader(s Store) Reader {
+	rows, _ := Rows(s)
+	return Reader{store: s, rows: rows}
+}
+
+// InPlace reports whether Row hands back stored rows, in which case it
+// never touches its buffer argument and callers need not allocate one.
+func (r Reader) InPlace() bool { return r.rows != nil }
+
+// NewBuffer returns a buffer for Row to fill: nil when InPlace, a fresh one
+// of the store's sequence length otherwise.
+func (r Reader) NewBuffer() []float64 {
+	if r.rows != nil {
+		return nil
+	}
+	return make([]float64, r.store.SeqLen())
+}
+
+// Row returns sequence id: the stored row itself when InPlace — read-only,
+// and not to be retained past the surrounding read-locked section — and
+// otherwise buf (length SeqLen), filled.
+func (r Reader) Row(id int, buf []float64) ([]float64, error) {
+	if r.rows != nil {
+		return r.rows.Row(id)
+	}
+	if err := r.store.GetInto(id, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
 // errNoRows is what a wrapper's Row returns over a backend without row
 // views; Rows reports false for such a store, so callers never see it.
 var errNoRows = errors.New("seqstore: backend does not expose rows")

@@ -49,17 +49,28 @@ var fftWork = sync.Pool{New: func() any { return new([]complex128) }}
 
 // FromValues computes the half-spectrum of a real sequence.
 func FromValues(x []float64) (*HalfSpectrum, error) {
+	h := new(HalfSpectrum)
+	if err := FromValuesInto(h, x); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// FromValuesInto is FromValues into caller-owned storage: h is overwritten
+// with the half-spectrum of x, reusing its coefficient slice. A scan that
+// transforms one row after another keeps a single HalfSpectrum for all.
+func FromValuesInto(h *HalfSpectrum, x []float64) error {
 	wp := fftWork.Get().(*[]complex128)
 	defer fftWork.Put(wp)
 	*wp = slices.Grow((*wp)[:0], len(x))
 	X := (*wp)[:len(x)]
 	if err := fft.ForwardRealInto(X, x); err != nil {
-		return nil, err
+		return err
 	}
 	half := len(X)/2 + 1
-	h := &HalfSpectrum{N: len(X), Coeffs: make([]complex128, half)}
-	copy(h.Coeffs, X[:half])
-	return h, nil
+	h.N, h.basis = len(X), basisDFT
+	h.Coeffs = append(h.Coeffs[:0], X[:half]...)
+	return nil
 }
 
 // Bins returns the number of unique bins (⌊N/2⌋+1).
@@ -119,23 +130,53 @@ func Distance(a, b *HalfSpectrum) (float64, error) {
 //
 //	sqrt( Σ_{k∈bins} w_k · |A_k − B_k|² )
 //
-// Duplicate bins are counted once; out-of-range bins are an error.
+// Duplicate bins are counted once; out-of-range bins are an error. A scan
+// that measures many spectra under one mask builds the Mask once instead.
 func MaskedDistance(a, b *HalfSpectrum, bins []int) (float64, error) {
 	if a.N != b.N || a.basis != b.basis {
 		return 0, ErrMismatch
 	}
-	seen := make(map[int]bool, len(bins))
-	sum := 0.0
+	m, err := a.Mask(bins)
+	if err != nil {
+		return 0, err
+	}
+	return m.Distance(a, b)
+}
+
+// Mask is a validated bin mask for spectra shaped like the one it was built
+// from: each distinct bin once, in order of first appearance, with its
+// Parseval weight.
+type Mask struct {
+	n       int
+	basis   basis
+	bins    []int
+	weights []float64
+}
+
+// Mask validates and deduplicates bins against h's shape.
+func (h *HalfSpectrum) Mask(bins []int) (*Mask, error) {
+	m := &Mask{n: h.N, basis: h.basis, bins: make([]int, 0, len(bins)), weights: make([]float64, 0, len(bins))}
 	for _, k := range bins {
-		if k < 0 || k >= a.Bins() {
-			return 0, errors.New("spectral: masked bin out of range")
+		if k < 0 || k >= h.Bins() {
+			return nil, errors.New("spectral: masked bin out of range")
 		}
-		if seen[k] {
-			continue
+		if !slices.Contains(m.bins, k) {
+			m.bins = append(m.bins, k)
+			m.weights = append(m.weights, h.Weight(k))
 		}
-		seen[k] = true
+	}
+	return m, nil
+}
+
+// Distance is MaskedDistance under m's bins.
+func (m *Mask) Distance(a, b *HalfSpectrum) (float64, error) {
+	if a.N != m.n || b.N != m.n || a.basis != m.basis || b.basis != m.basis {
+		return 0, ErrMismatch
+	}
+	sum := 0.0
+	for i, k := range m.bins {
 		d := absFast(a.Coeffs[k] - b.Coeffs[k])
-		sum += a.Weight(k) * d * d
+		sum += m.weights[i] * d * d
 	}
 	return math.Sqrt(sum), nil
 }

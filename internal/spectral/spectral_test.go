@@ -545,6 +545,79 @@ func TestMaskedDistance(t *testing.T) {
 	}
 }
 
+// maskedDistanceRef is MaskedDistance as it was before Mask: validation and
+// a seen-set rebuilt on every call.
+func maskedDistanceRef(a, b *HalfSpectrum, bins []int) float64 {
+	seen := map[int]bool{}
+	sum := 0.0
+	for _, k := range bins {
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		d := absFast(a.Coeffs[k] - b.Coeffs[k])
+		sum += a.Weight(k) * d * d
+	}
+	return math.Sqrt(sum)
+}
+
+// One Mask and one reused spectrum across a scan give, bit for bit, what a
+// fresh spectrum and a per-call mask gave — for power-of-two and Bluestein
+// lengths, unordered masks with repeats, and after the reused spectrum has
+// held a longer sequence.
+func TestMaskAndReusedSpectrumMatchPerCall(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	var reused HalfSpectrum
+	if err := FromValuesInto(&reused, randSeries(rng, 200)); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{64, 100, 1, 33} {
+		hq := mustSpectrum(t, stats.Standardize(randSeries(rng, n)))
+		bins := []int{hq.Bins() - 1, 0, hq.Bins() / 2, 0, hq.Bins() - 1, hq.Bins() / 3}
+		mask, err := hq.Mask(bins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for row := 0; row < 5; row++ {
+			x := randSeries(rng, n)
+			fresh := mustSpectrum(t, x)
+			if err := FromValuesInto(&reused, x); err != nil {
+				t.Fatal(err)
+			}
+			if reused.N != fresh.N || len(reused.Coeffs) != len(fresh.Coeffs) {
+				t.Fatalf("n=%d: reused spectrum shape (%d, %d bins), fresh (%d, %d bins)",
+					n, reused.N, len(reused.Coeffs), fresh.N, len(fresh.Coeffs))
+			}
+			for k := range fresh.Coeffs {
+				if reused.Coeffs[k] != fresh.Coeffs[k] {
+					t.Fatalf("n=%d bin %d: reused %v, fresh %v", n, k, reused.Coeffs[k], fresh.Coeffs[k])
+				}
+			}
+			want := maskedDistanceRef(hq, fresh, bins)
+			got, err := mask.Distance(hq, &reused)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perCall, err := MaskedDistance(hq, fresh, bins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(perCall) != math.Float64bits(want) {
+				t.Fatalf("n=%d: Mask.Distance %v, MaskedDistance %v, per-call reference %v", n, got, perCall, want)
+			}
+		}
+		if _, err := mask.Distance(hq, mustSpectrum(t, make([]float64, n+2))); err != ErrMismatch {
+			t.Errorf("n=%d: mask over a differently shaped spectrum = %v, want ErrMismatch", n, err)
+		}
+	}
+	if err := FromValuesInto(&reused, nil); err == nil {
+		t.Error("FromValuesInto of an empty sequence must fail")
+	}
+	if _, err := mustSpectrum(t, make([]float64, 8)).Mask([]int{2, -1}); err == nil {
+		t.Error("expected out-of-range error from Mask")
+	}
+}
+
 func TestBinsForPeriods(t *testing.T) {
 	h := mustSpectrum(t, make([]float64, 1024))
 	// Weekly band at ±5%: bins with period within [6.65, 7.35] days.
