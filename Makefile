@@ -22,9 +22,10 @@ vet:
 vet-lostcancel:
 	$(GO) vet -lostcancel ./...
 
-# api-check enforces the context-first query API: exported Engine query
-# methods take ctx as their first parameter, modulo a frozen allowlist of
-# deprecated pre-context wrappers. See scripts/api_check.sh.
+# api-check enforces the one query surface: exported Engine/ShardedEngine
+# query methods take ctx first, handlers accept core.Searcher, /v2 JSON is
+# snake_case and cmd/s2 mounts exactly one search route. See
+# scripts/api_check.sh.
 api-check:
 	sh scripts/api_check.sh
 
@@ -51,12 +52,13 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz FuzzShardRoute -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run='^$$' -fuzz FuzzV2Decode -fuzztime $(FUZZTIME) ./internal/core
 
-# kernel-check is the flat-kernel acceptance suite: the arena/flat-path
-# equivalence and property tests plus the scheduler-spread regressions, all
-# under the race detector, followed by a smoke bench record pushed through
-# validate, the kernel gate and a self-compare.
+# kernel-check is the traversal-kernel acceptance suite: the arena property
+# tests, the one traversal against its parent-recorded goldens and the
+# brute-force oracle (both bound sources, explain on and off), plus the
+# scheduler-spread regressions, all under the race detector, followed by a
+# smoke bench record pushed through validate, the gate and a self-compare.
 kernel-check:
-	$(GO) test -race -run 'TestArena|TestFlat|TestSplitBatch|TestPopBlock|TestBatchSpread|TestConcurrentFlatStress' ./internal/spectral ./internal/vptree ./internal/core
+	$(GO) test -race -run 'TestArena|TestFlat|TestGolden|TestSplitBatch|TestPopBlock|TestBatchSpread|TestConcurrentFlatStress' ./internal/spectral ./internal/vptree ./internal/core
 	$(GO) run ./cmd/benchrec record -smoke -label kernelsmoke -o /tmp/BENCH_kernelsmoke.json
 	$(GO) run ./cmd/benchrec validate /tmp/BENCH_kernelsmoke.json
 	$(GO) run ./cmd/benchrec gate /tmp/BENCH_kernelsmoke.json
@@ -64,8 +66,8 @@ kernel-check:
 
 # shard-check is the scatter-gather acceptance suite: the full
 # internal/shard package — the 100-trial equivalence property test across
-# shard counts {1,2,3,8}, the rollback/cancellation stress tests and the
-# wrapper-delegation regressions — under the race detector, followed by a
+# shard counts {1,2,3,8}, the rollback/cancellation stress tests, the huge-k
+# clamp and sharded explain — under the race detector, followed by a
 # smoke bench record pushed through validate and the gate (which enforces
 # sharded_matches_single and the gather-overhead ceiling).
 shard-check:
@@ -75,7 +77,7 @@ shard-check:
 	$(GO) run ./cmd/benchrec gate /tmp/BENCH_shardsmoke.json
 
 # trace-smoke boots cmd/s2 with a file span exporter, sends a traced
-# /v1/search request and asserts the exported trace's spans and parentage.
+# /v2/search request and asserts the exported trace's spans and parentage.
 # See scripts/trace_smoke.sh.
 trace-smoke:
 	sh scripts/trace_smoke.sh

@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"context"
 	"os"
 	"sync"
 	"testing"
@@ -237,7 +238,7 @@ func BenchmarkSearch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := queries[i%len(queries)]
-				if _, _, err := e.SimilarQueries(q.Values, 5); err != nil {
+				if _, err := e.Query(context.Background(), core.Request{Kind: core.KindSimilar, Values: q.Values, K: 5}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -137,10 +137,9 @@ func runRecord(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "  contention mean util %.2f  imbalance %.2f  steals %d  lock wait %.3f ms over %d batches\n",
 		rec.Contention.MeanUtilization, rec.Contention.Imbalance,
 		rec.Contention.StealsTotal, float64(rec.Contention.LockWaitNS)/1e6, rec.Contention.Batches)
-	fmt.Fprintf(stdout, "  kernels flat=%v block %d  searches %d  evals %d  blocks %d (pruned %d)  matches pointer=%v\n",
-		rec.Kernels.FlatPath, rec.Kernels.BlockSize, rec.Kernels.FlatSearches,
-		rec.Kernels.KernelEvals, rec.Kernels.LeafBlocks, rec.Kernels.BlocksPruned,
-		rec.Kernels.FlatMatchesPointer)
+	fmt.Fprintf(stdout, "  kernels block %d  searches %d  evals %d  blocks %d (pruned %d)\n",
+		rec.Kernels.BlockSize, rec.Kernels.FlatSearches,
+		rec.Kernels.KernelEvals, rec.Kernels.LeafBlocks, rec.Kernels.BlocksPruned)
 	fmt.Fprintf(stdout, "  tracing untraced %.0f qps  traced %.0f qps  overhead %+.2f%%  traces kept %d\n",
 		rec.Tracing.UntracedQPS, rec.Tracing.TracedQPS, rec.Tracing.OverheadPct, rec.Tracing.TracesKept)
 	fmt.Fprintf(stdout, "  sharding %d shards (fanout %d)  %.0f qps  imbalance %.2f  gather %.2f%%  matches single=%v\n",

@@ -20,21 +20,21 @@
 // concurrently and merge under the canonical ordering, so results are
 // identical to the single engine's. Per-series commands (periods, bursts,
 // approx) route to the owning shard; whole-database surfaces with no
-// cross-shard merge (sql, explain, -save, -db) need the unpartitioned
+// cross-shard merge (sql, common, -save, -db) need the unpartitioned
 // engine and say so. With -debug-addr a debug HTTP
 // server exposes /debug/vars, /debug/metrics (Prometheus text format),
 // /debug/traces, /debug/requests (request-scoped wide events),
 // /debug/workers (per-worker pool attribution), /debug/healthz,
 // /debug/explain, /debug/slow and /debug/pprof (see
-// docs/observability.md), plus a /v1/search JSON endpoint (and its
-// deprecated /search alias) serving every search family concurrently under
-// the engine's read lock, behind admission control (-max-inflight,
+// docs/observability.md), plus the /v2/search JSON endpoint serving every
+// search family concurrently under the engine's read lock (see
+// docs/api.md), behind admission control (-max-inflight,
 // -max-queue, -queue-wait) that sheds load with 429/503 when saturated.
 // With -slow-query, queries over the threshold are logged through log/slog
 // and retained with their span tree and explain report at /debug/slow.
 //
 // `s2 bench [-parallel N] [workload flags]` skips the REPL and measures
-// serial versus parallel (BatchSearch) search throughput on the standard
+// serial versus parallel (BatchSearchCtx) search throughput on the standard
 // benchmark workload (see docs/concurrency.md).
 package main
 
@@ -129,11 +129,9 @@ func run() error {
 	}
 	defer engine.Close()
 
-	// The debug server starts once the engine exists so the search
-	// endpoints can serve against it; search requests run under the
-	// engine's read lock, so they interleave safely with REPL commands.
-	// Both routes share one admission controller: the legacy /search alias
-	// competes for the same slots as /v1/search.
+	// The debug server starts once the engine exists so the search endpoint
+	// can serve against it; search requests run under the engine's read
+	// lock, so they interleave safely with REPL commands.
 	if *debugAddr != "" {
 		ac := admit.New(admit.Options{
 			MaxInFlight: *maxInFlight, MaxQueue: *maxQueue, MaxWait: *queueWait,
@@ -161,9 +159,7 @@ func run() error {
 			}},
 		)
 		srv, addr, err := obs.Serve(*debugAddr, hub,
-			obs.Route{Pattern: "/v2/search", Handler: admit.Middleware(ac, core.V2SearchHandler(engine))},
-			obs.Route{Pattern: "/v1/search", Handler: admit.Middleware(ac, core.V1SearchHandler(engine))},
-			obs.Route{Pattern: "/search", Handler: admit.Middleware(ac, core.SearchHandler(engine))})
+			obs.Route{Pattern: "/v2/search", Handler: admit.Middleware(ac, core.V2SearchHandler(engine))})
 		if err != nil {
 			return err
 		}
@@ -211,7 +207,7 @@ func newTraceExporter(target string) (obs.SpanExporter, error) {
 }
 
 // runBenchMode handles `s2 bench`: it builds the benchmark workload's
-// engine and reports serial versus parallel (BatchSearch) search
+// engine and reports serial versus parallel (BatchSearchCtx) search
 // throughput, exiting non-zero if the parallel results diverge.
 func runBenchMode(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
@@ -222,7 +218,7 @@ func runBenchMode(args []string) error {
 	seed := fs.Int64("seed", def.Seed, "corpus seed")
 	budget := fs.Int("budget", def.Budget, "coefficient budget")
 	k := fs.Int("k", def.K, "neighbours per search")
-	parallel := fs.Int("parallel", def.Workers, "BatchSearch worker count")
+	parallel := fs.Int("parallel", def.Workers, "BatchSearchCtx worker count")
 	shards := fs.Int("shards", def.Shards, "partition width of the sharded scatter-gather phase")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -320,8 +316,8 @@ func ownerEngine(s core.Searcher, id int) (*core.Engine, int, error) {
 }
 
 // requireWholeEngine gates commands whose answer spans the whole database
-// without a cross-shard merge (sql's burst table, explain's traversal
-// report, the common-periods set periodogram) on the unpartitioned engine.
+// without a cross-shard merge (sql's burst table, the common-periods set
+// periodogram) on the unpartitioned engine.
 func requireWholeEngine(s core.Searcher, cmd string) (*core.Engine, error) {
 	if e, ok := s.(*core.Engine); ok {
 		return e, nil
@@ -447,11 +443,7 @@ func dispatch(e core.Searcher, line string) error {
 		return runSimPeriod(e, rest)
 	}
 	if cmd == "explain" {
-		eng, err := requireWholeEngine(e, "explain")
-		if err != nil {
-			return err
-		}
-		return runExplain(eng, rest, os.Stdout)
+		return runExplain(e, rest, os.Stdout)
 	}
 	k := 5
 	variant := ""
@@ -631,18 +623,25 @@ func dispatch(e core.Searcher, line string) error {
 }
 
 // runExplain handles `explain similar|qbb <query> [k]`: it runs the search
-// through the explained engine entry point and renders the report (per-level
-// traversal, per-bound prune attribution, phase wall times). The report is
-// also retained at /debug/explain/last.
-func runExplain(e *core.Engine, args []string, w io.Writer) error {
+// through Query with Request.Explain set and renders the report (per-level
+// traversal, per-bound prune attribution, phase wall times; one per shard
+// under -shards). The report is also retained at /debug/explain/last.
+func runExplain(e core.Searcher, args []string, w io.Writer) error {
 	if len(args) < 2 {
 		return fmt.Errorf("usage: explain similar|qbb <query> [k]")
 	}
-	sub := args[0]
+	req := core.Request{K: 5, Window: core.Long, Explain: true}
+	switch args[0] {
+	case "similar":
+		req.Kind = core.KindSimilarID
+	case "qbb":
+		req.Kind = core.KindBurstID
+	default:
+		return fmt.Errorf("explain supports 'similar' and 'qbb', not %q", args[0])
+	}
 	rest := args[1:]
-	k := 5
 	if v, err := strconv.Atoi(rest[len(rest)-1]); err == nil {
-		k = v
+		req.K = v
 		rest = rest[:len(rest)-1]
 	}
 	name := strings.Join(rest, " ")
@@ -650,31 +649,18 @@ func runExplain(e *core.Engine, args []string, w io.Writer) error {
 	if !ok {
 		return fmt.Errorf("unknown query %q (try 'list')", name)
 	}
-	var rep *core.ExplainReport
-	var err error
-	switch sub {
-	case "similar":
-		var res []core.Neighbor
-		res, rep, err = e.SimilarToIDExplained(id, k)
-		if err != nil {
-			return err
-		}
-		for i, r := range res {
-			fmt.Fprintf(w, "  %2d. %-24s dist=%.2f\n", i+1, r.Name, r.Dist)
-		}
-	case "qbb":
-		var matches []core.BurstMatch
-		matches, rep, err = e.QueryByBurstOfExplained(id, k, core.Long)
-		if err != nil {
-			return err
-		}
-		for i, m := range matches {
-			fmt.Fprintf(w, "  %2d. %-24s BSim=%.3f\n", i+1, m.Name, m.Score)
-		}
-	default:
-		return fmt.Errorf("explain supports 'similar' and 'qbb', not %q", sub)
+	req.ID = id
+	resp, err := e.Query(context.Background(), req)
+	if err != nil {
+		return err
 	}
-	rep.Render(w)
+	for i, r := range resp.Neighbors {
+		fmt.Fprintf(w, "  %2d. %-24s dist=%.2f\n", i+1, r.Name, r.Dist)
+	}
+	for i, m := range resp.Matches {
+		fmt.Fprintf(w, "  %2d. %-24s BSim=%.3f\n", i+1, m.Name, m.Score)
+	}
+	resp.Explain.Render(w)
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/querylog"
+	"repro/internal/shard"
 )
 
 func testEngine(t *testing.T) *core.Engine {
@@ -111,6 +112,27 @@ func TestExplainCommand(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}
+	}
+
+	// Explain rides on Query, so it works partitioned too: one report per
+	// shard under the merged header.
+	g := querylog.NewGenerator(querylog.DefaultStart, 256, 1)
+	se, err := shard.NewFromConfig(append(g.Exemplars(), g.Dataset(20)...), core.Config{Budget: 8, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	buf.Reset()
+	if err := runExplain(se, []string{"similar", "cinema", "3"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"EXPLAIN sharded_similar_id", "shard 2: EXPLAIN", "[ok]"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("sharded explain output missing %q:\n%s", want, buf.String())
+		}
+	}
+	if err := dispatch(se, "explain qbb halloween 3"); err != nil {
+		t.Errorf("sharded explain qbb: %v", err)
 	}
 
 	for _, bad := range []string{

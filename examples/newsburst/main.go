@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -67,12 +68,13 @@ func main() {
 		if !ok {
 			continue
 		}
-		matches, err := engine.QueryByBurstOf(id, 4, core.Long)
+		resp, err := engine.Query(context.Background(), core.NewRequest(core.KindBurstID,
+			core.WithID(id), core.WithK(4), core.WithWindow(core.Long)))
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("query-by-burst %q:\n", probe)
-		for _, m := range matches {
+		for _, m := range resp.Matches {
 			fmt.Printf("  %-24s BSim=%.3f\n", m.Name, m.Score)
 		}
 		fmt.Println()

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,16 +34,17 @@ func main() {
 	// 3. Similarity search: which queries have demand patterns like
 	//    "cinema" (weekly moviegoing peaks)?
 	id, _ := engine.Lookup(querylog.Cinema)
-	neighbors, stats, err := engine.SimilarToID(id, 3)
+	ctx := context.Background()
+	resp, err := engine.Query(ctx, core.NewRequest(core.KindSimilarID, core.WithID(id), core.WithK(3)))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("queries similar to 'cinema':")
-	for _, n := range neighbors {
+	for _, n := range resp.Neighbors {
 		fmt.Printf("  %-22s dist=%.2f\n", n.Name, n.Dist)
 	}
 	fmt.Printf("  (index examined %d of %d full sequences)\n\n",
-		stats.FullRetrievals, engine.Len())
+		resp.Stats.FullRetrievals, engine.Len())
 
 	// 4. Period discovery: the weekly rhythm should stand out.
 	det, err := engine.PeriodsOf(id)
@@ -73,12 +75,13 @@ func main() {
 
 	// 6. Query-by-burst: which queries burst when "halloween" does?
 	hid, _ := engine.Lookup(querylog.Halloween)
-	matches, err := engine.QueryByBurstOf(hid, 3, core.Long)
+	resp, err = engine.Query(ctx, core.NewRequest(core.KindBurstID,
+		core.WithID(hid), core.WithK(3), core.WithWindow(core.Long)))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("burst patterns similar to 'halloween':")
-	for _, m := range matches {
+	for _, m := range resp.Matches {
 		fmt.Printf("  %-22s BSim=%.3f\n", m.Name, m.Score)
 	}
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -35,6 +36,7 @@ func main() {
 		querylog.Christmas, // seasonal accumulation
 		querylog.Elvis,     // anniversary spikes
 	}
+	ctx := context.Background()
 	for _, probe := range probes {
 		id, ok := engine.Lookup(probe)
 		if !ok {
@@ -42,19 +44,22 @@ func main() {
 		}
 
 		start := time.Now()
-		recs, stats, err := engine.SimilarToID(id, 5)
+		resp, err := engine.Query(ctx, core.NewRequest(core.KindSimilarID, core.WithID(id), core.WithK(5)))
 		if err != nil {
 			log.Fatal(err)
 		}
 		indexTime := time.Since(start)
+		recs, stats := resp.Neighbors, resp.Stats
 
 		s, _ := engine.Series(id)
 		start = time.Now()
-		lin, err := engine.LinearScan(s.Values, 6) // includes the probe itself
+		// The scan searches by values, so its answer includes the probe itself.
+		scan, err := engine.Query(ctx, core.NewRequest(core.KindLinear, core.WithValues(s.Values), core.WithK(6)))
 		if err != nil {
 			log.Fatal(err)
 		}
 		scanTime := time.Since(start)
+		lin := scan.Neighbors
 
 		fmt.Printf("users searching %q also search:\n", probe)
 		for i, r := range recs {

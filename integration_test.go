@@ -4,6 +4,7 @@ package repro
 // would actually run, checked end-to-end for internal consistency.
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -59,14 +60,16 @@ func TestFourSearchEnginesAgree(t *testing.T) {
 	}
 
 	for qi, q := range queries {
-		idx, _, err := engine.SimilarQueries(q.Values, 1)
+		ctx := context.Background()
+		resp, err := engine.Query(ctx, core.Request{Kind: core.KindSimilar, Values: q.Values, K: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		lin, err := engine.LinearScan(q.Values, 1)
-		if err != nil {
+		idx := resp.Neighbors
+		if resp, err = engine.Query(ctx, core.Request{Kind: core.KindLinear, Values: q.Values, K: 1}); err != nil {
 			t.Fatal(err)
 		}
+		lin := resp.Neighbors
 		mv, _, err := mvp.Search(q.Values, 1, store)
 		if err != nil {
 			t.Fatal(err)

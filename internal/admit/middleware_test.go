@@ -36,7 +36,7 @@ func TestMiddlewareShedsUnderSaturation(t *testing.T) {
 		done := make(chan int, 1)
 		go func() {
 			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/search", nil))
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v2/search", nil))
 			done <- rec.Code
 		}()
 		return done
@@ -50,7 +50,7 @@ func TestMiddlewareShedsUnderSaturation(t *testing.T) {
 
 	// Queue is now full: the next request is shed immediately with 429.
 	overflow := httptest.NewRecorder()
-	h.ServeHTTP(overflow, httptest.NewRequest(http.MethodGet, "/v1/search", nil))
+	h.ServeHTTP(overflow, httptest.NewRequest(http.MethodGet, "/v2/search", nil))
 	if overflow.Code != http.StatusTooManyRequests {
 		t.Errorf("overflow status = %d, want 429", overflow.Code)
 	}

@@ -46,7 +46,7 @@ func TestMiddlewareShedResponseCarriesRequestID(t *testing.T) {
 		t.Error("shed request reached the handler")
 	}))
 	rr := httptest.NewRecorder()
-	handler.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/search?q=x", nil))
+	handler.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v2/search?q=x", nil))
 
 	if rr.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", rr.Code)
@@ -91,7 +91,7 @@ func TestMiddlewareWaitTimeoutShedEvent(t *testing.T) {
 		t.Error("timed-out request reached the handler")
 	}))
 	rr := httptest.NewRecorder()
-	handler.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/search?q=x", nil))
+	handler.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v2/search?q=x", nil))
 
 	if rr.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", rr.Code)
@@ -120,7 +120,7 @@ func TestMiddlewareAdmittedRequestCarriesID(t *testing.T) {
 		seenID = obs.RequestIDFrom(r.Context())
 	}))
 	rr := httptest.NewRecorder()
-	handler.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/search?q=x", nil))
+	handler.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v2/search?q=x", nil))
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status %d", rr.Code)
 	}

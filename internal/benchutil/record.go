@@ -18,6 +18,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/querylog"
 	"repro/internal/shard"
+	"repro/internal/vptree"
 )
 
 // BenchSchemaVersion versions the BENCH_<label>.json shape. Bump when
@@ -25,7 +26,7 @@ import (
 // rejected rather than silently misread.
 //
 // v2 added the workload's worker count and the throughput section
-// (serial vs parallel QPS via BatchSearch).
+// (serial vs parallel QPS via BatchSearchCtx).
 //
 // v3 added the degradation section: aborted (cancelled-context) query
 // counts, budget-truncated query counts, and admission queue wait under a
@@ -60,7 +61,11 @@ import (
 // its exact twin — recall@k, mean proven bound gap, node-visit and
 // wall-clock speedup per point, plus the exact_matches_zero bit (ε=0 stays
 // bit-identical). The quality gate enforces recall at the default ε.
-const BenchSchemaVersion = 8
+//
+// v9 dropped kernels.flat_path and kernels.flat_matches_pointer: the flat
+// traversal is the only one, so there is no pointer twin to compare with and
+// no way to bypass the kernels.
+const BenchSchemaVersion = 9
 
 // DefaultApproxEpsilon is the canonical quality-dial setting the approx
 // section's gate scores: the ε a caller reaching for "fast but still
@@ -175,9 +180,9 @@ type SearchBench struct {
 }
 
 // ThroughputBench compares the same query set answered one at a time versus
-// fanned out through core.BatchSearch with the workload's worker count.
+// fanned out through core.BatchSearchCtx with the workload's worker count.
 type ThroughputBench struct {
-	// Workers is the BatchSearch fan-out (mirrors workload.workers).
+	// Workers is the BatchSearchCtx fan-out (mirrors workload.workers).
 	Workers int `json:"workers"`
 	// Queries is the total number of searches timed per mode (the workload
 	// query set, repeated over enough rounds for a stable wall-clock).
@@ -187,7 +192,7 @@ type ThroughputBench struct {
 	ParallelQPS float64 `json:"parallel_qps"`
 	// Speedup is ParallelQPS / SerialQPS.
 	Speedup float64 `json:"speedup"`
-	// BatchMatchesSerial records whether BatchSearch returned exactly the
+	// BatchMatchesSerial records whether BatchSearchCtx returned exactly the
 	// neighbours the serial loop did — a correctness bit carried alongside
 	// the numbers so a "fast but wrong" run is self-incriminating.
 	BatchMatchesSerial bool `json:"batch_matches_serial"`
@@ -215,12 +220,12 @@ type DegradationBench struct {
 // phase: how the batch fan-out actually spread over the worker pool, how
 // busy each worker was, and how long the engine spent waiting on its mutex.
 // It is measured as the delta of the engine's per-worker shards (see
-// core.Engine.WorkerStats) across the BatchSearch rounds, so serial-phase
+// core.Engine.WorkerStats) across the BatchSearchCtx rounds, so serial-phase
 // work does not pollute it.
 type ContentionBench struct {
 	// Workers is the pool size (mirrors workload.workers).
 	Workers int `json:"workers"`
-	// Batches is how many BatchSearch rounds the phase ran.
+	// Batches is how many BatchSearchCtx rounds the phase ran.
 	Batches int64 `json:"batches"`
 	// TasksPerWorker is how many of the phase's queries each worker
 	// executed; the values sum to throughput.queries. A worker that was
@@ -270,18 +275,13 @@ type TracingBench struct {
 	TracesKept int `json:"traces_kept"`
 }
 
-// KernelsBench is the flat-kernel evidence of the run: whether the engine's
-// searches routed through the flat-memory arena path, how the batched leaf
-// kernel behaved (evaluations vs whole blocks pruned), and the correctness
-// bit proving the flat path answers bit-identically to the pointer tree.
+// KernelsBench is the traversal-kernel evidence of the run: how the batched
+// leaf kernel behaved (evaluations vs whole blocks pruned).
 type KernelsBench struct {
-	// FlatPath records whether the engine's index carried a flat arena and
-	// routed searches through the batched kernels.
-	FlatPath bool `json:"flat_path"`
 	// BlockSize is the largest leaf block the batched kernel evaluates in
 	// one call (the tree's leaf capacity).
 	BlockSize int `json:"block_size"`
-	// FlatSearches counts searches answered on the flat path over the run.
+	// FlatSearches counts the index searches of the run.
 	FlatSearches int64 `json:"flat_searches"`
 	// LeafBlocks counts whole leaf blocks fed through the batched kernel.
 	LeafBlocks int64 `json:"leaf_blocks"`
@@ -290,10 +290,6 @@ type KernelsBench struct {
 	// BlocksPruned counts leaf blocks skipped wholesale because an ancestor
 	// ball-bound test pruned their subtree.
 	BlocksPruned int64 `json:"blocks_pruned"`
-	// FlatMatchesPointer records whether a pointer-path twin engine (flat
-	// kernels disabled) returned exactly the flat engine's neighbours for
-	// the workload's query set — the "fast but wrong" tripwire.
-	FlatMatchesPointer bool `json:"flat_matches_pointer"`
 }
 
 // ShardingBench is the horizontal-scaling evidence of the run: the same
@@ -479,7 +475,7 @@ func RunBenchWithOptions(w BenchWorkload, label string, opts BenchOptions) (*Ben
 	var nodes, cands, lbPrunes, fulls int
 	for _, q := range queries {
 		start := time.Now()
-		_, st, err := e.SimilarQueries(q.Values, w.K)
+		_, st, err := similar(e, q.Values, w.K)
 		if err != nil {
 			return nil, fmt.Errorf("benchutil: search %q: %w", q.Name, err)
 		}
@@ -501,7 +497,7 @@ func RunBenchWithOptions(w BenchWorkload, label string, opts BenchOptions) (*Ben
 	rec.Search.FractionExamined = float64(fulls) / n / float64(e.Len())
 
 	// Throughput workload: the same query set answered serially versus
-	// fanned out through BatchSearch, repeated over enough rounds that the
+	// fanned out through BatchSearchCtx, repeated over enough rounds that the
 	// wall-clock is measurable on small workloads.
 	qvals := make([][]float64, len(queries))
 	for i, q := range queries {
@@ -512,7 +508,7 @@ func RunBenchWithOptions(w BenchWorkload, label string, opts BenchOptions) (*Ben
 	serialStart := time.Now()
 	for r := 0; r < rounds; r++ {
 		for i, v := range qvals {
-			nbs, _, err := e.SimilarQueries(v, w.K)
+			nbs, _, err := similar(e, v, w.K)
 			if err != nil {
 				return nil, fmt.Errorf("benchutil: serial throughput query %d: %w", i, err)
 			}
@@ -524,7 +520,7 @@ func RunBenchWithOptions(w BenchWorkload, label string, opts BenchOptions) (*Ben
 	var batch [][]core.Neighbor
 	parallelStart := time.Now()
 	for r := 0; r < rounds; r++ {
-		batch, _, err = e.BatchSearch(qvals, w.K)
+		batch, _, err = e.BatchSearchCtx(context.Background(), qvals, w.K)
 		if err != nil {
 			return nil, fmt.Errorf("benchutil: batch throughput: %w", err)
 		}
@@ -544,36 +540,16 @@ func RunBenchWithOptions(w BenchWorkload, label string, opts BenchOptions) (*Ben
 	}
 	rec.Contention = contentionFromShards(shardsBefore, shardsAfter, rec.Throughput.Speedup)
 
-	// Kernel evidence: the flat-path counters the engine's tree accumulated
-	// over the search and throughput phases, plus the flat-vs-pointer
-	// correctness bit measured against a twin engine with the kernels
-	// disabled. The twin is separate so the hub engine's counters stay
-	// exactly the workload's (the twin runs unobserved).
+	// Kernel evidence: the traversal counters the engine's tree accumulated
+	// over the search and throughput phases.
 	ks := e.Tree().KernelStats()
 	rec.Kernels = KernelsBench{
-		FlatPath:     e.Tree().FlatEnabled(),
 		BlockSize:    ks.MaxBlock,
 		FlatSearches: ks.FlatSearches,
 		LeafBlocks:   ks.LeafBlocks,
 		KernelEvals:  ks.KernelEvals,
 		BlocksPruned: ks.BlocksPruned,
 	}
-	ep, err := core.NewEngine(data, core.Config{Budget: w.Budget, Seed: w.Seed, Workers: w.Workers, NoFlatKernels: true})
-	if err != nil {
-		return nil, fmt.Errorf("benchutil: pointer twin engine: %w", err)
-	}
-	rec.Kernels.FlatMatchesPointer = true
-	for i, v := range qvals {
-		nbs, _, err := ep.SimilarQueries(v, w.K)
-		if err != nil {
-			ep.Close()
-			return nil, fmt.Errorf("benchutil: pointer twin query %d: %w", i, err)
-		}
-		if !reflect.DeepEqual(nbs, serial[i]) {
-			rec.Kernels.FlatMatchesPointer = false
-		}
-	}
-	ep.Close()
 
 	// Tracing overhead: the identical serial loop on a twin engine built
 	// with observability disabled, so the delta isolates the trace/metric/
@@ -585,7 +561,7 @@ func RunBenchWithOptions(w BenchWorkload, label string, opts BenchOptions) (*Ben
 	untracedStart := time.Now()
 	for r := 0; r < rounds; r++ {
 		for i, v := range qvals {
-			if _, _, err := eu.SimilarQueries(v, w.K); err != nil {
+			if _, _, err := similar(eu, v, w.K); err != nil {
 				eu.Close()
 				return nil, fmt.Errorf("benchutil: untraced throughput query %d: %w", i, err)
 			}
@@ -738,12 +714,14 @@ func RunBenchWithOptions(w BenchWorkload, label string, opts BenchOptions) (*Ben
 	var rows int
 	for id := 0; id < w.Queries && id < e.Len(); id++ {
 		start := time.Now()
-		_, rep, err := e.QueryByBurstOfExplained(id, w.K, core.Long)
+		resp, err := e.Query(context.Background(), core.Request{
+			Kind: core.KindBurstID, ID: id, K: w.K, Window: core.Long, Explain: true,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("benchutil: qbb id %d: %w", id, err)
 		}
 		qbbLat = append(qbbLat, float64(time.Since(start))/float64(time.Millisecond))
-		rows += rep.Burst.RowsScanned
+		rows += resp.Explain.Burst.RowsScanned
 	}
 	rec.QBB = QBBBench{
 		Latency:     summarize(qbbLat),
@@ -799,7 +777,7 @@ func RunBenchWithOptions(w BenchWorkload, label string, opts BenchOptions) (*Ben
 				return // shed requests simply don't contribute a wait sample
 			}
 			defer release()
-			_, _, _ = e.SimilarQueries(qvals[i], w.K) //nolint:errcheck // timing-only pass
+			_, _, _ = similar(e, qvals[i], w.K) //nolint:errcheck // timing-only pass
 			admitMu.Lock()
 			waitTotal += wait
 			admits++
@@ -982,19 +960,11 @@ func (r *BenchRecord) Validate() error {
 				r.Contention.MaxTaskShare, want)
 		}
 	}
-	if r.Kernels.FlatPath {
-		if r.Kernels.BlockSize < 1 {
-			return fmt.Errorf("benchutil: kernels block_size = %d on the flat path", r.Kernels.BlockSize)
-		}
-		if r.Kernels.FlatSearches < 1 || r.Kernels.KernelEvals < 1 || r.Kernels.LeafBlocks < 1 {
-			return fmt.Errorf("benchutil: flat path enabled but unused: %+v", r.Kernels)
-		}
+	if r.Kernels.BlockSize < 1 {
+		return fmt.Errorf("benchutil: kernels block_size = %d", r.Kernels.BlockSize)
 	}
-	if r.Kernels.FlatSearches < 0 || r.Kernels.LeafBlocks < 0 || r.Kernels.KernelEvals < 0 || r.Kernels.BlocksPruned < 0 {
-		return fmt.Errorf("benchutil: negative kernel counters: %+v", r.Kernels)
-	}
-	if !r.Kernels.FlatMatchesPointer {
-		return fmt.Errorf("benchutil: flat kernels diverged from the pointer path")
+	if r.Kernels.FlatSearches < 1 || r.Kernels.KernelEvals < 1 || r.Kernels.LeafBlocks < 1 || r.Kernels.BlocksPruned < 0 {
+		return fmt.Errorf("benchutil: implausible kernel counters: %+v", r.Kernels)
 	}
 	if r.Tracing.UntracedQPS <= 0 || r.Tracing.TracedQPS <= 0 {
 		return fmt.Errorf("benchutil: tracing qps = %v untraced / %v traced",
@@ -1137,23 +1107,17 @@ func LoadRecord(path string) (*BenchRecord, error) {
 // GateRecord applies the acceptance gate to a single record and returns the
 // list of failures (empty = pass). Unlike Validate, which only checks
 // structural integrity, this gates on outcomes: correctness bits must hold
-// (batch-vs-serial, flat-vs-pointer, sharded-vs-single), the flat path must
-// be in use, no worker may own more than half the batch, the scatter
-// layer's gather overhead must stay under maxGatherPct (percent of sharded
-// query wall time; <= 0 disables that check), and — only when the machine
-// can physically exhibit parallelism (gomaxprocs >= workers) — the parallel
-// speedup must reach minSpeedup. On smaller machines the speedup check is
-// skipped (the other gates still apply); callers should surface that skip.
+// (batch-vs-serial, sharded-vs-single), no worker may own more than half the
+// batch, the scatter layer's gather overhead must stay under maxGatherPct
+// (percent of sharded query wall time; <= 0 disables that check), and — only
+// when the machine can physically exhibit parallelism (gomaxprocs >= workers)
+// — the parallel speedup must reach minSpeedup. On smaller machines the
+// speedup check is skipped (the other gates still apply); callers should
+// surface that skip.
 func GateRecord(r *BenchRecord, minSpeedup, maxGatherPct float64) []string {
 	var fails []string
 	if !r.Throughput.BatchMatchesSerial {
 		fails = append(fails, "throughput.batch_matches_serial = false")
-	}
-	if !r.Kernels.FlatPath {
-		fails = append(fails, "kernels.flat_path = false (searches bypassed the flat kernels)")
-	}
-	if !r.Kernels.FlatMatchesPointer {
-		fails = append(fails, "kernels.flat_matches_pointer = false")
 	}
 	if !r.Sharding.ShardedMatchesSingle {
 		fails = append(fails, "sharding.sharded_matches_single = false (scatter-gather diverged)")
@@ -1239,4 +1203,14 @@ func CompareBenchRecords(old, new *BenchRecord, tol float64) ([]Regression, erro
 	check("degradation.queue_wait_ms", old.Degradation.QueueWaitMS, new.Degradation.QueueWaitMS, true)
 	sort.Slice(regs, func(a, b int) bool { return regs[a].Metric < regs[b].Metric })
 	return regs, nil
+}
+
+// similar answers one by-values index search through the unified Query
+// surface.
+func similar(e core.Searcher, values []float64, k int) ([]core.Neighbor, vptree.Stats, error) {
+	resp, err := e.Query(context.Background(), core.Request{Kind: core.KindSimilar, Values: values, K: k})
+	if err != nil {
+		return nil, vptree.Stats{}, err
+	}
+	return resp.Neighbors, resp.Stats, nil
 }

@@ -56,11 +56,8 @@ func TestRunBenchValidates(t *testing.T) {
 	if !rec.Throughput.BatchMatchesSerial {
 		t.Error("batch search diverged from serial")
 	}
-	if !rec.Kernels.FlatPath || !rec.Kernels.FlatMatchesPointer {
-		t.Errorf("kernels = %+v, want flat path in use and matching the pointer twin", rec.Kernels)
-	}
 	if rec.Kernels.FlatSearches < int64(w.Queries) || rec.Kernels.KernelEvals < 1 {
-		t.Errorf("kernels = %+v, want at least the workload's searches on the flat path", rec.Kernels)
+		t.Errorf("kernels = %+v, want at least the workload's searches counted", rec.Kernels)
 	}
 	if rec.GoMaxProcs < 1 {
 		t.Errorf("gomaxprocs = %d", rec.GoMaxProcs)
@@ -90,17 +87,15 @@ func TestGateRecord(t *testing.T) {
 
 	bad := *rec
 	bad.Throughput.BatchMatchesSerial = false
-	bad.Kernels.FlatMatchesPointer = false
-	bad.Kernels.FlatPath = false
 	bad.Contention.MaxTaskShare = 0.9
 	bad.Sharding.ShardedMatchesSingle = false
 	bad.Sharding.GatherPct = 95
-	if fails := GateRecord(&bad, 4.0, 90); len(fails) != 6 {
-		t.Errorf("corrupt record produced %d failures, want 6: %v", len(fails), fails)
+	if fails := GateRecord(&bad, 4.0, 90); len(fails) != 4 {
+		t.Errorf("corrupt record produced %d failures, want 4: %v", len(fails), fails)
 	}
 	// A non-positive ceiling disables the gather check only.
-	if fails := GateRecord(&bad, 4.0, 0); len(fails) != 5 {
-		t.Errorf("corrupt record with gather gate disabled produced %d failures, want 5: %v", len(fails), fails)
+	if fails := GateRecord(&bad, 4.0, 0); len(fails) != 3 {
+		t.Errorf("corrupt record with gather gate disabled produced %d failures, want 3: %v", len(fails), fails)
 	}
 
 	// With gomaxprocs >= workers the speedup floor arms.
@@ -183,7 +178,6 @@ func TestValidateRejectsCorruptRecords(t *testing.T) {
 		}),
 		"kernels_unused": mutate(func(r *BenchRecord) { r.Kernels.FlatSearches = 0 }),
 		"kernels_neg":    mutate(func(r *BenchRecord) { r.Kernels.BlocksPruned = -1 }),
-		"flat_mismatch":  mutate(func(r *BenchRecord) { r.Kernels.FlatMatchesPointer = false }),
 		"shard_count":    mutate(func(r *BenchRecord) { r.Sharding.Shards++ }),
 		"shard_fanout":   mutate(func(r *BenchRecord) { r.Sharding.Fanout = 0 }),
 		"shard_scatters": mutate(func(r *BenchRecord) { r.Sharding.Scatters = 0 }),

@@ -448,13 +448,13 @@ type QBBExplain struct {
 	Matches    int `json:"matches"`
 }
 
-// QueryByBurstExplain runs QueryByBurst while collecting a per-burst
-// explain report. Results and aggregate stats are identical to the plain
-// call.
-func (db *DB) QueryByBurstExplain(query []burst.Burst, k int, exclude int64, plan Plan) ([]Match, ScanStats, *QBBExplain, error) {
+// QueryByBurstExplain is QueryByBurstLimited while collecting a per-burst
+// explain report. Results, aggregate stats and truncation are identical to
+// the plain call under the same gate.
+func (db *DB) QueryByBurstExplain(query []burst.Burst, k int, exclude int64, plan Plan, g *lifecycle.Gate) ([]Match, ScanStats, *QBBExplain, bool, error) {
 	exp := &QBBExplain{}
-	matches, agg, _, err := db.queryByBurst(query, k, exclude, plan, exp, nil)
-	return matches, agg, exp, err
+	matches, agg, truncated, err := db.queryByBurst(query, k, exclude, plan, exp, g)
+	return matches, agg, exp, truncated, err
 }
 
 // qbbScratch is the working memory of one queryByBurst, pooled across

@@ -23,7 +23,7 @@ func TestQueryByBurstExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, st, exp, err := db.QueryByBurstExplain(q, 10, -1, PlanAuto)
+	matches, st, exp, _, err := db.QueryByBurstExplain(q, 10, -1, PlanAuto, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestQueryByBurstExplain(t *testing.T) {
 
 	// Forcing the index plans must surface B-tree probe counts.
 	for _, plan := range []Plan{PlanIndexStart, PlanIndexEnd} {
-		_, ist, iexp, err := db.QueryByBurstExplain(q, 10, -1, plan)
+		_, ist, iexp, _, err := db.QueryByBurstExplain(q, 10, -1, plan, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestQueryByBurstExplain(t *testing.T) {
 		}
 	}
 	// A full scan probes no index.
-	_, _, fexp, err := db.QueryByBurstExplain(q, 10, -1, PlanFullScan)
+	_, _, fexp, _, err := db.QueryByBurstExplain(q, 10, -1, PlanFullScan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,15 +14,6 @@ import (
 	"repro/internal/vptree"
 )
 
-// BatchSearch answers one similarity search per query in queries, fanning
-// the batch across a pool of Config.Workers goroutines.
-//
-// Deprecated: use BatchSearchCtx, which adds context cancellation. This
-// wrapper delegates with a background context.
-func (e *Engine) BatchSearch(queries [][]float64, k int) ([][]Neighbor, vptree.Stats, error) {
-	return e.BatchSearchCtx(context.Background(), queries, k)
-}
-
 // batchQueue is one worker's slice of the batch: a contiguous index range
 // [next, end) claimed atomically in blocks by the owner and, once another
 // worker runs dry, by thieves. Padding keeps two workers' cursors off one
@@ -81,8 +72,8 @@ func splitBatch(n, workers int) [][2]int {
 
 // BatchSearchCtx answers one similarity search per query in queries,
 // fanning the batch across a pool of Config.Workers goroutines. out[i]
-// holds the k nearest neighbours of queries[i] — exactly what
-// SimilarQueries returns for the same input, regardless of the worker count
+// holds the k nearest neighbours of queries[i] — exactly what a KindSimilar
+// Query returns for the same input, regardless of the worker count
 // or scheduling order. Per-worker vptree.Stats are merged into one batch
 // total. On error the first failing query (by batch position) determines
 // the returned error; the merged stats still account for all work done.
@@ -292,7 +283,7 @@ func (e *Engine) searchOneLocked(ctx context.Context, values []float64, k int) (
 		return nil, vptree.Stats{}, err
 	}
 	g := lifecycle.NewGate(ctx, lifecycle.Limits{})
-	res, st, _, err := e.searchIndexLimited(ctx, q, k, g)
+	res, st, _, err := e.searchIndexLimited(ctx, q, k, g, nil)
 	if err != nil {
 		return nil, st, err
 	}

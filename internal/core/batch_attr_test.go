@@ -250,21 +250,21 @@ func TestWorkerShardsRaceStress(t *testing.T) {
 	}
 }
 
-// TestV1SearchRequestIDResolvable is the acceptance criterion end to end:
-// the /v1/search response's request_id resolves at /debug/requests to a
+// TestV2SearchRequestIDResolvable is the acceptance criterion end to end:
+// the /v2/search response's request_id resolves at /debug/requests to a
 // wide event describing the same search.
-func TestV1SearchRequestIDResolvable(t *testing.T) {
+func TestV2SearchRequestIDResolvable(t *testing.T) {
 	t.Parallel()
 	e, hub, _ := attrEngine(t, 2)
 	srv := httptest.NewServer(obs.Handler(hub,
-		obs.Route{Pattern: "/v1/search", Handler: V1SearchHandler(e)}))
+		obs.Route{Pattern: "/v2/search", Handler: V2SearchHandler(e)}))
 	defer srv.Close()
 
-	resp, err := srv.Client().Get(srv.URL + "/v1/search?q=" + querylog.ExemplarNames()[0] + "&k=3")
+	resp, err := srv.Client().Get(srv.URL + "/v2/search?q=" + querylog.ExemplarNames()[0] + "&k=3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sr SearchResponse
+	var sr V2Response
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}

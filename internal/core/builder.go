@@ -18,10 +18,7 @@ type RequestOption func(*Request)
 //	resp, err := engine.Query(ctx, req)
 //
 // The zero option set yields K=1 and the kind's defaults; invalid
-// combinations surface as Query's normal validation errors. Prefer this
-// constructor (or a Request literal) over the frozen per-family wrapper
-// methods (SimilarQueries, LinearScan, ... — all marked Deprecated); the
-// api-check vet step fails on new internal callers of the wrappers.
+// combinations surface as Query's normal validation errors.
 func NewRequest(kind Kind, opts ...RequestOption) Request {
 	req := Request{Kind: kind, K: 1, ID: -1}
 	for _, o := range opts {

@@ -35,8 +35,7 @@ func TestConcurrentEngineStress(t *testing.T) {
 	defer e.Close()
 
 	srv := httptest.NewServer(obs.Handler(hub,
-		obs.Route{Pattern: "/v1/search", Handler: V1SearchHandler(e)},
-		obs.Route{Pattern: "/search", Handler: SearchHandler(e)}))
+		obs.Route{Pattern: "/v2/search", Handler: V2SearchHandler(e)}))
 	defer srv.Close()
 
 	// Fresh series for the writer, from a differently-seeded generator so
@@ -62,24 +61,24 @@ func TestConcurrentEngineStress(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				switch (r + i) % 5 {
 				case 0:
-					if _, _, err := e.SimilarQueries(probe, 3); err != nil {
+					if _, _, err := similarQueries(e, probe, 3); err != nil {
 						t.Errorf("SimilarQueries: %v", err)
 					}
 				case 1:
-					if _, _, err := e.SimilarToID(i%e.Len(), 3); err != nil {
+					if _, _, err := similarToID(e, i%e.Len(), 3); err != nil {
 						t.Errorf("SimilarToID: %v", err)
 					}
 				case 2:
-					if _, err := e.QueryByBurst(probe, 3, Long); err != nil {
+					if _, err := queryByBurst(e, probe, 3, Long); err != nil {
 						t.Errorf("QueryByBurst: %v", err)
 					}
 				case 3:
-					if _, err := e.LinearScan(probe, 3); err != nil {
+					if _, err := linearScan(e, probe, 3); err != nil {
 						t.Errorf("LinearScan: %v", err)
 					}
 				case 4:
 					batch := [][]float64{probe, qvals[1].Values}
-					if _, _, err := e.BatchSearch(batch, 3); err != nil {
+					if _, _, err := e.BatchSearchCtx(context.Background(), batch, 3); err != nil {
 						t.Errorf("BatchSearch: %v", err)
 					}
 				}
@@ -131,10 +130,9 @@ func TestConcurrentEngineStress(t *testing.T) {
 		urls := []string{
 			srv.URL + "/debug/vars",
 			srv.URL + "/debug/metrics",
-			srv.URL + "/v1/search?q=" + querylog.Cinema + "&k=3",
-			srv.URL + "/v1/search?q=" + querylog.Cinema + "&k=3&mode=linear&max_nodes=5",
-			srv.URL + "/search?q=" + querylog.Cinema + "&k=3",
-			srv.URL + "/search?q=" + querylog.Cinema + "&k=2&mode=qbb",
+			srv.URL + "/v2/search?q=" + querylog.Cinema + "&k=3",
+			srv.URL + "/v2/search?q=" + querylog.Cinema + "&k=3&mode=linear&max_nodes=5",
+			srv.URL + "/v2/search?q=" + querylog.Cinema + "&k=2&mode=qbb",
 		}
 		for i := 0; i < 10; i++ {
 			for _, u := range urls {
@@ -159,7 +157,7 @@ func TestConcurrentEngineStress(t *testing.T) {
 		t.Errorf("engine holds %d series after stress, want %d", got, len(data)+len(extra))
 	}
 	// The engine must still answer consistently after the churn.
-	if _, _, err := e.SimilarQueries(probe, 5); err != nil {
+	if _, _, err := similarQueries(e, probe, 5); err != nil {
 		t.Errorf("post-stress search: %v", err)
 	}
 }
@@ -194,7 +192,7 @@ func TestBatchSearchMatchesSerialProperty(t *testing.T) {
 		var serialStats vptree.Stats
 		for i, q := range queries {
 			qvals[i] = q.Values
-			nbs, st, err := e.SimilarQueries(q.Values, k)
+			nbs, st, err := similarQueries(e, q.Values, k)
 			if err != nil {
 				t.Fatalf("trial %d: serial query %d: %v", trial, i, err)
 			}
@@ -202,7 +200,7 @@ func TestBatchSearchMatchesSerialProperty(t *testing.T) {
 			serialStats.Add(st)
 		}
 
-		batch, batchStats, err := e.BatchSearch(qvals, k)
+		batch, batchStats, err := e.BatchSearchCtx(context.Background(), qvals, k)
 		if err != nil {
 			t.Fatalf("trial %d: BatchSearch: %v", trial, err)
 		}
@@ -234,13 +232,13 @@ func TestLinearScanShardedMatchesSerial(t *testing.T) {
 		k := 1 + rng.Intn(8)
 
 		e.cfg.Workers = 1
-		want, err := e.LinearScan(q, k)
+		want, err := linearScan(e, q, k)
 		if err != nil {
 			t.Fatalf("trial %d: serial scan: %v", trial, err)
 		}
 		for _, workers := range []int{2, 3, 8} {
 			e.cfg.Workers = workers
-			got, err := e.LinearScan(q, k)
+			got, err := linearScan(e, q, k)
 			if err != nil {
 				t.Fatalf("trial %d: sharded scan (%d workers): %v", trial, workers, err)
 			}
@@ -258,13 +256,13 @@ func TestLinearScanShardedMatchesSerial(t *testing.T) {
 // position (not by completion order).
 func TestBatchSearchEdgeCases(t *testing.T) {
 	e, g := buildEngine(t, 8, Config{Workers: 4}, 31)
-	out, _, err := e.BatchSearch(nil, 3)
+	out, _, err := e.BatchSearchCtx(context.Background(), nil, 3)
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty batch: %v, %v", out, err)
 	}
 	good := g.Queries(1)[0].Values
 	bad := make([]float64, 7) // wrong length
-	_, _, err = e.BatchSearch([][]float64{good, bad, bad[:3]}, 3)
+	_, _, err = e.BatchSearchCtx(context.Background(), [][]float64{good, bad, bad[:3]}, 3)
 	if !errors.Is(err, spectral.ErrMismatch) {
 		t.Errorf("batch with malformed query: err = %v, want ErrMismatch", err)
 	}
@@ -316,7 +314,7 @@ func TestAddRollbackOnInsertFailure(t *testing.T) {
 	if ok, err := e.tree.Delete(nextID); err != nil || !ok {
 		t.Fatalf("deleting sabotage entry: %v (ok=%v)", err, ok)
 	}
-	nbs, _, err := e.SimilarToID(0, 3)
+	nbs, _, err := similarToID(e, 0, 3)
 	if err != nil || len(nbs) == 0 {
 		t.Fatalf("post-failure search: %v (%d results)", err, len(nbs))
 	}

@@ -22,6 +22,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/burst"
@@ -67,10 +68,6 @@ type Config struct {
 	LeafSize    int
 	Seed        int64
 	PaperBounds bool
-	// NoFlatKernels forwards to the index: disable the flat-memory batched
-	// bound kernels and keep searches on the pointer-tree path. Results are
-	// identical either way (ablation / equivalence-testing knob).
-	NoFlatKernels bool
 	// Index selects the metric-index implementation (default the paper's
 	// binary VP-tree; IndexMVPTree uses the multi-vantage-point variant).
 	Index IndexKind
@@ -88,7 +85,7 @@ type Config struct {
 	// single unpartitioned engine.
 	Shards int
 	// Workers bounds the goroutines used for parallel query execution —
-	// the BatchSearch fan-out and the sharded LinearScan — and for index
+	// the BatchSearchCtx fan-out and the sharded linear scan — and for index
 	// construction (default runtime.GOMAXPROCS(0)). Set to 1 to force every
 	// path serial; results are identical either way (see
 	// docs/concurrency.md).
@@ -188,9 +185,12 @@ type Neighbor struct {
 // each other, which would re-enter the RWMutex and deadlock behind a
 // queued writer. See docs/concurrency.md.
 type Engine struct {
-	mu       sync.RWMutex
-	cfg      Config
-	names    []string
+	mu    sync.RWMutex
+	cfg   Config
+	names []string
+	// size mirrors len(names) for Len, which Query calls on every request:
+	// reading it must not queue behind a writer the way mu.RLock does.
+	size     atomic.Int64
 	byName   map[string]int
 	raw      []*series.Series // original (unstandardized) series
 	store    seqstore.Store   // standardized values
@@ -204,7 +204,7 @@ type Engine struct {
 	tracer   *obs.Tracer
 	met      engineMetrics
 	// workers is the per-worker contention/scheduling attribution table:
-	// one padded slot per pool worker, flushed lock-free by BatchSearch
+	// one padded slot per pool worker, flushed lock-free by BatchSearchCtx
 	// workers on completion and scraped by /debug/workers and benchutil's
 	// contention section. Always non-nil (independent of the hub).
 	workers *obs.WorkerShards
@@ -214,7 +214,7 @@ type Engine struct {
 
 // Searcher is the query surface shared by the single Engine and the
 // sharded scatter-gather engine (internal/shard.ShardedEngine): everything
-// the serving layer (V1SearchHandler, cmd/s2) needs to resolve names,
+// the serving layer (V2SearchHandler, cmd/s2) needs to resolve names,
 // fetch series and run queries, without knowing how many partitions sit
 // behind it.
 type Searcher interface {
@@ -320,6 +320,7 @@ func NewEngine(data []*series.Series, cfg Config) (*Engine, error) {
 			e.byName[s.Name] = id
 		}
 	}
+	e.size.Store(int64(len(e.names)))
 	// Spectra in parallel (the dominant build cost at scale).
 	specs, err := spectral.FromValuesBatch(zValues)
 	if err != nil {
@@ -361,14 +362,13 @@ func NewEngine(data []*series.Series, cfg Config) (*Engine, error) {
 			return nil, errors.New("core: DynamicIndex is incompatible with FeaturesPath")
 		}
 		e.tree, err = vptree.Build(specs, ids, vptree.Options{
-			Method:        cfg.Method,
-			Budget:        cfg.Budget,
-			LeafSize:      cfg.LeafSize,
-			Seed:          cfg.Seed,
-			PaperBounds:   cfg.PaperBounds,
-			Dynamic:       cfg.DynamicIndex,
-			BuildWorkers:  cfg.Workers,
-			NoFlatKernels: cfg.NoFlatKernels,
+			Method:       cfg.Method,
+			Budget:       cfg.Budget,
+			LeafSize:     cfg.LeafSize,
+			Seed:         cfg.Seed,
+			PaperBounds:  cfg.PaperBounds,
+			Dynamic:      cfg.DynamicIndex,
+			BuildWorkers: cfg.Workers,
 		})
 		if err != nil {
 			return nil, err
@@ -440,6 +440,7 @@ func (e *Engine) Add(s *series.Series) (int, error) {
 	e.features = e.tree.Features()
 	e.raw = append(e.raw, s)
 	e.names = append(e.names, s.Name)
+	e.size.Add(1)
 	if _, dup := e.byName[s.Name]; !dup {
 		e.byName[s.Name] = id
 	}
@@ -448,16 +449,6 @@ func (e *Engine) Add(s *series.Series) (int, error) {
 	}
 	e.met.seriesIngested.Inc()
 	return id, nil
-}
-
-// searchIndex runs a kNN query on whichever index the engine was built with.
-func (e *Engine) searchIndex(z []float64, k int) ([]vptree.Result, vptree.Stats, error) {
-	q, err := e.prepare(z)
-	if err != nil {
-		return nil, vptree.Stats{}, err
-	}
-	res, st, _, err := e.searchIndexLimited(context.Background(), q, k, nil)
-	return res, st, err
 }
 
 // Close releases any disk resources.
@@ -489,11 +480,7 @@ func (e *Engine) burstDB(w BurstWindow) *burstdb.DB {
 }
 
 // Len returns the number of indexed series.
-func (e *Engine) Len() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.names)
-}
+func (e *Engine) Len() int { return int(e.size.Load()) }
 
 // SeqLen returns the series length (fixed at construction).
 func (e *Engine) SeqLen() int { return e.store.SeqLen() }
@@ -577,32 +564,6 @@ func (e *Engine) standardizeQuery(values []float64) ([]float64, error) {
 	return s.Standardized().Values, nil
 }
 
-// SimilarQueries returns the k series whose standardized demand curves are
-// closest (Euclidean) to the given raw demand curve, using the index.
-//
-// Deprecated: use Query with KindSimilar, which adds context cancellation
-// and per-query budgets. This wrapper delegates with an unbounded budget.
-func (e *Engine) SimilarQueries(values []float64, k int) ([]Neighbor, vptree.Stats, error) {
-	resp, err := e.Query(context.Background(), Request{Kind: KindSimilar, Values: values, K: k})
-	if err != nil {
-		return nil, vptree.Stats{}, err
-	}
-	return resp.Neighbors, resp.Stats, nil
-}
-
-// SimilarToID returns the k nearest neighbours of an indexed series,
-// excluding the series itself.
-//
-// Deprecated: use Query with KindSimilarID, which adds context cancellation
-// and per-query budgets. This wrapper delegates with an unbounded budget.
-func (e *Engine) SimilarToID(id, k int) ([]Neighbor, vptree.Stats, error) {
-	resp, err := e.Query(context.Background(), Request{Kind: KindSimilarID, ID: id, K: k})
-	if err != nil {
-		return nil, vptree.Stats{}, err
-	}
-	return resp.Neighbors, resp.Stats, nil
-}
-
 // toNeighborsLocked resolves result IDs to names; caller holds mu.
 func (e *Engine) toNeighborsLocked(res []vptree.Result) []Neighbor {
 	out := make([]Neighbor, len(res))
@@ -612,24 +573,11 @@ func (e *Engine) toNeighborsLocked(res []vptree.Result) []Neighbor {
 	return out
 }
 
-// LinearScan is the exact full-scan baseline with early abandoning (§7.4).
-// It returns the k nearest neighbours of the raw query values. With
-// Config.Workers > 1 the scan is sharded across contiguous ID ranges; the
-// merged result is identical to the serial ascending-ID scan, including
-// tie order.
-//
-// Deprecated: use Query with KindLinear, which adds context cancellation
-// and per-query budgets. This wrapper delegates with an unbounded budget.
-func (e *Engine) LinearScan(values []float64, k int) ([]Neighbor, error) {
-	resp, err := e.Query(context.Background(), Request{Kind: KindLinear, Values: values, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Neighbors, nil
-}
-
-// linearScanStandardized runs the gated scan; caller holds the read lock.
-// Under a sharded scan the gate's budget is split across the workers, so a
+// linearScanStandardized is the exact full-scan baseline with early
+// abandoning (§7.4), gated; caller holds the read lock. With Config.Workers
+// > 1 the scan is sharded across contiguous ID ranges; the merged result is
+// identical to the serial ascending-ID scan, including tie order. Under a
+// sharded scan the gate's budget is split across the workers, so a
 // budgeted sharded scan may truncate at different rows than a serial one —
 // every row actually scanned still contributes exactly.
 func (e *Engine) linearScanStandardized(z []float64, k int, g *lifecycle.Gate) ([]Neighbor, error) {
@@ -797,23 +745,6 @@ func (e *Engine) Reconstruct(id int) (*Reconstruction, error) {
 	return &Reconstruction{Values: rec, Error: errE, Coefficients: len(c.Positions)}, nil
 }
 
-// SimilarDTW returns the k series closest to sequence id under Dynamic Time
-// Warping with a Sakoe–Chiba band of radius `band` days — the §8 extension
-// ("a similar approach could prove useful ... for expensive distance
-// measures like dynamic time warping"). Candidates are filtered with the
-// linear-cost LB_Keogh bound before the quadratic DP runs, mirroring the
-// paper's filter-and-refine structure.
-//
-// Deprecated: use Query with KindDTW, which adds context cancellation and
-// per-query budgets. This wrapper delegates with an unbounded budget.
-func (e *Engine) SimilarDTW(id, band, k int) ([]Neighbor, error) {
-	resp, err := e.Query(context.Background(), Request{Kind: KindDTW, ID: id, Band: band, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Neighbors, nil
-}
-
 // ---------------------------------------------------------------------------
 // Periods
 
@@ -836,7 +767,7 @@ func (e *Engine) PeriodsOf(id int) (*periods.Detection, error) {
 
 // PeriodsOfSet finds the periods shared by a set of indexed series — the §5
 // use case of summarizing "the important periods for a set of sequences
-// (e.g., for the knn results)". Pass e.g. the IDs returned by SimilarToID.
+// (e.g., for the knn results)". Pass e.g. the IDs of a KindSimilarID answer.
 func (e *Engine) PeriodsOfSet(ids []int) (*periods.Detection, error) {
 	defer e.met.periodsLat.Start()()
 	e.met.periodsTotal.Inc()
@@ -852,25 +783,6 @@ func (e *Engine) PeriodsOfSet(ids []int) (*periods.Detection, error) {
 	}
 	e.mu.RUnlock()
 	return periods.DetectSet(set, e.cfg.PeriodConfidence)
-}
-
-// SimilarByPeriods is the §7.5 focused search: the k series closest to
-// sequence id when the distance is restricted to the spectral bins within
-// ±relTol of the given periods (in days). It scans the database's spectra
-// directly — the masked distance has no stored compressed representation to
-// index.
-//
-// Deprecated: use Query with KindSimilarPeriods, which adds context
-// cancellation and per-query budgets. This wrapper delegates with an
-// unbounded budget.
-func (e *Engine) SimilarByPeriods(id int, periodDays []float64, relTol float64, k int) ([]Neighbor, error) {
-	resp, err := e.Query(context.Background(), Request{
-		Kind: KindSimilarPeriods, ID: id, Periods: periodDays, RelTol: relTol, K: k,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Neighbors, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -904,31 +816,6 @@ type BurstMatch struct {
 	Score float64
 }
 
-// QueryByBurst detects bursts in the given raw values and returns the k
-// indexed series with the most similar burst patterns (§6.3).
-//
-// Deprecated: use Query with KindBurst, which adds context cancellation and
-// per-query budgets. This wrapper delegates with an unbounded budget.
-func (e *Engine) QueryByBurst(values []float64, k int, w BurstWindow) ([]BurstMatch, error) {
-	resp, err := e.Query(context.Background(), Request{Kind: KindBurst, Values: values, K: k, Window: w})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Matches, nil
-}
-
-// QueryByBurstOf runs query-by-burst for an indexed series, excluding itself.
-//
-// Deprecated: use Query with KindBurstID, which adds context cancellation
-// and per-query budgets. This wrapper delegates with an unbounded budget.
-func (e *Engine) QueryByBurstOf(id, k int, w BurstWindow) ([]BurstMatch, error) {
-	resp, err := e.Query(context.Background(), Request{Kind: KindBurstID, ID: id, K: k, Window: w})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Matches, nil
-}
-
 // filterBursts applies the BurstMinPeak intensity floor: the burst's moving
 // average must reach BurstMinPeak z-units somewhere in its span.
 func (e *Engine) filterBursts(det *burst.Detection) []burst.Burst {
@@ -942,21 +829,35 @@ func (e *Engine) filterBursts(det *burst.Detection) []burst.Burst {
 	return out
 }
 
-// queryBursts runs the §6.3 overlap query; caller holds mu. The gate bounds
-// interval probes and BSim rankings; on budget exhaustion the best-so-far
-// matches are returned with truncated=true. The burst-probe phase is
-// recorded as a child of the request's family span (see Engine.joinTrace).
-func (e *Engine) queryBursts(ctx context.Context, q []burst.Burst, k int, exclude int64, w BurstWindow, g *lifecycle.Gate) ([]BurstMatch, bool, error) {
+// queryBursts runs the §6.3 overlap query — the k indexed series whose burst
+// patterns are most similar to q, exclude (-1 = none) left out; caller holds
+// mu. The gate bounds interval probes and BSim rankings; on budget
+// exhaustion the best-so-far matches are returned with truncated=true. The
+// burst-probe phase is recorded as a child of the request's family span (see
+// Engine.joinTrace). With explain set the same gated query also fills the
+// per-burst overlap-scan report.
+func (e *Engine) queryBursts(ctx context.Context, q []burst.Burst, k int, exclude int64, w BurstWindow, g *lifecycle.Gate, explain bool) ([]BurstMatch, *BurstExplain, bool, error) {
 	defer e.met.qbbLat.StartCtx(ctx)()
 	e.met.qbbTotal.Inc()
 	fam := obs.SpanFromContext(ctx)
 	fam.Annotate("window", w.String())
 	fam.Annotate("query_bursts", strconv.Itoa(len(q)))
 	sp := fam.Child("burst_probe")
-	matches, st, truncated, err := e.burstDB(w).QueryByBurstLimited(q, k, exclude, burstdb.PlanAuto, g)
+	var (
+		matches   []burstdb.Match
+		st        burstdb.ScanStats
+		detail    *burstdb.QBBExplain
+		truncated bool
+		err       error
+	)
+	if explain {
+		matches, st, detail, truncated, err = e.burstDB(w).QueryByBurstExplain(q, k, exclude, burstdb.PlanAuto, g)
+	} else {
+		matches, st, truncated, err = e.burstDB(w).QueryByBurstLimited(q, k, exclude, burstdb.PlanAuto, g)
+	}
 	sp.Finish()
 	if err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
 	sp.Annotate("plan", st.Plan.String())
 	sp.Annotate("rows_scanned", strconv.Itoa(st.RowsScanned))
@@ -967,7 +868,18 @@ func (e *Engine) queryBursts(ctx context.Context, q []burst.Burst, k int, exclud
 	for i, m := range matches {
 		out[i] = BurstMatch{ID: int(m.SeqID), Name: e.nameLocked(int(m.SeqID)), Score: m.Score}
 	}
-	return out, truncated, nil
+	var bexp *BurstExplain
+	if explain {
+		bexp = &BurstExplain{
+			Window:      w.String(),
+			QueryBursts: len(q),
+			Plan:        st.Plan.String(),
+			RowsScanned: st.RowsScanned,
+			RowsMatched: st.RowsMatched,
+			Detail:      detail,
+		}
+	}
+	return out, bexp, truncated, nil
 }
 
 // BurstDB exposes the underlying burst database for a window (for

@@ -63,11 +63,11 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 	queries := g.Queries(4)
 	totalRetrieved := 0
 	for _, q := range queries {
-		idx, st, err := e.SimilarQueries(q.Values, 3)
+		idx, st, err := similarQueries(e, q.Values, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lin, err := e.LinearScan(q.Values, 3)
+		lin, err := linearScan(e, q.Values, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 func TestSimilarToIDExcludesSelf(t *testing.T) {
 	e, _ := buildEngine(t, 40, Config{}, 3)
 	id, _ := e.Lookup(querylog.Cinema)
-	res, _, err := e.SimilarToID(id, 5)
+	res, _, err := similarToID(e, id, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestSimilarToIDExcludesSelf(t *testing.T) {
 func TestSemanticSimilarity(t *testing.T) {
 	e, _ := buildEngine(t, 90, Config{}, 4)
 	id, _ := e.Lookup(querylog.Cinema)
-	res, _, err := e.SimilarToID(id, 1)
+	res, _, err := similarToID(e, id, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,11 @@ func TestDiskBackedEngine(t *testing.T) {
 	}
 	defer e.Close()
 	q := g.Queries(1)[0]
-	idx, _, err := e.SimilarQueries(q.Values, 2)
+	idx, _, err := similarQueries(e, q.Values, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lin, err := e.LinearScan(q.Values, 2)
+	lin, err := linearScan(e, q.Values, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,13 +153,13 @@ func TestDiskBackedEngine(t *testing.T) {
 
 func TestQueryLengthMismatch(t *testing.T) {
 	e, _ := buildEngine(t, 10, Config{}, 6)
-	if _, _, err := e.SimilarQueries(make([]float64, 5), 1); err != spectral.ErrMismatch {
+	if _, _, err := similarQueries(e, make([]float64, 5), 1); err != spectral.ErrMismatch {
 		t.Error("expected ErrMismatch")
 	}
-	if _, err := e.LinearScan(make([]float64, 5), 1); err != spectral.ErrMismatch {
+	if _, err := linearScan(e, make([]float64, 5), 1); err != spectral.ErrMismatch {
 		t.Error("expected ErrMismatch from LinearScan")
 	}
-	if _, err := e.LinearScan(make([]float64, e.SeqLen()), 0); err == nil {
+	if _, err := linearScan(e, make([]float64, e.SeqLen()), 0); err == nil {
 		t.Error("expected error for k=0")
 	}
 }
@@ -202,7 +202,7 @@ func TestBurstsViaEngine(t *testing.T) {
 func TestQueryByBurstViaEngine(t *testing.T) {
 	e, g := buildEngine(t, 40, Config{}, 9)
 	id, _ := e.Lookup(querylog.Halloween)
-	matches, err := e.QueryByBurstOf(id, 5, Long)
+	matches, err := queryByBurstOf(e, id, 5, Long)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestQueryByBurstViaEngine(t *testing.T) {
 	// External query: a fresh halloween-like series should match halloween.
 	g2 := querylog.NewGenerator(querylog.DefaultStart, 512, 99)
 	q := g2.Exemplar(querylog.Halloween)
-	matches, err = e.QueryByBurst(q.Values, 3, Long)
+	matches, err = queryByBurst(e, q.Values, 3, Long)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func BenchmarkEngineSimilarQueries(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.SimilarQueries(qs[i%len(qs)].Values, 1); err != nil {
+		if _, _, err := similarQueries(e, qs[i%len(qs)].Values, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -285,11 +285,11 @@ func TestMVPTreeIndexVariant(t *testing.T) {
 	}
 	defer mvp.Close()
 	for _, q := range g.Queries(4) {
-		a, _, err := vp.SimilarQueries(q.Values, 3)
+		a, _, err := similarQueries(vp, q.Values, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, st, err := mvp.SimilarQueries(q.Values, 3)
+		b, st, err := similarQueries(mvp, q.Values, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +352,7 @@ func TestPeriodsOfSet(t *testing.T) {
 	e, _ := buildEngine(t, 60, Config{}, 23)
 	id, _ := e.Lookup(querylog.Cinema)
 	// The kNN-results use case: summarize the periods of cinema's neighbours.
-	res, _, err := e.SimilarToID(id, 4)
+	res, _, err := similarToID(e, id, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestPeriodsOfSet(t *testing.T) {
 func TestSimilarByPeriods(t *testing.T) {
 	e, _ := buildEngine(t, 80, Config{}, 24)
 	id, _ := e.Lookup(querylog.Cinema)
-	res, err := e.SimilarByPeriods(id, []float64{7}, 0.05, 5)
+	res, err := similarByPeriods(e, id, []float64{7}, 0.05, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,10 +404,10 @@ func TestSimilarByPeriods(t *testing.T) {
 			t.Error("results unsorted")
 		}
 	}
-	if _, err := e.SimilarByPeriods(id, []float64{7}, 0.05, 0); err == nil {
+	if _, err := similarByPeriods(e, id, []float64{7}, 0.05, 0); err == nil {
 		t.Error("expected error for k=0")
 	}
-	if _, err := e.SimilarByPeriods(id, []float64{0.001}, 0.0001, 3); err == nil {
+	if _, err := similarByPeriods(e, id, []float64{0.001}, 0.0001, 3); err == nil {
 		t.Error("expected error for unmatchable period")
 	}
 }
@@ -431,11 +431,11 @@ func TestDynamicEngineAdd(t *testing.T) {
 	}
 	// Index answers must equal linear scan over all 60 series.
 	for _, q := range g.Queries(3) {
-		idx, _, err := e.SimilarQueries(q.Values, 2)
+		idx, _, err := similarQueries(e, q.Values, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lin, err := e.LinearScan(q.Values, 2)
+		lin, err := linearScan(e, q.Values, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,7 +450,7 @@ func TestDynamicEngineAdd(t *testing.T) {
 	if !ok {
 		t.Fatal("added series not in name table")
 	}
-	if _, err := e.QueryByBurstOf(id, 3, Long); err != nil {
+	if _, err := queryByBurstOf(e, id, 3, Long); err != nil {
 		t.Fatal(err)
 	}
 	// Name/Series accessors cover added rows.
@@ -491,7 +491,7 @@ func TestAddRequiresDynamic(t *testing.T) {
 func TestSimilarDTW(t *testing.T) {
 	e, _ := buildEngine(t, 50, Config{}, 27)
 	id, _ := e.Lookup(querylog.Cinema)
-	res, err := e.SimilarDTW(id, 3, 4)
+	res, err := similarDTW(e, id, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,11 +507,11 @@ func TestSimilarDTW(t *testing.T) {
 		}
 	}
 	// Band 0 degenerates to Euclidean: must match SimilarToID exactly.
-	eu, _, err := e.SimilarToID(id, 3)
+	eu, _, err := similarToID(e, id, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dt, err := e.SimilarDTW(id, 0, 3)
+	dt, err := similarDTW(e, id, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +522,7 @@ func TestSimilarDTW(t *testing.T) {
 	}
 	// Warping never increases the distance.
 	for i := range dt {
-		warped, err := e.SimilarDTW(id, 5, 3)
+		warped, err := similarDTW(e, id, 5, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -531,10 +531,10 @@ func TestSimilarDTW(t *testing.T) {
 		}
 		break
 	}
-	if _, err := e.SimilarDTW(id, 3, 0); err == nil {
+	if _, err := similarDTW(e, id, 3, 0); err == nil {
 		t.Error("expected error for k=0")
 	}
-	if _, err := e.SimilarDTW(-1, 3, 1); err == nil {
+	if _, err := similarDTW(e, -1, 3, 1); err == nil {
 		t.Error("expected error for bad id")
 	}
 }

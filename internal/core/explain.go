@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/burst"
 	"repro/internal/burstdb"
 	"repro/internal/obs"
 	"repro/internal/vptree"
@@ -13,7 +12,10 @@ import (
 
 // ExplainSchemaVersion versions the JSON shape of ExplainReport. Bump when
 // renaming or re-meaning fields so stored reports stay interpretable.
-const ExplainSchemaVersion = 1
+// Version 2: reports come from Query itself (Request.Explain), so they carry
+// the request's outcome (truncated, approximate, ...), the index detail has
+// an `unrefined` term, and a sharded engine nests its shards' reports.
+const ExplainSchemaVersion = 2
 
 // Phase is one timed stage of an explained query.
 type Phase struct {
@@ -48,34 +50,63 @@ type BurstExplain struct {
 	Detail *burstdb.QBBExplain `json:"detail,omitempty"`
 }
 
-// ExplainReport is the structured account of one explained query: what ran,
-// how long each phase took, and — for index searches — where every
-// collected candidate went (pruned by which bound, skipped, or examined).
+// ExplainReport is the structured account of one Query run with
+// Request.Explain: what ran, how long each phase took, how the request ended
+// and — for index searches — where every collected candidate went (pruned by
+// which bound, skipped, examined, or left unrefined by the gate). It
+// describes the very search that produced the response beside it, budget,
+// quality dial and all.
 type ExplainReport struct {
 	Schema int `json:"schema"`
-	// Op is the engine entry point ("similar_queries", "similar_to_id",
-	// "query_by_burst").
+	// Op is the request's trace name ("similar_queries", "similar_to_id",
+	// "query_by_burst", ...; "sharded_<kind>" for a scatter-gather report).
 	Op string `json:"op"`
 	// Query names the query series when it is an indexed one.
 	Query string `json:"query,omitempty"`
 	K     int    `json:"k"`
 	// Results is the number of neighbours / matches returned.
-	Results int           `json:"results"`
-	TotalMS float64       `json:"total_ms"`
-	Phases  []Phase       `json:"phases"`
-	Index   *IndexExplain `json:"index,omitempty"`
-	Burst   *BurstExplain `json:"burst,omitempty"`
+	Results int     `json:"results"`
+	TotalMS float64 `json:"total_ms"`
+	// Truncated, Approximate, EpsilonUsed and BoundFloor are the response's
+	// (see Response): whether a budget cut the search short and what the
+	// quality dial did to it.
+	Truncated   bool          `json:"truncated"`
+	Approximate bool          `json:"approximate"`
+	EpsilonUsed float64       `json:"epsilon_used,omitempty"`
+	BoundFloor  float64       `json:"bound_floor,omitempty"`
+	Phases      []Phase       `json:"phases"`
+	Index       *IndexExplain `json:"index,omitempty"`
+	Burst       *BurstExplain `json:"burst,omitempty"`
+	// Shards holds the per-shard reports of a sharded engine's query, in
+	// live-shard order; the enclosing report then carries only the header.
+	Shards []*ExplainReport `json:"shards,omitempty"`
 }
 
 func msSince(t time.Time) float64 {
 	return float64(time.Since(t)) / float64(time.Millisecond)
 }
 
-// recordExplain attaches the report to the query's trace (so a slow query
+// Finish stamps the request-level header of a report from the response it
+// explains — creating the report when the kind's handler had no index or
+// burst detail to add — and returns it. Engine.query and the sharded
+// scatter layer both end an explained request here.
+func (r *ExplainReport) Finish(op string, k int, resp *Response, start time.Time) *ExplainReport {
+	if r == nil {
+		r = &ExplainReport{}
+	}
+	r.Schema, r.Op, r.K = ExplainSchemaVersion, op, k
+	r.Results = len(resp.Neighbors) + len(resp.Matches)
+	r.Truncated, r.Approximate = resp.Truncated, resp.Approximate
+	r.EpsilonUsed, r.BoundFloor = resp.EpsilonUsed, resp.BoundFloor
+	r.TotalMS = msSince(start)
+	return r
+}
+
+// RecordExplain attaches the report to the query's trace (so a slow query
 // retains it) and commits it to the hub's explain ring.
-func (e *Engine) recordExplain(tr *obs.Trace, rep *ExplainReport) {
+func RecordExplain(hub *obs.Hub, tr *obs.Trace, rep *ExplainReport) {
 	tr.Attach(rep)
-	e.hub.ExplainStore().Record(rep)
+	hub.ExplainStore().Record(rep)
 }
 
 // Render writes the report as the human-readable text the `explain` REPL
@@ -85,8 +116,14 @@ func (r *ExplainReport) Render(w io.Writer) {
 	if r.Query != "" {
 		fmt.Fprintf(w, " query=%q", r.Query)
 	}
-	fmt.Fprintf(w, " k=%d results=%d\n", r.K, r.Results)
-	fmt.Fprintf(w, "  total %.3f ms", r.TotalMS)
+	fmt.Fprintf(w, " k=%d results=%d", r.K, r.Results)
+	if r.Truncated {
+		fmt.Fprint(w, " truncated")
+	}
+	if r.Approximate {
+		fmt.Fprintf(w, " approximate(epsilon=%g floor=%.3f)", r.EpsilonUsed, r.BoundFloor)
+	}
+	fmt.Fprintf(w, "\n  total %.3f ms", r.TotalMS)
 	if len(r.Phases) > 0 {
 		fmt.Fprint(w, "  (")
 		for i, p := range r.Phases {
@@ -103,6 +140,10 @@ func (r *ExplainReport) Render(w io.Writer) {
 	}
 	if r.Burst != nil {
 		r.Burst.render(w)
+	}
+	for i, sh := range r.Shards {
+		fmt.Fprintf(w, "shard %d: ", i)
+		sh.Render(w)
 	}
 }
 
@@ -130,13 +171,14 @@ func (x *IndexExplain) render(w io.Writer) {
 	fmt.Fprintf(w, "    pruned by %s lower bound (final sigma_ub filter) %6d\n", d.Method, d.FilterLBPrunes)
 	fmt.Fprintf(w, "    skipped by lower-bound cutoff during refinement   %6d\n", d.CutoffSkips)
 	fmt.Fprintf(w, "    examined (full sequences retrieved)               %6d\n", d.FullRetrievals)
-	sum := d.FilterLBPrunes + d.CutoffSkips + d.FullRetrievals
+	fmt.Fprintf(w, "    left unrefined by the gate (delta cut, budget)    %6d\n", d.Unrefined)
+	sum := d.FilterLBPrunes + d.CutoffSkips + d.FullRetrievals + d.Unrefined
 	check := "ok"
 	if !d.Balanced() {
 		check = "MISMATCH"
 	}
-	fmt.Fprintf(w, "    sum %d + %d + %d = %d of %d collected [%s]\n",
-		d.FilterLBPrunes, d.CutoffSkips, d.FullRetrievals, sum, d.Collected, check)
+	fmt.Fprintf(w, "    sum %d + %d + %d + %d = %d of %d collected [%s]\n",
+		d.FilterLBPrunes, d.CutoffSkips, d.FullRetrievals, d.Unrefined, sum, d.Collected, check)
 	fmt.Fprintf(w, "  refinement: %d exact distances, %d early abandons\n",
 		d.ExactDistances, d.EarlyAbandons)
 	fmt.Fprintf(w, "  phase wall: traverse %.3f ms, filter %.3f ms, refine %.3f ms\n",
@@ -158,220 +200,19 @@ func (b *BurstExplain) render(w io.Writer) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Explained entry points
-
-// searchIndexExplain is searchIndex with an explain collector. The
-// multi-vantage-point index reports flat stats only (Detail stays nil).
-func (e *Engine) searchIndexExplain(z []float64, k int) ([]vptree.Result, vptree.Stats, *vptree.Explain, error) {
-	if e.mvp != nil {
-		res, st, err := e.searchIndex(z, k)
-		return res, st, nil, err
-	}
-	return e.tree.SearchExplain(z, k, e.features, e.store)
-}
-
-func (e *Engine) indexExplain(vexp *vptree.Explain, st vptree.Stats) *IndexExplain {
-	x := &IndexExplain{Kind: e.cfg.Index.String(), Stats: st, Detail: vexp}
-	return x
-}
-
-// SimilarQueriesExplained is SimilarQueries returning, alongside the
-// neighbours, a structured explain report that is also committed to the
-// hub's explain ring and attached to the query's trace.
-//
-// Deprecated: part of the frozen per-family query surface. Use
-// Engine.Query (or NewRequest) for programmatic search; explain reports
-// stay reachable through the REPL explain command and /debug/explain,
-// which serve through this frozen entry point.
-func (e *Engine) SimilarQueriesExplained(values []float64, k int) ([]Neighbor, *ExplainReport, error) {
-	defer e.met.similarLat.Start()()
-	e.met.similarTotal.Inc()
-	e.met.similarK.Observe(float64(k))
-	total := time.Now()
-	tr := e.tracer.StartTrace("similar_queries")
-	defer tr.Finish()
-	tr.Annotate("k", fmt.Sprint(k))
-	tr.Annotate("explain", "true")
-
-	phaseStart := time.Now()
-	sp := tr.Span("standardize")
-	z, err := e.standardizeQuery(values)
-	sp.Finish()
-	stdMS := msSince(phaseStart)
-	if err != nil {
-		return nil, nil, err
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	sp = tr.Span("index_search")
-	res, st, vexp, err := e.searchIndexExplain(z, k)
-	sp.Finish()
-	annotateSearch(sp, st)
-	e.met.recordSearch(st)
-	if err != nil {
-		return nil, nil, err
-	}
-	e.met.similarResults.Add(int64(len(res)))
-
+// indexReport is the handler-side half of an explained index search: the
+// phase before the index (standardize or fetch), then the index's own.
+func (e *Engine) indexReport(pre Phase, vexp *vptree.Explain, st vptree.Stats) *ExplainReport {
 	rep := &ExplainReport{
-		Schema: ExplainSchemaVersion, Op: "similar_queries", K: k,
-		Results: len(res),
-		Phases:  []Phase{{Name: "standardize", MS: stdMS}},
-		Index:   e.indexExplain(vexp, st),
+		Phases: []Phase{pre},
+		Index:  &IndexExplain{Kind: e.cfg.Index.String(), Stats: st, Detail: vexp},
 	}
-	rep.appendIndexPhases(vexp)
-	rep.TotalMS = msSince(total)
-	e.recordExplain(tr, rep)
-	return e.toNeighborsLocked(res), rep, nil
-}
-
-// SimilarToIDExplained is SimilarToID with an explain report (see
-// SimilarQueriesExplained).
-//
-// Deprecated: part of the frozen per-family query surface; see
-// SimilarQueriesExplained.
-func (e *Engine) SimilarToIDExplained(id, k int) ([]Neighbor, *ExplainReport, error) {
-	defer e.met.similarLat.Start()()
-	e.met.similarTotal.Inc()
-	e.met.similarK.Observe(float64(k))
-	total := time.Now()
-	tr := e.tracer.StartTrace("similar_to_id")
-	defer tr.Finish()
-	tr.Annotate("id", fmt.Sprint(id))
-	tr.Annotate("k", fmt.Sprint(k))
-	tr.Annotate("explain", "true")
-
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	phaseStart := time.Now()
-	sp := tr.Span("fetch_standardized")
-	z, err := e.store.Get(id)
-	sp.Finish()
-	fetchMS := msSince(phaseStart)
-	if err != nil {
-		return nil, nil, err
+	if vexp != nil {
+		rep.Phases = append(rep.Phases,
+			Phase{Name: "traverse", MS: vexp.TraverseMS},
+			Phase{Name: "filter", MS: vexp.FilterMS},
+			Phase{Name: "refine", MS: vexp.RefineMS},
+		)
 	}
-	sp = tr.Span("index_search")
-	res, st, vexp, err := e.searchIndexExplain(z, k+1)
-	sp.Finish()
-	annotateSearch(sp, st)
-	e.met.recordSearch(st)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]vptree.Result, 0, k)
-	for _, r := range res {
-		if r.ID != id {
-			out = append(out, r)
-		}
-		if len(out) == k {
-			break
-		}
-	}
-	e.met.similarResults.Add(int64(len(out)))
-
-	rep := &ExplainReport{
-		Schema: ExplainSchemaVersion, Op: "similar_to_id",
-		Query: e.nameLocked(id), K: k, Results: len(out),
-		Phases: []Phase{{Name: "fetch_standardized", MS: fetchMS}},
-		Index:  e.indexExplain(vexp, st),
-	}
-	rep.appendIndexPhases(vexp)
-	rep.TotalMS = msSince(total)
-	e.recordExplain(tr, rep)
-	return e.toNeighborsLocked(out), rep, nil
-}
-
-func (r *ExplainReport) appendIndexPhases(vexp *vptree.Explain) {
-	if vexp == nil {
-		return
-	}
-	r.Phases = append(r.Phases,
-		Phase{Name: "traverse", MS: vexp.TraverseMS},
-		Phase{Name: "filter", MS: vexp.FilterMS},
-		Phase{Name: "refine", MS: vexp.RefineMS},
-	)
-}
-
-// QueryByBurstExplained is QueryByBurst with an explain report covering
-// burst detection and the per-burst overlap scans.
-//
-// Deprecated: part of the frozen per-family query surface; see
-// SimilarQueriesExplained.
-func (e *Engine) QueryByBurstExplained(values []float64, k int, w BurstWindow) ([]BurstMatch, *ExplainReport, error) {
-	total := time.Now()
-	det, err := e.Bursts(values, w)
-	if err != nil {
-		return nil, nil, err
-	}
-	detectMS := msSince(total)
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	matches, rep, err := e.queryBurstsExplained(e.filterBursts(det), k, -1, w, total)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep.Phases = append([]Phase{{Name: "burst_detect", MS: detectMS}}, rep.Phases...)
-	return matches, rep, nil
-}
-
-// QueryByBurstOfExplained is QueryByBurstOf with an explain report.
-//
-// Deprecated: part of the frozen per-family query surface; see
-// SimilarQueriesExplained.
-func (e *Engine) QueryByBurstOfExplained(id, k int, w BurstWindow) ([]BurstMatch, *ExplainReport, error) {
-	total := time.Now()
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	matches, rep, err := e.queryBurstsExplained(e.burstsOfLocked(id, w), k, int64(id), w, total)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep.Query = e.nameLocked(id)
-	return matches, rep, nil
-}
-
-// queryBurstsExplained is queryBursts with an explain report; caller
-// holds mu.
-func (e *Engine) queryBurstsExplained(q []burst.Burst, k int, exclude int64, w BurstWindow, total time.Time) ([]BurstMatch, *ExplainReport, error) {
-	defer e.met.qbbLat.Start()()
-	e.met.qbbTotal.Inc()
-	tr := e.tracer.StartTrace("query_by_burst")
-	defer tr.Finish()
-	tr.Annotate("window", w.String())
-	tr.Annotate("query_bursts", fmt.Sprint(len(q)))
-	tr.Annotate("explain", "true")
-
-	scanStart := time.Now()
-	matches, st, qexp, err := e.burstDB(w).QueryByBurstExplain(q, k, exclude, burstdb.PlanAuto)
-	if err != nil {
-		return nil, nil, err
-	}
-	scanMS := msSince(scanStart)
-	tr.Annotate("plan", st.Plan.String())
-	tr.Annotate("rows_scanned", fmt.Sprint(st.RowsScanned))
-	tr.Annotate("rows_matched", fmt.Sprint(st.RowsMatched))
-	e.met.qbbResults.Add(int64(len(matches)))
-	out := make([]BurstMatch, len(matches))
-	for i, m := range matches {
-		out[i] = BurstMatch{ID: int(m.SeqID), Name: e.nameLocked(int(m.SeqID)), Score: m.Score}
-	}
-
-	rep := &ExplainReport{
-		Schema: ExplainSchemaVersion, Op: "query_by_burst", K: k,
-		Results: len(out),
-		Phases:  []Phase{{Name: "overlap_scan", MS: scanMS}},
-		Burst: &BurstExplain{
-			Window:      w.String(),
-			QueryBursts: len(q),
-			Plan:        st.Plan.String(),
-			RowsScanned: st.RowsScanned,
-			RowsMatched: st.RowsMatched,
-			Detail:      qexp,
-		},
-	}
-	rep.TotalMS = msSince(total)
-	e.recordExplain(tr, rep)
-	return out, rep, nil
+	return rep
 }

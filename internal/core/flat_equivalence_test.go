@@ -2,35 +2,11 @@ package core
 
 import (
 	"context"
-	"math/rand"
+	"sort"
 	"testing"
 
-	"repro/internal/querylog"
+	"repro/internal/series"
 )
-
-// twinEngines builds two engines over the same data and config, one on the
-// flat-kernel path and one forced onto the pointer path.
-func twinEngines(t testing.TB, n int, cfg Config) (flat, pointer *Engine) {
-	t.Helper()
-	g := querylog.NewGenerator(querylog.DefaultStart, 128, cfg.Seed+100)
-	data := g.Dataset(n)
-	var err error
-	if flat, err = NewEngine(data, cfg); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { flat.Close() })
-	off := cfg
-	off.NoFlatKernels = true
-	if pointer, err = NewEngine(data, off); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { pointer.Close() })
-	if !flat.Tree().FlatEnabled() || pointer.Tree().FlatEnabled() {
-		t.Fatalf("twin setup wrong: flat=%v pointer=%v",
-			flat.Tree().FlatEnabled(), pointer.Tree().FlatEnabled())
-	}
-	return flat, pointer
-}
 
 func sameNeighbors(t *testing.T, label string, a, b []Neighbor) {
 	t.Helper()
@@ -44,69 +20,64 @@ func sameNeighbors(t *testing.T, label string, a, b []Neighbor) {
 	}
 }
 
-// 100-trial engine-level equivalence sweep: an engine on the flat kernels
-// and its pointer-path twin must return identical answers for every public
-// search surface — SimilarQueries, BatchSearchCtx and LinearScan — over
-// randomized queries and k (including k ≥ n).
+// bruteNeighbors is the oracle: every stored series measured against the
+// standardized query, ranked in canonical (dist, id) order, top k.
+func bruteNeighbors(t *testing.T, e *Engine, values []float64, k int) []Neighbor {
+	t.Helper()
+	z, err := e.standardizeQuery(values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]Neighbor, e.Len())
+	for id := range all {
+		row, err := e.StandardizedValues(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := series.Euclidean(z, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all[id] = Neighbor{ID: id, Name: e.Name(id), Dist: d}
+	}
+	sort.Slice(all, func(a, b int) bool {
+		if all[a].Dist != all[b].Dist {
+			return all[a].Dist < all[b].Dist
+		}
+		return all[a].ID < all[b].ID
+	})
+	return all[:min(k, len(all))]
+}
+
+// 100-trial engine-level sweep against the brute-force oracle: every public
+// by-values search surface — KindSimilar, KindLinear and BatchSearchCtx —
+// must return exactly the oracle's neighbours, bit-identical distances and
+// canonical ties, over randomized queries and k (including k ≥ n).
 func TestFlatEngineEquivalenceSweep(t *testing.T) {
-	const n = 48
-	flat, pointer := twinEngines(t, n, Config{Budget: 8, Seed: 5, Workers: 4})
-	g := querylog.NewGenerator(querylog.DefaultStart, 128, 909)
-	qs := querylog.StandardizeAll(g.Queries(20))
-	rng := rand.New(rand.NewSource(17))
-
-	var batchF, batchP [][]float64
-	for trial := 0; trial < 100; trial++ {
-		q := qs[trial%len(qs)].Values
-		k := 1 + rng.Intn(n+5)
-
-		resF, stF, err := flat.SimilarQueries(q, k)
+	e, trials := sweepCorpus(t)
+	batch := make([][]float64, len(trials))
+	for i, tr := range trials {
+		want := bruteNeighbors(t, e, tr.q, tr.k)
+		got, _, err := similarQueries(e, tr.q, tr.k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resP, stP, err := pointer.SimilarQueries(q, k)
+		sameNeighbors(t, "similar", got, want)
+		lin, err := linearScan(e, tr.q, tr.k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameNeighbors(t, "similar", resF, resP)
-		if stF != stP {
-			t.Fatalf("trial %d: stats diverge: %+v vs %+v", trial, stF, stP)
-		}
-
-		linF, err := flat.LinearScan(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		linP, err := pointer.LinearScan(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameNeighbors(t, "linear", linF, linP)
-
-		batchF = append(batchF, q)
-		batchP = append(batchP, q)
+		sameNeighbors(t, "linear", lin, want)
+		batch[i] = tr.q
 	}
-
-	outF, mergedF, err := flat.BatchSearchCtx(context.Background(), batchF, 3)
+	out, _, err := e.BatchSearchCtx(context.Background(), batch, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outP, mergedP, err := pointer.BatchSearchCtx(context.Background(), batchP, 3)
-	if err != nil {
-		t.Fatal(err)
+	for i := range out {
+		sameNeighbors(t, "batch", out[i], bruteNeighbors(t, e, batch[i], 3))
 	}
-	if mergedF != mergedP {
-		t.Fatalf("batch merged stats diverge: %+v vs %+v", mergedF, mergedP)
-	}
-	for i := range outF {
-		sameNeighbors(t, "batch", outF[i], outP[i])
-	}
-
-	ks := flat.Tree().KernelStats()
-	if ks.FlatSearches == 0 || ks.KernelEvals == 0 {
-		t.Fatalf("flat engine never used the kernels: %+v", ks)
-	}
-	if off := pointer.Tree().KernelStats(); off.FlatSearches != 0 {
-		t.Fatalf("pointer twin used the kernels: %+v", off)
+	if ks := e.Tree().KernelStats(); ks.FlatSearches == 0 || ks.KernelEvals == 0 {
+		t.Fatalf("engine never used the kernels: %+v", ks)
 	}
 }

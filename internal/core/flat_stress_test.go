@@ -26,13 +26,13 @@ func transientStress(err error) bool {
 	return err == nil || errors.Is(err, seqstore.ErrNotFound)
 }
 
-// TestConcurrentFlatStressWithRollback hammers the flat-kernel hot path
-// while the engine churns: a writer alternates sabotaged Adds (forced
+// TestConcurrentFlatStressWithRollback hammers the search hot path while
+// the engine churns: a writer alternates sabotaged Adds (forced
 // ErrDuplicateID → store rollback) with successful ones — each of which
-// rebuilds the flat index under the write lock — while readers run
-// flat-path batch searches, a canceller fires mid-traversal aborts and an
-// HTTP client scrapes /debug. Run under -race in CI; also asserts the flat
-// kernels were genuinely exercised throughout.
+// rebuilds the flat index under the write lock — while readers run batch
+// and single searches, a canceller fires mid-traversal aborts and an HTTP
+// client scrapes /debug and /v2/search. Run under -race in CI; afterwards
+// the engine must hold every series and answer like brute force.
 func TestConcurrentFlatStressWithRollback(t *testing.T) {
 	hub := obs.NewHub()
 	g := querylog.NewGenerator(querylog.DefaultStart, 128, 7)
@@ -42,12 +42,9 @@ func TestConcurrentFlatStressWithRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if !e.Tree().FlatEnabled() {
-		t.Fatal("dynamic engine built without flat index")
-	}
 
 	srv := httptest.NewServer(obs.Handler(hub,
-		obs.Route{Pattern: "/v1/search", Handler: V1SearchHandler(e)}))
+		obs.Route{Pattern: "/v2/search", Handler: V2SearchHandler(e)}))
 	defer srv.Close()
 
 	extra := querylog.NewGenerator(querylog.DefaultStart, 128, 99).Queries(6)
@@ -100,14 +97,14 @@ func TestConcurrentFlatStressWithRollback(t *testing.T) {
 	}()
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
-		go func(r int) { // flat-path batch + serial readers
+		go func(r int) { // batch + serial readers
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
 				if _, _, err := e.BatchSearchCtx(context.Background(), batch, 3); !transientStress(err) {
 					t.Errorf("batch search: %v", err)
 				}
-				if _, _, err := e.SimilarQueries(probe, 2+r); !transientStress(err) {
-					t.Errorf("SimilarQueries: %v", err)
+				if _, _, err := similarQueries(e, probe, 2+r); !transientStress(err) {
+					t.Errorf("similar query: %v", err)
 				}
 			}
 		}(r)
@@ -138,7 +135,7 @@ func TestConcurrentFlatStressWithRollback(t *testing.T) {
 		urls := []string{
 			srv.URL + "/debug/vars",
 			srv.URL + "/debug/metrics",
-			srv.URL + "/v1/search?q=" + querylog.Cinema + "&k=3",
+			srv.URL + "/v2/search?q=" + querylog.Cinema + "&k=3",
 		}
 		for i := 0; i < 10; i++ {
 			for _, u := range urls {
@@ -149,9 +146,9 @@ func TestConcurrentFlatStressWithRollback(t *testing.T) {
 				}
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				// /v1/search may 500 while a sabotage entry is planted
+				// /v2/search may 500 while a sabotage entry is planted
 				// (see transientStress); the debug surfaces must not.
-				if resp.StatusCode != http.StatusOK && !strings.Contains(u, "/v1/search") {
+				if resp.StatusCode != http.StatusOK && !strings.Contains(u, "/v2/search") {
 					t.Errorf("GET %s: status %d", u, resp.StatusCode)
 				}
 			}
@@ -162,33 +159,13 @@ func TestConcurrentFlatStressWithRollback(t *testing.T) {
 	if got := e.Len(); got != len(data)+len(extra) {
 		t.Errorf("engine holds %d series after stress, want %d", got, len(data)+len(extra))
 	}
-	if !e.Tree().FlatEnabled() {
-		t.Error("flat index lost during stress")
-	}
 	if ks := e.Tree().KernelStats(); ks.FlatSearches == 0 || ks.KernelEvals == 0 {
-		t.Errorf("flat kernels unused during stress: %+v", ks)
+		t.Errorf("kernels unused during stress: %+v", ks)
 	}
-	// The engine must still answer exactly like its pointer path after churn.
-	res, _, err := e.SimilarQueries(probe, 5)
+	// The engine must still answer exactly like brute force after churn.
+	res, _, err := similarQueries(e, probe, 5)
 	if err != nil {
 		t.Fatalf("post-stress search: %v", err)
 	}
-	z, err := e.standardizeQuery(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.mu.RLock()
-	ptr, _, err := e.tree.SearchPointer(z, 5, e.features, e.store)
-	e.mu.RUnlock()
-	if err != nil {
-		t.Fatalf("pointer twin search: %v", err)
-	}
-	if len(res) != len(ptr) {
-		t.Fatalf("post-stress flat/pointer disagree: %d vs %d", len(res), len(ptr))
-	}
-	for i := range ptr {
-		if res[i].ID != ptr[i].ID || res[i].Dist != ptr[i].Dist {
-			t.Fatalf("post-stress result %d: flat %+v vs pointer %+v", i, res[i], ptr[i])
-		}
-	}
+	sameNeighbors(t, "post-stress", res, bruteNeighbors(t, e, probe, 5))
 }

@@ -15,9 +15,15 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite ../vptree/testdata/engine_sweep.golden from the current code")
 
-// sweepCorpus replays the engine-level sweep: one 48-series engine, 100
+// sweepTrial is one (query, k) pair of the engine-level sweep.
+type sweepTrial struct {
+	q []float64
+	k int
+}
+
+// sweepCorpus builds the engine-level sweep: one 48-series engine and 100
 // randomized (query, k) pairs including k ≥ n.
-func sweepCorpus(t *testing.T, visit func(e *Engine, trial int, q []float64, k int)) {
+func sweepCorpus(t *testing.T) (*Engine, []sweepTrial) {
 	const n = 48
 	cfg := Config{Budget: 8, Seed: 5, Workers: 4}
 	g := querylog.NewGenerator(querylog.DefaultStart, 128, cfg.Seed+100)
@@ -25,12 +31,14 @@ func sweepCorpus(t *testing.T, visit func(e *Engine, trial int, q []float64, k i
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
+	t.Cleanup(func() { e.Close() })
 	qs := querylog.StandardizeAll(querylog.NewGenerator(querylog.DefaultStart, 128, 909).Queries(20))
 	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 100; trial++ {
-		visit(e, trial, qs[trial%len(qs)].Values, 1+rng.Intn(n+5))
+	trials := make([]sweepTrial, 100)
+	for i := range trials {
+		trials[i] = sweepTrial{q: qs[i%len(qs)].Values, k: 1 + rng.Intn(n+5)}
 	}
+	return e, trials
 }
 
 // The golden was recorded at commit 8da3a1e, when the engine still had a
@@ -38,17 +46,18 @@ func sweepCorpus(t *testing.T, visit func(e *Engine, trial int, q []float64, k i
 // reproducing it byte for byte: IDs, distance bits, Stats, truncated.
 func TestGoldenEngineSweep(t *testing.T) {
 	var b strings.Builder
-	sweepCorpus(t, func(e *Engine, trial int, q []float64, k int) {
-		resp, err := e.Query(context.Background(), Request{Kind: KindSimilar, Values: q, K: k})
+	e, trials := sweepCorpus(t)
+	for trial, tr := range trials {
+		resp, err := e.Query(context.Background(), Request{Kind: KindSimilar, Values: tr.q, K: tr.k})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&b, "trial=%d k=%d", trial, k)
+		fmt.Fprintf(&b, "trial=%d k=%d", trial, tr.k)
 		for _, n := range resp.Neighbors {
 			fmt.Fprintf(&b, " %d:%016x", n.ID, math.Float64bits(n.Dist))
 		}
 		fmt.Fprintf(&b, " | %+v truncated=%v\n", resp.Stats, resp.Truncated)
-	})
+	}
 	const path = "../vptree/testdata/engine_sweep.golden"
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {

@@ -164,7 +164,7 @@ func TestTruncatedLinearScanIsPrefix(t *testing.T) {
 	q := g.Queries(1)[0]
 	const k, m = 5, 17
 
-	full, err := e.LinearScan(q.Values, e.Len())
+	full, err := linearScan(e, q.Values, e.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestTruncatedIndexSearchReturnsRefinedSubset(t *testing.T) {
 	q := g.Queries(1)[0]
 	const k = 3
 
-	exact, err := e.LinearScan(q.Values, e.Len())
+	exact, err := linearScan(e, q.Values, e.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestWrappersMatchQuery(t *testing.T) {
 	id, _ := e.Lookup(querylog.Cinema)
 	q := g.Queries(1)[0]
 
-	wrap, _, err := e.SimilarToID(id, 4)
+	wrap, _, err := similarToID(e, id, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestWrappersMatchQuery(t *testing.T) {
 		}
 	}
 
-	lin, err := e.LinearScan(q.Values, 4)
+	lin, err := linearScan(e, q.Values, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestBatchSearchCtxCancellation(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// And the plain wrapper still works.
-	out, _, err := e.BatchSearch(queries, 3)
+	out, _, err := e.BatchSearchCtx(context.Background(), queries, 3)
 	if err != nil || len(out) != len(queries) {
 		t.Fatalf("BatchSearch: %d results, err %v", len(out), err)
 	}

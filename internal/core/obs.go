@@ -86,7 +86,7 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 	return engineMetrics{
 		seriesIngested: reg.Counter("engine_series_ingested_total", "series standardized and indexed by the engine"),
 
-		similarTotal:   reg.Counter("engine_similar_total", "similarity searches served (SimilarQueries + SimilarToID)"),
+		similarTotal:   reg.Counter("engine_similar_total", "similarity searches served (KindSimilar + KindSimilarID)"),
 		similarLat:     reg.Timer("engine_similar_latency_seconds", "similarity-search latency"),
 		similarK:       reg.Histogram("engine_similar_k", "requested k per similarity search", kBuckets),
 		similarResults: reg.Counter("engine_similar_results_total", "neighbours returned by similarity searches"),

@@ -26,7 +26,7 @@ func TestSimilarQueriesObservability(t *testing.T) {
 	}
 
 	q := g.Queries(1)[0]
-	res, st, err := e.SimilarQueries(q.Values, 3)
+	res, st, err := similarQueries(e, q.Values, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestSimilarQueriesObservability(t *testing.T) {
 	// A single query may prune nothing on a tiny dataset; a small workload
 	// must show lower-bound pruning at work.
 	for _, q := range g.Queries(8) {
-		if _, _, err := e.SimilarQueries(q.Values, 3); err != nil {
+		if _, _, err := similarQueries(e, q.Values, 3); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,7 +98,7 @@ func TestSimilarQueriesObservability(t *testing.T) {
 	}
 
 	// A second call through SimilarToID reuses the same instruments.
-	if _, _, err := e.SimilarToID(0, 2); err != nil {
+	if _, _, err := similarToID(e, 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	if got := counterValue(t, reg, "engine_similar_total"); got != 10 {
@@ -120,10 +120,10 @@ func TestEngineWithoutObs(t *testing.T) {
 		t.Error("engine without Config.Obs has a hub")
 	}
 	q := g.Queries(1)[0]
-	if _, _, err := e.SimilarQueries(q.Values, 2); err != nil {
+	if _, _, err := similarQueries(e, q.Values, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.LinearScan(q.Values, 2); err != nil {
+	if _, err := linearScan(e, q.Values, 2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -139,7 +139,7 @@ func TestQueryByBurstObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.QueryByBurst(s.Values, 3, Short); err != nil {
+	if _, err := queryByBurst(e, s.Values, 3, Short); err != nil {
 		t.Fatal(err)
 	}
 	if got := counterValue(t, reg, "engine_qbb_total"); got != 1 {
@@ -172,7 +172,7 @@ func TestLoadEngineWiresObs(t *testing.T) {
 		t.Errorf("loaded engine_series_ingested_total = %d, want %d", got, loaded.Len())
 	}
 	q := g.Queries(1)[0]
-	if _, _, err := loaded.SimilarQueries(q.Values, 2); err != nil {
+	if _, _, err := similarQueries(loaded, q.Values, 2); err != nil {
 		t.Fatal(err)
 	}
 	if counterValue(t, hub.Registry(), "engine_similar_total") != 1 {

@@ -176,6 +176,7 @@ func LoadEngine(dir string, cfg Config) (*Engine, error) {
 		store:  z,
 		names:  names,
 	}
+	e.size.Store(int64(count))
 	for id, name := range names {
 		values, err := raw.Get(id)
 		if err != nil {

@@ -52,11 +52,11 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Searches agree exactly.
 	for _, q := range g.Queries(3) {
-		a, _, err := orig.SimilarQueries(q.Values, 3)
+		a, _, err := similarQueries(orig, q.Values, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := loaded.SimilarQueries(q.Values, 3)
+		b, _, err := similarQueries(loaded, q.Values, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,11 +73,11 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 	if len(bo) != len(bl) {
 		t.Fatalf("burst features %d vs %d", len(bl), len(bo))
 	}
-	mo, err := orig.QueryByBurstOf(hid, 3, Long)
+	mo, err := queryByBurstOf(orig, hid, 3, Long)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ml, err := loaded.QueryByBurstOf(hid, 3, Long)
+	ml, err := queryByBurstOf(loaded, hid, 3, Long)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,28 +42,31 @@ func TestSimilarQueryAllocCeiling(t *testing.T) {
 
 // Pool poisoning at engine level: an engine that has just answered a
 // many-candidate query answers a few-candidate one exactly — neighbours and
-// Stats — as a new engine starting from new buffers does. Flat kernels,
-// pointer path and mvptree.
+// Stats — as a new engine starting from new buffers does. Both bound sources
+// of the VP-tree traversal (memory and disk features) and mvptree.
 func TestEngineAnswersIndependentOfEarlierQueries(t *testing.T) {
 	g := querylog.NewGenerator(querylog.DefaultStart, 128, 31)
 	data := g.Dataset(150)
 	wide := Request{Kind: KindSimilar, Values: g.Queries(1)[0].Values, K: len(data)}
 	narrow := Request{Kind: KindSimilar, Values: data[7].Values, K: 1}
 	for name, cfg := range map[string]Config{
-		"flat":    {Budget: 8},
-		"pointer": {Budget: 8, NoFlatKernels: true},
-		"mvptree": {Budget: 8, Index: IndexMVPTree},
+		"memory features": {Budget: 8},
+		"disk features":   {Budget: 8, FeaturesPath: "features.bin"},
+		"mvptree":         {Budget: 8, Index: IndexMVPTree},
 	} {
-		used, err := NewEngine(data, cfg)
-		if err != nil {
-			t.Fatal(err)
+		build := func() *Engine {
+			cfg := cfg
+			if cfg.FeaturesPath != "" {
+				cfg.FeaturesPath = filepath.Join(t.TempDir(), cfg.FeaturesPath)
+			}
+			e, err := NewEngine(data, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { e.Close() })
+			return e
 		}
-		defer used.Close()
-		fresh, err := NewEngine(data, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fresh.Close()
+		used, fresh := build(), build()
 
 		// Two collections empty every sync.Pool, victim cache included.
 		runtime.GC()

@@ -16,10 +16,8 @@ import (
 	"repro/internal/vptree"
 )
 
-// Kind selects a search family for Engine.Query. It unifies the engine's
-// historical one-method-per-family surface (SimilarQueries, SimilarToID,
-// LinearScan, SimilarDTW, SimilarByPeriods, QueryByBurst, QueryByBurstOf)
-// behind one request shape.
+// Kind selects a search family for Engine.Query: one request shape for every
+// way the engine can be searched.
 type Kind int
 
 const (
@@ -30,15 +28,24 @@ const (
 	// KindSimilarID is index-backed kNN of indexed series Request.ID,
 	// excluding the series itself.
 	KindSimilarID
-	// KindLinear is the exact linear-scan baseline over Request.Values.
+	// KindLinear is the exact linear-scan baseline with early abandoning
+	// (§7.4) over Request.Values.
 	KindLinear
 	// KindDTW is banded Dynamic Time Warping kNN of series Request.ID
-	// (band radius Request.Band), excluding the series itself.
+	// (Sakoe–Chiba band radius Request.Band), excluding the series itself —
+	// the §8 extension ("a similar approach could prove useful ... for
+	// expensive distance measures like dynamic time warping"). Candidates
+	// are filtered with the linear-cost LB_Keogh bound before the quadratic
+	// DP runs, mirroring the paper's filter-and-refine structure.
 	KindDTW
-	// KindSimilarPeriods is the masked-spectral-distance search around
-	// Request.Periods for series Request.ID, excluding the series itself.
+	// KindSimilarPeriods is the §7.5 focused search: the series closest to
+	// Request.ID when the distance is restricted to the spectral bins within
+	// ±RelTol of Request.Periods, excluding the series itself. It scans the
+	// database's spectra directly — the masked distance has no stored
+	// compressed representation to index.
 	KindSimilarPeriods
-	// KindBurst is query-by-burst over bursts detected in Request.Values.
+	// KindBurst is query-by-burst (§6.3) over bursts detected in
+	// Request.Values.
 	KindBurst
 	// KindBurstID is query-by-burst of indexed series Request.ID, excluding
 	// the series itself.
@@ -194,6 +201,11 @@ type Request struct {
 	// recorded on the query's trace so slow-query entries expose admission
 	// latency alongside execution time.
 	QueueWait time.Duration
+	// Explain asks for Response.Explain: a structured report of this very
+	// search — same lock, gate, trace and metrics as without it. The answer
+	// is identical either way; the cost is bookkeeping on the explained
+	// request only.
+	Explain bool
 }
 
 // Response is the uniform answer shape of Engine.Query.
@@ -221,6 +233,9 @@ type Response struct {
 	// after an ng-approximate stop). Each Neighbor's BoundGap derives from
 	// it; see docs/approx.md for the bound algebra.
 	BoundFloor float64
+	// Explain is the report Request.Explain asked for (nil otherwise). It is
+	// also attached to the query's trace and kept in the hub's explain ring.
+	Explain *ExplainReport
 }
 
 // errBadK is the uniform k validation error of the Query surface.
@@ -237,14 +252,11 @@ var errBadK = errors.New("core: k must be >= 1")
 //
 // Every call runs under a request ID: one already on ctx (see
 // obs.WithRequestID) is reused, otherwise Query mints one. The ID is
-// annotated on the query's trace, echoed by /v1/search, and one structured
+// annotated on the query's trace, echoed by /v2/search, and one structured
 // wide event per request is recorded in the hub's RequestLog, resolvable at
-// /debug/requests?id=<id>.
-//
-// The historical entry points (SimilarQueries, LinearScan, ...) are thin
-// deprecated wrappers over this method. See docs/api.md.
+// /debug/requests?id=<id>. See docs/api.md.
 func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
-	return e.query(ctx, req, nil)
+	return e.query(ctx, req, nil, false)
 }
 
 // QueryGated is Query under a caller-owned lifecycle gate: the request's
@@ -257,10 +269,13 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 func (e *Engine) QueryGated(ctx context.Context, req Request, g *lifecycle.Gate) (*Response, error) {
 	req.Budget = Budget{}
 	req.Approx = Approx{}
-	return e.query(ctx, req, g)
+	return e.query(ctx, req, g, true)
 }
 
-func (e *Engine) query(ctx context.Context, req Request, ext *lifecycle.Gate) (*Response, error) {
+// query runs one request under ext, or a gate of its own when ext is nil.
+// gated marks a QueryGated sub-query, which leaves recording its explain
+// report to the caller that merges it.
+func (e *Engine) query(ctx context.Context, req Request, ext *lifecycle.Gate, gated bool) (*Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -273,15 +288,22 @@ func (e *Engine) query(ctx context.Context, req Request, ext *lifecycle.Gate) (*
 	if err := req.Approx.Validate(); err != nil {
 		return nil, err
 	}
+	// A corpus never has more than Len() neighbours, so a larger k changes
+	// no answer — but every family sizes buffers by k, and an absurd one
+	// from the wire must not be able to exhaust memory.
+	req.K = min(req.K, e.Len())
 	ctx, rid := obs.EnsureRequestID(ctx)
 	start := time.Now()
 	// Start or join the request's trace: when the HTTP layer (admission
-	// middleware or /v1/search) already owns an "http_request" root on ctx,
+	// middleware or /v2/search) already owns an "http_request" root on ctx,
 	// the family span becomes its child; otherwise the engine starts its
 	// own trace whose root IS the family span (REPL, tests, embedding).
 	tr, sp, ctx, finishTrace := e.joinTrace(ctx, traceName(req.Kind))
 	defer finishTrace()
 	sp.Annotate("k", strconv.Itoa(req.K))
+	if req.Explain {
+		sp.Annotate("explain", "true")
+	}
 	annotateLifecycle(ctx, sp, req)
 	ev := obs.WideEvent{
 		RequestID:   rid,
@@ -340,6 +362,15 @@ func (e *Engine) query(ctx context.Context, req Request, ext *lifecycle.Gate) (*
 	ev.UBPrunes = resp.Stats.UBPrunes
 	ev.Results = len(resp.Neighbors) + len(resp.Matches)
 	e.reqlog.Record(ev)
+	if req.Explain {
+		resp.Explain = resp.Explain.Finish(traceName(req.Kind), req.K, resp, start)
+		if req.Values == nil && req.Prepared == nil && req.QueryBursts == nil {
+			resp.Explain.Query = e.Name(req.ID)
+		}
+		if !gated {
+			RecordExplain(e.hub, tr, resp.Explain)
+		}
+	}
 	return resp, nil
 }
 
@@ -475,8 +506,10 @@ func (e *Engine) prepare(z []float64) (*spectral.Prepared, error) {
 
 // searchIndexLimited runs a gated kNN query on whichever index the engine
 // was built with. Refinement reads go through a context-aware store view so
-// a hung-up caller aborts even between the gate's amortized checks.
-func (e *Engine) searchIndexLimited(ctx context.Context, q *spectral.Prepared, k int, g *lifecycle.Gate) ([]vptree.Result, vptree.Stats, bool, error) {
+// a hung-up caller aborts even between the gate's amortized checks. exp, when
+// non-nil, receives the VP-tree's explain report (the multi-vantage-point
+// index reports flat stats only and leaves it untouched).
+func (e *Engine) searchIndexLimited(ctx context.Context, q *spectral.Prepared, k int, g *lifecycle.Gate, exp *vptree.Explain) ([]vptree.Result, vptree.Stats, bool, error) {
 	store := seqstore.WithContext(ctx, e.store)
 	if e.mvp != nil {
 		res, st, truncated, err := e.mvp.SearchPrepared(q, k, store, g)
@@ -490,7 +523,16 @@ func (e *Engine) searchIndexLimited(ctx context.Context, q *spectral.Prepared, k
 			FullRetrievals: st.FullRetrievals,
 		}, truncated, nil
 	}
-	return e.tree.SearchPrepared(q, k, e.features, store, g)
+	return e.tree.SearchPrepared(q, k, e.features, store, g, exp)
+}
+
+// explainDetail returns the collector an explained index search fills: nil
+// when the request does not ask for one or the index has none to give.
+func (e *Engine) explainDetail(req Request) *vptree.Explain {
+	if !req.Explain || e.mvp != nil {
+		return nil
+	}
+	return new(vptree.Explain)
 }
 
 // queryValues resolves a request's Values to standardized z-values,
@@ -511,6 +553,7 @@ func (e *Engine) querySimilar(ctx context.Context, g *lifecycle.Gate, req Reques
 	e.met.similarTotal.Inc()
 	e.met.similarK.Observe(float64(req.K))
 	fam := obs.SpanFromContext(ctx)
+	began := time.Now()
 
 	q := req.Prepared
 	if q == nil {
@@ -524,10 +567,12 @@ func (e *Engine) querySimilar(ctx context.Context, g *lifecycle.Gate, req Reques
 			return nil, err
 		}
 	}
+	pre := Phase{Name: "standardize", MS: msSince(began)}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	sp := fam.Child("index_search")
-	res, st, truncated, err := e.searchIndexLimited(ctx, q, req.K, g)
+	vexp := e.explainDetail(req)
+	res, st, truncated, err := e.searchIndexLimited(ctx, q, req.K, g, vexp)
 	sp.Finish()
 	annotateSearch(sp, st)
 	e.met.recordSearch(st)
@@ -536,10 +581,14 @@ func (e *Engine) querySimilar(ctx context.Context, g *lifecycle.Gate, req Reques
 	}
 	e.met.similarResults.Add(int64(len(res)))
 	annotateOutcome(fam, truncated)
-	return &Response{
+	resp := &Response{
 		Kind: req.Kind, Neighbors: e.toNeighborsLocked(res),
 		Stats: st, Truncated: truncated,
-	}, nil
+	}
+	if req.Explain {
+		resp.Explain = e.indexReport(pre, vexp, st)
+	}
+	return resp, nil
 }
 
 func (e *Engine) querySimilarID(ctx context.Context, g *lifecycle.Gate, req Request) (*Response, error) {
@@ -551,6 +600,7 @@ func (e *Engine) querySimilarID(ctx context.Context, g *lifecycle.Gate, req Requ
 
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	began := time.Now()
 	sp := fam.Child("fetch_standardized")
 	z, err := e.StandardizedView(req.ID)
 	sp.Finish()
@@ -561,8 +611,10 @@ func (e *Engine) querySimilarID(ctx context.Context, g *lifecycle.Gate, req Requ
 	if err != nil {
 		return nil, err
 	}
+	pre := Phase{Name: "fetch_standardized", MS: msSince(began)}
 	sp = fam.Child("index_search")
-	res, st, truncated, err := e.searchIndexLimited(ctx, q, req.K+1, g)
+	vexp := e.explainDetail(req)
+	res, st, truncated, err := e.searchIndexLimited(ctx, q, req.K+1, g, vexp)
 	sp.Finish()
 	annotateSearch(sp, st)
 	e.met.recordSearch(st)
@@ -580,10 +632,14 @@ func (e *Engine) querySimilarID(ctx context.Context, g *lifecycle.Gate, req Requ
 	}
 	e.met.similarResults.Add(int64(len(out)))
 	annotateOutcome(fam, truncated)
-	return &Response{
+	resp := &Response{
 		Kind: req.Kind, Neighbors: e.toNeighborsLocked(out),
 		Stats: st, Truncated: truncated,
-	}, nil
+	}
+	if req.Explain {
+		resp.Explain = e.indexReport(pre, vexp, st)
+	}
+	return resp, nil
 }
 
 func (e *Engine) queryLinear(ctx context.Context, g *lifecycle.Gate, req Request) (*Response, error) {
@@ -747,35 +803,37 @@ func (e *Engine) querySimilarPeriods(ctx context.Context, g *lifecycle.Gate, req
 }
 
 func (e *Engine) queryBurst(ctx context.Context, g *lifecycle.Gate, req Request) (*Response, error) {
-	if req.QueryBursts != nil {
-		// Pre-detected pattern: match it as-is, excluding sequence req.ID
-		// (negative = none). See the Request doc.
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-		matches, truncated, err := e.queryBursts(ctx, req.QueryBursts, req.K, int64(req.ID), req.Window, g)
-		if err != nil {
-			return nil, err
-		}
-		return &Response{Kind: req.Kind, Matches: matches, Truncated: truncated}, nil
-	}
-	if req.Kind == KindBurst {
+	// The pattern to match and the sequence to leave out: a pre-detected
+	// pattern as given, excluding req.ID (negative = none; see the Request
+	// doc); bursts detected in req.Values, excluding nothing; or the stored
+	// bursts of series req.ID, excluding itself.
+	q, exclude := req.QueryBursts, int64(req.ID)
+	var phases []Phase
+	if q == nil && req.Kind == KindBurst {
+		began := time.Now()
 		det, err := e.Bursts(req.Values, req.Window) // stateless, pre-lock
 		if err != nil {
 			return nil, err
 		}
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-		matches, truncated, err := e.queryBursts(ctx, e.filterBursts(det), req.K, -1, req.Window, g)
-		if err != nil {
-			return nil, err
-		}
-		return &Response{Kind: req.Kind, Matches: matches, Truncated: truncated}, nil
+		q, exclude = e.filterBursts(det), -1
+		phases = append(phases, Phase{Name: "burst_detect", MS: msSince(began)})
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	matches, truncated, err := e.queryBursts(ctx, e.burstsOfLocked(req.ID, req.Window), req.K, int64(req.ID), req.Window, g)
+	if req.QueryBursts == nil && req.Kind == KindBurstID {
+		q = e.burstsOfLocked(req.ID, req.Window)
+	}
+	began := time.Now()
+	matches, bexp, truncated, err := e.queryBursts(ctx, q, req.K, exclude, req.Window, g, req.Explain)
 	if err != nil {
 		return nil, err
 	}
-	return &Response{Kind: req.Kind, Matches: matches, Truncated: truncated}, nil
+	resp := &Response{Kind: req.Kind, Matches: matches, Truncated: truncated}
+	if req.Explain {
+		resp.Explain = &ExplainReport{
+			Phases: append(phases, Phase{Name: "overlap_scan", MS: msSince(began)}),
+			Burst:  bexp,
+		}
+	}
+	return resp, nil
 }

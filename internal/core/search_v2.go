@@ -79,7 +79,8 @@ func (v V2Request) Budget() Budget {
 //
 // Codes (docs/api.md#errors):
 //
-//	invalid_argument    malformed or out-of-range parameter        (400)
+//	invalid_argument    malformed or out-of-range parameter        (400;
+//	                    413 for a POST body over 1 MiB)
 //	invalid_approx      inconsistent quality dial (ε<0, δ>1, ...)  (400)
 //	unknown_query       q does not name an indexed series          (404)
 //	method_not_allowed  verb other than GET or POST                (405)
@@ -138,8 +139,7 @@ func DecodeV2Request(method, rawQuery string, body []byte) (V2Request, *V2Error)
 	return vq, vq.validate()
 }
 
-// fromParams fills vq from GET query parameters (v1-compatible names plus
-// the quality dial and stream).
+// fromParams fills vq from GET query parameters.
 func (v *V2Request) fromParams(q url.Values) *V2Error {
 	v.Query = q.Get("q")
 	v.Mode = q.Get("mode")
@@ -189,6 +189,20 @@ func (v *V2Request) fromParams(q url.Values) *V2Error {
 		v.Periods = ps
 	}
 	return nil
+}
+
+// parsePeriods parses the comma-separated period list of mode=periods.
+func parsePeriods(s string) ([]float64, error) {
+	parts := strings.Split(s, ",")
+	out := make([]float64, 0, len(parts))
+	for _, p := range parts {
+		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil || v <= 0 {
+			return nil, fmt.Errorf("bad period %q", p)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // validate applies the v2 contract's range checks.
@@ -312,13 +326,26 @@ func jsonGap(g float64) float64 {
 	return g
 }
 
-// V2SearchHandler serves the v2 search contract at /v2/search: every v1
-// family plus the quality dial (epsilon, delta, nprobe) and progressive
-// answering (stream=ndjson|sse). GET carries parameters in the query
-// string, POST as a JSON body (V2Request). The handler accepts any
-// Searcher, so one mount serves a single engine or the sharded
-// scatter-gather engine unchanged; trace join/mint and request-ID
-// semantics are identical to V1SearchHandler. See docs/api.md.
+// maxV2Body is the largest POST body /v2/search reads.
+const maxV2Body = 1 << 20
+
+// V2SearchHandler serves the search contract at /v2/search, the one search
+// route: every search family, the work budget, the quality dial (epsilon,
+// delta, nprobe) and progressive answering (stream=ndjson|sse). GET carries
+// parameters in the query string, POST as a JSON body (V2Request). The
+// handler accepts any Searcher, so one mount serves a single engine or the
+// sharded scatter-gather engine unchanged. The request's context flows into
+// the engine, so a client hanging up aborts the search mid-traversal; when
+// mounted behind admit.Middleware the time spent queued for admission is
+// reported as queue_wait_ms.
+//
+// Trace contract: when the middleware already owns an "http_request" trace
+// on the context, the handler (and engine) join it; when mounted bare, the
+// handler extracts/mints W3C trace context itself, echoes `traceparent`
+// back, and finishes the trace. Either way every terminal path — 400, 404,
+// 413, 500, 503, success — stamps the trace's outcome, so error responses
+// are tail-kept and traceable, and the response body carries trace_id and
+// request_id. See docs/api.md.
 func V2SearchHandler(e Searcher) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx, rid := obs.EnsureRequestID(r.Context())
@@ -351,7 +378,13 @@ func V2SearchHandler(e Searcher) http.Handler {
 		var body []byte
 		if r.Method == http.MethodPost {
 			var err error
-			if body, err = io.ReadAll(io.LimitReader(r.Body, 1<<20)); err != nil {
+			body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxV2Body))
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				fail(v2Errorf(http.StatusRequestEntityTooLarge, "invalid_argument", "body exceeds 1 MiB"))
+				return
+			}
+			if err != nil {
 				fail(v2Errorf(http.StatusBadRequest, "invalid_argument", "reading body: %v", err))
 				return
 			}
@@ -384,10 +417,11 @@ func V2SearchHandler(e Searcher) http.Handler {
 	})
 }
 
-// buildV2CoreRequest maps the decoded wire request onto a core.Request,
-// mirroring V1SearchHandler's per-mode resolution.
+// buildV2CoreRequest maps the decoded wire request onto a core.Request. K is
+// clamped to the corpus size here as well as in Query, so the linear mode's
+// over-fetch of one cannot overflow.
 func buildV2CoreRequest(e Searcher, vq V2Request, id int) (Request, bool, *V2Error) {
-	req := Request{ID: id, K: vq.K, Budget: vq.Budget(), Approx: vq.Approx()}
+	req := Request{ID: id, K: min(vq.K, e.Len()), Budget: vq.Budget(), Approx: vq.Approx()}
 	filterSelf := false
 	switch vq.Mode {
 	case "similar":
@@ -399,7 +433,7 @@ func buildV2CoreRequest(e Searcher, vq V2Request, id int) (Request, bool, *V2Err
 		if err != nil {
 			return req, false, v2Errorf(http.StatusInternalServerError, "internal", "%v", err)
 		}
-		req.Kind, req.Values, req.K = KindLinear, s.Values, vq.K+1
+		req.Kind, req.Values, req.K = KindLinear, s.Values, req.K+1
 		filterSelf = true
 	case "dtw":
 		req.Kind, req.Band = KindDTW, 7
@@ -446,7 +480,7 @@ func queryError(err error) *V2Error {
 // results maps a core response onto wire results, applying the self-filter
 // and k-truncation, with bound gaps encoded for JSON.
 func (s *v2server) results(out *Response) []V2Result {
-	res := make([]V2Result, 0, s.vq.K)
+	res := make([]V2Result, 0, len(out.Neighbors)+len(out.Matches))
 	for _, n := range out.Neighbors {
 		if s.filterSelf && n.ID == s.id {
 			continue

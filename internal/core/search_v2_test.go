@@ -9,7 +9,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/admit"
 	"repro/internal/querylog"
 )
 
@@ -68,6 +70,7 @@ func TestV2DecodeErrors(t *testing.T) {
 		{"bad stream", http.MethodGet, "q=a&stream=grpc", "", 400, "invalid_argument"},
 		{"periods without period", http.MethodGet, "q=a&mode=periods", "", 400, "invalid_argument"},
 		{"negative deadline", http.MethodGet, "q=a&deadline_ms=-1", "", 400, "invalid_argument"},
+		{"non-integer max_nodes", http.MethodGet, "q=a&max_nodes=zero", "", 400, "invalid_argument"},
 		{"negative epsilon", http.MethodGet, "q=a&epsilon=-0.5", "", 400, "invalid_approx"},
 		{"epsilon NaN", http.MethodGet, "q=a&epsilon=NaN", "", 400, "invalid_approx"},
 		{"delta above one", http.MethodGet, "q=a&delta=1.5", "", 400, "invalid_approx"},
@@ -115,6 +118,18 @@ func TestV2SearchSchema(t *testing.T) {
 	if rec.Header().Get("X-Request-Id") == "" {
 		t.Error("missing X-Request-Id")
 	}
+	if resp.Stats == nil {
+		t.Error("similar mode must report index stats")
+	}
+	if resp.Truncated {
+		t.Error("unbudgeted search reported truncated")
+	}
+	id, _ := e.Lookup(querylog.Cinema)
+	for _, r := range resp.Results {
+		if r.ID == id {
+			t.Error("self returned as its own neighbour")
+		}
+	}
 
 	// POST body form of the same request answers identically.
 	_, post := doV2(t, h, http.MethodPost, "/v2/search",
@@ -146,9 +161,12 @@ func TestV2SearchModes(t *testing.T) {
 			t.Errorf("%s: status %d: %s", url, rec.Code, rec.Body.String())
 			continue
 		}
+		if len(resp.Results) == 0 && resp.Mode != "qbb" {
+			t.Errorf("%s: no results", url)
+		}
 		id, _ := e.Lookup(querylog.Cinema)
 		for _, r := range resp.Results {
-			if r.ID == id && resp.Mode == "linear" {
+			if r.ID == id {
 				t.Errorf("%s: self returned as its own neighbour", url)
 			}
 		}
@@ -163,6 +181,7 @@ func TestV2SearchErrors(t *testing.T) {
 		status int
 		code   string
 	}{
+		{"/v2/search", 400, "invalid_argument"}, // missing q
 		{"/v2/search?q=no-such-query-anywhere", 404, "unknown_query"},
 		{"/v2/search?q=" + querylog.Cinema + "&epsilon=-1", 400, "invalid_approx"},
 		{"/v2/search?q=" + querylog.Cinema + "&delta=2", 400, "invalid_approx"},
@@ -189,22 +208,108 @@ func TestV2SearchErrors(t *testing.T) {
 	}
 }
 
-func TestV1SearchAdvertisesV2(t *testing.T) {
+func TestV2SearchRejectsOtherVerbs(t *testing.T) {
 	e, _ := buildEngine(t, 10, Config{}, 4)
 	rec := httptest.NewRecorder()
-	V1SearchHandler(e).ServeHTTP(rec,
-		httptest.NewRequest(http.MethodGet, "/v1/search?q="+querylog.Cinema, nil))
-	if rec.Header().Get("Deprecation") != "true" {
-		t.Error("v1 response missing Deprecation header")
+	V2SearchHandler(e).ServeHTTP(rec,
+		httptest.NewRequest(http.MethodDelete, "/v2/search?q="+querylog.Cinema, nil))
+	if rec.Code != http.StatusMethodNotAllowed {
+		t.Errorf("DELETE status = %d, want 405", rec.Code)
 	}
-	found := false
-	for _, l := range rec.Header().Values("Link") {
-		if strings.Contains(l, "/v2/search") && strings.Contains(l, "successor-version") {
-			found = true
+}
+
+func TestV2SearchBudgetTruncation(t *testing.T) {
+	e, _ := buildEngine(t, 40, Config{Workers: 1}, 4)
+	rec, resp := doV2(t, V2SearchHandler(e), http.MethodGet,
+		"/v2/search?q="+querylog.Cinema+"&mode=linear&k=3&max_nodes=5", "")
+	if resp == nil {
+		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+	}
+	if !resp.Truncated {
+		t.Error("5-row budget over a 40+-series scan must truncate")
+	}
+}
+
+func TestV2SearchReportsQueueWait(t *testing.T) {
+	e, _ := buildEngine(t, 10, Config{}, 5)
+	req := httptest.NewRequest(http.MethodGet, "/v2/search?q="+querylog.Cinema, nil)
+	req = req.WithContext(admit.WithQueueWait(req.Context(), 5*time.Millisecond))
+	rec := httptest.NewRecorder()
+	V2SearchHandler(e).ServeHTTP(rec, req)
+	var resp V2Response
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.QueueWaitMS != 5 {
+		t.Errorf("queue_wait_ms = %v, want 5", resp.QueueWaitMS)
+	}
+}
+
+// TestV2SearchUnderSaturation is the end-to-end admission acceptance
+// criterion: with the handler mounted behind the middleware, saturation
+// sheds 429/503.
+func TestV2SearchUnderSaturation(t *testing.T) {
+	e, _ := buildEngine(t, 20, Config{Obs: nil}, 7)
+	ac := admit.New(admit.Options{MaxInFlight: 1, MaxQueue: 1, MaxWait: 20 * time.Millisecond}, nil)
+	release, _, err := ac.Acquire(httptest.NewRequest(http.MethodGet, "/", nil).Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	h := admit.Middleware(ac, V2SearchHandler(e))
+
+	// The slot is held externally; this request queues and times out: 503.
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v2/search?q="+querylog.Cinema, nil))
+	}()
+	// Wait until it occupies the queue, then overflow it: 429.
+	deadline := time.Now().Add(2 * time.Second)
+	for ac.Waiting() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("request never queued")
 		}
+		time.Sleep(time.Millisecond)
 	}
-	if !found {
-		t.Errorf("v1 Link headers %v missing /v2/search successor-version", rec.Header().Values("Link"))
+	over := httptest.NewRecorder()
+	h.ServeHTTP(over, httptest.NewRequest(http.MethodGet, "/v2/search?q="+querylog.Cinema, nil))
+	if over.Code != http.StatusTooManyRequests {
+		t.Errorf("overflow status = %d, want 429", over.Code)
+	}
+	<-done
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("queued status = %d, want 503", rec.Code)
+	}
+}
+
+// A POST body is read up to 1 MiB: at the limit it is served, one byte over
+// it is refused with 413 and the invalid_argument envelope — never cut short
+// and then misparsed.
+func TestV2SearchBodyLimit(t *testing.T) {
+	e, _ := buildEngine(t, 10, Config{}, 8)
+	h := V2SearchHandler(e)
+	body := `{"q":"` + querylog.Cinema + `","k":2}`
+	atLimit := body + strings.Repeat(" ", maxV2Body-len(body))
+	if rec, resp := doV2(t, h, http.MethodPost, "/v2/search", atLimit); resp == nil || len(resp.Results) != 2 {
+		t.Fatalf("1 MiB body: status %d: %.200s", rec.Code, rec.Body.String())
+	}
+	for name, over := range map[string]string{
+		"valid JSON padded past the limit": atLimit + " ",
+		"garbage after the limit":          atLimit + "}",
+	} {
+		rec, _ := doV2(t, h, http.MethodPost, "/v2/search", over)
+		var env struct {
+			Error *V2Error `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatalf("%s: bad envelope: %v", name, err)
+		}
+		if rec.Code != http.StatusRequestEntityTooLarge || env.Error == nil ||
+			env.Error.Code != "invalid_argument" || env.Error.Message != "body exceeds 1 MiB" {
+			t.Errorf("%s: status %d, error %+v; want 413 invalid_argument", name, rec.Code, env.Error)
+		}
 	}
 }
 

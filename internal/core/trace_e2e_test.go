@@ -33,7 +33,7 @@ func findSpan(sp obs.SpanRecord, name string) (obs.SpanRecord, bool) {
 }
 
 // TestTracePipelineEndToEnd drives a traced request through the real stack
-// — admission middleware, /v1/search, engine, index — and asserts the
+// — admission middleware, /v2/search, engine, index — and asserts the
 // retained trace: adopted remote context, correct span parentage, non-zero
 // durations, and a trace duration consistent with the wide event's.
 func TestTracePipelineEndToEnd(t *testing.T) {
@@ -49,10 +49,10 @@ func TestTracePipelineEndToEnd(t *testing.T) {
 	ac := admit.New(admit.Options{MaxInFlight: 4, MaxQueue: 4, MaxWait: time.Second}, hub.Registry())
 	ac.SetTracer(hub.Traces)
 	ac.SetRequestLog(hub.RequestLog())
-	srv := httptest.NewServer(admit.Middleware(ac, V1SearchHandler(e)))
+	srv := httptest.NewServer(admit.Middleware(ac, V2SearchHandler(e)))
 	defer srv.Close()
 
-	req, err := http.NewRequest(http.MethodGet, srv.URL+"/v1/search?q=cinema&k=3&mode=dtw&band=30", nil)
+	req, err := http.NewRequest(http.MethodGet, srv.URL+"/v2/search?q=cinema&k=3&mode=dtw&band=30", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestTracePipelineEndToEnd(t *testing.T) {
 	if got := resp.Header.Get("tracestate"); got != "vendor=abc" {
 		t.Errorf("tracestate not forwarded: %q", got)
 	}
-	var body SearchResponse
+	var body V2Response
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestTracePipelineEndToEnd(t *testing.T) {
 	}
 }
 
-// TestBareHandlerOwnsTrace mounts /v1/search without the admission
+// TestBareHandlerOwnsTrace mounts /v2/search without the admission
 // middleware: the handler itself must mint/adopt trace context, echo the
 // traceparent, and stamp error outcomes so failed requests stay traceable.
 func TestBareHandlerOwnsTrace(t *testing.T) {
@@ -162,10 +162,10 @@ func TestBareHandlerOwnsTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	srv := httptest.NewServer(V1SearchHandler(e))
+	srv := httptest.NewServer(V2SearchHandler(e))
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/v1/search?q=no-such-series")
+	resp, err := http.Get(srv.URL + "/v2/search?q=no-such-series")
 	if err != nil {
 		t.Fatal(err)
 	}

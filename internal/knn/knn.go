@@ -80,8 +80,14 @@ func (s *Scratch) SigmaUB() float64 { return s.sigmaUB }
 // Collected returns how many candidates have been added.
 func (s *Scratch) Collected() int { return len(s.cands) }
 
-// Add records a candidate and updates σ_UB.
+// Add records a candidate and updates σ_UB. Bounds that are tight can come
+// out inverted by an ulp of rounding (lb > ub); left alone, every candidate
+// holding one of the k smallest upper bounds would then fail its own σ_UB
+// filter and the search would return nothing, so lb is clamped to ub.
 func (s *Scratch) Add(id int, lb, ub float64) {
+	if lb > ub {
+		lb = ub
+	}
 	s.cands = append(s.cands, candidate{id: id, lb: lb, ub: ub})
 	if len(s.ubTop) < s.k {
 		s.ubTop = append(s.ubTop, ub)
@@ -182,6 +188,9 @@ type RefineStats struct {
 	// CutoffSkips counts the candidates left unread because every remaining
 	// lower bound exceeded the k-th best distance.
 	CutoffSkips int
+	// BudgetSkips counts the candidates left unread because the gate's
+	// exact-distance budget ran out first.
+	BudgetSkips int
 }
 
 // Refine measures the filtered candidates against query in increasing
@@ -218,6 +227,7 @@ func (s *Scratch) Refine(query []float64, store seqstore.Store, g *lifecycle.Gat
 		if ok, err := g.Exact(); err != nil {
 			return nil, st, err
 		} else if !ok {
+			st.BudgetSkips = len(s.cands) - ci
 			break // budget exhausted: keep the neighbours refined so far
 		}
 		row, err := rows.Row(c.id, s.row)

@@ -112,6 +112,28 @@ func TestFilterAndCutoffUseTheBounds(t *testing.T) {
 	}
 }
 
+// Tight bounds inverted by an ulp of rounding (lb just above ub) must not
+// make every holder of a smallest upper bound fail its own σ_UB filter.
+func TestAddClampsInvertedBounds(t *testing.T) {
+	store := lineStore(t, 4, false)
+	s := Get(2)
+	defer s.Release()
+	for id := 0; id < 4; id++ {
+		d := float64(id)
+		s.Add(id, math.Nextafter(d, math.Inf(1)), d)
+	}
+	if kept, _ := s.Filter(nil); kept != 2 {
+		t.Fatalf("Filter kept %d candidates, want the 2 nearest", kept)
+	}
+	res, _, err := s.Refine([]float64{0}, store, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 2 || res[0] != (Result{0, 0}) || res[1] != (Result{1, 1}) {
+		t.Fatalf("got %v", res)
+	}
+}
+
 func TestRefineFewerThanK(t *testing.T) {
 	store := lineStore(t, 3, false)
 	s := Get(1 << 40)

@@ -14,10 +14,10 @@ import (
 )
 
 // Route mounts an application handler onto the debug surface, so callers
-// can co-host serving endpoints (e.g. core's /search) with the built-in
+// can co-host serving endpoints (e.g. core's /v2/search) with the built-in
 // /debug routes without obs importing them.
 type Route struct {
-	// Pattern is the http.ServeMux pattern, e.g. "/search".
+	// Pattern is the http.ServeMux pattern, e.g. "/v2/search".
 	Pattern string
 	// Handler serves the pattern.
 	Handler http.Handler

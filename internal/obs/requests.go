@@ -17,7 +17,7 @@ import (
 // the worker pool. One event is emitted per request at completion; the
 // sampled RequestLog ring retains recent events for /debug/requests.
 type WideEvent struct {
-	// RequestID joins the event with the /v1/search response, the admission
+	// RequestID joins the event with the /v2/search response, the admission
 	// shed response, the query's trace and the slow-query log.
 	RequestID string `json:"request_id"`
 	// TraceID is the W3C trace ID of the request's trace ("" when the

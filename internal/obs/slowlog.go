@@ -13,7 +13,7 @@ import (
 type SlowEntry struct {
 	// Time is when the slow query finished.
 	Time time.Time `json:"time"`
-	// RequestID joins the entry with /debug/requests and the /v1/search
+	// RequestID joins the entry with /debug/requests and the /v2/search
 	// response (empty when the query ran outside the request-ID'd path).
 	RequestID string `json:"request_id,omitempty"`
 	// TraceID is the W3C trace ID of the retained trace — the same join

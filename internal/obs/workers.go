@@ -5,7 +5,7 @@ import (
 )
 
 // WorkerDelta is one worker's accounting for one unit of pool work (one
-// BatchSearch participation). Workers accumulate a delta privately while
+// BatchSearchCtx participation). Workers accumulate a delta privately while
 // they run and flush it once on completion, so the hot loop shares nothing.
 type WorkerDelta struct {
 	// Tasks is how many queries the worker executed.

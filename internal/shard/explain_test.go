@@ -1,0 +1,101 @@
+package shard
+
+import (
+	"context"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/obs"
+)
+
+// Explain rides on Query, so a sharded engine fans it out: one report per
+// live shard under one request-level header, the answer unchanged, and each
+// shard's candidate identity balanced — also when a budget or the quality
+// dial (split across the shards' child gates) stops the searches early.
+func TestShardedExplain(t *testing.T) {
+	data, queries := eqCorpus()
+	hub := obs.NewHub()
+	cfg := eqConfig(3)
+	cfg.Obs = hub
+	se, err := New(data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	ctx := context.Background()
+
+	gates := map[string]func(*core.Request){
+		"ungated":   func(*core.Request) {},
+		"max_exact": func(r *core.Request) { r.Budget.MaxExactDistances = 4 },
+		"max_nodes": func(r *core.Request) { r.Budget.MaxNodeVisits = 9 },
+		"delta":     func(r *core.Request) { r.Approx.Delta = 0.6 },
+		"epsilon":   func(r *core.Request) { r.Approx.Epsilon = 0.5 },
+		"nprobe":    func(r *core.Request) { r.Approx.NProbe = 1 },
+	}
+	for name, gate := range gates {
+		for _, q := range queries {
+			req := core.Request{Kind: core.KindSimilar, Values: q.Values, K: 4}
+			gate(&req)
+			plain, err := se.Query(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Explain = true
+			got, err := se.Query(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResponse(t, name+": explain on vs off", plain, got)
+			if got.Stats != plain.Stats || got.BoundFloor != plain.BoundFloor {
+				t.Fatalf("%s: explaining changed stats or floor", name)
+			}
+			rep := got.Explain
+			if rep == nil || rep.Op != "sharded_similar" || len(rep.Shards) != se.Shards() {
+				t.Fatalf("%s: sharded report %+v", name, rep)
+			}
+			if rep.Truncated != got.Truncated || rep.Approximate != got.Approximate ||
+				rep.EpsilonUsed != got.EpsilonUsed || rep.BoundFloor != got.BoundFloor || rep.Results != len(got.Neighbors) {
+				t.Errorf("%s: report header %+v does not carry the response's outcome %+v", name, rep, got)
+			}
+			collected := 0
+			for i, sh := range rep.Shards {
+				d := sh.Index.Detail
+				if !d.Balanced() {
+					t.Errorf("%s shard %d: collected %d != filter %d + cutoff %d + full %d + unrefined %d",
+						name, i, d.Collected, d.FilterLBPrunes, d.CutoffSkips, d.FullRetrievals, d.Unrefined)
+				}
+				if name == "ungated" && d.Unrefined != 0 {
+					t.Errorf("ungated shard %d left %d candidates unrefined", i, d.Unrefined)
+				}
+				collected += d.Collected
+			}
+			if collected == 0 {
+				t.Errorf("%s: no shard collected a candidate", name)
+			}
+		}
+	}
+
+	// By ID: the merged report names the query, and it — not a shard's — is
+	// what the explain ring retains.
+	resp, err := se.Query(ctx, core.Request{Kind: core.KindSimilarID, ID: 2, K: 3, Explain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Explain.Query != se.Name(2) {
+		t.Errorf("report query = %q, want %q", resp.Explain.Query, se.Name(2))
+	}
+	if last, ok := hub.ExplainStore().Last(); !ok || last.Report != any(resp.Explain) {
+		t.Errorf("explain ring's last entry is not the merged report: %+v", last.Report)
+	}
+	var sb strings.Builder
+	resp.Explain.Render(&sb)
+	for _, want := range []string{"EXPLAIN sharded_similar_id", "shard 2: EXPLAIN similar_queries", "[ok]"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("rendered report missing %q:\n%s", want, sb.String())
+		}
+	}
+	if strings.Contains(sb.String(), "MISMATCH") {
+		t.Errorf("rendered report flags a mismatch:\n%s", sb.String())
+	}
+}

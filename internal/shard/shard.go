@@ -37,7 +37,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/series"
 	"repro/internal/spectral"
-	"repro/internal/vptree"
 )
 
 // Route maps a global sequence ID onto one of n shards with a stable
@@ -425,6 +424,9 @@ func (s *ShardedEngine) Query(ctx context.Context, req core.Request) (*core.Resp
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	// No answer has more results than there are series; an absurd k must not
+	// size the gather buffers (see core.Engine.Query).
+	req.K = min(req.K, len(s.loc))
 	g := lifecycle.NewGate(ctx, req.GateLimits(start))
 	resp, spread, err := s.scatterLocked(ctx, g, req)
 	if err != nil {
@@ -455,6 +457,14 @@ func (s *ShardedEngine) Query(ctx context.Context, req core.Request) (*core.Resp
 	ev.UBPrunes = resp.Stats.UBPrunes
 	ev.Results = len(resp.Neighbors) + len(resp.Matches)
 	s.reqlog.Record(ev)
+	if req.Explain {
+		// resp.Explain holds the shards' reports; give it the request's header.
+		resp.Explain.Finish("sharded_"+req.Kind.String(), req.K, resp, start)
+		if req.Values == nil && req.QueryBursts == nil && req.ID >= 0 && req.ID < len(s.names) {
+			resp.Explain.Query = s.names[req.ID]
+		}
+		core.RecordExplain(s.hub, tr, resp.Explain)
+	}
 	return resp, nil
 }
 
@@ -520,6 +530,12 @@ func (s *ShardedEngine) scatterLocked(ctx context.Context, g *lifecycle.Gate, re
 	gatherStart := time.Now()
 	defer s.met.gatherLat.Start()()
 	resp := &core.Response{Kind: req.Kind, Truncated: g.Truncated()}
+	if req.Explain {
+		resp.Explain = &core.ExplainReport{}
+		for _, r := range resps {
+			resp.Explain.Shards = append(resp.Explain.Shards, r.Explain)
+		}
+	}
 	spread := make([]int64, len(live))
 	if pl.burstKind {
 		var merged []core.BurstMatch
@@ -587,12 +603,13 @@ func (s *ShardedEngine) scatterLocked(ctx context.Context, g *lifecycle.Gate, re
 func (s *ShardedEngine) planLocked(req core.Request, nLive int) (plan, error) {
 	pl := plan{keep: req.K, dropSelf: -1}
 	sub := core.Request{
-		Kind:   req.Kind,
-		K:      req.K,
-		Window: req.Window,
-		Band:   req.Band,
-		RelTol: req.RelTol,
-		ID:     -1,
+		Kind:    req.Kind,
+		K:       req.K,
+		Window:  req.Window,
+		Band:    req.Band,
+		RelTol:  req.RelTol,
+		ID:      -1,
+		Explain: req.Explain,
 	}
 	if req.Periods != nil {
 		sub.Periods = req.Periods
@@ -730,13 +747,4 @@ func (s *ShardedEngine) queryValues(req core.Request) ([]float64, error) {
 	}
 	ser := &series.Series{Values: req.Values}
 	return ser.Standardized().Values, nil
-}
-
-// mergedStats sums per-shard index stats (exposed for tests).
-func mergedStats(resps []*core.Response) vptree.Stats {
-	var st vptree.Stats
-	for _, r := range resps {
-		st.Add(r.Stats)
-	}
-	return st
 }

@@ -35,7 +35,7 @@ func transientShard(err error) bool {
 // ErrDuplicateID on the owning shard → store rollback there, routing tables
 // untouched here) with successful ones, readers scatter every query kind,
 // a canceller aborts queries mid-gather and an HTTP client scrapes /debug
-// and /v1/search. Afterwards the engine must hold every series and answer
+// and /v2/search. Afterwards the engine must hold every series and answer
 // exactly like a fresh single engine over the same corpus.
 func TestShardedStressWithRollback(t *testing.T) {
 	const shards = 3
@@ -50,7 +50,7 @@ func TestShardedStressWithRollback(t *testing.T) {
 	defer se.Close()
 
 	srv := httptest.NewServer(obs.Handler(hub,
-		obs.Route{Pattern: "/v1/search", Handler: core.V1SearchHandler(se)}))
+		obs.Route{Pattern: "/v2/search", Handler: core.V2SearchHandler(se)}))
 	defer srv.Close()
 
 	extra := querylog.NewGenerator(querylog.DefaultStart, 128, 99).Queries(6)
@@ -145,7 +145,7 @@ func TestShardedStressWithRollback(t *testing.T) {
 		urls := []string{
 			srv.URL + "/debug/vars",
 			srv.URL + "/debug/metrics",
-			srv.URL + "/v1/search?q=" + querylog.Cinema + "&k=3",
+			srv.URL + "/v2/search?q=" + querylog.Cinema + "&k=3",
 		}
 		for i := 0; i < 10; i++ {
 			for _, u := range urls {
@@ -156,9 +156,9 @@ func TestShardedStressWithRollback(t *testing.T) {
 				}
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				// /v1/search may 500 while a sabotage entry is planted
+				// /v2/search may 500 while a sabotage entry is planted
 				// (see transientShard); the debug surfaces must not.
-				if resp.StatusCode != http.StatusOK && !strings.Contains(u, "/v1/search") {
+				if resp.StatusCode != http.StatusOK && !strings.Contains(u, "/v2/search") {
 					t.Errorf("GET %s: status %d", u, resp.StatusCode)
 				}
 			}

@@ -27,11 +27,13 @@ type LevelExplain struct {
 // to, and how the refinement phase disposed of the survivors. The candidate
 // accounting is exact:
 //
-//	Collected = FilterLBPrunes + CutoffSkips + FullRetrievals
+//	Collected = FilterLBPrunes + CutoffSkips + FullRetrievals + Unrefined
 //
 // i.e. every compressed object collected during traversal is either pruned
 // by the final lower-bound filter, skipped when the sorted refinement loop
-// hit a lower bound above the best exact distance, or fetched in full.
+// hit a lower bound above the best exact distance, fetched in full, or left
+// unrefined because the request's gate said stop (the last term is zero for
+// an unlimited exact search).
 type Explain struct {
 	// K is the requested neighbour count.
 	K int `json:"k"`
@@ -61,6 +63,10 @@ type Explain struct {
 	CutoffSkips int `json:"cutoff_skips"`
 	// FullRetrievals counts uncompressed sequences fetched for refinement.
 	FullRetrievals int `json:"full_retrievals"`
+	// Unrefined counts surviving candidates the gate kept from refinement:
+	// the tail a δ sampled-stop cut off plus those still unread when the
+	// exact-distance budget ran out.
+	Unrefined int `json:"unrefined"`
 	// ExactDistances and EarlyAbandons count exact Euclidean evaluations
 	// during refinement and how many of them abandoned early.
 	ExactDistances int `json:"exact_distances"`
@@ -99,7 +105,7 @@ func (e *Explain) TotalSubtreePrunes() (lb, ub int) {
 }
 
 // Balanced reports whether the candidate accounting identity holds:
-// Collected = FilterLBPrunes + CutoffSkips + FullRetrievals.
+// Collected = FilterLBPrunes + CutoffSkips + FullRetrievals + Unrefined.
 func (e *Explain) Balanced() bool {
-	return e.Collected == e.FilterLBPrunes+e.CutoffSkips+e.FullRetrievals
+	return e.Collected == e.FilterLBPrunes+e.CutoffSkips+e.FullRetrievals+e.Unrefined
 }

@@ -1,49 +1,14 @@
 package vptree
 
-import (
-	"math"
-	"testing"
-)
-
-// TestSearchExplainMatchesSearch checks that the explained path returns the
-// exact same neighbours and flat stats as the plain path.
-func TestSearchExplainMatchesSearch(t *testing.T) {
-	fx := buildFixture(t, 80, 256, Options{Budget: 12}, 11)
-	for _, q := range fx.queries {
-		plain, pst, err := fx.tree.Search(q, 5, fx.tree.Features(), fx.store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exp, est, rep, err := fx.tree.SearchExplain(q, 5, fx.tree.Features(), fx.store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep == nil {
-			t.Fatal("SearchExplain returned a nil report")
-		}
-		if len(plain) != len(exp) {
-			t.Fatalf("result counts differ: %d vs %d", len(plain), len(exp))
-		}
-		for i := range plain {
-			if plain[i].ID != exp[i].ID || math.Abs(plain[i].Dist-exp[i].Dist) > 1e-12 {
-				t.Errorf("rank %d: plain %v vs explained %v", i, plain[i], exp[i])
-			}
-		}
-		if pst != est {
-			t.Errorf("stats differ: plain %+v vs explained %+v", pst, est)
-		}
-	}
-}
+import "testing"
 
 // TestSearchExplainAccounting checks the candidate-accounting identity and
 // that the per-level rows sum to the flat stats.
 func TestSearchExplainAccounting(t *testing.T) {
 	fx := buildFixture(t, 120, 256, Options{Budget: 12}, 3)
 	for _, q := range fx.queries {
-		_, st, rep, err := fx.tree.SearchExplain(q, 4, fx.tree.Features(), fx.store)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := new(Explain)
+		st := searchWith(t, fx.tree, q, 4, 0, fx.tree.Features(), fx.store, rep).st
 		if !rep.Balanced() {
 			t.Errorf("accounting identity broken: collected %d != lb %d + skip %d + full %d",
 				rep.Collected, rep.FilterLBPrunes, rep.CutoffSkips, rep.FullRetrievals)
@@ -107,10 +72,8 @@ func TestSearchExplainAccounting(t *testing.T) {
 // bound must be <= sigma_ub.
 func TestSearchExplainSigmaUB(t *testing.T) {
 	fx := buildFixture(t, 100, 256, Options{Budget: 10}, 5)
-	_, _, rep, err := fx.tree.SearchExplain(fx.queries[0], 3, fx.tree.Features(), fx.store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := new(Explain)
+	searchWith(t, fx.tree, fx.queries[0], 3, 0, fx.tree.Features(), fx.store, rep)
 	if rep.SigmaUB <= 0 {
 		t.Errorf("SigmaUB = %v, want > 0", rep.SigmaUB)
 	}

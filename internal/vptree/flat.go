@@ -4,10 +4,12 @@ import (
 	"math"
 	"sync/atomic"
 
+	"repro/internal/knn"
+	"repro/internal/lifecycle"
 	"repro/internal/spectral"
 )
 
-// flatNode is one tree node in the flat (index-linked, pointer-free) mirror
+// flatNode is one tree node in the flat (index-linked, pointer-free) form
 // of the build tree. Internal nodes reference children by slice index; leaf
 // nodes reference a contiguous [leafLo, leafHi) range of leafIDs/leafRefs,
 // so a whole leaf is evaluated with one batched kernel call over a
@@ -26,29 +28,29 @@ type flatNode struct {
 	vpDeleted  bool
 }
 
-// flatIndex is the cache-friendly mirror of a Tree used by the search hot
-// path: every node lives in one slice, every leaf's entries are contiguous,
-// and every compressed feature is packed into a structure-of-arrays
-// spectral.Arena. The pointer tree remains the source of truth for build,
-// explain and persistence; the flat index is rebuilt from it (rebuildFlat)
-// whenever the structure or feature table changes.
+// flatIndex is the representation every search walks: every node lives in
+// one slice, every leaf's entries are contiguous, and every compressed
+// feature is packed into a structure-of-arrays spectral.Arena. The pointer
+// `node` tree remains the structure build, insert, delete and persistence
+// work on; the flat index is re-derived from it (rebuildFlat) whenever the
+// structure or feature table changes.
 type flatIndex struct {
 	nodes    []flatNode
 	leafIDs  []int
 	leafRefs []int32
-	arena    *spectral.Arena
+	// arena is nil when the feature table is not homogeneous (a loaded file
+	// may mix methods); bounds then come per entry from the FeatureSource.
+	arena *spectral.Arena
 	// src is the exact feature table the arena was packed from; covers
 	// compares against it so a search with a *different* FeatureSource (disk
-	// features, a test double) falls back to the pointer path.
+	// features, a test double) takes its bounds from that source instead.
 	src MemoryFeatures
 	// maxLeaf is the largest leaf block, sizing the per-search bound buffers.
 	maxLeaf int
 }
 
-// kernelCounters accumulates flat-kernel work across searches. They are
-// tree-lifetime totals (exposed via KernelStats), deliberately separate from
-// the per-search Stats struct so existing pointer-vs-flat Stats equality
-// holds exactly.
+// kernelCounters accumulates traversal work across searches: tree-lifetime
+// totals (exposed via KernelStats), separate from the per-search Stats.
 type kernelCounters struct {
 	searches     atomic.Int64
 	blocks       atomic.Int64
@@ -56,53 +58,38 @@ type kernelCounters struct {
 	blocksPruned atomic.Int64
 }
 
-// KernelStats is a snapshot of the flat-path kernel counters: how many
-// searches took the flat path, how many leaf blocks ran through the batched
-// kernel, how many bound evaluations those blocks contained, and how many
-// leaf blocks were pruned away without being evaluated.
+// KernelStats is a snapshot of the tree-lifetime traversal counters: how
+// many searches ran, how many leaf blocks they evaluated, how many bound
+// evaluations they made (vantage points and leaf entries), and how many leaf
+// blocks were pruned away without being evaluated.
 type KernelStats struct {
 	FlatSearches int64 `json:"flat_searches"`
 	LeafBlocks   int64 `json:"leaf_blocks"`
 	KernelEvals  int64 `json:"kernel_evals"`
 	BlocksPruned int64 `json:"blocks_pruned"`
-	// MaxBlock is the largest leaf block in the current flat index (0 when
-	// the flat path is unavailable).
+	// MaxBlock is the largest leaf block in the current flat index.
 	MaxBlock int `json:"max_block"`
 }
 
-// KernelStats returns the tree's cumulative flat-kernel counters.
+// KernelStats returns the tree's cumulative traversal counters.
 func (t *Tree) KernelStats() KernelStats {
-	ks := KernelStats{
+	return KernelStats{
 		FlatSearches: t.kernels.searches.Load(),
 		LeafBlocks:   t.kernels.blocks.Load(),
 		KernelEvals:  t.kernels.evals.Load(),
 		BlocksPruned: t.kernels.blocksPruned.Load(),
+		MaxBlock:     t.flat.maxLeaf,
 	}
-	if t.flat != nil {
-		ks.MaxBlock = t.flat.maxLeaf
-	}
-	return ks
 }
-
-// FlatEnabled reports whether the tree currently has a flat index (searches
-// against the in-memory feature table take the batched kernel path).
-func (t *Tree) FlatEnabled() bool { return t.flat != nil }
 
 // rebuildFlat re-derives the flat index from the pointer tree and the
 // current feature table. Callers must hold whatever lock protects the tree
 // against concurrent searches (the engine rebuilds under its write lock).
-// On any failure — mixed feature table, NoFlatKernels — the flat index is
-// simply dropped and searches fall back to the pointer path.
 func (t *Tree) rebuildFlat() {
-	t.flat = nil
-	if t.opts.NoFlatKernels || t.root == nil || len(t.features) == 0 {
-		return
-	}
-	arena, err := spectral.NewArena(t.features)
-	if err != nil {
-		return
-	}
-	f := &flatIndex{arena: arena, src: t.features}
+	f := &flatIndex{src: t.features}
+	// A table NewArena rejects (mixed methods in a loaded file) leaves the
+	// arena nil: searches then bound every entry through their FeatureSource.
+	f.arena, _ = spectral.NewArena(t.features)
 	f.nodes = make([]flatNode, 0, 2*t.n)
 	f.flatten(t.root)
 	t.flat = f
@@ -144,45 +131,142 @@ func (f *flatIndex) flatten(nd *node) int32 {
 	return i
 }
 
-// covers reports whether feats is exactly the feature table this flat index
-// was packed from. Identity (not just equal length) matters: the arena holds
-// a copy of the coefficients, so a caller substituting a different source —
-// DiskFeatures, or a test double with altered features — must get the
-// pointer path, which consults feats itself.
+// covers reports whether feats is exactly the feature table the arena was
+// packed from. Identity (not just equal length) matters: the arena holds a
+// copy of the coefficients, so a caller substituting a different source —
+// DiskFeatures, or a test double with altered features — must have its
+// bounds taken from feats itself.
 func (f *flatIndex) covers(feats FeatureSource) bool {
 	mf, ok := feats.(MemoryFeatures)
-	if !ok || len(mf) != len(f.src) {
+	if !ok || f.arena == nil || len(mf) != len(f.src) {
 		return false
 	}
-	return len(mf) == 0 || &mf[0] == &f.src[0]
+	return &mf[0] == &f.src[0]
 }
 
-// visitFlat is the flat-path twin of searcher.visit: identical traversal
-// order, identical gate accounting (one Visit per node), identical Stats —
-// only the bound evaluations run through the arena's batched kernel, whole
-// leaf blocks at a time. Bit-identical kernel results (see spectral.Arena)
-// make every σ_UB update and prune decision match the pointer path exactly.
-func (s *searcher) visitFlat(f *flatIndex, ni int32) error {
+// searcher is one traversal: the tree and query being read plus the pooled
+// scratch (candidates, σ_UB) being written.
+type searcher struct {
+	t   *Tree
+	f   *flatIndex
+	ctx *spectral.QueryContext
+	g   *lifecycle.Gate // nil ⇒ unlimited
+	// arena is the flat index's arena when feats is the table it was packed
+	// from, nil when bounds must come per entry from feats.
+	arena *spectral.Arena
+	feats FeatureSource
+	st    Stats
+	exp   *Explain // nil unless this search is being explained
+	*knn.Scratch
+	// lbBuf/ubBuf are the scratch's bound buffers, sized to the largest leaf
+	// block so evaluating a block never allocates.
+	lbBuf, ubBuf []float64
+	// kBlocks/kEvals/kBlocksPruned are this search's kernel counters,
+	// flushed once to the tree's atomics at the end of traversal.
+	kBlocks, kEvals, kBlocksPruned int64
+}
+
+// boundsAt evaluates the query bounds against stored feature ref.
+func (s *searcher) boundsAt(ref int) (lb, ub float64, err error) {
+	if s.arena != nil {
+		return s.arena.BoundsAt(s.ctx, ref, !s.t.opts.PaperBounds)
+	}
+	c, err := s.feats.Feature(ref)
+	if err != nil {
+		return 0, 0, err
+	}
+	if s.t.opts.PaperBounds {
+		return c.BoundsFast(s.ctx)
+	}
+	return c.SafeBoundsFast(s.ctx)
+}
+
+// boundsBlock evaluates one leaf's entries into lbBuf/ubBuf: one batched
+// kernel call over the arena, or one feats lookup per entry.
+func (s *searcher) boundsBlock(refs []int32) error {
+	if s.arena != nil {
+		return s.arena.BoundsBlock(s.ctx, refs, !s.t.opts.PaperBounds, s.lbBuf, s.ubBuf)
+	}
+	for i, ref := range refs {
+		lb, ub, err := s.boundsAt(int(ref))
+		if err != nil {
+			return err
+		}
+		s.lbBuf[i], s.ubBuf[i] = lb, ub
+	}
+	return nil
+}
+
+// lvl returns the explain row for depth (nil unless explaining).
+func (s *searcher) lvl(depth int) *LevelExplain {
+	if s.exp == nil {
+		return nil
+	}
+	return s.exp.level(depth)
+}
+
+// ubPrune reports whether a subtree whose objects are all at vantage-point
+// distance ≥ median can be discarded given the query↔vp upper bound ub —
+// the paper's σ_UB prune applied at the gate's ε-relaxed radius. When only
+// the relaxed radius fires (an exact search would have descended) the
+// proven floor σ_UB/(1+ε) is recorded on the gate, keeping the response's
+// BoundGap sound. At ε=0 the relaxed radius IS σ_UB and the decision is
+// bit-identical to exact.
+func (s *searcher) ubPrune(ub, median float64) bool {
+	r := s.g.Relax(s.SigmaUB())
+	if ub >= median-r {
+		return false
+	}
+	if ub >= median-s.SigmaUB() {
+		s.g.MarkRelaxed(r)
+	}
+	return true
+}
+
+// lbPrune is ubPrune's twin for subtrees whose objects are all at
+// vantage-point distance ≤ median, keyed on the query↔vp lower bound lb.
+func (s *searcher) lbPrune(lb, median float64) bool {
+	r := s.g.Relax(s.SigmaUB())
+	if lb <= median+r {
+		return false
+	}
+	if lb <= median+s.SigmaUB() {
+		s.g.MarkRelaxed(r)
+	}
+	return true
+}
+
+// visitFlat is the fig. 11 traversal, the only one: it walks flat node ni
+// (at tree depth `depth`), collecting candidates and shrinking σ_UB.
+func (s *searcher) visitFlat(ni int32, depth int) error {
 	if ni < 0 {
 		return nil
 	}
+	// Lifecycle gate: an expired context aborts the traversal with its
+	// error; an exhausted budget stops descending (sticky, so the unwind is
+	// O(depth)) and leaves the candidates collected so far for refinement.
 	if ok, err := s.g.Visit(); err != nil {
 		return err
 	} else if !ok {
 		return nil
 	}
 	s.st.NodesVisited++
+	f := s.f
 	nd := &f.nodes[ni]
 	if nd.leafLo >= 0 {
 		if !s.g.Leaf() {
 			return nil // ng leaf budget exhausted: stop collecting, keep best-so-far
 		}
 		m := int(nd.leafHi - nd.leafLo)
+		if l := s.lvl(depth); l != nil {
+			l.Leaves++
+			l.BoundsComputed += m
+			l.Candidates += m
+		}
 		if m == 0 {
 			return nil
 		}
-		refs := f.leafRefs[nd.leafLo:nd.leafHi]
-		if err := f.arena.BoundsBlock(s.ctx, refs, !s.t.opts.PaperBounds, s.lbBuf, s.ubBuf); err != nil {
+		if err := s.boundsBlock(f.leafRefs[nd.leafLo:nd.leafHi]); err != nil {
 			return err
 		}
 		s.st.BoundsComputed += m
@@ -193,26 +277,48 @@ func (s *searcher) visitFlat(f *flatIndex, ni int32) error {
 		}
 		return nil
 	}
-	lb, ub, err := f.arena.BoundsAt(s.ctx, int(nd.vpRef), !s.t.opts.PaperBounds)
+	lb, ub, err := s.boundsAt(int(nd.vpRef))
 	if err != nil {
 		return err
 	}
 	s.st.BoundsComputed++
 	s.kEvals++
+	l := s.lvl(depth)
+	if l != nil {
+		l.InternalNodes++
+		l.BoundsComputed++
+	}
+	// Tombstoned vantage points still route (the median invariant is about
+	// their geometric position) but never appear as candidates.
 	if !nd.vpDeleted {
+		if l != nil {
+			l.Candidates++
+		}
 		s.Add(nd.vpID, lb, ub)
 	}
 
 	switch {
 	case s.ubPrune(ub, nd.median):
+		// Every right-subtree object is provably farther than the (relaxed)
+		// pruning radius.
 		s.st.UBPrunes++
-		s.pruneBlocks(f, nd.right)
-		return s.visitFlat(f, nd.left)
+		if l != nil {
+			l.UBSubtreePrunes++
+		}
+		s.pruneBlocks(nd.right)
+		return s.visitFlat(nd.left, depth+1)
 	case s.lbPrune(lb, nd.median):
+		// Every left-subtree object is provably farther than the (relaxed)
+		// pruning radius.
 		s.st.LBPrunes++
-		s.pruneBlocks(f, nd.left)
-		return s.visitFlat(f, nd.right)
+		if l != nil {
+			l.LBSubtreePrunes++
+		}
+		s.pruneBlocks(nd.left)
+		return s.visitFlat(nd.right, depth+1)
 	default:
+		// Guided descent (§4.1): follow first the child whose region
+		// overlaps the [lb,ub] annulus more.
 		first, second := nd.left, nd.right
 		secondIsRight := true
 		if !s.t.opts.NoGuidedDescent {
@@ -222,34 +328,44 @@ func (s *searcher) visitFlat(f *flatIndex, ni int32) error {
 				first, second = nd.right, nd.left
 				secondIsRight = false
 				s.st.GuidedDescentHits++
+				if l != nil {
+					l.GuidedDescentHits++
+				}
 			}
 		}
-		if err := s.visitFlat(f, first); err != nil {
+		if err := s.visitFlat(first, depth+1); err != nil {
 			return err
 		}
 		// Re-check prunability of the second child with the tightened σ_UB.
+		// (l is re-resolved: the recursion may have grown exp.Levels.)
 		if secondIsRight && s.ubPrune(ub, nd.median) {
 			s.st.UBPrunes++
-			s.pruneBlocks(f, second)
+			if l := s.lvl(depth); l != nil {
+				l.UBSubtreePrunes++
+			}
+			s.pruneBlocks(second)
 			return nil
 		}
 		if !secondIsRight && s.lbPrune(lb, nd.median) {
 			s.st.LBPrunes++
-			s.pruneBlocks(f, second)
+			if l := s.lvl(depth); l != nil {
+				l.LBSubtreePrunes++
+			}
+			s.pruneBlocks(second)
 			return nil
 		}
-		return s.visitFlat(f, second)
+		return s.visitFlat(second, depth+1)
 	}
 }
 
 // pruneBlocks credits a subtree prune with the leaf blocks it skipped.
-func (s *searcher) pruneBlocks(f *flatIndex, ni int32) {
+func (s *searcher) pruneBlocks(ni int32) {
 	if ni >= 0 {
-		s.kBlocksPruned += int64(f.nodes[ni].leafBlocks)
+		s.kBlocksPruned += int64(s.f.nodes[ni].leafBlocks)
 	}
 }
 
-// flushKernelCounters folds one flat search's local counters into the
+// flushKernelCounters folds one search's local counters into the
 // tree-lifetime atomics (one Add per counter per search, not per block).
 func (s *searcher) flushKernelCounters() {
 	s.t.kernels.searches.Add(1)

@@ -33,7 +33,7 @@ func TestPreparedSearchAllocatesOnlyItsResult(t *testing.T) {
 	}
 	var feats FeatureSource = fx.tree.Features() // boxed once, outside the measured call
 	search := func() {
-		res, _, _, err := fx.tree.SearchPrepared(q, 10, feats, fx.store, nil)
+		res, _, _, err := fx.tree.SearchPrepared(q, 10, feats, fx.store, nil, nil)
 		if err != nil || len(res) != 10 {
 			t.Fatalf("search: %d results, err %v", len(res), err)
 		}
@@ -59,7 +59,7 @@ func TestSearchPreparedMatchesSearch(t *testing.T) {
 		}
 		// One prepared query serves any number of searches.
 		for i := 0; i < 2; i++ {
-			got, gotSt, truncated, err := fx.tree.SearchPrepared(q, 7, feats, fx.store, nil)
+			got, gotSt, truncated, err := fx.tree.SearchPrepared(q, 7, feats, fx.store, nil, nil)
 			if err != nil || truncated {
 				t.Fatalf("SearchPrepared: truncated %v err %v", truncated, err)
 			}
@@ -73,23 +73,23 @@ func TestSearchPreparedMatchesSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := fx.tree.SearchPrepared(short, 1, feats, fx.store, nil); err != spectral.ErrMismatch {
+	if _, _, _, err := fx.tree.SearchPrepared(short, 1, feats, fx.store, nil, nil); err != spectral.ErrMismatch {
 		t.Fatalf("wrong-length prepared query: err = %v, want ErrMismatch", err)
 	}
 }
 
 // Pool poisoning: a search that fills the pooled scratch with many
 // candidates and a deep σ_UB heap must leave nothing behind for the next,
-// smaller search — on the flat path and on the pointer path.
+// smaller search — with either bound source.
 func TestScratchReuseDoesNotLeakBetweenSearches(t *testing.T) {
 	fx := buildFixture(t, 200, 64, Options{LeafSize: 8, Seed: 4}, 17)
-	feats := fx.tree.Features()
+	disk := diskCopy(t, fx.tree)
 	paths := map[string]func(q []float64, k int) ([]Result, Stats, error){
-		"flat": func(q []float64, k int) ([]Result, Stats, error) {
-			return fx.tree.Search(q, k, feats, fx.store)
+		"memory": func(q []float64, k int) ([]Result, Stats, error) {
+			return fx.tree.Search(q, k, fx.tree.Features(), fx.store)
 		},
-		"pointer": func(q []float64, k int) ([]Result, Stats, error) {
-			return fx.tree.SearchPointer(q, k, feats, fx.store)
+		"disk": func(q []float64, k int) ([]Result, Stats, error) {
+			return fx.tree.Search(q, k, disk, fx.store)
 		},
 	}
 	for name, search := range paths {
@@ -144,7 +144,7 @@ func TestCancelMidRefineReturnsContextError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantSt, _, err := fx.tree.SearchPrepared(q, 10, feats, fx.store, nil)
+	want, wantSt, _, err := fx.tree.SearchPrepared(q, 10, feats, fx.store, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestCancelMidRefineReturnsContextError(t *testing.T) {
 		t.Fatal("test store must keep the zero-copy path")
 	}
 	g := lifecycle.NewGate(ctx, lifecycle.Limits{})
-	res, st, _, err := fx.tree.SearchPrepared(q, 10, feats, store, g)
+	res, st, _, err := fx.tree.SearchPrepared(q, 10, feats, store, g, nil)
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("cancelled mid-refine: res %v err %v, want nil and context.Canceled", res, err)
 	}
@@ -172,7 +172,7 @@ func TestCancelMidRefineReturnsContextError(t *testing.T) {
 	}
 
 	search := func() {
-		got, gotSt, _, err := fx.tree.SearchPrepared(q, 10, feats, fx.store, nil)
+		got, gotSt, _, err := fx.tree.SearchPrepared(q, 10, feats, fx.store, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

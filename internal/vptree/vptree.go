@@ -19,7 +19,6 @@ package vptree
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -71,11 +70,6 @@ type Options struct {
 	// the worker count: every node derives its sampling RNG from its
 	// position in the tree rather than from a shared sequential stream.
 	BuildWorkers int
-	// NoFlatKernels disables the flat-memory batched bound kernels and keeps
-	// every search on the pointer-tree path (ablation / equivalence-testing
-	// knob; results are identical by construction, only the memory access
-	// pattern changes).
-	NoFlatKernels bool
 }
 
 func (o *Options) fill() {
@@ -156,10 +150,10 @@ type Tree struct {
 	features MemoryFeatures // populated at build; may be swapped to disk
 	// specByID retains the uncompressed spectra in Dynamic mode.
 	specByID map[int]*spectral.HalfSpectrum
-	// flat is the cache-friendly mirror of the pointer tree (see flat.go);
-	// nil when unavailable, in which case searches use the pointer path.
+	// flat is the search representation of the node tree (see flat.go),
+	// re-derived whenever the structure or the feature table changes.
 	flat *flatIndex
-	// kernels accumulates flat-path kernel work across searches.
+	// kernels accumulates traversal kernel work across searches.
 	kernels kernelCounters
 }
 
@@ -534,23 +528,8 @@ type Result = knn.Result
 // features (pass t.Features() for the in-memory configuration or a
 // DiskFeatures for the on-disk one).
 func (t *Tree) Search(query []float64, k int, feats FeatureSource, store seqstore.Store) ([]Result, Stats, error) {
-	res, st, _, err := t.searchValues(query, k, feats, store, nil, nil, false)
+	res, st, _, err := t.SearchLimited(query, k, feats, store, nil)
 	return res, st, err
-}
-
-// SearchPointer is Search forced onto the pointer-tree scalar path,
-// bypassing the flat kernels even when available. It exists as the reference
-// implementation for the flat≡pointer equivalence harness and benchmarks;
-// results and Stats are identical to Search by construction.
-func (t *Tree) SearchPointer(query []float64, k int, feats FeatureSource, store seqstore.Store) ([]Result, Stats, error) {
-	res, st, _, err := t.searchValues(query, k, feats, store, nil, nil, true)
-	return res, st, err
-}
-
-// SearchPointerLimited is SearchLimited forced onto the pointer-tree path
-// (the reference twin of the flat path, for equivalence testing).
-func (t *Tree) SearchPointerLimited(query []float64, k int, feats FeatureSource, store seqstore.Store, g *lifecycle.Gate) (res []Result, st Stats, truncated bool, err error) {
-	return t.searchValues(query, k, feats, store, g, nil, true)
 }
 
 // SearchLimited is Search under a request-lifecycle gate: cancellation is
@@ -560,33 +539,14 @@ func (t *Tree) SearchPointerLimited(query []float64, k int, feats FeatureSource,
 // candidates and returning the best-so-far neighbours with truncated=true.
 // A nil gate makes it identical to Search.
 func (t *Tree) SearchLimited(query []float64, k int, feats FeatureSource, store seqstore.Store, g *lifecycle.Gate) (res []Result, st Stats, truncated bool, err error) {
-	return t.searchValues(query, k, feats, store, g, nil, false)
-}
-
-// SearchPrepared is SearchLimited for a query whose spectrum and bound
-// context already exist — the entry point of callers that run one query
-// against several trees (see spectral.Prepared). q is only read.
-func (t *Tree) SearchPrepared(q *spectral.Prepared, k int, feats FeatureSource, store seqstore.Store, g *lifecycle.Gate) (res []Result, st Stats, truncated bool, err error) {
-	return t.search(q, k, feats, store, g, nil, false)
-}
-
-// SearchExplain runs Search while additionally collecting a structured
-// explain report: per-level traversal accounting, per-bound prune
-// attribution and phase timings. The result and stats are identical to a
-// plain Search; the extra cost is a nil check per node on the plain path
-// and bookkeeping only when explaining.
-func (t *Tree) SearchExplain(query []float64, k int, feats FeatureSource, store seqstore.Store) ([]Result, Stats, *Explain, error) {
-	exp := &Explain{
-		K:           k,
-		Method:      t.opts.Method.String(),
-		Budget:      t.opts.Budget,
-		PaperBounds: t.opts.PaperBounds,
-		TreeSize:    t.n,
-		TreeHeight:  t.Height(),
+	if err := t.admit(k, len(query), g); err != nil {
+		return nil, Stats{}, false, err
 	}
-	res, st, _, err := t.searchValues(query, k, feats, store, nil, exp, false)
-	exp.Stats = st
-	return res, st, exp, err
+	q, err := spectral.Prepare(query)
+	if err != nil {
+		return nil, Stats{}, false, err
+	}
+	return t.SearchPrepared(q, k, feats, store, g, nil)
 }
 
 // admit validates a search's arguments and runs the gate's entry check, so a
@@ -601,48 +561,49 @@ func (t *Tree) admit(k, queryLen int, g *lifecycle.Gate) error {
 	return g.Check()
 }
 
-// searchValues prepares query and delegates to search, the one traversal
-// entry.
-func (t *Tree) searchValues(query []float64, k int, feats FeatureSource, store seqstore.Store, g *lifecycle.Gate, exp *Explain, forcePointer bool) ([]Result, Stats, bool, error) {
-	if err := t.admit(k, len(query), g); err != nil {
-		return nil, Stats{}, false, err
-	}
-	q, err := spectral.Prepare(query)
-	if err != nil {
-		return nil, Stats{}, false, err
-	}
-	return t.search(q, k, feats, store, g, exp, forcePointer)
-}
-
-func (t *Tree) search(q *spectral.Prepared, k int, feats FeatureSource, store seqstore.Store, g *lifecycle.Gate, exp *Explain, forcePointer bool) ([]Result, Stats, bool, error) {
+// SearchPrepared is the one search entry: SearchLimited for a query whose
+// spectrum and bound context already exist (see spectral.Prepared; q is only
+// read), so callers that run one query against several trees prepare it
+// once. A non-nil exp additionally receives the structured explain report of
+// this very search — per-level traversal accounting, per-bound prune
+// attribution and phase timings; results and Stats are the same with or
+// without it, and the plain path pays one nil check per node.
+func (t *Tree) SearchPrepared(q *spectral.Prepared, k int, feats FeatureSource, store seqstore.Store, g *lifecycle.Gate, exp *Explain) ([]Result, Stats, bool, error) {
 	if err := t.admit(k, len(q.Values()), g); err != nil {
 		return nil, Stats{}, false, err
 	}
 
 	var phase time.Time
 	if exp != nil {
+		*exp = Explain{
+			K:           k,
+			Method:      t.opts.Method.String(),
+			Budget:      t.opts.Budget,
+			PaperBounds: t.opts.PaperBounds,
+			TreeSize:    t.n,
+			TreeHeight:  t.Height(),
+		}
 		phase = time.Now()
 	}
 	// Phase 1: traverse, collecting candidates and shrinking σ_UB.
 	sc := knn.Get(k)
 	defer sc.Release()
 	s := &searcher{
-		t: t, feats: feats, exp: exp, g: g,
+		t: t, f: t.flat, feats: feats, exp: exp, g: g,
 		ctx: q.Context(), Scratch: sc,
 	}
-	st := &s.st
-	// The flat batched-kernel path handles every plain search over the tree's
-	// own in-memory feature table; explain runs, foreign feature sources
-	// (disk) and explicit pointer requests use the pointer tree. Both paths
-	// produce bit-identical results and Stats (see flat.go).
-	var err error
-	if !forcePointer && exp == nil && t.flat != nil && t.flat.covers(feats) {
-		s.lbBuf, s.ubBuf = sc.BoundBufs(t.flat.maxLeaf)
-		err = s.visitFlat(t.flat, 0)
-		s.flushKernelCounters()
-	} else {
-		err = s.visit(t.root, 0)
+	// Bounds come from the arena's batched kernel when feats is the table the
+	// arena was packed from, and per entry from feats otherwise (disk
+	// features, a test double). Both evaluate the same floating-point
+	// operations in the same order, so results and Stats do not depend on
+	// which one ran (see spectral.Arena).
+	if s.f.covers(feats) {
+		s.arena = s.f.arena
 	}
+	s.lbBuf, s.ubBuf = sc.BoundBufs(s.f.maxLeaf)
+	st := &s.st
+	err := s.visitFlat(0, 0)
+	s.flushKernelCounters()
 	if err != nil {
 		return nil, *st, false, err
 	}
@@ -668,7 +629,8 @@ func (t *Tree) search(q *spectral.Prepared, k int, feats FeatureSource, store se
 	st.Candidates = kept
 	st.LBPrunes += dropped
 	if exp != nil {
-		exp.FilterLBPrunes += dropped
+		exp.FilterLBPrunes = dropped
+		exp.Unrefined = kept - sc.Collected() // the δ cut's tail
 		now := time.Now()
 		exp.FilterMS = float64(now.Sub(phase)) / float64(time.Millisecond)
 		phase = now
@@ -682,182 +644,12 @@ func (t *Tree) search(q *spectral.Prepared, k int, feats FeatureSource, store se
 	}
 	if exp != nil {
 		exp.CutoffSkips = rs.CutoffSkips
+		exp.Unrefined += rs.BudgetSkips
 		exp.EarlyAbandons = rs.EarlyAbandons
 		exp.FullRetrievals = st.FullRetrievals
 		exp.ExactDistances = st.ExactDistances
 		exp.RefineMS = float64(time.Since(phase)) / float64(time.Millisecond)
+		exp.Stats = *st
 	}
 	return res, *st, g.Truncated(), nil
-}
-
-// searcher is one traversal: the tree and query being read plus the pooled
-// scratch (candidates, σ_UB) being written.
-type searcher struct {
-	t     *Tree
-	ctx   *spectral.QueryContext
-	g     *lifecycle.Gate // nil ⇒ unlimited
-	feats FeatureSource
-	st    Stats
-	exp   *Explain // nil on the plain (non-explained) path
-	*knn.Scratch
-	// lbBuf/ubBuf are the scratch's kernel output buffers (flat path only),
-	// sized to the largest leaf block so BoundsBlock never allocates.
-	lbBuf, ubBuf []float64
-	// kBlocks/kEvals/kBlocksPruned are this search's flat-kernel counters,
-	// flushed once to the tree's atomics at the end of traversal.
-	kBlocks, kEvals, kBlocksPruned int64
-}
-
-// bounds evaluates the query bounds against a stored compressed object.
-func (s *searcher) bounds(ref int) (lb, ub float64, err error) {
-	c, err := s.feats.Feature(ref)
-	if err != nil {
-		return 0, 0, err
-	}
-	s.st.BoundsComputed++
-	if s.t.opts.PaperBounds {
-		return c.BoundsFast(s.ctx)
-	}
-	return c.SafeBoundsFast(s.ctx)
-}
-
-// lvl returns the explain row for depth (nil off the explained path).
-func (s *searcher) lvl(depth int) *LevelExplain {
-	if s.exp == nil {
-		return nil
-	}
-	return s.exp.level(depth)
-}
-
-// ubPrune reports whether a subtree whose objects are all at vantage-point
-// distance ≥ median can be discarded given the query↔vp upper bound ub —
-// the paper's σ_UB prune applied at the gate's ε-relaxed radius. When only
-// the relaxed radius fires (an exact search would have descended) the
-// proven floor σ_UB/(1+ε) is recorded on the gate, keeping the response's
-// BoundGap sound. At ε=0 the relaxed radius IS σ_UB and the decision is
-// bit-identical to exact.
-func (s *searcher) ubPrune(ub, median float64) bool {
-	r := s.g.Relax(s.SigmaUB())
-	if ub >= median-r {
-		return false
-	}
-	if ub >= median-s.SigmaUB() {
-		s.g.MarkRelaxed(r)
-	}
-	return true
-}
-
-// lbPrune is ubPrune's twin for subtrees whose objects are all at
-// vantage-point distance ≤ median, keyed on the query↔vp lower bound lb.
-func (s *searcher) lbPrune(lb, median float64) bool {
-	r := s.g.Relax(s.SigmaUB())
-	if lb <= median+r {
-		return false
-	}
-	if lb <= median+s.SigmaUB() {
-		s.g.MarkRelaxed(r)
-	}
-	return true
-}
-
-func (s *searcher) visit(nd *node, depth int) error {
-	if nd == nil {
-		return nil
-	}
-	// Lifecycle gate: an expired context aborts the traversal with its
-	// error; an exhausted budget stops descending (sticky, so the unwind is
-	// O(depth)) and leaves the candidates collected so far for refinement.
-	if ok, err := s.g.Visit(); err != nil {
-		return err
-	} else if !ok {
-		return nil
-	}
-	s.st.NodesVisited++
-	if nd.leaf != nil {
-		if !s.g.Leaf() {
-			return nil // ng leaf budget exhausted: stop collecting, keep best-so-far
-		}
-		if l := s.lvl(depth); l != nil {
-			l.Leaves++
-			l.BoundsComputed += len(nd.leaf)
-			l.Candidates += len(nd.leaf)
-		}
-		for _, e := range nd.leaf {
-			lb, ub, err := s.bounds(e.ref)
-			if err != nil {
-				return err
-			}
-			s.Add(e.id, lb, ub)
-		}
-		return nil
-	}
-	lb, ub, err := s.bounds(nd.vpRef)
-	if err != nil {
-		return err
-	}
-	if l := s.lvl(depth); l != nil {
-		l.InternalNodes++
-		l.BoundsComputed++
-	}
-	// Tombstoned vantage points still route (the median invariant is about
-	// their geometric position) but never appear as candidates.
-	if !nd.vpDeleted {
-		if l := s.lvl(depth); l != nil {
-			l.Candidates++
-		}
-		s.Add(nd.vpID, lb, ub)
-	}
-
-	switch {
-	case s.ubPrune(ub, nd.median):
-		// Every right-subtree object is provably farther than the (relaxed)
-		// pruning radius.
-		s.st.UBPrunes++
-		if l := s.lvl(depth); l != nil {
-			l.UBSubtreePrunes++
-		}
-		return s.visit(nd.left, depth+1)
-	case s.lbPrune(lb, nd.median):
-		// Every left-subtree object is provably farther than the (relaxed)
-		// pruning radius.
-		s.st.LBPrunes++
-		if l := s.lvl(depth); l != nil {
-			l.LBSubtreePrunes++
-		}
-		return s.visit(nd.right, depth+1)
-	default:
-		// Guided descent (§4.1): follow first the child whose region
-		// overlaps the [lb,ub] annulus more.
-		first, second := nd.left, nd.right
-		if !s.t.opts.NoGuidedDescent {
-			overlapLeft := math.Min(ub, nd.median) - lb
-			overlapRight := ub - math.Max(lb, nd.median)
-			if overlapRight > overlapLeft {
-				first, second = nd.right, nd.left
-				s.st.GuidedDescentHits++
-				if l := s.lvl(depth); l != nil {
-					l.GuidedDescentHits++
-				}
-			}
-		}
-		if err := s.visit(first, depth+1); err != nil {
-			return err
-		}
-		// Re-check prunability of the second child with the tightened σ_UB.
-		if second == nd.right && s.ubPrune(ub, nd.median) {
-			s.st.UBPrunes++
-			if l := s.lvl(depth); l != nil {
-				l.UBSubtreePrunes++
-			}
-			return nil
-		}
-		if second == nd.left && s.lbPrune(lb, nd.median) {
-			s.st.LBPrunes++
-			if l := s.lvl(depth); l != nil {
-				l.LBSubtreePrunes++
-			}
-			return nil
-		}
-		return s.visit(second, depth+1)
-	}
 }

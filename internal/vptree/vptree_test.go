@@ -56,7 +56,8 @@ func buildFixture(t testing.TB, n, seqLen int, opts Options, seed int64) *fixtur
 	return fx
 }
 
-// bruteKNN is the exact reference answer.
+// bruteKNN is the exact reference answer, in the canonical (dist, id) order
+// every search ranks its results in.
 func bruteKNN(t testing.TB, values [][]float64, q []float64, k int) []Result {
 	t.Helper()
 	res := make([]Result, 0, len(values))
@@ -67,7 +68,12 @@ func bruteKNN(t testing.TB, values [][]float64, q []float64, k int) []Result {
 		}
 		res = append(res, Result{ID: id, Dist: d})
 	}
-	sort.Slice(res, func(a, b int) bool { return res[a].Dist < res[b].Dist })
+	sort.Slice(res, func(a, b int) bool {
+		if res[a].Dist != res[b].Dist {
+			return res[a].Dist < res[b].Dist
+		}
+		return res[a].ID < res[b].ID
+	})
 	if k > len(res) {
 		k = len(res)
 	}

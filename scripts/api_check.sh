@@ -1,19 +1,16 @@
 #!/bin/sh
-# api_check.sh enforces the unified query API surface (run via `make api-check`).
+# api_check.sh enforces the one query surface (run via `make api-check`).
 #
 # Four checks:
-#   1. Every exported Engine method on the query surface — names starting
-#      with Similar, Query, Batch, Linear, or Search — must take a
-#      context.Context as its first parameter. The pre-context entry points
-#      in ALLOW are frozen as deprecated wrappers around Engine.Query; the
-#      list only ever shrinks.
-#   2. The deprecated wrappers take no NEW internal callers: production code
-#      under cmd/ and internal/ goes through Engine.Query / core.NewRequest.
-#      Frozen exceptions are listed inline below.
-#   3. Exported HTTP search handler constructors accept the core.Searcher
+#   1. Every exported Engine / ShardedEngine method on the query surface —
+#      names starting with Similar, Query, Batch, Linear, or Search — takes a
+#      context.Context as its first parameter. No exceptions: the
+#      pre-context per-family wrappers are gone, searches go through Query.
+#   2. Exported HTTP search handler constructors accept the core.Searcher
 #      interface, never *core.Engine — handlers must serve single-engine and
 #      sharded deployments alike.
-#   4. Every JSON field on the /v2 wire structs is snake_case.
+#   3. Every JSON field on the /v2 wire structs is snake_case.
+#   4. cmd/s2 mounts exactly one search route, /v2/search.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -21,43 +18,17 @@ cd "$(dirname "$0")/.."
 fail=0
 
 # --- 1. context-first query surface -------------------------------------
-# Frozen legacy allowlist. Do NOT add to it.
-ALLOW='BatchSearch|LinearScan|QueryByBurst|QueryByBurstExplained|QueryByBurstOf|QueryByBurstOfExplained|SimilarByPeriods|SimilarDTW|SimilarQueries|SimilarQueriesExplained|SimilarToID|SimilarToIDExplained'
-
-viol="$(grep -n -E 'func \(e \*Engine\) (Similar|Query|Batch|Linear|Search)[A-Za-z]*\(' internal/core/*.go |
-	grep -v -E "Engine\) ($ALLOW)\(" |
+viol="$(grep -n -E 'func \((e \*Engine|s \*ShardedEngine)\) (Similar|Query|Batch|Linear|Search)[A-Za-z]*\(' internal/core/*.go internal/shard/*.go |
+	grep -v '_test\.go:' |
 	grep -v -E '\(ctx context\.Context' || true)"
 
 if [ -n "$viol" ]; then
-	echo "api-check: exported Engine query methods must take 'ctx context.Context' first:" >&2
+	echo "api-check: exported Engine/ShardedEngine query methods must take 'ctx context.Context' first:" >&2
 	echo "$viol" >&2
-	echo "(legacy pre-context wrappers are frozen in scripts/api_check.sh; do not extend the list)" >&2
 	fail=1
 fi
 
-# --- 2. no new internal callers of the deprecated wrappers ---------------
-# Exclusions, all frozen:
-#   *_test.go                  compatibility coverage of the wrappers themselves
-#   internal/core/core.go      wrapper definitions
-#   internal/core/batch.go     wrapper definitions
-#   internal/core/explain.go   wrapper definitions
-#   internal/benchutil/record.go  timing harness measures the frozen surface
-#   cmd/s2/main.go *Explained(    REPL explain / /debug/explain serve through
-#                                 the frozen Explained entry points (no Query
-#                                 equivalent exists by design)
-callers="$(grep -rn -E "\.($ALLOW)\(" --include='*.go' cmd internal |
-	grep -v '_test\.go:' |
-	grep -v -E '^internal/core/(core|batch|explain)\.go:' |
-	grep -v -E '^internal/benchutil/record\.go:' |
-	grep -v -E '^cmd/s2/main\.go:[0-9]+:.*Explained\(' || true)"
-
-if [ -n "$callers" ]; then
-	echo "api-check: new internal caller of a deprecated query wrapper (use Engine.Query / core.NewRequest):" >&2
-	echo "$callers" >&2
-	fail=1
-fi
-
-# --- 3. handlers accept core.Searcher, not *core.Engine ------------------
+# --- 2. handlers accept core.Searcher, not *core.Engine ------------------
 handlers="$(grep -rn -E 'func [A-Z][A-Za-z0-9]*Handler\(' --include='*.go' internal/core internal/shard | grep -v '_test\.go:' || true)"
 bad="$(echo "$handlers" | grep -E '\*Engine|\*core\.Engine' || true)"
 if [ -n "$bad" ]; then
@@ -66,11 +37,19 @@ if [ -n "$bad" ]; then
 	fail=1
 fi
 
-# --- 4. /v2 wire structs use snake_case JSON fields ----------------------
+# --- 3. /v2 wire structs use snake_case JSON fields ----------------------
 tags="$(grep -n -o 'json:"[^"]*"' internal/core/search_v2.go | grep -v -E 'json:"(-|[a-z0-9_]+)(,omitempty)?"' || true)"
 if [ -n "$tags" ]; then
 	echo "api-check: /v2 JSON fields must be snake_case (internal/core/search_v2.go):" >&2
 	echo "$tags" >&2
+	fail=1
+fi
+
+# --- 4. one search route --------------------------------------------------
+routes="$(grep -n -o -E 'Pattern: *"[^"]*search[^"]*"' cmd/s2/*.go | grep -v '_test\.go:' || true)"
+if [ "$(echo "$routes" | grep -c .)" -ne 1 ] || ! echo "$routes" | grep -q '"/v2/search"'; then
+	echo "api-check: cmd/s2 must mount exactly one search route, /v2/search; found:" >&2
+	echo "$routes" >&2
 	fail=1
 fi
 

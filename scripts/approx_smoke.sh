@@ -13,7 +13,8 @@
 #   * a budgeted progressive request (stream=ndjson) delivers >= 2
 #     snapshot frames, strictly increasing seq, exactly one final frame,
 #     and monotone non-worsening top-k across consecutive frames
-#   * /v1/search advertises its successor via Deprecation + Link headers
+#   * /v2/search is the only search route: the retired /v1/search and
+#     /search answer 404
 #
 # Requires curl and jq (both in CI's ubuntu image). Exits non-zero with a
 # diagnostic on the first failed assertion.
@@ -88,13 +89,11 @@ jq -s -e '. as $f
             $n[.].dist <= $p[.].dist))' "$STREAM" >/dev/null \
     || fail "progressive snapshots worsened a held rank"
 
-# 5. v1 advertises its successor.
-HDRS="$DIR/headers.txt"
-curl -fsS -D "$HDRS" -o /dev/null "http://$ADDR/v1/search?q=cinema&k=1" \
-    || fail "/v1/search request failed"
-grep -qi '^deprecation: true' "$HDRS" || fail "/v1/search missing Deprecation header"
-grep -qi '^link: .*\/v2\/search.*successor-version' "$HDRS" \
-    || fail "/v1/search missing successor-version Link to /v2/search"
+# 5. One search route: the retired endpoints are gone, not aliased.
+for old in /v1/search /search; do
+    STATUS="$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR$old?q=cinema&k=1")"
+    [ "$STATUS" = "404" ] || fail "$old returned HTTP $STATUS, want 404"
+done
 
 kill -TERM "$S2_PID"
 i=0

@@ -1,7 +1,7 @@
 #!/bin/sh
 # trace_smoke.sh — end-to-end check of the trace pipeline.
 #
-# Boots cmd/s2 with a file span exporter, sends one /v1/search request
+# Boots cmd/s2 with a file span exporter, sends one /v2/search request
 # carrying a W3C traceparent header, shuts the server down (which drains
 # the export queue), and asserts the exported trace:
 #
@@ -46,8 +46,8 @@ HDRS="$DIR/headers.txt"
 BODY="$DIR/body.json"
 curl -fsS -D "$HDRS" -o "$BODY" \
     -H "traceparent: 00-$TRACE_ID-$PARENT_SPAN-01" \
-    "http://$ADDR/v1/search?q=cinema&k=3&mode=similar" \
-    || fail "traced /v1/search request failed"
+    "http://$ADDR/v2/search?q=cinema&k=3&mode=similar" \
+    || fail "traced /v2/search request failed"
 
 grep -qi "^traceparent: 00-$TRACE_ID-" "$HDRS" \
     || fail "response did not echo a traceparent for trace $TRACE_ID"
