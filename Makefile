@@ -47,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz FuzzSafeBounds -fuzztime $(FUZZTIME) ./internal/spectral
 	$(GO) test -run='^$$' -fuzz FuzzCompressInvariants -fuzztime $(FUZZTIME) ./internal/spectral
 	$(GO) test -run='^$$' -fuzz FuzzArenaKernel -fuzztime $(FUZZTIME) ./internal/spectral
+	$(GO) test -run='^$$' -fuzz FuzzSketchBound -fuzztime $(FUZZTIME) ./internal/sketch
 	$(GO) test -run='^$$' -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz FuzzFlatSearch -fuzztime $(FUZZTIME) ./internal/vptree
 	$(GO) test -run='^$$' -fuzz FuzzShardRoute -fuzztime $(FUZZTIME) ./internal/shard
@@ -55,10 +56,13 @@ fuzz-smoke:
 # kernel-check is the traversal-kernel acceptance suite: the arena property
 # tests, the one traversal against its parent-recorded goldens and the
 # brute-force oracle (both bound sources, explain on and off), plus the
-# scheduler-spread regressions, all under the race detector, followed by a
-# smoke bench record pushed through validate, the gate and a self-compare.
+# scheduler-spread regressions and the sketch tier (bound soundness, the
+# store keeping it in step, refinement skipping only what would abandon), all
+# under the race detector, followed by a smoke bench record pushed through
+# validate, the gate and a self-compare.
 kernel-check:
 	$(GO) test -race -run 'TestArena|TestFlat|TestGolden|TestSplitBatch|TestPopBlock|TestBatchSpread|TestConcurrentFlatStress' ./internal/spectral ./internal/vptree ./internal/core
+	$(GO) test -race -run 'Sketch|TestExceeds|TestRows|TestUnsketchable|TestShiftOutOfRange' ./internal/sketch ./internal/seqstore ./internal/knn ./internal/core ./internal/shard
 	$(GO) run ./cmd/benchrec record -smoke -label kernelsmoke -o /tmp/BENCH_kernelsmoke.json
 	$(GO) run ./cmd/benchrec validate /tmp/BENCH_kernelsmoke.json
 	$(GO) run ./cmd/benchrec gate /tmp/BENCH_kernelsmoke.json
@@ -124,7 +128,9 @@ bench-test:
 #   make bench-pair BASE=<rev> W=<workload> [PAIRS=10] [TRACE=0]
 # checks BASE out into a git worktree, runs at least ten alternating pairs
 # of bench/run.sh --out (BASE's checkout, then this tree, or the reverse)
-# and finishes with `bench compare`. See scripts/bench_pair.sh.
+# and finishes with `bench compare`. See scripts/bench_pair.sh, also for
+# which per-request counts may read DIFFERS under TRACE=1 across the commit
+# that gave the store its sketch.
 PAIRS ?= 10
 bench-pair:
 	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make bench-pair BASE=<rev> W=<workload> [PAIRS=10]"; exit 2; }

@@ -508,8 +508,8 @@ func dispatch(e core.Searcher, line string) error {
 			fmt.Printf("  %2d. %-24s dist=%.2f\n", i+1, r.Name, r.Dist)
 		}
 		st := resp.Stats
-		fmt.Printf("  (examined %d of %d full sequences; %d lb-prunes, %d ub-prunes)\n",
-			st.FullRetrievals, e.Len(), st.LBPrunes, st.UBPrunes)
+		fmt.Printf("  (examined %d of %d full sequences; %d sketch-skips, %d lb-prunes, %d ub-prunes)\n",
+			st.FullRetrievals, e.Len(), st.SketchSkips, st.LBPrunes, st.UBPrunes)
 	case "periods":
 		eng, local, err := ownerEngine(e, id)
 		if err != nil {

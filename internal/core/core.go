@@ -382,8 +382,14 @@ func NewEngine(data []*series.Series, cfg Config) (*Engine, error) {
 			e.features = e.diskFeat
 		}
 	}
+	e.warmSketch()
 	return e, nil
 }
+
+// warmSketch brings the store's sketch up to date at construction, so that a
+// disk-backed store's pass over its file is part of set-up and not of the
+// first query (a memory store's is already current).
+func (e *Engine) warmSketch() { seqstore.NewReader(e.store).Sketch() }
 
 // Add ingests one new series into a DynamicIndex engine: the standardized
 // values go to the store, the spectrum into the VP-tree, and the burst

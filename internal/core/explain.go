@@ -15,7 +15,10 @@ import (
 // Version 2: reports come from Query itself (Request.Explain), so they carry
 // the request's outcome (truncated, approximate, ...), the index detail has
 // an `unrefined` term, and a sharded engine nests its shards' reports.
-const ExplainSchemaVersion = 2
+// Version 3: the index detail has a `sketch_skips` term (candidates the
+// store's sketch kept from being fetched; `SketchSkips` in the stats), which
+// joins the checked identity.
+const ExplainSchemaVersion = 3
 
 // Phase is one timed stage of an explained query.
 type Phase struct {
@@ -150,9 +153,9 @@ func (r *ExplainReport) Render(w io.Writer) {
 func (x *IndexExplain) render(w io.Writer) {
 	d := x.Detail
 	if d == nil {
-		fmt.Fprintf(w, "  index: %s  nodes=%d bounds=%d candidates=%d retrievals=%d\n",
+		fmt.Fprintf(w, "  index: %s  nodes=%d bounds=%d candidates=%d sketch-skips=%d retrievals=%d\n",
 			x.Kind, x.Stats.NodesVisited, x.Stats.BoundsComputed,
-			x.Stats.Candidates, x.Stats.FullRetrievals)
+			x.Stats.Candidates, x.Stats.SketchSkips, x.Stats.FullRetrievals)
 		return
 	}
 	fmt.Fprintf(w, "  index: %s method=%s budget=%d size=%d height=%d sigma_ub=%.3f\n",
@@ -170,15 +173,16 @@ func (x *IndexExplain) render(w io.Writer) {
 	fmt.Fprintf(w, "  prune attribution over %d collected candidates:\n", d.Collected)
 	fmt.Fprintf(w, "    pruned by %s lower bound (final sigma_ub filter) %6d\n", d.Method, d.FilterLBPrunes)
 	fmt.Fprintf(w, "    skipped by lower-bound cutoff during refinement   %6d\n", d.CutoffSkips)
+	fmt.Fprintf(w, "    rejected by the store's sketch before the read    %6d\n", d.SketchSkips)
 	fmt.Fprintf(w, "    examined (full sequences retrieved)               %6d\n", d.FullRetrievals)
 	fmt.Fprintf(w, "    left unrefined by the gate (delta cut, budget)    %6d\n", d.Unrefined)
-	sum := d.FilterLBPrunes + d.CutoffSkips + d.FullRetrievals + d.Unrefined
+	sum := d.FilterLBPrunes + d.CutoffSkips + d.SketchSkips + d.FullRetrievals + d.Unrefined
 	check := "ok"
 	if !d.Balanced() {
 		check = "MISMATCH"
 	}
-	fmt.Fprintf(w, "    sum %d + %d + %d + %d = %d of %d collected [%s]\n",
-		d.FilterLBPrunes, d.CutoffSkips, d.FullRetrievals, d.Unrefined, sum, d.Collected, check)
+	fmt.Fprintf(w, "    sum %d + %d + %d + %d + %d = %d of %d collected [%s]\n",
+		d.FilterLBPrunes, d.CutoffSkips, d.SketchSkips, d.FullRetrievals, d.Unrefined, sum, d.Collected, check)
 	fmt.Fprintf(w, "  refinement: %d exact distances, %d early abandons\n",
 		d.ExactDistances, d.EarlyAbandons)
 	fmt.Fprintf(w, "  phase wall: traverse %.3f ms, filter %.3f ms, refine %.3f ms\n",

@@ -60,8 +60,8 @@ func TestExplainSimilar(t *testing.T) {
 	}
 	d := rep.Index.Detail
 	if !d.Balanced() || d.Unrefined != 0 {
-		t.Errorf("prune attribution of an ungated search: collected %d != %d+%d+%d, unrefined %d",
-			d.Collected, d.FilterLBPrunes, d.CutoffSkips, d.FullRetrievals, d.Unrefined)
+		t.Errorf("prune attribution of an ungated search: collected %d != %d+%d+%d+%d, unrefined %d",
+			d.Collected, d.FilterLBPrunes, d.CutoffSkips, d.SketchSkips, d.FullRetrievals, d.Unrefined)
 	}
 	if d.Stats != resp.Stats {
 		t.Errorf("detail stats %+v, response stats %+v", d.Stats, resp.Stats)
@@ -83,7 +83,7 @@ func TestExplainSimilar(t *testing.T) {
 	var sb strings.Builder
 	rep.Render(&sb)
 	out := sb.String()
-	for _, want := range []string{"EXPLAIN similar_queries", "prune attribution", "[ok]"} {
+	for _, want := range []string{"EXPLAIN similar_queries", "prune attribution", "rejected by the store's sketch", "[ok]"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered report missing %q:\n%s", want, out)
 		}
@@ -135,8 +135,8 @@ func checkGatedExplain(t *testing.T, label string, resp *Response) (unrefined in
 	}
 	d := rep.Index.Detail
 	if !d.Balanced() {
-		t.Errorf("%s: collected %d != filter %d + cutoff %d + full %d + unrefined %d",
-			label, d.Collected, d.FilterLBPrunes, d.CutoffSkips, d.FullRetrievals, d.Unrefined)
+		t.Errorf("%s: collected %d != filter %d + cutoff %d + sketch %d + full %d + unrefined %d",
+			label, d.Collected, d.FilterLBPrunes, d.CutoffSkips, d.SketchSkips, d.FullRetrievals, d.Unrefined)
 	}
 	return d.Unrefined
 }

@@ -77,6 +77,7 @@ type engineMetrics struct {
 	treeUBPrunes   *obs.Counter
 	treeGuided     *obs.Counter
 	treeExact      *obs.Counter
+	treeSketch     *obs.Counter
 }
 
 // newEngineMetrics registers (or re-binds) the engine's instruments. A nil
@@ -136,6 +137,7 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 		treeUBPrunes:   reg.Counter("vptree_ub_prunes_total", "subtrees pruned by the query upper bound"),
 		treeGuided:     reg.Counter("vptree_guided_descent_hits_total", "internal nodes where guided descent reordered traversal"),
 		treeExact:      reg.Counter("vptree_exact_distances_total", "exact distance evaluations during refinement"),
+		treeSketch:     reg.Counter("vptree_sketch_skips_total", "refinement candidates the store's sketch kept from being fetched"),
 	}
 }
 
@@ -181,6 +183,7 @@ func (m *engineMetrics) recordSearch(st vptree.Stats) {
 	m.treeUBPrunes.Add(int64(st.UBPrunes))
 	m.treeGuided.Add(int64(st.GuidedDescentHits))
 	m.treeExact.Add(int64(st.ExactDistances))
+	m.treeSketch.Add(int64(st.SketchSkips))
 }
 
 // recordDTW promotes one DTW cascade's transient dtw.Stats into the
@@ -213,6 +216,7 @@ func annotateSearch(sp *obs.Span, st vptree.Stats) {
 	sp.Annotate("bounds_computed", strconv.Itoa(st.BoundsComputed))
 	sp.Annotate("candidates", strconv.Itoa(st.Candidates))
 	sp.Annotate("full_retrievals", strconv.Itoa(st.FullRetrievals))
+	sp.Annotate("sketch_skips", strconv.Itoa(st.SketchSkips))
 	sp.Annotate("lb_prunes", strconv.Itoa(st.LBPrunes))
 	sp.Annotate("ub_prunes", strconv.Itoa(st.UBPrunes))
 }

@@ -47,6 +47,7 @@ func TestSimilarQueriesObservability(t *testing.T) {
 		"vptree_ub_prunes_total":       st.UBPrunes,
 		"vptree_exact_distances_total": st.ExactDistances,
 		"vptree_full_retrievals_total": st.FullRetrievals,
+		"vptree_sketch_skips_total":    st.SketchSkips,
 	} {
 		if got := counterValue(t, reg, name); got != int64(want) {
 			t.Errorf("%s = %d, want %d (returned Stats)", name, got, want)
@@ -64,6 +65,9 @@ func TestSimilarQueriesObservability(t *testing.T) {
 	}
 	if counterValue(t, reg, "vptree_lb_prunes_total") == 0 {
 		t.Error("vptree_lb_prunes_total is zero after a query workload")
+	}
+	if counterValue(t, reg, "vptree_sketch_skips_total") == 0 {
+		t.Error("vptree_sketch_skips_total is zero after a query workload")
 	}
 	// Instrumented seqstore: full retrievals read sequence bytes.
 	if got := counterValue(t, reg, "seqstore_reads_total"); got < int64(st.FullRetrievals) {

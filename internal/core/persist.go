@@ -204,5 +204,6 @@ func LoadEngine(dir string, cfg Config) (*Engine, error) {
 	}
 	e.wireObs(cfg.Obs)
 	e.met.seriesIngested.Add(int64(count))
+	e.warmSketch()
 	return e, nil
 }

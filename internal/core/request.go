@@ -521,6 +521,7 @@ func (e *Engine) searchIndexLimited(ctx context.Context, q *spectral.Prepared, k
 			NodesVisited:   st.NodesVisited,
 			Candidates:     st.Candidates,
 			FullRetrievals: st.FullRetrievals,
+			SketchSkips:    st.SketchSkips,
 		}, truncated, nil
 	}
 	return e.tree.SearchPrepared(q, k, e.features, store, g, exp)

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -346,7 +347,18 @@ const maxV2Body = 1 << 20
 // 413, 500, 503, success — stamps the trace's outcome, so error responses
 // are tail-kept and traceable, and the response body carries trace_id and
 // request_id. See docs/api.md.
+//
+// A panic anywhere below — decode, the engine, an index, encode — is one
+// request's failure, not the process's: it is recovered into the structured
+// 500 `internal` body (or, once a stream has begun, a final error frame),
+// with the stack on the request's trace, and counted in
+// engine_query_panics_total. The admission slot is released by the
+// middleware's own defer as the handler returns.
 func V2SearchHandler(e Searcher) http.Handler {
+	var panics *obs.Counter
+	if h, ok := e.(interface{ Hub() *obs.Hub }); ok {
+		panics = h.Hub().Registry().Counter("engine_query_panics_total", "panics recovered while serving /v2/search")
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx, rid := obs.EnsureRequestID(r.Context())
 		w.Header().Set("X-Request-Id", rid)
@@ -375,6 +387,25 @@ func V2SearchHandler(e Searcher) http.Handler {
 				TraceID: tr.TraceID().String(), Error: ve,
 			})
 		}
+		var srv *v2server
+		defer func() {
+			p := recover()
+			if p == nil {
+				return
+			}
+			if p == http.ErrAbortHandler {
+				panic(p) // net/http's own signal to drop the connection
+			}
+			panics.Inc()
+			tr.Annotate("panic_stack", string(debug.Stack()))
+			ve := v2Errorf(http.StatusInternalServerError, "internal", "panic: %v", p)
+			if srv != nil && srv.seq > 0 {
+				tr.SetOutcome(obs.Outcome{Error: ve.Message, HTTPStatus: ve.Status})
+				srv.emit(&V2Snapshot{Final: true, Error: ve})
+				return
+			}
+			fail(ve)
+		}()
 		var body []byte
 		if r.Method == http.MethodPost {
 			var err error
@@ -405,7 +436,7 @@ func V2SearchHandler(e Searcher) http.Handler {
 			return
 		}
 		req.QueueWait = admit.QueueWaitFrom(r.Context())
-		srv := &v2server{
+		srv = &v2server{
 			e: e, w: w, tr: tr, rid: rid, vq: vq, req: req,
 			id: id, filterSelf: filterSelf, start: time.Now(),
 		}
@@ -463,6 +494,8 @@ type v2server struct {
 	id         int
 	filterSelf bool
 	start      time.Time
+	// seq counts the frames a progressive response has emitted.
+	seq int
 }
 
 // queryError classifies an engine error for the v2 taxonomy.
@@ -606,8 +639,34 @@ func (m *v2merge) top() []V2Result {
 	return out
 }
 
+// emit writes one frame of a progressive response and flushes it.
+func (s *v2server) emit(snap *V2Snapshot) {
+	sse := s.vq.Stream == "sse"
+	snap.SchemaVersion = V2SchemaVersion
+	s.seq++
+	snap.Seq = s.seq
+	snap.RequestID = s.rid
+	snap.TraceID = s.tr.TraceID().String()
+	snap.ElapsedMS = float64(time.Since(s.start)) / float64(time.Millisecond)
+	if sse {
+		event := "snapshot"
+		if snap.Error != nil {
+			event = "error"
+		} else if snap.Final {
+			event = "final"
+		}
+		fmt.Fprintf(s.w, "event: %s\ndata: ", event)
+	}
+	json.NewEncoder(s.w).Encode(snap) //nolint:errcheck // stream best-effort
+	if sse {
+		io.WriteString(s.w, "\n") //nolint:errcheck
+	}
+	if flusher, ok := s.w.(http.Flusher); ok {
+		flusher.Flush()
+	}
+}
+
 func (s *v2server) serveProgressive(ctx context.Context, fail func(*V2Error)) {
-	flusher, _ := s.w.(http.Flusher)
 	sse := s.vq.Stream == "sse"
 	if sse {
 		s.w.Header().Set("Content-Type", "text/event-stream; charset=utf-8")
@@ -616,31 +675,6 @@ func (s *v2server) serveProgressive(ctx context.Context, fail func(*V2Error)) {
 		s.w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
 	}
 	merge := newV2Merge(s.vq.K, s.vq.Mode == "qbb")
-	seq := 0
-	emit := func(snap *V2Snapshot) {
-		snap.SchemaVersion = V2SchemaVersion
-		seq++
-		snap.Seq = seq
-		snap.RequestID = s.rid
-		snap.TraceID = s.tr.TraceID().String()
-		snap.ElapsedMS = float64(time.Since(s.start)) / float64(time.Millisecond)
-		if sse {
-			event := "snapshot"
-			if snap.Error != nil {
-				event = "error"
-			} else if snap.Final {
-				event = "final"
-			}
-			fmt.Fprintf(s.w, "event: %s\ndata: ", event)
-		}
-		json.NewEncoder(s.w).Encode(snap) //nolint:errcheck // stream best-effort
-		if sse {
-			io.WriteString(s.w, "\n") //nolint:errcheck
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
 	// snapshot builds a frame from the merged state plus the latest rung's
 	// evidence. The frame-wide bound gap is recomputed from the latest
 	// rung's proven floor — the most-refined coverage so far. A rung that
@@ -688,7 +722,7 @@ func (s *v2server) serveProgressive(ctx context.Context, fail func(*V2Error)) {
 		out, err := s.e.Query(ctx, rreq)
 		if err != nil {
 			ve := queryError(err)
-			if seq == 0 && !sse {
+			if s.seq == 0 && !sse {
 				// Nothing streamed yet: a plain structured error is still
 				// possible on the NDJSON path (headers carry the stream
 				// content type, the body a single error frame).
@@ -697,7 +731,7 @@ func (s *v2server) serveProgressive(ctx context.Context, fail func(*V2Error)) {
 			} else {
 				s.tr.SetOutcome(obs.Outcome{Error: ve.Message, HTTPStatus: ve.Status})
 			}
-			emit(&V2Snapshot{Final: true, Error: ve, Results: merge.top()})
+			s.emit(&V2Snapshot{Final: true, Error: ve, Results: merge.top()})
 			return
 		}
 		merge.add(s.results(out))
@@ -706,18 +740,18 @@ func (s *v2server) serveProgressive(ctx context.Context, fail func(*V2Error)) {
 		if !out.Truncated || rung == ladder[len(ladder)-1] {
 			break // complete, or the caller's own budget: the next frame is final
 		}
-		emit(snapshot(out, false))
+		s.emit(snapshot(out, false))
 	}
 	final := snapshot(last, true)
-	if seq == 0 {
+	if s.seq == 0 {
 		// The first rung already completed the search: emit its snapshot
 		// as a non-final frame first so every stream has ≥ 2 frames — the
 		// progressive contract clients can rely on.
 		pre := *final
 		pre.Final = false
-		emit(&pre)
+		s.emit(&pre)
 	}
-	emit(final)
+	s.emit(final)
 	if final.Truncated {
 		s.tr.SetOutcome(obs.Outcome{Truncated: true})
 	}

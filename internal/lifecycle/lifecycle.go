@@ -164,6 +164,24 @@ func (g *Gate) Exact() (bool, error) {
 	return g.tick()
 }
 
+// Skip accounts one refinement candidate that a cheaper filter rejected
+// without an exact distance. It spends no budget — a rejection can only
+// spare work — but it runs the same amortized context/deadline check as
+// Exact, so a long run of rejections still aborts within checkStride events
+// of a cancellation. The return contract matches Visit; once a budget has
+// truncated the search it reports (false, nil). (Grace does not apply: a
+// filter can reject only after k neighbours are known, and a truncated
+// search's grace is exactly those k evaluations.)
+func (g *Gate) Skip() (bool, error) {
+	if g == nil {
+		return true, nil
+	}
+	if g.truncated {
+		return false, nil
+	}
+	return g.tick()
+}
+
 // tick runs the amortized context/deadline check.
 func (g *Gate) tick() (bool, error) {
 	g.credit--

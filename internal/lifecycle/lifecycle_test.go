@@ -114,6 +114,51 @@ func TestMaxExactTruncates(t *testing.T) {
 	}
 }
 
+// Skip spends neither budget, however often it is called, but it does run
+// the amortized checks: cancellation aborts it within a stride, an expired
+// deadline or an earlier truncation stops it without error.
+func TestSkipSpendsNothingButObservesTheGate(t *testing.T) {
+	var none *Gate
+	if ok, err := none.Skip(); !ok || err != nil {
+		t.Fatalf("nil gate Skip = (%v, %v)", ok, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	g := NewGate(ctx, Limits{MaxNodes: 2, MaxExact: 2})
+	for i := 0; i < 100; i++ {
+		if ok, err := g.Skip(); !ok || err != nil {
+			t.Fatalf("Skip #%d = (%v, %v)", i, ok, err)
+		}
+	}
+	if g.Nodes() != 0 || g.ExactDistances() != 0 || g.Truncated() {
+		t.Fatalf("100 skips spent budget: nodes %d exact %d truncated %v", g.Nodes(), g.ExactDistances(), g.Truncated())
+	}
+	cancel()
+	calls := 0
+	for {
+		calls++
+		if ok, err := g.Skip(); err != nil {
+			if ok || !errors.Is(err, context.Canceled) {
+				t.Fatalf("Skip after cancel = (%v, %v)", ok, err)
+			}
+			break
+		}
+		if calls > checkStride {
+			t.Fatalf("cancellation unseen after %d skips (stride %d)", calls, checkStride)
+		}
+	}
+
+	late := NewGate(context.Background(), Limits{Deadline: time.Now().Add(-time.Second)})
+	if ok, err := late.Skip(); ok || err != nil || !late.Truncated() {
+		t.Fatalf("Skip past the deadline = (%v, %v), truncated %v", ok, err, late.Truncated())
+	}
+	spent := NewGate(context.Background(), Limits{MaxExact: 1})
+	spent.Exact()
+	spent.Exact() // refused: the gate is now truncated
+	if ok, err := spent.Skip(); ok || err != nil {
+		t.Fatalf("Skip on a truncated gate = (%v, %v)", ok, err)
+	}
+}
+
 func TestExpiredDeadlineTruncatesPromptly(t *testing.T) {
 	g := NewGate(context.Background(), Limits{Deadline: time.Now().Add(-time.Second)})
 	ok, err := g.Visit()

@@ -111,6 +111,9 @@ type Stats struct {
 	Candidates int
 	// FullRetrievals counts uncompressed sequences fetched.
 	FullRetrievals int
+	// SketchSkips counts candidates the store's sketch kept from being
+	// fetched (see knn.Refine).
+	SketchSkips int
 }
 
 // Result is one neighbour.

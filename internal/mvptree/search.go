@@ -80,8 +80,9 @@ func (t *Tree) SearchPrepared(q *spectral.Prepared, k int, store seqstore.Store,
 		g.Grace(k)
 	}
 	st.Candidates, _ = sc.Filter(g)
-	res, rs, err := sc.Refine(q.Values(), store, g)
+	res, rs, err := sc.Refine(q, store, g)
 	st.FullRetrievals = rs.FullRetrievals
+	st.SketchSkips = rs.SketchSkips
 	if err != nil {
 		return nil, *st, false, err
 	}

@@ -9,6 +9,13 @@
 // The disk backend is a flat file: an 8-byte header (magic + record length)
 // followed by records of n float64 values each, addressed by sequence ID.
 //
+// Each backend also owns a sketch of its rows (package sketch): one int8 code
+// per value plus the row's quantisation error. Memory extends and cuts it in
+// Append and Truncate themselves; Disk, which is as often a file format that
+// is written or read once as it is a searched store, brings it up to date
+// with the file whenever a search asks for it. A refinement asks it, through
+// Reader.Sketch, whether a row can still matter before paying for the read.
+//
 // Concurrency: both backends support a single writer (Append/Truncate)
 // running concurrently with any number of readers (Get/GetInto/Len/Reads).
 // Readers never take an exclusive lock — Memory reads run under an RLock
@@ -19,6 +26,7 @@
 package seqstore
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -27,6 +35,8 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/sketch"
 )
 
 // Store is random-access storage of equal-length float64 sequences by ID.
@@ -72,6 +82,18 @@ type RowReader interface {
 	Row(id int) ([]float64, error)
 }
 
+// backend unwraps instrumentation and context wrappers (via Unwrap) down to
+// the store that owns the rows.
+func backend(s Store) Store {
+	for {
+		u, ok := s.(interface{ Unwrap() Store })
+		if !ok {
+			return s
+		}
+		s = u.Unwrap()
+	}
+}
+
 // Rows resolves s's zero-copy row reader, unwrapping instrumentation
 // wrappers (via Unwrap) to check that the base backend supports row views.
 // ok=false means callers should fall back to GetInto.
@@ -80,15 +102,7 @@ func Rows(s Store) (RowReader, bool) {
 	if !ok {
 		return nil, false
 	}
-	base := s
-	for {
-		u, uok := base.(interface{ Unwrap() Store })
-		if !uok {
-			break
-		}
-		base = u.Unwrap()
-	}
-	if _, bok := base.(RowReader); !bok {
+	if _, bok := backend(s).(RowReader); !bok {
 		return nil, false
 	}
 	return rr, true
@@ -107,6 +121,19 @@ type Reader struct {
 func NewReader(s Store) Reader {
 	rows, _ := Rows(s)
 	return Reader{store: s, rows: rows}
+}
+
+// Sketch returns a snapshot of the sketch the store's backend keeps of its
+// rows (see package sketch), found through the same Unwrap chain as the row
+// views. Both backends own one and change it only under the lock that
+// guards their rows, so the snapshot covers exactly the rows stored when it
+// was taken; a store of any other type yields the empty sketch, which rejects
+// nothing.
+func (r Reader) Sketch() sketch.Rows {
+	if b, ok := backend(r.store).(interface{ Sketch() sketch.Rows }); ok {
+		return b.Sketch()
+	}
+	return sketch.Rows{}
 }
 
 // InPlace reports whether Row hands back stored rows, in which case it
@@ -154,6 +181,7 @@ type Memory struct {
 	mu     sync.RWMutex
 	seqLen int
 	data   [][]float64
+	sketch sketch.Rows // one entry per row of data, under mu
 	reads  atomic.Int64
 }
 
@@ -162,7 +190,7 @@ func NewMemory(seqLen int) (*Memory, error) {
 	if seqLen <= 0 {
 		return nil, errors.New("seqstore: sequence length must be positive")
 	}
-	return &Memory{seqLen: seqLen}, nil
+	return &Memory{seqLen: seqLen, sketch: sketch.NewRows(seqLen)}, nil
 }
 
 // Append implements Store.
@@ -175,7 +203,15 @@ func (m *Memory) Append(values []float64) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.data = append(m.data, cp)
+	m.sketch.Append(cp)
 	return len(m.data) - 1, nil
+}
+
+// Sketch returns a snapshot of the rows' sketch.
+func (m *Memory) Sketch() sketch.Rows {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.sketch
 }
 
 // Get implements Store.
@@ -240,6 +276,7 @@ func (m *Memory) Truncate(n int) error {
 		m.data[i] = nil
 	}
 	m.data = m.data[:n]
+	m.sketch.Truncate(n)
 	return nil
 }
 
@@ -268,13 +305,16 @@ type Disk struct {
 	mu     sync.Mutex // serializes Append/Truncate
 	f      *os.File
 	seqLen int
+	// sketch covers rows [0, sketch.Len()) — a prefix of the file that
+	// Sketch extends to every published row; under mu.
+	sketch sketch.Rows
 	count  atomic.Int64
 	reads  atomic.Int64
 	bufs   sync.Pool // *[]byte record scratch buffers
 }
 
 func newDisk(f *os.File, seqLen, count int) *Disk {
-	d := &Disk{f: f, seqLen: seqLen}
+	d := &Disk{f: f, seqLen: seqLen, sketch: sketch.NewRows(seqLen)}
 	d.count.Store(int64(count))
 	recBytes := 8 * seqLen
 	d.bufs.New = func() any {
@@ -338,6 +378,41 @@ func Open(path string) (*Disk, error) {
 	return newDisk(f, seqLen, int(body/recBytes)), nil
 }
 
+// Sketch returns a snapshot of the rows' sketch, first sketching, in one
+// sequential pass over the file, every row published since the last call —
+// all of them the first time after Open, the rows appended since otherwise.
+// The sketch is derived state and cheap next to the read itself, so it is
+// recomputed rather than persisted (no second file to checksum or to fall
+// out of step with the rows), and on demand, so files that are only written
+// or only read through never pay for it. A read error leaves the sketch
+// short; rows it does not cover are simply never rejected.
+func (d *Disk) Sketch() sketch.Rows {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	from, to := d.sketch.Len(), d.Len()
+	if from == to {
+		return d.sketch
+	}
+	recBytes := int64(8 * d.seqLen)
+	r := bufio.NewReaderSize(io.NewSectionReader(d.f, headerSize+int64(from)*recBytes, int64(to-from)*recBytes), 1<<20)
+	buf := make([]byte, recBytes)
+	row := make([]float64, d.seqLen)
+	for id := from; id < to; id++ {
+		if _, err := io.ReadFull(r, buf); err != nil {
+			break
+		}
+		decodeRow(row, buf)
+		d.sketch.Append(row)
+	}
+	return d.sketch
+}
+
+func decodeRow(dst []float64, buf []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+	}
+}
+
 // Append implements Store.
 func (d *Disk) Append(values []float64) (int, error) {
 	if len(values) != d.seqLen {
@@ -388,9 +463,7 @@ func (d *Disk) GetInto(id int, dst []float64) error {
 	if _, err := d.f.ReadAt(buf, off); err != nil {
 		return fmt.Errorf("seqstore: read record %d: %w", id, err)
 	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
+	decodeRow(dst, buf)
 	return nil
 }
 
@@ -414,6 +487,9 @@ func (d *Disk) Truncate(n int) error {
 	// Unpublish the rows before shrinking the file so no reader holds an
 	// ID that points past EOF mid-truncate.
 	d.count.Store(int64(n))
+	if n < d.sketch.Len() {
+		d.sketch.Truncate(n)
+	}
 	size := int64(headerSize) + int64(n)*int64(8*d.seqLen)
 	if err := d.f.Truncate(size); err != nil {
 		return fmt.Errorf("seqstore: truncate: %w", err)

@@ -1,0 +1,130 @@
+package seqstore
+
+import (
+	"context"
+	"path/filepath"
+	"sync"
+	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/sketch"
+)
+
+// farFrom reports, through the store's sketch, whether row id is provably
+// more than bound away from the two-point query (x, y).
+func farFrom(s Store, id int, x, y, bound float64) bool {
+	return sketch.NewQuery([]float64{x, y}).Exceeds(NewReader(s).Sketch(), id, bound)
+}
+
+// Both backends keep a sketch row per stored row through Append and
+// Truncate, a reopened disk store rebuilds it from the file, and Reader finds
+// it through the context and instrumentation wrappers — but not through a
+// wrapper that does not unwrap.
+func TestSketchFollowsTheRows(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for name, s := range testBackends(t, 2) {
+		for i := 0; i < 5; i++ {
+			if _, err := s.Append([]float64{float64(i), 0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wrapped := WithContext(ctx, Instrument(s, obs.NewRegistry()))
+		for _, view := range []Store{s, wrapped} {
+			if got := NewReader(view).Sketch().Len(); got != 5 {
+				t.Fatalf("%s: sketch covers %d rows, want 5", name, got)
+			}
+			if !farFrom(view, 4, 0.25, 0, 3) || farFrom(view, 4, 0.25, 0, 4) || farFrom(view, 5, 0.25, 0, 0) {
+				t.Errorf("%s: row 4 = (4, 0) is not sketched as such", name)
+			}
+		}
+		if err := s.Truncate(3); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Append([]float64{100, 0}); err != nil {
+			t.Fatal(err)
+		}
+		if got := NewReader(wrapped).Sketch().Len(); got != 4 {
+			t.Fatalf("%s: sketch covers %d rows after truncate+append, want 4", name, got)
+		}
+		if !farFrom(wrapped, 3, 0.25, 0, 90) || farFrom(wrapped, 3, 100, 0, 0) {
+			t.Errorf("%s: row 3 is not the re-appended (100, 0)", name)
+		}
+		if NewReader(struct{ Store }{s}).Sketch().Len() != 0 {
+			t.Errorf("%s: a wrapper without Unwrap exposed the backend's sketch", name)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "seq.bin")
+	d, err := Create(path, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		if _, err := d.Append([]float64{float64(i), 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := NewReader(re).Sketch().Len(); got != 300 {
+		t.Fatalf("reopened: sketch covers %d rows, want 300", got)
+	}
+	if !farFrom(re, 299, 0, 1, 298) || farFrom(re, 299, 299, 1, 0) {
+		t.Error("reopened: row 299 is not sketched as (299, 1)")
+	}
+}
+
+// One writer appending and truncating beside readers that snapshot the
+// sketch and test rows it covers: the seqstore concurrency contract, for the
+// race detector.
+func TestSketchConcurrentWithWriter(t *testing.T) {
+	for name, s := range testBackends(t, 2) {
+		for i := 0; i < 8; i++ {
+			if _, err := s.Append([]float64{float64(i), 0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for r := 0; r < 3; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				q := sketch.NewQuery([]float64{0, 0.25})
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					sk := NewReader(s).Sketch()
+					for id := 1; id < 8; id++ { // never truncated below 8; row id is just over id away
+						if !q.Exceeds(sk, id, float64(id)-0.5) || q.Exceeds(sk, id, float64(id)+0.5) {
+							t.Errorf("%s: row %d is not sketched as (%d, 0)", name, id, id)
+							return
+						}
+					}
+				}
+			}()
+		}
+		for i := 0; i < 200; i++ {
+			if _, err := s.Append([]float64{1000, float64(i)}); err != nil {
+				t.Fatal(err)
+			}
+			if i%3 == 2 {
+				if err := s.Truncate(8); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		close(stop)
+		wg.Wait()
+	}
+}

@@ -58,20 +58,26 @@ func TestShardedExplain(t *testing.T) {
 				rep.EpsilonUsed != got.EpsilonUsed || rep.BoundFloor != got.BoundFloor || rep.Results != len(got.Neighbors) {
 				t.Errorf("%s: report header %+v does not carry the response's outcome %+v", name, rep, got)
 			}
-			collected := 0
+			collected, sketched, fetched := 0, 0, 0
 			for i, sh := range rep.Shards {
 				d := sh.Index.Detail
 				if !d.Balanced() {
-					t.Errorf("%s shard %d: collected %d != filter %d + cutoff %d + full %d + unrefined %d",
-						name, i, d.Collected, d.FilterLBPrunes, d.CutoffSkips, d.FullRetrievals, d.Unrefined)
+					t.Errorf("%s shard %d: collected %d != filter %d + cutoff %d + sketch %d + full %d + unrefined %d",
+						name, i, d.Collected, d.FilterLBPrunes, d.CutoffSkips, d.SketchSkips, d.FullRetrievals, d.Unrefined)
 				}
 				if name == "ungated" && d.Unrefined != 0 {
 					t.Errorf("ungated shard %d left %d candidates unrefined", i, d.Unrefined)
 				}
 				collected += d.Collected
+				sketched += d.SketchSkips
+				fetched += d.FullRetrievals
 			}
 			if collected == 0 {
 				t.Errorf("%s: no shard collected a candidate", name)
+			}
+			if sketched != got.Stats.SketchSkips || fetched != got.Stats.FullRetrievals {
+				t.Errorf("%s: shards report %d sketch skips and %d reads, the merged stats %d and %d",
+					name, sketched, fetched, got.Stats.SketchSkips, got.Stats.FullRetrievals)
 			}
 		}
 	}

@@ -307,6 +307,10 @@ func (s *ShardedEngine) standardizedViewLocked(id int) ([]float64, error) {
 // Tracer exposes the tracer queries run under (nil-safe, may be nil).
 func (s *ShardedEngine) Tracer() *obs.Tracer { return s.tracer }
 
+// Hub returns the observability hub the engine was built with (nil when
+// observability is disabled).
+func (s *ShardedEngine) Hub() *obs.Hub { return s.hub }
+
 // Close releases every shard's resources, returning the first error.
 func (s *ShardedEngine) Close() error {
 	var first error

@@ -1,0 +1,93 @@
+package shard
+
+import (
+	"context"
+	"errors"
+	"math"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/querylog"
+	"repro/internal/seqstore"
+	"repro/internal/vptree"
+)
+
+// Eight shards, each owning its rows and therefore its sketch: after
+// construction, routed Adds and a rollback on every shard that can take one,
+// each shard's sketch covers exactly its rows, and the scattered index search
+// (which consults the sketches) answers like the scattered linear scan
+// (which does not).
+func TestSketchTracksEveryShard(t *testing.T) {
+	const shards = 8
+	g := querylog.NewGenerator(querylog.DefaultStart, 128, 31)
+	se, err := New(g.Dataset(120), core.Config{Budget: 8, Seed: 2, Workers: 2, Shards: shards, DynamicIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	check := func(stage string) (skips int) {
+		t.Helper()
+		for sh := 0; sh < shards; sh++ {
+			eng := se.Engine(sh)
+			if eng == nil {
+				continue
+			}
+			if got := seqstore.NewReader(eng.Store()).Sketch().Len(); got != eng.Len() {
+				t.Fatalf("%s: shard %d sketch covers %d rows of %d", stage, sh, got, eng.Len())
+			}
+		}
+		for id := 0; id < se.Len(); id += 3 {
+			idx, err := se.Query(context.Background(), core.Request{Kind: core.KindSimilarID, ID: id, K: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			skips += idx.Stats.SketchSkips
+			z, err := se.StandardizedValues(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lin, err := se.Query(context.Background(), core.Request{Kind: core.KindLinear, Values: z, Standardized: true, K: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := lin.Neighbors[:0:0]
+			for _, n := range lin.Neighbors {
+				if n.ID != id && len(want) < 4 {
+					want = append(want, n)
+				}
+			}
+			if len(idx.Neighbors) != len(want) {
+				t.Fatalf("%s id %d: index %d neighbours, scan %d", stage, id, len(idx.Neighbors), len(want))
+			}
+			for i, n := range idx.Neighbors {
+				if n.ID != want[i].ID || math.Float64bits(n.Dist) != math.Float64bits(want[i].Dist) {
+					t.Fatalf("%s id %d rank %d: index %d@%v, scan %d@%v", stage, id, i, n.ID, n.Dist, want[i].ID, want[i].Dist)
+				}
+			}
+		}
+		return skips
+	}
+	if check("built") == 0 {
+		t.Error("no shard's sketch spared a read")
+	}
+	extra := querylog.NewGenerator(querylog.DefaultStart, 128, 77).Queries(12)
+	for i, s := range extra {
+		gid := se.Len()
+		if eng := se.Engine(Route(uint64(gid), shards)); eng != nil && i%2 == 0 {
+			plant, err := eng.PlantDuplicateTreeID()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := se.Add(extra[(i+1)%len(extra)]); !errors.Is(err, vptree.ErrDuplicateID) {
+				t.Fatalf("sabotaged Add: err = %v, want ErrDuplicateID", err)
+			}
+			if err := eng.RemovePlantedTreeID(plant); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if id, err := se.Add(s); err != nil || id != gid {
+			t.Fatalf("Add: id %d err %v, want id %d", id, err, gid)
+		}
+	}
+	check("after adds and rollbacks")
+}

@@ -1,8 +1,11 @@
 package spectral
 
+import "repro/internal/sketch"
+
 // Prepared is everything an index search derives from the query alone: the
 // time-domain values the refinement phase measures exact distances against,
-// their half-spectrum, and the QueryContext the bound kernels read. It is
+// their quantised form for the store's sketch tier, their half-spectrum, and
+// the QueryContext the bound kernels read. It is
 // built once per request — by the engine for a single index, by the scatter
 // layer for all of its shards — and handed down by pointer.
 //
@@ -11,6 +14,7 @@ package spectral
 // concurrent searches may share one.
 type Prepared struct {
 	values []float64
+	sketch *sketch.Query
 	ctx    *QueryContext
 }
 
@@ -23,11 +27,14 @@ func Prepare(values []float64) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{values: values, ctx: NewQueryContext(h)}, nil
+	return &Prepared{values: values, sketch: sketch.NewQuery(values), ctx: NewQueryContext(h)}, nil
 }
 
 // Values returns the query's time-domain values (read-only).
 func (p *Prepared) Values() []float64 { return p.values }
+
+// Sketch returns the query quantised for sketch.Query.Exceeds.
+func (p *Prepared) Sketch() *sketch.Query { return p.sketch }
 
 // Context returns the query's bound context.
 func (p *Prepared) Context() *QueryContext { return p.ctx }

@@ -27,13 +27,14 @@ type LevelExplain struct {
 // to, and how the refinement phase disposed of the survivors. The candidate
 // accounting is exact:
 //
-//	Collected = FilterLBPrunes + CutoffSkips + FullRetrievals + Unrefined
+//	Collected = FilterLBPrunes + CutoffSkips + SketchSkips + FullRetrievals + Unrefined
 //
 // i.e. every compressed object collected during traversal is either pruned
 // by the final lower-bound filter, skipped when the sorted refinement loop
-// hit a lower bound above the best exact distance, fetched in full, or left
-// unrefined because the request's gate said stop (the last term is zero for
-// an unlimited exact search).
+// hit a lower bound above the best exact distance, rejected by the store's
+// sketch just before its read, fetched in full, or left unrefined because the
+// request's gate said stop (the last term is zero for an unlimited exact
+// search).
 type Explain struct {
 	// K is the requested neighbour count.
 	K int `json:"k"`
@@ -61,6 +62,9 @@ type Explain struct {
 	// CutoffSkips counts surviving candidates never fetched because the
 	// refinement loop's lower-bound cutoff broke first.
 	CutoffSkips int `json:"cutoff_skips"`
+	// SketchSkips counts surviving candidates never fetched because the
+	// store's sketch proved them farther than the k-th best distance.
+	SketchSkips int `json:"sketch_skips"`
 	// FullRetrievals counts uncompressed sequences fetched for refinement.
 	FullRetrievals int `json:"full_retrievals"`
 	// Unrefined counts surviving candidates the gate kept from refinement:
@@ -105,7 +109,8 @@ func (e *Explain) TotalSubtreePrunes() (lb, ub int) {
 }
 
 // Balanced reports whether the candidate accounting identity holds:
-// Collected = FilterLBPrunes + CutoffSkips + FullRetrievals + Unrefined.
+// Collected = FilterLBPrunes + CutoffSkips + SketchSkips + FullRetrievals +
+// Unrefined.
 func (e *Explain) Balanced() bool {
-	return e.Collected == e.FilterLBPrunes+e.CutoffSkips+e.FullRetrievals+e.Unrefined
+	return e.Collected == e.FilterLBPrunes+e.CutoffSkips+e.SketchSkips+e.FullRetrievals+e.Unrefined
 }

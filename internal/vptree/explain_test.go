@@ -10,8 +10,8 @@ func TestSearchExplainAccounting(t *testing.T) {
 		rep := new(Explain)
 		st := searchWith(t, fx.tree, q, 4, 0, fx.tree.Features(), fx.store, rep).st
 		if !rep.Balanced() {
-			t.Errorf("accounting identity broken: collected %d != lb %d + skip %d + full %d",
-				rep.Collected, rep.FilterLBPrunes, rep.CutoffSkips, rep.FullRetrievals)
+			t.Errorf("accounting identity broken: collected %d != lb %d + skip %d + sketch %d + full %d",
+				rep.Collected, rep.FilterLBPrunes, rep.CutoffSkips, rep.SketchSkips, rep.FullRetrievals)
 		}
 		// Stats.Candidates counts survivors of the σ_UB filter, so the raw
 		// collection count is survivors plus filter prunes.
@@ -77,7 +77,7 @@ func TestSearchExplainSigmaUB(t *testing.T) {
 	if rep.SigmaUB <= 0 {
 		t.Errorf("SigmaUB = %v, want > 0", rep.SigmaUB)
 	}
-	if rep.FilterLBPrunes+rep.CutoffSkips+rep.FullRetrievals == 0 {
+	if rep.FilterLBPrunes+rep.CutoffSkips+rep.SketchSkips+rep.FullRetrievals == 0 {
 		t.Error("explain recorded no candidate dispositions at all")
 	}
 }

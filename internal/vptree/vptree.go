@@ -190,6 +190,11 @@ type Stats struct {
 	// ExactDistances counts exact Euclidean evaluations during refinement,
 	// including ones that early-abandoned partway through the sequence.
 	ExactDistances int
+	// SketchSkips counts refinement candidates the store's sketch proved
+	// farther than the k-th best distance, which were therefore not fetched
+	// (see knn.Refine). FullRetrievals + SketchSkips is what FullRetrievals
+	// would be without the sketch.
+	SketchSkips int
 }
 
 // Add accumulates another search's stats into s, so callers aggregating
@@ -204,6 +209,7 @@ func (s *Stats) Add(o Stats) {
 	s.UBPrunes += o.UBPrunes
 	s.GuidedDescentHits += o.GuidedDescentHits
 	s.ExactDistances += o.ExactDistances
+	s.SketchSkips += o.SketchSkips
 }
 
 // Build constructs the tree over the given spectra. ids[i] is the sequence
@@ -636,14 +642,16 @@ func (t *Tree) SearchPrepared(q *spectral.Prepared, k int, feats FeatureSource, 
 		phase = now
 	}
 
-	res, rs, err := sc.Refine(q.Values(), store, g)
+	res, rs, err := sc.Refine(q, store, g)
 	st.FullRetrievals = rs.FullRetrievals
 	st.ExactDistances = rs.ExactDistances
+	st.SketchSkips = rs.SketchSkips
 	if err != nil {
 		return nil, *st, false, err
 	}
 	if exp != nil {
 		exp.CutoffSkips = rs.CutoffSkips
+		exp.SketchSkips = rs.SketchSkips
 		exp.Unrefined += rs.BudgetSkips
 		exp.EarlyAbandons = rs.EarlyAbandons
 		exp.FullRetrievals = st.FullRetrievals

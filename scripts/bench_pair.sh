@@ -16,6 +16,15 @@
 # with BASE's own benchmark code. TRACE=1 records the per-layer ledger
 # instead of the end-to-end metrics.
 #
+# Per-request counts and the sketch tier: when BASE predates the store's
+# sketch (PR 16) and this tree has it, TRACE=1 reports exactly three counts
+# as DIFFERS — vptree.full_retrievals_per_q, seqstore.reads_per_q and
+# seqstore.read_bytes_per_q — all downward, and by design: the sketch spares
+# reads, and retrievals + vptree_sketch_skips_total still equals BASE's
+# retrievals. Any other DIFFERS row (nodes, bounds, candidates, kernel
+# evals) means the change altered traversal and is a bug. Between two
+# commits that both have the sketch every count must be exact again.
+#
 # Everything it writes is git-ignored: the worktree under .bench_build/,
 # the records under bench/out/pair/.
 set -eu
