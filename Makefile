@@ -57,12 +57,18 @@ fuzz-smoke:
 # tests, the one traversal against its parent-recorded goldens and the
 # brute-force oracle (both bound sources, explain on and off), plus the
 # scheduler-spread regressions and the sketch tier (bound soundness, the
-# store keeping it in step, refinement skipping only what would abandon), all
-# under the race detector, followed by a smoke bench record pushed through
-# validate, the gate and a self-compare.
+# store keeping it in step, refinement skipping only what would abandon, the
+# vector kernel against the portable one), all under the race detector; then
+# the sketch's portable path on its own (-tags purego builds without the
+# assembly, as every other architecture does) and a vet and build for arm64,
+# so neither the path this machine does not run nor the build it does not do
+# can rot; followed by a smoke bench record pushed through validate, the gate
+# and a self-compare.
 kernel-check:
 	$(GO) test -race -run 'TestArena|TestFlat|TestGolden|TestSplitBatch|TestPopBlock|TestBatchSpread|TestConcurrentFlatStress' ./internal/spectral ./internal/vptree ./internal/core
-	$(GO) test -race -run 'Sketch|TestExceeds|TestRows|TestUnsketchable|TestShiftOutOfRange' ./internal/sketch ./internal/seqstore ./internal/knn ./internal/core ./internal/shard
+	$(GO) test -race -run 'Sketch|TestExceeds|TestRows|TestUnsketchable|TestShiftOutOfRange|TestVector|TestClosedForm|Kernel' ./internal/sketch ./internal/seqstore ./internal/knn ./internal/core ./internal/shard
+	$(GO) test -tags purego ./internal/sketch ./internal/knn ./internal/seqstore
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 	$(GO) run ./cmd/benchrec record -smoke -label kernelsmoke -o /tmp/BENCH_kernelsmoke.json
 	$(GO) run ./cmd/benchrec validate /tmp/BENCH_kernelsmoke.json
 	$(GO) run ./cmd/benchrec gate /tmp/BENCH_kernelsmoke.json

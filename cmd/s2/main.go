@@ -62,6 +62,7 @@ import (
 	"repro/internal/querylog"
 	"repro/internal/series"
 	"repro/internal/shard"
+	"repro/internal/sketch"
 )
 
 func main() {
@@ -184,6 +185,9 @@ func run() error {
 		if *debugAddr == "" {
 			return fmt.Errorf("-serve requires -debug-addr")
 		}
+		// Which sketch kernel the CPU got goes in the server log, so that a
+		// benchmark record says which path it measured.
+		fmt.Printf("sketch kernel: %s\n", sketch.Kernel())
 		fmt.Printf("ready: %d series indexed; serving until SIGINT/SIGTERM\n", engine.Len())
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -352,8 +356,10 @@ func repl(engine core.Searcher, hub *obs.Hub) {
 
 // writeStats renders the registry snapshot as one listing sorted by metric
 // name across all kinds, so output is deterministic run to run: counters and
-// gauges as single values, histograms as count/mean/p50/p99 summaries.
+// gauges as single values, histograms as count/mean/p50/p99 summaries. The
+// first line names the sketch kernel the numbers were produced on.
 func writeStats(w io.Writer, hub *obs.Hub) {
+	fmt.Fprintf(w, "  sketch kernel: %s\n", sketch.Kernel())
 	snap := hub.Registry().Snapshot()
 	lines := map[string]string{}
 	for _, c := range snap.Counters {

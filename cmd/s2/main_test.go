@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/querylog"
 	"repro/internal/shard"
+	"repro/internal/sketch"
 )
 
 func testEngine(t *testing.T) *core.Engine {
@@ -178,5 +179,10 @@ func TestWriteStatsDeterministic(t *testing.T) {
 	writeStats(&empty, obs.NewHub())
 	if !strings.Contains(empty.String(), "no metrics recorded yet") {
 		t.Errorf("empty stats output: %s", empty.String())
+	}
+	for _, out := range []string{first.String(), empty.String()} {
+		if !strings.HasPrefix(out, "  sketch kernel: "+sketch.Kernel()+"\n") {
+			t.Errorf("stats output does not open with the sketch kernel in use:\n%s", out)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/lifecycle"
 	"repro/internal/seqstore"
 	"repro/internal/series"
+	"repro/internal/sketch"
 	"repro/internal/spectral"
 )
 
@@ -247,8 +248,15 @@ type plainStore struct{ seqstore.Store }
 // exactly one that would have been read and abandoned. Over random corpora
 // with exact ties, duplicates of the query and an unsketchable row, with and
 // without ε, the neighbours are bit-identical to the unsketched refinement
-// and the skips account for every read spared.
+// and the skips account for every read spared — on every sketch kernel this
+// machine can run.
 func TestSketchSkipsOnlyWhatWouldAbandon(t *testing.T) {
+	sketch.ForEachKernel(func(kernel string) {
+		t.Run(kernel, sketchSkipsOnlyWhatWouldAbandon)
+	})
+}
+
+func sketchSkipsOnlyWhatWouldAbandon(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	const n = 48
 	skips := 0

@@ -16,10 +16,19 @@ func farFrom(s Store, id int, x, y, bound float64) bool {
 	return sketch.NewQuery([]float64{x, y}).Exceeds(NewReader(s).Sketch(), id, bound)
 }
 
-// Both backends keep a sketch row per stored row through Append and
-// Truncate, a reopened disk store rebuilds it from the file, and Reader finds
-// it through the context and instrumentation wrappers — but not through a
-// wrapper that does not unwrap.
+// sumsInStep fails the test if a sketch row's stored ΣX² (what the vector
+// kernel's closed form trusts) is not that of the row's codes.
+func sumsInStep(t *testing.T, when string, s Store) {
+	t.Helper()
+	if err := NewReader(s).Sketch().CheckSums(); err != nil {
+		t.Errorf("%s: %v", when, err)
+	}
+}
+
+// Both backends keep a sketch row per stored row, codes and ΣX² alike, through
+// Append and Truncate, a reopened disk store rebuilds it from the file, and
+// Reader finds it through the context and instrumentation wrappers — but not
+// through a wrapper that does not unwrap.
 func TestSketchFollowsTheRows(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -29,6 +38,7 @@ func TestSketchFollowsTheRows(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		sumsInStep(t, name+" after append", s)
 		wrapped := WithContext(ctx, Instrument(s, obs.NewRegistry()))
 		for _, view := range []Store{s, wrapped} {
 			if got := NewReader(view).Sketch().Len(); got != 5 {
@@ -41,9 +51,11 @@ func TestSketchFollowsTheRows(t *testing.T) {
 		if err := s.Truncate(3); err != nil {
 			t.Fatal(err)
 		}
+		sumsInStep(t, name+" after truncate", s)
 		if _, err := s.Append([]float64{100, 0}); err != nil {
 			t.Fatal(err)
 		}
+		sumsInStep(t, name+" after truncate and append", s)
 		if got := NewReader(wrapped).Sketch().Len(); got != 4 {
 			t.Fatalf("%s: sketch covers %d rows after truncate+append, want 4", name, got)
 		}
@@ -79,6 +91,15 @@ func TestSketchFollowsTheRows(t *testing.T) {
 	if !farFrom(re, 299, 0, 1, 298) || farFrom(re, 299, 299, 1, 0) {
 		t.Error("reopened: row 299 is not sketched as (299, 1)")
 	}
+	sumsInStep(t, "reopened", re)
+	// Rows appended to the open file join the sketch at the next Sketch().
+	if _, err := re.Append([]float64{-77, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if got := NewReader(re).Sketch().Len(); got != 301 {
+		t.Fatalf("reopened and appended to: sketch covers %d rows, want 301", got)
+	}
+	sumsInStep(t, "reopened and appended to", re)
 }
 
 // One writer appending and truncating beside readers that snapshot the

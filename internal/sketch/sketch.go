@@ -20,7 +20,10 @@
 // lands within about 1.4 % of the true distance on z-scored data.
 package sketch
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 const (
 	// rowBits and queryBits size the code ranges: a row's largest magnitude
@@ -100,8 +103,9 @@ type Rows struct {
 }
 
 type rowMeta struct {
-	err float64 // ‖x − x̂‖ rounded up; unsketched = +Inf
-	exp int8    // step 2^exp
+	err   float64 // ‖x − x̂‖ rounded up; unsketched = +Inf
+	sumSq uint64  // ΣX² over the row's codes (see kernel.go)
+	exp   int8    // step 2^exp
 }
 
 // NewRows returns an empty sketch for rows of n values.
@@ -123,19 +127,39 @@ func (r *Rows) Truncate(rows int) {
 	r.meta = r.meta[:rows:rows]
 }
 
+// CheckSums recomputes every row's ΣX² from its codes and reports the first
+// row whose stored sum has come apart from them.
+func (r Rows) CheckSums() error {
+	for id, m := range r.meta {
+		if sumSq := sumSqOf(r.codes[id*r.n : (id+1)*r.n]); sumSq != m.sumSq {
+			return fmt.Errorf("sketch: row %d stores ΣX² = %d, its codes sum to %d", id, m.sumSq, sumSq)
+		}
+	}
+	return nil
+}
+
+func sumSqOf[C int8 | int16](codes []C) (sumSq uint64) {
+	for _, c := range codes {
+		sumSq += uint64(int64(c) * int64(c))
+	}
+	return sumSq
+}
+
 // quantize codes values on the step 2^e and returns ‖values − codes·2^e‖
-// rounded up. Which code a value rounds to does not matter for soundness:
-// the error is measured against the codes actually stored.
-func quantize[C int8 | int16](values []float64, codes []C, e int) float64 {
+// rounded up, and the codes' sum of squares. Which code a value rounds to
+// does not matter for soundness: the error is measured against the codes
+// actually stored.
+func quantize[C int8 | int16](values []float64, codes []C, e int) (err float64, sumSq uint64) {
 	inv, step := math.Ldexp(1, -e), math.Ldexp(1, e)
 	var e2 float64
 	for i, v := range values {
 		c := math.RoundToEven(v * inv)
 		codes[i] = C(c)
+		sumSq += uint64(int64(codes[i]) * int64(codes[i]))
 		d := v - c*step
 		e2 += d * d
 	}
-	return math.Sqrt(e2) * (1 + margin)
+	return math.Sqrt(e2) * (1 + margin), sumSq
 }
 
 // quantizeRow fills codes (zeroed, len(values)) and returns the row's step
@@ -149,7 +173,8 @@ func quantizeRow(values []float64, codes []int8) rowMeta {
 	if math.RoundToEven(math.Ldexp(max, -e)) > 127 {
 		e++ // max·2^-e in [127.5, 128): one step coarser keeps codes in int8
 	}
-	return rowMeta{err: quantize(values, codes, e), exp: int8(e)}
+	err, sumSq := quantize(values, codes, e)
+	return rowMeta{err: err, sumSq: sumSq, exp: int8(e)}
 }
 
 // Query is a query quantised for Exceeds. It is immutable once built, so
@@ -159,6 +184,7 @@ type Query struct {
 	exp   int     // step 2^exp
 	inv   float64 // 2^-exp
 	err   float64 // ‖q − q̂‖ rounded up; unsketched = +Inf
+	sumSq uint64  // ΣQ² over codes
 }
 
 // NewQuery quantises values on the query grid. A query the sketch cannot
@@ -170,7 +196,7 @@ func NewQuery(values []float64) *Query {
 		return q
 	}
 	q.exp, q.inv = e, math.Ldexp(1, -e)
-	q.err = quantize(values, q.codes, e)
+	q.err, q.sumSq = quantize(values, q.codes, e)
 	return q
 }
 
@@ -185,7 +211,9 @@ func NewQuery(values []float64) *Query {
 //
 // The test is 2^eq·‖Q − X·2^shift‖ > (bound + e_x + e_q)·(1 + margin),
 // evaluated as an integer sum of squares against the right side squared in
-// code units; the sum abandons once it passes that limit.
+// code units: in closed form around a vector inner product where there is a
+// kernel for one (kernel.go), otherwise term by term, abandoning once the sum
+// passes that limit. Both are exact, so which one runs changes no answer.
 func (q *Query) Exceeds(r Rows, id int, bound float64) bool {
 	if id < 0 || id >= len(r.meta) || len(q.codes) != r.n {
 		return false
@@ -200,7 +228,11 @@ func (q *Query) Exceeds(r Rows, id int, bound float64) bool {
 	if !(limit < 1<<62) { // also +Inf and NaN
 		return false
 	}
-	return sumSqExceeds(q.codes, r.codes[id*r.n:(id+1)*r.n], uint(shift), uint64(limit))
+	x := r.codes[id*r.n : (id+1)*r.n]
+	if vecDot != nil && closedFormFits(m.sumSq, shift) {
+		return sumSqClosed(q.codes, q.sumSq, x, m.sumSq, shift) > uint64(limit)
+	}
+	return sumSqExceeds(q.codes, x, uint(shift), uint64(limit))
 }
 
 // sumSqExceeds reports whether Σ (q[i] − x[i]·2^shift)² > limit, testing once

@@ -13,12 +13,13 @@ import (
 // checkSound is the tier's one contract: whenever Exceeds says yes, the
 // in-order float64 kernel the refinement would have run abandons at that
 // bound (so skipping the row changes nothing), and it never says yes about a
-// row it was told is unsketchable.
+// row it was told is unsketchable. Every kernel this machine can run is held
+// to it, and to the same answer.
 func checkSound(t testing.TB, q, x []float64, bound float64) (exceeds bool) {
 	t.Helper()
 	rows := NewRows(len(x))
 	rows.Append(x)
-	exceeds = NewQuery(q).Exceeds(rows, 0, bound)
+	exceeds = exceedsOnEveryKernel(t, NewQuery(q), rows, bound, "q=%v\n x=%v", q, x)
 	if !exceeds {
 		return false
 	}
@@ -35,6 +36,20 @@ func checkSound(t testing.TB, q, x []float64, bound float64) (exceeds bool) {
 			bound, math.Float64bits(bound), d, math.Float64bits(d), q, x)
 	}
 	return true
+}
+
+// exceedsOnEveryKernel is query.Exceeds(rows, 0, bound), asked of every kernel
+// this machine can run; they must all say the same.
+func exceedsOnEveryKernel(t testing.TB, query *Query, rows Rows, bound float64, format string, args ...any) (exceeds bool) {
+	t.Helper()
+	ForEachKernel(func(kernel string) {
+		if got := query.Exceeds(rows, 0, bound); kernel == "portable" {
+			exceeds = got
+		} else if got != exceeds {
+			t.Fatalf("kernels disagree at bound %v: portable %v, %s %v\n "+format, append([]any{bound, exceeds, kernel, got}, args...)...)
+		}
+	})
+	return exceeds
 }
 
 // boundsAround returns bounds that straddle the exact distance d as closely
@@ -284,11 +299,11 @@ func FuzzSketchBound(f *testing.F) {
 
 var sink bool
 
-// BenchmarkSketchExceeds is the kernel next to the float64 one it spares:
-// "hot" re-tests one row, "cold" walks a 16 MB sketch (16 384 × 1 024, the
-// paper_knn shape) in random order, and the Euclidean pair reads the same
-// rows as float64. The bound is the row's true distance, so neither kernel
-// abandons early — the worst case for both.
+// BenchmarkSketchExceeds is each sketch kernel next to the float64 one it
+// spares: "hot" re-tests one row, "cold" walks a 16 MB sketch (16 384 × 1 024,
+// the paper_knn shape) in random order, and the Euclidean pair reads the same
+// rows as float64. The bound is beyond any distance, so no kernel abandons
+// early — the worst case for all of them.
 func BenchmarkSketchExceeds(b *testing.B) {
 	const rowsN, n = 16384, 1024
 	rng := rand.New(rand.NewSource(1))
@@ -302,15 +317,17 @@ func BenchmarkSketchExceeds(b *testing.B) {
 	q := NewQuery(query)
 	order := rng.Perm(rowsN)
 	bound := math.Sqrt(2 * n) // beyond any pair of z-scored rows: no abandon
-	b.Run("hot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink = q.Exceeds(rows, 0, bound)
-		}
-	})
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink = q.Exceeds(rows, order[i%rowsN], bound)
-		}
+	ForEachKernel(func(kernel string) {
+		b.Run(kernel+"-hot", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sink = q.Exceeds(rows, 0, bound)
+			}
+		})
+		b.Run(kernel+"-cold", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sink = q.Exceeds(rows, order[i%rowsN], bound)
+			}
+		})
 	})
 	b.Run("euclidean-hot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

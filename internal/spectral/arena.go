@@ -23,9 +23,13 @@ import (
 // hoist the method dispatch and compatibility checks out of the per-feature
 // loop.
 //
-// Arenas are immutable after construction except for Append, which callers
-// must serialize with readers (the VP-tree rebuilds its arena under the
-// engine's write lock instead of appending in place).
+// The caller chooses the packing order and it is worth choosing: a bound reads
+// about 300 bytes of one feature out of megabytes of arena, so slots visited in
+// increasing order stream through the cache and slots visited at random miss
+// it. The VP-tree packs its features in the order a search walks them.
+//
+// Arenas are immutable after construction; a tree whose features change
+// builds a new one (under the engine's write lock).
 type Arena struct {
 	method Method
 	n      int
@@ -43,43 +47,96 @@ type Arena struct {
 // share one method, sequence length and basis.
 var ErrArenaMixed = errors.New("spectral: arena requires homogeneous features")
 
-// NewArena packs feats into a flat arena. Feature i keeps index i (the
-// caller's feature refs stay valid). All features must share one method,
-// sequence length and basis; nil features are rejected.
+// NewArena packs feats into a flat arena in the order given: slot i holds
+// feats[i]. All features must share one method, sequence length and basis;
+// nil features are rejected.
 func NewArena(feats []*Compressed) (*Arena, error) {
-	if len(feats) == 0 {
+	return NewArenaOrdered(feats, nil)
+}
+
+// NewArenaOrdered packs feats[order[s]] into slot s, for a caller whose
+// features are stored in one order and visited in another. Features that
+// order does not name are left out and not looked at; naming one twice, or
+// one that is not there, is an error. A nil order is the identity (NewArena).
+//
+// Whatever order says, feats is read front to back — the order its elements
+// were allocated in, near enough, which is the order memory serves fastest —
+// and it is the writes into the arena, a compact region, that land out of
+// sequence. Gathering the features by slot first costs twice as much at 4 096
+// features.
+func NewArenaOrdered(feats []*Compressed, order []int32) (*Arena, error) {
+	slots := len(order)
+	slotOf := make([]int32, len(feats)) // slotOf[i] is the slot of feats[i], -1 for none
+	if order == nil {
+		slots = len(feats)
+		for i := range slotOf {
+			slotOf[i] = int32(i)
+		}
+	} else {
+		for i := range slotOf {
+			slotOf[i] = -1
+		}
+		for s, i := range order {
+			if i < 0 || int(i) >= len(feats) {
+				return nil, fmt.Errorf("spectral: arena order names feature %d of %d", i, len(feats))
+			}
+			if slotOf[i] >= 0 {
+				return nil, fmt.Errorf("spectral: arena order names feature %d twice", i)
+			}
+			slotOf[i] = int32(s)
+		}
+	}
+	if slots == 0 {
 		return nil, errors.New("spectral: arena requires at least one feature")
 	}
-	first := feats[0]
-	if first == nil {
-		return nil, errors.New("spectral: arena feature 0 is nil")
-	}
-	if !knownMethod(first.Method) {
-		return nil, errUnknownMethod(first.Method)
-	}
-	total := 0
+
+	// First pass: validate, and leave each slot's row count in starts[slot+1].
+	a := &Arena{starts: make([]int32, slots+1)}
+	var first *Compressed
 	for i, c := range feats {
+		s := slotOf[i]
+		if s < 0 {
+			continue
+		}
 		if c == nil {
 			return nil, fmt.Errorf("spectral: arena feature %d is nil", i)
+		}
+		if first == nil {
+			if !knownMethod(c.Method) {
+				return nil, errUnknownMethod(c.Method)
+			}
+			first = c
 		}
 		if c.Method != first.Method || c.N != first.N || c.basis != first.basis {
 			return nil, ErrArenaMixed
 		}
-		total += len(c.Positions)
+		a.starts[s+1] = int32(len(c.Positions))
 	}
-	a := &Arena{
-		method:    first.Method,
-		n:         first.N,
-		basis:     first.basis,
-		starts:    make([]int32, 1, len(feats)+1),
-		positions: make([]int32, 0, total),
-		re:        make([]float64, 0, total),
-		im:        make([]float64, 0, total),
-		minPower:  make([]float64, 0, len(feats)),
-		errv:      make([]float64, 0, len(feats)),
+	for s := range a.starts[1:] {
+		a.starts[s+1] += a.starts[s]
 	}
-	for _, c := range feats {
-		a.pack(c)
+	total := a.starts[slots]
+	a.method, a.n, a.basis = first.Method, first.N, first.basis
+	a.positions = make([]int32, total)
+	a.re = make([]float64, total)
+	a.im = make([]float64, total)
+	a.minPower = make([]float64, slots)
+	a.errv = make([]float64, slots)
+
+	// Second pass: each feature's rows to where its slot starts.
+	for i, c := range feats {
+		s := slotOf[i]
+		if s < 0 {
+			continue
+		}
+		at := a.starts[s]
+		positions, re, im := a.positions[at:], a.re[at:], a.im[at:]
+		for j, p := range c.Positions {
+			positions[j] = int32(p)
+			re[j] = real(c.Coeffs[j])
+			im[j] = imag(c.Coeffs[j])
+		}
+		a.minPower[s], a.errv[s] = c.MinPower, c.Err
 	}
 	return a, nil
 }
@@ -90,31 +147,6 @@ func knownMethod(m Method) bool {
 		return true
 	}
 	return false
-}
-
-// pack appends one (already validated) feature's rows.
-func (a *Arena) pack(c *Compressed) {
-	for i, p := range c.Positions {
-		a.positions = append(a.positions, int32(p))
-		a.re = append(a.re, real(c.Coeffs[i]))
-		a.im = append(a.im, imag(c.Coeffs[i]))
-	}
-	a.starts = append(a.starts, int32(len(a.positions)))
-	a.minPower = append(a.minPower, c.MinPower)
-	a.errv = append(a.errv, c.Err)
-}
-
-// Append packs one more feature at the next index. The feature must match
-// the arena's method/length/basis. Not safe against concurrent readers.
-func (a *Arena) Append(c *Compressed) error {
-	if c == nil {
-		return errors.New("spectral: arena append of nil feature")
-	}
-	if c.Method != a.method || c.N != a.n || c.basis != a.basis {
-		return ErrArenaMixed
-	}
-	a.pack(c)
-	return nil
 }
 
 // Len returns the number of packed features.

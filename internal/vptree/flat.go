@@ -11,13 +11,13 @@ import (
 
 // flatNode is one tree node in the flat (index-linked, pointer-free) form
 // of the build tree. Internal nodes reference children by slice index; leaf
-// nodes reference a contiguous [leafLo, leafHi) range of leafIDs/leafRefs,
+// nodes reference a contiguous [leafLo, leafHi) range of leafIDs/leafSlots,
 // so a whole leaf is evaluated with one batched kernel call over a
-// contiguous refs slice instead of one interface call per entry.
+// contiguous slice of slots instead of one interface call per entry.
 type flatNode struct {
 	median float64
 	vpID   int
-	vpRef  int32
+	vpSlot int32 // the vantage point's slot (see flatIndex.slotRef)
 	// left/right are node indices (-1: none); meaningful on internal nodes.
 	left, right int32
 	// leafLo >= 0 marks a leaf with entries leafIDs[leafLo:leafHi].
@@ -30,14 +30,24 @@ type flatNode struct {
 
 // flatIndex is the representation every search walks: every node lives in
 // one slice, every leaf's entries are contiguous, and every compressed
-// feature is packed into a structure-of-arrays spectral.Arena. The pointer
-// `node` tree remains the structure build, insert, delete and persistence
-// work on; the flat index is re-derived from it (rebuildFlat) whenever the
-// structure or feature table changes.
+// feature the tree refers to is packed into a structure-of-arrays
+// spectral.Arena. The pointer `node` tree remains the structure build, insert,
+// delete and persistence work on; the flat index is re-derived from it
+// (rebuildFlat) whenever the structure or feature table changes.
+//
+// Features are numbered by slot: their position in the DFS pre-order the
+// nodes are in — each vantage point, then its subtree, a leaf's entries in
+// consecutive slots — which is the order a search evaluates bounds in. The
+// arena is packed by slot, so a search that descends reads nodes, leaf
+// entries and arena forwards; the feature table keeps its own order (ref =
+// the order objects were added in), which the walk would hop around in.
 type flatIndex struct {
-	nodes    []flatNode
-	leafIDs  []int
-	leafRefs []int32
+	nodes     []flatNode
+	leafIDs   []int
+	leafSlots []int32
+	// slotRef[s] is the feature-table ref of slot s. Only a search whose
+	// bounds do not come from the arena reads it.
+	slotRef []int32
 	// arena is nil when the feature table is not homogeneous (a loaded file
 	// may mix methods); bounds then come per entry from the FeatureSource.
 	arena *spectral.Arena
@@ -86,13 +96,30 @@ func (t *Tree) KernelStats() KernelStats {
 // current feature table. Callers must hold whatever lock protects the tree
 // against concurrent searches (the engine rebuilds under its write lock).
 func (t *Tree) rebuildFlat() {
-	f := &flatIndex{src: t.features}
-	// A table NewArena rejects (mixed methods in a loaded file) leaves the
-	// arena nil: searches then bound every entry through their FeatureSource.
-	f.arena, _ = spectral.NewArena(t.features)
-	f.nodes = make([]flatNode, 0, 2*t.n)
+	// Sized so that flatten appends without growing: a slot is a distinct
+	// feature, and a tree without empty leaves has no more nodes than slots.
+	// (A loaded file that names a ref twice, or leaves that Delete emptied,
+	// merely reallocate.)
+	slots := len(t.features)
+	f := &flatIndex{
+		src:       t.features,
+		nodes:     make([]flatNode, 0, slots),
+		leafIDs:   make([]int, 0, slots),
+		leafSlots: make([]int32, 0, slots),
+		slotRef:   make([]int32, 0, slots),
+	}
 	f.flatten(t.root)
+	// A table the arena rejects (a loaded file may mix methods, or name one
+	// ref twice) leaves the arena nil: searches then bound every entry
+	// through their FeatureSource.
+	f.arena, _ = spectral.NewArenaOrdered(t.features, f.slotRef)
 	t.flat = f
+}
+
+// slot gives the feature at ref the next slot.
+func (f *flatIndex) slot(ref int) int32 {
+	f.slotRef = append(f.slotRef, int32(ref))
+	return int32(len(f.slotRef) - 1)
 }
 
 // flatten appends nd's subtree in DFS pre-order and returns its node index.
@@ -103,14 +130,14 @@ func (f *flatIndex) flatten(nd *node) int32 {
 	i := int32(len(f.nodes))
 	f.nodes = append(f.nodes, flatNode{}) // reserve; children append after
 	fn := flatNode{
-		median: nd.median, vpID: nd.vpID, vpRef: int32(nd.vpRef),
+		median: nd.median, vpID: nd.vpID,
 		vpDeleted: nd.vpDeleted, left: -1, right: -1, leafLo: -1, leafHi: -1,
 	}
 	if nd.leaf != nil {
 		fn.leafLo = int32(len(f.leafIDs))
 		for _, e := range nd.leaf {
 			f.leafIDs = append(f.leafIDs, e.id)
-			f.leafRefs = append(f.leafRefs, int32(e.ref))
+			f.leafSlots = append(f.leafSlots, f.slot(e.ref))
 		}
 		fn.leafHi = int32(len(f.leafIDs))
 		fn.leafBlocks = 1
@@ -118,6 +145,7 @@ func (f *flatIndex) flatten(nd *node) int32 {
 			f.maxLeaf = m
 		}
 	} else {
+		fn.vpSlot = f.slot(nd.vpRef)
 		fn.left = f.flatten(nd.left)
 		fn.right = f.flatten(nd.right)
 		if fn.left >= 0 {
@@ -166,12 +194,12 @@ type searcher struct {
 	kBlocks, kEvals, kBlocksPruned int64
 }
 
-// boundsAt evaluates the query bounds against stored feature ref.
-func (s *searcher) boundsAt(ref int) (lb, ub float64, err error) {
+// boundsAt evaluates the query bounds against the feature in slot.
+func (s *searcher) boundsAt(slot int32) (lb, ub float64, err error) {
 	if s.arena != nil {
-		return s.arena.BoundsAt(s.ctx, ref, !s.t.opts.PaperBounds)
+		return s.arena.BoundsAt(s.ctx, int(slot), !s.t.opts.PaperBounds)
 	}
-	c, err := s.feats.Feature(ref)
+	c, err := s.feats.Feature(int(s.f.slotRef[slot]))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -183,12 +211,12 @@ func (s *searcher) boundsAt(ref int) (lb, ub float64, err error) {
 
 // boundsBlock evaluates one leaf's entries into lbBuf/ubBuf: one batched
 // kernel call over the arena, or one feats lookup per entry.
-func (s *searcher) boundsBlock(refs []int32) error {
+func (s *searcher) boundsBlock(slots []int32) error {
 	if s.arena != nil {
-		return s.arena.BoundsBlock(s.ctx, refs, !s.t.opts.PaperBounds, s.lbBuf, s.ubBuf)
+		return s.arena.BoundsBlock(s.ctx, slots, !s.t.opts.PaperBounds, s.lbBuf, s.ubBuf)
 	}
-	for i, ref := range refs {
-		lb, ub, err := s.boundsAt(int(ref))
+	for i, slot := range slots {
+		lb, ub, err := s.boundsAt(slot)
 		if err != nil {
 			return err
 		}
@@ -266,7 +294,7 @@ func (s *searcher) visitFlat(ni int32, depth int) error {
 		if m == 0 {
 			return nil
 		}
-		if err := s.boundsBlock(f.leafRefs[nd.leafLo:nd.leafHi]); err != nil {
+		if err := s.boundsBlock(f.leafSlots[nd.leafLo:nd.leafHi]); err != nil {
 			return err
 		}
 		s.st.BoundsComputed += m
@@ -277,7 +305,7 @@ func (s *searcher) visitFlat(ni int32, depth int) error {
 		}
 		return nil
 	}
-	lb, ub, err := s.boundsAt(int(nd.vpRef))
+	lb, ub, err := s.boundsAt(nd.vpSlot)
 	if err != nil {
 		return err
 	}

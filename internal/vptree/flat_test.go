@@ -3,7 +3,9 @@ package vptree
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/lifecycle"
@@ -250,6 +252,177 @@ func TestFlatSurvivesPersistence(t *testing.T) {
 		checkAgainstOracle(t, "original", fx, q, 4, want)
 		sameOutcome(t, "persisted", searchWith(t, loaded, q, 4, 0, loaded.Features(), fx.store, nil), want)
 	}
+}
+
+// checkWalkOrder asserts the flat index numbers features by their place in
+// the walk: going through the pointer tree in DFS pre-order — a vantage
+// point, then its left and right subtrees, a leaf's entries in order — meets
+// slots 0, 1, 2, … in turn, slotRef names the feature-table ref of each, and
+// the arena holds that very feature in that slot (its bounds against q are
+// the bits the feature's own scalar bounds are).
+func checkWalkOrder(t *testing.T, when string, tr *Tree, q []float64) {
+	t.Helper()
+	f := tr.flat
+	var refs []int32
+	ni := int32(0)
+	var walk func(nd *node)
+	walk = func(nd *node) {
+		fn := f.nodes[ni]
+		ni++
+		if nd.leaf != nil {
+			if int(fn.leafHi-fn.leafLo) != len(nd.leaf) {
+				t.Fatalf("%s: flat leaf holds %d entries, the tree's %d", when, fn.leafHi-fn.leafLo, len(nd.leaf))
+			}
+			for i, e := range nd.leaf {
+				if slot := f.leafSlots[int(fn.leafLo)+i]; int(slot) != len(refs) || f.leafIDs[int(fn.leafLo)+i] != e.id {
+					t.Fatalf("%s: leaf entry id %d sits in slot %d, the walk reaches it at %d", when, e.id, slot, len(refs))
+				}
+				refs = append(refs, int32(e.ref))
+			}
+			return
+		}
+		if int(fn.vpSlot) != len(refs) || fn.vpID != nd.vpID {
+			t.Fatalf("%s: vantage point id %d sits in slot %d, the walk reaches it at %d", when, nd.vpID, fn.vpSlot, len(refs))
+		}
+		refs = append(refs, int32(nd.vpRef))
+		walk(nd.left)
+		walk(nd.right)
+	}
+	walk(tr.root)
+	if !slices.Equal(f.slotRef, refs) {
+		t.Fatalf("%s: slotRef is not the walk's refs:\n got  %v\n want %v", when, f.slotRef, refs)
+	}
+	if f.arena == nil || f.arena.Len() != len(refs) {
+		t.Fatalf("%s: arena %v for %d slots", when, f.arena, len(refs))
+	}
+	pq, err := spectral.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot, ref := range refs {
+		lb, ub, err := f.arena.BoundsAt(pq.Context(), slot, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantLB, wantUB, err := tr.features[ref].SafeBoundsFast(pq.Context())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lb != wantLB || ub != wantUB {
+			t.Fatalf("%s: arena slot %d does not hold feature %d: bounds [%v, %v], the feature's [%v, %v]", when, slot, ref, lb, ub, wantLB, wantUB)
+		}
+	}
+}
+
+// countingFeatures is the tree's own feature table behind a type the flat
+// index does not recognise as such, so a search handed one takes every bound
+// from Feature(ref) and none from the arena.
+type countingFeatures struct {
+	MemoryFeatures
+	lookups int
+}
+
+func (c *countingFeatures) Feature(ref int) (*spectral.Compressed, error) {
+	c.lookups++
+	return c.MemoryFeatures.Feature(ref)
+}
+
+// The arena is in walk order after Build, after every dynamic Insert (leaf
+// splits included) and Delete (tombstones included, which leave features in
+// the table that no slot names) and after Save and Load; and because slots are
+// the arena's business alone, a search that bounds through DiskFeatures or
+// through a substituted source still finds each feature by its ref and
+// returns the same results and Stats.
+func TestArenaIsInWalkOrder(t *testing.T) {
+	const seqLen = 64
+	fx := buildFixture(t, 90, seqLen, Options{Dynamic: true, LeafSize: 4, Seed: 5}, 29)
+	q := fx.queries[0]
+	sameFromEverySource := func(when string, tr *Tree) {
+		t.Helper()
+		checkWalkOrder(t, when, tr, q)
+		for _, q := range fx.queries {
+			arena := searchWith(t, tr, q, 6, 0, tr.Features(), fx.store, nil)
+			sameOutcome(t, when+": disk features", searchWith(t, tr, q, 6, 0, diskCopy(t, tr), fx.store, nil), arena)
+			double := &countingFeatures{MemoryFeatures: tr.Features()}
+			sameOutcome(t, when+": substituted source", searchWith(t, tr, q, 6, 0, double, fx.store, nil), arena)
+			if double.lookups != arena.st.BoundsComputed {
+				t.Fatalf("%s: %d lookups in the substituted source for %d bounds", when, double.lookups, arena.st.BoundsComputed)
+			}
+		}
+	}
+	sameFromEverySource("built", fx.tree)
+	if slices.IsSorted(fx.tree.flat.slotRef) {
+		t.Fatal("the fixture's walk order is its feature order; the test would pass on an arena in either")
+	}
+
+	g := querylog.NewGenerator(querylog.DefaultStart, seqLen, 83)
+	for i, s := range querylog.StandardizeAll(g.Dataset(30)) {
+		id, err := fx.store.Append(s.Values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := spectral.FromValues(s.Values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fx.tree.Insert(spec, id); err != nil {
+			t.Fatal(err)
+		}
+		checkWalkOrder(t, fmt.Sprintf("after insert %d", i), fx.tree, q)
+	}
+	sameFromEverySource("after inserts", fx.tree)
+	for _, id := range []int{fx.tree.root.vpID, 3, 95, fx.tree.root.left.vpID} {
+		if ok, err := fx.tree.Delete(id); err != nil || !ok {
+			t.Fatalf("delete %d: ok=%v err=%v", id, ok, err)
+		}
+		checkWalkOrder(t, fmt.Sprintf("after delete %d", id), fx.tree, q)
+	}
+	sameFromEverySource("after deletes", fx.tree)
+	if len(fx.tree.flat.slotRef) >= len(fx.tree.features) {
+		t.Fatalf("%d slots for %d features: the deletes left nothing unreferenced", len(fx.tree.flat.slotRef), len(fx.tree.features))
+	}
+
+	path := filepath.Join(t.TempDir(), "tree.vpt")
+	if err := fx.tree.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFromEverySource("loaded", loaded)
+	if !slices.Equal(loaded.flat.slotRef, fx.tree.flat.slotRef) {
+		t.Fatal("the loaded tree numbers its slots differently from the tree it was saved from")
+	}
+}
+
+// A file can be written so that two objects name one feature ref (Load checks
+// only that refs are in range). No arena order can say that, so such a tree
+// goes without an arena and bounds every entry through the feature source —
+// the same bounds the parent's ref-ordered arena gave it.
+func TestDuplicateRefGoesWithoutArena(t *testing.T) {
+	fx := buildFixture(t, 40, 64, Options{Seed: 9}, 19)
+	var leaves []*node
+	var collect func(nd *node)
+	collect = func(nd *node) {
+		if nd.leaf != nil {
+			leaves = append(leaves, nd)
+			return
+		}
+		collect(nd.left)
+		collect(nd.right)
+	}
+	collect(fx.tree.root)
+	leaves[0].leaf[0].ref = leaves[1].leaf[0].ref
+	fx.tree.rebuildFlat()
+	if fx.tree.flat.arena != nil {
+		t.Fatal("an arena was packed for a tree that names a ref twice")
+	}
+	got := searchWith(t, fx.tree, fx.queries[0], 40, 0, fx.tree.Features(), fx.store, nil)
+	if got.st.BoundsComputed != 40 || len(got.res) != 40 {
+		t.Fatalf("exhaustive search over the arena-less tree: %d results, %+v", len(got.res), got.st)
+	}
+	sameOutcome(t, "disk features", searchWith(t, fx.tree, fx.queries[0], 40, 0, diskCopy(t, fx.tree), fx.store, nil), got)
 }
 
 // The blocks-pruned counter must account exactly: over one search, blocks
