@@ -36,7 +36,10 @@ fmt:
 
 # check runs the tests twice: under the race detector, and plainly — the
 # testing.AllocsPerRun guards skip themselves under -race (it makes sync.Pool
-# drop Puts at random), so only the plain run exercises them.
+# drop Puts at random), so only the plain run exercises them. The ingest path
+# (Add beside a reader, the flat index mutated in place) has an end-to-end
+# smoke outside check, in the benchmark's module:
+#   bash bench/run.sh --workload ingest_mix --smoke
 check: vet vet-lostcancel api-check fmt race test
 
 # fuzz-smoke gives each spectral fuzz target a short budget on top of the
@@ -55,7 +58,9 @@ fuzz-smoke:
 
 # kernel-check is the traversal-kernel acceptance suite: the arena property
 # tests, the one traversal against its parent-recorded goldens and the
-# brute-force oracle (both bound sources, explain on and off), plus the
+# brute-force oracle (both bound sources, explain on and off), the in-place
+# suite (TestFlatInPlace…: the flat index Insert/Delete mutate against a fresh
+# derivation after every operation; one writer beside readers), plus the
 # scheduler-spread regressions and the sketch tier (bound soundness, the
 # store keeping it in step, refinement skipping only what would abandon, the
 # vector kernel against the portable one), all under the race detector; then
@@ -65,7 +70,7 @@ fuzz-smoke:
 # can rot; followed by a smoke bench record pushed through validate, the gate
 # and a self-compare.
 kernel-check:
-	$(GO) test -race -run 'TestArena|TestFlat|TestGolden|TestSplitBatch|TestPopBlock|TestBatchSpread|TestConcurrentFlatStress' ./internal/spectral ./internal/vptree ./internal/core
+	$(GO) test -race -run 'TestArena|TestFlat|TestGolden|TestSplitBatch|TestPopBlock|TestBatchSpread|TestConcurrentFlatStress|TestConcurrentEngineStress' ./internal/spectral ./internal/vptree ./internal/core
 	$(GO) test -race -run 'Sketch|TestExceeds|TestRows|TestUnsketchable|TestShiftOutOfRange|TestVector|TestClosedForm|Kernel' ./internal/sketch ./internal/seqstore ./internal/knn ./internal/core ./internal/shard
 	$(GO) test -tags purego ./internal/sketch ./internal/knn ./internal/seqstore
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...

@@ -346,11 +346,34 @@ func repl(engine core.Searcher, hub *obs.Hub) {
 		}
 		if line == "stats" {
 			writeStats(os.Stdout, hub)
+			writeIndexStats(os.Stdout, engine)
 			continue
 		}
 		if err := dispatch(engine, line); err != nil {
 			fmt.Println("error:", err)
 		}
+	}
+}
+
+// writeIndexStats prints, for the engine or each live shard, what its flat
+// index looks like: the largest leaf block, and what dynamic inserts and
+// deletes have done to it since it was last packed in walk order.
+func writeIndexStats(w io.Writer, s core.Searcher) {
+	var engines []*core.Engine
+	switch v := s.(type) {
+	case *core.Engine:
+		engines = []*core.Engine{v}
+	case *shard.ShardedEngine:
+		for sh := 0; sh < v.Shards(); sh++ {
+			engines = append(engines, v.Engine(sh))
+		}
+	}
+	for i, e := range engines {
+		if e == nil || e.Tree() == nil {
+			continue
+		}
+		ks := e.Tree().KernelStats()
+		fmt.Fprintf(w, "  flat index %d: max block %d, %d repacks, %d slots out of walk order\n", i, ks.MaxBlock, ks.Repacks, ks.OutOfOrder)
 	}
 }
 

@@ -186,3 +186,26 @@ func TestWriteStatsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// stats ends with one flat-index line per engine: the numbers a dynamic
+// engine's inserts move, zero on the engines cmd/s2 builds.
+func TestWriteIndexStats(t *testing.T) {
+	var single strings.Builder
+	writeIndexStats(&single, testEngine(t))
+	if out := single.String(); !strings.HasPrefix(out, "  flat index 0: max block ") ||
+		!strings.HasSuffix(out, ", 0 repacks, 0 slots out of walk order\n") || strings.Count(out, "\n") != 1 {
+		t.Errorf("single engine: %q", out)
+	}
+
+	g := querylog.NewGenerator(querylog.DefaultStart, 256, 1)
+	se, err := shard.NewFromConfig(append(g.Exemplars(), g.Dataset(20)...), core.Config{Budget: 8, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	var sharded strings.Builder
+	writeIndexStats(&sharded, se)
+	if out := sharded.String(); strings.Count(out, "\n") != 3 || !strings.Contains(out, "  flat index 2: max block ") {
+		t.Errorf("three shards: %q", out)
+	}
+}

@@ -23,7 +23,9 @@ import (
 // engine while reader goroutines run every search family and an HTTP client
 // scrapes the /debug and /search surfaces. The test's value is under
 // `go test -race` (CI runs it there); without the race detector it is a
-// liveness smoke test.
+// liveness smoke test — and, the writer having mutated the flat index in
+// place under the readers' feet, a check afterwards that the index still
+// answers like the linear scan for every series.
 func TestConcurrentEngineStress(t *testing.T) {
 	hub := obs.NewHub()
 	g := querylog.NewGenerator(querylog.DefaultStart, 128, 7)
@@ -40,7 +42,9 @@ func TestConcurrentEngineStress(t *testing.T) {
 
 	// Fresh series for the writer, from a differently-seeded generator so
 	// their shapes (not necessarily names) differ from the indexed set.
-	extra := querylog.NewGenerator(querylog.DefaultStart, 128, 99).Queries(8)
+	// Enough of them that the writer grows leaves in place, splits them and
+	// runs into repacks of the flat index while the readers are inside it.
+	extra := querylog.NewGenerator(querylog.DefaultStart, 128, 99).Queries(48)
 	qvals := g.Queries(2)
 	probe := qvals[0].Values
 
@@ -156,9 +160,31 @@ func TestConcurrentEngineStress(t *testing.T) {
 	if got := e.Len(); got != len(data)+len(extra) {
 		t.Errorf("engine holds %d series after stress, want %d", got, len(data)+len(extra))
 	}
-	// The engine must still answer consistently after the churn.
-	if _, _, err := similarQueries(e, probe, 5); err != nil {
-		t.Errorf("post-stress search: %v", err)
+	// The engine must still answer consistently after the churn: for every
+	// series, old and added, the index returns what the linear scan returns.
+	for id := 0; id < e.Len(); id++ {
+		ser, err := e.Series(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := similarQueries(e, ser.Values, 5)
+		if err != nil {
+			t.Fatalf("post-stress search for series %d: %v", id, err)
+		}
+		want, err := linearScan(e, ser.Values, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("series %d: index and linear scan disagree after the churn:\n index  %+v\n linear %+v", id, got, want)
+		}
+	}
+	ks := e.Tree().KernelStats()
+	if ks.Repacks == 0 {
+		t.Errorf("%d concurrent adds never repacked the flat index: %+v", len(extra), ks)
+	}
+	if hold := e.met.writeLockHold.Histogram().Count(); hold != int64(len(extra)) {
+		t.Errorf("engine_write_lock_hold_seconds observed %d times for %d adds", hold, len(extra))
 	}
 }
 

@@ -140,6 +140,19 @@ func (c *Config) fill() {
 	}
 }
 
+// treeOptions is the VP-tree a (filled) Config asks for.
+func (c Config) treeOptions() vptree.Options {
+	return vptree.Options{
+		Method:       c.Method,
+		Budget:       c.Budget,
+		LeafSize:     c.LeafSize,
+		Seed:         c.Seed,
+		PaperBounds:  c.PaperBounds,
+		Dynamic:      c.DynamicIndex,
+		BuildWorkers: c.Workers,
+	}
+}
+
 // BurstWindow selects the short- or long-term burst database.
 type BurstWindow int
 
@@ -330,7 +343,7 @@ func NewEngine(data []*series.Series, cfg Config) (*Engine, error) {
 	for i := range data {
 		for _, w := range []BurstWindow{Short, Long} {
 			det, err := burst.Detect(zValues[i], burst.Options{
-				Window: e.windowDays(w), Cutoff: cfg.BurstCutoff,
+				Window: windowDays(w), Cutoff: cfg.BurstCutoff,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("core: bursts for %q: %w", data[i].Name, err)
@@ -361,15 +374,7 @@ func NewEngine(data []*series.Series, cfg Config) (*Engine, error) {
 		if cfg.DynamicIndex && cfg.FeaturesPath != "" {
 			return nil, errors.New("core: DynamicIndex is incompatible with FeaturesPath")
 		}
-		e.tree, err = vptree.Build(specs, ids, vptree.Options{
-			Method:       cfg.Method,
-			Budget:       cfg.Budget,
-			LeafSize:     cfg.LeafSize,
-			Seed:         cfg.Seed,
-			PaperBounds:  cfg.PaperBounds,
-			Dynamic:      cfg.DynamicIndex,
-			BuildWorkers: cfg.Workers,
-		})
+		e.tree, err = vptree.Build(specs, ids, cfg.treeOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -395,47 +400,81 @@ func (e *Engine) warmSketch() { seqstore.NewReader(e.store).Sketch() }
 // values go to the store, the spectrum into the VP-tree, and the burst
 // features into both burst databases. The new sequence ID is returned.
 //
-// Add is atomic: every fallible derivation (spectrum, burst detection)
-// runs before any engine state is touched, and if the index insert fails
-// the already-appended store row is truncated back out, so a failed Add
-// leaves the engine exactly as it was. It is also the engine's single
-// write path and takes the write lock for the whole mutation.
+// Add is atomic: every fallible derivation (spectrum, compressed feature,
+// burst detection) runs before any engine state is touched (PrepareAdd), and
+// if the index insert fails — which leaves the tree as it was — the
+// already-appended store row is truncated back out, so a failed Add leaves the
+// engine exactly as it was. It is also the engine's single write path, and
+// holds the write lock only for the commit (AddPrepared).
 func (e *Engine) Add(s *series.Series) (int, error) {
+	p, err := PrepareAdd(e.cfg, e.SeqLen(), s)
+	if err != nil {
+		return 0, err
+	}
+	return e.AddPrepared(p)
+}
+
+// PreparedAdd is one series with everything Add derives from it, all of it
+// fallible and none of it dependent on what the engine holds: the standardized
+// values, their spectrum and compressed feature, and the burst detections.
+type PreparedAdd struct {
+	series  *series.Series
+	z       []float64
+	spec    *spectral.HalfSpectrum
+	feature *spectral.Compressed
+	bursts  [2]*burst.Detection // by BurstWindow
+}
+
+// PrepareAdd derives a series' PreparedAdd for engines configured by cfg over
+// series of seqLen points. It touches no engine and takes no lock, so a
+// writer runs it beside the readers it will later wait for, and a sharded
+// engine — one Config for every shard — runs it before it knows the shard.
+func PrepareAdd(cfg Config, seqLen int, s *series.Series) (*PreparedAdd, error) {
+	if s.Len() != seqLen {
+		return nil, spectral.ErrMismatch
+	}
+	cfg.fill()
+	p := &PreparedAdd{series: s, z: s.Standardized().Values}
+	var err error
+	if p.spec, err = spectral.FromValues(p.z); err != nil {
+		return nil, err
+	}
+	if p.feature, err = vptree.Compress(p.spec, cfg.treeOptions()); err != nil {
+		return nil, err
+	}
+	for _, w := range []BurstWindow{Short, Long} {
+		p.bursts[w], err = burst.Detect(p.z, burst.Options{Window: windowDays(w), Cutoff: cfg.BurstCutoff})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// AddPrepared commits a PreparedAdd made under this engine's Config: under
+// the write lock, the store append, the tree insert — a descent, a few appends
+// and now and then a leaf split or a repack — and the burst rows.
+func (e *Engine) AddPrepared(p *PreparedAdd) (int, error) {
 	if !e.cfg.DynamicIndex {
 		return 0, errors.New("core: engine built without DynamicIndex")
 	}
-	if s.Len() != e.SeqLen() {
-		return 0, spectral.ErrMismatch
-	}
-	// Derive everything fallible up front, before mutating any state.
-	z := s.Standardized()
-	h, err := spectral.FromValues(z.Values)
-	if err != nil {
-		return 0, err
-	}
-	dets := make([]*burst.Detection, 2)
-	for _, w := range []BurstWindow{Short, Long} {
-		dets[w], err = burst.Detect(z.Values, burst.Options{
-			Window: e.windowDays(w), Cutoff: e.cfg.BurstCutoff,
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
-
 	lockStart := time.Now()
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	lockWait := time.Since(lockStart)
+	held := time.Now()
+	defer func() {
+		e.mu.Unlock()
+		e.met.writeLockHold.Observe(time.Since(held))
+	}()
+	lockWait := held.Sub(lockStart)
 	e.met.writeLockWait.Observe(lockWait)
 	e.workers.AddLockWait(lockWait.Nanoseconds())
-	id, err := e.store.Append(z.Values)
+	id, err := e.store.Append(p.z)
 	if err != nil {
 		return 0, err
 	}
-	if err := e.tree.Insert(h, id); err != nil {
-		// Roll the store back to its pre-Add length; the tree was left
-		// untouched by the failed insert.
+	if err := e.tree.InsertCompressed(p.spec, p.feature, id); err != nil {
+		// Roll the store back to its pre-Add length; a failed insert leaves
+		// the tree untouched.
 		if terr := e.store.Truncate(id); terr != nil {
 			return 0, fmt.Errorf("core: add failed (%w) and store rollback failed: %w", err, terr)
 		}
@@ -444,14 +483,14 @@ func (e *Engine) Add(s *series.Series) (int, error) {
 	// Everything below is infallible bookkeeping.
 	// The feature table may have been reallocated by the insert.
 	e.features = e.tree.Features()
-	e.raw = append(e.raw, s)
-	e.names = append(e.names, s.Name)
+	e.raw = append(e.raw, p.series)
+	e.names = append(e.names, p.series.Name)
 	e.size.Add(1)
-	if _, dup := e.byName[s.Name]; !dup {
-		e.byName[s.Name] = id
+	if _, dup := e.byName[p.series.Name]; !dup {
+		e.byName[p.series.Name] = id
 	}
 	for _, w := range []BurstWindow{Short, Long} {
-		e.burstDB(w).InsertBursts(int64(id), e.filterBursts(dets[w]))
+		e.burstDB(w).InsertBursts(int64(id), e.filterBursts(p.bursts[w]))
 	}
 	e.met.seriesIngested.Inc()
 	return id, nil
@@ -471,7 +510,7 @@ func (e *Engine) Close() error {
 	return first
 }
 
-func (e *Engine) windowDays(w BurstWindow) int {
+func windowDays(w BurstWindow) int {
 	if w == Short {
 		return burst.ShortWindow
 	}
@@ -799,7 +838,7 @@ func (e *Engine) PeriodsOfSet(ids []int) (*periods.Detection, error) {
 func (e *Engine) Bursts(values []float64, w BurstWindow) (*burst.Detection, error) {
 	defer e.met.burstsLat.Start()()
 	e.met.burstsTotal.Inc()
-	return burst.DetectStandardized(values, e.windowDays(w), e.cfg.BurstCutoff)
+	return burst.DetectStandardized(values, windowDays(w), e.cfg.BurstCutoff)
 }
 
 // BurstsOf returns the stored burst features of an indexed series.

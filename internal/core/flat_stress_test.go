@@ -29,7 +29,7 @@ func transientStress(err error) bool {
 // TestConcurrentFlatStressWithRollback hammers the search hot path while
 // the engine churns: a writer alternates sabotaged Adds (forced
 // ErrDuplicateID → store rollback) with successful ones — each of which
-// rebuilds the flat index under the write lock — while readers run batch
+// changes the flat index in place under the write lock — while readers run batch
 // and single searches, a canceller fires mid-traversal aborts and an HTTP
 // client scrapes /debug and /v2/search. Run under -race in CI; afterwards
 // the engine must hold every series and answer like brute force.

@@ -68,6 +68,7 @@ type engineMetrics struct {
 	poolImbalance   *obs.Gauge
 	readLockWait    *obs.Timer
 	writeLockWait   *obs.Timer
+	writeLockHold   *obs.Timer
 
 	treeNodes      *obs.Counter
 	treeBounds     *obs.Counter
@@ -128,6 +129,7 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 		poolImbalance:   reg.Gauge("pool_worker_imbalance", "max/mean tasks per worker in the most recent batch (1 = perfectly balanced)"),
 		readLockWait:    reg.Timer("engine_read_lock_wait_seconds", "time spent acquiring the engine read lock (BatchSearch entry)"),
 		writeLockWait:   reg.Timer("engine_write_lock_wait_seconds", "time spent acquiring the engine write lock (Add)"),
+		writeLockHold:   reg.Timer("engine_write_lock_hold_seconds", "time Add holds the engine write lock: store append, index insert, burst rows"),
 
 		treeNodes:      reg.Counter("vptree_nodes_visited_total", "index nodes traversed"),
 		treeBounds:     reg.Counter("vptree_bounds_computed_total", "lower/upper bound evaluations against compressed objects"),

@@ -210,9 +210,18 @@ func (s *ShardedEngine) Owner(id int) (shard, local int, ok bool) {
 // DynamicIndex and is atomic: a failed shard insert leaves the routing
 // tables untouched. Adding to a dormant shard builds that shard's engine
 // around the new series.
+//
+// What Add derives from the series (core.PrepareAdd) is the same for every
+// shard, so it is derived before the routing lock is taken: scattered queries
+// wait for the routing and the owning shard's commit, not for a transform,
+// and a series of the wrong length is refused without waiting for anyone.
 func (s *ShardedEngine) Add(ser *series.Series) (int, error) {
 	if !s.cfg.DynamicIndex {
 		return 0, errors.New("core: engine built without DynamicIndex")
+	}
+	p, err := core.PrepareAdd(s.cfg, s.seqLen, ser)
+	if err != nil {
+		return 0, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -221,17 +230,12 @@ func (s *ShardedEngine) Add(ser *series.Series) (int, error) {
 	eng := s.shards[sh]
 	if eng == nil {
 		// First series routed to a dormant shard: build its engine now.
-		// core.NewEngine fixes the series length, so reject mismatches the
-		// same way Add on a live shard would.
-		if ser.Len() != s.seqLen {
-			return 0, fmt.Errorf("shard: series %q has length %d, want %d", ser.Name, ser.Len(), s.seqLen)
-		}
 		built, err := core.NewEngine([]*series.Series{ser}, s.shardConfig(sh))
 		if err != nil {
 			return 0, err
 		}
 		s.shards[sh] = built
-	} else if _, err := eng.Add(ser); err != nil {
+	} else if _, err := eng.AddPrepared(p); err != nil {
 		return 0, err
 	}
 	s.loc = append(s.loc, location{shard: sh, local: len(s.global[sh])})

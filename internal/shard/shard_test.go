@@ -2,12 +2,15 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/querylog"
 	"repro/internal/series"
+	"repro/internal/spectral"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -123,5 +126,39 @@ func TestAddWithoutDynamicIndex(t *testing.T) {
 	if _, err := se.Add(gen.Queries(1)[0]); err == nil ||
 		!strings.Contains(err.Error(), "DynamicIndex") {
 		t.Fatalf("Add without DynamicIndex: err = %v, want DynamicIndex rejection", err)
+	}
+}
+
+// Add derives everything fallible before it takes the routing lock, so a
+// series of the wrong length is refused while a scatter (or, here, the test)
+// holds that lock.
+func TestAddFailsBeforeTheRoutingLock(t *testing.T) {
+	gen := querylog.NewGenerator(querylog.DefaultStart, 64, 7)
+	se, err := New(gen.Dataset(6), core.Config{Budget: 8, DynamicIndex: true, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+
+	se.mu.Lock()
+	refused := make(chan error, 1)
+	go func() {
+		_, err := se.Add(&series.Series{Name: "short", Values: make([]float64, 32)})
+		refused <- err
+	}()
+	select {
+	case err := <-refused:
+		if !errors.Is(err, spectral.ErrMismatch) {
+			t.Errorf("Add(short series) under a held routing lock: %v, want ErrMismatch", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("Add(short series) waited for the routing lock")
+	}
+	se.mu.Unlock()
+	if _, err := se.Add(gen.Queries(1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := se.Len(); got != 7 {
+		t.Fatalf("Len = %d after one refused and one accepted Add to 6 series", got)
 	}
 }

@@ -28,8 +28,12 @@ import (
 // increasing order stream through the cache and slots visited at random miss
 // it. The VP-tree packs its features in the order a search walks them.
 //
-// Arenas are immutable after construction; a tree whose features change
-// builds a new one (under the engine's write lock).
+// An arena changes in one way after construction: Append adds a feature in
+// the next slot, past every packed one, and moves no row a reader could be
+// looking at. Append may reallocate the slices the kernel reads, so it must
+// not run beside a reader: the VP-tree appends only from Insert, which the
+// engine calls under its write lock. Between Appends any number of
+// goroutines may evaluate bounds.
 type Arena struct {
 	method Method
 	n      int
@@ -139,6 +143,29 @@ func NewArenaOrdered(feats []*Compressed, order []int32) (*Arena, error) {
 		a.minPower[s], a.errv[s] = c.MinPower, c.Err
 	}
 	return a, nil
+}
+
+// Append packs c into the next slot, Len() before the call, and returns that
+// slot. c must share the arena's method, sequence length and basis, as every
+// feature handed to NewArenaOrdered must; a feature that does not leaves the
+// arena unchanged. The cost is c's rows (amortised: the slices grow as append
+// grows them), whatever the arena holds. Not safe beside a reader — see Arena.
+func (a *Arena) Append(c *Compressed) (int, error) {
+	if c == nil {
+		return 0, errors.New("spectral: arena append of a nil feature")
+	}
+	if c.Method != a.method || c.N != a.n || c.basis != a.basis {
+		return 0, ErrArenaMixed
+	}
+	for j, p := range c.Positions {
+		a.positions = append(a.positions, int32(p))
+		a.re = append(a.re, real(c.Coeffs[j]))
+		a.im = append(a.im, imag(c.Coeffs[j]))
+	}
+	a.starts = append(a.starts, int32(len(a.positions)))
+	a.minPower = append(a.minPower, c.MinPower)
+	a.errv = append(a.errv, c.Err)
+	return len(a.minPower) - 1, nil
 }
 
 func knownMethod(m Method) bool {

@@ -277,6 +277,45 @@ func TestArenaOrdered(t *testing.T) {
 	}
 }
 
+// Appending features one by one gives the arena NewArena packs of them all at
+// once, row for row — also when they differ in size, as the §8 energy scheme's
+// do — and a feature the arena refuses leaves it as it was.
+func TestArenaAppendMatchesNewArena(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	feats := make([]*Compressed, 12)
+	for i := range feats {
+		c, err := CompressEnergy(mustSpectrum(t, stats.Standardize(randSeries(rng, 64))), 0.5+0.04*float64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		feats[i] = c
+	}
+	want, err := NewArena(feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewArena(feats[:5])
+	if err != nil {
+		t.Fatal(err)
+	}
+	wang, _ := Compress(mustSpectrum(t, stats.Standardize(randSeries(rng, 64))), Wang, 4)
+	long, _ := CompressEnergy(mustSpectrum(t, stats.Standardize(randSeries(rng, 128))), 0.8)
+	for i, c := range feats[5:] {
+		for name, bad := range map[string]*Compressed{"nil": nil, "another method": wang, "another length": long} {
+			if _, err := got.Append(bad); err == nil {
+				t.Fatalf("append of %s feature: no error", name)
+			}
+		}
+		slot, err := got.Append(c)
+		if err != nil || slot != 5+i || got.Len() != 6+i {
+			t.Fatalf("append %d: slot %d, len %d, err %v", i, slot, got.Len(), err)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("appended arena differs from the packed one:\n got  %+v\n want %+v", got, want)
+	}
+}
+
 func TestArenaErrorPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	h16 := mustSpectrum(t, stats.Standardize(randSeries(rng, 16)))

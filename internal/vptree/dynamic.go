@@ -20,6 +20,11 @@ import (
 //     removed outright, vantage points stay as routing-only markers (their
 //     position is load-bearing for the subtree's median invariant) and are
 //     excluded from results.
+//
+// Both make the same change to the pointer tree and to the flat index the
+// searches walk (inplace.go), in O(depth) for an insert; neither re-derives
+// the flat index. They write what a search reads, so they need whatever lock
+// keeps searches out (the engine's write lock).
 
 // ErrStatic is returned when updating a tree built without Dynamic mode.
 var ErrStatic = errors.New("vptree: tree was built without Options.Dynamic")
@@ -27,111 +32,120 @@ var ErrStatic = errors.New("vptree: tree was built without Options.Dynamic")
 // ErrDuplicateID is returned when inserting an ID the tree already holds.
 var ErrDuplicateID = errors.New("vptree: duplicate sequence ID")
 
+// Compress returns the feature a tree built with opts stores for spec: the
+// fixed-Budget form, or the §8 variable-size one when EnergyFraction is set.
+// It reads nothing of any tree, so a writer can derive the feature before it
+// takes the lock it inserts under (InsertCompressed).
+func Compress(spec *spectral.HalfSpectrum, opts Options) (*spectral.Compressed, error) {
+	opts.fill()
+	return compressOne(spec, opts)
+}
+
 // Insert adds a new object to a dynamic tree. The spectrum must have the
 // tree's sequence length; id must address the object in the seqstore used
-// at query time.
+// at query time. An Insert that fails leaves the tree as it was.
 func (t *Tree) Insert(spec *spectral.HalfSpectrum, id int) error {
+	c, err := compressOne(spec, t.opts)
+	if err != nil {
+		return err
+	}
+	return t.InsertCompressed(spec, c, id)
+}
+
+// InsertCompressed is Insert for a caller that already holds spec's feature
+// (Compress under the options the tree was built with). Everything that can
+// fail — routing, the rebuild of a leaf that overflows, the arena's check of c
+// — happens before the first write to the pointer tree, the feature table or
+// the flat index, so a failed insert leaves all three as they were.
+func (t *Tree) InsertCompressed(spec *spectral.HalfSpectrum, c *spectral.Compressed, id int) error {
 	if !t.opts.Dynamic {
 		return ErrStatic
 	}
-	if spec.N != t.seqLen {
+	if spec.N != t.seqLen || c == nil || c.N != t.seqLen {
 		return spectral.ErrMismatch
 	}
 	if _, dup := t.specByID[id]; dup {
 		return ErrDuplicateID
 	}
-	nd, err := t.insertNode(t.root, spec, id)
+
+	// Route: the pointer nodes from the root to the leaf, and their flat twins.
+	nd, ni := t.root, int32(0)
+	var pathBuf [48]int32 // deeper trees spill to the heap
+	path := pathBuf[:0]
+	for nd.leaf == nil {
+		vpSpec, ok := t.specByID[nd.vpID]
+		if !ok {
+			// Delete keeps the spectra of tombstoned vantage points for exactly
+			// this descent; reaching here is a bug.
+			return errors.New("vptree: missing vantage-point spectrum")
+		}
+		d, err := spectral.Distance(vpSpec, spec)
+		if err != nil {
+			return err
+		}
+		path = append(path, ni)
+		fn := &t.flat.nodes[ni]
+		if d <= nd.median {
+			nd, ni = nd.left, fn.left
+		} else {
+			nd, ni = nd.right, fn.right
+		}
+	}
+
+	// A leaf this entry overflows becomes a subtree, built aside.
+	e := entry{id: id, ref: len(t.features)}
+	var sub *node
+	if len(nd.leaf)+1 > 2*t.opts.LeafSize {
+		var err error
+		if sub, err = t.rebuildLeaf(append(nd.leaf[:len(nd.leaf):len(nd.leaf)], e), spec); err != nil {
+			return err
+		}
+	}
+	slot, err := t.flat.appendSlot(e.ref, c)
 	if err != nil {
 		return err
 	}
-	t.root = nd
+
+	// Nothing below fails.
+	t.features = append(t.features, c)
+	t.flat.src = t.features
 	t.specByID[id] = spec
 	t.n++
-	// The flat mirror is structure-dependent; re-derive it from the updated
-	// tree and feature table. Callers (the engine) hold the write lock, so
-	// no search observes the window between update and rebuild.
-	t.rebuildFlat()
+	if sub == nil {
+		nd.leaf = append(nd.leaf, e)
+		t.flat.appendLeaf(ni, id, slot, 2*t.opts.LeafSize)
+	} else {
+		t.flat.splice(ni, nd, sub, path)
+		*nd = *sub
+	}
+	t.repackIfStale()
 	return nil
 }
 
-func (t *Tree) insertNode(nd *node, spec *spectral.HalfSpectrum, id int) (*node, error) {
-	if nd.leaf != nil {
-		ref, err := t.compressSpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		nd.leaf = append(nd.leaf, entry{id: id, ref: ref})
-		if len(nd.leaf) <= 2*t.opts.LeafSize {
-			return nd, nil
-		}
-		return t.rebuildLeaf(nd, spec, id)
-	}
-	vpSpec, ok := t.specByID[nd.vpID]
-	if !ok {
-		// The vantage point's spectrum was dropped by a delete; route by
-		// reconstructing it from the stored compressed form (exact enough
-		// for routing is not acceptable — so we keep VP spectra on delete;
-		// reaching here is a bug).
-		return nil, errors.New("vptree: missing vantage-point spectrum")
-	}
-	d, err := spectral.Distance(vpSpec, spec)
-	if err != nil {
-		return nil, err
-	}
-	var child **node
-	if d <= nd.median {
-		child = &nd.left
-	} else {
-		child = &nd.right
-	}
-	sub, err := t.insertNode(*child, spec, id)
-	if err != nil {
-		return nil, err
-	}
-	*child = sub
-	return nd, nil
-}
-
-// compressSpec compresses one spectrum into the feature table, using the
-// fixed Budget or, when EnergyFraction is set, the §8 variable-coefficient
-// scheme.
-func (t *Tree) compressSpec(spec *spectral.HalfSpectrum) (int, error) {
-	c, err := compressOne(spec, t.opts)
-	if err != nil {
-		return 0, err
-	}
-	t.features = append(t.features, c)
-	return len(t.features) - 1, nil
-}
-
-// rebuildLeaf converts an overflowing leaf (which already contains the new
-// entry) into a subtree built with the standard construction algorithm.
+// rebuildLeaf builds the subtree that replaces an overflowing leaf, with the
+// standard construction algorithm, from the leaf's entries — the last of
+// which is the one being inserted, whose spectrum is not retained yet.
 // Existing feature refs are reused — the entries' compressed forms do not
 // change, only the routing structure above them — so a rebuild never grows
-// the feature table. Rebuilds run serially: they sit under the engine's
-// write lock and leaves are small.
-func (t *Tree) rebuildLeaf(nd *node, newSpec *spectral.HalfSpectrum, newID int) (*node, error) {
-	specs := make([]*spectral.HalfSpectrum, 0, len(nd.leaf))
-	ids := make([]int, 0, len(nd.leaf))
-	refs := make([]int, 0, len(nd.leaf))
-	for _, e := range nd.leaf {
+// the feature table, and it writes nothing the tree holds. Rebuilds run
+// serially: they sit under the engine's write lock and leaves are small.
+func (t *Tree) rebuildLeaf(leaf []entry, newSpec *spectral.HalfSpectrum) (*node, error) {
+	specs := make([]*spectral.HalfSpectrum, len(leaf))
+	ids := make([]int, len(leaf))
+	refs := make([]int, len(leaf))
+	idx := make([]int, len(leaf))
+	for i, e := range leaf {
 		s, ok := t.specByID[e.id]
 		if !ok {
-			if e.id == newID {
-				s = newSpec
-			} else {
+			if i != len(leaf)-1 {
 				return nil, errors.New("vptree: missing spectrum for leaf rebuild")
 			}
+			s = newSpec
 		}
-		specs = append(specs, s)
-		ids = append(ids, e.id)
-		refs = append(refs, e.ref)
+		specs[i], ids[i], refs[i], idx[i] = s, e.id, e.ref, i
 	}
-	idx := make([]int, len(specs))
-	for i := range idx {
-		idx[i] = i
-	}
-	b := &builder{t: t, specs: specs, ids: ids, refs: refs, salt: uint64(len(t.features))}
+	// The salt is the feature count with the new entry in.
+	b := &builder{t: t, specs: specs, ids: ids, refs: refs, salt: uint64(leaf[len(leaf)-1].ref + 1)}
 	return b.build(idx, rootPath)
 }
 
@@ -142,51 +156,53 @@ func (t *Tree) Delete(id int) (bool, error) {
 	if !t.opts.Dynamic {
 		return false, ErrStatic
 	}
-	removed := t.deleteNode(t.root, id)
-	if removed {
-		t.n--
-		// Keep the spectrum of tombstoned vantage points: inserts still
-		// route through them. Leaf spectra are no longer needed.
-		if !t.isVantage(t.root, id) {
-			delete(t.specByID, id)
-		}
-		t.rebuildFlat()
+	switch t.deleteNode(t.root, 0, id) {
+	case notFound:
+		return false, nil
+	case cutFromLeaf:
+		// A leaf entry's spectrum is no longer needed; a tombstoned vantage
+		// point's is: inserts still route through it.
+		delete(t.specByID, id)
 	}
-	return removed, nil
+	t.n--
+	t.repackIfStale()
+	return true, nil
 }
 
-func (t *Tree) deleteNode(nd *node, id int) bool {
+// deleted says what deleteNode did.
+type deleted int
+
+const (
+	notFound deleted = iota
+	cutFromLeaf
+	tombstoned
+)
+
+// deleteNode looks for id under nd, whose flat twin is node ni, and removes
+// it from both.
+func (t *Tree) deleteNode(nd *node, ni int32, id int) deleted {
 	if nd == nil {
-		return false
+		return notFound
 	}
 	if nd.leaf != nil {
 		for i, e := range nd.leaf {
 			if e.id == id {
 				nd.leaf = append(nd.leaf[:i], nd.leaf[i+1:]...)
-				return true
+				t.flat.cutLeaf(ni, i)
+				return cutFromLeaf
 			}
 		}
-		return false
+		return notFound
 	}
+	fn := &t.flat.nodes[ni]
 	if nd.vpID == id && !nd.vpDeleted {
-		nd.vpDeleted = true
-		return true
+		nd.vpDeleted, fn.vpDeleted = true, true
+		return tombstoned
 	}
-	if t.deleteNode(nd.left, id) {
-		return true
+	if d := t.deleteNode(nd.left, fn.left, id); d != notFound {
+		return d
 	}
-	return t.deleteNode(nd.right, id)
-}
-
-// isVantage reports whether id is a (possibly tombstoned) vantage point.
-func (t *Tree) isVantage(nd *node, id int) bool {
-	if nd == nil || nd.leaf != nil {
-		return false
-	}
-	if nd.vpID == id {
-		return true
-	}
-	return t.isVantage(nd.left, id) || t.isVantage(nd.right, id)
+	return t.deleteNode(nd.right, fn.right, id)
 }
 
 // Contains reports whether the tree holds a live object with the given id.

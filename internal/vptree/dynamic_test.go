@@ -258,33 +258,3 @@ func TestDynamicWorkloadProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkDynamicInsert(b *testing.B) {
-	g := querylog.NewGenerator(querylog.DefaultStart, 256, 35)
-	data := querylog.StandardizeAll(g.Dataset(64))
-	specs := make([]*spectral.HalfSpectrum, len(data))
-	ids := make([]int, len(data))
-	for i, s := range data {
-		var err error
-		if specs[i], err = spectral.FromValues(s.Values); err != nil {
-			b.Fatal(err)
-		}
-		ids[i] = i
-	}
-	tree, err := Build(specs, ids, Options{Budget: 10, Dynamic: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	extra := querylog.StandardizeAll(g.Dataset(1))[0]
-	h, err := spectral.FromValues(extra.Values)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tree.Insert(h, 1000+i); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -20,8 +20,10 @@ type flatNode struct {
 	vpSlot int32 // the vantage point's slot (see flatIndex.slotRef)
 	// left/right are node indices (-1: none); meaningful on internal nodes.
 	left, right int32
-	// leafLo >= 0 marks a leaf with entries leafIDs[leafLo:leafHi].
-	leafLo, leafHi int32
+	// leafLo >= 0 marks a leaf with entries leafIDs[leafLo:leafHi]. The range
+	// is the leaf's own up to leafCap, so an insert writes the next entry at
+	// leafHi while leafHi < leafCap (inplace.go); packed leaves have no room.
+	leafLo, leafHi, leafCap int32
 	// leafBlocks counts the leaf nodes in this subtree (itself included when
 	// it is a leaf) — the unit of the blocks-pruned kernel counter.
 	leafBlocks int32
@@ -32,8 +34,9 @@ type flatNode struct {
 // one slice, every leaf's entries are contiguous, and every compressed
 // feature the tree refers to is packed into a structure-of-arrays
 // spectral.Arena. The pointer `node` tree remains the structure build, insert,
-// delete and persistence work on; the flat index is re-derived from it
-// (rebuildFlat) whenever the structure or feature table changes.
+// delete and persistence work on. rebuildFlat derives the flat index from it
+// wholesale — after Build and Load — and Insert and Delete then make each of
+// their changes to both (inplace.go).
 //
 // Features are numbered by slot: their position in the DFS pre-order the
 // nodes are in — each vantage point, then its subtree, a leaf's entries in
@@ -41,6 +44,11 @@ type flatNode struct {
 // arena is packed by slot, so a search that descends reads nodes, leaf
 // entries and arena forwards; the feature table keeps its own order (ref =
 // the order objects were added in), which the walk would hop around in.
+// That is how rebuildFlat leaves things. An insert takes the next slot, a
+// split appends its nodes and a leaf out of room moves to the end of
+// leafIDs/leafSlots, none of which a search can tell from the packed layout
+// except by its speed; when enough has piled up the index is rebuilt
+// (repackIfStale).
 type flatIndex struct {
 	nodes     []flatNode
 	leafIDs   []int
@@ -55,8 +63,13 @@ type flatIndex struct {
 	// compares against it so a search with a *different* FeatureSource (disk
 	// features, a test double) takes its bounds from that source instead.
 	src MemoryFeatures
-	// maxLeaf is the largest leaf block, sizing the per-search bound buffers.
+	// maxLeaf is the largest leaf block since the index was derived, sizing the
+	// per-search bound buffers (a delete or a split does not lower it).
 	maxLeaf int
+	// packed is how many slots rebuildFlat numbered — the prefix in walk order;
+	// dead counts slots whose leaf entry was deleted; abandoned counts the
+	// leafIDs/leafSlots ranges a relocated or split leaf left behind.
+	packed, dead, abandoned int
 }
 
 // kernelCounters accumulates traversal work across searches: tree-lifetime
@@ -77,11 +90,19 @@ type KernelStats struct {
 	LeafBlocks   int64 `json:"leaf_blocks"`
 	KernelEvals  int64 `json:"kernel_evals"`
 	BlocksPruned int64 `json:"blocks_pruned"`
-	// MaxBlock is the largest leaf block in the current flat index.
+	// MaxBlock is the largest leaf block the flat index has held since it was
+	// last derived.
 	MaxBlock int `json:"max_block"`
+	// Repacks counts the wholesale re-derivations that Insert and Delete have
+	// triggered (see repackDen). OutOfOrder is what the next one will clear:
+	// slots appended past the walk-ordered prefix plus slots of deleted entries.
+	Repacks    int `json:"repacks"`
+	OutOfOrder int `json:"out_of_order"`
 }
 
-// KernelStats returns the tree's cumulative traversal counters.
+// KernelStats returns the tree's cumulative traversal counters, and the state
+// of its flat index as of the last Insert or Delete (read it under the lock
+// that keeps those out).
 func (t *Tree) KernelStats() KernelStats {
 	return KernelStats{
 		FlatSearches: t.kernels.searches.Load(),
@@ -89,12 +110,16 @@ func (t *Tree) KernelStats() KernelStats {
 		KernelEvals:  t.kernels.evals.Load(),
 		BlocksPruned: t.kernels.blocksPruned.Load(),
 		MaxBlock:     t.flat.maxLeaf,
+		Repacks:      t.repacks,
+		OutOfOrder:   t.flat.outOfOrder(),
 	}
 }
 
-// rebuildFlat re-derives the flat index from the pointer tree and the
-// current feature table. Callers must hold whatever lock protects the tree
-// against concurrent searches (the engine rebuilds under its write lock).
+// rebuildFlat derives the flat index from the pointer tree and the current
+// feature table — the one wholesale derivation: Build and Load end with it,
+// and it is the repack Insert and Delete fall back on (repackIfStale).
+// Callers must hold whatever lock protects the tree against concurrent
+// searches (the engine rebuilds under its write lock).
 func (t *Tree) rebuildFlat() {
 	// Sized so that flatten appends without growing: a slot is a distinct
 	// feature, and a tree without empty leaves has no more nodes than slots.
@@ -108,7 +133,8 @@ func (t *Tree) rebuildFlat() {
 		leafSlots: make([]int32, 0, slots),
 		slotRef:   make([]int32, 0, slots),
 	}
-	f.flatten(t.root)
+	f.flatten(t.root, nil)
+	f.packed = len(f.slotRef)
 	// A table the arena rejects (a loaded file may mix methods, or name one
 	// ref twice) leaves the arena nil: searches then bound every entry
 	// through their FeatureSource.
@@ -116,19 +142,31 @@ func (t *Tree) rebuildFlat() {
 	t.flat = f
 }
 
-// slot gives the feature at ref the next slot.
-func (f *flatIndex) slot(ref int) int32 {
+// slot gives the feature at ref the next slot, unless slots (nil in a
+// wholesale derivation) says it has one.
+func (f *flatIndex) slot(ref int, slots map[int]int32) int32 {
+	if s, ok := slots[ref]; ok {
+		return s
+	}
 	f.slotRef = append(f.slotRef, int32(ref))
 	return int32(len(f.slotRef) - 1)
 }
 
 // flatten appends nd's subtree in DFS pre-order and returns its node index.
-func (f *flatIndex) flatten(nd *node) int32 {
+func (f *flatIndex) flatten(nd *node, slots map[int]int32) int32 {
 	if nd == nil {
 		return -1
 	}
 	i := int32(len(f.nodes))
 	f.nodes = append(f.nodes, flatNode{}) // reserve; children append after
+	f.place(i, nd, slots)
+	return i
+}
+
+// place writes nd into node i, which exists, and appends nd's subtree: leaf
+// entries at the end of leafIDs/leafSlots, child nodes in DFS pre-order at the
+// end of nodes. Features named in slots keep the slot it gives them.
+func (f *flatIndex) place(i int32, nd *node, slots map[int]int32) {
 	fn := flatNode{
 		median: nd.median, vpID: nd.vpID,
 		vpDeleted: nd.vpDeleted, left: -1, right: -1, leafLo: -1, leafHi: -1,
@@ -137,17 +175,18 @@ func (f *flatIndex) flatten(nd *node) int32 {
 		fn.leafLo = int32(len(f.leafIDs))
 		for _, e := range nd.leaf {
 			f.leafIDs = append(f.leafIDs, e.id)
-			f.leafSlots = append(f.leafSlots, f.slot(e.ref))
+			f.leafSlots = append(f.leafSlots, f.slot(e.ref, slots))
 		}
 		fn.leafHi = int32(len(f.leafIDs))
+		fn.leafCap = fn.leafHi
 		fn.leafBlocks = 1
 		if m := int(fn.leafHi - fn.leafLo); m > f.maxLeaf {
 			f.maxLeaf = m
 		}
 	} else {
-		fn.vpSlot = f.slot(nd.vpRef)
-		fn.left = f.flatten(nd.left)
-		fn.right = f.flatten(nd.right)
+		fn.vpSlot = f.slot(nd.vpRef, slots)
+		fn.left = f.flatten(nd.left, slots)
+		fn.right = f.flatten(nd.right, slots)
 		if fn.left >= 0 {
 			fn.leafBlocks += f.nodes[fn.left].leafBlocks
 		}
@@ -156,7 +195,6 @@ func (f *flatIndex) flatten(nd *node) int32 {
 		}
 	}
 	f.nodes[i] = fn
-	return i
 }
 
 // covers reports whether feats is exactly the feature table the arena was

@@ -193,9 +193,10 @@ func TestFlatIsTheOnlyPath(t *testing.T) {
 	}
 }
 
-// Dynamic updates re-derive the flat index: after inserts (including leaf
-// splits) and deletes (including vantage-point tombstones) searches still
-// answer exactly like brute force over the live set.
+// Dynamic updates change the flat index in place and repack it now and then:
+// after inserts (including leaf splits) and deletes (including vantage-point
+// tombstones) searches still answer exactly like brute force over the live
+// set, and the tree's stats say what the updates left behind.
 func TestFlatDynamicRebuild(t *testing.T) {
 	const seqLen = 64
 	fx := buildFixture(t, 30, seqLen, Options{Dynamic: true, LeafSize: 4, Seed: 21}, 23)
@@ -233,6 +234,10 @@ func TestFlatDynamicRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameResults(t, "dynamic", got, want)
+	}
+	ks := fx.tree.KernelStats()
+	if live := fx.tree.flat.live(); ks.Repacks == 0 || ks.OutOfOrder == 0 || ks.OutOfOrder*repackDen > live {
+		t.Fatalf("after 25 inserts and 3 deletes: %d repacks, %d slots out of order among %d live", ks.Repacks, ks.OutOfOrder, live)
 	}
 }
 
@@ -327,19 +332,18 @@ func (c *countingFeatures) Feature(ref int) (*spectral.Compressed, error) {
 	return c.MemoryFeatures.Feature(ref)
 }
 
-// The arena is in walk order after Build, after every dynamic Insert (leaf
-// splits included) and Delete (tombstones included, which leave features in
-// the table that no slot names) and after Save and Load; and because slots are
-// the arena's business alone, a search that bounds through DiskFeatures or
-// through a substituted source still finds each feature by its ref and
-// returns the same results and Stats.
+// The arena is in walk order after Build, after a repack and after Save and
+// Load. Between repacks dynamic Inserts (leaf splits included) and Deletes
+// (tombstones included) leave slots out of order, never more than the repack
+// rule allows; and because slots are the arena's business alone, a search that
+// bounds through DiskFeatures or through a substituted source still finds each
+// feature by its ref and returns the same results and Stats.
 func TestArenaIsInWalkOrder(t *testing.T) {
 	const seqLen = 64
 	fx := buildFixture(t, 90, seqLen, Options{Dynamic: true, LeafSize: 4, Seed: 5}, 29)
 	q := fx.queries[0]
 	sameFromEverySource := func(when string, tr *Tree) {
 		t.Helper()
-		checkWalkOrder(t, when, tr, q)
 		for _, q := range fx.queries {
 			arena := searchWith(t, tr, q, 6, 0, tr.Features(), fx.store, nil)
 			sameOutcome(t, when+": disk features", searchWith(t, tr, q, 6, 0, diskCopy(t, tr), fx.store, nil), arena)
@@ -350,6 +354,26 @@ func TestArenaIsInWalkOrder(t *testing.T) {
 			}
 		}
 	}
+	// afterUpdate: exact walk order if the update ended in a repack, else what
+	// is out of order is within the rule.
+	repacks, disordered := 0, 0
+	afterUpdate := func(when string) {
+		t.Helper()
+		ks := fx.tree.KernelStats()
+		if ks.Repacks > repacks {
+			repacks = ks.Repacks
+			if ks.OutOfOrder != 0 {
+				t.Fatalf("%s: %d slots out of order straight after a repack", when, ks.OutOfOrder)
+			}
+			checkWalkOrder(t, when, fx.tree, q)
+			return
+		}
+		disordered += ks.OutOfOrder
+		if live := fx.tree.flat.live(); ks.OutOfOrder*repackDen > live {
+			t.Fatalf("%s: %d slots out of order among %d live ones (one in %d allowed)", when, ks.OutOfOrder, live, repackDen)
+		}
+	}
+	checkWalkOrder(t, "built", fx.tree, q)
 	sameFromEverySource("built", fx.tree)
 	if slices.IsSorted(fx.tree.flat.slotRef) {
 		t.Fatal("the fixture's walk order is its feature order; the test would pass on an arena in either")
@@ -368,18 +392,20 @@ func TestArenaIsInWalkOrder(t *testing.T) {
 		if err := fx.tree.Insert(spec, id); err != nil {
 			t.Fatal(err)
 		}
-		checkWalkOrder(t, fmt.Sprintf("after insert %d", i), fx.tree, q)
+		afterUpdate(fmt.Sprintf("after insert %d", i))
+		if i%10 == 4 {
+			sameFromEverySource(fmt.Sprintf("after insert %d", i), fx.tree)
+		}
 	}
-	sameFromEverySource("after inserts", fx.tree)
 	for _, id := range []int{fx.tree.root.vpID, 3, 95, fx.tree.root.left.vpID} {
 		if ok, err := fx.tree.Delete(id); err != nil || !ok {
 			t.Fatalf("delete %d: ok=%v err=%v", id, ok, err)
 		}
-		checkWalkOrder(t, fmt.Sprintf("after delete %d", id), fx.tree, q)
+		afterUpdate(fmt.Sprintf("after delete %d", id))
 	}
 	sameFromEverySource("after deletes", fx.tree)
-	if len(fx.tree.flat.slotRef) >= len(fx.tree.features) {
-		t.Fatalf("%d slots for %d features: the deletes left nothing unreferenced", len(fx.tree.flat.slotRef), len(fx.tree.features))
+	if repacks == 0 || disordered == 0 {
+		t.Fatalf("%d repacks, %d slots seen out of order; the test needs both", repacks, disordered)
 	}
 
 	path := filepath.Join(t.TempDir(), "tree.vpt")
@@ -390,7 +416,13 @@ func TestArenaIsInWalkOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWalkOrder(t, "loaded", loaded, q)
 	sameFromEverySource("loaded", loaded)
+	if len(loaded.flat.slotRef) >= len(loaded.features) {
+		t.Fatalf("%d slots for %d features: the deletes left nothing unreferenced", len(loaded.flat.slotRef), len(loaded.features))
+	}
+	// Load derives wholesale; so does a repack of the tree that was saved.
+	fx.tree.rebuildFlat()
 	if !slices.Equal(loaded.flat.slotRef, fx.tree.flat.slotRef) {
 		t.Fatal("the loaded tree numbers its slots differently from the tree it was saved from")
 	}

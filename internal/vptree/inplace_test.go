@@ -1,0 +1,458 @@
+package vptree
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/israce"
+	"repro/internal/querylog"
+	"repro/internal/spectral"
+)
+
+// canonical lists everything a search can see of tr's flat index f, following
+// the links from node 0 in pre-order: each node's median, vantage point,
+// tombstone and leaf-block count, each leaf's IDs in order, and for every slot
+// met the ref of the feature in it — having checked that the arena, if there
+// is one, holds that very feature there (its bounds against q are the bits the
+// feature's own are). Node indices, slot numbers and where a leaf's range lies
+// are layout, and left out.
+func canonical(t *testing.T, when string, tr *Tree, f *flatIndex, q *spectral.Prepared) string {
+	t.Helper()
+	var b strings.Builder
+	ref := func(slot int32) int32 {
+		r := f.slotRef[slot]
+		if f.arena != nil {
+			lb, ub, err := f.arena.BoundsAt(q.Context(), int(slot), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantLB, wantUB, err := tr.features[r].SafeBoundsFast(q.Context())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lb != wantLB || ub != wantUB {
+				t.Fatalf("%s: arena slot %d does not hold feature %d: bounds [%v, %v], the feature's [%v, %v]", when, slot, r, lb, ub, wantLB, wantUB)
+			}
+		}
+		return r
+	}
+	var walk func(ni int32)
+	walk = func(ni int32) {
+		fn := f.nodes[ni]
+		if fn.leafLo >= 0 {
+			if fn.leafHi > fn.leafCap || int(fn.leafCap) > len(f.leafIDs) || len(f.leafIDs) != len(f.leafSlots) {
+				t.Fatalf("%s: leaf range [%d, %d) cap %d of %d/%d", when, fn.leafLo, fn.leafHi, fn.leafCap, len(f.leafIDs), len(f.leafSlots))
+			}
+			fmt.Fprintf(&b, "leaf blocks=%d ids=%v refs=[", fn.leafBlocks, f.leafIDs[fn.leafLo:fn.leafHi])
+			for _, s := range f.leafSlots[fn.leafLo:fn.leafHi] {
+				fmt.Fprintf(&b, " %d", ref(s))
+			}
+			b.WriteString(" ]\n")
+			return
+		}
+		fmt.Fprintf(&b, "vp id=%d ref=%d median=%x deleted=%v blocks=%d\n", fn.vpID, ref(fn.vpSlot), fn.median, fn.vpDeleted, fn.leafBlocks)
+		walk(fn.left)
+		walk(fn.right)
+	}
+	walk(0)
+	return b.String()
+}
+
+// rederived is a second tree over tr's pointer tree and feature table whose
+// flat index comes fresh from rebuildFlat.
+func rederived(tr *Tree) *Tree {
+	fresh := &Tree{root: tr.root, n: tr.n, seqLen: tr.seqLen, opts: tr.opts, features: tr.features, specByID: tr.specByID}
+	fresh.rebuildFlat()
+	return fresh
+}
+
+// churn drives seeded inserts and deletes against a fixture's dynamic tree.
+type churn struct {
+	fx      *fixture
+	rng     *rand.Rand
+	pool    [][]float64 // series not inserted yet
+	deleted map[int]bool
+}
+
+func newChurn(t *testing.T, fx *fixture, extra, seqLen int, seed int64) *churn {
+	t.Helper()
+	c := &churn{fx: fx, rng: rand.New(rand.NewSource(seed)), deleted: map[int]bool{}}
+	g := querylog.NewGenerator(querylog.DefaultStart, seqLen, seed)
+	for _, s := range querylog.StandardizeAll(g.Dataset(extra)) {
+		c.pool = append(c.pool, s.Values)
+	}
+	return c
+}
+
+// insert puts values under id into the tree (a new row of the store when id
+// is the next one).
+func (c *churn) insert(t *testing.T, id int, values []float64) error {
+	t.Helper()
+	if id == len(c.fx.values) {
+		if _, err := c.fx.store.Append(values); err != nil {
+			t.Fatal(err)
+		}
+		c.fx.values = append(c.fx.values, values)
+	}
+	spec, err := spectral.FromValues(values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.fx.tree.Insert(spec, id); err != nil {
+		return err
+	}
+	delete(c.deleted, id)
+	return nil
+}
+
+func (c *churn) delete(t *testing.T, id int) {
+	t.Helper()
+	if ok, err := c.fx.tree.Delete(id); err != nil || !ok {
+		t.Fatalf("delete %d: ok=%v err=%v", id, ok, err)
+	}
+	c.deleted[id] = true
+}
+
+// live lists the IDs in the tree, ascending.
+func (c *churn) live() []int {
+	var ids []int
+	for id := range c.fx.values {
+		if !c.deleted[id] {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// oracle is the brute-force top k over the live series.
+func (c *churn) oracle(t *testing.T, q []float64, k int) []Result {
+	t.Helper()
+	var want []Result
+	for _, r := range bruteKNN(t, c.fx.values, q, len(c.fx.values)) {
+		if !c.deleted[r.ID] && len(want) < k {
+			want = append(want, r)
+		}
+	}
+	return want
+}
+
+// checkInPlace asserts the flat index Insert and Delete have been keeping is,
+// to a search, the one rebuildFlat derives from the same pointer tree; that
+// what is out of walk order in it stays within the repack rule; and that
+// searches through it return the fresh index's results and Stats and the
+// oracle's neighbours.
+func (c *churn) checkInPlace(t *testing.T, when string, q []float64) {
+	t.Helper()
+	tr := c.fx.tree
+	pq, err := spectral.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := rederived(tr)
+	if got, want := canonical(t, when, tr, tr.flat, pq), canonical(t, when, fresh, fresh.flat, pq); got != want {
+		t.Fatalf("%s: the flat index kept in place is not the one derived afresh:\n got:\n%s\n want:\n%s", when, got, want)
+	}
+	if tr.flat.maxLeaf < fresh.flat.maxLeaf || !tr.flat.covers(tr.features) {
+		t.Fatalf("%s: maxLeaf %d (fresh %d), covers its own table: %v", when, tr.flat.maxLeaf, fresh.flat.maxLeaf, tr.flat.covers(tr.features))
+	}
+	ks := tr.KernelStats()
+	if live := tr.flat.live(); ks.OutOfOrder*repackDen > live {
+		t.Fatalf("%s: %d slots out of order among %d live ones, more than one in %d", when, ks.OutOfOrder, live, repackDen)
+	}
+	got := searchWith(t, tr, q, 5, 0, tr.Features(), c.fx.store, nil)
+	sameOutcome(t, when+": in place vs fresh", got, searchWith(t, fresh, q, 5, 0, fresh.Features(), c.fx.store, nil))
+	sameResults(t, when+": oracle", got.res, c.oracle(t, q, 5))
+}
+
+// After each of 600 seeded operations — inserts that grow leaves in place,
+// relocate them and split them, deletes that cut leaf entries and tombstone
+// vantage points (the root among them), a deleted ID inserted again — the flat
+// index is the one a wholesale derivation would give, across several repacks,
+// for fixed-size features and for the energy scheme's variable-size ones.
+func TestFlatInPlaceMatchesRebuild(t *testing.T) {
+	const seqLen, ops = 64, 600
+	for name, opts := range map[string]Options{
+		"budget": {Dynamic: true, LeafSize: 4, Seed: 3},
+		"energy": {Dynamic: true, LeafSize: 3, Seed: 4, EnergyFraction: 0.9},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fx := buildFixture(t, 160, seqLen, opts, 41)
+			c := newChurn(t, fx, ops, seqLen, 43)
+			tr := fx.tree
+			nodes := len(tr.flat.nodes)
+			reinserted := 0
+			for op := 0; op < ops; op++ {
+				when := fmt.Sprintf("op %d", op)
+				live := c.live()
+				switch {
+				case op == 40 && !tr.root.vpDeleted:
+					when += ": delete the root's vantage point"
+					c.delete(t, tr.root.vpID)
+				case op%50 == 49:
+					// A deleted leaf entry comes back under its old ID; a
+					// tombstoned vantage point still holds its.
+					for id := range fx.values {
+						if !c.deleted[id] {
+							continue
+						}
+						_, tombstone := tr.specByID[id]
+						err := c.insert(t, id, fx.values[id])
+						if tombstone && !errors.Is(err, ErrDuplicateID) || !tombstone && err != nil {
+							t.Fatalf("%s: reinsert %d (tombstone: %v): %v", when, id, tombstone, err)
+						}
+						if !tombstone {
+							when += fmt.Sprintf(": reinsert %d", id)
+							reinserted++
+							break
+						}
+					}
+				case len(c.pool) > 0 && (c.rng.Intn(5) < 3 || len(live) < 100):
+					when += fmt.Sprintf(": insert %d", len(fx.values))
+					if err := c.insert(t, len(fx.values), c.pool[0]); err != nil {
+						t.Fatalf("%s: %v", when, err)
+					}
+					c.pool = c.pool[1:]
+				default:
+					id := live[c.rng.Intn(len(live))]
+					when += fmt.Sprintf(": delete %d", id)
+					c.delete(t, id)
+				}
+				if tr.Len() != len(c.live()) {
+					t.Fatalf("%s: Len %d, %d live", when, tr.Len(), len(c.live()))
+				}
+				c.checkInPlace(t, when, fx.queries[op%len(fx.queries)])
+			}
+			if !tr.root.vpDeleted || reinserted == 0 || len(tr.flat.nodes) <= nodes && tr.repacks == 0 {
+				t.Fatalf("the run missed a case: root tombstoned %v, %d reinserts, nodes %d -> %d", tr.root.vpDeleted, reinserted, nodes, len(tr.flat.nodes))
+			}
+			t.Logf("%d repacks, nodes %d -> %d", tr.repacks, nodes, len(tr.flat.nodes))
+			if ks := tr.KernelStats(); ks.Repacks < 2 {
+				t.Fatalf("%d repacks in %d operations, want at least 2", ks.Repacks, ops)
+			}
+		})
+	}
+}
+
+// A tree without an arena (two entries naming one ref, as a file can) and a
+// search through a substituted feature source take their bounds per entry
+// through slotRef; in-place inserts and deletes, splits and repacks included,
+// keep that path answering like the oracle.
+func TestFlatInPlaceWithoutArena(t *testing.T) {
+	const seqLen = 64
+	fx := buildFixture(t, 40, seqLen, Options{Dynamic: true, LeafSize: 4, Seed: 9}, 19)
+	c := newChurn(t, fx, 30, seqLen, 23)
+	tr := fx.tree
+	leaf := tr.root
+	for leaf.leaf == nil {
+		leaf = leaf.left
+	}
+	leaf.leaf[0].ref = leaf.leaf[1].ref
+	tr.rebuildFlat()
+	nodes := len(tr.flat.nodes)
+	for i, values := range c.pool {
+		if err := c.insert(t, len(fx.values), values); err != nil {
+			t.Fatal(err)
+		}
+		if i%7 == 3 {
+			c.delete(t, len(fx.values)-2)
+		}
+		if tr.flat.arena != nil {
+			t.Fatal("an arena was packed for a tree that names a ref twice")
+		}
+		for _, q := range fx.queries {
+			got := searchWith(t, tr, q, 6, 0, tr.Features(), fx.store, nil)
+			sameResults(t, "oracle", got.res, c.oracle(t, q, 6))
+			double := &countingFeatures{MemoryFeatures: tr.Features()}
+			sameOutcome(t, "substituted source", searchWith(t, tr, q, 6, 0, double, fx.store, nil), got)
+			if double.lookups != got.st.BoundsComputed {
+				t.Fatalf("insert %d: %d lookups in the substituted source for %d bounds", i, double.lookups, got.st.BoundsComputed)
+			}
+		}
+	}
+	if tr.repacks == 0 || len(tr.flat.nodes) <= nodes {
+		t.Fatalf("the run missed a case: %d repacks, nodes %d -> %d", tr.repacks, nodes, len(tr.flat.nodes))
+	}
+}
+
+// routedLeaf is the leaf an insert of spec would reach.
+func routedLeaf(t *testing.T, tr *Tree, spec *spectral.HalfSpectrum) *node {
+	t.Helper()
+	nd := tr.root
+	for nd.leaf == nil {
+		d, err := spectral.Distance(tr.specByID[nd.vpID], spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d <= nd.median {
+			nd = nd.left
+		} else {
+			nd = nd.right
+		}
+	}
+	return nd
+}
+
+// An Insert that fails — here in the rebuild of the leaf it overflows, one of
+// whose spectra has gone missing — leaves the pointer tree, the feature table
+// and the flat index as they were, and the same ID then inserts cleanly.
+func TestFlatInPlaceFailedInsertChangesNothing(t *testing.T) {
+	const seqLen = 64
+	fx := buildFixture(t, 50, seqLen, Options{Dynamic: true, LeafSize: 2, Seed: 13}, 17)
+	c := newChurn(t, fx, 40, seqLen, 29)
+	tr := fx.tree
+	q := fx.queries[0]
+	pq, err := spectral.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, values := range c.pool {
+		spec, err := spectral.FromValues(values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := len(fx.values)
+		full := routedLeaf(t, tr, spec)
+		if len(full.leaf) < 2*tr.opts.LeafSize {
+			if err := c.insert(t, id, values); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+
+		victim := full.leaf[0].id
+		held := tr.specByID[victim]
+		delete(tr.specByID, victim)
+		n, feats, slots, nodes := tr.Len(), len(tr.Features()), len(tr.flat.slotRef), len(tr.flat.nodes)
+		rows := tr.flat.arena.Coeffs()
+		walk := canonical(t, "before", tr, tr.flat, pq)
+		before := searchWith(t, tr, q, 5, 0, tr.Features(), fx.store, nil)
+
+		if err := tr.Insert(spec, id); err == nil {
+			t.Fatal("the insert rebuilt a leaf without one of its spectra")
+		}
+		if tr.Len() != n || len(tr.Features()) != feats || len(tr.flat.slotRef) != slots || len(tr.flat.nodes) != nodes ||
+			tr.flat.arena.Len() != slots || tr.flat.arena.Coeffs() != rows || tr.Contains(id) {
+			t.Fatalf("the failed insert left its mark: Len %d -> %d, features %d -> %d, slots %d -> %d (arena %d), nodes %d -> %d",
+				n, tr.Len(), feats, len(tr.Features()), slots, len(tr.flat.slotRef), tr.flat.arena.Len(), nodes, len(tr.flat.nodes))
+		}
+		if _, kept := tr.specByID[id]; kept {
+			t.Fatal("the failed insert retained its spectrum")
+		}
+		if got := canonical(t, "after", tr, tr.flat, pq); got != walk {
+			t.Fatalf("the failed insert changed the flat index:\n got:\n%s\n want:\n%s", got, walk)
+		}
+		sameOutcome(t, "after the failed insert", searchWith(t, tr, q, 5, 0, tr.Features(), fx.store, nil), before)
+
+		tr.specByID[victim] = held
+		if err := c.insert(t, id, values); err != nil {
+			t.Fatalf("the same ID after the failure: %v", err)
+		}
+		if len(tr.flat.nodes) == nodes {
+			t.Fatal("the insert that went through did not split the leaf")
+		}
+		c.checkInPlace(t, "after the retried insert", q)
+		return
+	}
+	t.Fatal("no insert reached a full leaf")
+}
+
+// insertCost measures one Insert that splits nothing into a tree of n objects
+// (and the Delete that makes room for the next): heap allocations and bytes.
+func insertCost(t *testing.T, n int) (allocs float64, bytes uint64) {
+	t.Helper()
+	const seqLen, runs = 64, 8
+	fx := buildFixture(t, n, seqLen, Options{Dynamic: true, Seed: 7}, 11)
+	tr := fx.tree
+	var spec *spectral.HalfSpectrum
+	for _, s := range querylog.StandardizeAll(querylog.NewGenerator(querylog.DefaultStart, seqLen, 5).Dataset(32)) {
+		h, err := spectral.FromValues(s.Values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(routedLeaf(t, tr, h).leaf) < 2*tr.opts.LeafSize {
+			spec = h
+			break
+		}
+	}
+	if spec == nil {
+		t.Fatal("every candidate routes to a full leaf")
+	}
+	op := func() {
+		if err := tr.Insert(spec, n); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := tr.Delete(n); err != nil || !ok {
+			t.Fatalf("delete: ok=%v err=%v", ok, err)
+		}
+	}
+	// AllocsPerRun's warm-up call is the one that moves the leaf to where it has
+	// room and grows the slices that were sized exactly.
+	allocs = testing.AllocsPerRun(runs, op)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	if tr.repacks != 0 {
+		t.Fatalf("n=%d: the measured inserts ran into a repack", n)
+	}
+	return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// What an Insert allocates does not depend on how much the tree holds: the
+// feature, and nothing that is sized by n.
+func TestFlatInPlaceInsertAllocatesIndependentOfN(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	smallAllocs, smallBytes := insertCost(t, 512)
+	largeAllocs, largeBytes := insertCost(t, 8192)
+	if smallAllocs != largeAllocs || smallBytes != largeBytes {
+		t.Fatalf("an insert allocates %v times, %d B at n=512 and %v times, %d B at n=8192", smallAllocs, smallBytes, largeAllocs, largeBytes)
+	}
+	t.Logf("an insert allocates %v times, %d B", smallAllocs, smallBytes)
+}
+
+// BenchmarkDynamicInsert times Insert into a tree of n objects, which a Delete
+// outside the timer then brings back to n: the cost should follow the depth of
+// the tree, not its size (the occasional leaf split and the amortised repack
+// are in it).
+func BenchmarkDynamicInsert(b *testing.B) {
+	const seqLen, fresh = 128, 1024
+	for _, n := range []int{512, 4096, 32768} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			g := querylog.NewGenerator(querylog.DefaultStart, seqLen, 35)
+			data := querylog.StandardizeAll(g.Dataset(n + fresh))
+			specs := make([]*spectral.HalfSpectrum, len(data))
+			ids := make([]int, len(data))
+			for i, s := range data {
+				var err error
+				if specs[i], err = spectral.FromValues(s.Values); err != nil {
+					b.Fatal(err)
+				}
+				ids[i] = i
+			}
+			tree, err := Build(specs[:n], ids[:n], Options{Budget: 10, Dynamic: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tree.Insert(specs[n+i%fresh], n+i); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if _, err := tree.Delete(n + i); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}

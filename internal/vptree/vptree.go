@@ -150,9 +150,12 @@ type Tree struct {
 	features MemoryFeatures // populated at build; may be swapped to disk
 	// specByID retains the uncompressed spectra in Dynamic mode.
 	specByID map[int]*spectral.HalfSpectrum
-	// flat is the search representation of the node tree (see flat.go),
-	// re-derived whenever the structure or the feature table changes.
-	flat *flatIndex
+	// flat is the search representation of the node tree (see flat.go):
+	// derived from it by Build and Load, kept in step with it by Insert and
+	// Delete, and derived again — repacks counts how often — when those have
+	// left enough of it out of walk order.
+	flat    *flatIndex
+	repacks int
 	// kernels accumulates traversal kernel work across searches.
 	kernels kernelCounters
 }
