@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-lostcancel api-check fmt check bench bench-record bench-smoke bench-test bench-pair fuzz-smoke kernel-check shard-check approx-check profile profile-smoke trace-smoke
+.PHONY: all build test race vet vet-lostcancel api-check fmt check bench bench-test bench-pair fuzz-smoke kernel-check approx-check trace-smoke
 
 all: check
 
@@ -60,36 +60,18 @@ fuzz-smoke:
 # tests, the one traversal against its parent-recorded goldens and the
 # brute-force oracle (both bound sources, explain on and off), the in-place
 # suite (TestFlatInPlace…: the flat index Insert/Delete mutate against a fresh
-# derivation after every operation; one writer beside readers), plus the
-# scheduler-spread regressions and the sketch tier (bound soundness, the
-# store keeping it in step, refinement skipping only what would abandon, the
-# vector kernel against the portable one), all under the race detector; then
-# the sketch's portable path on its own (-tags purego builds without the
-# assembly, as every other architecture does) and a vet and build for arm64,
-# so neither the path this machine does not run nor the build it does not do
-# can rot; followed by a smoke bench record pushed through validate, the gate
-# and a self-compare.
+# derivation after every operation; one writer beside readers) and the sketch
+# tier (bound soundness, the store keeping it in step, refinement skipping
+# only what would abandon, the vector kernel against the portable one), all
+# under the race detector; then the sketch's portable path on its own (-tags
+# purego builds without the assembly, as every other architecture does) and a
+# vet and build for arm64, so neither the path this machine does not run nor
+# the build it does not do can rot.
 kernel-check:
-	$(GO) test -race -run 'TestArena|TestFlat|TestGolden|TestSplitBatch|TestPopBlock|TestBatchSpread|TestConcurrentFlatStress|TestConcurrentEngineStress' ./internal/spectral ./internal/vptree ./internal/core
+	$(GO) test -race -run 'TestArena|TestFlat|TestGolden|TestConcurrentFlatStress|TestConcurrentEngineStress' ./internal/spectral ./internal/vptree ./internal/core
 	$(GO) test -race -run 'Sketch|TestExceeds|TestRows|TestUnsketchable|TestShiftOutOfRange|TestVector|TestClosedForm|Kernel' ./internal/sketch ./internal/seqstore ./internal/knn ./internal/core ./internal/shard
 	$(GO) test -tags purego ./internal/sketch ./internal/knn ./internal/seqstore
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
-	$(GO) run ./cmd/benchrec record -smoke -label kernelsmoke -o /tmp/BENCH_kernelsmoke.json
-	$(GO) run ./cmd/benchrec validate /tmp/BENCH_kernelsmoke.json
-	$(GO) run ./cmd/benchrec gate /tmp/BENCH_kernelsmoke.json
-	$(GO) run ./cmd/benchrec compare /tmp/BENCH_kernelsmoke.json /tmp/BENCH_kernelsmoke.json
-
-# shard-check is the scatter-gather acceptance suite: the full
-# internal/shard package — the 100-trial equivalence property test across
-# shard counts {1,2,3,8}, the rollback/cancellation stress tests, the huge-k
-# clamp and sharded explain — under the race detector, followed by a
-# smoke bench record pushed through validate and the gate (which enforces
-# sharded_matches_single and the gather-overhead ceiling).
-shard-check:
-	$(GO) test -race -count=1 ./internal/shard/
-	$(GO) run ./cmd/benchrec record -smoke -label shardsmoke -o /tmp/BENCH_shardsmoke.json
-	$(GO) run ./cmd/benchrec validate /tmp/BENCH_shardsmoke.json
-	$(GO) run ./cmd/benchrec gate /tmp/BENCH_shardsmoke.json
 
 # trace-smoke boots cmd/s2 with a file span exporter, sends a traced
 # /v2/search request and asserts the exported trace's spans and parentage.
@@ -99,35 +81,15 @@ trace-smoke:
 
 # approx-check is the approximate-answering acceptance suite: the quality
 # properties (bound-gap soundness, ε=0 bit-identity — single and sharded —
-# and progressive-snapshot monotonicity) plus the v2 decode fuzz seeds under
-# the race detector, a smoke bench record pushed through validate and the
-# quality gate (recall floor at the default ε), and the end-to-end
+# progressive-snapshot monotonicity and the recall floor at the default ε)
+# plus the v2 decode fuzz seeds under the race detector, and the end-to-end
 # progressive-streaming smoke against the real binary.
 approx-check:
 	$(GO) test -race -count=1 -run 'TestApprox|TestShardedApprox|TestV2|TestNewRequest|FuzzV2Decode' ./internal/core ./internal/shard
-	$(GO) run ./cmd/benchrec record -smoke -label approxsmoke -o /tmp/BENCH_approxsmoke.json
-	$(GO) run ./cmd/benchrec validate /tmp/BENCH_approxsmoke.json
-	$(GO) run ./cmd/benchrec gate /tmp/BENCH_approxsmoke.json
 	sh scripts/approx_smoke.sh
 
 bench:
 	$(GO) test -run=^$$ -bench=. -benchmem ./...
-
-# bench-record writes a schema-versioned perf snapshot (BENCH_<label>.json)
-# from the standardized default workload. Compare two snapshots with
-#   go run ./cmd/benchrec compare OLD.json NEW.json
-BENCH_LABEL ?= dev
-bench-record:
-	$(GO) run ./cmd/benchrec record -label $(BENCH_LABEL)
-
-# bench-smoke runs the tiny CI workload, validates the record structurally
-# and applies the correctness gate (batch/flat/sharded match bits plus the
-# gather-overhead ceiling; the perf speedup floor self-skips on small
-# machines, so this stays safe for noisy CI runners).
-bench-smoke:
-	$(GO) run ./cmd/benchrec record -smoke -label smoke -o /tmp/BENCH_smoke.json
-	$(GO) run ./cmd/benchrec validate /tmp/BENCH_smoke.json
-	$(GO) run ./cmd/benchrec gate /tmp/BENCH_smoke.json
 
 # bench-test runs the repository benchmark's own tests. bench/ is a nested
 # module, so the root `go test ./...` never reaches it; its smoke tier runs
@@ -146,24 +108,3 @@ PAIRS ?= 10
 bench-pair:
 	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make bench-pair BASE=<rev> W=<workload> [PAIRS=10]"; exit 2; }
 	TRACE=$(or $(TRACE),0) sh scripts/bench_pair.sh $(BASE) $(W) $(PAIRS)
-
-# profile records the default workload with mutex/block/heap pprof capture
-# enabled; inspect with `go tool pprof profiles/mutex-profile-001.pprof`.
-PROFILE_DIR ?= profiles
-profile:
-	$(GO) run ./cmd/benchrec record -label profile -o /tmp/BENCH_profile.json -profile-dir $(PROFILE_DIR)
-
-# profile-smoke is the CI variant: tiny workload, assert every profile file
-# exists and is non-empty, validate the schema-v4 record, and exercise the
-# regression gate by comparing the record against itself.
-profile-smoke:
-	rm -rf /tmp/profile-smoke && mkdir -p /tmp/profile-smoke
-	$(GO) run ./cmd/benchrec record -smoke -label profsmoke -o /tmp/BENCH_profsmoke.json -profile-dir /tmp/profile-smoke
-	@for kind in mutex block heap; do \
-		f="$$(ls /tmp/profile-smoke/$$kind-*.pprof 2>/dev/null | head -n1)"; \
-		if [ -z "$$f" ] || [ ! -s "$$f" ]; then \
-			echo "missing or empty $$kind profile in /tmp/profile-smoke"; exit 1; fi; \
-		echo "ok: $$f ($$(wc -c < $$f) bytes)"; \
-	done
-	$(GO) run ./cmd/benchrec validate /tmp/BENCH_profsmoke.json
-	$(GO) run ./cmd/benchrec compare /tmp/BENCH_profsmoke.json /tmp/BENCH_profsmoke.json

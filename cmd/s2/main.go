@@ -24,8 +24,7 @@
 // engine and say so. With -debug-addr a debug HTTP
 // server exposes /debug/vars, /debug/metrics (Prometheus text format),
 // /debug/traces, /debug/requests (request-scoped wide events),
-// /debug/workers (per-worker pool attribution), /debug/healthz,
-// /debug/explain, /debug/slow and /debug/pprof (see
+// /debug/healthz, /debug/explain, /debug/slow and /debug/pprof (see
 // docs/observability.md), plus the /v2/search JSON endpoint serving every
 // search family concurrently under the engine's read lock (see
 // docs/api.md), behind admission control (-max-inflight,
@@ -33,9 +32,8 @@
 // With -slow-query, queries over the threshold are logged through log/slog
 // and retained with their span tree and explain report at /debug/slow.
 //
-// `s2 bench [-parallel N] [workload flags]` skips the REPL and measures
-// serial versus parallel (BatchSearchCtx) search throughput on the standard
-// benchmark workload (see docs/concurrency.md).
+// Throughput and latency are measured from outside, over /v2/search, by the
+// repository benchmark (bench/README.md, make bench-pair).
 package main
 
 import (
@@ -69,13 +67,6 @@ func main() {
 	// main defers nothing itself: run owns every resource so that error
 	// paths (load failures, save failures) still close the engine instead
 	// of leaking it through os.Exit.
-	if len(os.Args) > 1 && os.Args[1] == "bench" {
-		if err := runBenchMode(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "s2:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "s2:", err)
 		os.Exit(1)
@@ -208,51 +199,6 @@ func newTraceExporter(target string) (obs.SpanExporter, error) {
 		return obs.NewHTTPExporter(target, nil), nil
 	}
 	return obs.NewFileExporter(target)
-}
-
-// runBenchMode handles `s2 bench`: it builds the benchmark workload's
-// engine and reports serial versus parallel (BatchSearchCtx) search
-// throughput, exiting non-zero if the parallel results diverge.
-func runBenchMode(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	def := benchutil.DefaultBenchWorkload()
-	series := fs.Int("series", def.Series, "database series")
-	queries := fs.Int("queries", def.Queries, "held-out queries")
-	days := fs.Int("days", def.Days, "days per series")
-	seed := fs.Int64("seed", def.Seed, "corpus seed")
-	budget := fs.Int("budget", def.Budget, "coefficient budget")
-	k := fs.Int("k", def.K, "neighbours per search")
-	parallel := fs.Int("parallel", def.Workers, "BatchSearchCtx worker count")
-	shards := fs.Int("shards", def.Shards, "partition width of the sharded scatter-gather phase")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	w := benchutil.BenchWorkload{
-		Series: *series, Queries: *queries, Days: *days,
-		Seed: *seed, Budget: *budget, K: *k, Workers: *parallel, Shards: *shards,
-	}
-	rec, err := benchutil.RunBench(w, "s2-bench")
-	if err != nil {
-		return err
-	}
-	t := rec.Throughput
-	fmt.Printf("workload: %d series x %d days, %d held-out queries, k=%d\n",
-		w.Series, w.Days, w.Queries, w.K)
-	fmt.Printf("build %.1f ms, tree height %d\n", rec.BuildMS, rec.TreeHeight)
-	fmt.Printf("serial   %10.1f qps  (%d searches)\n", t.SerialQPS, t.Queries)
-	fmt.Printf("parallel %10.1f qps  (%d workers)  speedup %.2fx\n",
-		t.ParallelQPS, t.Workers, t.Speedup)
-	sh := rec.Sharding
-	fmt.Printf("sharded  %10.1f qps  (%d shards, fanout %d)  gather %.2f%%\n",
-		sh.ShardedQPS, sh.Shards, sh.Fanout, sh.GatherPct)
-	if !t.BatchMatchesSerial {
-		return fmt.Errorf("parallel batch results diverged from serial")
-	}
-	if !sh.ShardedMatchesSingle {
-		return fmt.Errorf("sharded scatter results diverged from the single engine")
-	}
-	fmt.Println("parallel and sharded results match serial: ok")
-	return nil
 }
 
 // buildEngine opens, loads or generates the database. On every error path

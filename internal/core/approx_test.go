@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/querylog"
 )
 
 // approxTrialRequest draws one randomized approximate request over the
@@ -139,6 +141,72 @@ func TestApproxZeroIsExact(t *testing.T) {
 			if want.Neighbors[i] != got.Neighbors[i] {
 				t.Fatalf("trial %d rank %d: %+v vs %+v", trial, i, want.Neighbors[i], got.Neighbors[i])
 			}
+		}
+	}
+}
+
+// recallEpsilon is the canonical quality-dial setting: the ε a caller
+// reaching for "fast but still faithful" should start from (docs/approx.md).
+// Calibrated so that recall@k stays ≥ recallFloor on the two corpora below
+// while the relaxed pruning still measurably cuts traversal work; wider
+// settings trade more recall for speed and are not gated.
+const (
+	recallEpsilon = 0.05
+	recallFloor   = 0.99
+)
+
+// TestApproxRecallFloor scores the dial at recallEpsilon against its exact
+// twin: recall@k over the held-out queries stays at or above recallFloor and
+// every finite BoundGap is a non-negative certificate; at ε = 0 the answer is
+// the exact one, flagged exact. A bound tested against the relaxed cutoff
+// where the exact one belongs (the sketch test in knn.Refine, once) shows up
+// here as recall in the 0.8s.
+func TestApproxRecallFloor(t *testing.T) {
+	for _, c := range []struct{ series, days, queries, budget, k int }{
+		{64, 128, 4, 8, 3},
+		{512, 512, 16, 16, 5},
+	} {
+		g := querylog.NewGenerator(querylog.DefaultStart, c.days, 1)
+		data := append(g.Exemplars(), g.Dataset(c.series)...)
+		e, err := NewEngine(data, Config{Budget: c.budget, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		var hits, wanted int
+		for i, q := range g.Queries(c.queries) {
+			ask := func(eps float64) *Response {
+				resp, err := e.Query(context.Background(), Request{
+					Kind: KindSimilar, Values: q.Values, K: c.k, Approx: Approx{Epsilon: eps},
+				})
+				if err != nil {
+					t.Fatalf("%dx%d query %d at ε=%v: %v", c.series, c.days, i, eps, err)
+				}
+				return resp
+			}
+			exact := ask(0)
+			if exact.Approximate {
+				t.Errorf("%dx%d query %d: the ε=0 answer is flagged approximate", c.series, c.days, i)
+			}
+			inExact := make(map[int]bool, len(exact.Neighbors))
+			for _, n := range exact.Neighbors {
+				inExact[n.ID] = true
+				if n.BoundGap != 0 {
+					t.Errorf("%dx%d query %d: ε=0 neighbour %d has bound gap %v", c.series, c.days, i, n.ID, n.BoundGap)
+				}
+			}
+			wanted += len(exact.Neighbors)
+			for _, n := range ask(recallEpsilon).Neighbors {
+				if inExact[n.ID] {
+					hits++
+				}
+				if !math.IsInf(n.BoundGap, 1) && !(n.BoundGap >= 0) {
+					t.Errorf("%dx%d query %d: neighbour %d has bound gap %v", c.series, c.days, i, n.ID, n.BoundGap)
+				}
+			}
+		}
+		if recall := float64(hits) / float64(wanted); recall < recallFloor {
+			t.Errorf("%dx%d: recall@%d = %.4f at ε=%v, want ≥ %v", c.series, c.days, c.k, recall, recallEpsilon, recallFloor)
 		}
 	}
 }

@@ -82,8 +82,8 @@ func TestConcurrentEngineStress(t *testing.T) {
 					}
 				case 4:
 					batch := [][]float64{probe, qvals[1].Values}
-					if _, _, err := e.BatchSearchCtx(context.Background(), batch, 3); err != nil {
-						t.Errorf("BatchSearch: %v", err)
+					if err := fanSimilar(context.Background(), e, batch, 3); err != nil {
+						t.Errorf("concurrent similar queries: %v", err)
 					}
 				}
 			}
@@ -188,60 +188,6 @@ func TestConcurrentEngineStress(t *testing.T) {
 	}
 }
 
-// TestBatchSearchMatchesSerialProperty is the tentpole determinism
-// property: across randomized engines (size, budget, worker count, k),
-// parallel BatchSearch returns exactly what a serial SimilarQueries loop
-// returns — same neighbours, same order, same distances — and its merged
-// stats equal the per-query sum.
-func TestBatchSearchMatchesSerialProperty(t *testing.T) {
-	const trials = 100
-	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-		days := 64 << rng.Intn(2) // 64 or 128
-		nSeries := 8 + rng.Intn(24)
-		k := 1 + rng.Intn(6)
-		workers := 2 + rng.Intn(7)
-
-		g := querylog.NewGenerator(querylog.DefaultStart, days, int64(1000+trial))
-		e, err := NewEngine(g.Dataset(nSeries), Config{
-			Budget:  4 + rng.Intn(12),
-			Seed:    int64(trial),
-			Workers: workers,
-		})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-
-		queries := g.Queries(1 + rng.Intn(5))
-		qvals := make([][]float64, len(queries))
-		serial := make([][]Neighbor, len(queries))
-		var serialStats vptree.Stats
-		for i, q := range queries {
-			qvals[i] = q.Values
-			nbs, st, err := similarQueries(e, q.Values, k)
-			if err != nil {
-				t.Fatalf("trial %d: serial query %d: %v", trial, i, err)
-			}
-			serial[i] = nbs
-			serialStats.Add(st)
-		}
-
-		batch, batchStats, err := e.BatchSearchCtx(context.Background(), qvals, k)
-		if err != nil {
-			t.Fatalf("trial %d: BatchSearch: %v", trial, err)
-		}
-		if !reflect.DeepEqual(batch, serial) {
-			t.Errorf("trial %d (workers=%d, k=%d): batch results differ from serial\nbatch:  %v\nserial: %v",
-				trial, workers, k, batch, serial)
-		}
-		if batchStats != serialStats {
-			t.Errorf("trial %d: merged batch stats %+v != summed serial stats %+v",
-				trial, batchStats, serialStats)
-		}
-		e.Close()
-	}
-}
-
 // TestLinearScanShardedMatchesSerial: the sharded parallel scan must be
 // byte-identical to the single-threaded scan — including the order of
 // equal-distance ties — for any worker count.
@@ -274,23 +220,6 @@ func TestLinearScanShardedMatchesSerial(t *testing.T) {
 			}
 		}
 		e.Close()
-	}
-}
-
-// TestBatchSearchEdgeCases pins the non-happy paths: empty batch, and a
-// malformed query failing the whole batch with the first error by batch
-// position (not by completion order).
-func TestBatchSearchEdgeCases(t *testing.T) {
-	e, g := buildEngine(t, 8, Config{Workers: 4}, 31)
-	out, _, err := e.BatchSearchCtx(context.Background(), nil, 3)
-	if err != nil || len(out) != 0 {
-		t.Errorf("empty batch: %v, %v", out, err)
-	}
-	good := g.Queries(1)[0].Values
-	bad := make([]float64, 7) // wrong length
-	_, _, err = e.BatchSearchCtx(context.Background(), [][]float64{good, bad, bad[:3]}, 3)
-	if !errors.Is(err, spectral.ErrMismatch) {
-		t.Errorf("batch with malformed query: err = %v, want ErrMismatch", err)
 	}
 }
 

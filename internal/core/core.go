@@ -84,10 +84,9 @@ type Config struct {
 	// Shards > 1 so a sharding config can never silently degrade to a
 	// single unpartitioned engine.
 	Shards int
-	// Workers bounds the goroutines used for parallel query execution —
-	// the BatchSearchCtx fan-out and the sharded linear scan — and for index
-	// construction (default runtime.GOMAXPROCS(0)). Set to 1 to force every
-	// path serial; results are identical either way (see
+	// Workers bounds the goroutines used by the parallel linear scan and by
+	// index construction (default runtime.GOMAXPROCS(0)). Set to 1 to force
+	// both serial; results are identical either way (see
 	// docs/concurrency.md).
 	Workers int
 	// Obs, when non-nil, turns on the observability layer: every hot path
@@ -216,11 +215,6 @@ type Engine struct {
 	hub      *obs.Hub
 	tracer   *obs.Tracer
 	met      engineMetrics
-	// workers is the per-worker contention/scheduling attribution table:
-	// one padded slot per pool worker, flushed lock-free by BatchSearchCtx
-	// workers on completion and scraped by /debug/workers and benchutil's
-	// contention section. Always non-nil (independent of the hub).
-	workers *obs.WorkerShards
 	// reqlog receives one wide event per Engine.Query (nil without a hub).
 	reqlog *obs.RequestLog
 }
@@ -256,13 +250,6 @@ var _ Searcher = (*Engine)(nil)
 // tracer is a valid no-op).
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
-// WorkerStats returns a frozen view of the engine's cumulative per-worker
-// pool attribution (tasks, steals, busy/idle time, nodes visited) plus the
-// aggregate lock-wait total.
-func (e *Engine) WorkerStats() obs.WorkerShardsSnapshot {
-	return e.workers.Report()
-}
-
 // wireObs installs the observability hub: registry instruments, per-query
 // tracing, store read/write accounting and burst-database counters. Safe
 // with hub == nil (everything becomes a no-op).
@@ -271,8 +258,6 @@ func (e *Engine) wireObs(hub *obs.Hub) {
 	e.tracer = hub.Tracer()
 	e.met = newEngineMetrics(hub.Registry())
 	e.reqlog = hub.RequestLog()
-	e.workers = obs.NewWorkerShards(e.cfg.Workers)
-	hub.SetWorkerShards(e.workers)
 	if hub.Registry() != nil {
 		e.store = seqstore.Instrument(e.store, hub.Registry())
 		m := burstDBMetrics(hub.Registry())
@@ -465,9 +450,7 @@ func (e *Engine) AddPrepared(p *PreparedAdd) (int, error) {
 		e.mu.Unlock()
 		e.met.writeLockHold.Observe(time.Since(held))
 	}()
-	lockWait := held.Sub(lockStart)
-	e.met.writeLockWait.Observe(lockWait)
-	e.workers.AddLockWait(lockWait.Nanoseconds())
+	e.met.writeLockWait.Observe(held.Sub(lockStart))
 	id, err := e.store.Append(p.z)
 	if err != nil {
 		return 0, err

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sort"
 	"testing"
 
@@ -50,13 +49,12 @@ func bruteNeighbors(t *testing.T, e *Engine, values []float64, k int) []Neighbor
 }
 
 // 100-trial engine-level sweep against the brute-force oracle: every public
-// by-values search surface — KindSimilar, KindLinear and BatchSearchCtx —
+// by-values search surface — KindSimilar and KindLinear —
 // must return exactly the oracle's neighbours, bit-identical distances and
 // canonical ties, over randomized queries and k (including k ≥ n).
 func TestFlatEngineEquivalenceSweep(t *testing.T) {
 	e, trials := sweepCorpus(t)
-	batch := make([][]float64, len(trials))
-	for i, tr := range trials {
+	for _, tr := range trials {
 		want := bruteNeighbors(t, e, tr.q, tr.k)
 		got, _, err := similarQueries(e, tr.q, tr.k)
 		if err != nil {
@@ -68,14 +66,6 @@ func TestFlatEngineEquivalenceSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameNeighbors(t, "linear", lin, want)
-		batch[i] = tr.q
-	}
-	out, _, err := e.BatchSearchCtx(context.Background(), batch, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range out {
-		sameNeighbors(t, "batch", out[i], bruteNeighbors(t, e, batch[i], 3))
 	}
 	if ks := e.Tree().KernelStats(); ks.FlatSearches == 0 || ks.KernelEvals == 0 {
 		t.Fatalf("engine never used the kernels: %+v", ks)

@@ -29,10 +29,11 @@ func transientStress(err error) bool {
 // TestConcurrentFlatStressWithRollback hammers the search hot path while
 // the engine churns: a writer alternates sabotaged Adds (forced
 // ErrDuplicateID → store rollback) with successful ones — each of which
-// changes the flat index in place under the write lock — while readers run batch
-// and single searches, a canceller fires mid-traversal aborts and an HTTP
-// client scrapes /debug and /v2/search. Run under -race in CI; afterwards
-// the engine must hold every series and answer like brute force.
+// changes the flat index in place under the write lock — while readers run
+// eight searches at a time and single ones, a canceller fires mid-traversal
+// aborts and an HTTP client scrapes /debug and /v2/search. Run under -race in
+// CI; afterwards the engine must hold every series and answer like brute
+// force.
 func TestConcurrentFlatStressWithRollback(t *testing.T) {
 	hub := obs.NewHub()
 	g := querylog.NewGenerator(querylog.DefaultStart, 128, 7)
@@ -97,11 +98,11 @@ func TestConcurrentFlatStressWithRollback(t *testing.T) {
 	}()
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
-		go func(r int) { // batch + serial readers
+		go func(r int) { // concurrent + serial readers
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
-				if _, _, err := e.BatchSearchCtx(context.Background(), batch, 3); !transientStress(err) {
-					t.Errorf("batch search: %v", err)
+				if err := fanSimilar(context.Background(), e, batch, 3); !transientStress(err) {
+					t.Errorf("concurrent searches: %v", err)
 				}
 				if _, _, err := similarQueries(e, probe, 2+r); !transientStress(err) {
 					t.Errorf("similar query: %v", err)
@@ -110,16 +111,16 @@ func TestConcurrentFlatStressWithRollback(t *testing.T) {
 		}(r)
 	}
 	wg.Add(1)
-	go func() { // canceller: aborts batches mid-flight
+	go func() { // canceller: aborts eight searches mid-flight
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				if _, _, err := e.BatchSearchCtx(ctx, batch, 3); !transientStress(err) &&
+				if err := fanSimilar(ctx, e, batch, 3); !transientStress(err) &&
 					!errors.Is(err, context.Canceled) {
-					t.Errorf("cancelled batch: %v", err)
+					t.Errorf("cancelled searches: %v", err)
 				}
 			}()
 			if i%2 == 0 {

@@ -2,7 +2,11 @@ package core
 
 import (
 	"context"
+	"sync"
+	"testing"
 
+	"repro/internal/obs"
+	"repro/internal/querylog"
 	"repro/internal/vptree"
 )
 
@@ -59,4 +63,45 @@ func queryByBurstOf(e Searcher, id, k int, w BurstWindow) ([]BurstMatch, error) 
 		return nil, err
 	}
 	return resp.Matches, nil
+}
+
+// attrEngine builds a small engine with a hub and twelve held-out queries.
+func attrEngine(t *testing.T, workers int) (*Engine, *obs.Hub, [][]float64) {
+	t.Helper()
+	hub := obs.NewHub()
+	g := querylog.NewGenerator(querylog.DefaultStart, 128, 7)
+	data := append(g.Exemplars(), g.Dataset(24)...)
+	e, err := NewEngine(data, Config{Budget: 8, Seed: 7, Workers: workers, Obs: hub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	qs := g.Queries(12)
+	qvals := make([][]float64, len(qs))
+	for i, q := range qs {
+		qvals[i] = q.Values
+	}
+	return e, hub, qvals
+}
+
+// fanSimilar answers every query of batch at once, one goroutine a query —
+// the stress tests' source of simultaneous readers on the engine lock — and
+// returns the first error by batch position.
+func fanSimilar(ctx context.Context, e Searcher, batch [][]float64, k int) error {
+	errs := make([]error, len(batch))
+	var wg sync.WaitGroup
+	for i, q := range batch {
+		wg.Add(1)
+		go func(i int, q []float64) {
+			defer wg.Done()
+			_, errs[i] = e.Query(ctx, Request{Kind: KindSimilar, Values: q, K: k})
+		}(i, q)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -282,24 +282,6 @@ func TestWrappersMatchQuery(t *testing.T) {
 	}
 }
 
-func TestBatchSearchCtxCancellation(t *testing.T) {
-	e, g := buildEngine(t, 30, Config{Workers: 2}, 7)
-	queries := make([][]float64, 8)
-	for i, q := range g.Queries(8) {
-		queries[i] = q.Values
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := e.BatchSearchCtx(ctx, queries, 3); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// And the plain wrapper still works.
-	out, _, err := e.BatchSearchCtx(context.Background(), queries, 3)
-	if err != nil || len(out) != len(queries) {
-		t.Fatalf("BatchSearch: %d results, err %v", len(out), err)
-	}
-}
-
 func TestKindStringRoundTrip(t *testing.T) {
 	for _, k := range []Kind{KindSimilar, KindSimilarID, KindLinear, KindDTW, KindSimilarPeriods, KindBurst, KindBurstID} {
 		got, err := ParseKind(k.String())

@@ -32,10 +32,6 @@ type engineMetrics struct {
 	linearTotal *obs.Counter
 	linearLat   *obs.Timer
 
-	batchTotal   *obs.Counter
-	batchQueries *obs.Counter
-	batchLat     *obs.Timer
-
 	periodsTotal *obs.Counter
 	periodsLat   *obs.Timer
 
@@ -56,19 +52,8 @@ type engineMetrics struct {
 	queryTruncated *obs.Counter
 	queryPrepares  *obs.Counter
 
-	// Pool contention & scheduling attribution (see docs/observability.md
-	// "Per-worker metrics"). The histograms observe one value per worker
-	// per completed batch; the gauges describe the most recent batch.
-	poolTasks       *obs.Histogram
-	poolBusy        *obs.Histogram
-	poolIdle        *obs.Histogram
-	poolTasksTotal  *obs.Counter
-	poolSteals      *obs.Counter
-	poolUtilization *obs.Gauge
-	poolImbalance   *obs.Gauge
-	readLockWait    *obs.Timer
-	writeLockWait   *obs.Timer
-	writeLockHold   *obs.Timer
+	writeLockWait *obs.Timer
+	writeLockHold *obs.Timer
 
 	treeNodes      *obs.Counter
 	treeBounds     *obs.Counter
@@ -96,10 +81,6 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 		linearTotal: reg.Counter("engine_linear_scan_total", "linear-scan baseline searches served"),
 		linearLat:   reg.Timer("engine_linear_scan_latency_seconds", "linear-scan latency"),
 
-		batchTotal:   reg.Counter("engine_batch_search_total", "BatchSearch calls served"),
-		batchQueries: reg.Counter("engine_batch_queries_total", "queries fanned out across BatchSearch worker pools"),
-		batchLat:     reg.Timer("engine_batch_search_latency_seconds", "whole-batch BatchSearch latency"),
-
 		periodsTotal: reg.Counter("engine_periods_total", "period detections served"),
 		periodsLat:   reg.Timer("engine_periods_latency_seconds", "period-detection latency"),
 
@@ -120,16 +101,8 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 		queryTruncated: reg.Counter("engine_query_truncated_total", "queries returning budget-truncated partial results"),
 		queryPrepares:  QueryPreparesCounter(reg),
 
-		poolTasks:       reg.Histogram("pool_worker_tasks", "queries executed per worker per BatchSearch", kBuckets),
-		poolBusy:        reg.Histogram("pool_worker_busy_seconds", "per-worker time executing queries, per BatchSearch", obs.HistogramOpts{}),
-		poolIdle:        reg.Histogram("pool_worker_idle_seconds", "per-worker time waiting for work (steal scans + tail wait), per BatchSearch", obs.HistogramOpts{}),
-		poolTasksTotal:  reg.Counter("pool_tasks_total", "queries executed by pool workers"),
-		poolSteals:      reg.Counter("pool_steals_total", "queries executed from another worker's queue"),
-		poolUtilization: reg.Gauge("pool_worker_utilization", "mean busy fraction across workers in the most recent batch"),
-		poolImbalance:   reg.Gauge("pool_worker_imbalance", "max/mean tasks per worker in the most recent batch (1 = perfectly balanced)"),
-		readLockWait:    reg.Timer("engine_read_lock_wait_seconds", "time spent acquiring the engine read lock (BatchSearch entry)"),
-		writeLockWait:   reg.Timer("engine_write_lock_wait_seconds", "time spent acquiring the engine write lock (Add)"),
-		writeLockHold:   reg.Timer("engine_write_lock_hold_seconds", "time Add holds the engine write lock: store append, index insert, burst rows"),
+		writeLockWait: reg.Timer("engine_write_lock_wait_seconds", "time spent acquiring the engine write lock (Add)"),
+		writeLockHold: reg.Timer("engine_write_lock_hold_seconds", "time Add holds the engine write lock: store append, index insert, burst rows"),
 
 		treeNodes:      reg.Counter("vptree_nodes_visited_total", "index nodes traversed"),
 		treeBounds:     reg.Counter("vptree_bounds_computed_total", "lower/upper bound evaluations against compressed objects"),
@@ -140,37 +113,6 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 		treeGuided:     reg.Counter("vptree_guided_descent_hits_total", "internal nodes where guided descent reordered traversal"),
 		treeExact:      reg.Counter("vptree_exact_distances_total", "exact distance evaluations during refinement"),
 		treeSketch:     reg.Counter("vptree_sketch_skips_total", "refinement candidates the store's sketch kept from being fetched"),
-	}
-}
-
-// recordPool promotes one completed batch's per-worker attribution into
-// the registry: a histogram observation per worker for tasks/busy/idle,
-// cumulative task and steal counters, and utilization/imbalance gauges
-// describing this batch.
-func (m *engineMetrics) recordPool(deltas []obs.WorkerDelta) {
-	if len(deltas) == 0 {
-		return
-	}
-	var maxTasks, sumTasks int64
-	var utilSum float64
-	for _, d := range deltas {
-		m.poolTasks.Observe(float64(d.Tasks))
-		m.poolBusy.Observe(float64(d.BusyNS) / 1e9)
-		m.poolIdle.Observe(float64(d.IdleNS) / 1e9)
-		m.poolTasksTotal.Add(d.Tasks)
-		m.poolSteals.Add(d.Steals)
-		sumTasks += d.Tasks
-		if d.Tasks > maxTasks {
-			maxTasks = d.Tasks
-		}
-		if total := d.BusyNS + d.IdleNS; total > 0 {
-			utilSum += float64(d.BusyNS) / float64(total)
-		}
-	}
-	m.poolUtilization.Set(utilSum / float64(len(deltas)))
-	if sumTasks > 0 {
-		mean := float64(sumTasks) / float64(len(deltas))
-		m.poolImbalance.Set(float64(maxTasks) / mean)
 	}
 }
 

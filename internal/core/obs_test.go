@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/obs"
@@ -184,5 +185,40 @@ func TestLoadEngineWiresObs(t *testing.T) {
 	}
 	if counterValue(t, hub.Registry(), "seqstore_reads_total") == 0 {
 		t.Error("loaded engine store is not instrumented")
+	}
+}
+
+// TestQueryWideEventAbortCauses pins the abort taxonomy: cancellation maps
+// to "canceled", budget truncation to truncated+"budget".
+func TestQueryWideEventAbortCauses(t *testing.T) {
+	t.Parallel()
+	e, hub, qvals := attrEngine(t, 2)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := e.Query(ctx, Request{Kind: KindSimilar, Values: qvals[0], K: 2}); err == nil {
+		t.Fatal("cancelled query succeeded")
+	}
+	ev := hub.RequestLog().Snapshot()[0]
+	if ev.Abort != "canceled" || ev.Error == "" {
+		t.Errorf("cancelled event = %+v, want abort=canceled", ev)
+	}
+
+	resp, err := e.Query(context.Background(), Request{
+		Kind: KindSimilar, Values: qvals[0], K: 2,
+		Budget: Budget{MaxNodeVisits: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Truncated {
+		t.Fatal("one-node budget did not truncate")
+	}
+	ev = hub.RequestLog().Snapshot()[0]
+	if !ev.Truncated || ev.Abort != "budget" {
+		t.Errorf("truncated event = %+v, want truncated abort=budget", ev)
+	}
+	if ev.MaxNodes != 1 {
+		t.Errorf("event budget echo = %d, want 1", ev.MaxNodes)
 	}
 }

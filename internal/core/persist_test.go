@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/querylog"
@@ -139,5 +140,65 @@ func TestLoadEngineErrors(t *testing.T) {
 	}
 	if _, err := LoadEngine(good, Config{}); err == nil {
 		t.Error("expected error for missing tree file")
+	}
+}
+
+// TestSaveBesideAdd saves a DynamicIndex engine over and over while a writer
+// adds to it. Save holds the read lock, so under -race the pair is clean, and
+// whichever snapshot was written last is whole: it loads, with as many names
+// as rows as indexed entries.
+func TestSaveBesideAdd(t *testing.T) {
+	dir := t.TempDir()
+	g := querylog.NewGenerator(querylog.DefaultStart, 128, 7)
+	e, err := NewEngine(g.Dataset(16), Config{Budget: 8, Seed: 7, DynamicIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	extra := querylog.NewGenerator(querylog.DefaultStart, 128, 99).Queries(48)
+
+	var wg sync.WaitGroup
+	added := make(chan struct{})
+	wg.Add(2)
+	go func() { // writer
+		defer wg.Done()
+		defer close(added)
+		for _, s := range extra {
+			if _, err := e.Add(s); err != nil {
+				t.Errorf("Add(%q): %v", s.Name, err)
+			}
+		}
+	}()
+	go func() { // saver: at least once, then until the writer is done
+		defer wg.Done()
+		for {
+			if err := e.Save(dir); err != nil {
+				t.Errorf("Save beside Add: %v", err)
+				return
+			}
+			select {
+			case <-added:
+				return
+			default:
+			}
+		}
+	}()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	loaded, err := LoadEngine(dir, Config{})
+	if err != nil {
+		t.Fatalf("last snapshot does not load: %v", err)
+	}
+	defer loaded.Close()
+	n := loaded.Len()
+	if n < 16 || n > 16+len(extra) {
+		t.Fatalf("snapshot holds %d series, want between 16 and %d", n, 16+len(extra))
+	}
+	if len(loaded.names) != n || loaded.store.Len() != n || loaded.tree.Len() != n {
+		t.Errorf("snapshot disagrees with itself: Len %d, %d names, %d rows, %d indexed",
+			n, len(loaded.names), loaded.store.Len(), loaded.tree.Len())
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/admit"
+	"repro/internal/obs"
 	"repro/internal/querylog"
 )
 
@@ -493,4 +494,56 @@ func FuzzV2Decode(f *testing.F) {
 			t.Fatalf("accepted request carries invalid approx: %v (%+v)", err, vq)
 		}
 	})
+}
+
+// TestV2SearchRequestIDResolvable is the acceptance criterion end to end:
+// the /v2/search response's request_id resolves at /debug/requests to a
+// wide event describing the same search.
+func TestV2SearchRequestIDResolvable(t *testing.T) {
+	t.Parallel()
+	e, hub, _ := attrEngine(t, 2)
+	srv := httptest.NewServer(obs.Handler(hub,
+		obs.Route{Pattern: "/v2/search", Handler: V2SearchHandler(e)}))
+	defer srv.Close()
+
+	resp, err := srv.Client().Get(srv.URL + "/v2/search?q=" + querylog.ExemplarNames()[0] + "&k=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sr V2Response
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("search status %d", resp.StatusCode)
+	}
+	if sr.RequestID == "" {
+		t.Fatal("search response carries no request_id")
+	}
+	if hdr := resp.Header.Get("X-Request-Id"); hdr != sr.RequestID {
+		t.Errorf("X-Request-Id %q != body request_id %q", hdr, sr.RequestID)
+	}
+
+	resp, err = srv.Client().Get(srv.URL + "/debug/requests?id=" + sr.RequestID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/requests?id=%s status %d", sr.RequestID, resp.StatusCode)
+	}
+	var ev obs.WideEvent
+	if err := json.NewDecoder(resp.Body).Decode(&ev); err != nil {
+		t.Fatal(err)
+	}
+	if ev.Op != "similar_id" || ev.K != 3 {
+		t.Errorf("wide event = %+v, want op=similar_id k=3", ev)
+	}
+	if ev.Results != 3 {
+		t.Errorf("wide event results = %d, want 3", ev.Results)
+	}
+	if ev.NodesVisited <= 0 {
+		t.Error("wide event attributes no index work")
+	}
 }

@@ -46,7 +46,6 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 //	                     trace or request ID; ?stats=1 for sampler counters)
 //	/debug/requests      recent request-scoped wide events (?id=/?trace=
 //	                     resolve a request or trace ID)
-//	/debug/workers       per-worker pool attribution (tasks, steals, busy/idle)
 //	/debug/healthz       readiness: 200 when every registered probe passes
 //	/debug/explain       recent query explain reports (most recent first)
 //	/debug/explain/last  the most recent explain report
@@ -141,9 +140,6 @@ func Handler(h *Hub, extra ...Route) http.Handler {
 			events = []WideEvent{}
 		}
 		writeJSON(w, events)
-	})
-	mux.HandleFunc("/debug/workers", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, h.WorkerShards().Report())
 	})
 	mux.HandleFunc("/debug/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		status := http.StatusOK

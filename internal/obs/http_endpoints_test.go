@@ -55,33 +55,6 @@ func TestDebugRequestsEndpoint(t *testing.T) {
 	}
 }
 
-func TestDebugWorkersEndpoint(t *testing.T) {
-	t.Parallel()
-	h := NewHub()
-	ws := NewWorkerShards(2)
-	ws.Flush(1, WorkerDelta{Tasks: 7, Steals: 2, BusyNS: 70, IdleNS: 30})
-	ws.AddBatch()
-	ws.AddLockWait(99)
-	h.SetWorkerShards(ws)
-	srv := httptest.NewServer(Handler(h))
-	defer srv.Close()
-
-	code, body := get(t, srv, "/debug/workers")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/workers status %d", code)
-	}
-	var rep WorkerShardsSnapshot
-	if err := json.Unmarshal([]byte(body), &rep); err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if len(rep.Workers) != 2 || rep.Workers[1].Tasks != 7 || rep.Workers[1].Steals != 2 {
-		t.Errorf("report = %+v", rep)
-	}
-	if rep.Batches != 1 || rep.LockWaitNS != 99 {
-		t.Errorf("totals = %d batches / %d ns", rep.Batches, rep.LockWaitNS)
-	}
-}
-
 func TestDebugHealthzEndpoint(t *testing.T) {
 	t.Parallel()
 	h := NewHub()
@@ -143,7 +116,6 @@ func TestDebugJSONContentTypeConsistency(t *testing.T) {
 		"/debug/requests",
 		"/debug/requests?id=q-ct-1",
 		"/debug/requests?id=q-nope", // 404 path
-		"/debug/workers",
 		"/debug/healthz",
 		"/debug/explain",
 		"/debug/explain/last", // 404 path
@@ -160,18 +132,14 @@ func TestDebugJSONContentTypeConsistency(t *testing.T) {
 	}
 }
 
-func TestHubRequestLogAndWorkerAccessorsNilSafe(t *testing.T) {
+func TestHubAccessorsNilSafe(t *testing.T) {
 	t.Parallel()
 	var h *Hub
 	if h.RequestLog() != nil {
 		t.Error("nil hub request log should be nil")
 	}
-	if h.WorkerShards() != nil {
-		t.Error("nil hub worker shards should be nil")
-	}
 	if h.HealthChecks() != nil {
 		t.Error("nil hub health checks should be nil")
 	}
-	h.SetWorkerShards(NewWorkerShards(1)) // must not panic
-	h.SetHealthChecks(HealthCheck{Name: "x", Probe: func() error { return nil }})
+	h.SetHealthChecks(HealthCheck{Name: "x", Probe: func() error { return nil }}) // must not panic
 }

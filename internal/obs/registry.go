@@ -496,9 +496,6 @@ type Hub struct {
 	// Requests rings recent request-scoped wide events (/debug/requests).
 	Requests *RequestLog
 
-	// workers is installed by the engine once its pool size is known
-	// (SetWorkerShards); /debug/workers serves its snapshot.
-	workers atomic.Pointer[WorkerShards]
 	// health holds the readiness probes /debug/healthz evaluates.
 	health atomic.Pointer[[]HealthCheck]
 }
@@ -557,24 +554,6 @@ func (h *Hub) RequestLog() *RequestLog {
 		return nil
 	}
 	return h.Requests
-}
-
-// SetWorkerShards installs the engine's per-worker statistics table so
-// /debug/workers can serve it. No-op on a nil hub.
-func (h *Hub) SetWorkerShards(ws *WorkerShards) {
-	if h == nil {
-		return
-	}
-	h.workers.Store(ws)
-}
-
-// WorkerShards returns the installed per-worker table (nil until an engine
-// installs one, or on a nil hub).
-func (h *Hub) WorkerShards() *WorkerShards {
-	if h == nil {
-		return nil
-	}
-	return h.workers.Load()
 }
 
 // HealthCheck is one named readiness probe: Probe returns nil when the

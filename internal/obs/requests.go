@@ -13,8 +13,8 @@ import (
 // WideEvent is one request-scoped "wide event": everything worth knowing
 // about a single request in one flat, structured JSON record — the query
 // kind, its budgets, how long it queued for admission, how much index work
-// it did, how it ended, and (for batch requests) how the work spread over
-// the worker pool. One event is emitted per request at completion; the
+// it did, how it ended, and (for sharded requests) how the work spread over
+// the shards. One event is emitted per request at completion; the
 // sampled RequestLog ring retains recent events for /debug/requests.
 type WideEvent struct {
 	// RequestID joins the event with the /v2/search response, the admission
@@ -26,8 +26,8 @@ type WideEvent struct {
 	TraceID string `json:"trace_id,omitempty"`
 	// Time is when the request entered the engine (or was shed).
 	Time time.Time `json:"time"`
-	// Op is the request kind (similar, linear, dtw, periods, qbb, qbb_id,
-	// batch_search) or "admission_shed" for requests that never got a slot.
+	// Op is the request kind (similar, linear, dtw, periods, qbb, qbb_id)
+	// or "admission_shed" for requests that never got a slot.
 	Op string `json:"op"`
 	K  int    `json:"k,omitempty"`
 
@@ -60,7 +60,8 @@ type WideEvent struct {
 	Abort     string `json:"abort,omitempty"`
 	Error     string `json:"error,omitempty"`
 
-	// Batch-only: pool fan-out and per-worker task spread.
+	// Sharded requests only: how many shards answered and how many
+	// results each contributed.
 	Workers      int     `json:"workers,omitempty"`
 	WorkerSpread []int64 `json:"worker_spread,omitempty"`
 }

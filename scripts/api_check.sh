@@ -3,7 +3,7 @@
 #
 # Four checks:
 #   1. Every exported Engine / ShardedEngine method on the query surface —
-#      names starting with Similar, Query, Batch, Linear, or Search — takes a
+#      names starting with Similar, Query, Linear, or Search — takes a
 #      context.Context as its first parameter. No exceptions: the
 #      pre-context per-family wrappers are gone, searches go through Query.
 #   2. Exported HTTP search handler constructors accept the core.Searcher
@@ -18,7 +18,7 @@ cd "$(dirname "$0")/.."
 fail=0
 
 # --- 1. context-first query surface -------------------------------------
-viol="$(grep -n -E 'func \((e \*Engine|s \*ShardedEngine)\) (Similar|Query|Batch|Linear|Search)[A-Za-z]*\(' internal/core/*.go internal/shard/*.go |
+viol="$(grep -n -E 'func \((e \*Engine|s \*ShardedEngine)\) (Similar|Query|Linear|Search)[A-Za-z]*\(' internal/core/*.go internal/shard/*.go |
 	grep -v '_test\.go:' |
 	grep -v -E '\(ctx context\.Context' || true)"
 
