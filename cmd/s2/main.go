@@ -115,7 +115,8 @@ func run() error {
 		slog.Info("trace export enabled", "target", *traceExport)
 	}
 
-	engine, err := buildEngine(*db, *load, *n, *days, *seed, *budget, *shards, hub)
+	began := time.Now()
+	engine, loadTime, err := buildEngine(*db, *load, *n, *days, *seed, *budget, *shards, hub)
 	if err != nil {
 		return err
 	}
@@ -179,7 +180,7 @@ func run() error {
 		// Which sketch kernel the CPU got goes in the server log, so that a
 		// benchmark record says which path it measured.
 		fmt.Printf("sketch kernel: %s\n", sketch.Kernel())
-		fmt.Printf("ready: %d series indexed; serving until SIGINT/SIGTERM\n", engine.Len())
+		fmt.Printf("ready: %s; serving until SIGINT/SIGTERM\n", setupSummary(engine, time.Since(began), loadTime))
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
@@ -187,7 +188,7 @@ func run() error {
 		// flushes before the process exits, so no exported trace is lost.
 		return nil
 	}
-	fmt.Printf("ready: %d series indexed. Type 'help'.\n", engine.Len())
+	fmt.Printf("ready: %s. Type 'help'.\n", setupSummary(engine, time.Since(began), loadTime))
 	repl(engine, hub)
 	return nil
 }
@@ -205,28 +206,31 @@ func newTraceExporter(target string) (obs.SpanExporter, error) {
 // nothing is left open (the engine only escapes on success). With shards > 1
 // the dataset is partitioned via shard.NewFromConfig; saved engine
 // directories are single-engine snapshots, so -db refuses a shard count.
-func buildEngine(db, load string, n, days int, seed int64, budget, shards int, hub *obs.Hub) (core.Searcher, error) {
+// load is how long it took to have the series in memory (for -db, the whole
+// open).
+func buildEngine(db, path string, n, days int, seed int64, budget, shards int, hub *obs.Hub) (_ core.Searcher, load time.Duration, err error) {
+	began := time.Now()
 	if db != "" {
 		if shards > 1 {
-			return nil, fmt.Errorf("-db opens a single-engine snapshot, which cannot yet load into a partition: " +
+			return nil, 0, fmt.Errorf("-db opens a single-engine snapshot, which cannot yet load into a partition: " +
 				"shard rebalancing / partitioned snapshot loading is the open ROADMAP item " +
 				"\"Shard rebalancing and elastic repartitioning\" — until it lands, either drop -shards " +
 				"to serve the snapshot on a single engine, or rebuild the partitioned dataset from raw input")
 		}
 		fmt.Printf("opening saved engine at %s...\n", db)
-		return core.LoadEngine(db, core.Config{Obs: hub})
+		e, err := core.LoadEngine(db, core.Config{Obs: hub})
+		return e, time.Since(began), err
 	}
 	var data []*series.Series
-	var err error
-	if load != "" {
-		fmt.Printf("loading database from %s...\n", load)
-		if strings.HasSuffix(load, ".csv") {
-			data, err = querylog.LoadCSVFile(load, querylog.DefaultStart)
+	if path != "" {
+		fmt.Printf("loading database from %s...\n", path)
+		if strings.HasSuffix(path, ".csv") {
+			data, err = querylog.LoadCSVFile(path, querylog.DefaultStart)
 		} else {
-			data, err = querylog.LoadBinary(load, querylog.DefaultStart)
+			data, err = querylog.LoadBinary(path, querylog.DefaultStart)
 		}
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	} else {
 		fmt.Printf("building database: %d exemplars + %d background series x %d days...\n",
@@ -234,14 +238,36 @@ func buildEngine(db, load string, n, days int, seed int64, budget, shards int, h
 		g := querylog.NewGenerator(querylog.DefaultStart, days, seed)
 		data = append(g.Exemplars(), g.Dataset(n)...)
 	}
+	load = time.Since(began)
 	s, err := shard.NewFromConfig(data, core.Config{Budget: budget, Shards: shards, Obs: hub})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if se, ok := s.(*shard.ShardedEngine); ok {
 		fmt.Printf("partitioned across %d shards: sizes %v\n", se.Shards(), se.ShardSizes())
 	}
-	return s, nil
+	return s, load, nil
+}
+
+// setupSummary says where a boot went: the series indexed, the time since the
+// process began setting up, and of it the load (see buildEngine) and the
+// engines' own derive and index stages — shards build one after another, so
+// theirs add up.
+func setupSummary(s core.Searcher, total, load time.Duration) string {
+	var derive, index time.Duration
+	switch v := s.(type) {
+	case *core.Engine:
+		derive, index = v.BuildTimes()
+	case *shard.ShardedEngine:
+		for sh := 0; sh < v.Shards(); sh++ {
+			if e := v.Engine(sh); e != nil {
+				d, i := e.BuildTimes()
+				derive, index = derive+d, index+i
+			}
+		}
+	}
+	return fmt.Sprintf("%d series indexed in %.2fs (load %.2fs, derive %.2fs, index %.2fs)",
+		s.Len(), total.Seconds(), load.Seconds(), derive.Seconds(), index.Seconds())
 }
 
 // ownerEngine resolves the concrete engine holding sequence id — the engine

@@ -217,6 +217,8 @@ type Engine struct {
 	met      engineMetrics
 	// reqlog receives one wide event per Engine.Query (nil without a hub).
 	reqlog *obs.RequestLog
+	// buildTimes is where NewEngine's wall time went (see BuildTimes).
+	buildTimes struct{ derive, index time.Duration }
 }
 
 // Searcher is the query surface shared by the single Engine and the
@@ -268,8 +270,8 @@ func (e *Engine) wireObs(hub *obs.Hub) {
 
 // NewEngine builds an engine over the given series. All series must share
 // one length. The engine keeps references to the originals and stores
-// standardized copies internally.
-func NewEngine(data []*series.Series, cfg Config) (*Engine, error) {
+// standardized copies internally. A build that fails closes what it opened.
+func NewEngine(data []*series.Series, cfg Config) (_ *Engine, err error) {
 	if len(data) == 0 {
 		return nil, errors.New("core: empty dataset")
 	}
@@ -277,6 +279,14 @@ func NewEngine(data []*series.Series, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("core: Config.Shards=%d needs the scatter-gather layer; build with shard.New (internal/shard)", cfg.Shards)
 	}
 	cfg.fill()
+	switch {
+	case cfg.Index == IndexMVPTree && cfg.FeaturesPath != "":
+		return nil, errors.New("core: IndexMVPTree keeps features in memory; FeaturesPath is not supported")
+	case cfg.Index == IndexMVPTree && cfg.DynamicIndex:
+		return nil, errors.New("core: DynamicIndex requires the VP-tree index")
+	case cfg.DynamicIndex && cfg.FeaturesPath != "":
+		return nil, errors.New("core: DynamicIndex is incompatible with FeaturesPath")
+	}
 	n := data[0].Len()
 	e := &Engine{
 		cfg:     cfg,
@@ -285,66 +295,30 @@ func NewEngine(data []*series.Series, cfg Config) (*Engine, error) {
 		burstsS: burstdb.New(),
 		burstsL: burstdb.New(),
 	}
-
-	var store seqstore.Store
-	var err error
 	if cfg.StorePath != "" {
-		store, err = seqstore.Create(cfg.StorePath, n)
+		e.store, err = seqstore.Create(cfg.StorePath, n)
 	} else {
-		store, err = seqstore.NewMemory(n)
+		e.store, err = seqstore.NewMemory(n)
 	}
 	if err != nil {
 		return nil, err
 	}
-	e.store = store
 	e.wireObs(cfg.Obs)
-	e.met.seriesIngested.Add(int64(len(data)))
-
-	zValues := make([][]float64, len(data))
-	ids := make([]int, len(data))
-	for i, s := range data {
-		if s.Len() != n {
-			return nil, fmt.Errorf("core: series %q has length %d, want %d", s.Name, s.Len(), n)
-		}
-		z := s.Standardized()
-		id, err := store.Append(z.Values)
+	defer func() {
 		if err != nil {
-			return nil, err
+			e.Close() //nolint:errcheck // the build's error is the one to report
 		}
-		ids[i] = id
-		zValues[i] = z.Values
-		e.names = append(e.names, s.Name)
-		if _, dup := e.byName[s.Name]; !dup {
-			e.byName[s.Name] = id
-		}
-	}
-	e.size.Store(int64(len(e.names)))
-	// Spectra in parallel (the dominant build cost at scale).
-	specs, err := spectral.FromValuesBatch(zValues)
+	}()
+
+	began := time.Now()
+	specs, ids, err := e.deriveAll(data)
 	if err != nil {
 		return nil, err
 	}
-	// Burst features (short- and long-term) on the standardized series.
-	for i := range data {
-		for _, w := range []BurstWindow{Short, Long} {
-			det, err := burst.Detect(zValues[i], burst.Options{
-				Window: windowDays(w), Cutoff: cfg.BurstCutoff,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("core: bursts for %q: %w", data[i].Name, err)
-			}
-			e.burstDB(w).InsertBursts(int64(ids[i]), e.filterBursts(det))
-		}
-	}
+	e.buildTimes.derive = time.Since(began)
 
-	switch cfg.Index {
-	case IndexMVPTree:
-		if cfg.FeaturesPath != "" {
-			return nil, errors.New("core: IndexMVPTree keeps features in memory; FeaturesPath is not supported")
-		}
-		if cfg.DynamicIndex {
-			return nil, errors.New("core: DynamicIndex requires the VP-tree index")
-		}
+	began = time.Now()
+	if cfg.Index == IndexMVPTree {
 		e.mvp, err = mvptree.Build(specs, ids, mvptree.Options{
 			Method:      cfg.Method,
 			Budget:      cfg.Budget,
@@ -355,10 +329,7 @@ func NewEngine(data []*series.Series, cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-	default:
-		if cfg.DynamicIndex && cfg.FeaturesPath != "" {
-			return nil, errors.New("core: DynamicIndex is incompatible with FeaturesPath")
-		}
+	} else {
 		e.tree, err = vptree.Build(specs, ids, cfg.treeOptions())
 		if err != nil {
 			return nil, err
@@ -373,7 +344,117 @@ func NewEngine(data []*series.Series, cfg Config) (*Engine, error) {
 		}
 	}
 	e.warmSketch()
+	e.buildTimes.index = time.Since(began)
+	e.met.seriesIngested.Add(int64(len(data)))
 	return e, nil
+}
+
+// derived is what the engine keeps of one series besides the series itself:
+// its standardized values (the store's row), their spectrum (what the index is
+// built from and, in a dynamic tree, routes by) and the burst features of both
+// windows, already through the BurstMinPeak floor.
+type derived struct {
+	z      []float64
+	spec   *spectral.HalfSpectrum
+	bursts [2][]burst.Burst // by BurstWindow
+}
+
+// derive is the one place a series becomes a derived: NewEngine's block
+// workers and PrepareAdd both call it, so boots and ingests cannot come to
+// keep different things. The standardized values are written to z when it has
+// the series' length (a buffer the caller owns and may reuse once it has
+// copied the row out) and to a fresh slice otherwise. It reads cfg and s and
+// writes only z, so any number run side by side.
+func derive(cfg *Config, seqLen int, s *series.Series, z []float64) (derived, error) {
+	if s.Len() != seqLen {
+		return derived{}, fmt.Errorf("core: series %q has length %d, want %d: %w", s.Name, s.Len(), seqLen, spectral.ErrMismatch)
+	}
+	if len(z) != seqLen {
+		z = make([]float64, seqLen)
+	}
+	copy(z, s.Values)
+	stats.StandardizeInPlace(z)
+	d := derived{z: z}
+	var err error
+	if d.spec, err = spectral.FromValues(z); err != nil {
+		return derived{}, fmt.Errorf("core: spectrum of %q: %w", s.Name, err)
+	}
+	for _, w := range []BurstWindow{Short, Long} {
+		det, err := burst.Detect(z, burst.Options{Window: windowDays(w), Cutoff: cfg.BurstCutoff})
+		if err != nil {
+			return derived{}, fmt.Errorf("core: bursts for %q: %w", s.Name, err)
+		}
+		// Only the filtered triplets leave: det's moving average and mask
+		// are 9 KB a window that nothing reads again.
+		d.bursts[w] = filterBursts(det, cfg.BurstMinPeak)
+	}
+	return d, nil
+}
+
+// deriveBlock is how many series NewEngine derives at a time. Within a block
+// the workers share nothing; between blocks the rows, names and burst rows
+// are committed in input order. The block bounds what the derive stage holds
+// beyond its output — the standardized rows of one block (2 MB at 1 024
+// points) instead of a second copy of the corpus — and 256 series are ≈ 20 ms
+// of work at that length, next to which starting a block's workers and
+// joining them costs nothing.
+const deriveBlock = 256
+
+// deriveAll runs derive over the corpus and commits what it yields — store
+// rows, names, burst rows — returning the spectra, which is all of a series'
+// derivation the index build still needs, beside their sequence IDs. Commits
+// happen in input order whatever Config.Workers is, so sequence IDs, the
+// store's bytes and the burst tables are those of a serial build, and the
+// error returned is that of the first bad series by input position.
+func (e *Engine) deriveAll(data []*series.Series) ([]*spectral.HalfSpectrum, []int, error) {
+	n := e.store.SeqLen()
+	specs := make([]*spectral.HalfSpectrum, 0, len(data))
+	ids := make([]int, 0, len(data))
+	rows := make([]float64, min(deriveBlock, len(data))*n)
+	out := make([]derived, deriveBlock)
+	errs := make([]error, deriveBlock)
+	for len(data) > 0 {
+		block := data[:min(deriveBlock, len(data))]
+		data = data[len(block):]
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := min(e.cfg.Workers, len(block)); w > 0; w-- {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < len(block); i = int(next.Add(1)) - 1 {
+					out[i], errs[i] = derive(&e.cfg, n, block[i], rows[i*n:(i+1)*n])
+				}
+			}()
+		}
+		wg.Wait()
+		for i, s := range block {
+			if errs[i] != nil {
+				return nil, nil, errs[i]
+			}
+			id, err := e.store.Append(out[i].z)
+			if err != nil {
+				return nil, nil, err
+			}
+			e.names = append(e.names, s.Name)
+			if _, dup := e.byName[s.Name]; !dup {
+				e.byName[s.Name] = id
+			}
+			for _, w := range []BurstWindow{Short, Long} {
+				e.burstDB(w).InsertBursts(int64(id), out[i].bursts[w])
+			}
+			specs, ids = append(specs, out[i].spec), append(ids, id)
+		}
+	}
+	e.size.Store(int64(len(e.names)))
+	return specs, ids, nil
+}
+
+// BuildTimes reports how long NewEngine spent deriving (standardize, store,
+// spectra, bursts) and indexing (compress, tree, sketch warm-up). Zero for an
+// engine opened by LoadEngine, which does neither.
+func (e *Engine) BuildTimes() (derive, index time.Duration) {
+	return e.buildTimes.derive, e.buildTimes.index
 }
 
 // warmSketch brings the store's sketch up to date at construction, so that a
@@ -401,13 +482,12 @@ func (e *Engine) Add(s *series.Series) (int, error) {
 
 // PreparedAdd is one series with everything Add derives from it, all of it
 // fallible and none of it dependent on what the engine holds: the standardized
-// values, their spectrum and compressed feature, and the burst detections.
+// values, their spectrum and burst features (derive), and the compressed
+// feature the tree will store.
 type PreparedAdd struct {
-	series  *series.Series
-	z       []float64
-	spec    *spectral.HalfSpectrum
+	series *series.Series
+	derived
 	feature *spectral.Compressed
-	bursts  [2]*burst.Detection // by BurstWindow
 }
 
 // PrepareAdd derives a series' PreparedAdd for engines configured by cfg over
@@ -415,23 +495,14 @@ type PreparedAdd struct {
 // writer runs it beside the readers it will later wait for, and a sharded
 // engine — one Config for every shard — runs it before it knows the shard.
 func PrepareAdd(cfg Config, seqLen int, s *series.Series) (*PreparedAdd, error) {
-	if s.Len() != seqLen {
-		return nil, spectral.ErrMismatch
-	}
 	cfg.fill()
-	p := &PreparedAdd{series: s, z: s.Standardized().Values}
-	var err error
-	if p.spec, err = spectral.FromValues(p.z); err != nil {
+	d, err := derive(&cfg, seqLen, s, nil)
+	if err != nil {
 		return nil, err
 	}
+	p := &PreparedAdd{series: s, derived: d}
 	if p.feature, err = vptree.Compress(p.spec, cfg.treeOptions()); err != nil {
 		return nil, err
-	}
-	for _, w := range []BurstWindow{Short, Long} {
-		p.bursts[w], err = burst.Detect(p.z, burst.Options{Window: windowDays(w), Cutoff: cfg.BurstCutoff})
-		if err != nil {
-			return nil, err
-		}
 	}
 	return p, nil
 }
@@ -473,7 +544,7 @@ func (e *Engine) AddPrepared(p *PreparedAdd) (int, error) {
 		e.byName[p.series.Name] = id
 	}
 	for _, w := range []BurstWindow{Short, Long} {
-		e.burstDB(w).InsertBursts(int64(id), e.filterBursts(p.bursts[w]))
+		e.burstDB(w).InsertBursts(int64(id), p.bursts[w])
 	}
 	e.met.seriesIngested.Inc()
 	return id, nil
@@ -846,11 +917,11 @@ type BurstMatch struct {
 
 // filterBursts applies the BurstMinPeak intensity floor: the burst's moving
 // average must reach BurstMinPeak z-units somewhere in its span.
-func (e *Engine) filterBursts(det *burst.Detection) []burst.Burst {
+func filterBursts(det *burst.Detection, minPeak float64) []burst.Burst {
 	out := det.Bursts[:0:0]
 	for _, b := range det.Bursts {
 		peak := stats.Max(det.MA[b.Start : b.End+1])
-		if peak >= e.cfg.BurstMinPeak {
+		if peak >= minPeak {
 			out = append(out, b)
 		}
 	}

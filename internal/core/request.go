@@ -816,7 +816,7 @@ func (e *Engine) queryBurst(ctx context.Context, g *lifecycle.Gate, req Request)
 		if err != nil {
 			return nil, err
 		}
-		q, exclude = e.filterBursts(det), -1
+		q, exclude = filterBursts(det, e.cfg.BurstMinPeak), -1
 		phases = append(phases, Phase{Name: "burst_detect", MS: msSince(began)})
 	}
 	e.mu.RLock()

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Method selects which compressed representation (and bound algebra) to use.
@@ -111,13 +113,37 @@ func Compress(h *HalfSpectrum, m Method, budget int) (*Compressed, error) {
 	return compressK(h, m, k)
 }
 
+// magScratch pools the per-bin magnitude table of one compression; it is
+// returned before the compression does, so no Compressed aliases it.
+var magScratch = sync.Pool{New: func() any { return new([]float64) }}
+
+// magnitudes fills buf with |X_b| for every bin of h. Everything a
+// compression ranks, thresholds or sums reads this one table: the magnitude
+// is math.Hypot's, the value Power squares, so MinPower and Err are the bits
+// the per-comparison recomputation used to produce.
+func magnitudes(h *HalfSpectrum, buf []float64) []float64 {
+	mags := slices.Grow(buf[:0], len(h.Coeffs))[:len(h.Coeffs)]
+	for b, c := range h.Coeffs {
+		mags[b] = cmplx.Abs(c)
+	}
+	return mags
+}
+
 // compressK keeps exactly k coefficients (first or best per the method).
 func compressK(h *HalfSpectrum, m Method, k int) (*Compressed, error) {
+	mp := magScratch.Get().(*[]float64)
+	defer magScratch.Put(mp)
+	*mp = magnitudes(h, *mp)
+	return compressMags(h, *mp, m, k), nil
+}
+
+// compressMags is compressK over h's magnitude table.
+func compressMags(h *HalfSpectrum, mags []float64, m Method, k int) *Compressed {
 	bins := h.Bins()
 	var positions []int
 	minPower := 0.0
 	if m.UsesBest() {
-		positions, minPower = selectBest(h, k)
+		positions, minPower = selectBest(mags, k)
 	} else {
 		// "First" coefficients start at bin 1: the data is standardized so
 		// DC carries no information, matching the symmetric-property setup
@@ -138,42 +164,76 @@ func compressK(h *HalfSpectrum, m Method, k int) (*Compressed, error) {
 	}
 	c := &Compressed{Method: m, N: h.N, Positions: positions, MinPower: minPower, basis: h.basis}
 	c.Coeffs = make([]complex128, len(positions))
-	kept := make(map[int]bool, len(positions))
 	for i, p := range positions {
 		c.Coeffs[i] = h.Coeffs[p]
-		kept[p] = true
 	}
 	if m.StoresError() {
+		// The omitted bins in ascending order: positions is sorted, so one
+		// cursor walks it beside b.
+		pi := 0
 		for b := 0; b < bins; b++ {
-			if !kept[b] {
-				c.Err += h.Power(b)
+			if pi < len(positions) && positions[pi] == b {
+				pi++
+				continue
 			}
+			c.Err += h.Weight(b) * mags[b] * mags[b]
 		}
 	}
-	return c, nil
+	return c
 }
 
-// selectBest returns the k largest-magnitude bins (any bin, DC included —
-// for standardized data DC is zero and never wins) sorted by position, plus
-// the magnitude of the smallest selected one.
-func selectBest(h *HalfSpectrum, k int) ([]int, float64) {
-	bins := h.Bins()
-	if k > bins {
-		k = bins
+// ranksBefore is the order best-coefficient selection keeps bins in:
+// magnitude descending, ties by bin ascending. It is total, so which bins
+// are the k best — equal magnitudes are routine: the zero bins of constant or
+// padded series, values on an integer grid — depends on no algorithm's path.
+func ranksBefore(mags []float64, a, b int) bool {
+	if mags[a] != mags[b] {
+		return mags[a] > mags[b]
 	}
-	order := make([]int, bins)
-	for i := range order {
-		order[i] = i
+	return a < b
+}
+
+// selectBest returns the k bins that rank first under ranksBefore (any bin,
+// DC included — for standardized data DC is zero and never wins) sorted by
+// position, plus the magnitude of the last of them. It selects rather than
+// sorts: a heap of the k best so far with the worst at its root, which a bin
+// that does not beat the root — nearly all of them, for k ≪ bins — costs one
+// comparison.
+func selectBest(mags []float64, k int) ([]int, float64) {
+	if k > len(mags) {
+		k = len(mags)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ma, mb := cmplx.Abs(h.Coeffs[order[a]]), cmplx.Abs(h.Coeffs[order[b]])
-		if ma != mb {
-			return ma > mb
+	sel := make([]int, k)
+	for i := range sel {
+		sel[i] = i
+	}
+	// sink restores the heap below slot i.
+	sink := func(i int) {
+		for {
+			worst := i
+			if l := 2*i + 1; l < k && ranksBefore(mags, sel[worst], sel[l]) {
+				worst = l
+			}
+			if r := 2*i + 2; r < k && ranksBefore(mags, sel[worst], sel[r]) {
+				worst = r
+			}
+			if worst == i {
+				return
+			}
+			sel[i], sel[worst] = sel[worst], sel[i]
+			i = worst
 		}
-		return order[a] < order[b] // deterministic tie-break
-	})
-	sel := append([]int(nil), order[:k]...)
-	minPower := cmplx.Abs(h.Coeffs[sel[k-1]])
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		sink(i)
+	}
+	for b := k; b < len(mags); b++ {
+		if ranksBefore(mags, b, sel[0]) {
+			sel[0] = b
+			sink(0)
+		}
+	}
+	minPower := mags[sel[0]]
 	sort.Ints(sel)
 	return sel, minPower
 }
@@ -198,33 +258,49 @@ func addMiddle(h *HalfSpectrum, positions []int) []int {
 
 // CompressEnergy implements the paper's §8 extension: keep the best
 // coefficients until they capture at least the given fraction of the signal
-// energy (0 < fraction ≤ 1). The result uses BestMinError bounds.
+// energy (0 < fraction ≤ 1). The result uses BestMinError bounds. "Best" is
+// the order Compress selects under (ranksBefore: magnitude descending, equal
+// magnitudes by bin ascending), so the kept set is a function of the spectrum
+// alone.
 func CompressEnergy(h *HalfSpectrum, fraction float64) (*Compressed, error) {
 	if fraction <= 0 || fraction > 1 {
 		return nil, errors.New("spectral: energy fraction must be in (0,1]")
 	}
-	total := h.Energy()
-	if total == 0 {
-		return compressK(h, BestMinError, 1)
+	mp := magScratch.Get().(*[]float64)
+	defer magScratch.Put(mp)
+	*mp = magnitudes(h, *mp)
+	mags := *mp
+	power := func(b int) float64 { return h.Weight(b) * mags[b] * mags[b] }
+	total := 0.0
+	for b := range mags {
+		total += power(b)
 	}
-	bins := h.Bins()
-	order := make([]int, bins)
+	if total == 0 {
+		return compressMags(h, mags, BestMinError, 1), nil
+	}
+	order := make([]int, len(mags))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return cmplx.Abs(h.Coeffs[order[a]]) > cmplx.Abs(h.Coeffs[order[b]])
+	slices.SortFunc(order, func(a, b int) int {
+		if ranksBefore(mags, a, b) {
+			return -1
+		}
+		if ranksBefore(mags, b, a) {
+			return 1
+		}
+		return 0
 	})
 	captured := 0.0
 	k := 0
-	for k < bins && captured < fraction*total {
-		captured += h.Power(order[k])
+	for k < len(order) && captured < fraction*total {
+		captured += power(order[k])
 		k++
 	}
 	if k < 1 {
 		k = 1
 	}
-	return compressK(h, BestMinError, k)
+	return compressMags(h, mags, BestMinError, k), nil
 }
 
 // MemoryDoubles returns the number of 8-byte doubles this representation

@@ -110,17 +110,41 @@ func (h *HalfSpectrum) Energy() float64 {
 }
 
 // Distance returns the exact Euclidean distance between the two underlying
-// time-domain sequences, computed in the coefficient domain.
+// time-domain sequences, computed in the coefficient domain: the Parseval-
+// weighted sum of |A_k − B_k|² = re² + im², taken without rooting each term
+// only to square it again, and with the weight applied once per run of equal
+// weights (the single-weight ends, then the weight-2 middle) instead of
+// looked up per bin. Index construction and insert routing are this loop.
 func Distance(a, b *HalfSpectrum) (float64, error) {
-	if a.N != b.N || a.basis != b.basis {
+	if a.N != b.N || a.basis != b.basis || len(a.Coeffs) != len(b.Coeffs) {
 		return 0, ErrMismatch
 	}
-	sum := 0.0
-	for k := range a.Coeffs {
-		d := cmplx.Abs(a.Coeffs[k] - b.Coeffs[k])
-		sum += a.Weight(k) * d * d
+	ac, bc := a.Coeffs, b.Coeffs
+	if len(ac) == 0 {
+		return 0, nil
 	}
-	return math.Sqrt(sum), nil
+	if a.basis == basisHaar {
+		return math.Sqrt(sqDiff(ac, bc)), nil
+	}
+	// DC weighs 1, as does the Nyquist bin of an even length; every bin in
+	// between stands for itself and its conjugate mirror.
+	ends, mid := sqDiff(ac[:1], bc[:1]), len(ac)
+	if a.N%2 == 0 && mid > 1 {
+		mid--
+		ends += sqDiff(ac[mid:], bc[mid:])
+	}
+	return math.Sqrt(ends + 2*sqDiff(ac[1:mid], bc[1:mid])), nil
+}
+
+// sqDiff returns Σ |a_k − b_k|² over two equally long coefficient runs.
+func sqDiff(a, b []complex128) float64 {
+	b = b[:len(a)]
+	sum := 0.0
+	for k, c := range a {
+		re, im := real(c)-real(b[k]), imag(c)-imag(b[k])
+		sum += re*re + im*im
+	}
+	return sum
 }
 
 // MaskedDistance returns the Euclidean distance restricted to the given

@@ -472,19 +472,6 @@ func TestCompressEnergyFlatSignal(t *testing.T) {
 	}
 }
 
-func BenchmarkCompressBestMinError1024(b *testing.B) {
-	g := querylog.New(30)
-	s := g.Exemplar(querylog.Cinema).Standardized()
-	h := mustSpectrum(b, s.Values)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Compress(h, BestMinError, 32); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBoundsBestMinError1024(b *testing.B) {
 	g := querylog.New(31)
 	s := g.Exemplar(querylog.Cinema).Standardized()
