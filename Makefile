@@ -50,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz FuzzSafeBounds -fuzztime $(FUZZTIME) ./internal/spectral
 	$(GO) test -run='^$$' -fuzz FuzzCompressInvariants -fuzztime $(FUZZTIME) ./internal/spectral
 	$(GO) test -run='^$$' -fuzz FuzzArenaKernel -fuzztime $(FUZZTIME) ./internal/spectral
+	$(GO) test -run='^$$' -fuzz FuzzBoundsAbandon -fuzztime $(FUZZTIME) ./internal/spectral
 	$(GO) test -run='^$$' -fuzz FuzzSketchBound -fuzztime $(FUZZTIME) ./internal/sketch
 	$(GO) test -run='^$$' -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz FuzzFlatSearch -fuzztime $(FUZZTIME) ./internal/vptree
@@ -58,17 +59,19 @@ fuzz-smoke:
 
 # kernel-check is the traversal-kernel acceptance suite: the arena property
 # tests, the one traversal against its parent-recorded goldens and the
-# brute-force oracle (both bound sources, explain on and off), the in-place
-# suite (TestFlatInPlace…: the flat index Insert/Delete mutate against a fresh
-# derivation after every operation; one writer beside readers) and the sketch
-# tier (bound soundness, the store keeping it in step, refinement skipping
-# only what would abandon, the vector kernel against the portable one), all
-# under the race detector; then the sketch's portable path on its own (-tags
-# purego builds without the assembly, as every other architecture does) and a
-# vet and build for arm64, so neither the path this machine does not run nor
-# the build it does not do can rot.
+# brute-force oracle (both bound sources, explain on and off), the three
+# moves a search saves work by (leaf bounds abandoned against σ_UB, candidates
+# dropped on sight, the bucketed candidate order) against the search that does
+# none of them, the in-place suite (TestFlatInPlace…: the flat index
+# Insert/Delete mutate against a fresh derivation after every operation; one
+# writer beside readers) and the sketch tier (bound soundness, the store
+# keeping it in step, refinement skipping only what would abandon, the vector
+# kernel against the portable one), all under the race detector; then the
+# sketch's portable path on its own (-tags purego builds without the assembly,
+# as every other architecture does) and a vet and build for arm64, so neither
+# the path this machine does not run nor the build it does not do can rot.
 kernel-check:
-	$(GO) test -race -run 'TestArena|TestFlat|TestGolden|TestConcurrentFlatStress|TestConcurrentEngineStress' ./internal/spectral ./internal/vptree ./internal/core
+	$(GO) test -race -run 'TestArena|TestFlat|TestGolden|TestBoundsAbandon|TestSearchInvariantToAbandon|TestFilterOrder|TestAddDrops|TestConcurrentFlatStress|TestConcurrentEngineStress' ./internal/spectral ./internal/vptree ./internal/knn ./internal/core
 	$(GO) test -race -run 'Sketch|TestExceeds|TestRows|TestUnsketchable|TestShiftOutOfRange|TestVector|TestClosedForm|Kernel' ./internal/sketch ./internal/seqstore ./internal/knn ./internal/core ./internal/shard
 	$(GO) test -tags purego ./internal/sketch ./internal/knn ./internal/seqstore
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...

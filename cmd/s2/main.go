@@ -328,8 +328,10 @@ func repl(engine core.Searcher, hub *obs.Hub) {
 }
 
 // writeIndexStats prints, for the engine or each live shard, what its flat
-// index looks like: the largest leaf block, and what dynamic inserts and
-// deletes have done to it since it was last packed in walk order.
+// index looks like: the largest leaf block, the bounds its searches have
+// evaluated and the share of them the kernel abandoned unfinished, and what
+// dynamic inserts and deletes have done to it since it was last packed in
+// walk order.
 func writeIndexStats(w io.Writer, s core.Searcher) {
 	var engines []*core.Engine
 	switch v := s.(type) {
@@ -345,7 +347,12 @@ func writeIndexStats(w io.Writer, s core.Searcher) {
 			continue
 		}
 		ks := e.Tree().KernelStats()
-		fmt.Fprintf(w, "  flat index %d: max block %d, %d repacks, %d slots out of walk order\n", i, ks.MaxBlock, ks.Repacks, ks.OutOfOrder)
+		share := 0.0
+		if ks.KernelEvals > 0 {
+			share = 100 * float64(ks.BoundsAbandoned) / float64(ks.KernelEvals)
+		}
+		fmt.Fprintf(w, "  flat index %d: max block %d, %d kernel evals (%.1f%% abandoned), %d repacks, %d slots out of walk order\n",
+			i, ks.MaxBlock, ks.KernelEvals, share, ks.Repacks, ks.OutOfOrder)
 	}
 }
 

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -191,10 +195,25 @@ func TestWriteStatsDeterministic(t *testing.T) {
 // engine's inserts move, zero on the engines cmd/s2 builds.
 func TestWriteIndexStats(t *testing.T) {
 	var single strings.Builder
-	writeIndexStats(&single, testEngine(t))
+	e := testEngine(t)
+	writeIndexStats(&single, e)
 	if out := single.String(); !strings.HasPrefix(out, "  flat index 0: max block ") ||
-		!strings.HasSuffix(out, ", 0 repacks, 0 slots out of walk order\n") || strings.Count(out, "\n") != 1 {
+		!strings.HasSuffix(out, " 0 kernel evals (0.0% abandoned), 0 repacks, 0 slots out of walk order\n") || strings.Count(out, "\n") != 1 {
 		t.Errorf("single engine: %q", out)
+	}
+	// After searches the line carries what they evaluated, and the share is
+	// of those: an abandoned bound is one of the kernel evals.
+	for _, q := range []string{"cinema", "easter", "full moon"} {
+		if err := dispatch(e, "similar "+q+" 3"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ks := e.Tree().KernelStats()
+	single.Reset()
+	writeIndexStats(&single, e)
+	want := fmt.Sprintf(" %d kernel evals (%.1f%% abandoned),", ks.KernelEvals, 100*float64(ks.BoundsAbandoned)/float64(ks.KernelEvals))
+	if out := single.String(); ks.KernelEvals == 0 || ks.BoundsAbandoned > ks.KernelEvals || !strings.Contains(out, want) {
+		t.Errorf("after three searches (%+v): %q, want it to contain %q", ks, out, want)
 	}
 
 	g := querylog.NewGenerator(querylog.DefaultStart, 256, 1)
@@ -207,5 +226,34 @@ func TestWriteIndexStats(t *testing.T) {
 	writeIndexStats(&sharded, se)
 	if out := sharded.String(); strings.Count(out, "\n") != 3 || !strings.Contains(out, "  flat index 2: max block ") {
 		t.Errorf("three shards: %q", out)
+	}
+}
+
+// -load refuses a file with a poisoned row, single engine or sharded, with an
+// error that names the row.
+func TestLoadRefusesNonFiniteRow(t *testing.T) {
+	g := querylog.NewGenerator(querylog.DefaultStart, 32, 3)
+	data := g.Dataset(12)
+	var csv strings.Builder
+	for i, s := range data {
+		csv.WriteString(s.Name)
+		for j, v := range s.Values {
+			if i == 7 && j == 20 {
+				csv.WriteString(",NaN")
+				continue
+			}
+			fmt.Fprintf(&csv, ",%g", v)
+		}
+		csv.WriteByte('\n')
+	}
+	path := filepath.Join(t.TempDir(), "poisoned.csv")
+	if err := os.WriteFile(path, []byte(csv.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 3} {
+		e, _, err := buildEngine("", path, 0, 0, 0, 8, shards, nil)
+		if !errors.Is(err, core.ErrNonFinite) || !strings.Contains(err.Error(), data[7].Name) {
+			t.Errorf("-load with %d shard(s): engine %v, error %v, want ErrNonFinite naming %q", shards, e, err, data[7].Name)
+		}
 	}
 }

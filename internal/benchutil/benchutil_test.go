@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/querylog"
 	"repro/internal/spectral"
@@ -323,17 +324,33 @@ func TestPrintIntro(t *testing.T) {
 // The §6 comparator claims: the paper's MA detector is faster than the
 // Kleinberg automaton and its triplets need far less storage than the
 // Zhu-Shasha SBT structure.
+//
+// The speed claim compares two wall-clock loops of a few milliseconds each,
+// so one pass can be lost to whatever else the machine is running. It is
+// asserted on the best of five passes per detector — a neighbour's load only
+// ever adds time, and the gap is a factor of about three (31 µs against 89 µs
+// a sequence), so a minimum that still fails says something about the code.
 func TestBaselinesShape(t *testing.T) {
-	rows, err := RunBaselines(1, 60)
-	if err != nil {
-		t.Fatal(err)
+	var rows []BaselineRow
+	var maBest, kbBest time.Duration
+	for pass := 0; pass < 5; pass++ {
+		var err error
+		if rows, err = RunBaselines(1, 60); err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 3 {
+			t.Fatalf("%d rows", len(rows))
+		}
+		if pass == 0 || rows[0].TimePerSeq < maBest {
+			maBest = rows[0].TimePerSeq
+		}
+		if pass == 0 || rows[1].TimePerSeq < kbBest {
+			kbBest = rows[1].TimePerSeq
+		}
 	}
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	ma, kb, zs := rows[0], rows[1], rows[2]
-	if ma.TimePerSeq >= kb.TimePerSeq {
-		t.Errorf("MA detector (%v) not faster than Kleinberg (%v)", ma.TimePerSeq, kb.TimePerSeq)
+	ma, zs := rows[0], rows[2]
+	if maBest >= kbBest {
+		t.Errorf("MA detector (best of 5: %v) not faster than Kleinberg (best of 5: %v)", maBest, kbBest)
 	}
 	if ma.StorageFloats*20 >= zs.StorageFloats {
 		t.Errorf("triplet storage %v not ≪ SBT storage %v", ma.StorageFloats, zs.StorageFloats)

@@ -349,6 +349,32 @@ func NewEngine(data []*series.Series, cfg Config) (_ *Engine, err error) {
 	return e, nil
 }
 
+// ErrNonFinite is wrapped by the error NewEngine, Add and Query return for a
+// series or a query curve that holds a NaN or an infinity. One such point
+// standardizes the whole curve to NaN, and from there its spectrum, its
+// feature and every bound computed against it: there is no answer to give, so
+// none is attempted.
+var ErrNonFinite = errors.New("core: non-finite value")
+
+// CheckFinite returns an error wrapping ErrNonFinite that names what (a
+// series, the query) and the first NaN or ±Inf among values, or nil.
+func CheckFinite(what string, values []float64) error {
+	if i := firstNonFinite(values); i >= 0 {
+		return fmt.Errorf("core: %s has %v at point %d: %w", what, values[i], i, ErrNonFinite)
+	}
+	return nil
+}
+
+// firstNonFinite returns the index of the first NaN or ±Inf, -1 for none.
+func firstNonFinite(values []float64) int {
+	for i, v := range values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return i
+		}
+	}
+	return -1
+}
+
 // derived is what the engine keeps of one series besides the series itself:
 // its standardized values (the store's row), their spectrum (what the index is
 // built from and, in a dynamic tree, routes by) and the burst features of both
@@ -368,6 +394,9 @@ type derived struct {
 func derive(cfg *Config, seqLen int, s *series.Series, z []float64) (derived, error) {
 	if s.Len() != seqLen {
 		return derived{}, fmt.Errorf("core: series %q has length %d, want %d: %w", s.Name, s.Len(), seqLen, spectral.ErrMismatch)
+	}
+	if firstNonFinite(s.Values) >= 0 { // the name is quoted only for the error
+		return derived{}, CheckFinite(fmt.Sprintf("series %q", s.Name), s.Values)
 	}
 	if len(z) != seqLen {
 		z = make([]float64, seqLen)

@@ -1,0 +1,90 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"net/http"
+	"strings"
+	"testing"
+
+	"repro/internal/querylog"
+	"repro/internal/series"
+	"repro/internal/spectral"
+)
+
+// poisoned returns a copy of s with value v at point at.
+func poisoned(s *series.Series, at int, v float64) *series.Series {
+	c := *s
+	c.Values = append([]float64(nil), s.Values...)
+	c.Values[at] = v
+	return &c
+}
+
+// A series or a query holding a NaN or an infinity is refused with
+// ErrNonFinite — by the build (the first bad series by input position, a
+// wrong-length one included), by Add before anything is derived or stored,
+// and by Query before the curve is transformed — and the engine goes on
+// answering as before.
+func TestNonFiniteInputIsRefused(t *testing.T) {
+	g := querylog.NewGenerator(querylog.DefaultStart, 64, 53)
+	corpus := g.Dataset(deriveBlock + 8)
+	for name, v := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)} {
+		data := append([]*series.Series(nil), corpus...)
+		data[deriveBlock+2] = poisoned(corpus[deriveBlock+2], 7, v)
+		data[deriveBlock+5] = &series.Series{Name: "short", Values: make([]float64, 5)}
+		_, err := NewEngine(data, Config{})
+		if !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), data[deriveBlock+2].Name) {
+			t.Errorf("build with %s at %d: error %v, want that series' ErrNonFinite", name, deriveBlock+2, err)
+		}
+		data[deriveBlock+1] = data[deriveBlock+5]
+		if _, err := NewEngine(data, Config{}); !errors.Is(err, spectral.ErrMismatch) {
+			t.Errorf("build with a short series before the %s one: error %v, want ErrMismatch", name, err)
+		}
+	}
+
+	e, err := NewEngine(corpus, Config{DynamicIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	fresh := g.Queries(1)[0]
+	before, _, err := similarToID(e, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := poisoned(fresh, 63, v)
+		if _, err := e.Add(bad); !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), bad.Name) {
+			t.Errorf("Add with %v: error %v, want ErrNonFinite naming %q", v, err, bad.Name)
+		}
+		if _, err := PrepareAdd(Config{}, 64, bad); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("PrepareAdd with %v: error %v, want ErrNonFinite", v, err)
+		}
+		for _, req := range []Request{
+			{Kind: KindSimilar, K: 3},
+			{Kind: KindSimilar, K: 3, Standardized: true},
+			{Kind: KindLinear, K: 3},
+			{Kind: KindDTW, K: 3, ID: -1, Band: 3},
+			{Kind: KindSimilarPeriods, K: 3, ID: -1, Periods: []float64{7}},
+			{Kind: KindBurst, K: 3},
+		} {
+			req.Values = bad.Values
+			if resp, err := e.Query(context.Background(), req); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("%v query with %v: response %v, error %v, want ErrNonFinite", req.Kind, v, resp, err)
+			}
+		}
+	}
+	if e.Len() != len(corpus) || e.Store().Len() != len(corpus) {
+		t.Errorf("refused Adds left %d series and %d rows, want %d of each", e.Len(), e.Store().Len(), len(corpus))
+	}
+	after, _, err := similarToID(e, 3, 5)
+	if err != nil || fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("answer after the refusals: %v (%v), want %v", after, err, before)
+	}
+
+	if v2 := queryError(fmt.Errorf("core: the query has NaN at point 0: %w", ErrNonFinite)); v2.Status != http.StatusBadRequest || v2.Code != "invalid_argument" {
+		t.Errorf("ErrNonFinite on the wire: %d %s, want 400 invalid_argument", v2.Status, v2.Code)
+	}
+}

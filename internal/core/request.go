@@ -288,6 +288,9 @@ func (e *Engine) query(ctx context.Context, req Request, ext *lifecycle.Gate, ga
 	if err := req.Approx.Validate(); err != nil {
 		return nil, err
 	}
+	if err := CheckFinite("the query", req.Values); err != nil {
+		return nil, err
+	}
 	// A corpus never has more than Len() neighbours, so a larger k changes
 	// no answer — but every family sizes buffers by k, and an absurd one
 	// from the wire must not be able to exhaust memory.

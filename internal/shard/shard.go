@@ -395,6 +395,9 @@ func (s *ShardedEngine) Query(ctx context.Context, req core.Request) (*core.Resp
 	if err := req.Approx.Validate(); err != nil {
 		return nil, err
 	}
+	if err := core.CheckFinite("the query", req.Values); err != nil {
+		return nil, err
+	}
 	ctx, rid := obs.EnsureRequestID(ctx)
 	start := time.Now()
 	tr, sp, ctx, finish := s.joinTrace(ctx, "sharded_"+req.Kind.String())

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -160,5 +161,39 @@ func TestAddFailsBeforeTheRoutingLock(t *testing.T) {
 	}
 	if got := se.Len(); got != 7 {
 		t.Fatalf("Len = %d after one refused and one accepted Add to 6 series", got)
+	}
+}
+
+// A sharded engine refuses non-finite input where a single engine does: the
+// build names the series, Add fails before the routing lock and a query
+// before any shard sees it.
+func TestNonFiniteInputIsRefused(t *testing.T) {
+	gen := querylog.NewGenerator(querylog.DefaultStart, 64, 7)
+	data := gen.Dataset(9)
+	bad := *data[4]
+	bad.Values = append([]float64(nil), bad.Values...)
+	bad.Values[10] = math.NaN()
+	poisonedSet := append([]*series.Series(nil), data...)
+	poisonedSet[4] = &bad
+	if _, err := New(poisonedSet, core.Config{Budget: 8, Shards: 3}); !errors.Is(err, core.ErrNonFinite) || !strings.Contains(err.Error(), bad.Name) {
+		t.Errorf("build: %v, want ErrNonFinite naming %q", err, bad.Name)
+	}
+
+	se, err := New(data, core.Config{Budget: 8, DynamicIndex: true, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	if _, err := se.Add(&bad); !errors.Is(err, core.ErrNonFinite) {
+		t.Errorf("Add: %v, want ErrNonFinite", err)
+	}
+	for _, kind := range []core.Kind{core.KindSimilar, core.KindLinear, core.KindDTW, core.KindBurst} {
+		resp, err := se.Query(context.Background(), core.Request{Kind: kind, K: 2, ID: -1, Values: bad.Values})
+		if !errors.Is(err, core.ErrNonFinite) {
+			t.Errorf("%v query: response %v, error %v, want ErrNonFinite", kind, resp, err)
+		}
+	}
+	if got := se.Len(); got != len(data) {
+		t.Errorf("Len = %d after the refusals, want %d", got, len(data))
 	}
 }

@@ -42,6 +42,9 @@ type Arena struct {
 	starts    []int32
 	positions []int32
 	re, im    []float64
+	// maxPos is the largest position packed: the kernel checks it against the
+	// query's bins once a call and then reads the query's table unchecked.
+	maxPos int32
 	// minPower[i] and errv[i] are feature i's MinPower and Err.
 	minPower []float64
 	errv     []float64
@@ -139,6 +142,7 @@ func NewArenaOrdered(feats []*Compressed, order []int32) (*Arena, error) {
 			positions[j] = int32(p)
 			re[j] = real(c.Coeffs[j])
 			im[j] = imag(c.Coeffs[j])
+			a.maxPos = max(a.maxPos, int32(p))
 		}
 		a.minPower[s], a.errv[s] = c.MinPower, c.Err
 	}
@@ -161,6 +165,7 @@ func (a *Arena) Append(c *Compressed) (int, error) {
 		a.positions = append(a.positions, int32(p))
 		a.re = append(a.re, real(c.Coeffs[j]))
 		a.im = append(a.im, imag(c.Coeffs[j]))
+		a.maxPos = max(a.maxPos, int32(p))
 	}
 	a.starts = append(a.starts, int32(len(a.positions)))
 	a.minPower = append(a.minPower, c.MinPower)
@@ -187,7 +192,8 @@ func (a *Arena) Coeffs() int { return len(a.positions) }
 
 // BoundsAt evaluates the bounds of feature ref against the context's query
 // — the scalar view of the kernel, bit-identical to BoundsBlock on a
-// one-entry block and to Compressed.(Safe)BoundsFast.
+// one-entry block and to Compressed.(Safe)BoundsFast. It always finishes the
+// bound: a vantage point routes on both values.
 func (a *Arena) BoundsAt(ctx *QueryContext, ref int, safe bool) (lb, ub float64, err error) {
 	refs := [1]int32{int32(ref)}
 	var lbs, ubs [1]float64
@@ -207,38 +213,103 @@ func (a *Arena) BoundsAt(ctx *QueryContext, ref int, safe bool) (lb, ub float64,
 // bit-identical (property- and fuzz-tested) — downstream σ_UB updates and
 // prune decisions therefore cannot diverge between the two paths.
 func (a *Arena) BoundsBlock(ctx *QueryContext, refs []int32, safe bool, lb, ub []float64) error {
+	_, err := a.BoundsBlockCut(ctx, refs, safe, math.Inf(1), lb, ub)
+	return err
+}
+
+// abandonMargin is the slack AbandonCut leaves between a radius squared and
+// the cut it hands the kernel. The roundings between the two — of r·r, of the
+// product with 1+margin, and of the square root that ends a bound — are each
+// within 2⁻⁵³ relative, so anything above 2⁻⁵⁰ would do; 2⁻⁴⁰ leaves a factor
+// of a thousand and still abandons everything more than a part in 10¹² past
+// the radius.
+const abandonMargin = 1.0 / (1 << 40)
+
+// AbandonCut is the cutSq to hand BoundsBlockCut so that every entry it
+// abandons has a lower bound strictly above radius: r²·(1 + margin). An
+// infinite (or overflowing) radius gives +Inf, which abandons nothing.
+func AbandonCut(radius float64) float64 {
+	return radius * radius * (1 + abandonMargin)
+}
+
+// BoundsBlockCut is BoundsBlock for a caller that will discard every entry
+// whose lower bound exceeds a radius it already knows (a leaf of the search:
+// σ_UB): such an entry's bound is not finished. The kernel sums an entry's
+// stored-row distance first, and as soon as a partial sum it looks at — every
+// fourth, and the last — exceeds cutSq it writes lb = ub = +Inf for the entry
+// and moves on; abandoned counts them.
+// Every entry that is not abandoned gets exactly the BoundsBlock values —
+// each accumulator sees the same operations in the same order — and
+// cutSq = +Inf is BoundsBlock.
+//
+// Soundness, as for the sketch (package sketch): every bound this package
+// computes ends lb = √(distSq + x) with x ≥ 0 — a square, a clamped residue
+// or a max of two such — and distSq a sum of the non-negative terms w·d².
+// Float addition of a non-negative term and the correctly rounded square root
+// never decrease their argument's order, so a partial sum p > cutSq gives a
+// finished lb ≥ √p ≥ √cutSq, and with cutSq = AbandonCut(r) that is lb > r
+// (see abandonMargin). The caller would have dropped the entry on that
+// comparison alone; the upper bound of a dropped entry is never read.
+func (a *Arena) BoundsBlockCut(ctx *QueryContext, refs []int32, safe bool, cutSq float64, lb, ub []float64) (abandoned int, err error) {
 	q := ctx.q
 	if q.N != a.n || q.basis != a.basis {
-		return ErrMismatch
+		return 0, ErrMismatch
 	}
 	if len(lb) < len(refs) || len(ub) < len(refs) {
-		return errors.New("spectral: bounds block output shorter than refs")
+		return 0, errors.New("spectral: bounds block output shorter than refs")
 	}
+	tab := ctx.tab
+	if int(a.maxPos) >= q.Bins() || len(tab) == 0 {
+		return 0, fmt.Errorf("spectral: arena holds bin %d, the query has %d", a.maxPos, q.Bins())
+	}
+	mask := len(tab) - 1 // a power of two less one: see QueryContext.tab
 	method := a.method
+	inf := math.Inf(1)
 	for bi, r := range refs {
 		if r < 0 || int(r) >= len(a.minPower) {
-			return fmt.Errorf("spectral: arena ref %d out of range", r)
+			return abandoned, fmt.Errorf("spectral: arena ref %d out of range", r)
 		}
-		mp := a.minPower[r]
+		lo, hi := a.starts[r], a.starts[r+1]
+		pos := a.positions[lo:hi]
+		re, im := a.re[lo:hi], a.im[lo:hi]
+		re, im = re[:len(pos)], im[:len(pos)]
 
-		// Whole-spectrum aggregates at threshold mp (see boundsFast).
+		// First pass: the stored rows' distance alone, which is all an
+		// abandoned entry pays. The loop looks at the cut every fourth row —
+		// often enough to stop a far entry after a quarter or a half of its
+		// rows, seldom enough not to cost the entries that finish — and the
+		// test after it catches both an early exit and a sum that only the
+		// last rows took past the cut, which still spares the second pass.
+		var distSq float64
+		for j, b := range pos {
+			t := &tab[int(b)&mask]
+			dre := t.re - re[j]
+			dim := t.im - im[j]
+			d := math.Sqrt(dre*dre + dim*dim)
+			distSq += t.w * d * d
+			if j&3 == 3 && distSq > cutSq {
+				break
+			}
+		}
+		if distSq > cutSq {
+			lb[bi], ub[bi] = inf, inf
+			abandoned++
+			continue
+		}
+
+		// Second pass, survivors only: whole-spectrum aggregates at threshold
+		// mp (see boundsFast), corrected for the stored rows — they are not
+		// omitted.
+		mp := a.minPower[r]
 		a0, a1, a2 := ctx.aboveMoments(mp)
 		lbMinSq := a2 - 2*mp*a1 + mp*mp*a0
 		ubMinSq := ctx.totalWM2 + 2*mp*ctx.totalWM + mp*mp*ctx.totalW
 		qNusedSq := ctx.totalWM2 - a2
 		caseOneW := a0
 		qErr := ctx.totalWM2
-
-		// Correct for the stored rows: they are not omitted.
-		var distSq float64
-		for j := a.starts[r]; j < a.starts[r+1]; j++ {
-			b := a.positions[j]
-			w := ctx.weights[b]
-			m := ctx.mags[b]
-			dre := ctx.qre[b] - a.re[j]
-			dim := ctx.qim[b] - a.im[j]
-			d := math.Sqrt(dre*dre + dim*dim)
-			distSq += w * d * d
+		for _, b := range pos {
+			t := &tab[int(b)&mask]
+			w, m := t.w, t.m
 			qErr -= w * m * m
 			ubMinSq -= w * (m + mp) * (m + mp)
 			if m > mp {
@@ -269,7 +340,7 @@ func (a *Arena) BoundsBlock(ctx *QueryContext, refs []int32, safe bool, lb, ub [
 
 		switch method {
 		case GEMINI:
-			lb[bi], ub[bi] = math.Sqrt(distSq), math.Inf(1)
+			lb[bi], ub[bi] = math.Sqrt(distSq), inf
 
 		case Wang, BestError:
 			dq, dt := math.Sqrt(qErr), math.Sqrt(tErr)
@@ -301,5 +372,5 @@ func (a *Arena) BoundsBlock(ctx *QueryContext, refs []int32, safe bool, lb, ub [
 			lb[bi] = math.Sqrt(distSq + math.Max(lbA, lbB))
 		}
 	}
-	return nil
+	return abandoned, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -372,14 +373,19 @@ func BenchmarkArenaBoundsBlock32(b *testing.B) {
 	}
 }
 
-// BenchmarkBoundsWalkOrder guards what packing the arena in walk order buys.
-// It bounds the paper_knn arena (16 384 features of 1 024 points at c = 16,
-// 4.3 MB) in leaf-sized blocks, once with the slots in increasing order — what
-// a descending search asks of an arena packed in its walk order — and once
-// with them in a random permutation, which is what the same search asked of
-// an arena packed in feature-ID order. ns/op is per bound; the gap between
-// the two is the cache misses the layout spares, and it closes on a machine
-// whose cache holds the whole arena.
+// BenchmarkBoundsWalkOrder guards what packing the arena in walk order buys,
+// and what a bound that need not be finished saves. It bounds the paper_knn
+// arena (16 384 features of 1 024 points at c = 16, 4.3 MB) in leaf-sized
+// blocks, once with the slots in increasing order — what a descending search
+// asks of an arena packed in its walk order — and once with them in a random
+// permutation, which is what the same search asked of an arena packed in
+// feature-ID order. ns/op is per bound; the gap between the two is the cache
+// misses the layout spares, and it closes on a machine whose cache holds the
+// whole arena. Both finish every bound. The third row repeats the sequential
+// blocks with the cut at the arena's median stored-row distance (the part of
+// a bound the cut is tested against), so half of the entries are abandoned
+// somewhere along their rows: its gap to "sequential" is what an abandoned
+// entry does not pay.
 func BenchmarkBoundsWalkOrder(b *testing.B) {
 	const features, block = 16384, 4
 	g := querylog.NewGenerator(querylog.DefaultStart, 1024, 91)
@@ -398,18 +404,33 @@ func BenchmarkBoundsWalkOrder(b *testing.B) {
 	for i, r := range rand.New(rand.NewSource(91)).Perm(features) {
 		random[i] = int32(r)
 	}
+	distSq := make([]float64, features)
+	for r := range distSq {
+		for j := a.starts[r]; j < a.starts[r+1]; j++ {
+			t := ctx.tab[a.positions[j]]
+			dre, dim := t.re-a.re[j], t.im-a.im[j]
+			distSq[r] += t.w * (dre*dre + dim*dim)
+		}
+	}
+	sort.Float64s(distSq)
+	median := distSq[features/2]
 	var lbs, ubs [block]float64
 	for _, order := range []struct {
 		name  string
 		slots []int32
-	}{{"sequential", sequential}, {"random", random}} {
+		cutSq float64
+	}{{"sequential", sequential, math.Inf(1)}, {"random", random, math.Inf(1)}, {"abandoning", sequential, median}} {
 		b.Run(order.name, func(b *testing.B) {
+			abandoned := 0
 			for i := 0; i < b.N; i += block {
 				at := i % features
-				if err := a.BoundsBlock(ctx, order.slots[at:at+block], true, lbs[:], ubs[:]); err != nil {
+				n, err := a.BoundsBlockCut(ctx, order.slots[at:at+block], true, order.cutSq, lbs[:], ubs[:])
+				if err != nil {
 					b.Fatal(err)
 				}
+				abandoned += n
 			}
+			b.ReportMetric(float64(abandoned)/float64(b.N), "abandoned/op")
 		})
 	}
 }

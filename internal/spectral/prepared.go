@@ -15,7 +15,7 @@ import "repro/internal/sketch"
 type Prepared struct {
 	values []float64
 	sketch *sketch.Query
-	ctx    *QueryContext
+	ctx    QueryContext
 }
 
 // Prepare computes the spectrum and bound context of values, which must
@@ -27,7 +27,9 @@ func Prepare(values []float64) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{values: values, sketch: sketch.NewQuery(values), ctx: NewQueryContext(h)}, nil
+	p := &Prepared{values: values, sketch: sketch.NewQuery(values)}
+	p.ctx.init(h)
+	return p, nil
 }
 
 // Values returns the query's time-domain values (read-only).
@@ -37,4 +39,4 @@ func (p *Prepared) Values() []float64 { return p.values }
 func (p *Prepared) Sketch() *sketch.Query { return p.sketch }
 
 // Context returns the query's bound context.
-func (p *Prepared) Context() *QueryContext { return p.ctx }
+func (p *Prepared) Context() *QueryContext { return &p.ctx }

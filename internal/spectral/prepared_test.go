@@ -2,6 +2,7 @@ package spectral
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -65,9 +66,12 @@ func TestQueryContextOrdersTiesByBin(t *testing.T) {
 			!sameBits(ctx.pwm, pwm) || !sameBits(ctx.pwm2, pwm2) {
 			t.Errorf("%s: context moments differ from the (magnitude, bin) reference", name)
 		}
+		if n := len(ctx.tab); n < q.Bins() || n&(n-1) != 0 || n >= 2*q.Bins() {
+			t.Errorf("%s: table of %d rows for %d bins", name, n, q.Bins())
+		}
 		for b := 0; b < q.Bins(); b++ {
-			if ctx.mags[b] != absFast(q.Coeffs[b]) || ctx.weights[b] != q.Weight(b) ||
-				ctx.qre[b] != real(q.Coeffs[b]) || ctx.qim[b] != imag(q.Coeffs[b]) {
+			want := qbin{w: q.Weight(b), m: absFast(q.Coeffs[b]), re: real(q.Coeffs[b]), im: imag(q.Coeffs[b])}
+			if ctx.tab[b] != want {
 				t.Errorf("%s: per-bin tables wrong at bin %d", name, b)
 			}
 		}
@@ -98,7 +102,7 @@ func TestPrepare(t *testing.T) {
 	}
 	want := NewQueryContext(mustSpectrum(t, x))
 	got := p.Context()
-	if !sameBits(got.sorted, want.sorted) || !sameBits(got.pwm2, want.pwm2) || !sameBits(got.qre, want.qre) {
+	if !sameBits(got.sorted, want.sorted) || !sameBits(got.pwm2, want.pwm2) || !slices.Equal(got.tab, want.tab) {
 		t.Error("prepared context differs from FromValues + NewQueryContext")
 	}
 	if _, err := Prepare(nil); err == nil {

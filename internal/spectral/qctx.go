@@ -27,8 +27,16 @@ import (
 // corrected for individually.
 type QueryContext struct {
 	q *HalfSpectrum
-	// mags[b] is |Q_b| (indexed by bin).
-	mags []float64
+	// tab[b] is what a bound reads of bin b — Weight(b), |Q_b| and the
+	// coefficient's components — in one row, so a stored coefficient costs
+	// the kernel one cache line of query instead of four. The table is padded
+	// to a power of two and read as tab[b&(len(tab)-1)]: the compiler can
+	// prove that index in range, which it cannot of a position read out of an
+	// arena, so the gathers carry no bounds check (rows past Bins() are zero
+	// and never addressed: a position is a bin). The values are exactly what
+	// q.Weight, absFast and q.Coeffs return, so the scalar and batched paths
+	// stay bit-identical.
+	tab []qbin
 	// sorted holds the bin magnitudes in ascending order; pw/pwm/pwm2 are
 	// prefix sums of w, w·|Q| and w·|Q|² in that order (pw[i] sums the
 	// first i sorted bins).
@@ -36,13 +44,12 @@ type QueryContext struct {
 	pw, pwm, pwm2   []float64
 	totalW, totalWM float64
 	totalWM2        float64
-	// weights[b], qre[b], qim[b] cache Weight(b) and the coefficient
-	// components per bin so the arena kernel reads flat float64 slices
-	// instead of chasing q.Coeffs / calling Weight per stored bin. The
-	// cached values are exactly what the methods return, so the scalar and
-	// batched paths stay bit-identical.
-	weights  []float64
-	qre, qim []float64
+}
+
+// qbin is one bin of the query as the bound kernels read it.
+type qbin struct {
+	w, m   float64 // Weight(b), |Q_b|
+	re, im float64 // Q_b
 }
 
 // absFast is |c| without math.Hypot's overflow guard — safe here because
@@ -66,33 +73,38 @@ var sortScratch = sync.Pool{New: func() any { return new([]magBin) }}
 // NewQueryContext builds the reusable context for q. The context is
 // immutable once built and safe to share between concurrent searches.
 func NewQueryContext(q *HalfSpectrum) *QueryContext {
+	ctx := new(QueryContext)
+	ctx.init(q)
+	return ctx
+}
+
+// init fills a zero context for q (Prepare holds its context by value).
+func (ctx *QueryContext) init(q *HalfSpectrum) {
 	bins := q.Bins()
-	// One backing array for the eight per-bin tables.
-	back := make([]float64, 5*bins+3*(bins+1))
+	// One backing array for the four moment tables.
+	back := make([]float64, bins+3*(bins+1))
 	take := func(n int) []float64 {
 		s := back[:n:n]
 		back = back[n:]
 		return s
 	}
-	ctx := &QueryContext{
-		q:       q,
-		mags:    take(bins),
-		sorted:  take(bins),
-		weights: take(bins),
-		qre:     take(bins),
-		qim:     take(bins),
-		pw:      take(bins + 1),
-		pwm:     take(bins + 1),
-		pwm2:    take(bins + 1),
+	rows := 1
+	for rows < bins {
+		rows <<= 1
+	}
+	*ctx = QueryContext{
+		q:      q,
+		tab:    make([]qbin, rows),
+		sorted: take(bins),
+		pw:     take(bins + 1),
+		pwm:    take(bins + 1),
+		pwm2:   take(bins + 1),
 	}
 	sp := sortScratch.Get().(*[]magBin)
 	tmp := slices.Grow((*sp)[:0], bins)[:bins]
 	for b := 0; b < bins; b++ {
 		m := absFast(q.Coeffs[b])
-		ctx.mags[b] = m
-		ctx.weights[b] = q.Weight(b)
-		ctx.qre[b] = real(q.Coeffs[b])
-		ctx.qim[b] = imag(q.Coeffs[b])
+		ctx.tab[b] = qbin{w: q.Weight(b), m: m, re: real(q.Coeffs[b]), im: imag(q.Coeffs[b])}
 		tmp[b] = magBin{m: m, bin: b}
 	}
 	// Ascending magnitude, ties by bin index: the order is total, so the
@@ -109,7 +121,7 @@ func NewQueryContext(q *HalfSpectrum) *QueryContext {
 		}
 	})
 	for i, e := range tmp {
-		w := ctx.weights[e.bin]
+		w := ctx.tab[e.bin].w
 		ctx.sorted[i] = e.m
 		ctx.pw[i+1] = ctx.pw[i] + w
 		ctx.pwm[i+1] = ctx.pwm[i] + w*e.m
@@ -120,7 +132,6 @@ func NewQueryContext(q *HalfSpectrum) *QueryContext {
 	ctx.totalW = ctx.pw[bins]
 	ctx.totalWM = ctx.pwm[bins]
 	ctx.totalWM2 = ctx.pwm2[bins]
-	return ctx
 }
 
 // aboveMoments returns (Σw, Σw|Q|, Σw|Q|²) over all bins with |Q| > mp.
@@ -147,23 +158,25 @@ func (t *Compressed) boundsFast(ctx *QueryContext, safe bool) (lb, ub float64, e
 	if q.N != t.N || q.basis != t.basis {
 		return 0, 0, ErrMismatch
 	}
-	mp := t.MinPower
+	// Two passes over the stored bins, as in Arena.BoundsBlockCut (whose
+	// first pass is the one that may stop early): their distance, then the
+	// corrections to the whole-spectrum aggregates at threshold mp — the
+	// stored bins are not omitted.
+	var distSq float64
+	for i, b := range t.Positions {
+		d := absFast(q.Coeffs[b] - t.Coeffs[i])
+		distSq += q.Weight(b) * d * d
+	}
 
-	// Whole-spectrum aggregates at threshold mp.
+	mp := t.MinPower
 	a0, a1, a2 := ctx.aboveMoments(mp)
 	lbMinSq := a2 - 2*mp*a1 + mp*mp*a0
 	ubMinSq := ctx.totalWM2 + 2*mp*ctx.totalWM + mp*mp*ctx.totalW
 	qNusedSq := ctx.totalWM2 - a2
 	caseOneW := a0
 	qErr := ctx.totalWM2
-
-	// Correct for the stored bins: they are not omitted.
-	var distSq float64
-	for i, b := range t.Positions {
-		w := q.Weight(b)
-		m := ctx.mags[b]
-		d := absFast(q.Coeffs[b] - t.Coeffs[i])
-		distSq += w * d * d
+	for _, b := range t.Positions {
+		w, m := q.Weight(b), ctx.tab[b].m
 		qErr -= w * m * m
 		ubMinSq -= w * (m + mp) * (m + mp)
 		if m > mp {

@@ -78,18 +78,25 @@ type kernelCounters struct {
 	searches     atomic.Int64
 	blocks       atomic.Int64
 	evals        atomic.Int64
+	abandoned    atomic.Int64
 	blocksPruned atomic.Int64
 }
 
 // KernelStats is a snapshot of the tree-lifetime traversal counters: how
 // many searches ran, how many leaf blocks they evaluated, how many bound
-// evaluations they made (vantage points and leaf entries), and how many leaf
-// blocks were pruned away without being evaluated.
+// evaluations they made (vantage points and leaf entries), how many of those
+// the kernel abandoned unfinished, and how many leaf blocks were pruned away
+// without being evaluated.
 type KernelStats struct {
 	FlatSearches int64 `json:"flat_searches"`
 	LeafBlocks   int64 `json:"leaf_blocks"`
 	KernelEvals  int64 `json:"kernel_evals"`
-	BlocksPruned int64 `json:"blocks_pruned"`
+	// BoundsAbandoned counts the leaf entries whose bound stopped early
+	// because its partial sum was already past σ_UB (spectral.BoundsBlockCut).
+	// They are part of KernelEvals, as of Stats.BoundsComputed: an abandoned
+	// bound is a bound evaluated, only not to the end.
+	BoundsAbandoned int64 `json:"bounds_abandoned"`
+	BlocksPruned    int64 `json:"blocks_pruned"`
 	// MaxBlock is the largest leaf block the flat index has held since it was
 	// last derived.
 	MaxBlock int `json:"max_block"`
@@ -105,13 +112,14 @@ type KernelStats struct {
 // that keeps those out).
 func (t *Tree) KernelStats() KernelStats {
 	return KernelStats{
-		FlatSearches: t.kernels.searches.Load(),
-		LeafBlocks:   t.kernels.blocks.Load(),
-		KernelEvals:  t.kernels.evals.Load(),
-		BlocksPruned: t.kernels.blocksPruned.Load(),
-		MaxBlock:     t.flat.maxLeaf,
-		Repacks:      t.repacks,
-		OutOfOrder:   t.flat.outOfOrder(),
+		FlatSearches:    t.kernels.searches.Load(),
+		LeafBlocks:      t.kernels.blocks.Load(),
+		KernelEvals:     t.kernels.evals.Load(),
+		BoundsAbandoned: t.kernels.abandoned.Load(),
+		BlocksPruned:    t.kernels.blocksPruned.Load(),
+		MaxBlock:        t.flat.maxLeaf,
+		Repacks:         t.repacks,
+		OutOfOrder:      t.flat.outOfOrder(),
 	}
 }
 
@@ -224,12 +232,15 @@ type searcher struct {
 	st    Stats
 	exp   *Explain // nil unless this search is being explained
 	*knn.Scratch
+	// cut gives the leaf kernel's squared cut for the σ_UB of the moment
+	// (spectral.AbandonCut; see boundsBlock).
+	cut func(sigmaUB float64) float64
 	// lbBuf/ubBuf are the scratch's bound buffers, sized to the largest leaf
 	// block so evaluating a block never allocates.
 	lbBuf, ubBuf []float64
-	// kBlocks/kEvals/kBlocksPruned are this search's kernel counters,
-	// flushed once to the tree's atomics at the end of traversal.
-	kBlocks, kEvals, kBlocksPruned int64
+	// kBlocks/kEvals/kAbandoned/kBlocksPruned are this search's kernel
+	// counters, flushed once to the tree's atomics at the end of traversal.
+	kBlocks, kEvals, kAbandoned, kBlocksPruned int64
 }
 
 // boundsAt evaluates the query bounds against the feature in slot.
@@ -248,10 +259,18 @@ func (s *searcher) boundsAt(slot int32) (lb, ub float64, err error) {
 }
 
 // boundsBlock evaluates one leaf's entries into lbBuf/ubBuf: one batched
-// kernel call over the arena, or one feats lookup per entry.
+// kernel call over the arena, or one feats lookup per entry. The arena's
+// kernel does not finish the bound of an entry it can tell is beyond σ_UB as
+// it stands — σ_UB itself, not its ε-relaxed radius, so that what is
+// abandoned is what Scratch.Add drops without a word to the gate, and +Inf,
+// which abandons nothing, until k candidates exist. Leaves only: a vantage
+// point routes the walk on both of its bounds (boundsAt), so the walk, and
+// σ_UB's whole history with it, is the one a search without the cut takes.
 func (s *searcher) boundsBlock(slots []int32) error {
 	if s.arena != nil {
-		return s.arena.BoundsBlock(s.ctx, slots, !s.t.opts.PaperBounds, s.lbBuf, s.ubBuf)
+		abandoned, err := s.arena.BoundsBlockCut(s.ctx, slots, !s.t.opts.PaperBounds, s.cut(s.SigmaUB()), s.lbBuf, s.ubBuf)
+		s.kAbandoned += int64(abandoned)
+		return err
 	}
 	for i, slot := range slots {
 		lb, ub, err := s.boundsAt(slot)
@@ -437,5 +456,6 @@ func (s *searcher) flushKernelCounters() {
 	s.t.kernels.searches.Add(1)
 	s.t.kernels.blocks.Add(s.kBlocks)
 	s.t.kernels.evals.Add(s.kEvals)
+	s.t.kernels.abandoned.Add(s.kAbandoned)
 	s.t.kernels.blocksPruned.Add(s.kBlocksPruned)
 }

@@ -578,6 +578,13 @@ func (t *Tree) admit(k, queryLen int, g *lifecycle.Gate) error {
 // attribution and phase timings; results and Stats are the same with or
 // without it, and the plain path pays one nil check per node.
 func (t *Tree) SearchPrepared(q *spectral.Prepared, k int, feats FeatureSource, store seqstore.Store, g *lifecycle.Gate, exp *Explain) ([]Result, Stats, bool, error) {
+	return t.search(q, k, feats, store, g, exp, spectral.AbandonCut)
+}
+
+// search is SearchPrepared with the leaf kernel's cut as a function of σ_UB
+// (see searcher.boundsBlock). Every search passes spectral.AbandonCut; the
+// test that pins what abandoning must not change passes +Inf.
+func (t *Tree) search(q *spectral.Prepared, k int, feats FeatureSource, store seqstore.Store, g *lifecycle.Gate, exp *Explain, cut func(sigmaUB float64) float64) ([]Result, Stats, bool, error) {
 	if err := t.admit(k, len(q.Values()), g); err != nil {
 		return nil, Stats{}, false, err
 	}
@@ -599,7 +606,7 @@ func (t *Tree) SearchPrepared(q *spectral.Prepared, k int, feats FeatureSource, 
 	defer sc.Release()
 	s := &searcher{
 		t: t, f: t.flat, feats: feats, exp: exp, g: g,
-		ctx: q.Context(), Scratch: sc,
+		ctx: q.Context(), Scratch: sc, cut: cut,
 	}
 	// Bounds come from the arena's batched kernel when feats is the table the
 	// arena was packed from, and per entry from feats otherwise (disk
