@@ -51,13 +51,17 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz FuzzCompressInvariants -fuzztime $(FUZZTIME) ./internal/spectral
 	$(GO) test -run='^$$' -fuzz FuzzArenaKernel -fuzztime $(FUZZTIME) ./internal/spectral
 	$(GO) test -run='^$$' -fuzz FuzzBoundsAbandon -fuzztime $(FUZZTIME) ./internal/spectral
+	$(GO) test -run='^$$' -fuzz FuzzForwardReal -fuzztime $(FUZZTIME) ./internal/fft
 	$(GO) test -run='^$$' -fuzz FuzzSketchBound -fuzztime $(FUZZTIME) ./internal/sketch
 	$(GO) test -run='^$$' -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz FuzzFlatSearch -fuzztime $(FUZZTIME) ./internal/vptree
 	$(GO) test -run='^$$' -fuzz FuzzShardRoute -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run='^$$' -fuzz FuzzV2Decode -fuzztime $(FUZZTIME) ./internal/core
 
-# kernel-check is the traversal-kernel acceptance suite: the arena property
+# kernel-check is the kernel acceptance suite: the real transform against the
+# O(N²) DFT and the cached tables it reads, the query context's magnitude
+# order against the comparator sort, the period scan against a direct per-bin
+# DFT, the arena property
 # tests, the one traversal against its parent-recorded goldens and the
 # brute-force oracle (both bound sources, explain on and off), the three
 # moves a search saves work by (leaf bounds abandoned against σ_UB, candidates
@@ -71,6 +75,7 @@ fuzz-smoke:
 # as every other architecture does) and a vet and build for arm64, so neither
 # the path this machine does not run nor the build it does not do can rot.
 kernel-check:
+	$(GO) test -race -run 'TestForwardRealHalf|TestCachedTwiddles|TestTwiddleTables|TestQueryContext|TestSimilarPeriodsMatchesDirectDFT' ./internal/fft ./internal/spectral ./internal/core
 	$(GO) test -race -run 'TestArena|TestFlat|TestGolden|TestBoundsAbandon|TestSearchInvariantToAbandon|TestFilterOrder|TestAddDrops|TestConcurrentFlatStress|TestConcurrentEngineStress' ./internal/spectral ./internal/vptree ./internal/knn ./internal/core
 	$(GO) test -race -run 'Sketch|TestExceeds|TestRows|TestUnsketchable|TestShiftOutOfRange|TestVector|TestClosedForm|Kernel' ./internal/sketch ./internal/seqstore ./internal/knn ./internal/core ./internal/shard
 	$(GO) test -tags purego ./internal/sketch ./internal/knn ./internal/seqstore

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -188,8 +189,9 @@ type Request struct {
 	Window BurstWindow
 	// Band is the Sakoe–Chiba band radius in days for KindDTW.
 	Band int
-	// Periods (in days) focuses KindSimilarPeriods; RelTol is the relative
-	// bin tolerance (default 0.05).
+	// Periods (in days, each positive and finite) focuses
+	// KindSimilarPeriods; RelTol is the relative bin tolerance (0 = the
+	// default 0.05; negative or non-finite is refused with ErrBadPeriods).
 	Periods []float64
 	RelTol  float64
 	// Budget bounds the work of this query (see Budget).
@@ -744,9 +746,23 @@ func (e *Engine) queryDTW(ctx context.Context, g *lifecycle.Gate, req Request) (
 	return &Response{Kind: req.Kind, Neighbors: out, Truncated: truncated}, nil
 }
 
+// ErrBadPeriods is wrapped by the error a period search returns for a period
+// that is not a positive, finite number of days, a tolerance that is negative
+// or not finite, or periods no spectral bin lies near. An infinite period or
+// tolerance would otherwise select every bin and answer a full-spectrum kNN.
+var ErrBadPeriods = errors.New("core: invalid period search")
+
 func (e *Engine) querySimilarPeriods(ctx context.Context, g *lifecycle.Gate, req Request) (*Response, error) {
+	for _, p := range req.Periods {
+		if !(p > 0) || math.IsInf(p, 1) {
+			return nil, fmt.Errorf("core: period %v is not a positive finite number of days: %w", p, ErrBadPeriods)
+		}
+	}
+	if !(req.RelTol >= 0) || math.IsInf(req.RelTol, 1) {
+		return nil, fmt.Errorf("core: relative tolerance %v is not a finite number >= 0: %w", req.RelTol, ErrBadPeriods)
+	}
 	relTol := req.RelTol
-	if relTol <= 0 {
+	if relTol == 0 {
 		relTol = 0.05
 	}
 	fam := obs.SpanFromContext(ctx)
@@ -765,7 +781,7 @@ func (e *Engine) querySimilarPeriods(ctx context.Context, g *lifecycle.Gate, req
 	}
 	bins := hq.BinsForPeriods(req.Periods, relTol)
 	if len(bins) == 0 {
-		return nil, fmt.Errorf("core: no spectral bins within ±%.0f%% of periods %v", 100*relTol, req.Periods)
+		return nil, fmt.Errorf("core: no spectral bins within ±%.0f%% of periods %v: %w", 100*relTol, req.Periods, ErrBadPeriods)
 	}
 	mask, err := hq.Mask(bins)
 	if err != nil {

@@ -80,9 +80,10 @@ func (v V2Request) Budget() Budget {
 //
 // Codes (docs/api.md#errors):
 //
-//	invalid_argument    malformed or out-of-range parameter, or a  (400;
+//	invalid_argument    malformed or out-of-range parameter, a     (400;
 //	                    query curve that is not finite             413 for a POST
-//	                    (ErrNonFinite)                             body over 1 MiB)
+//	                    (ErrNonFinite), or periods no bin lies     body over 1 MiB)
+//	                    near (ErrBadPeriods)
 //	invalid_approx      inconsistent quality dial (ε<0, δ>1, ...)  (400)
 //	unknown_query       q does not name an indexed series          (404)
 //	method_not_allowed  verb other than GET or POST                (405)
@@ -506,7 +507,7 @@ func queryError(err error) *V2Error {
 		return v2Errorf(http.StatusServiceUnavailable, "aborted", "%v", err)
 	case errors.Is(err, ErrBadApprox):
 		return v2Errorf(http.StatusBadRequest, "invalid_approx", "%v", err)
-	case errors.Is(err, ErrNonFinite):
+	case errors.Is(err, ErrNonFinite) || errors.Is(err, ErrBadPeriods):
 		return v2Errorf(http.StatusBadRequest, "invalid_argument", "%v", err)
 	default:
 		return v2Errorf(http.StatusInternalServerError, "internal", "%v", err)

@@ -187,6 +187,8 @@ func TestV2SearchErrors(t *testing.T) {
 		{"/v2/search?q=" + querylog.Cinema + "&epsilon=-1", 400, "invalid_approx"},
 		{"/v2/search?q=" + querylog.Cinema + "&delta=2", 400, "invalid_approx"},
 		{"/v2/search?q=" + querylog.Cinema + "&mode=nope", 400, "invalid_argument"},
+		// Finite and positive, so the decoder passes it; no bin lies near it.
+		{"/v2/search?q=" + querylog.Cinema + "&mode=periods&period=0.001", 400, "invalid_argument"},
 	}
 	for _, c := range cases {
 		rec := httptest.NewRecorder()

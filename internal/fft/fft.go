@@ -9,7 +9,8 @@
 //
 // Transforms of power-of-two lengths use an iterative radix-2 Cooley–Tukey
 // algorithm; other lengths fall back to Bluestein's chirp-z algorithm, so any
-// sequence length is supported in O(N log N).
+// sequence length is supported in O(N log N). A real sequence of even length
+// is transformed as a complex one of half its length (ForwardRealHalf).
 package fft
 
 import (
@@ -22,6 +23,8 @@ import (
 
 // ErrEmpty is returned when a transform is requested on empty input.
 var ErrEmpty = errors.New("fft: empty input")
+
+var errDstLength = errors.New("fft: destination length mismatch")
 
 // Forward computes the normalized DFT of x and returns a freshly allocated
 // coefficient vector of the same length.
@@ -58,21 +61,137 @@ func ForwardReal(x []float64) ([]complex128, error) {
 }
 
 // ForwardRealInto is ForwardReal into caller-owned storage: dst, which must
-// have len(x), receives the coefficients. Callers that keep only part of the
-// spectrum reuse one dst across transforms.
+// have len(x), receives the coefficients — ForwardRealHalf's bins and their
+// conjugate mirror, X(N−k) = conj(X(k)).
 func ForwardRealInto(dst []complex128, x []float64) error {
-	if len(x) == 0 {
+	n := len(x)
+	if n == 0 {
 		return ErrEmpty
 	}
-	if len(dst) != len(x) {
-		return errors.New("fft: destination length mismatch")
+	if len(dst) != n {
+		return errDstLength
 	}
-	for i, v := range x {
-		dst[i] = complex(v, 0)
+	if err := ForwardRealHalf(dst[:n/2+1], x); err != nil {
+		return err
 	}
-	transform(dst, false)
-	scale(dst, 1/math.Sqrt(float64(len(x))))
+	for k := 1; k < n-k; k++ {
+		dst[n-k] = cmplx.Conj(dst[k])
+	}
 	return nil
+}
+
+// ForwardRealHalf computes bins 0 … ⌊N/2⌋ of the normalized DFT of a real
+// sequence of length N into dst, which must have ⌊N/2⌋+1 elements; the bins
+// above are their conjugate mirror. It is the one real-input transform.
+//
+// An even length is transformed at half its size: the samples are packed in
+// pairs as z(n) = x(2n) + i·x(2n+1), one complex transform of length N/2 runs
+// in dst itself, and a single pass separates the even- and odd-sample spectra
+// E and O it holds and recombines them, X(k) = E(k) + W_N^k·O(k). An odd
+// length has no such packing and is transformed as complex input.
+func ForwardRealHalf(dst []complex128, x []float64) error {
+	n := len(x)
+	if n == 0 {
+		return ErrEmpty
+	}
+	if len(dst) != n/2+1 {
+		return errDstLength
+	}
+	if n%2 == 1 {
+		full := make([]complex128, n)
+		for i, v := range x {
+			full[i] = complex(v, 0)
+		}
+		transform(full, false)
+		copy(dst, full)
+		scale(dst, 1/math.Sqrt(float64(n)))
+		return nil
+	}
+	z := dst[:n/2]
+	if m := len(z); m&(m-1) == 0 {
+		packFirstStages(z, x)
+		stages(z, 8, false)
+	} else {
+		for i := range z {
+			z[i] = complex(x[2*i], x[2*i+1])
+		}
+		bluestein(z, false)
+	}
+	splitReal(dst, n)
+	return nil
+}
+
+// packFirstStages writes the packed pairs z(n) = x(2n) + i·x(2n+1) into z in
+// bit-reversed order and runs the first two radix-2 stages on them, whose
+// twiddle factors (1, then 1 and −i) need no multiply. Output positions
+// 4j … 4j+3 hold inputs r, r+M/2, r+M/4 and r+3M/4 with j the bit reversal
+// of r over M/4 (and r that of j: the permutation is its own inverse), so
+// one cached table serves and x is read front to back, in four streams.
+func packFirstStages(z []complex128, x []float64) {
+	m := len(z)
+	at := func(i int) complex128 { return complex(x[2*i], x[2*i+1]) }
+	switch m {
+	case 1:
+		z[0] = at(0)
+		return
+	case 2:
+		a0, a1 := at(0), at(1)
+		z[0], z[1] = a0+a1, a0-a1
+		return
+	}
+	h, q := m/2, m/4
+	for r, j := range bitReversal(q) {
+		a0, a1, a2, a3 := at(r), at(r+h), at(r+q), at(r+h+q)
+		b0, b1, b2, b3 := a0+a1, a0-a1, a2+a3, a2-a3
+		t := complex(imag(b3), -real(b3)) // −i·b3
+		o := z[4*j : 4*j+4 : 4*j+4]
+		o[0], o[1], o[2], o[3] = b0+b2, b1+t, b0-b2, b1-t
+	}
+}
+
+// splitReal turns the length-N/2 transform Z of the packed pairs, held in
+// dst[:N/2], into bins 0 … N/2 of the real sequence's normalized transform.
+// With E(k) = (Z(k) + conj Z(M−k))/2 and O(k) = (Z(k) − conj Z(M−k))/2i
+// (M = N/2, Z(M) = Z(0)), X(k) = E(k) + W^k·O(k) and X(M−k) = conj(E(k) −
+// W^k·O(k)), W = e^(−2πi/N); the pair (k, M−k) is read and written in place,
+// and the unitary 1/√N rides along.
+func splitReal(dst []complex128, n int) {
+	m := n / 2
+	s := 1 / math.Sqrt(float64(n))
+	z0 := dst[0]
+	dst[0] = complex((real(z0)+imag(z0))*s, 0)
+	dst[m] = complex((real(z0)-imag(z0))*s, 0)
+	if m%2 == 0 && m > 0 {
+		// k = M/2 is its own partner, and W^(M/2) = −i: X = conj Z.
+		c := dst[m/2]
+		dst[m/2] = complex(real(c)*s, -imag(c)*s)
+	}
+	w := splitTwiddles(n)
+	h := s / 2
+	for k := 1; k < m-k; k++ {
+		a, b := dst[k], dst[m-k]
+		er, ei := real(a)+real(b), imag(a)-imag(b) // 2·E(k)
+		or, oi := imag(a)+imag(b), real(b)-real(a) // 2·O(k)
+		wr, wi := real(w[k]), imag(w[k])
+		tr, ti := wr*or-wi*oi, wr*oi+wi*or // 2·W^k·O(k)
+		dst[k] = complex((er+tr)*h, (ei+ti)*h)
+		dst[m-k] = complex((er-tr)*h, (ti-ei)*h)
+	}
+}
+
+// splitTwiddles returns W^k = e^(−2πik/n) for k < n/2: the cached stage table
+// of size n when n is a power of two, a fresh table otherwise (whose
+// half-length transform is a Bluestein one, allocating anyway).
+func splitTwiddles(n int) []complex128 {
+	if n&(n-1) == 0 {
+		return stageTwiddles(n, false)
+	}
+	w := make([]complex128, n/2)
+	for k := range w {
+		sin, cos := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
+		w[k] = complex(cos, sin)
+	}
+	return w
 }
 
 // InverseReal inverts a spectrum known to come from a real sequence and
@@ -90,9 +209,8 @@ func InverseReal(X []complex128) ([]float64, error) {
 }
 
 func scale(x []complex128, s float64) {
-	cs := complex(s, 0)
-	for i := range x {
-		x[i] *= cs
+	for i, v := range x {
+		x[i] = complex(real(v)*s, imag(v)*s)
 	}
 }
 
@@ -139,28 +257,69 @@ func stageTwiddles(size int, inverse bool) []complex128 {
 	return *slot.Load()
 }
 
+// reversals caches, per log₂ n, the bit-reversal permutation of 0 … n−1.
+var reversals [bits.UintSize]atomic.Pointer[[]int32]
+
+func bitReversal(n int) []int32 {
+	lg := bits.TrailingZeros(uint(n))
+	slot := &reversals[lg]
+	if t := slot.Load(); t != nil {
+		return *t
+	}
+	t := make([]int32, n)
+	for i := range t {
+		t[i] = int32(bits.Reverse64(uint64(i)) >> (64 - uint(lg)))
+	}
+	slot.CompareAndSwap(nil, &t)
+	return *slot.Load()
+}
+
 // radix2 is the iterative in-place Cooley–Tukey FFT for power-of-two lengths.
 func radix2(x []complex128, inverse bool) {
-	n := len(x)
-	// Bit-reversal permutation.
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
+	for i, j := range bitReversal(len(x)) {
+		if int(j) > i {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	for size := 2; size <= n; size <<= 1 {
+	stages(x, 2, inverse)
+}
+
+// stages runs the radix-2 butterfly stages of sizes first, 2·first, … len(x)
+// over bit-reversed input whose smaller stages are done. Stages go two to a
+// pass over the data: the pass over a block of 2·size runs stage size on its
+// quarters (a, b) and (c, d), then stage 2·size on (a, c) and (b, d), with
+// every butterfly computed as the one-stage loop computes it — the same
+// twiddle, the same operations — so fusing changes no bit of the result.
+func stages(x []complex128, first int, inverse bool) {
+	n := len(x)
+	size := first
+	for ; 2*size <= n; size <<= 2 {
+		t1 := stageTwiddles(size, inverse)
+		t2 := stageTwiddles(2*size, inverse)
+		q := len(t1)
+		tac, tbd := t2[:q], t2[q:][:q]
+		for start := 0; start < n; start += 2 * size {
+			a, b := x[start:][:q], x[start+q:][:q]
+			c, d := x[start+2*q:][:q], x[start+3*q:][:q]
+			for k, w := range t1 {
+				bw, dw := b[k]*w, d[k]*w
+				a1, b1 := a[k]+bw, a[k]-bw
+				c1, d1 := c[k]+dw, c[k]-dw
+				cw, dw2 := c1*tac[k], d1*tbd[k]
+				a[k], c[k] = a1+cw, a1-cw
+				b[k], d[k] = b1+dw2, b1-dw2
+			}
+		}
+	}
+	if size == n {
 		half := size >> 1
 		tw := stageTwiddles(size, inverse)
-		for start := 0; start < n; start += size {
-			lo, hi := x[start : start+half][:len(tw)], x[start+half : start+size][:len(tw)]
-			for k, w := range tw {
-				a := lo[k]
-				b := hi[k] * w
-				lo[k] = a + b
-				hi[k] = a - b
-			}
+		lo, hi := x[:half][:len(tw)], x[half:size][:len(tw)]
+		for k, w := range tw {
+			a := lo[k]
+			b := hi[k] * w
+			lo[k] = a + b
+			hi[k] = a - b
 		}
 	}
 }
@@ -213,22 +372,27 @@ func Periodogram(X []complex128) []float64 {
 	if len(X) == 0 {
 		return nil
 	}
-	half := (len(X)-1)/2 + 1
-	p := make([]float64, half)
-	for k := 0; k < half; k++ {
-		m := cmplx.Abs(X[k])
+	return power(X[:(len(X)-1)/2+1])
+}
+
+// PeriodogramReal computes the periodogram of a real-valued sequence directly
+// from its half spectrum.
+func PeriodogramReal(x []float64) ([]float64, error) {
+	h := make([]complex128, len(x)/2+1)
+	if err := ForwardRealHalf(h, x); err != nil {
+		return nil, err
+	}
+	return power(h[:(len(x)-1)/2+1]), nil
+}
+
+// power returns |X(k)|² for every coefficient.
+func power(X []complex128) []float64 {
+	p := make([]float64, len(X))
+	for k, c := range X {
+		m := cmplx.Abs(c)
 		p[k] = m * m
 	}
 	return p
-}
-
-// PeriodogramReal computes the periodogram of a real-valued sequence directly.
-func PeriodogramReal(x []float64) ([]float64, error) {
-	X, err := ForwardReal(x)
-	if err != nil {
-		return nil, err
-	}
-	return Periodogram(X), nil
 }
 
 // Magnitudes returns |X(k)| for every coefficient.

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/israce"
 )
 
 // naiveDFT is the O(N²) reference implementation of the normalized DFT.
@@ -345,9 +347,10 @@ func TestCachedTwiddlesAreBitIdentical(t *testing.T) {
 }
 
 // The tables are built on first use by whichever transforms get there
-// first; concurrent first users must all see complete tables.
+// first; concurrent first users must all see complete tables — twiddles and
+// the bit-reversal permutation alike.
 func TestTwiddleTablesUnderConcurrentFirstUse(t *testing.T) {
-	const n = 1 << 13 // a stage no other test in this package reaches
+	const n = 1 << 15 // a size no other test in this package reaches
 	rng := rand.New(rand.NewSource(22))
 	x := randComplex(rng, n)
 	want := append([]complex128(nil), x...)
@@ -365,6 +368,160 @@ func TestTwiddleTablesUnderConcurrentFirstUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// naiveHalfDFT is the O(N²) normalized DFT of a real sequence, bins 0 … ⌊N/2⌋,
+// with every angle 2πj/N taken from one exact table instead of a recurrence.
+func naiveHalfDFT(x []float64) []complex128 {
+	n := len(x)
+	cos, sin := make([]float64, n), make([]float64, n)
+	for j := range cos {
+		sin[j], cos[j] = math.Sincos(2 * math.Pi * float64(j) / float64(n))
+	}
+	out := make([]complex128, n/2+1)
+	s := 1 / math.Sqrt(float64(n))
+	for k := range out {
+		var re, im float64
+		j := 0 // k·t mod n
+		for _, v := range x {
+			re += v * cos[j]
+			im -= v * sin[j]
+			if j += k; j >= n {
+				j -= n
+			}
+		}
+		out[k] = complex(re*s, im*s)
+	}
+	return out
+}
+
+// realInputs are the inputs the real transform is checked on: random, and
+// the ones whose spectra are all ties — zero, constant, an impulse, and ±1
+// alternating, whose energy sits entirely in the Nyquist bin at even N.
+func realInputs(rng *rand.Rand, n int) map[string][]float64 {
+	in := map[string][]float64{}
+	for _, name := range []string{"random", "zero", "constant", "impulse", "alternating"} {
+		in[name] = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		in["random"][i] = rng.NormFloat64()
+		in["constant"][i] = 3.5
+		in["alternating"][i] = float64(1 - 2*(i%2))
+	}
+	in["impulse"][rng.Intn(n)] = -2
+	return in
+}
+
+func TestForwardRealHalfMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var sizes []int
+	for n := 1; n <= 130; n++ {
+		sizes = append(sizes, n)
+	}
+	largest := 1 << 14
+	if israce.Enabled {
+		largest = 1 << 12 // the O(N²) reference is most of the test's time
+	}
+	for n := 256; n <= largest; n <<= 1 {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 1000, 1023, 1025)
+	for _, n := range sizes {
+		for name, x := range realInputs(rng, n) {
+			half := make([]complex128, n/2+1)
+			if err := ForwardRealHalf(half, x); err != nil {
+				t.Fatal(err)
+			}
+			energy := 0.0
+			for _, v := range x {
+				energy += v * v
+			}
+			if d := maxDiff(half, naiveHalfDFT(x)); d > 1e-9*(1+math.Sqrt(energy)) {
+				t.Errorf("n=%d %s: half spectrum differs from the naive DFT by %g", n, name, d)
+			}
+			// Parseval over the half spectrum: the bins with a mirror count twice.
+			e := 0.0
+			for k, c := range half {
+				w := 2.0
+				if k == 0 || 2*k == n {
+					w = 1
+				}
+				e += w * (real(c)*real(c) + imag(c)*imag(c))
+			}
+			if math.Abs(e-energy) > 1e-9*(1+energy) {
+				t.Errorf("n=%d %s: spectrum energy %v, series energy %v", n, name, e, energy)
+			}
+			full, err := ForwardReal(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range full {
+				want := half[k%len(half)]
+				if k >= len(half) {
+					want = cmplx.Conj(half[n-k])
+				}
+				if full[k] != want {
+					t.Fatalf("n=%d %s bin %d: ForwardReal %v, want %v (the half spectrum or its exact mirror)", n, name, k, full[k], want)
+				}
+			}
+		}
+	}
+	if err := ForwardRealHalf(make([]complex128, 4), make([]float64, 8)); err == nil {
+		t.Error("ForwardRealHalf accepted a destination of the wrong length")
+	}
+	if err := ForwardRealHalf(make([]complex128, 1), nil); err != ErrEmpty {
+		t.Errorf("ForwardRealHalf(nil) = %v, want ErrEmpty", err)
+	}
+}
+
+// FuzzForwardReal holds the real transform to the complex one over the same
+// samples: the same spectrum within rounding, for any length and any values
+// a 16-bit sample can take.
+func FuzzForwardReal(f *testing.F) {
+	f.Add([]byte{1, 0})
+	f.Add([]byte{1, 0, 255, 255, 1, 0, 255, 255})
+	f.Add([]byte{0, 128, 255, 127, 3, 4, 5, 6, 7, 8, 9, 10})
+	f.Add(make([]byte, 2048))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := min(len(data)/2, 4096)
+		if n == 0 {
+			return
+		}
+		x := make([]float64, n)
+		c := make([]complex128, n)
+		energy := 0.0
+		for i := range x {
+			x[i] = float64(int16(uint16(data[2*i]) | uint16(data[2*i+1])<<8))
+			c[i] = complex(x[i], 0)
+			energy += x[i] * x[i]
+		}
+		got, err := ForwardReal(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Forward(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := maxDiff(got, want); d > 1e-12*(1+math.Sqrt(energy))*math.Log2(float64(2*n)) {
+			t.Fatalf("n=%d: ForwardReal differs from Forward by %g", n, d)
+		}
+	})
+}
+
+func BenchmarkForwardReal1024(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	x := make([]float64, 1024)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ForwardReal(x); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkForward1024(b *testing.B) {

@@ -6,10 +6,9 @@ import (
 )
 
 // FromValuesBatch computes the half-spectra of many sequences concurrently
-// (one FFT per sequence is embarrassingly parallel; ≈ 25 µs each at 1 024
-// points, about a fifth of an engine build's CPU time — docs/kernels.md,
-// Building). The result is positionally aligned with the input. The first
-// error, if any, wins.
+// (one FFT per sequence is embarrassingly parallel; ≈ 6 µs each at 1 024
+// points — docs/kernels.md, The period scan and the FFT). The result is
+// positionally aligned with the input. The first error, if any, wins.
 func FromValuesBatch(values [][]float64) ([]*HalfSpectrum, error) {
 	out := make([]*HalfSpectrum, len(values))
 	workers := runtime.GOMAXPROCS(0)

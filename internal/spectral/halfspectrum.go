@@ -22,7 +22,6 @@ import (
 	"math"
 	"math/cmplx"
 	"slices"
-	"sync"
 
 	"repro/internal/fft"
 )
@@ -43,10 +42,6 @@ type HalfSpectrum struct {
 // ErrMismatch is returned when two spectra have different original lengths.
 var ErrMismatch = errors.New("spectral: sequence length mismatch")
 
-// fftWork pools the full-length transform buffers of FromValues, which keeps
-// only the first half of each spectrum it computes.
-var fftWork = sync.Pool{New: func() any { return new([]complex128) }}
-
 // FromValues computes the half-spectrum of a real sequence.
 func FromValues(x []float64) (*HalfSpectrum, error) {
 	h := new(HalfSpectrum)
@@ -60,17 +55,13 @@ func FromValues(x []float64) (*HalfSpectrum, error) {
 // with the half-spectrum of x, reusing its coefficient slice. A scan that
 // transforms one row after another keeps a single HalfSpectrum for all.
 func FromValuesInto(h *HalfSpectrum, x []float64) error {
-	wp := fftWork.Get().(*[]complex128)
-	defer fftWork.Put(wp)
-	*wp = slices.Grow((*wp)[:0], len(x))
-	X := (*wp)[:len(x)]
-	if err := fft.ForwardRealInto(X, x); err != nil {
-		return err
+	if len(x) == 0 {
+		return fft.ErrEmpty
 	}
-	half := len(X)/2 + 1
-	h.N, h.basis = len(X), basisDFT
-	h.Coeffs = append(h.Coeffs[:0], X[:half]...)
-	return nil
+	bins := len(x)/2 + 1
+	h.Coeffs = slices.Grow(h.Coeffs[:0], bins)[:bins]
+	h.N, h.basis = len(x), basisDFT
+	return fft.ForwardRealHalf(h.Coeffs, x)
 }
 
 // Bins returns the number of unique bins (⌊N/2⌋+1).
@@ -207,13 +198,15 @@ func (m *Mask) Distance(a, b *HalfSpectrum) (float64, error) {
 
 // BinsForPeriods returns the half-spectrum bins whose period (N/k days)
 // lies within relTol (relative tolerance, e.g. 0.05 for ±5 %) of any
-// requested period. DC is never included.
+// requested period. DC is never included, and neither is a period that is
+// not positive and finite: an infinite one would be within relTol·∞ of every
+// bin.
 func (h *HalfSpectrum) BinsForPeriods(periods []float64, relTol float64) []int {
 	var out []int
 	for k := 1; k < h.Bins(); k++ {
 		binPeriod := float64(h.N) / float64(k)
 		for _, p := range periods {
-			if p <= 0 {
+			if !(p > 0) || math.IsInf(p, 1) {
 				continue
 			}
 			if math.Abs(binPeriod-p) <= relTol*p {

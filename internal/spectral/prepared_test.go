@@ -2,6 +2,7 @@ package spectral
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -107,5 +108,18 @@ func TestPrepare(t *testing.T) {
 	}
 	if _, err := Prepare(nil); err == nil {
 		t.Error("Prepare(nil) must fail")
+	}
+}
+
+// BenchmarkPrepare1024 is a query's preparation at the served length: the
+// half spectrum, the bound context and the sketch query of one z-scored row.
+func BenchmarkPrepare1024(b *testing.B) {
+	x := stats.Standardize(randSeries(rand.New(rand.NewSource(5)), 1024))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Prepare(x); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

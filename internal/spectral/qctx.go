@@ -66,9 +66,56 @@ type magBin struct {
 	bin int
 }
 
-// sortScratch pools the magnitude-sort buffer of NewQueryContext; it is
-// returned before NewQueryContext does, so no context ever aliases it.
+// sortScratch pools the two magnitude-sort buffers of NewQueryContext; they
+// are returned before NewQueryContext does, so no context ever aliases them.
 var sortScratch = sync.Pool{New: func() any { return new([]magBin) }}
+
+// orderByMagnitude sorts a, given in ascending bin order, into ascending
+// magnitude with ties by bin, and returns the sorted slice — a or tmp, which
+// must be as long. It is a stable LSD radix sort on the bits of m, a byte a
+// pass: magnitudes are non-negative, and for those the bits order as the
+// values do (+0 first, +Inf last), while stability keeps equal magnitudes in
+// bin order. Unlike a comparison sort it takes no branch on the data, which
+// for the unpredictable order of a spectrum's magnitudes is what it costs. A
+// byte every key shares costs no pass.
+func orderByMagnitude(a, tmp []magBin) []magBin {
+	if len(a) < 2 {
+		return a
+	}
+	tmp = tmp[:len(a)]
+	var counts [8][256]int32
+	for _, e := range a {
+		k := math.Float64bits(e.m)
+		counts[0][byte(k)]++
+		counts[1][byte(k>>8)]++
+		counts[2][byte(k>>16)]++
+		counts[3][byte(k>>24)]++
+		counts[4][byte(k>>32)]++
+		counts[5][byte(k>>40)]++
+		counts[6][byte(k>>48)]++
+		counts[7][byte(k>>56)]++
+	}
+	first := math.Float64bits(a[0].m)
+	for d := range counts {
+		c := &counts[d]
+		shift := 8 * uint(d)
+		if int(c[byte(first>>shift)]) == len(a) {
+			continue
+		}
+		sum := int32(0)
+		for i, v := range c {
+			c[i] = sum
+			sum += v
+		}
+		for _, e := range a {
+			b := byte(math.Float64bits(e.m) >> shift)
+			tmp[c[b]] = e
+			c[b]++
+		}
+		a, tmp = tmp, a
+	}
+	return a
+}
 
 // NewQueryContext builds the reusable context for q. The context is
 // immutable once built and safe to share between concurrent searches.
@@ -101,7 +148,8 @@ func (ctx *QueryContext) init(q *HalfSpectrum) {
 		pwm2:   take(bins + 1),
 	}
 	sp := sortScratch.Get().(*[]magBin)
-	tmp := slices.Grow((*sp)[:0], bins)[:bins]
+	buf := slices.Grow((*sp)[:0], 2*bins)[:2*bins]
+	tmp := buf[:bins]
 	for b := 0; b < bins; b++ {
 		m := absFast(q.Coeffs[b])
 		ctx.tab[b] = qbin{w: q.Weight(b), m: m, re: real(q.Coeffs[b]), im: imag(q.Coeffs[b])}
@@ -110,24 +158,14 @@ func (ctx *QueryContext) init(q *HalfSpectrum) {
 	// Ascending magnitude, ties by bin index: the order is total, so the
 	// prefix sums below do not depend on the sort algorithm (equal
 	// magnitudes are routine — the zero bins of constant or padded series).
-	slices.SortFunc(tmp, func(a, b magBin) int {
-		switch {
-		case a.m < b.m:
-			return -1
-		case a.m > b.m:
-			return 1
-		default:
-			return a.bin - b.bin
-		}
-	})
-	for i, e := range tmp {
+	for i, e := range orderByMagnitude(tmp, buf[bins:]) {
 		w := ctx.tab[e.bin].w
 		ctx.sorted[i] = e.m
 		ctx.pw[i+1] = ctx.pw[i] + w
 		ctx.pwm[i+1] = ctx.pwm[i] + w*e.m
 		ctx.pwm2[i+1] = ctx.pwm2[i] + w*e.m*e.m
 	}
-	*sp = tmp
+	*sp = buf
 	sortScratch.Put(sp)
 	ctx.totalW = ctx.pw[bins]
 	ctx.totalWM = ctx.pwm[bins]

@@ -1,8 +1,10 @@
 package spectral
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -102,6 +104,82 @@ func TestFastBoundsMismatch(t *testing.T) {
 	}
 	if _, _, err := c.BoundsFast(NewQueryContext(h16)); err != ErrMismatch {
 		t.Error("expected ErrMismatch")
+	}
+}
+
+// comparatorMoments is what NewQueryContext computed before its radix order:
+// the bins sorted by slices.SortFunc under the (magnitude, bin) comparator,
+// then the same prefix sums.
+func comparatorMoments(q *HalfSpectrum) (sorted, pw, pwm, pwm2 []float64) {
+	tmp := make([]magBin, q.Bins())
+	for b := range tmp {
+		tmp[b] = magBin{m: absFast(q.Coeffs[b]), bin: b}
+	}
+	slices.SortFunc(tmp, func(a, b magBin) int {
+		switch {
+		case a.m < b.m:
+			return -1
+		case a.m > b.m:
+			return 1
+		default:
+			return a.bin - b.bin
+		}
+	})
+	pw, pwm, pwm2 = []float64{0}, []float64{0}, []float64{0}
+	for i, e := range tmp {
+		w := q.Weight(e.bin)
+		sorted = append(sorted, e.m)
+		pw = append(pw, pw[i]+w)
+		pwm = append(pwm, pwm[i]+w*e.m)
+		pwm2 = append(pwm2, pwm2[i]+w*e.m*e.m)
+	}
+	return sorted, pw, pwm, pwm2
+}
+
+// The context's radix order is the comparator sort's order, so its sorted
+// magnitudes and prefix sums are the comparator's bits — on the spectra whose
+// magnitudes tie across bins of different weight (zero-padded, constant, ±1
+// alternating with its Nyquist bin, hand-built duplicates), on random ones,
+// at odd and even N, and in the Haar basis.
+func TestQueryContextOrderIsTotal(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	cases := map[string]*HalfSpectrum{
+		"duplicated magnitudes": {N: 10, Coeffs: []complex128{0.5, 0.5i, -0.5, complex(0.3, 0.4), 0.5, complex(-0.4, 0.3)}},
+		"one magnitude":         {N: 9, Coeffs: []complex128{1, 1i, -1, -1i, 1}},
+	}
+	for _, n := range []int{7, 8, 64, 255, 1024} {
+		padded, constant, alternating := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range padded {
+			if i < n/3 {
+				padded[i] = rng.NormFloat64()
+			}
+			constant[i] = 2
+			alternating[i] = float64(1 - 2*(i%2))
+		}
+		random := randSeries(rng, n)
+		grid := make([]float64, n)
+		for i := range grid {
+			grid[i] = float64(rng.Intn(3) - 1)
+		}
+		for name, x := range map[string][]float64{"zero-padded": padded, "constant": constant,
+			"alternating": alternating, "random": random, "integer grid": grid} {
+			cases[fmt.Sprintf("%s n=%d", name, n)] = mustSpectrum(t, x)
+			if n&(n-1) == 0 {
+				h, err := FromValuesHaar(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cases[fmt.Sprintf("haar %s n=%d", name, n)] = h
+			}
+		}
+	}
+	for name, q := range cases {
+		ctx := NewQueryContext(q)
+		sorted, pw, pwm, pwm2 := comparatorMoments(q)
+		if !sameBits(ctx.sorted, sorted) || !sameBits(ctx.pw, pw) ||
+			!sameBits(ctx.pwm, pwm) || !sameBits(ctx.pwm2, pwm2) {
+			t.Errorf("%s: context moments differ from the comparator sort's", name)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -633,5 +634,13 @@ func TestBinsForPeriods(t *testing.T) {
 	}
 	if got := h.BinsForPeriods(nil, 0.05); len(got) != 0 {
 		t.Errorf("empty periods matched bins: %v", got)
+	}
+	// |N/k − ∞| ≤ relTol·∞ holds for every bin: an infinite period must be
+	// skipped, not matched everywhere.
+	if got := h.BinsForPeriods([]float64{math.Inf(1), math.Inf(-1), math.NaN()}, 0.05); len(got) != 0 {
+		t.Errorf("non-finite periods matched bins: %v", got)
+	}
+	if got := h.BinsForPeriods([]float64{math.Inf(1), 7}, 0.05); !slices.Equal(got, bins) {
+		t.Errorf("an infinite period beside 7 changed the weekly bins: %v, want %v", got, bins)
 	}
 }
