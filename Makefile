@@ -24,8 +24,8 @@ vet-lostcancel:
 
 # api-check enforces the one query surface: exported Engine/ShardedEngine
 # query methods take ctx first, handlers accept core.Searcher, /v2 JSON is
-# snake_case and cmd/s2 mounts exactly one search route. See
-# scripts/api_check.sh.
+# snake_case and cmd/s2 mounts exactly one search route; and it keeps
+# internal/ to packages a command imports. See scripts/api_check.sh.
 api-check:
 	sh scripts/api_check.sh
 

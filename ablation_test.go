@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/benchutil"
-	"repro/internal/mvptree"
 	"repro/internal/seqstore"
 	"repro/internal/series"
 	"repro/internal/spectral"
@@ -163,63 +162,5 @@ func BenchmarkAblationEarlyAbandon(b *testing.B) {
 				}
 			}
 		}
-	})
-}
-
-// BenchmarkAblationTreeVariant compares the binary VP-tree against the
-// multi-vantage-point tree on the same corpus slice: wall time per 1NN
-// query plus bound computations per query.
-func BenchmarkAblationTreeVariant(b *testing.B) {
-	c := sharedCorpus(b)
-	const n = 1024
-	store, err := seqstore.NewMemory(c.Data[0].Len())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := make([]int, n)
-	for i := 0; i < n; i++ {
-		if ids[i], err = store.Append(c.Data[i].Values); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("vptree", func(b *testing.B) {
-		tree, err := vptree.Build(c.Spectra[:n], ids, vptree.Options{Budget: 16})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var boundsPer float64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var agg vptree.Stats
-			for _, q := range c.Queries {
-				_, st, err := tree.Search(q.Values, 1, tree.Features(), store)
-				if err != nil {
-					b.Fatal(err)
-				}
-				agg.Add(st)
-			}
-			boundsPer = float64(agg.BoundsComputed) / float64(len(c.Queries))
-		}
-		b.ReportMetric(boundsPer, "bounds/query")
-	})
-	b.Run("mvptree", func(b *testing.B) {
-		tree, err := mvptree.Build(c.Spectra[:n], ids, mvptree.Options{Budget: 16})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var boundsPer float64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			total := 0
-			for _, q := range c.Queries {
-				_, st, err := tree.Search(q.Values, 1, store)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += st.BoundsComputed
-			}
-			boundsPer = float64(total) / float64(len(c.Queries))
-		}
-		b.ReportMetric(boundsPer, "bounds/query")
 	})
 }

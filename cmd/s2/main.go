@@ -343,7 +343,7 @@ func writeIndexStats(w io.Writer, s core.Searcher) {
 		}
 	}
 	for i, e := range engines {
-		if e == nil || e.Tree() == nil {
+		if e == nil {
 			continue
 		}
 		ks := e.Tree().KernelStats()

@@ -16,7 +16,6 @@ import (
 	"repro/internal/burst"
 	"repro/internal/periods"
 	"repro/internal/querylog"
-	"repro/internal/stream"
 )
 
 func main() {
@@ -24,7 +23,7 @@ func main() {
 
 	for _, name := range []string{querylog.Easter, querylog.WorldTradeCenter} {
 		s := g.Exemplar(name)
-		det, err := stream.NewBurstDetector(burst.LongWindow, burst.DefaultCutoff)
+		det, err := NewBurstDetector(burst.LongWindow, burst.DefaultCutoff)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -33,9 +32,9 @@ func main() {
 			for _, e := range det.Push(v) {
 				date := s.DateOf(e.Day).Format("2006-01-02")
 				switch e.Kind {
-				case stream.BurstOpen:
+				case BurstOpen:
 					fmt.Printf("  %s  burst OPEN\n", date)
-				case stream.BurstClose:
+				case BurstClose:
 					fmt.Printf("  %s  burst CLOSED: %s .. %s (avg %.1f)\n",
 						date,
 						s.DateOf(e.Burst.Start).Format("2006-01-02"),
@@ -56,7 +55,7 @@ func main() {
 	// Sliding-window periodicity: after each quarter, what rhythm does the
 	// last year of "cinema" show?
 	s := g.Exemplar(querylog.Cinema)
-	tracker, err := stream.NewPeriodTracker(364)
+	tracker, err := NewPeriodTracker(364)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dtw"
 	"repro/internal/minisql"
-	"repro/internal/mvptree"
 	"repro/internal/querylog"
 	"repro/internal/seqstore"
 	"repro/internal/series"
@@ -23,10 +22,10 @@ import (
 	"repro/internal/vptree"
 )
 
-// TestFourSearchEnginesAgree cross-checks every nearest-neighbour path in
+// TestThreeSearchEnginesAgree cross-checks every nearest-neighbour path in
 // the repository: engine index (VP-tree + SafeBounds), engine linear scan,
-// a standalone mvp-tree, and DTW with band radius 0 (≡ Euclidean).
-func TestFourSearchEnginesAgree(t *testing.T) {
+// and DTW with band radius 0 (≡ Euclidean).
+func TestThreeSearchEnginesAgree(t *testing.T) {
 	g := querylog.NewGenerator(querylog.DefaultStart, 256, 77)
 	data := querylog.StandardizeAll(g.Dataset(120))
 	queries := querylog.StandardizeAll(g.Queries(4))
@@ -36,27 +35,9 @@ func TestFourSearchEnginesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer engine.Close()
-
-	// Standalone mvp-tree over the same standardized values.
-	store, err := seqstore.NewMemory(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := make([]*spectral.HalfSpectrum, len(data))
-	ids := make([]int, len(data))
 	values := make([][]float64, len(data))
 	for i, s := range data {
-		if ids[i], err = store.Append(s.Values); err != nil {
-			t.Fatal(err)
-		}
-		if specs[i], err = spectral.FromValues(s.Values); err != nil {
-			t.Fatal(err)
-		}
 		values[i] = s.Values
-	}
-	mvp, err := mvptree.Build(specs, ids, mvptree.Options{Budget: 12})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	for qi, q := range queries {
@@ -70,10 +51,6 @@ func TestFourSearchEnginesAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		lin := resp.Neighbors
-		mv, _, err := mvp.Search(q.Values, 1, store)
-		if err != nil {
-			t.Fatal(err)
-		}
 		dt, _, err := dtw.Search(values, q.Values, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -81,7 +58,6 @@ func TestFourSearchEnginesAgree(t *testing.T) {
 		d := idx[0].Dist
 		for name, other := range map[string]float64{
 			"linear scan": lin[0].Dist,
-			"mvp-tree":    mv[0].Dist,
 			"dtw(r=0)":    dt.Dist,
 		} {
 			if math.Abs(other-d) > 1e-9 {

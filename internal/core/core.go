@@ -28,7 +28,6 @@ import (
 	"repro/internal/burst"
 	"repro/internal/burstdb"
 	"repro/internal/lifecycle"
-	"repro/internal/mvptree"
 	"repro/internal/obs"
 	"repro/internal/periods"
 	"repro/internal/seqstore"
@@ -68,13 +67,10 @@ type Config struct {
 	LeafSize    int
 	Seed        int64
 	PaperBounds bool
-	// Index selects the metric-index implementation (default the paper's
-	// binary VP-tree; IndexMVPTree uses the multi-vantage-point variant).
-	Index IndexKind
 	// DynamicIndex builds the VP-tree in dynamic mode so Engine.Add can
 	// ingest new series after construction (a live search service appends
 	// query terms continuously). Costs the retained spectra and is
-	// incompatible with IndexMVPTree and FeaturesPath.
+	// incompatible with FeaturesPath.
 	DynamicIndex bool
 	// Shards selects horizontal partitioning: 0 or 1 builds today's
 	// single engine, N > 1 asks for N independent engine shards behind a
@@ -94,25 +90,6 @@ type Config struct {
 	// names) and records a per-query span trace into Obs.Traces. Nil
 	// disables instrumentation at a cost of one nil check per operation.
 	Obs *obs.Hub
-}
-
-// IndexKind selects the metric index implementation.
-type IndexKind int
-
-const (
-	// IndexVPTree is the paper's binary vantage-point tree (§4).
-	IndexVPTree IndexKind = iota
-	// IndexMVPTree is the multi-vantage-point variant (cited extension [3]).
-	// It keeps its compressed features in memory; FeaturesPath is rejected.
-	IndexMVPTree
-)
-
-// String implements fmt.Stringer.
-func (k IndexKind) String() string {
-	if k == IndexMVPTree {
-		return "mvptree"
-	}
-	return "vptree"
 }
 
 func (c *Config) fill() {
@@ -207,7 +184,6 @@ type Engine struct {
 	raw      []*series.Series // original (unstandardized) series
 	store    seqstore.Store   // standardized values
 	tree     *vptree.Tree
-	mvp      *mvptree.Tree // non-nil when Config.Index == IndexMVPTree
 	features vptree.FeatureSource
 	diskFeat *vptree.DiskFeatures
 	burstsS  *burstdb.DB // short-window burst features
@@ -279,12 +255,7 @@ func NewEngine(data []*series.Series, cfg Config) (_ *Engine, err error) {
 		return nil, fmt.Errorf("core: Config.Shards=%d needs the scatter-gather layer; build with shard.New (internal/shard)", cfg.Shards)
 	}
 	cfg.fill()
-	switch {
-	case cfg.Index == IndexMVPTree && cfg.FeaturesPath != "":
-		return nil, errors.New("core: IndexMVPTree keeps features in memory; FeaturesPath is not supported")
-	case cfg.Index == IndexMVPTree && cfg.DynamicIndex:
-		return nil, errors.New("core: DynamicIndex requires the VP-tree index")
-	case cfg.DynamicIndex && cfg.FeaturesPath != "":
+	if cfg.DynamicIndex && cfg.FeaturesPath != "" {
 		return nil, errors.New("core: DynamicIndex is incompatible with FeaturesPath")
 	}
 	n := data[0].Len()
@@ -318,30 +289,17 @@ func NewEngine(data []*series.Series, cfg Config) (_ *Engine, err error) {
 	e.buildTimes.derive = time.Since(began)
 
 	began = time.Now()
-	if cfg.Index == IndexMVPTree {
-		e.mvp, err = mvptree.Build(specs, ids, mvptree.Options{
-			Method:      cfg.Method,
-			Budget:      cfg.Budget,
-			LeafSize:    cfg.LeafSize,
-			Seed:        cfg.Seed,
-			PaperBounds: cfg.PaperBounds,
-		})
+	e.tree, err = vptree.Build(specs, ids, cfg.treeOptions())
+	if err != nil {
+		return nil, err
+	}
+	e.features = e.tree.Features()
+	if cfg.FeaturesPath != "" {
+		e.diskFeat, err = vptree.WriteFeatures(cfg.FeaturesPath, e.tree.Features())
 		if err != nil {
 			return nil, err
 		}
-	} else {
-		e.tree, err = vptree.Build(specs, ids, cfg.treeOptions())
-		if err != nil {
-			return nil, err
-		}
-		e.features = e.tree.Features()
-		if cfg.FeaturesPath != "" {
-			e.diskFeat, err = vptree.WriteFeatures(cfg.FeaturesPath, e.tree.Features())
-			if err != nil {
-				return nil, err
-			}
-			e.features = e.diskFeat
-		}
+		e.features = e.diskFeat
 	}
 	e.warmSketch()
 	e.buildTimes.index = time.Since(began)
@@ -350,11 +308,29 @@ func NewEngine(data []*series.Series, cfg Config) (_ *Engine, err error) {
 }
 
 // ErrNonFinite is wrapped by the error NewEngine, Add and Query return for a
-// series or a query curve that holds a NaN or an infinity. One such point
-// standardizes the whole curve to NaN, and from there its spectrum, its
-// feature and every bound computed against it: there is no answer to give, so
-// none is attempted.
+// series or a query curve that holds a NaN or an infinity, or whose z-scores
+// overflow (see Standardize). One such point standardizes the whole curve to
+// NaN, and from there its spectrum, its feature and every bound computed
+// against it: there is no answer to give, so none is attempted.
 var ErrNonFinite = errors.New("core: non-finite value")
+
+// Standardize writes the z-scores of values to z, which has their length. It
+// is the one z-scoring of the engine: every stored series (derive, for
+// NewEngine and Add) and every Values-mode query, single or sharded, goes
+// through it. Finite values can still overflow their moments — ±1e200 has a
+// standard deviation of +Inf and z-scores to a flat row of zeros, ±1e308 to
+// NaNs — so a non-finite mean or standard deviation is refused with an error
+// wrapping ErrNonFinite. Every other curve comes out exactly as
+// stats.StandardizeInPlace leaves it.
+func Standardize(z, values []float64) error {
+	copy(z, values)
+	if m, s := stats.StandardizeInPlace(z); !finite(m) || !finite(s) {
+		return fmt.Errorf("z-scores overflow (mean %v, standard deviation %v): %w", m, s, ErrNonFinite)
+	}
+	return nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // CheckFinite returns an error wrapping ErrNonFinite that names what (a
 // series, the query) and the first NaN or ±Inf among values, or nil.
@@ -368,7 +344,7 @@ func CheckFinite(what string, values []float64) error {
 // firstNonFinite returns the index of the first NaN or ±Inf, -1 for none.
 func firstNonFinite(values []float64) int {
 	for i, v := range values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !finite(v) {
 			return i
 		}
 	}
@@ -401,8 +377,9 @@ func derive(cfg *Config, seqLen int, s *series.Series, z []float64) (derived, er
 	if len(z) != seqLen {
 		z = make([]float64, seqLen)
 	}
-	copy(z, s.Values)
-	stats.StandardizeInPlace(z)
+	if err := Standardize(z, s.Values); err != nil {
+		return derived{}, fmt.Errorf("core: series %q: %w", s.Name, err)
+	}
 	d := derived{z: z}
 	var err error
 	if d.spec, err = spectral.FromValues(z); err != nil {
@@ -688,8 +665,11 @@ func (e *Engine) standardizeQuery(values []float64) ([]float64, error) {
 	if len(values) != e.SeqLen() {
 		return nil, spectral.ErrMismatch
 	}
-	s := &series.Series{Values: values}
-	return s.Standardized().Values, nil
+	z := make([]float64, len(values))
+	if err := Standardize(z, values); err != nil {
+		return nil, fmt.Errorf("core: the query: %w", err)
+	}
+	return z, nil
 }
 
 // toNeighborsLocked resolves result IDs to names; caller holds mu.
@@ -917,11 +897,15 @@ func (e *Engine) PeriodsOfSet(ids []int) (*periods.Detection, error) {
 // Bursts
 
 // Bursts runs the §6.1 burst detector on arbitrary raw values with the
-// engine's cutoff and the chosen window.
+// engine's cutoff and the chosen window, z-scoring them as a stored series is.
 func (e *Engine) Bursts(values []float64, w BurstWindow) (*burst.Detection, error) {
 	defer e.met.burstsLat.Start()()
 	e.met.burstsTotal.Inc()
-	return burst.DetectStandardized(values, windowDays(w), e.cfg.BurstCutoff)
+	z := make([]float64, len(values))
+	if err := Standardize(z, values); err != nil {
+		return nil, fmt.Errorf("core: the curve: %w", err)
+	}
+	return burst.Detect(z, burst.Options{Window: windowDays(w), Cutoff: e.cfg.BurstCutoff})
 }
 
 // BurstsOf returns the stored burst features of an indexed series.

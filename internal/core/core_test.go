@@ -270,53 +270,6 @@ func BenchmarkEngineSimilarQueries(b *testing.B) {
 	}
 }
 
-// The MVP-tree engine variant must answer identically to the VP-tree one.
-func TestMVPTreeIndexVariant(t *testing.T) {
-	g := querylog.NewGenerator(querylog.DefaultStart, 256, 20)
-	data := g.Dataset(80)
-	vp, err := NewEngine(data, Config{Budget: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vp.Close()
-	mvp, err := NewEngine(data, Config{Budget: 12, Index: IndexMVPTree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mvp.Close()
-	for _, q := range g.Queries(4) {
-		a, _, err := similarQueries(vp, q.Values, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, st, err := similarQueries(mvp, q.Values, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a {
-			if math.Abs(a[i].Dist-b[i].Dist) > 1e-9 {
-				t.Errorf("rank %d: vptree %v vs mvptree %v", i, a[i], b[i])
-			}
-		}
-		if st.BoundsComputed == 0 {
-			t.Error("mvp stats not mapped")
-		}
-	}
-	if IndexVPTree.String() == IndexMVPTree.String() {
-		t.Error("IndexKind String broken")
-	}
-}
-
-func TestMVPTreeRejectsFeaturesPath(t *testing.T) {
-	g := querylog.NewGenerator(querylog.DefaultStart, 64, 21)
-	if _, err := NewEngine(g.Dataset(5), Config{
-		Index:        IndexMVPTree,
-		FeaturesPath: filepath.Join(t.TempDir(), "f.bin"),
-	}); err == nil {
-		t.Error("expected FeaturesPath rejection for mvptree")
-	}
-}
-
 func TestReconstruct(t *testing.T) {
 	e, _ := buildEngine(t, 5, Config{Budget: 16}, 22)
 	id, _ := e.Lookup(querylog.Cinema)
@@ -478,9 +431,6 @@ func TestAddRequiresDynamic(t *testing.T) {
 	defer d.Close()
 	if _, err := d.Add(&series.Series{Name: "short", Values: make([]float64, 5)}); err == nil {
 		t.Error("expected length error")
-	}
-	if _, err := NewEngine(g.Dataset(5), Config{DynamicIndex: true, Index: IndexMVPTree}); err == nil {
-		t.Error("expected DynamicIndex+MVPTree rejection")
 	}
 	if _, err := NewEngine(g.Dataset(5), Config{DynamicIndex: true,
 		FeaturesPath: filepath.Join(t.TempDir(), "f.bin")}); err == nil {

@@ -28,12 +28,12 @@ type Phase struct {
 
 // IndexExplain describes the index side of an explained similarity search.
 type IndexExplain struct {
-	// Kind is the index implementation ("vptree" or "mvptree").
+	// Kind names the index: always "vptree". The key stays on the wire so
+	// readers of schema-3 reports keep parsing them.
 	Kind string `json:"kind"`
-	// Stats is the flat per-search work summary (both index kinds).
+	// Stats is the flat per-search work summary.
 	Stats vptree.Stats `json:"stats"`
-	// Detail is the per-level traversal and prune-attribution report
-	// (VP-tree only; nil for the multi-vantage-point index).
+	// Detail is the per-level traversal and prune-attribution report.
 	Detail *vptree.Explain `json:"detail,omitempty"`
 }
 
@@ -152,12 +152,6 @@ func (r *ExplainReport) Render(w io.Writer) {
 
 func (x *IndexExplain) render(w io.Writer) {
 	d := x.Detail
-	if d == nil {
-		fmt.Fprintf(w, "  index: %s  nodes=%d bounds=%d candidates=%d sketch-skips=%d retrievals=%d\n",
-			x.Kind, x.Stats.NodesVisited, x.Stats.BoundsComputed,
-			x.Stats.Candidates, x.Stats.SketchSkips, x.Stats.FullRetrievals)
-		return
-	}
 	fmt.Fprintf(w, "  index: %s method=%s budget=%d size=%d height=%d sigma_ub=%.3f\n",
 		x.Kind, d.Method, d.Budget, d.TreeSize, d.TreeHeight, d.SigmaUB)
 	fmt.Fprintf(w, "  %5s %8s %6s %6s %6s %8s %8s %6s\n",
@@ -206,17 +200,13 @@ func (b *BurstExplain) render(w io.Writer) {
 
 // indexReport is the handler-side half of an explained index search: the
 // phase before the index (standardize or fetch), then the index's own.
-func (e *Engine) indexReport(pre Phase, vexp *vptree.Explain, st vptree.Stats) *ExplainReport {
-	rep := &ExplainReport{
-		Phases: []Phase{pre},
-		Index:  &IndexExplain{Kind: e.cfg.Index.String(), Stats: st, Detail: vexp},
+func indexReport(pre Phase, vexp *vptree.Explain, st vptree.Stats) *ExplainReport {
+	return &ExplainReport{
+		Phases: []Phase{pre,
+			{Name: "traverse", MS: vexp.TraverseMS},
+			{Name: "filter", MS: vexp.FilterMS},
+			{Name: "refine", MS: vexp.RefineMS},
+		},
+		Index: &IndexExplain{Kind: "vptree", Stats: st, Detail: vexp},
 	}
-	if vexp != nil {
-		rep.Phases = append(rep.Phases,
-			Phase{Name: "traverse", MS: vexp.TraverseMS},
-			Phase{Name: "filter", MS: vexp.FilterMS},
-			Phase{Name: "refine", MS: vexp.RefineMS},
-		)
-	}
-	return rep
 }

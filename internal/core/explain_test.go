@@ -261,25 +261,3 @@ func TestExplainWithoutObs(t *testing.T) {
 		t.Errorf("linear scan report: %+v", rep)
 	}
 }
-
-// TestExplainMVPFallback checks that the multi-vantage-point engine serves
-// explained searches with flat stats and no per-level detail.
-func TestExplainMVPFallback(t *testing.T) {
-	e, g := buildEngine(t, 40, Config{Budget: 10, Index: IndexMVPTree}, 12)
-	resp := explained(t, e, Request{Kind: KindSimilar, Values: g.Queries(1)[0].Values, K: 3})
-	if len(resp.Neighbors) != 3 {
-		t.Fatalf("got %d results", len(resp.Neighbors))
-	}
-	rep := resp.Explain
-	if rep.Index == nil || rep.Index.Detail != nil {
-		t.Errorf("MVP index explain: %+v", rep.Index)
-	}
-	if rep.Index.Stats.NodesVisited == 0 {
-		t.Error("MVP explain has empty stats")
-	}
-	var sb strings.Builder
-	rep.Render(&sb)
-	if !strings.Contains(sb.String(), "index:") {
-		t.Errorf("rendered MVP report missing index line:\n%s", sb.String())
-	}
-}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/spectral"
@@ -26,9 +25,6 @@ import (
 func (e *Engine) PlantDuplicateTreeID() (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.tree == nil {
-		return 0, errors.New("core: fault injection needs a vp-tree index")
-	}
 	z, err := e.store.Get(0)
 	if err != nil {
 		return 0, err
@@ -51,9 +47,6 @@ func (e *Engine) PlantDuplicateTreeID() (int, error) {
 func (e *Engine) RemovePlantedTreeID(id int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.tree == nil {
-		return errors.New("core: fault injection needs a vp-tree index")
-	}
 	ok, err := e.tree.Delete(id)
 	if err != nil {
 		return err

@@ -88,3 +88,82 @@ func TestNonFiniteInputIsRefused(t *testing.T) {
 		t.Errorf("ErrNonFinite on the wire: %d %s, want 400 invalid_argument", v2.Status, v2.Code)
 	}
 }
+
+// overflowing returns a copy of s whose points alternate +v, −v: every one is
+// finite, yet at v = 1e200 the standard deviation is +Inf and at v = 1e308 the
+// mean is NaN.
+func overflowing(s *series.Series, v float64) *series.Series {
+	c := *s
+	c.Values = make([]float64, len(s.Values))
+	for i := range c.Values {
+		c.Values[i] = v
+		if i%2 == 1 {
+			c.Values[i] = -v
+		}
+	}
+	return &c
+}
+
+// A finite series whose z-scores overflow is refused with ErrNonFinite just as
+// a NaN is — by the build, by Add and by every Values-mode query — instead of
+// being stored as a flat or NaN row, after which every similar query answered
+// no neighbours. A curve of ordinary magnitude z-scores bit for bit as
+// series.Standardized does.
+func TestOverflowingInputIsRefused(t *testing.T) {
+	g := querylog.NewGenerator(querylog.DefaultStart, 64, 54)
+	corpus := g.Dataset(40)
+	for _, v := range []float64{1e200, 1e308} {
+		data := append([]*series.Series(nil), corpus...)
+		data[17] = overflowing(corpus[17], v)
+		if _, err := NewEngine(data, Config{}); !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), data[17].Name) {
+			t.Errorf("build with ±%g: error %v, want ErrNonFinite naming %q", v, err, data[17].Name)
+		}
+	}
+
+	e, err := NewEngine(corpus, Config{DynamicIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	before, _, err := similarToID(e, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{1e200, 1e308} {
+		bad := overflowing(g.Queries(1)[0], v)
+		if _, err := e.Add(bad); !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), bad.Name) {
+			t.Errorf("Add with ±%g: error %v, want ErrNonFinite naming %q", v, err, bad.Name)
+		}
+		for _, req := range []Request{
+			{Kind: KindSimilar, K: 3},
+			{Kind: KindLinear, K: 3},
+			{Kind: KindDTW, K: 3, ID: -1, Band: 3},
+			{Kind: KindSimilarPeriods, K: 3, ID: -1, Periods: []float64{7}},
+			{Kind: KindBurst, K: 3},
+		} {
+			req.Values = bad.Values
+			if resp, err := e.Query(context.Background(), req); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("%v query with ±%g: response %v, error %v, want ErrNonFinite", req.Kind, v, resp, err)
+			}
+		}
+	}
+	if e.Len() != len(corpus) || e.Store().Len() != len(corpus) {
+		t.Errorf("refused Adds left %d series and %d rows, want %d of each", e.Len(), e.Store().Len(), len(corpus))
+	}
+	after, _, err := similarToID(e, 3, 5)
+	if err != nil || fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("answer after the refusals: %v (%v), want %v", after, err, before)
+	}
+
+	for _, s := range corpus[:8] {
+		z := make([]float64, s.Len())
+		if err := Standardize(z, s.Values); err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range s.Standardized().Values {
+			if math.Float64bits(z[i]) != math.Float64bits(want) {
+				t.Fatalf("%s point %d: Standardize %v, series.Standardized %v", s.Name, i, z[i], want)
+			}
+		}
+	}
+}

@@ -34,19 +34,12 @@ import (
 
 const engineMetaVersion = 1
 
-// ErrNotSavable is returned when the engine configuration cannot be
-// persisted (only VP-tree engines can; the MVP-tree has no serializer).
-var ErrNotSavable = errors.New("core: only VP-tree engines support Save")
-
 // Save writes the engine state into dir (created if missing). It holds the
 // read lock throughout, so the directory is one consistent snapshot even
 // beside a concurrent Add (which waits for it).
 func (e *Engine) Save(dir string) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.tree == nil {
-		return ErrNotSavable
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

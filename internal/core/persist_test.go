@@ -102,13 +102,17 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 
 func TestEngineSaveErrors(t *testing.T) {
 	g := querylog.NewGenerator(querylog.DefaultStart, 64, 31)
-	mvp, err := NewEngine(g.Dataset(10), Config{Budget: 4, Index: IndexMVPTree})
+	e, err := NewEngine(g.Dataset(10), Config{Budget: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mvp.Close()
-	if err := mvp.Save(t.TempDir()); err != ErrNotSavable {
-		t.Errorf("mvp Save: %v", err)
+	defer e.Close()
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Save(file); err == nil {
+		t.Error("Save into a regular file: want an error")
 	}
 }
 

@@ -43,7 +43,7 @@ func TestSimilarQueryAllocCeiling(t *testing.T) {
 // Pool poisoning at engine level: an engine that has just answered a
 // many-candidate query answers a few-candidate one exactly — neighbours and
 // Stats — as a new engine starting from new buffers does. Both bound sources
-// of the VP-tree traversal (memory and disk features) and mvptree.
+// of the VP-tree traversal: memory and disk features.
 func TestEngineAnswersIndependentOfEarlierQueries(t *testing.T) {
 	g := querylog.NewGenerator(querylog.DefaultStart, 128, 31)
 	data := g.Dataset(150)
@@ -52,7 +52,6 @@ func TestEngineAnswersIndependentOfEarlierQueries(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"memory features": {Budget: 8},
 		"disk features":   {Budget: 8, FeaturesPath: "features.bin"},
-		"mvptree":         {Budget: 8, Index: IndexMVPTree},
 	} {
 		build := func() *Engine {
 			cfg := cfg

@@ -509,33 +509,18 @@ func (e *Engine) prepare(z []float64) (*spectral.Prepared, error) {
 	return spectral.Prepare(z)
 }
 
-// searchIndexLimited runs a gated kNN query on whichever index the engine
-// was built with. Refinement reads go through a context-aware store view so
-// a hung-up caller aborts even between the gate's amortized checks. exp, when
-// non-nil, receives the VP-tree's explain report (the multi-vantage-point
-// index reports flat stats only and leaves it untouched).
+// searchIndexLimited runs a gated kNN query on the VP-tree. Refinement reads
+// go through a context-aware store view so a hung-up caller aborts even
+// between the gate's amortized checks. exp, when non-nil, receives the
+// search's explain report.
 func (e *Engine) searchIndexLimited(ctx context.Context, q *spectral.Prepared, k int, g *lifecycle.Gate, exp *vptree.Explain) ([]vptree.Result, vptree.Stats, bool, error) {
-	store := seqstore.WithContext(ctx, e.store)
-	if e.mvp != nil {
-		res, st, truncated, err := e.mvp.SearchPrepared(q, k, store, g)
-		if err != nil {
-			return nil, vptree.Stats{}, false, err
-		}
-		return res, vptree.Stats{
-			BoundsComputed: st.BoundsComputed,
-			NodesVisited:   st.NodesVisited,
-			Candidates:     st.Candidates,
-			FullRetrievals: st.FullRetrievals,
-			SketchSkips:    st.SketchSkips,
-		}, truncated, nil
-	}
-	return e.tree.SearchPrepared(q, k, e.features, store, g, exp)
+	return e.tree.SearchPrepared(q, k, e.features, seqstore.WithContext(ctx, e.store), g, exp)
 }
 
 // explainDetail returns the collector an explained index search fills: nil
-// when the request does not ask for one or the index has none to give.
+// when the request does not ask for one.
 func (e *Engine) explainDetail(req Request) *vptree.Explain {
-	if !req.Explain || e.mvp != nil {
+	if !req.Explain {
 		return nil
 	}
 	return new(vptree.Explain)
@@ -592,7 +577,7 @@ func (e *Engine) querySimilar(ctx context.Context, g *lifecycle.Gate, req Reques
 		Stats: st, Truncated: truncated,
 	}
 	if req.Explain {
-		resp.Explain = e.indexReport(pre, vexp, st)
+		resp.Explain = indexReport(pre, vexp, st)
 	}
 	return resp, nil
 }
@@ -643,7 +628,7 @@ func (e *Engine) querySimilarID(ctx context.Context, g *lifecycle.Gate, req Requ
 		Stats: st, Truncated: truncated,
 	}
 	if req.Explain {
-		resp.Explain = e.indexReport(pre, vexp, st)
+		resp.Explain = indexReport(pre, vexp, st)
 	}
 	return resp, nil
 }

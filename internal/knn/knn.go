@@ -3,8 +3,9 @@
 // while maintaining σ_UB, the k-th smallest upper bound seen; discarding the
 // candidates whose lower bound exceeds it; and refining the survivors in
 // increasing lower-bound order against the full sequences, with early
-// abandoning. Package vptree and package mvptree differ only in how they
-// traverse; both collect into and refine from a Scratch.
+// abandoning. Package vptree owns the traversal and collects into and refines
+// from a Scratch; the filter and refine stay here, apart from any one walk, so
+// a second candidate source (a scan over the store's sketch) can reuse them.
 //
 // Scratch ownership: a Scratch comes from a process-wide pool (Get) and goes
 // back when the search returns (Release). Nothing reachable from it — the

@@ -1,8 +1,7 @@
 // Package lifecycle is the per-request enforcement point for cancellation
-// and work budgets. Every search family (vptree traversal, MVP-tree
-// traversal, sharded linear scan, DTW cascade, burst-overlap probes) drives
-// its inner loop through a *Gate, so one package decides uniformly when a
-// query must stop — and whether stopping is an abort (the caller hung up:
+// and work budgets. Every search family (vptree traversal, sharded linear
+// scan, DTW cascade, burst-overlap probes) drives its inner loop through a
+// *Gate, so one package decides uniformly when a query must stop — and whether stopping is an abort (the caller hung up:
 // return ctx.Err()) or a graceful truncation (a budget ran out: return the
 // best-so-far answer flagged Truncated).
 //

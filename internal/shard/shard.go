@@ -355,17 +355,16 @@ func (s *ShardedEngine) ShardSizes() []int {
 	return out
 }
 
-// ShardNodes returns the per-shard VP-tree node counts (0 for dormant or
-// mvptree-indexed shards).
+// ShardNodes returns the per-shard VP-tree node counts (0 for dormant
+// shards).
 func (s *ShardedEngine) ShardNodes() []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]int, len(s.shards))
 	for sh, eng := range s.shards {
-		if eng == nil || eng.Tree() == nil {
-			continue
+		if eng != nil {
+			out[sh] = eng.Tree().Len()
 		}
-		out[sh] = eng.Tree().Len()
 	}
 	return out
 }
@@ -747,7 +746,7 @@ func (s *ShardedEngine) fanExcluding(sub core.Request, exclude, nLive int) []cor
 	return subs
 }
 
-// queryValues standardizes a request's Values exactly as core does (or
+// queryValues standardizes a request's Values with core's z-scoring (or
 // passes pre-standardized values through bit-for-bit).
 func (s *ShardedEngine) queryValues(req core.Request) ([]float64, error) {
 	if len(req.Values) != s.seqLen {
@@ -756,6 +755,9 @@ func (s *ShardedEngine) queryValues(req core.Request) ([]float64, error) {
 	if req.Standardized {
 		return req.Values, nil
 	}
-	ser := &series.Series{Values: req.Values}
-	return ser.Standardized().Values, nil
+	z := make([]float64, len(req.Values))
+	if err := core.Standardize(z, req.Values); err != nil {
+		return nil, fmt.Errorf("shard: the query: %w", err)
+	}
+	return z, nil
 }

@@ -197,3 +197,49 @@ func TestNonFiniteInputIsRefused(t *testing.T) {
 		t.Errorf("Len = %d after the refusals, want %d", got, len(data))
 	}
 }
+
+// A finite series whose z-scores overflow (points alternating ±1e200 have a
+// standard deviation of +Inf, ±1e308 a NaN mean) is refused as a NaN is, by
+// one shard or three: the build names it, Add refuses it, and so does every
+// Values-mode query. Before, one such series left a shard answering no
+// similar neighbours, so a 3-shard engine returned fewer than k.
+func TestOverflowingInputIsRefused(t *testing.T) {
+	gen := querylog.NewGenerator(querylog.DefaultStart, 64, 8)
+	data := gen.Dataset(21)
+	for _, shards := range []int{1, 3} {
+		for _, v := range []float64{1e200, 1e308} {
+			bad := *data[4]
+			bad.Values = make([]float64, len(data[4].Values))
+			for i := range bad.Values {
+				bad.Values[i] = v
+				if i%2 == 1 {
+					bad.Values[i] = -v
+				}
+			}
+			poisonedSet := append([]*series.Series(nil), data...)
+			poisonedSet[4] = &bad
+			if _, err := New(poisonedSet, core.Config{Budget: 8, Shards: shards}); !errors.Is(err, core.ErrNonFinite) || !strings.Contains(err.Error(), bad.Name) {
+				t.Errorf("%d shard(s), ±%g: build: %v, want ErrNonFinite naming %q", shards, v, err, bad.Name)
+			}
+
+			se, err := New(data, core.Config{Budget: 8, DynamicIndex: true, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := se.Add(&bad); !errors.Is(err, core.ErrNonFinite) {
+				t.Errorf("%d shard(s), ±%g: Add: %v, want ErrNonFinite", shards, v, err)
+			}
+			for _, kind := range []core.Kind{core.KindSimilar, core.KindLinear, core.KindDTW, core.KindSimilarPeriods, core.KindBurst} {
+				req := core.Request{Kind: kind, K: 2, ID: -1, Values: bad.Values, Periods: []float64{7}}
+				if resp, err := se.Query(context.Background(), req); !errors.Is(err, core.ErrNonFinite) {
+					t.Errorf("%d shard(s), ±%g: %v query: response %v, error %v, want ErrNonFinite", shards, v, kind, resp, err)
+				}
+			}
+			resp, err := se.Query(context.Background(), core.Request{Kind: core.KindSimilarID, ID: 0, K: len(data) - 1})
+			if err != nil || len(resp.Neighbors) != len(data)-1 || se.Len() != len(data) {
+				t.Errorf("%d shard(s), ±%g: after the refusals Len = %d and a k = %d query answers %v (%v)", shards, v, se.Len(), len(data)-1, resp, err)
+			}
+			se.Close()
+		}
+	}
+}

@@ -95,18 +95,22 @@ func Standardize(x []float64) []float64 {
 	return out
 }
 
-// StandardizeInPlace z-scores x in place. Flat series become all zeros.
-func StandardizeInPlace(x []float64) {
+// StandardizeInPlace z-scores x in place and returns the mean and standard
+// deviation it used. Flat series become all zeros. Finite values whose moments
+// overflow (a standard deviation of +Inf, a NaN mean) leave x zeros or NaNs; a
+// caller that must not store or search such a row checks the moments.
+func StandardizeInPlace(x []float64) (mean, std float64) {
 	m, s := MeanStd(x)
 	if s == 0 {
 		for i := range x {
 			x[i] = 0
 		}
-		return
+		return m, s
 	}
 	for i := range x {
 		x[i] = (x[i] - m) / s
 	}
+	return m, s
 }
 
 // MovingAverage returns the trailing moving average of x with window w.

@@ -1,7 +1,7 @@
 #!/bin/sh
 # api_check.sh enforces the one query surface (run via `make api-check`).
 #
-# Four checks:
+# Five checks:
 #   1. Every exported Engine / ShardedEngine method on the query surface —
 #      names starting with Similar, Query, Linear, or Search — takes a
 #      context.Context as its first parameter. No exceptions: the
@@ -11,6 +11,9 @@
 #      sharded deployments alike.
 #   3. Every JSON field on the /v2 wire structs is snake_case.
 #   4. cmd/s2 mounts exactly one search route, /v2/search.
+#   5. Every package under internal/ except the test-only internal/israce is
+#      something a command builds on: a package only examples or tests reach
+#      lives beside them, not in internal/.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -50,6 +53,17 @@ routes="$(grep -n -o -E 'Pattern: *"[^"]*search[^"]*"' cmd/s2/*.go | grep -v '_t
 if [ "$(echo "$routes" | grep -c .)" -ne 1 ] || ! echo "$routes" | grep -q '"/v2/search"'; then
 	echo "api-check: cmd/s2 must mount exactly one search route, /v2/search; found:" >&2
 	echo "$routes" >&2
+	fail=1
+fi
+
+# --- 5. no internal package that only examples or tests reach -------------
+deps="$(go list -deps ./cmd/...)"
+orphans="$(go list ./internal/... | grep -v -x 'repro/internal/israce' | while read -r p; do
+	echo "$deps" | grep -q -x "$p" || echo "$p"
+done)"
+if [ -n "$orphans" ]; then
+	echo "api-check: internal packages no command imports (move them beside their users):" >&2
+	echo "$orphans" >&2
 	fail=1
 fi
 
