@@ -57,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz FuzzFlatSearch -fuzztime $(FUZZTIME) ./internal/vptree
 	$(GO) test -run='^$$' -fuzz FuzzShardRoute -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run='^$$' -fuzz FuzzV2Decode -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz FuzzOverlapPlans -fuzztime $(FUZZTIME) ./internal/burstdb
 
 # kernel-check is the kernel acceptance suite: the real transform against the
 # O(N²) DFT and the cached tables it reads, the query context's magnitude

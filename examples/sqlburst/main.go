@@ -48,7 +48,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		db.InsertBursts(int64(s.ID), det.Bursts)
+		if _, err := db.InsertBursts(int64(s.ID), det.Bursts); err != nil {
+			log.Fatal(err)
+		}
 		names[int64(s.ID)] = s.Name
 	}
 	fmt.Printf("burst table: %d rows over %d sequences\n\n", db.Len(), db.Sequences())

@@ -221,7 +221,9 @@ func burstdbFromSeries(t *testing.T, data []*series.Series) *burstdb.DB {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.InsertBursts(int64(i), det.Bursts)
+		if _, err := db.InsertBursts(int64(i), det.Bursts); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return db
 }

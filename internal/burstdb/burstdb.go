@@ -3,13 +3,15 @@
 //
 //	[sequenceID, startDate, endDate, average burst value]
 //
-// rows with secondary B-tree indexes on startDate and endDate, an executor
-// for the paper's fig. 18 overlap query
+// rows with secondary B-tree indexes on startDate, on endDate and on
+// (length class, startDate), an executor for the paper's fig. 18 overlap
+// query
 //
 //	SELECT * FROM bursts WHERE start < Q.end AND end > Q.start
 //
-// (index scan or full scan, chosen by a simple selectivity heuristic), and
-// 'query-by-burst' ranking with the BSim measure on top of it.
+// (the paper's one-sided index scans and full scan, plus a range scan of the
+// length-class index bounded on both sides), and 'query-by-burst' ranking
+// with the BSim measure on top of it.
 package burstdb
 
 import (
@@ -17,8 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/btree"
@@ -46,7 +48,10 @@ func (r Record) String() string {
 type Plan int
 
 const (
-	// PlanAuto picks between the index plans by estimated selectivity.
+	// PlanAuto scans the (length class, startDate) index. A row at most L
+	// days long overlaps [qStart, qEnd] only if it starts in
+	// [qStart − L + 1, qEnd], so each class is one range bounded on both
+	// sides by the longest row the class has held, filtered on end ≥ qStart.
 	PlanAuto Plan = iota
 	// PlanIndexStart scans the startDate B-tree for start < Q.end and
 	// filters on end > Q.start.
@@ -62,7 +67,7 @@ const (
 func (p Plan) String() string {
 	switch p {
 	case PlanAuto:
-		return "auto"
+		return "index(class,start)"
 	case PlanIndexStart:
 		return "index(start)"
 	case PlanIndexEnd:
@@ -76,7 +81,7 @@ func (p Plan) String() string {
 
 // ScanStats reports the work an overlap query performed.
 type ScanStats struct {
-	// Plan is the plan actually executed (PlanAuto resolves to a concrete one).
+	// Plan is the plan executed.
 	Plan Plan
 	// RowsScanned counts rows touched (index entries followed or heap rows read).
 	RowsScanned int
@@ -88,8 +93,8 @@ type ScanStats struct {
 // (and nil counters) disables every increment, so DBs can update metrics
 // unconditionally.
 type Metrics struct {
-	// Queries counts Overlapping executions (each QueryByBurst issues one
-	// per query burst).
+	// Queries counts overlap scans (each QueryByBurst issues one per query
+	// burst).
 	Queries *obs.Counter
 	// RowsScanned counts rows touched by any plan (index entries followed
 	// or heap rows read).
@@ -97,12 +102,33 @@ type Metrics struct {
 	// RowsMatched counts rows satisfying both overlap predicates.
 	RowsMatched *obs.Counter
 	// BTreeProbes counts index-entry visits — RowsScanned restricted to
-	// the two B-tree plans, i.e. the paper's "pages touched" analogue.
+	// the three index plans, i.e. the paper's "pages touched" analogue.
 	BTreeProbes *obs.Counter
 	// Candidates and Matches count query-by-burst candidate sequences
 	// found via the overlap indexes vs. those that scored BSim > 0.
 	Candidates *obs.Counter
 	Matches    *obs.Counter
+}
+
+// classes is the number of length classes. A row spanning End − Start = s
+// days is s + 1 days long and falls in class ⌈log₂(s + 1)⌉ = bits.Len64(s).
+const classes = 65
+
+// lenClass is one length class of the (length class, startDate) index.
+type lenClass struct {
+	// byStart holds the class's rows as (Start, rid); nil until the first.
+	byStart *btree.BTree
+	// maxSpan is End − Start of the longest row the class has held. Delete
+	// leaves it, so it stays an upper bound on every live row's span.
+	maxSpan uint64
+}
+
+// seqRows is one sequence's live rows in (Start, rid) order: their row IDs,
+// and the same rows as the bursts query-by-burst scores.
+type seqRows struct {
+	id     int64
+	rids   []int64
+	bursts []burst.Burst
 }
 
 // DB is the burst-feature database.
@@ -117,13 +143,19 @@ type Metrics struct {
 type DB struct {
 	rows    []Record
 	live    []bool
+	ords    []int32 // each row's sequence ordinal
 	liveCnt int
 	byStart *btree.BTree
 	byEnd   *btree.BTree
-	bySeq   map[int64][]int64
-	minKey  int64
-	maxKey  int64
-	metrics Metrics
+	byClass [classes]lenClass
+	// seqs holds every sequence that ever had a row, by dense ordinal in
+	// order of its first row; ordOf maps a SeqID to its ordinal.
+	seqs     []seqRows
+	ordOf    map[int64]int32
+	liveSeqs int
+	minKey   int64
+	maxKey   int64
+	metrics  Metrics
 }
 
 // SetMetrics installs obs counters that every subsequent query updates.
@@ -131,50 +163,216 @@ func (db *DB) SetMetrics(m Metrics) { db.metrics = m }
 
 // New creates an empty burst database.
 func New() *DB {
-	bs, err := btree.New(btree.DefaultOrder)
+	db, err := FromRecords(nil)
 	if err != nil {
-		panic(err) // DefaultOrder is valid by construction
+		panic(err) // nothing to refuse in an empty table
 	}
-	be, _ := btree.New(btree.DefaultOrder)
-	return &DB{
-		byStart: bs,
-		byEnd:   be,
-		bySeq:   map[int64][]int64{},
+	return db
+}
+
+// ErrBadRange is returned for a span whose start is after its end: a query
+// span, or a record Insert, InsertBursts or FromRecords is given.
+var ErrBadRange = errors.New("burstdb: start after end")
+
+// FromRecords builds a database holding records as rows 0, 1, … in order:
+// the table that inserting them one by one would leave, down to row IDs,
+// index order and Save's bytes. It is built bottom-up instead — each index
+// bulk-loaded from its sorted (key, rid) run. It takes ownership of records.
+// A record with End < Start is refused with ErrBadRange.
+func FromRecords(records []Record) (*DB, error) {
+	n := len(records)
+	db := &DB{
+		rows:    records,
+		live:    make([]bool, n),
+		ords:    make([]int32, n),
+		liveCnt: n,
+		ordOf:   map[int64]int32{},
 		minKey:  math.MaxInt64,
 		maxKey:  math.MinInt64,
 	}
+	var perSeq []int
+	for rid, r := range records {
+		if r.End < r.Start {
+			return nil, fmt.Errorf("burstdb: row %d spans [%d, %d]: %w", rid, r.Start, r.End, ErrBadRange)
+		}
+		db.live[rid] = true
+		db.ords[rid] = db.ordinal(r.SeqID)
+		if len(perSeq) < len(db.seqs) {
+			perSeq = append(perSeq, 0)
+		}
+		perSeq[db.ords[rid]]++
+		c, span := classOf(r)
+		db.byClass[c].maxSpan = max(db.byClass[c].maxSpan, span)
+		db.minKey, db.maxKey = min(db.minKey, r.Start), max(db.maxKey, r.End)
+	}
+	db.liveSeqs = len(db.seqs)
+	// Every sequence's rows are carved from one array, each capped at its
+	// own rows, so a later Insert reallocates instead of writing over the
+	// next sequence's.
+	rids, bursts := make([]int64, n), make([]burst.Burst, n)
+	off := 0
+	for o, cnt := range perSeq {
+		db.seqs[o].rids, db.seqs[o].bursts = rids[off:off:off+cnt], bursts[off:off:off+cnt]
+		off += cnt
+	}
+	var classKeys, classRIDs [classes][]int64
+	// Walking the rows in (Start, rid) order puts each sequence's rows and
+	// each class's entries in that order as well.
+	starts, byStart := sortedRun(records, false)
+	for _, rid := range byStart {
+		r := records[rid]
+		s := &db.seqs[db.ords[rid]]
+		s.rids, s.bursts = append(s.rids, rid), append(s.bursts, asBurst(r))
+		c, _ := classOf(r)
+		classKeys[c], classRIDs[c] = append(classKeys[c], r.Start), append(classRIDs[c], rid)
+	}
+	var err error
+	if db.byStart, err = bulkLoad(starts, byStart); err != nil {
+		return nil, err
+	}
+	if db.byEnd, err = bulkLoad(sortedRun(records, true)); err != nil {
+		return nil, err
+	}
+	for c := range db.byClass {
+		if len(classKeys[c]) == 0 {
+			continue
+		}
+		if db.byClass[c].byStart, err = bulkLoad(classKeys[c], classRIDs[c]); err != nil {
+			return nil, err
+		}
+	}
+	return db, nil
 }
 
-// Insert appends a record and returns its row ID.
-func (db *DB) Insert(r Record) int64 {
+// bulkLoad builds one index from its (key, rid) run.
+func bulkLoad(keys, rids []int64) (*btree.BTree, error) {
+	t, err := btree.BulkLoad(btree.DefaultOrder, keys, rids)
+	if err != nil {
+		return nil, fmt.Errorf("burstdb: build index: %w", err)
+	}
+	return t, nil
+}
+
+// sortedRun orders the rows by (Start, rid), or by (End, rid), and returns
+// the keys and row IDs in that order. Burst keys are days, far fewer
+// distinct values than rows, so a counting sort does it in O(n + spread) —
+// stable, so row IDs ascend within a key; a comparison sort takes any wider
+// spread. Taking the comparison sort for every run adds a tenth to a
+// 4 096-series NewEngine (docs/kernels.md, *Query-by-burst*).
+func sortedRun(rows []Record, byEnd bool) (keys, rids []int64) {
+	key := func(r Record) int64 {
+		if byEnd {
+			return r.End
+		}
+		return r.Start
+	}
+	keys, rids = make([]int64, len(rows)), make([]int64, len(rows))
+	if len(rows) == 0 {
+		return keys, rids
+	}
+	lo, hi := key(rows[0]), key(rows[0])
+	for _, r := range rows {
+		lo, hi = min(lo, key(r)), max(hi, key(r))
+	}
+	if spread := uint64(hi) - uint64(lo); spread < uint64(len(rows)) {
+		next := make([]int, spread+2) // next[k−lo]: where key k's next row goes
+		for _, r := range rows {
+			next[key(r)-lo+1]++
+		}
+		for i := 1; i < len(next); i++ {
+			next[i] += next[i-1]
+		}
+		for rid, r := range rows {
+			p := &next[key(r)-lo]
+			keys[*p], rids[*p] = key(r), int64(rid)
+			*p++
+		}
+		return keys, rids
+	}
+	for i := range rids {
+		rids[i] = int64(i)
+	}
+	slices.SortFunc(rids, func(a, b int64) int {
+		return cmp.Or(cmp.Compare(key(rows[a]), key(rows[b])), cmp.Compare(a, b))
+	})
+	for i, rid := range rids {
+		keys[i] = key(rows[rid])
+	}
+	return keys, rids
+}
+
+// classOf returns a valid record's length class and its span End − Start.
+func classOf(r Record) (int, uint64) {
+	span := uint64(r.End) - uint64(r.Start)
+	return bits.Len64(span), span
+}
+
+func asBurst(r Record) burst.Burst {
+	return burst.Burst{Start: int(r.Start), End: int(r.End), Avg: r.Avg}
+}
+
+// ordinal returns seqID's ordinal, giving it the next one if it has none.
+func (db *DB) ordinal(seqID int64) int32 {
+	if o, ok := db.ordOf[seqID]; ok {
+		return o
+	}
+	o := int32(len(db.seqs))
+	db.ordOf[seqID] = o
+	db.seqs = append(db.seqs, seqRows{id: seqID})
+	return o
+}
+
+// Insert appends a record and returns its row ID. A record with End < Start
+// is refused with ErrBadRange.
+func (db *DB) Insert(r Record) (int64, error) {
+	if r.End < r.Start {
+		return 0, fmt.Errorf("burstdb: insert [%d, %d]: %w", r.Start, r.End, ErrBadRange)
+	}
 	rid := int64(len(db.rows))
+	ord := db.ordinal(r.SeqID)
 	db.rows = append(db.rows, r)
 	db.live = append(db.live, true)
+	db.ords = append(db.ords, ord)
 	db.liveCnt++
 	db.byStart.Insert(r.Start, rid)
 	db.byEnd.Insert(r.End, rid)
-	db.bySeq[r.SeqID] = append(db.bySeq[r.SeqID], rid)
-	if r.Start < db.minKey {
-		db.minKey = r.Start
+	c, span := classOf(r)
+	lc := &db.byClass[c]
+	if lc.byStart == nil {
+		lc.byStart, _ = btree.New(btree.DefaultOrder) // DefaultOrder is valid
 	}
-	if r.End > db.maxKey {
-		db.maxKey = r.End
+	lc.byStart.Insert(r.Start, rid)
+	lc.maxSpan = max(lc.maxSpan, span)
+	s := &db.seqs[ord]
+	if len(s.rids) == 0 {
+		db.liveSeqs++
 	}
-	return rid
+	// rid is the largest row ID, so it goes after every row starting no later.
+	i := len(s.bursts)
+	for i > 0 && s.bursts[i-1].Start > int(r.Start) {
+		i--
+	}
+	s.rids = slices.Insert(s.rids, i, rid)
+	s.bursts = slices.Insert(s.bursts, i, asBurst(r))
+	db.minKey, db.maxKey = min(db.minKey, r.Start), max(db.maxKey, r.End)
+	return rid, nil
 }
 
 // InsertBursts stores every burst of one sequence and returns the row IDs.
-func (db *DB) InsertBursts(seqID int64, bursts []burst.Burst) []int64 {
+// If any burst ends before it starts, nothing is stored and the error wraps
+// ErrBadRange.
+func (db *DB) InsertBursts(seqID int64, bursts []burst.Burst) ([]int64, error) {
+	for _, b := range bursts {
+		if b.End < b.Start {
+			return nil, fmt.Errorf("burstdb: burst [%d, %d] of sequence %d: %w", b.Start, b.End, seqID, ErrBadRange)
+		}
+	}
 	rids := make([]int64, 0, len(bursts))
 	for _, b := range bursts {
-		rids = append(rids, db.Insert(Record{
-			SeqID: seqID,
-			Start: int64(b.Start),
-			End:   int64(b.End),
-			Avg:   b.Avg,
-		}))
+		rid, _ := db.Insert(Record{SeqID: seqID, Start: int64(b.Start), End: int64(b.End), Avg: b.Avg}) // spans checked above
+		rids = append(rids, rid)
 	}
-	return rids
+	return rids, nil
 }
 
 // Delete removes row rid and reports whether it was live.
@@ -187,15 +385,14 @@ func (db *DB) Delete(rid int64) bool {
 	db.liveCnt--
 	db.byStart.Delete(r.Start, rid)
 	db.byEnd.Delete(r.End, rid)
-	rids := db.bySeq[r.SeqID]
-	for i, id := range rids {
-		if id == rid {
-			db.bySeq[r.SeqID] = append(rids[:i], rids[i+1:]...)
-			break
-		}
-	}
-	if len(db.bySeq[r.SeqID]) == 0 {
-		delete(db.bySeq, r.SeqID)
+	c, _ := classOf(r)
+	db.byClass[c].byStart.Delete(r.Start, rid)
+	s := &db.seqs[db.ords[rid]]
+	i := slices.Index(s.rids, rid)
+	s.rids = slices.Delete(s.rids, i, i+1)
+	s.bursts = slices.Delete(s.bursts, i, i+1)
+	if len(s.rids) == 0 {
+		db.liveSeqs--
 	}
 	return true
 }
@@ -212,148 +409,114 @@ func (db *DB) Get(rid int64) (Record, bool) {
 func (db *DB) Len() int { return db.liveCnt }
 
 // Sequences returns the number of distinct sequences with stored bursts.
-func (db *DB) Sequences() int { return len(db.bySeq) }
+func (db *DB) Sequences() int { return db.liveSeqs }
 
-// BurstsOf returns the burst set of one sequence in time order.
+// BurstsOf returns the burst set of one sequence in time order. It is never
+// nil: a sequence without bursts has an empty pattern.
 func (db *DB) BurstsOf(seqID int64) []burst.Burst {
-	return db.appendBurstsOf(make([]burst.Burst, 0, len(db.bySeq[seqID])), seqID)
-}
-
-// appendBurstsOf is BurstsOf into dst[:0], so a ranking loop scores every
-// candidate through one buffer.
-func (db *DB) appendBurstsOf(dst []burst.Burst, seqID int64) []burst.Burst {
-	dst = dst[:0]
-	for _, rid := range db.bySeq[seqID] {
-		r := db.rows[rid]
-		dst = append(dst, burst.Burst{Start: int(r.Start), End: int(r.End), Avg: r.Avg})
+	out := []burst.Burst{}
+	if o, ok := db.ordOf[seqID]; ok {
+		out = append(out, db.seqs[o].bursts...)
 	}
-	slices.SortFunc(dst, func(a, b burst.Burst) int { return cmp.Compare(a.Start, b.Start) })
-	return dst
+	return out
 }
-
-// ErrBadRange is returned when qStart > qEnd.
-var ErrBadRange = errors.New("burstdb: query start after query end")
 
 // Overlapping executes the fig. 18 query: all rows whose [Start,End] span
 // overlaps the query span [qStart, qEnd], i.e. Start ≤ qEnd AND End ≥ qStart
 // (the paper's strict "<"/">" applies to exclusive end dates; spans here are
-// inclusive on both sides).
+// inclusive on both sides). The rows come in full-tuple order (SeqID, Start,
+// End, Avg), so every plan returns the same sequence.
 func (db *DB) Overlapping(qStart, qEnd int64, plan Plan) ([]Record, ScanStats, error) {
-	return db.overlapping(qStart, qEnd, plan, nil, nil)
-}
-
-// overlapping is Overlapping under an optional request-lifecycle gate: each
-// row touched (index entry followed or heap row read) is one gated scan
-// unit, so cancellation aborts mid-scan with the context's error and budget
-// exhaustion stops the scan early (the gate records the truncation; the
-// rows gathered so far are returned). The rows are appended to dst[:0], so a
-// caller issuing one scan after another reuses one buffer.
-func (db *DB) overlapping(qStart, qEnd int64, plan Plan, g *lifecycle.Gate, dst []Record) ([]Record, ScanStats, error) {
-	if qStart > qEnd {
-		return nil, ScanStats{}, ErrBadRange
+	var out []Record
+	st, err := db.scan(qStart, qEnd, plan, nil, func(rid int64) { out = append(out, db.rows[rid]) })
+	if err != nil {
+		return nil, st, err
 	}
-	if plan == PlanAuto {
-		plan = db.pickPlan(qStart, qEnd)
-	}
-	var st ScanStats
-	st.Plan = plan
-	out := dst[:0]
-	var gateErr error
-	// admit gates one row: false stops the scan, recording any ctx error.
-	admit := func() bool {
-		ok, err := g.Visit()
-		if err != nil {
-			gateErr = err
-		}
-		return ok
-	}
-	emit := func(rid int64) {
-		r := db.rows[rid]
-		out = append(out, r)
-		st.RowsMatched++
-	}
-	switch plan {
-	case PlanIndexStart:
-		// start ≤ qEnd via index, filter end ≥ qStart.
-		db.byStart.AscendRange(math.MinInt64, qEnd, func(_, rid int64) bool {
-			if !admit() {
-				return false
-			}
-			st.RowsScanned++
-			if db.rows[rid].End >= qStart {
-				emit(rid)
-			}
-			return true
-		})
-	case PlanIndexEnd:
-		// end ≥ qStart via index, filter start ≤ qEnd.
-		db.byEnd.AscendRange(qStart, math.MaxInt64, func(_, rid int64) bool {
-			if !admit() {
-				return false
-			}
-			st.RowsScanned++
-			if db.rows[rid].Start <= qEnd {
-				emit(rid)
-			}
-			return true
-		})
-	case PlanFullScan:
-		for rid, r := range db.rows {
-			if !db.live[rid] {
-				continue
-			}
-			if !admit() {
-				break
-			}
-			st.RowsScanned++
-			if r.Start <= qEnd && r.End >= qStart {
-				emit(int64(rid))
-			}
-		}
-	default:
-		return nil, st, fmt.Errorf("burstdb: unknown plan %v", plan)
-	}
-	if gateErr != nil {
-		return nil, st, gateErr
-	}
-	db.metrics.Queries.Inc()
-	db.metrics.RowsScanned.Add(int64(st.RowsScanned))
-	db.metrics.RowsMatched.Add(int64(st.RowsMatched))
-	if plan == PlanIndexStart || plan == PlanIndexEnd {
-		db.metrics.BTreeProbes.Add(int64(st.RowsScanned))
-	}
-	// Full-tuple ordering so every plan returns an identical row sequence
-	// even when several bursts of one sequence share a start date.
-	sort.Slice(out, func(a, b int) bool {
-		ra, rb := out[a], out[b]
-		switch {
-		case ra.SeqID != rb.SeqID:
-			return ra.SeqID < rb.SeqID
-		case ra.Start != rb.Start:
-			return ra.Start < rb.Start
-		case ra.End != rb.End:
-			return ra.End < rb.End
-		default:
-			return ra.Avg < rb.Avg
-		}
+	slices.SortFunc(out, func(a, b Record) int {
+		return cmp.Or(cmp.Compare(a.SeqID, b.SeqID), cmp.Compare(a.Start, b.Start),
+			cmp.Compare(a.End, b.End), cmp.Compare(a.Avg, b.Avg))
 	})
 	return out, st, nil
 }
 
-// pickPlan estimates, assuming roughly uniform burst placement over the key
-// span, which index touches fewer rows: start ≤ qEnd scans the left fraction
-// of the start index, end ≥ qStart the right fraction of the end index.
-func (db *DB) pickPlan(qStart, qEnd int64) Plan {
-	if db.liveCnt == 0 || db.maxKey <= db.minKey {
-		return PlanIndexStart
+// scan runs one overlap query, calling hit for each overlapping row in the
+// order the plan reaches it, under an optional request-lifecycle gate: each
+// row touched (index entry followed or heap row read) is one gated scan
+// unit, so cancellation aborts mid-scan with the context's error and budget
+// exhaustion stops the scan early (the gate records the truncation).
+func (db *DB) scan(qStart, qEnd int64, plan Plan, g *lifecycle.Gate, hit func(rid int64)) (ScanStats, error) {
+	if qStart > qEnd {
+		return ScanStats{}, ErrBadRange
 	}
-	span := float64(db.maxKey - db.minKey)
-	leftFrac := float64(qEnd-db.minKey) / span
-	rightFrac := float64(db.maxKey-qStart) / span
-	if leftFrac <= rightFrac {
-		return PlanIndexStart
+	st := ScanStats{Plan: plan}
+	var gateErr error
+	stopped := false
+	// visit gates one row touched and reports it if overlaps; false stops
+	// the scan, recording any ctx error.
+	visit := func(rid int64, overlaps bool) bool {
+		ok, err := g.Visit()
+		if !ok {
+			gateErr, stopped = err, true
+			return false
+		}
+		st.RowsScanned++
+		if overlaps {
+			st.RowsMatched++
+			hit(rid)
+		}
+		return true
 	}
-	return PlanIndexEnd
+	switch plan {
+	case PlanAuto:
+		for c := range db.byClass {
+			lc := &db.byClass[c]
+			if lc.byStart == nil || lc.byStart.Len() == 0 {
+				continue
+			}
+			lc.byStart.AscendRange(earliestStart(qStart, lc.maxSpan), qEnd, func(_, rid int64) bool {
+				return visit(rid, db.rows[rid].End >= qStart)
+			})
+			if stopped {
+				break
+			}
+		}
+	case PlanIndexStart:
+		db.byStart.AscendRange(math.MinInt64, qEnd, func(_, rid int64) bool {
+			return visit(rid, db.rows[rid].End >= qStart)
+		})
+	case PlanIndexEnd:
+		db.byEnd.AscendRange(qStart, math.MaxInt64, func(_, rid int64) bool {
+			return visit(rid, db.rows[rid].Start <= qEnd)
+		})
+	case PlanFullScan:
+		for rid, r := range db.rows {
+			if db.live[rid] && !visit(int64(rid), r.Start <= qEnd && r.End >= qStart) {
+				break
+			}
+		}
+	default:
+		return st, fmt.Errorf("burstdb: unknown plan %v", plan)
+	}
+	if gateErr != nil {
+		return st, gateErr
+	}
+	db.metrics.Queries.Inc()
+	db.metrics.RowsScanned.Add(int64(st.RowsScanned))
+	db.metrics.RowsMatched.Add(int64(st.RowsMatched))
+	if plan != PlanFullScan {
+		db.metrics.BTreeProbes.Add(int64(st.RowsScanned))
+	}
+	return st, nil
+}
+
+// earliestStart is the first start a row spanning at most maxSpan days can
+// have and still end at or after qStart: qStart − maxSpan, clamped to the
+// smallest int64.
+func earliestStart(qStart int64, maxSpan uint64) int64 {
+	if room := uint64(qStart) + 1<<63; maxSpan > room { // room = qStart − MinInt64
+		return math.MinInt64
+	}
+	return int64(uint64(qStart) - maxSpan)
 }
 
 // KeySpan returns the smallest startDate and largest endDate over all rows
@@ -427,9 +590,9 @@ type BurstScanExplain struct {
 	// QueryStart and QueryEnd are the query burst's day span (inclusive).
 	QueryStart int64 `json:"query_start"`
 	QueryEnd   int64 `json:"query_end"`
-	// Plan is the plan the optimizer executed for this burst.
+	// Plan is the plan the scan executed.
 	Plan string `json:"plan"`
-	// RowsScanned and RowsMatched are the scan's work counters; for the two
+	// RowsScanned and RowsMatched are the scan's work counters; for the
 	// index plans RowsScanned equals the B-tree entries probed.
 	RowsScanned int `json:"rows_scanned"`
 	RowsMatched int `json:"rows_matched"`
@@ -458,13 +621,10 @@ func (db *DB) QueryByBurstExplain(query []burst.Burst, k int, exclude int64, pla
 }
 
 // qbbScratch is the working memory of one queryByBurst, pooled across
-// queries: the overlap scan's rows, the candidate IDs and the burst set of
-// the candidate being scored. None of it outlives the query; the matches
-// returned are freshly allocated.
+// queries: the candidate set, one bit per sequence ordinal, all clear
+// between queries. The matches returned are freshly allocated.
 type qbbScratch struct {
-	rows   []Record
-	ids    []int64
-	bursts []burst.Burst
+	marks []uint64
 }
 
 var qbbPool = sync.Pool{New: func() any { return new(qbbScratch) }}
@@ -478,14 +638,27 @@ func (db *DB) queryByBurst(query []burst.Burst, k int, exclude int64, plan Plan,
 		return nil, agg, false, err
 	}
 	sc := qbbPool.Get().(*qbbScratch)
-	defer qbbPool.Put(sc)
-	// sc.ids collects candidate sequence IDs, with repeats until sorted and
-	// compacted below.
-	sc.ids = sc.ids[:0]
+	if words := (len(db.seqs) + 63) / 64; cap(sc.marks) < words {
+		sc.marks = make([]uint64, words)
+	} else {
+		sc.marks = sc.marks[:words]
+	}
+	marks := sc.marks
+	defer func() {
+		clear(marks)
+		qbbPool.Put(sc)
+	}()
+	skip := int32(-1)
+	if o, ok := db.ordOf[exclude]; ok {
+		skip = o
+	}
+	mark := func(rid int64) {
+		if o := db.ords[rid]; o != skip {
+			marks[o>>6] |= 1 << (o & 63)
+		}
+	}
 	for _, qb := range query {
-		var st ScanStats
-		var err error
-		sc.rows, st, err = db.overlapping(int64(qb.Start), int64(qb.End), plan, g, sc.rows)
+		st, err := db.scan(int64(qb.Start), int64(qb.End), plan, g, mark)
 		if err != nil {
 			return nil, agg, false, err
 		}
@@ -500,52 +673,106 @@ func (db *DB) queryByBurst(query []burst.Burst, k int, exclude int64, plan Plan,
 				RowsScanned: st.RowsScanned,
 				RowsMatched: st.RowsMatched,
 			})
-			if st.Plan == PlanIndexStart || st.Plan == PlanIndexEnd {
+			if st.Plan != PlanFullScan {
 				exp.BTreeProbes += st.RowsScanned
 			}
 		}
-		for _, r := range sc.rows {
-			if r.SeqID != exclude {
-				sc.ids = append(sc.ids, r.SeqID)
-			}
-		}
 	}
-	// Rank candidates in sorted-ID order so a budget that truncates the
-	// ranking loop cuts a deterministic prefix.
-	slices.Sort(sc.ids)
-	ordered := slices.Compact(sc.ids)
-	db.metrics.Candidates.Add(int64(len(ordered)))
-	matches := make([]Match, 0, len(ordered))
+	candidates := 0
+	for _, w := range marks {
+		candidates += bits.OnesCount64(w)
+	}
+	db.metrics.Candidates.Add(int64(candidates))
+	// Rank candidates in ordinal order — sequence-ID order when sequences
+	// arrive in ascending ID order, as an engine's do — so a budget that
+	// truncates the ranking loop cuts a deterministic prefix.
+	top := make([]Match, 0, min(k, candidates))
+	matched := 0
 	var gateErr error
-	for _, seqID := range ordered {
-		if ok, err := g.Visit(); err != nil {
-			gateErr = err
-			break
-		} else if !ok {
-			break // budget exhausted: rank only the candidates scored so far
-		}
-		sc.bursts = db.appendBurstsOf(sc.bursts, seqID)
-		score := burst.BSim(query, sc.bursts)
-		if score > 0 {
-			matches = append(matches, Match{SeqID: seqID, Score: score})
+rank:
+	for i, w := range marks {
+		for ; w != 0; w &= w - 1 {
+			if ok, err := g.Visit(); !ok {
+				gateErr = err // nil when the budget ran out: rank what was scored
+				break rank
+			}
+			s := &db.seqs[i<<6|bits.TrailingZeros64(w)]
+			if score := bsim(query, s.bursts); score > 0 {
+				matched++
+				top = pushTop(top, k, Match{SeqID: s.id, Score: score})
+			}
 		}
 	}
 	if gateErr != nil {
 		return nil, agg, false, gateErr
 	}
-	db.metrics.Matches.Add(int64(len(matches)))
+	db.metrics.Matches.Add(int64(matched))
 	if exp != nil {
-		exp.Candidates = len(ordered)
-		exp.Matches = len(matches)
+		exp.Candidates = candidates
+		exp.Matches = matched
 	}
-	sort.Slice(matches, func(a, b int) bool {
-		if matches[a].Score != matches[b].Score {
-			return matches[a].Score > matches[b].Score
-		}
-		return matches[a].SeqID < matches[b].SeqID
+	slices.SortFunc(top, func(a, b Match) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.SeqID, b.SeqID))
 	})
-	if k < len(matches) {
-		matches = matches[:k]
+	return top, agg, g.Truncated(), nil
+}
+
+// bsim is burst.BSim(x, y) for y in start order. The inner loop stops at the
+// first burst of y starting after a ends: no later one can overlap a. The
+// terms it skips are zero-overlap terms BSim skips too, and it adds the
+// others in BSim's order, so the two sums agree bit for bit.
+func bsim(x, y []burst.Burst) float64 {
+	total := 0.0
+	for _, a := range x {
+		for _, b := range y {
+			if b.Start > a.End {
+				break
+			}
+			if burst.Overlap(a, b) == 0 {
+				continue
+			}
+			total += burst.Intersect(a, b) * burst.Similarity(a, b)
+		}
 	}
-	return matches, agg, g.Truncated(), nil
+	return total
+}
+
+// ranksBefore is the answer order: score descending, then sequence ID.
+func ranksBefore(a, b Match) bool {
+	return a.Score > b.Score || a.Score == b.Score && a.SeqID < b.SeqID
+}
+
+// pushTop offers m to top, the best matches so far (at most k), kept as a
+// heap with the worst of them at the root.
+func pushTop(top []Match, k int, m Match) []Match {
+	if len(top) < k {
+		top = append(top, m)
+		for i := len(top) - 1; i > 0; {
+			p := (i - 1) / 2
+			if !ranksBefore(top[p], top[i]) {
+				break
+			}
+			top[i], top[p] = top[p], top[i]
+			i = p
+		}
+		return top
+	}
+	if !ranksBefore(m, top[0]) {
+		return top
+	}
+	top[0] = m
+	for i := 0; ; {
+		worst, l, r := i, 2*i+1, 2*i+2
+		if l < len(top) && ranksBefore(top[worst], top[l]) {
+			worst = l
+		}
+		if r < len(top) && ranksBefore(top[worst], top[r]) {
+			worst = r
+		}
+		if worst == i {
+			return top
+		}
+		top[i], top[worst] = top[worst], top[i]
+		i = worst
+	}
 }

@@ -8,9 +8,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
-
-	"repro/internal/btree"
 )
 
 // Persistence: the burst-feature table dumps to a compact binary file and
@@ -80,7 +77,6 @@ func Load(path string) (*DB, error) {
 	if err := binary.Read(r, binary.LittleEndian, &count); err != nil || count > 1<<28 {
 		return nil, ErrCorrupt
 	}
-	db := New()
 	records := make([]Record, 0, count)
 	for i := uint32(0); i < count; i++ {
 		var rec Record
@@ -107,58 +103,6 @@ func Load(path string) (*DB, error) {
 		return nil, ErrCorrupt
 	}
 
-	// Rebuild the heap and secondary structures, bulk-loading the two
-	// B-trees from sorted (key, rid) runs — O(n log n) in the sort, O(n)
-	// in the tree builds, instead of 2n random inserts.
-	db.rows = records
-	db.live = make([]bool, len(records))
-	db.liveCnt = len(records)
-	startK := make([]int64, len(records))
-	startV := make([]int64, len(records))
-	endK := make([]int64, len(records))
-	endV := make([]int64, len(records))
-	for rid, rec := range records {
-		db.live[rid] = true
-		db.bySeq[rec.SeqID] = append(db.bySeq[rec.SeqID], int64(rid))
-		startK[rid], startV[rid] = rec.Start, int64(rid)
-		endK[rid], endV[rid] = rec.End, int64(rid)
-		if rec.Start < db.minKey {
-			db.minKey = rec.Start
-		}
-		if rec.End > db.maxKey {
-			db.maxKey = rec.End
-		}
-	}
-	sortComposite(startK, startV)
-	sortComposite(endK, endV)
-	if db.byStart, err = btree.BulkLoad(btree.DefaultOrder, startK, startV); err != nil {
-		return nil, fmt.Errorf("burstdb: rebuild start index: %w", err)
-	}
-	if db.byEnd, err = btree.BulkLoad(btree.DefaultOrder, endK, endV); err != nil {
-		return nil, fmt.Errorf("burstdb: rebuild end index: %w", err)
-	}
-	return db, nil
-}
-
-// sortComposite sorts the parallel (key, value) slices by composite order.
-func sortComposite(keys, vals []int64) {
-	idx := make([]int, len(keys))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if keys[ia] != keys[ib] {
-			return keys[ia] < keys[ib]
-		}
-		return vals[ia] < vals[ib]
-	})
-	k2 := make([]int64, len(keys))
-	v2 := make([]int64, len(vals))
-	for i, j := range idx {
-		k2[i] = keys[j]
-		v2[i] = vals[j]
-	}
-	copy(keys, k2)
-	copy(vals, v2)
+	// The heap is the file's rows in order; the indexes are bulk-loaded.
+	return FromRecords(records)
 }

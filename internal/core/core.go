@@ -238,10 +238,15 @@ func (e *Engine) wireObs(hub *obs.Hub) {
 	e.reqlog = hub.RequestLog()
 	if hub.Registry() != nil {
 		e.store = seqstore.Instrument(e.store, hub.Registry())
-		m := burstDBMetrics(hub.Registry())
-		e.burstsS.SetMetrics(m)
-		e.burstsL.SetMetrics(m)
 	}
+}
+
+// setBurstDBs installs the short- and long-window burst tables, counting
+// into the engine's burstdb metrics.
+func (e *Engine) setBurstDBs(short, long *burstdb.DB) {
+	e.burstsS, e.burstsL = short, long
+	short.SetMetrics(e.met.burstdb)
+	long.SetMetrics(e.met.burstdb)
 }
 
 // NewEngine builds an engine over the given series. All series must share
@@ -260,11 +265,9 @@ func NewEngine(data []*series.Series, cfg Config) (_ *Engine, err error) {
 	}
 	n := data[0].Len()
 	e := &Engine{
-		cfg:     cfg,
-		byName:  make(map[string]int, len(data)),
-		raw:     data,
-		burstsS: burstdb.New(),
-		burstsL: burstdb.New(),
+		cfg:    cfg,
+		byName: make(map[string]int, len(data)),
+		raw:    data,
 	}
 	if cfg.StorePath != "" {
 		e.store, err = seqstore.Create(cfg.StorePath, n)
@@ -411,11 +414,14 @@ const deriveBlock = 256
 // derivation the index build still needs, beside their sequence IDs. Commits
 // happen in input order whatever Config.Workers is, so sequence IDs, the
 // store's bytes and the burst tables are those of a serial build, and the
-// error returned is that of the first bad series by input position.
+// error returned is that of the first bad series by input position. The burst
+// rows are collected as they are committed and each window's table is built
+// once, bottom-up, after the last block.
 func (e *Engine) deriveAll(data []*series.Series) ([]*spectral.HalfSpectrum, []int, error) {
 	n := e.store.SeqLen()
 	specs := make([]*spectral.HalfSpectrum, 0, len(data))
 	ids := make([]int, 0, len(data))
+	var burstRows [2][]burstdb.Record // by BurstWindow
 	rows := make([]float64, min(deriveBlock, len(data))*n)
 	out := make([]derived, deriveBlock)
 	errs := make([]error, deriveBlock)
@@ -446,12 +452,22 @@ func (e *Engine) deriveAll(data []*series.Series) ([]*spectral.HalfSpectrum, []i
 			if _, dup := e.byName[s.Name]; !dup {
 				e.byName[s.Name] = id
 			}
-			for _, w := range []BurstWindow{Short, Long} {
-				e.burstDB(w).InsertBursts(int64(id), out[i].bursts[w])
+			for w, bs := range out[i].bursts {
+				for _, b := range bs {
+					burstRows[w] = append(burstRows[w], burstdb.Record{SeqID: int64(id), Start: int64(b.Start), End: int64(b.End), Avg: b.Avg})
+				}
 			}
 			specs, ids = append(specs, out[i].spec), append(ids, id)
 		}
 	}
+	var dbs [2]*burstdb.DB
+	for w, recs := range burstRows {
+		var err error
+		if dbs[w], err = burstdb.FromRecords(recs); err != nil {
+			return nil, nil, err
+		}
+	}
+	e.setBurstDBs(dbs[Short], dbs[Long])
 	e.size.Store(int64(len(e.names)))
 	return specs, ids, nil
 }
@@ -550,7 +566,11 @@ func (e *Engine) AddPrepared(p *PreparedAdd) (int, error) {
 		e.byName[p.series.Name] = id
 	}
 	for _, w := range []BurstWindow{Short, Long} {
-		e.burstDB(w).InsertBursts(int64(id), p.bursts[w])
+		// derive's bursts are burst.Detect's spans, which never end before
+		// they start, so the table has nothing to refuse.
+		if _, err := e.burstDB(w).InsertBursts(int64(id), p.bursts[w]); err != nil {
+			panic(err)
+		}
 	}
 	e.met.seriesIngested.Inc()
 	return id, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"strings"
@@ -265,6 +266,28 @@ func BenchmarkEngineSimilarQueries(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := similarQueries(e, qs[i%len(qs)].Values, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkQueryByBurst2048 is one query-by-burst over `families`' corpus
+// shape — 2 048 series of 1 024 days, the short window, k = 10 — with the
+// query series cycling through the nine archetypes and spread over their
+// instances, as the benchmark's requests are.
+func BenchmarkQueryByBurst2048(b *testing.B) {
+	const n, archetypes = 2048, 9
+	g := querylog.NewGenerator(querylog.DefaultStart, 1024, 1)
+	e, err := NewEngine(g.Dataset(n), Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := archetypes*(i*37%(n/archetypes)) + i%archetypes
+		if _, err := e.Query(context.Background(), Request{Kind: KindBurstID, ID: id, K: 10, Window: Short}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -44,8 +44,8 @@ type BurstExplain struct {
 	Window string `json:"window"`
 	// QueryBursts is the number of bursts in the query's pattern.
 	QueryBursts int `json:"query_bursts"`
-	// Plan is the last plan the optimizer picked (see Detail for per-burst
-	// plans), RowsScanned/RowsMatched the aggregate scan work.
+	// Plan is the overlap scan's plan (see Detail for per-burst plans),
+	// RowsScanned/RowsMatched the aggregate scan work.
 	Plan        string `json:"plan"`
 	RowsScanned int    `json:"rows_scanned"`
 	RowsMatched int    `json:"rows_matched"`
@@ -187,10 +187,10 @@ func (b *BurstExplain) render(w io.Writer) {
 	fmt.Fprintf(w, "  burstdb: window=%s query_bursts=%d plan=%s rows_scanned=%d rows_matched=%d\n",
 		b.Window, b.QueryBursts, b.Plan, b.RowsScanned, b.RowsMatched)
 	if d := b.Detail; d != nil {
-		fmt.Fprintf(w, "  %5s %7s %7s %14s %9s %9s\n",
+		fmt.Fprintf(w, "  %5s %7s %7s %18s %9s %9s\n",
 			"burst", "start", "end", "plan", "scanned", "matched")
 		for i, s := range d.PerBurst {
-			fmt.Fprintf(w, "  %5d %7d %7d %14s %9d %9d\n",
+			fmt.Fprintf(w, "  %5d %7d %7d %18s %9d %9d\n",
 				i, s.QueryStart, s.QueryEnd, s.Plan, s.RowsScanned, s.RowsMatched)
 		}
 		fmt.Fprintf(w, "  b-tree probes %d; %d candidate sequences, %d with BSim > 0\n",

@@ -64,6 +64,8 @@ type engineMetrics struct {
 	treeGuided     *obs.Counter
 	treeExact      *obs.Counter
 	treeSketch     *obs.Counter
+
+	burstdb burstdb.Metrics // shared by both windows' tables
 }
 
 // newEngineMetrics registers (or re-binds) the engine's instruments. A nil
@@ -113,6 +115,8 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 		treeGuided:     reg.Counter("vptree_guided_descent_hits_total", "internal nodes where guided descent reordered traversal"),
 		treeExact:      reg.Counter("vptree_exact_distances_total", "exact distance evaluations during refinement"),
 		treeSketch:     reg.Counter("vptree_sketch_skips_total", "refinement candidates the store's sketch kept from being fetched"),
+
+		burstdb: burstDBMetrics(reg),
 	}
 }
 

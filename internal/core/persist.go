@@ -191,15 +191,18 @@ func LoadEngine(dir string, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.features = e.tree.Features()
-	if e.burstsS, err = burstdb.Load(filepath.Join(dir, "burst_short.bin")); err != nil {
+	short, err := burstdb.Load(filepath.Join(dir, "burst_short.bin"))
+	if err != nil {
 		z.Close()
 		return nil, err
 	}
-	if e.burstsL, err = burstdb.Load(filepath.Join(dir, "burst_long.bin")); err != nil {
+	long, err := burstdb.Load(filepath.Join(dir, "burst_long.bin"))
+	if err != nil {
 		z.Close()
 		return nil, err
 	}
 	e.wireObs(cfg.Obs)
+	e.setBurstDBs(short, long)
 	e.met.seriesIngested.Add(int64(count))
 	e.warmSketch()
 	return e, nil

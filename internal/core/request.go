@@ -826,6 +826,9 @@ func (e *Engine) queryBurst(ctx context.Context, g *lifecycle.Gate, req Request)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if req.QueryBursts == nil && req.Kind == KindBurstID {
+		if req.ID < 0 || req.ID >= len(e.names) {
+			return nil, fmt.Errorf("core: no sequence %d: %w", req.ID, seqstore.ErrNotFound)
+		}
 		q = e.burstsOfLocked(req.ID, req.Window)
 	}
 	began := time.Now()

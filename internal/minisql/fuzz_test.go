@@ -28,7 +28,7 @@ func FuzzParse(f *testing.F) {
 	var all []burstdb.Record
 	for i := int64(0); i < 50; i++ {
 		r := burstdb.Record{SeqID: i % 7, Start: i * 3, End: i*3 + 10, Avg: float64(i%5) / 2}
-		db.Insert(r)
+		insert(f, db, r)
 		all = append(all, r)
 	}
 	f.Fuzz(func(t *testing.T, input string) {

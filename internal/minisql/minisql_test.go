@@ -10,14 +10,25 @@ import (
 	"repro/internal/burstdb"
 )
 
-func testDB() *burstdb.DB {
+func testDB(tb testing.TB) *burstdb.DB {
 	db := burstdb.New()
-	db.Insert(burstdb.Record{SeqID: 1, Start: 0, End: 10, Avg: 1.0})
-	db.Insert(burstdb.Record{SeqID: 2, Start: 5, End: 15, Avg: 2.0})
-	db.Insert(burstdb.Record{SeqID: 3, Start: 20, End: 30, Avg: 0.5})
-	db.Insert(burstdb.Record{SeqID: 4, Start: 25, End: 40, Avg: 3.0})
-	db.Insert(burstdb.Record{SeqID: 5, Start: 100, End: 120, Avg: 1.5})
+	insert(tb, db,
+		burstdb.Record{SeqID: 1, Start: 0, End: 10, Avg: 1.0},
+		burstdb.Record{SeqID: 2, Start: 5, End: 15, Avg: 2.0},
+		burstdb.Record{SeqID: 3, Start: 20, End: 30, Avg: 0.5},
+		burstdb.Record{SeqID: 4, Start: 25, End: 40, Avg: 3.0},
+		burstdb.Record{SeqID: 5, Start: 100, End: 120, Avg: 1.5})
 	return db
+}
+
+// insert adds rows to db, failing the test on a row the table refuses.
+func insert(tb testing.TB, db *burstdb.DB, rows ...burstdb.Record) {
+	tb.Helper()
+	for _, r := range rows {
+		if _, err := db.Insert(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
 }
 
 func TestParseBasics(t *testing.T) {
@@ -101,7 +112,7 @@ func TestSyntaxErrorMessage(t *testing.T) {
 }
 
 func TestExecOverlapQuery(t *testing.T) {
-	db := testDB()
+	db := testDB(t)
 	// The fig. 18 overlap query for Q = [9, 25]:
 	// start < 26 AND end > 9 → rows 1, 2, 3, 4.
 	res, err := Run(db, "SELECT * FROM bursts WHERE startDate < 26 AND endDate > 9")
@@ -128,7 +139,7 @@ func TestExecOverlapQuery(t *testing.T) {
 }
 
 func TestExecProjectionOrderLimit(t *testing.T) {
-	db := testDB()
+	db := testDB(t)
 	res, err := Run(db, "SELECT seqid, avgvalue FROM bursts ORDER BY avgvalue DESC LIMIT 3")
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +163,7 @@ func TestExecProjectionOrderLimit(t *testing.T) {
 func TestExecLimitWithoutOrderStopsEarly(t *testing.T) {
 	db := burstdb.New()
 	for i := int64(0); i < 1000; i++ {
-		db.Insert(burstdb.Record{SeqID: i, Start: i, End: i + 5})
+		insert(t, db, burstdb.Record{SeqID: i, Start: i, End: i + 5})
 	}
 	res, err := Run(db, "SELECT * FROM bursts LIMIT 3")
 	if err != nil {
@@ -167,7 +178,7 @@ func TestExecLimitWithoutOrderStopsEarly(t *testing.T) {
 }
 
 func TestExecEqualityAndNE(t *testing.T) {
-	db := testDB()
+	db := testDB(t)
 	res, err := Run(db, "SELECT * FROM bursts WHERE startdate = 20")
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +232,7 @@ func TestExecMatchesNaiveProperty(t *testing.T) {
 				End:   s + int64(rng.Intn(40)),
 				Avg:   float64(rng.Intn(8)) / 2,
 			}
-			db.Insert(r)
+			insert(t, db, r)
 			all = append(all, r)
 		}
 		for trial := 0; trial < 10; trial++ {
@@ -293,7 +304,7 @@ func BenchmarkRunOverlap(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 20000; i++ {
 		s := int64(rng.Intn(100000))
-		db.Insert(burstdb.Record{SeqID: int64(i), Start: s, End: s + int64(rng.Intn(40))})
+		insert(b, db, burstdb.Record{SeqID: int64(i), Start: s, End: s + int64(rng.Intn(40))})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -31,10 +31,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/burst"
 	"repro/internal/core"
 	"repro/internal/lifecycle"
 	"repro/internal/obs"
+	"repro/internal/seqstore"
 	"repro/internal/series"
 	"repro/internal/spectral"
 )
@@ -302,10 +302,15 @@ func (s *ShardedEngine) StandardizedValues(id int) ([]float64, error) {
 // store has row views (see core.Engine.StandardizedView).
 func (s *ShardedEngine) standardizedViewLocked(id int) ([]float64, error) {
 	if id < 0 || id >= len(s.loc) {
-		return nil, fmt.Errorf("shard: no sequence %d", id)
+		return nil, noSequence(id)
 	}
 	l := s.loc[id]
 	return s.shards[l.shard].StandardizedView(l.local)
+}
+
+// noSequence is the error for a global ID the engine does not hold.
+func noSequence(id int) error {
+	return fmt.Errorf("shard: no sequence %d: %w", id, seqstore.ErrNotFound)
 }
 
 // Tracer exposes the tracer queries run under (nil-safe, may be nil).
@@ -688,19 +693,16 @@ func (s *ShardedEngine) planLocked(req core.Request, nLive int) (plan, error) {
 
 	case core.KindBurstID:
 		q := req.QueryBursts
-		exclude := req.ID
 		if q == nil {
-			if req.ID >= 0 && req.ID < len(s.loc) {
-				l := s.loc[req.ID]
-				q = s.shards[l.shard].BurstsOf(l.local, req.Window)
+			if req.ID < 0 || req.ID >= len(s.loc) {
+				return pl, noSequence(req.ID)
 			}
-			if q == nil {
-				q = []burst.Burst{}
-			}
+			l := s.loc[req.ID]
+			q = s.shards[l.shard].BurstsOf(l.local, req.Window)
 		}
 		sub.QueryBursts = q
 		pl.burstKind = true
-		pl.subs = s.fanExcluding(sub, exclude, nLive)
+		pl.subs = s.fanExcluding(sub, req.ID, nLive)
 		return pl, nil
 	}
 

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/querylog"
+	"repro/internal/seqstore"
 	"repro/internal/series"
 	"repro/internal/spectral"
 )
@@ -240,6 +242,43 @@ func TestOverflowingInputIsRefused(t *testing.T) {
 				t.Errorf("%d shard(s), ±%g: after the refusals Len = %d and a k = %d query answers %v (%v)", shards, v, se.Len(), len(data)-1, resp, err)
 			}
 			se.Close()
+		}
+	}
+}
+
+// Every ID-addressed kind refuses an ID the engine does not hold with
+// seqstore.ErrNotFound — a single engine and one or three shards alike —
+// instead of answering for an empty pattern.
+func TestUnknownIDIsNotFound(t *testing.T) {
+	gen := querylog.NewGenerator(querylog.DefaultStart, 64, 9)
+	data := gen.Dataset(12)
+	single, err := core.NewEngine(data, core.Config{Budget: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	engines := map[string]core.Searcher{"single engine": single}
+	for _, shards := range []int{1, 3} {
+		se, err := New(data, core.Config{Budget: 8, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer se.Close()
+		engines[fmt.Sprintf("%d shard(s)", shards)] = se
+	}
+	for name, s := range engines {
+		for _, id := range []int{-1, len(data), 1000} {
+			for _, req := range []core.Request{
+				{Kind: core.KindSimilarID, ID: id, K: 3},
+				{Kind: core.KindDTW, ID: id, K: 3, Band: 3},
+				{Kind: core.KindSimilarPeriods, ID: id, K: 3, Periods: []float64{7}},
+				{Kind: core.KindBurstID, ID: id, K: 3, Window: core.Short},
+				{Kind: core.KindBurstID, ID: id, K: 3, Window: core.Long},
+			} {
+				if resp, err := s.Query(context.Background(), req); !errors.Is(err, seqstore.ErrNotFound) {
+					t.Errorf("%s: %v of ID %d: response %v, error %v, want seqstore.ErrNotFound", name, req.Kind, id, resp, err)
+				}
+			}
 		}
 	}
 }

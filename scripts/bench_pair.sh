@@ -25,6 +25,13 @@
 # evals) means the change altered traversal and is a bug. Between two
 # commits that both have the sketch every count must be exact again.
 #
+# Per-request counts and the length-class burst index: across the commit
+# that made query-by-burst's auto plan a range scan of the (length class,
+# startDate) index, TRACE=1 reports exactly two counts as DIFFERS —
+# burstdb.rows_scanned_per_q and btree.probes_per_q — both downward, and by
+# design: the scan is bounded on both sides and touches ≈ 12× fewer rows on
+# `families`. Every other per-request count stays exact.
+#
 # Everything it writes is git-ignored: the worktree under .bench_build/,
 # the records under bench/out/pair/.
 set -eu
