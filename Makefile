@@ -55,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz FuzzSketchBound -fuzztime $(FUZZTIME) ./internal/sketch
 	$(GO) test -run='^$$' -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz FuzzFlatSearch -fuzztime $(FUZZTIME) ./internal/vptree
+	$(GO) test -run='^$$' -fuzz FuzzTreeLoad -fuzztime $(FUZZTIME) ./internal/vptree
 	$(GO) test -run='^$$' -fuzz FuzzShardRoute -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run='^$$' -fuzz FuzzV2Decode -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz FuzzOverlapPlans -fuzztime $(FUZZTIME) ./internal/burstdb

@@ -5,8 +5,9 @@
 // startDate and endDate attributes", §6.3 / fig. 18).
 //
 // Leaves are chained for ordered range scans; internal nodes route by
-// composite separators so exact (key,value) deletes never degenerate to
-// scans even with heavy key duplication.
+// composite separators, so an insert finds its one place by descent even
+// under heavy key duplication. The tree only grows: the burst table it
+// indexes never removes a row.
 package btree
 
 import (
@@ -84,9 +85,6 @@ func (t *BTree) minChildren() int { return (t.order + 1) / 2 }
 
 // Len returns the number of stored entries.
 func (t *BTree) Len() int { return t.size }
-
-// Order returns the tree order.
-func (t *BTree) Order() int { return t.order }
 
 // ---------------------------------------------------------------------------
 // Insert
@@ -180,194 +178,7 @@ func (t *BTree) route(n *inner, key, val int64) int {
 }
 
 // ---------------------------------------------------------------------------
-// Delete
-
-// Delete removes one occurrence of (key, value) and reports whether it was
-// present.
-func (t *BTree) Delete(key, val int64) bool {
-	deleted := t.delete(t.root, key, val)
-	if !deleted {
-		return false
-	}
-	t.size--
-	// Collapse a root with a single child.
-	if in, ok := t.root.(*inner); ok && len(in.children) == 1 {
-		t.root = in.children[0]
-	}
-	return true
-}
-
-func (t *BTree) delete(n node, key, val int64) bool {
-	switch n := n.(type) {
-	case *leaf:
-		pos := sort.Search(len(n.keys), func(i int) bool {
-			return cmp(key, val, n.keys[i], n.vals[i]) <= 0
-		})
-		if pos >= len(n.keys) || cmp(key, val, n.keys[pos], n.vals[pos]) != 0 {
-			return false
-		}
-		n.keys = append(n.keys[:pos], n.keys[pos+1:]...)
-		n.vals = append(n.vals[:pos], n.vals[pos+1:]...)
-		return true
-
-	case *inner:
-		ci := t.route(n, key, val)
-		if !t.delete(n.children[ci], key, val) {
-			return false
-		}
-		t.rebalance(n, ci)
-		return true
-	}
-	panic("btree: unknown node type")
-}
-
-// underflow reports whether child c of an internal node is below its minimum
-// occupancy.
-func (t *BTree) underflow(c node) bool {
-	switch c := c.(type) {
-	case *leaf:
-		return len(c.keys) < t.minLeafEntries()
-	case *inner:
-		return len(c.children) < t.minChildren()
-	}
-	return false
-}
-
-// rebalance restores occupancy of n.children[ci] by borrowing from a sibling
-// or merging with one.
-func (t *BTree) rebalance(n *inner, ci int) {
-	child := n.children[ci]
-	if !t.underflow(child) {
-		return
-	}
-	switch child := child.(type) {
-	case *leaf:
-		if ci > 0 {
-			left := n.children[ci-1].(*leaf)
-			if len(left.keys) > t.minLeafEntries() {
-				// Borrow the rightmost entry of the left sibling.
-				last := len(left.keys) - 1
-				child.keys = append([]int64{left.keys[last]}, child.keys...)
-				child.vals = append([]int64{left.vals[last]}, child.vals...)
-				left.keys = left.keys[:last]
-				left.vals = left.vals[:last]
-				n.sepKeys[ci-1], n.sepVals[ci-1] = child.keys[0], child.vals[0]
-				return
-			}
-		}
-		if ci < len(n.children)-1 {
-			right := n.children[ci+1].(*leaf)
-			if len(right.keys) > t.minLeafEntries() {
-				// Borrow the leftmost entry of the right sibling.
-				child.keys = append(child.keys, right.keys[0])
-				child.vals = append(child.vals, right.vals[0])
-				right.keys = right.keys[1:]
-				right.vals = right.vals[1:]
-				n.sepKeys[ci], n.sepVals[ci] = right.keys[0], right.vals[0]
-				return
-			}
-		}
-		// Merge with a sibling.
-		if ci > 0 {
-			left := n.children[ci-1].(*leaf)
-			left.keys = append(left.keys, child.keys...)
-			left.vals = append(left.vals, child.vals...)
-			left.next = child.next
-			t.removeChild(n, ci)
-		} else {
-			right := n.children[ci+1].(*leaf)
-			child.keys = append(child.keys, right.keys...)
-			child.vals = append(child.vals, right.vals...)
-			child.next = right.next
-			t.removeChild(n, ci+1)
-		}
-
-	case *inner:
-		if ci > 0 {
-			left := n.children[ci-1].(*inner)
-			if len(left.children) > t.minChildren() {
-				// Rotate right through the parent separator.
-				child.sepKeys = append([]int64{n.sepKeys[ci-1]}, child.sepKeys...)
-				child.sepVals = append([]int64{n.sepVals[ci-1]}, child.sepVals...)
-				child.children = append([]node{left.children[len(left.children)-1]}, child.children...)
-				n.sepKeys[ci-1] = left.sepKeys[len(left.sepKeys)-1]
-				n.sepVals[ci-1] = left.sepVals[len(left.sepVals)-1]
-				left.sepKeys = left.sepKeys[:len(left.sepKeys)-1]
-				left.sepVals = left.sepVals[:len(left.sepVals)-1]
-				left.children = left.children[:len(left.children)-1]
-				return
-			}
-		}
-		if ci < len(n.children)-1 {
-			right := n.children[ci+1].(*inner)
-			if len(right.children) > t.minChildren() {
-				// Rotate left through the parent separator.
-				child.sepKeys = append(child.sepKeys, n.sepKeys[ci])
-				child.sepVals = append(child.sepVals, n.sepVals[ci])
-				child.children = append(child.children, right.children[0])
-				n.sepKeys[ci] = right.sepKeys[0]
-				n.sepVals[ci] = right.sepVals[0]
-				right.sepKeys = right.sepKeys[1:]
-				right.sepVals = right.sepVals[1:]
-				right.children = right.children[1:]
-				return
-			}
-		}
-		// Merge with a sibling, pulling the parent separator down.
-		if ci > 0 {
-			left := n.children[ci-1].(*inner)
-			left.sepKeys = append(left.sepKeys, n.sepKeys[ci-1])
-			left.sepVals = append(left.sepVals, n.sepVals[ci-1])
-			left.sepKeys = append(left.sepKeys, child.sepKeys...)
-			left.sepVals = append(left.sepVals, child.sepVals...)
-			left.children = append(left.children, child.children...)
-			t.removeChild(n, ci)
-		} else {
-			right := n.children[ci+1].(*inner)
-			child.sepKeys = append(child.sepKeys, n.sepKeys[ci])
-			child.sepVals = append(child.sepVals, n.sepVals[ci])
-			child.sepKeys = append(child.sepKeys, right.sepKeys...)
-			child.sepVals = append(child.sepVals, right.sepVals...)
-			child.children = append(child.children, right.children...)
-			t.removeChild(n, ci+1)
-		}
-	}
-}
-
-// removeChild drops child ci and the separator to its left (or, for ci==0,
-// the separator to its right).
-func (t *BTree) removeChild(n *inner, ci int) {
-	si := ci - 1
-	if si < 0 {
-		si = 0
-	}
-	n.sepKeys = append(n.sepKeys[:si], n.sepKeys[si+1:]...)
-	n.sepVals = append(n.sepVals[:si], n.sepVals[si+1:]...)
-	n.children = append(n.children[:ci], n.children[ci+1:]...)
-}
-
-// ---------------------------------------------------------------------------
 // Queries
-
-// Has reports whether any entry with the given key exists.
-func (t *BTree) Has(key int64) bool {
-	found := false
-	t.AscendRange(key, key, func(int64, int64) bool {
-		found = true
-		return false
-	})
-	return found
-}
-
-// Count returns the number of entries with the given key.
-func (t *BTree) Count(key int64) int {
-	n := 0
-	t.AscendRange(key, key, func(int64, int64) bool {
-		n++
-		return true
-	})
-	return n
-}
 
 // findLeaf descends to the leaf that would contain the composite (key,val).
 func (t *BTree) findLeaf(key, val int64) *leaf {
@@ -380,11 +191,6 @@ func (t *BTree) findLeaf(key, val int64) *leaf {
 			n = v.children[t.route(v, key, val)]
 		}
 	}
-}
-
-// Ascend visits every entry in (key, value) order until fn returns false.
-func (t *BTree) Ascend(fn func(key, val int64) bool) {
-	t.AscendRange(math.MinInt64, math.MaxInt64, fn)
 }
 
 // AscendRange visits entries with minKey ≤ key ≤ maxKey in order until fn
@@ -405,22 +211,6 @@ func (t *BTree) AscendRange(minKey, maxKey int64, fn func(key, val int64) bool) 
 		}
 		lf = lf.next
 	}
-}
-
-// AscendLessThan visits entries with key < pivot in order.
-func (t *BTree) AscendLessThan(pivot int64, fn func(key, val int64) bool) {
-	if pivot == math.MinInt64 {
-		return
-	}
-	t.AscendRange(math.MinInt64, pivot-1, fn)
-}
-
-// AscendGreaterThan visits entries with key > pivot in order.
-func (t *BTree) AscendGreaterThan(pivot int64, fn func(key, val int64) bool) {
-	if pivot == math.MaxInt64 {
-		return
-	}
-	t.AscendRange(pivot+1, math.MaxInt64, fn)
 }
 
 // Height returns the tree height (a lone leaf is height 1).

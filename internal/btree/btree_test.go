@@ -1,18 +1,36 @@
 package btree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
+// entries returns every (key, value) entry in order.
+func entries(bt *BTree) [][2]int64 {
+	var out [][2]int64
+	bt.AscendRange(math.MinInt64, math.MaxInt64, func(k, v int64) bool {
+		out = append(out, [2]int64{k, v})
+		return true
+	})
+	return out
+}
+
+// count returns the number of entries with the given key.
+func count(bt *BTree, key int64) int {
+	n := 0
+	bt.AscendRange(key, key, func(int64, int64) bool { n++; return true })
+	return n
+}
+
 func TestNewErrors(t *testing.T) {
 	if _, err := New(2); err == nil {
 		t.Error("expected error for order 2")
 	}
 	bt, err := New(MinOrder)
-	if err != nil || bt.Order() != MinOrder {
+	if err != nil || bt.order != MinOrder {
 		t.Errorf("New(MinOrder) = %v, %v", bt, err)
 	}
 }
@@ -29,16 +47,9 @@ func TestInsertAndAscend(t *testing.T) {
 	if err := bt.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	var got []int64
-	bt.Ascend(func(k, v int64) bool {
-		got = append(got, k)
-		if v != k*10 {
-			t.Errorf("key %d has value %d", k, v)
-		}
-		return true
-	})
+	got := entries(bt)
 	for i := int64(0); i < 10; i++ {
-		if got[i] != i {
+		if got[i] != [2]int64{i, i * 10} {
 			t.Fatalf("ascend order wrong: %v", got)
 		}
 	}
@@ -54,58 +65,18 @@ func TestDuplicateKeys(t *testing.T) {
 	if err := bt.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := bt.Count(7); got != 50 {
-		t.Errorf("Count(7) = %d", got)
+	if got := count(bt, 7); got != 50 {
+		t.Errorf("count(7) = %d", got)
 	}
-	if !bt.Has(7) || !bt.Has(3) || bt.Has(4) {
-		t.Error("Has wrong")
+	if count(bt, 3) != 1 || count(bt, 4) != 0 {
+		t.Error("count wrong")
 	}
-	// Delete a specific duplicate.
-	if !bt.Delete(7, 25) {
-		t.Fatal("Delete(7,25) failed")
+	// A duplicate (key, value) pair is not stored twice.
+	if bt.Insert(7, 25) {
+		t.Fatal("second Insert(7,25) should fail")
 	}
-	if bt.Delete(7, 25) {
-		t.Fatal("second Delete(7,25) should fail")
-	}
-	if got := bt.Count(7); got != 49 {
-		t.Errorf("Count(7) after delete = %d", got)
-	}
-	if err := bt.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDeleteEverything(t *testing.T) {
-	bt, _ := New(5)
-	const n = 300
-	perm := rand.New(rand.NewSource(1)).Perm(n)
-	for _, k := range perm {
-		bt.Insert(int64(k), int64(k))
-	}
-	if err := bt.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	perm2 := rand.New(rand.NewSource(2)).Perm(n)
-	for i, k := range perm2 {
-		if !bt.Delete(int64(k), int64(k)) {
-			t.Fatalf("Delete(%d) failed", k)
-		}
-		if i%37 == 0 {
-			if err := bt.Validate(); err != nil {
-				t.Fatalf("after %d deletes: %v", i+1, err)
-			}
-		}
-	}
-	if bt.Len() != 0 {
-		t.Errorf("Len = %d after deleting all", bt.Len())
-	}
-	if err := bt.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	bt.Ascend(func(int64, int64) bool { count++; return true })
-	if count != 0 {
-		t.Errorf("%d entries remain", count)
+	if got := count(bt, 7); got != 50 {
+		t.Errorf("count(7) after re-insert = %d", got)
 	}
 }
 
@@ -138,14 +109,16 @@ func TestAscendLessGreater(t *testing.T) {
 	for k := int64(0); k < 20; k++ {
 		bt.Insert(k, 0)
 	}
+	// Ranges open at either end of int64, as the one-sided overlap plans
+	// scan them.
 	var less, greater []int64
-	bt.AscendLessThan(5, func(k, v int64) bool { less = append(less, k); return true })
-	bt.AscendGreaterThan(15, func(k, v int64) bool { greater = append(greater, k); return true })
+	bt.AscendRange(math.MinInt64, 4, func(k, v int64) bool { less = append(less, k); return true })
+	bt.AscendRange(16, math.MaxInt64, func(k, v int64) bool { greater = append(greater, k); return true })
 	if len(less) != 5 || less[4] != 4 {
-		t.Errorf("AscendLessThan(5) = %v", less)
+		t.Errorf("AscendRange(MinInt64, 4) = %v", less)
 	}
 	if len(greater) != 4 || greater[0] != 16 {
-		t.Errorf("AscendGreaterThan(15) = %v", greater)
+		t.Errorf("AscendRange(16, MaxInt64) = %v", greater)
 	}
 }
 
@@ -185,18 +158,9 @@ func (m *model) insert(k, v int64) bool {
 	return true
 }
 
-func (m *model) delete(k, v int64) bool {
-	for i, e := range m.entries {
-		if e[0] == k && e[1] == v {
-			m.entries = append(m.entries[:i], m.entries[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // Property: the B+tree behaves identically to the sorted-slice model under
-// random workloads, across several orders, and stays structurally valid.
+// random inserts (duplicate pairs among them), across several orders, and
+// stays structurally valid.
 func TestModelEquivalenceProperty(t *testing.T) {
 	f := func(seed int64, orderRaw uint8) bool {
 		order := 3 + int(orderRaw)%14
@@ -209,16 +173,9 @@ func TestModelEquivalenceProperty(t *testing.T) {
 		for op := 0; op < 400; op++ {
 			k := int64(rng.Intn(60))
 			v := int64(rng.Intn(10))
-			if rng.Intn(3) == 0 {
-				if bt.Delete(k, v) != m.delete(k, v) {
-					t.Logf("delete(%d,%d) disagreement", k, v)
-					return false
-				}
-			} else {
-				if bt.Insert(k, v) != m.insert(k, v) {
-					t.Logf("insert(%d,%d) disagreement", k, v)
-					return false
-				}
+			if bt.Insert(k, v) != m.insert(k, v) {
+				t.Logf("insert(%d,%d) disagreement", k, v)
+				return false
 			}
 		}
 		if err := bt.Validate(); err != nil {
@@ -229,11 +186,7 @@ func TestModelEquivalenceProperty(t *testing.T) {
 			t.Logf("len %d vs model %d", bt.Len(), len(m.entries))
 			return false
 		}
-		var got [][2]int64
-		bt.Ascend(func(k, v int64) bool {
-			got = append(got, [2]int64{k, v})
-			return true
-		})
+		got := entries(bt)
 		if len(got) != len(m.entries) {
 			return false
 		}
@@ -271,20 +224,12 @@ func TestNegativeKeys(t *testing.T) {
 	for _, k := range []int64{-5, 3, -1, 0, 7, -9} {
 		bt.Insert(k, k)
 	}
-	var got []int64
-	bt.Ascend(func(k, v int64) bool { got = append(got, k); return true })
+	got := entries(bt)
 	want := []int64{-9, -5, -1, 0, 3, 7}
 	for i := range want {
-		if got[i] != want[i] {
+		if got[i][0] != want[i] {
 			t.Fatalf("order %v, want %v", got, want)
 		}
-	}
-}
-
-func TestDeleteFromEmpty(t *testing.T) {
-	bt, _ := New(4)
-	if bt.Delete(1, 1) {
-		t.Error("Delete on empty tree should return false")
 	}
 }
 
@@ -336,9 +281,7 @@ func TestBulkLoadMatchesInserts(t *testing.T) {
 			if bulk.Len() != ref.Len() {
 				t.Fatalf("n=%d order=%d: Len %d vs %d", n, order, bulk.Len(), ref.Len())
 			}
-			var a, b [][2]int64
-			bulk.Ascend(func(k, v int64) bool { a = append(a, [2]int64{k, v}); return true })
-			ref.Ascend(func(k, v int64) bool { b = append(b, [2]int64{k, v}); return true })
+			a, b := entries(bulk), entries(ref)
 			for i := range a {
 				if a[i] != b[i] {
 					t.Fatalf("n=%d order=%d entry %d: %v vs %v", n, order, i, a[i], b[i])
@@ -359,10 +302,11 @@ func TestBulkLoadThenMutate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The loaded tree must accept ordinary inserts and deletes.
+	// The loaded tree must accept ordinary inserts: between its entries,
+	// where they split its packed leaves, and past its end.
 	for i := int64(0); i < 200; i += 2 {
-		if !bt.Delete(i, i) {
-			t.Fatalf("Delete(%d) failed", i)
+		if !bt.Insert(i, i+1) {
+			t.Fatalf("Insert(%d, %d) failed", i, i+1)
 		}
 	}
 	for i := int64(500); i < 550; i++ {
@@ -373,8 +317,8 @@ func TestBulkLoadThenMutate(t *testing.T) {
 	if err := bt.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if bt.Len() != 150 {
-		t.Errorf("Len = %d, want 150", bt.Len())
+	if bt.Len() != 350 {
+		t.Errorf("Len = %d, want 350", bt.Len())
 	}
 }
 
@@ -417,17 +361,16 @@ func TestBulkLoadProperty(t *testing.T) {
 			t.Logf("n=%d order=%d: %v", n, order, err)
 			return false
 		}
-		count := 0
-		ok := true
-		bt.Ascend(func(gk, gv int64) bool {
-			if count >= n || gk != keys[count] || gv != vals[count] {
-				ok = false
+		got := entries(bt)
+		if len(got) != n {
+			return false
+		}
+		for i, e := range got {
+			if e != [2]int64{keys[i], vals[i]} {
 				return false
 			}
-			count++
-			return true
-		})
-		return ok && count == n
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

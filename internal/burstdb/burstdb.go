@@ -118,16 +118,14 @@ const classes = 65
 type lenClass struct {
 	// byStart holds the class's rows as (Start, rid); nil until the first.
 	byStart *btree.BTree
-	// maxSpan is End − Start of the longest row the class has held. Delete
-	// leaves it, so it stays an upper bound on every live row's span.
+	// maxSpan is End − Start of the longest row in the class.
 	maxSpan uint64
 }
 
-// seqRows is one sequence's live rows in (Start, rid) order: their row IDs,
-// and the same rows as the bursts query-by-burst scores.
+// seqRows is one sequence's rows in (Start, rid) order, as the bursts
+// query-by-burst scores.
 type seqRows struct {
 	id     int64
-	rids   []int64
 	bursts []burst.Burst
 }
 
@@ -136,26 +134,26 @@ type seqRows struct {
 // Concurrency contract: DB has no internal locking. Reads (Overlapping,
 // QueryByBurst, BurstsOf, Len) are safe to run concurrently with each
 // other — they only walk the heap table and B-trees, and the obs metric
-// counters they bump are atomic — but Insert/InsertBursts/Delete mutate
-// those structures and must be serialized against all other access by the
+// counters they bump are atomic — but Insert/InsertBursts mutate those
+// structures and must be serialized against all other access by the
 // caller. core.Engine enforces this with its single-writer RWMutex: Add
 // holds the write lock across burst inserts, searches hold the read lock.
+//
+// The table only grows (see persist.go): every row ID addresses a row and
+// every sequence in seqs has at least one.
 type DB struct {
 	rows    []Record
-	live    []bool
 	ords    []int32 // each row's sequence ordinal
-	liveCnt int
 	byStart *btree.BTree
 	byEnd   *btree.BTree
 	byClass [classes]lenClass
-	// seqs holds every sequence that ever had a row, by dense ordinal in
-	// order of its first row; ordOf maps a SeqID to its ordinal.
-	seqs     []seqRows
-	ordOf    map[int64]int32
-	liveSeqs int
-	minKey   int64
-	maxKey   int64
-	metrics  Metrics
+	// seqs holds every sequence with a row, by dense ordinal in order of its
+	// first row; ordOf maps a SeqID to its ordinal.
+	seqs    []seqRows
+	ordOf   map[int64]int32
+	minKey  int64
+	maxKey  int64
+	metrics Metrics
 }
 
 // SetMetrics installs obs counters that every subsequent query updates.
@@ -182,20 +180,17 @@ var ErrBadRange = errors.New("burstdb: start after end")
 func FromRecords(records []Record) (*DB, error) {
 	n := len(records)
 	db := &DB{
-		rows:    records,
-		live:    make([]bool, n),
-		ords:    make([]int32, n),
-		liveCnt: n,
-		ordOf:   map[int64]int32{},
-		minKey:  math.MaxInt64,
-		maxKey:  math.MinInt64,
+		rows:   records,
+		ords:   make([]int32, n),
+		ordOf:  map[int64]int32{},
+		minKey: math.MaxInt64,
+		maxKey: math.MinInt64,
 	}
 	var perSeq []int
 	for rid, r := range records {
 		if r.End < r.Start {
 			return nil, fmt.Errorf("burstdb: row %d spans [%d, %d]: %w", rid, r.Start, r.End, ErrBadRange)
 		}
-		db.live[rid] = true
 		db.ords[rid] = db.ordinal(r.SeqID)
 		if len(perSeq) < len(db.seqs) {
 			perSeq = append(perSeq, 0)
@@ -205,14 +200,13 @@ func FromRecords(records []Record) (*DB, error) {
 		db.byClass[c].maxSpan = max(db.byClass[c].maxSpan, span)
 		db.minKey, db.maxKey = min(db.minKey, r.Start), max(db.maxKey, r.End)
 	}
-	db.liveSeqs = len(db.seqs)
 	// Every sequence's rows are carved from one array, each capped at its
 	// own rows, so a later Insert reallocates instead of writing over the
 	// next sequence's.
-	rids, bursts := make([]int64, n), make([]burst.Burst, n)
+	bursts := make([]burst.Burst, n)
 	off := 0
 	for o, cnt := range perSeq {
-		db.seqs[o].rids, db.seqs[o].bursts = rids[off:off:off+cnt], bursts[off:off:off+cnt]
+		db.seqs[o].bursts = bursts[off : off : off+cnt]
 		off += cnt
 	}
 	var classKeys, classRIDs [classes][]int64
@@ -222,7 +216,7 @@ func FromRecords(records []Record) (*DB, error) {
 	for _, rid := range byStart {
 		r := records[rid]
 		s := &db.seqs[db.ords[rid]]
-		s.rids, s.bursts = append(s.rids, rid), append(s.bursts, asBurst(r))
+		s.bursts = append(s.bursts, asBurst(r))
 		c, _ := classOf(r)
 		classKeys[c], classRIDs[c] = append(classKeys[c], r.Start), append(classRIDs[c], rid)
 	}
@@ -331,9 +325,7 @@ func (db *DB) Insert(r Record) (int64, error) {
 	rid := int64(len(db.rows))
 	ord := db.ordinal(r.SeqID)
 	db.rows = append(db.rows, r)
-	db.live = append(db.live, true)
 	db.ords = append(db.ords, ord)
-	db.liveCnt++
 	db.byStart.Insert(r.Start, rid)
 	db.byEnd.Insert(r.End, rid)
 	c, span := classOf(r)
@@ -344,15 +336,11 @@ func (db *DB) Insert(r Record) (int64, error) {
 	lc.byStart.Insert(r.Start, rid)
 	lc.maxSpan = max(lc.maxSpan, span)
 	s := &db.seqs[ord]
-	if len(s.rids) == 0 {
-		db.liveSeqs++
-	}
 	// rid is the largest row ID, so it goes after every row starting no later.
 	i := len(s.bursts)
 	for i > 0 && s.bursts[i-1].Start > int(r.Start) {
 		i--
 	}
-	s.rids = slices.Insert(s.rids, i, rid)
 	s.bursts = slices.Insert(s.bursts, i, asBurst(r))
 	db.minKey, db.maxKey = min(db.minKey, r.Start), max(db.maxKey, r.End)
 	return rid, nil
@@ -375,41 +363,11 @@ func (db *DB) InsertBursts(seqID int64, bursts []burst.Burst) ([]int64, error) {
 	return rids, nil
 }
 
-// Delete removes row rid and reports whether it was live.
-func (db *DB) Delete(rid int64) bool {
-	if rid < 0 || rid >= int64(len(db.rows)) || !db.live[rid] {
-		return false
-	}
-	r := db.rows[rid]
-	db.live[rid] = false
-	db.liveCnt--
-	db.byStart.Delete(r.Start, rid)
-	db.byEnd.Delete(r.End, rid)
-	c, _ := classOf(r)
-	db.byClass[c].byStart.Delete(r.Start, rid)
-	s := &db.seqs[db.ords[rid]]
-	i := slices.Index(s.rids, rid)
-	s.rids = slices.Delete(s.rids, i, i+1)
-	s.bursts = slices.Delete(s.bursts, i, i+1)
-	if len(s.rids) == 0 {
-		db.liveSeqs--
-	}
-	return true
-}
-
-// Get returns row rid.
-func (db *DB) Get(rid int64) (Record, bool) {
-	if rid < 0 || rid >= int64(len(db.rows)) || !db.live[rid] {
-		return Record{}, false
-	}
-	return db.rows[rid], true
-}
-
-// Len returns the number of live rows.
-func (db *DB) Len() int { return db.liveCnt }
+// Len returns the number of rows.
+func (db *DB) Len() int { return len(db.rows) }
 
 // Sequences returns the number of distinct sequences with stored bursts.
-func (db *DB) Sequences() int { return db.liveSeqs }
+func (db *DB) Sequences() int { return len(db.seqs) }
 
 // BurstsOf returns the burst set of one sequence in time order. It is never
 // nil: a sequence without bursts has an empty pattern.
@@ -490,7 +448,7 @@ func (db *DB) scan(qStart, qEnd int64, plan Plan, g *lifecycle.Gate, hit func(ri
 		})
 	case PlanFullScan:
 		for rid, r := range db.rows {
-			if db.live[rid] && !visit(int64(rid), r.Start <= qEnd && r.End >= qStart) {
+			if !visit(int64(rid), r.Start <= qEnd && r.End >= qStart) {
 				break
 			}
 		}
@@ -520,16 +478,16 @@ func earliestStart(qStart int64, maxSpan uint64) int64 {
 }
 
 // KeySpan returns the smallest startDate and largest endDate over all rows
-// ever inserted (used by planners for selectivity estimates). ok is false
-// while the table is empty.
+// (used by planners for selectivity estimates). ok is false while the table
+// is empty.
 func (db *DB) KeySpan() (min, max int64, ok bool) {
-	if db.liveCnt == 0 {
+	if len(db.rows) == 0 {
 		return 0, 0, false
 	}
 	return db.minKey, db.maxKey, true
 }
 
-// ScanStart visits live rows with startDate in [lo, hi] via the startDate
+// ScanStart visits rows with startDate in [lo, hi] via the startDate
 // B-tree, in startDate order, until fn returns false.
 func (db *DB) ScanStart(lo, hi int64, fn func(rid int64, r Record) bool) {
 	db.byStart.AscendRange(lo, hi, func(_, rid int64) bool {
@@ -537,7 +495,7 @@ func (db *DB) ScanStart(lo, hi int64, fn func(rid int64, r Record) bool) {
 	})
 }
 
-// ScanEnd visits live rows with endDate in [lo, hi] via the endDate B-tree,
+// ScanEnd visits rows with endDate in [lo, hi] via the endDate B-tree,
 // in endDate order, until fn returns false.
 func (db *DB) ScanEnd(lo, hi int64, fn func(rid int64, r Record) bool) {
 	db.byEnd.AscendRange(lo, hi, func(_, rid int64) bool {
@@ -545,12 +503,9 @@ func (db *DB) ScanEnd(lo, hi int64, fn func(rid int64, r Record) bool) {
 	})
 }
 
-// ScanAll visits every live row in heap order until fn returns false.
+// ScanAll visits every row in heap order until fn returns false.
 func (db *DB) ScanAll(fn func(rid int64, r Record) bool) {
 	for rid, r := range db.rows {
-		if !db.live[rid] {
-			continue
-		}
 		if !fn(int64(rid), r) {
 			return
 		}

@@ -20,24 +20,29 @@ func TestInsertGetDelete(t *testing.T) {
 	if db.Len() != 1 || db.Sequences() != 1 {
 		t.Fatalf("Len/Sequences = %d/%d", db.Len(), db.Sequences())
 	}
-	got, ok := db.Get(rid)
-	if !ok || got != r {
-		t.Fatalf("Get = %v, %v", got, ok)
+	// A second row of the same sequence is a second row, not a second
+	// sequence; row IDs count up from 0 in insertion order.
+	r2 := Record{SeqID: 7, Start: 2, End: 4, Avg: 0.5}
+	rid2, err := db.Insert(r2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !db.Delete(rid) {
-		t.Fatal("Delete failed")
+	if rid != 0 || rid2 != 1 || db.Len() != 2 || db.Sequences() != 1 {
+		t.Fatalf("rids %d, %d; Len/Sequences = %d/%d", rid, rid2, db.Len(), db.Sequences())
 	}
-	if db.Delete(rid) {
-		t.Fatal("double Delete should fail")
+	var got []Record
+	db.ScanAll(func(id int64, rec Record) bool {
+		if id != int64(len(got)) {
+			t.Errorf("ScanAll visited rid %d at position %d", id, len(got))
+		}
+		got = append(got, rec)
+		return true
+	})
+	if len(got) != 2 || got[0] != r || got[1] != r2 {
+		t.Fatalf("ScanAll = %v", got)
 	}
-	if _, ok := db.Get(rid); ok {
-		t.Fatal("Get after delete should fail")
-	}
-	if db.Len() != 0 || db.Sequences() != 0 {
-		t.Fatalf("Len/Sequences after delete = %d/%d", db.Len(), db.Sequences())
-	}
-	if _, ok := db.Get(-1); ok {
-		t.Fatal("Get(-1) should fail")
+	if lo, hi, ok := db.KeySpan(); !ok || lo != 2 || hi != 20 {
+		t.Fatalf("KeySpan = %d, %d, %v", lo, hi, ok)
 	}
 }
 
@@ -111,22 +116,6 @@ func TestAutoPlanPicksCheaperSide(t *testing.T) {
 		cheaper := min(scanned(PlanIndexStart), scanned(PlanIndexEnd))
 		if auto > cheaper {
 			t.Errorf("query %v: auto plan scanned %d rows, the cheaper one-sided plan %d", q, auto, cheaper)
-		}
-	}
-}
-
-func TestDeleteRemovesFromIndexes(t *testing.T) {
-	db := New()
-	rid, _ := db.Insert(Record{SeqID: 1, Start: 5, End: 9})
-	db.Insert(Record{SeqID: 2, Start: 50, End: 60})
-	db.Delete(rid)
-	for _, plan := range []Plan{PlanIndexStart, PlanIndexEnd, PlanFullScan} {
-		rows, _, err := db.Overlapping(0, 20, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) != 0 {
-			t.Errorf("plan %v returned deleted row: %v", plan, rows)
 		}
 	}
 }

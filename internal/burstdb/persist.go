@@ -12,8 +12,13 @@ import (
 
 // Persistence: the burst-feature table dumps to a compact binary file and
 // reloads with its B-tree indexes rebuilt — the paper's workflow of keeping
-// the extracted features in a database across sessions. Only live rows are
-// written, so a dump also compacts deleted space.
+// the extracted features in a database across sessions. The dump is the
+// heap table in row order, and loading it gives every row its old row ID.
+//
+// Rows are never removed: the paper's burst store (§6.3) inserts and
+// range-queries. Removal is not provided; it would come back behind a served
+// Engine.Delete, with its own route, a write-ahead log and the brute-force
+// oracle every configuration answers to.
 //
 // File layout (little endian):
 //
@@ -28,7 +33,7 @@ const (
 // ErrCorrupt is returned when a dump file fails validation.
 var ErrCorrupt = errors.New("burstdb: corrupt dump file")
 
-// Save writes all live rows to path.
+// Save writes every row to path.
 func (db *DB) Save(path string) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -42,18 +47,12 @@ func (db *DB) Save(path string) (err error) {
 	w := bufio.NewWriter(f)
 	binary.Write(w, binary.LittleEndian, persistMagic)
 	binary.Write(w, binary.LittleEndian, persistVersion)
-	binary.Write(w, binary.LittleEndian, uint32(db.liveCnt))
-	written := 0
-	db.ScanAll(func(_ int64, r Record) bool {
+	binary.Write(w, binary.LittleEndian, uint32(len(db.rows)))
+	for _, r := range db.rows {
 		binary.Write(w, binary.LittleEndian, r.SeqID)
 		binary.Write(w, binary.LittleEndian, r.Start)
 		binary.Write(w, binary.LittleEndian, r.End)
 		binary.Write(w, binary.LittleEndian, math.Float64bits(r.Avg))
-		written++
-		return true
-	})
-	if written != db.liveCnt {
-		return errors.New("burstdb: live count drifted during save")
 	}
 	return w.Flush()
 }
@@ -77,7 +76,8 @@ func Load(path string) (*DB, error) {
 	if err := binary.Read(r, binary.LittleEndian, &count); err != nil || count > 1<<28 {
 		return nil, ErrCorrupt
 	}
-	records := make([]Record, 0, count)
+	// count comes from the file: a corrupt one must not size an allocation.
+	records := make([]Record, 0, min(count, 1<<20))
 	for i := uint32(0); i < count; i++ {
 		var rec Record
 		var avgBits uint64

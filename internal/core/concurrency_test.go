@@ -223,10 +223,13 @@ func TestLinearScanShardedMatchesSerial(t *testing.T) {
 	}
 }
 
+// errInjected is the index insert failure the rollback tests force through
+// Engine.FailNextIndexInsert.
+var errInjected = errors.New("injected index insert failure")
+
 // TestAddRollbackOnInsertFailure forces the index insert inside Add to
-// fail (by pre-occupying the next sequence ID directly in the tree) and
-// verifies the store rollback: the engine's state is exactly as before,
-// and it keeps serving queries.
+// fail and verifies the store rollback: the engine's state is exactly as
+// before, and it keeps serving queries.
 func TestAddRollbackOnInsertFailure(t *testing.T) {
 	g := querylog.NewGenerator(querylog.DefaultStart, 128, 3)
 	e, err := NewEngine(g.Dataset(12), Config{Budget: 8, DynamicIndex: true})
@@ -236,25 +239,13 @@ func TestAddRollbackOnInsertFailure(t *testing.T) {
 	defer e.Close()
 
 	extra := querylog.NewGenerator(querylog.DefaultStart, 128, 77).Queries(2)
-	// Sabotage: occupy the ID the next Add will be assigned, so the
-	// engine's own tree.Insert hits ErrDuplicateID after the store append.
 	nextID := e.Len()
-	h, err := spectral.FromValues(extra[0].Standardized().Values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.tree.Insert(h, nextID); err != nil {
-		t.Fatal(err)
-	}
-	// Mirror what a real Insert does to the engine: refresh the feature
-	// cache (the direct tree access above bypassed Add's bookkeeping).
-	e.features = e.tree.Features()
-
 	storeLen := e.store.Len()
 	names := len(e.names)
 	for i := 0; i < 3; i++ { // repeated failures must not accumulate state
-		if _, err := e.Add(extra[i%2]); !errors.Is(err, vptree.ErrDuplicateID) {
-			t.Fatalf("Add #%d: err = %v, want ErrDuplicateID", i, err)
+		e.FailNextIndexInsert(errInjected)
+		if _, err := e.Add(extra[i%2]); !errors.Is(err, errInjected) {
+			t.Fatalf("Add #%d: err = %v, want the injected failure", i, err)
 		}
 		if got := e.store.Len(); got != storeLen {
 			t.Fatalf("Add #%d: store length %d after failed add, want %d (rollback)", i, got, storeLen)
@@ -263,12 +254,9 @@ func TestAddRollbackOnInsertFailure(t *testing.T) {
 			t.Fatalf("Add #%d: engine length changed after failed add", i)
 		}
 	}
-	// Remove the sabotage entry; with it gone the engine must be exactly
-	// as consistent as before the failed Adds: searches work and a fresh
-	// Add succeeds with the same ID the failed attempts were assigned.
-	if ok, err := e.tree.Delete(nextID); err != nil || !ok {
-		t.Fatalf("deleting sabotage entry: %v (ok=%v)", err, ok)
-	}
+	// The engine must be exactly as consistent as before the failed Adds:
+	// searches work and a fresh Add succeeds with the same ID the failed
+	// attempts were assigned.
 	nbs, _, err := similarToID(e, 0, 3)
 	if err != nil || len(nbs) == 0 {
 		t.Fatalf("post-failure search: %v (%d results)", err, len(nbs))
@@ -278,12 +266,8 @@ func TestAddRollbackOnInsertFailure(t *testing.T) {
 			t.Errorf("search returned rolled-back ID %d", n.ID)
 		}
 	}
-	id, err := e.Add(extra[1])
-	if err == nil && id != nextID {
-		t.Errorf("recovered Add got ID %d, want %d", id, nextID)
-	}
-	if err != nil && !errors.Is(err, vptree.ErrDuplicateID) {
-		t.Fatalf("recovered Add: %v", err)
+	if id, err := e.Add(extra[1]); err != nil || id != nextID {
+		t.Fatalf("recovered Add: id %d err %v, want id %d", id, err, nextID)
 	}
 }
 

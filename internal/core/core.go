@@ -195,6 +195,9 @@ type Engine struct {
 	reqlog *obs.RequestLog
 	// buildTimes is where NewEngine's wall time went (see BuildTimes).
 	buildTimes struct{ derive, index time.Duration }
+	// failNextInsert is what the next Add's index insert returns instead of
+	// running (see FailNextIndexInsert); nil almost always.
+	failNextInsert error
 }
 
 // Searcher is the query surface shared by the single Engine and the
@@ -548,7 +551,12 @@ func (e *Engine) AddPrepared(p *PreparedAdd) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := e.tree.InsertCompressed(p.spec, p.feature, id); err != nil {
+	err = e.failNextInsert
+	e.failNextInsert = nil
+	if err == nil {
+		err = e.tree.InsertCompressed(p.spec, p.feature, id)
+	}
+	if err != nil {
 		// Roll the store back to its pre-Add length; a failed insert leaves
 		// the tree untouched.
 		if terr := e.store.Truncate(id); terr != nil {

@@ -6,29 +6,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/querylog"
-	"repro/internal/seqstore"
-	"repro/internal/spectral"
-	"repro/internal/vptree"
 )
 
-// transientStress reports whether err is tolerable while the rollback writer
-// holds a sabotage entry: between planting the duplicate tree ID and Add's
-// rollback removing it, the tree briefly references an ID the store cannot
-// resolve yet, so concurrent refines may fail with seqstore.ErrNotFound.
-// That window is created by the test's own sabotage, not by the engine.
-func transientStress(err error) bool {
-	return err == nil || errors.Is(err, seqstore.ErrNotFound)
-}
-
 // TestConcurrentFlatStressWithRollback hammers the search hot path while
-// the engine churns: a writer alternates sabotaged Adds (forced
-// ErrDuplicateID → store rollback) with successful ones — each of which
+// the engine churns: a writer alternates sabotaged Adds (a forced index
+// insert failure → store rollback) with successful ones — each of which
 // changes the flat index in place under the write lock — while readers run
 // eight searches at a time and single ones, a canceller fires mid-traversal
 // aborts and an HTTP client scrapes /debug and /v2/search. Run under -race in
@@ -49,7 +36,6 @@ func TestConcurrentFlatStressWithRollback(t *testing.T) {
 	defer srv.Close()
 
 	extra := querylog.NewGenerator(querylog.DefaultStart, 128, 99).Queries(6)
-	sab := querylog.NewGenerator(querylog.DefaultStart, 128, 55).Queries(6)
 	qs := g.Queries(8)
 	batch := make([][]float64, 0, len(qs))
 	for _, q := range qs {
@@ -61,36 +47,13 @@ func TestConcurrentFlatStressWithRollback(t *testing.T) {
 	wg.Add(1)
 	go func() { // writer: rollback-forcing failure, then success, per series
 		defer wg.Done()
-		for i, s := range extra {
-			// Occupy the ID the next Add will draw, under the write lock,
-			// so Add's tree insert fails after the store append and the
+		for _, s := range extra {
+			// Add's index insert fails after the store append, so the
 			// rollback path (store.Truncate) runs.
-			h, err := spectral.FromValues(sab[i].Standardized().Values)
-			if err != nil {
-				t.Errorf("sabotage spectrum: %v", err)
-				return
+			e.FailNextIndexInsert(errInjected)
+			if _, err := e.Add(s); !errors.Is(err, errInjected) {
+				t.Errorf("sabotaged Add(%q): err = %v, want the injected failure", s.Name, err)
 			}
-			e.mu.Lock()
-			nextID := e.store.Len()
-			if err := e.tree.Insert(h, nextID); err != nil {
-				e.mu.Unlock()
-				t.Errorf("sabotage insert: %v", err)
-				return
-			}
-			e.features = e.tree.Features()
-			e.mu.Unlock()
-
-			if _, err := e.Add(s); !errors.Is(err, vptree.ErrDuplicateID) {
-				t.Errorf("sabotaged Add(%q): err = %v, want ErrDuplicateID", s.Name, err)
-			}
-
-			e.mu.Lock()
-			if ok, err := e.tree.Delete(nextID); err != nil || !ok {
-				t.Errorf("removing sabotage: ok=%v err=%v", ok, err)
-			}
-			e.features = e.tree.Features()
-			e.mu.Unlock()
-
 			if _, err := e.Add(s); err != nil {
 				t.Errorf("recovered Add(%q): %v", s.Name, err)
 			}
@@ -101,10 +64,10 @@ func TestConcurrentFlatStressWithRollback(t *testing.T) {
 		go func(r int) { // concurrent + serial readers
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
-				if err := fanSimilar(context.Background(), e, batch, 3); !transientStress(err) {
+				if err := fanSimilar(context.Background(), e, batch, 3); err != nil {
 					t.Errorf("concurrent searches: %v", err)
 				}
-				if _, _, err := similarQueries(e, probe, 2+r); !transientStress(err) {
+				if _, _, err := similarQueries(e, probe, 2+r); err != nil {
 					t.Errorf("similar query: %v", err)
 				}
 			}
@@ -118,7 +81,7 @@ func TestConcurrentFlatStressWithRollback(t *testing.T) {
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				if err := fanSimilar(ctx, e, batch, 3); !transientStress(err) &&
+				if err := fanSimilar(ctx, e, batch, 3); err != nil &&
 					!errors.Is(err, context.Canceled) {
 					t.Errorf("cancelled searches: %v", err)
 				}
@@ -147,9 +110,7 @@ func TestConcurrentFlatStressWithRollback(t *testing.T) {
 				}
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				// /v2/search may 500 while a sabotage entry is planted
-				// (see transientStress); the debug surfaces must not.
-				if resp.StatusCode != http.StatusOK && !strings.Contains(u, "/v2/search") {
+				if resp.StatusCode != http.StatusOK {
 					t.Errorf("GET %s: status %d", u, resp.StatusCode)
 				}
 			}

@@ -186,24 +186,47 @@ func LoadEngine(dir string, cfg Config) (*Engine, error) {
 		}
 	}
 
+	// Each file is checked against the meta as well as on its own: a file
+	// from another save of another corpus can be valid and still not this
+	// directory's.
 	if e.tree, err = vptree.Load(filepath.Join(dir, "tree.bin")); err != nil {
 		z.Close()
 		return nil, err
 	}
-	e.features = e.tree.Features()
-	short, err := burstdb.Load(filepath.Join(dir, "burst_short.bin"))
-	if err != nil {
+	if e.tree.Len() != count {
 		z.Close()
-		return nil, err
+		return nil, fmt.Errorf("core: tree.bin indexes %d series, meta says %d: %w", e.tree.Len(), count, vptree.ErrCorrupt)
 	}
-	long, err := burstdb.Load(filepath.Join(dir, "burst_long.bin"))
-	if err != nil {
-		z.Close()
-		return nil, err
+	e.features = e.tree.Features()
+	var tables [2]*burstdb.DB
+	for i, name := range []string{"burst_short.bin", "burst_long.bin"} {
+		if tables[i], err = loadBursts(filepath.Join(dir, name), count); err != nil {
+			z.Close()
+			return nil, err
+		}
 	}
 	e.wireObs(cfg.Obs)
-	e.setBurstDBs(short, long)
+	e.setBurstDBs(tables[0], tables[1])
 	e.met.seriesIngested.Add(int64(count))
 	e.warmSketch()
 	return e, nil
+}
+
+// loadBursts loads one burst table and checks that every row belongs to one
+// of the count sequences the directory holds.
+func loadBursts(path string, count int) (*burstdb.DB, error) {
+	db, err := burstdb.Load(path)
+	if err != nil {
+		return nil, err
+	}
+	db.ScanAll(func(rid int64, r burstdb.Record) bool {
+		if r.SeqID < 0 || r.SeqID >= int64(count) {
+			err = fmt.Errorf("core: %s row %d is sequence %d of %d: %w", filepath.Base(path), rid, r.SeqID, count, burstdb.ErrCorrupt)
+		}
+		return err == nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return db, nil
 }

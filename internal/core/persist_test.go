@@ -1,13 +1,18 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/burstdb"
 	"repro/internal/querylog"
+	"repro/internal/series"
+	"repro/internal/vptree"
 )
 
 func TestEngineSaveLoadRoundTrip(t *testing.T) {
@@ -204,5 +209,64 @@ func TestSaveBesideAdd(t *testing.T) {
 	if len(loaded.names) != n || loaded.store.Len() != n || loaded.tree.Len() != n {
 		t.Errorf("snapshot disagrees with itself: Len %d, %d names, %d rows, %d indexed",
 			n, len(loaded.names), loaded.store.Len(), loaded.tree.Len())
+	}
+}
+
+// A save directory whose files come from saves of different corpora does not
+// load: each file is valid on its own, but the tree or a burst table names
+// sequences the directory does not hold (or misses some it does).
+func TestLoadEngineRefusesMixedSaves(t *testing.T) {
+	g := querylog.NewGenerator(querylog.DefaultStart, 256, 30)
+	save := func(data []*series.Series) string {
+		t.Helper()
+		e, err := NewEngine(data, Config{Budget: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		dir := t.TempDir()
+		if err := e.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	data := append(g.Exemplars(), g.Dataset(40)...)
+	large, small := save(data), save(data[:20])
+	for _, c := range []struct {
+		name     string
+		from, to string
+		files    []string
+		want     error
+	}{
+		{"smaller corpus's tree", small, large, []string{"tree.bin"}, vptree.ErrCorrupt},
+		{"larger corpus's tree", large, small, []string{"tree.bin"}, vptree.ErrCorrupt},
+		{"larger corpus's burst tables", large, small, []string{"burst_short.bin", "burst_long.bin"}, burstdb.ErrCorrupt},
+	} {
+		dir := t.TempDir()
+		for _, src := range []string{c.to, c.from} { // c.to's files, then c.from's over them
+			entries, err := os.ReadDir(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ent := range entries {
+				if src == c.from && !slices.Contains(c.files, ent.Name()) {
+					continue
+				}
+				b, err := os.ReadFile(filepath.Join(src, ent.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, ent.Name()), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		e, err := LoadEngine(dir, Config{})
+		if !errors.Is(err, c.want) {
+			if e != nil {
+				e.Close()
+			}
+			t.Errorf("%s: LoadEngine = %v, want %v", c.name, err, c.want)
+		}
 	}
 }

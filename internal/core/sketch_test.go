@@ -9,8 +9,6 @@ import (
 
 	"repro/internal/querylog"
 	"repro/internal/seqstore"
-	"repro/internal/spectral"
-	"repro/internal/vptree"
 )
 
 // sketchInStep asserts that the store's sketch covers exactly its rows and
@@ -90,21 +88,10 @@ func TestSketchTracksTheStore(t *testing.T) {
 		// A failed Add appends the row, fails the index insert and truncates
 		// the row back out; the next Add reuses the ID for another series.
 		nextID := e.Len()
-		h, err := spectral.FromValues(extra[4].Standardized().Values)
-		if err != nil {
-			t.Fatal(err)
+		e.FailNextIndexInsert(errInjected)
+		if _, err := e.Add(extra[5]); !errors.Is(err, errInjected) {
+			t.Fatalf("sabotaged Add: err = %v, want the injected failure", err)
 		}
-		if err := e.tree.Insert(h, nextID); err != nil {
-			t.Fatal(err)
-		}
-		e.features = e.tree.Features()
-		if _, err := e.Add(extra[5]); !errors.Is(err, vptree.ErrDuplicateID) {
-			t.Fatalf("sabotaged Add: err = %v, want ErrDuplicateID", err)
-		}
-		if ok, err := e.tree.Delete(nextID); err != nil || !ok {
-			t.Fatalf("deleting the sabotage entry: %v (ok=%v)", err, ok)
-		}
-		e.features = e.tree.Features()
 		sketchInStep(t, e)
 		if id, err := e.Add(extra[6]); err != nil || id != nextID {
 			t.Fatalf("Add after the rollback: id %d err %v, want id %d", id, err, nextID)

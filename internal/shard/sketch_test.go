@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/querylog"
 	"repro/internal/seqstore"
-	"repro/internal/vptree"
 )
 
 // Eight shards, each owning its rows and therefore its sketch: after
@@ -74,15 +73,9 @@ func TestSketchTracksEveryShard(t *testing.T) {
 	for i, s := range extra {
 		gid := se.Len()
 		if eng := se.Engine(Route(uint64(gid), shards)); eng != nil && i%2 == 0 {
-			plant, err := eng.PlantDuplicateTreeID()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := se.Add(extra[(i+1)%len(extra)]); !errors.Is(err, vptree.ErrDuplicateID) {
-				t.Fatalf("sabotaged Add: err = %v, want ErrDuplicateID", err)
-			}
-			if err := eng.RemovePlantedTreeID(plant); err != nil {
-				t.Fatal(err)
+			eng.FailNextIndexInsert(errInjected)
+			if _, err := se.Add(extra[(i+1)%len(extra)]); !errors.Is(err, errInjected) {
+				t.Fatalf("sabotaged Add: err = %v, want the injected failure", err)
 			}
 		}
 		if id, err := se.Add(s); err != nil || id != gid {

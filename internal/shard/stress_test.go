@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,25 +14,17 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/querylog"
-	"repro/internal/seqstore"
 	"repro/internal/series"
-	"repro/internal/vptree"
 )
 
-// transientShard reports whether err is tolerable while the rollback writer
-// holds a sabotage entry on one shard: between planting the duplicate tree
-// ID and Add's rollback clearing it, that shard's index briefly references
-// an ID its store cannot resolve, so a scattered sub-query may fail with
-// seqstore.ErrNotFound. The window is created by the test's fault
-// injection, not by the engines.
-func transientShard(err error) bool {
-	return err == nil || errors.Is(err, seqstore.ErrNotFound)
-}
+// errInjected is the index insert failure the rollback tests force on a
+// shard through core.Engine.FailNextIndexInsert.
+var errInjected = errors.New("injected index insert failure")
 
 // TestShardedStressWithRollback hammers the scatter-gather path under -race
-// while the partition churns: a writer alternates sabotaged Adds (forced
-// ErrDuplicateID on the owning shard → store rollback there, routing tables
-// untouched here) with successful ones, readers scatter every query kind,
+// while the partition churns: a writer alternates sabotaged Adds (a forced
+// index insert failure on the owning shard → store rollback there, routing
+// tables untouched here) with successful ones, readers scatter every query kind,
 // a canceller aborts queries mid-gather and an HTTP client scrapes /debug
 // and /v2/search. Afterwards the engine must hold every series and answer
 // exactly like a fresh single engine over the same corpus.
@@ -68,20 +59,13 @@ func TestShardedStressWithRollback(t *testing.T) {
 			sh := Route(uint64(gid), shards)
 			eng := se.Engine(sh)
 			if eng != nil {
-				plant, err := eng.PlantDuplicateTreeID()
-				if err != nil {
-					t.Errorf("planting on shard %d: %v", sh, err)
-					return
-				}
-				if _, err := se.Add(s); !errors.Is(err, vptree.ErrDuplicateID) {
-					t.Errorf("sabotaged Add(%q): err = %v, want ErrDuplicateID", s.Name, err)
+				eng.FailNextIndexInsert(errInjected)
+				if _, err := se.Add(s); !errors.Is(err, errInjected) {
+					t.Errorf("sabotaged Add(%q): err = %v, want the injected failure", s.Name, err)
 				}
 				// The failed Add must leave the routing tables untouched.
 				if got := se.Len(); got != gid {
 					t.Errorf("failed Add mutated routing: Len = %d, want %d", got, gid)
-				}
-				if err := eng.RemovePlantedTreeID(plant); err != nil {
-					t.Errorf("clearing plant on shard %d: %v", sh, err)
 				}
 			}
 			got, err := se.Add(s)
@@ -111,7 +95,7 @@ func TestShardedStressWithRollback(t *testing.T) {
 					{Kind: core.KindBurstID, ID: (i + r) % baseLen, K: 3, Window: core.Short},
 				}
 				for _, req := range reqs {
-					if _, err := se.Query(ctx, req); !transientShard(err) {
+					if _, err := se.Query(ctx, req); err != nil {
 						t.Errorf("scattered %s: %v", req.Kind, err)
 					}
 				}
@@ -127,7 +111,7 @@ func TestShardedStressWithRollback(t *testing.T) {
 			go func() {
 				defer close(done)
 				req := core.Request{Kind: core.KindLinear, Values: qs[0].Values, K: 5}
-				if _, err := se.Query(ctx, req); !transientShard(err) &&
+				if _, err := se.Query(ctx, req); err != nil &&
 					!errors.Is(err, context.Canceled) {
 					t.Errorf("cancelled scatter: %v", err)
 				}
@@ -156,9 +140,7 @@ func TestShardedStressWithRollback(t *testing.T) {
 				}
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				// /v2/search may 500 while a sabotage entry is planted
-				// (see transientShard); the debug surfaces must not.
-				if resp.StatusCode != http.StatusOK && !strings.Contains(u, "/v2/search") {
+				if resp.StatusCode != http.StatusOK {
 					t.Errorf("GET %s: status %d", u, resp.StatusCode)
 				}
 			}

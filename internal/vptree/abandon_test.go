@@ -76,8 +76,8 @@ var dials = []lifecycle.Limits{
 // explain report (timings aside) and what the gate is told equal those of a
 // search that finishes every bound — over the seeded corpora of the golden
 // files, under every node budget and quality dial, whichever source the bounds
-// come from, and after the index has been inserted into, deleted from,
-// repacked, saved and loaded. And it is not vacuous: searches through the
+// come from, and after the index has been inserted into, repacked, saved and
+// loaded. And it is not vacuous: searches through the
 // arena do abandon.
 func TestSearchInvariantToAbandon(t *testing.T) {
 	var abandoned int64
@@ -113,8 +113,7 @@ func TestSearchInvariantToAbandon(t *testing.T) {
 		t.Error("no search through the arena abandoned a bound: the test compares a search with itself")
 	}
 
-	// A dynamic tree through inserts, deletes and repacks, then saved and
-	// loaded.
+	// A dynamic tree through inserts and repacks, then saved and loaded.
 	const seqLen = 64
 	fx := buildFixture(t, 60, seqLen, Options{Dynamic: true, LeafSize: 4, Seed: 5}, 29)
 	c := newChurn(t, fx, 120, seqLen, 31)
@@ -122,10 +121,6 @@ func TestSearchInvariantToAbandon(t *testing.T) {
 	for op, values := range c.pool {
 		if err := c.insert(t, len(fx.values), values); err != nil {
 			t.Fatal(err)
-		}
-		if op%3 == 2 {
-			live := c.live()
-			c.delete(t, live[c.rng.Intn(len(live))])
 		}
 		if op%8 != 7 {
 			continue

@@ -13,18 +13,17 @@ import (
 // route and split with exact distances, exactly like construction does;
 // static trees stay compact and reject updates.
 //
-//   - Insert descends by exact distance to each vantage point and appends
-//     to the reached leaf; a leaf that overflows past 2×LeafSize is rebuilt
-//     into a subtree from its retained spectra.
-//   - Delete tombstones the object wherever it lives: leaf entries are
-//     removed outright, vantage points stay as routing-only markers (their
-//     position is load-bearing for the subtree's median invariant) and are
-//     excluded from results.
+// Insert descends by exact distance to each vantage point and appends to the
+// reached leaf; a leaf that overflows past 2×LeafSize is rebuilt into a
+// subtree from its retained spectra. It makes the same change to the pointer
+// tree and to the flat index the searches walk (inplace.go), in O(depth),
+// without re-deriving the flat index. It writes what a search reads, so it
+// needs whatever lock keeps searches out (the engine's write lock).
 //
-// Both make the same change to the pointer tree and to the flat index the
-// searches walk (inplace.go), in O(depth) for an insert; neither re-derives
-// the flat index. They write what a search reads, so they need whatever lock
-// keeps searches out (the engine's write lock).
+// Deletion is not provided: nothing served removes a series, so every object
+// the tree names — vantage points included — is live. It would come back
+// behind a served Engine.Delete, with its own route, a write-ahead log and
+// the brute-force oracle every configuration answers to.
 
 // ErrStatic is returned when updating a tree built without Dynamic mode.
 var ErrStatic = errors.New("vptree: tree was built without Options.Dynamic")
@@ -75,8 +74,6 @@ func (t *Tree) InsertCompressed(spec *spectral.HalfSpectrum, c *spectral.Compres
 	for nd.leaf == nil {
 		vpSpec, ok := t.specByID[nd.vpID]
 		if !ok {
-			// Delete keeps the spectra of tombstoned vantage points for exactly
-			// this descent; reaching here is a bug.
 			return errors.New("vptree: missing vantage-point spectrum")
 		}
 		d, err := spectral.Distance(vpSpec, spec)
@@ -147,83 +144,4 @@ func (t *Tree) rebuildLeaf(leaf []entry, newSpec *spectral.HalfSpectrum) (*node,
 	// The salt is the feature count with the new entry in.
 	b := &builder{t: t, specs: specs, ids: ids, refs: refs, salt: uint64(leaf[len(leaf)-1].ref + 1)}
 	return b.build(idx, rootPath)
-}
-
-// Delete removes the object with the given id from a dynamic tree and
-// reports whether it was present. Vantage points are tombstoned (kept for
-// routing, excluded from search results); leaf entries are removed.
-func (t *Tree) Delete(id int) (bool, error) {
-	if !t.opts.Dynamic {
-		return false, ErrStatic
-	}
-	switch t.deleteNode(t.root, 0, id) {
-	case notFound:
-		return false, nil
-	case cutFromLeaf:
-		// A leaf entry's spectrum is no longer needed; a tombstoned vantage
-		// point's is: inserts still route through it.
-		delete(t.specByID, id)
-	}
-	t.n--
-	t.repackIfStale()
-	return true, nil
-}
-
-// deleted says what deleteNode did.
-type deleted int
-
-const (
-	notFound deleted = iota
-	cutFromLeaf
-	tombstoned
-)
-
-// deleteNode looks for id under nd, whose flat twin is node ni, and removes
-// it from both.
-func (t *Tree) deleteNode(nd *node, ni int32, id int) deleted {
-	if nd == nil {
-		return notFound
-	}
-	if nd.leaf != nil {
-		for i, e := range nd.leaf {
-			if e.id == id {
-				nd.leaf = append(nd.leaf[:i], nd.leaf[i+1:]...)
-				t.flat.cutLeaf(ni, i)
-				return cutFromLeaf
-			}
-		}
-		return notFound
-	}
-	fn := &t.flat.nodes[ni]
-	if nd.vpID == id && !nd.vpDeleted {
-		nd.vpDeleted, fn.vpDeleted = true, true
-		return tombstoned
-	}
-	if d := t.deleteNode(nd.left, fn.left, id); d != notFound {
-		return d
-	}
-	return t.deleteNode(nd.right, fn.right, id)
-}
-
-// Contains reports whether the tree holds a live object with the given id.
-func (t *Tree) Contains(id int) bool {
-	return t.contains(t.root, id)
-}
-
-func (t *Tree) contains(nd *node, id int) bool {
-	if nd == nil {
-		return false
-	}
-	if nd.leaf != nil {
-		for _, e := range nd.leaf {
-			if e.id == id {
-				return true
-			}
-		}
-		return false
-	}
-	if nd.vpID == id {
-		return !nd.vpDeleted
-	}
-	return t.contains(nd.left, id) || t.contains(nd.right, id)
 }

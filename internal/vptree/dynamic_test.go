@@ -18,7 +18,7 @@ import (
 type dynFixture struct {
 	store   *seqstore.Memory
 	tree    *Tree
-	values  map[int][]float64 // live id -> values
+	values  map[int][]float64 // id in the tree -> values
 	pool    [][]float64       // not yet inserted
 	poolIDs []int
 	queries [][]float64
@@ -65,7 +65,7 @@ func buildDynFixture(t testing.TB, initial, extra, seqLen int, seed int64) *dynF
 }
 
 // verify checks that every query's kNN over the tree matches brute force
-// over the live set.
+// over the series in it.
 func (fx *dynFixture) verify(t *testing.T, k int) {
 	t.Helper()
 	for qi, q := range fx.queries {
@@ -107,9 +107,6 @@ func TestStaticTreeRejectsUpdates(t *testing.T) {
 	if err := fx.tree.Insert(h, 999); err != ErrStatic {
 		t.Errorf("Insert on static tree: %v", err)
 	}
-	if _, err := fx.tree.Delete(0); err != ErrStatic {
-		t.Errorf("Delete on static tree: %v", err)
-	}
 }
 
 func TestDynamicInsert(t *testing.T) {
@@ -129,9 +126,14 @@ func TestDynamicInsert(t *testing.T) {
 		t.Fatalf("Len = %d, want 70", fx.tree.Len())
 	}
 	fx.verify(t, 5)
-	for _, id := range fx.poolIDs {
-		if !fx.tree.Contains(id) {
-			t.Errorf("inserted id %d not found", id)
+	// Every inserted series is its own nearest neighbour.
+	for i, v := range fx.pool {
+		got, _, err := fx.tree.Search(v, 1, fx.tree.Features(), fx.store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0].ID != fx.poolIDs[i] || got[0].Dist > 1e-9 {
+			t.Errorf("inserted id %d: nearest neighbour of its own series is %v", fx.poolIDs[i], got)
 		}
 	}
 }
@@ -148,111 +150,46 @@ func TestDynamicInsertErrors(t *testing.T) {
 	}
 }
 
-func TestDynamicDelete(t *testing.T) {
-	fx := buildDynFixture(t, 50, 0, 128, 33)
-	// Delete a third of the objects (a mix of leaves and vantage points).
-	rng := rand.New(rand.NewSource(1))
-	deleted := 0
-	for id := range fx.values {
-		if rng.Intn(3) == 0 {
-			ok, err := fx.tree.Delete(id)
-			if err != nil || !ok {
-				t.Fatalf("Delete(%d) = %v, %v", id, ok, err)
-			}
-			delete(fx.values, id)
-			deleted++
-		}
-	}
-	if fx.tree.Len() != 50-deleted {
-		t.Fatalf("Len = %d, want %d", fx.tree.Len(), 50-deleted)
-	}
-	fx.verify(t, 4)
-	// Deleting again fails.
-	for id := 0; id < 50; id++ {
-		if _, live := fx.values[id]; !live {
-			ok, err := fx.tree.Delete(id)
-			if err != nil || ok {
-				t.Fatalf("double delete(%d) = %v, %v", id, ok, err)
-			}
-			if fx.tree.Contains(id) {
-				t.Errorf("deleted id %d still Contains", id)
-			}
-		}
-	}
-}
-
-func TestDeleteThenReinsert(t *testing.T) {
-	fx := buildDynFixture(t, 30, 0, 64, 34)
-	ok, err := fx.tree.Delete(5)
-	if err != nil || !ok {
-		t.Fatal(err)
-	}
-	v := fx.values[5]
-	delete(fx.values, 5)
-	fx.verify(t, 3)
-	h, err := spectral.FromValues(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fx.tree.Insert(h, 5); err != nil {
-		t.Fatal(err)
-	}
-	fx.values[5] = v
-	fx.verify(t, 3)
-}
-
-// Property: any interleaving of inserts and deletes keeps search exact.
+// Property: inserts in any order keep search exact after every one of them.
 func TestDynamicWorkloadProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		fx := buildDynFixture(t, 25, 25, 64, seed)
 		rng := rand.New(rand.NewSource(seed))
-		poolNext := 0
-		for op := 0; op < 40; op++ {
-			if poolNext < len(fx.pool) && (rng.Intn(2) == 0 || len(fx.values) < 5) {
-				v := fx.pool[poolNext]
-				id := fx.poolIDs[poolNext]
-				poolNext++
-				h, err := spectral.FromValues(v)
-				if err != nil {
-					return false
-				}
-				if err := fx.tree.Insert(h, id); err != nil {
-					t.Log(err)
-					return false
-				}
-				fx.values[id] = v
-			} else {
-				// Delete a random live id.
-				for id := range fx.values {
-					ok, err := fx.tree.Delete(id)
-					if err != nil || !ok {
-						t.Logf("delete(%d): %v %v", id, ok, err)
-						return false
-					}
-					delete(fx.values, id)
-					break
+		for op, i := range rng.Perm(len(fx.pool)) {
+			v, id := fx.pool[i], fx.poolIDs[i]
+			h, err := spectral.FromValues(v)
+			if err != nil {
+				return false
+			}
+			if err := fx.tree.Insert(h, id); err != nil {
+				t.Log(err)
+				return false
+			}
+			fx.values[id] = v
+			if fx.tree.Len() != len(fx.values) {
+				t.Logf("after %d inserts: Len %d vs %d series", op+1, fx.tree.Len(), len(fx.values))
+				return false
+			}
+			// Exactness after the insert.
+			q := fx.queries[op%len(fx.queries)]
+			got, _, err := fx.tree.Search(q, 3, fx.tree.Features(), fx.store)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			bestD := math.Inf(1)
+			for _, v := range fx.values {
+				d, _ := series.Euclidean(q, v)
+				if d < bestD {
+					bestD = d
 				}
 			}
-		}
-		if fx.tree.Len() != len(fx.values) {
-			t.Logf("Len %d vs live %d", fx.tree.Len(), len(fx.values))
-			return false
-		}
-		// Exactness after the workload.
-		q := fx.queries[0]
-		got, _, err := fx.tree.Search(q, 3, fx.tree.Features(), fx.store)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		bestD := math.Inf(1)
-		for _, v := range fx.values {
-			d, _ := series.Euclidean(q, v)
-			if d < bestD {
-				bestD = d
+			if len(got) == 0 || math.Abs(got[0].Dist-bestD) >= 1e-9 {
+				t.Logf("after %d inserts: nearest %v, brute force %v", op+1, got, bestD)
+				return false
 			}
 		}
-		return len(got) > 0 && math.Abs(got[0].Dist-bestD) < 1e-9
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)

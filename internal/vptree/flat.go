@@ -27,16 +27,15 @@ type flatNode struct {
 	// leafBlocks counts the leaf nodes in this subtree (itself included when
 	// it is a leaf) — the unit of the blocks-pruned kernel counter.
 	leafBlocks int32
-	vpDeleted  bool
 }
 
 // flatIndex is the representation every search walks: every node lives in
 // one slice, every leaf's entries are contiguous, and every compressed
 // feature the tree refers to is packed into a structure-of-arrays
-// spectral.Arena. The pointer `node` tree remains the structure build, insert,
-// delete and persistence work on. rebuildFlat derives the flat index from it
-// wholesale — after Build and Load — and Insert and Delete then make each of
-// their changes to both (inplace.go).
+// spectral.Arena. The pointer `node` tree remains the structure build, insert
+// and persistence work on. rebuildFlat derives the flat index from it
+// wholesale — after Build and Load — and Insert then makes each of its
+// changes to both (inplace.go).
 //
 // Features are numbered by slot: their position in the DFS pre-order the
 // nodes are in — each vantage point, then its subtree, a leaf's entries in
@@ -64,12 +63,12 @@ type flatIndex struct {
 	// features, a test double) takes its bounds from that source instead.
 	src MemoryFeatures
 	// maxLeaf is the largest leaf block since the index was derived, sizing the
-	// per-search bound buffers (a delete or a split does not lower it).
+	// per-search bound buffers (a split does not lower it).
 	maxLeaf int
 	// packed is how many slots rebuildFlat numbered — the prefix in walk order;
-	// dead counts slots whose leaf entry was deleted; abandoned counts the
-	// leafIDs/leafSlots ranges a relocated or split leaf left behind.
-	packed, dead, abandoned int
+	// abandoned counts the leafIDs/leafSlots ranges a relocated or split leaf
+	// left behind.
+	packed, abandoned int
 }
 
 // kernelCounters accumulates traversal work across searches: tree-lifetime
@@ -100,16 +99,16 @@ type KernelStats struct {
 	// MaxBlock is the largest leaf block the flat index has held since it was
 	// last derived.
 	MaxBlock int `json:"max_block"`
-	// Repacks counts the wholesale re-derivations that Insert and Delete have
-	// triggered (see repackDen). OutOfOrder is what the next one will clear:
-	// slots appended past the walk-ordered prefix plus slots of deleted entries.
+	// Repacks counts the wholesale re-derivations that Insert has triggered
+	// (see repackDen). OutOfOrder is what the next one will clear: the slots
+	// inserts appended past the walk-ordered prefix.
 	Repacks    int `json:"repacks"`
 	OutOfOrder int `json:"out_of_order"`
 }
 
 // KernelStats returns the tree's cumulative traversal counters, and the state
-// of its flat index as of the last Insert or Delete (read it under the lock
-// that keeps those out).
+// of its flat index as of the last Insert (read it under the lock that keeps
+// inserts out).
 func (t *Tree) KernelStats() KernelStats {
 	return KernelStats{
 		FlatSearches:    t.kernels.searches.Load(),
@@ -125,14 +124,14 @@ func (t *Tree) KernelStats() KernelStats {
 
 // rebuildFlat derives the flat index from the pointer tree and the current
 // feature table — the one wholesale derivation: Build and Load end with it,
-// and it is the repack Insert and Delete fall back on (repackIfStale).
+// and it is the repack Insert falls back on (repackIfStale).
 // Callers must hold whatever lock protects the tree against concurrent
 // searches (the engine rebuilds under its write lock).
 func (t *Tree) rebuildFlat() {
 	// Sized so that flatten appends without growing: a slot is a distinct
 	// feature, and a tree without empty leaves has no more nodes than slots.
-	// (A loaded file that names a ref twice, or leaves that Delete emptied,
-	// merely reallocate.)
+	// (A loaded file that names a ref twice, or has empty leaves, merely
+	// reallocates.)
 	slots := len(t.features)
 	f := &flatIndex{
 		src:       t.features,
@@ -177,7 +176,7 @@ func (f *flatIndex) flatten(nd *node, slots map[int]int32) int32 {
 func (f *flatIndex) place(i int32, nd *node, slots map[int]int32) {
 	fn := flatNode{
 		median: nd.median, vpID: nd.vpID,
-		vpDeleted: nd.vpDeleted, left: -1, right: -1, leafLo: -1, leafHi: -1,
+		left: -1, right: -1, leafLo: -1, leafHi: -1,
 	}
 	if nd.leaf != nil {
 		fn.leafLo = int32(len(f.leafIDs))
@@ -373,14 +372,10 @@ func (s *searcher) visitFlat(ni int32, depth int) error {
 		l.InternalNodes++
 		l.BoundsComputed++
 	}
-	// Tombstoned vantage points still route (the median invariant is about
-	// their geometric position) but never appear as candidates.
-	if !nd.vpDeleted {
-		if l != nil {
-			l.Candidates++
-		}
-		s.Add(nd.vpID, lb, ub)
+	if l != nil {
+		l.Candidates++
 	}
+	s.Add(nd.vpID, lb, ub)
 
 	switch {
 	case s.ubPrune(ub, nd.median):

@@ -6,15 +6,15 @@ import (
 	"repro/internal/spectral"
 )
 
-// The flat index's half of Insert and Delete: each change dynamic.go makes to
-// the pointer tree, made to the flat index where it stands. Everything here
+// The flat index's half of Insert: each change dynamic.go makes to the
+// pointer tree, made to the flat index where it stands. Everything here
 // writes what a search reads, and may reallocate it — legal only under the
 // lock that keeps searches out (the engine's write lock); a search between two
 // such changes sees a complete index.
 
 // repackDen sets when the flat index is derived afresh: once the slots out of
-// walk order (appended by inserts), the dead slots (left by deletes) and the
-// abandoned leaf ranges together exceed one in repackDen of the live slots.
+// walk order (appended by inserts) and the abandoned leaf ranges together
+// exceed one in repackDen of the slots.
 //
 // The price of waiting is the arena's locality: a bound costs 131 ns on slots
 // met in order and 211 ns on slots met at random (BenchmarkBoundsWalkOrder,
@@ -22,24 +22,21 @@ import (
 // average at most 131 + 80/8 = 141 ns. The price of not waiting is the
 // derivation, ≈ 0.25 µs a slot (1.15 ms at 4 600): run once per n/8 inserts it
 // adds 2 µs to an insert that costs ≈ 100. One in eight also bounds the space
-// that dead rows and abandoned ranges hold to an eighth of the arena and, at
-// 2×LeafSize entries a range, about the size of leafIDs/leafSlots again.
+// that abandoned ranges hold to, at 2×LeafSize entries a range, about the
+// size of leafIDs/leafSlots again.
 const repackDen = 8
 
-// repackIfStale runs after every Insert and Delete.
+// repackIfStale runs after every Insert.
 func (t *Tree) repackIfStale() {
-	if f := t.flat; (f.outOfOrder()+f.abandoned)*repackDen > f.live() {
+	if f := t.flat; (f.outOfOrder()+f.abandoned)*repackDen > len(f.slotRef) {
 		t.rebuildFlat()
 		t.repacks++
 	}
 }
 
 // outOfOrder counts the slots a search does not meet in walk order: those
-// appended since the index was derived, and the dead ones it steps over.
-func (f *flatIndex) outOfOrder() int { return len(f.slotRef) - f.packed + f.dead }
-
-// live counts the slots some node or leaf entry still names.
-func (f *flatIndex) live() int { return len(f.slotRef) - f.dead }
+// appended since the index was derived.
+func (f *flatIndex) outOfOrder() int { return len(f.slotRef) - f.packed }
 
 // appendSlot gives the feature c, about to become features[ref], the next
 // slot: a row in slotRef and, when the tree has an arena, its rows there. An
@@ -100,15 +97,4 @@ func (f *flatIndex) splice(ni int32, old, sub *node, path []int32) {
 			f.nodes[p].leafBlocks += added
 		}
 	}
-}
-
-// cutLeaf removes entry i of leaf ni, closing the gap as Delete closes it in
-// the pointer leaf; the entry's slot stays in the arena, dead.
-func (f *flatIndex) cutLeaf(ni int32, i int) {
-	fn := &f.nodes[ni]
-	at := int(fn.leafLo) + i
-	copy(f.leafIDs[at:fn.leafHi], f.leafIDs[at+1:fn.leafHi])
-	copy(f.leafSlots[at:fn.leafHi], f.leafSlots[at+1:fn.leafHi])
-	fn.leafHi--
-	f.dead++
 }

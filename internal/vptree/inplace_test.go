@@ -14,8 +14,8 @@ import (
 )
 
 // canonical lists everything a search can see of tr's flat index f, following
-// the links from node 0 in pre-order: each node's median, vantage point,
-// tombstone and leaf-block count, each leaf's IDs in order, and for every slot
+// the links from node 0 in pre-order: each node's median, vantage point and
+// leaf-block count, each leaf's IDs in order, and for every slot
 // met the ref of the feature in it — having checked that the arena, if there
 // is one, holds that very feature there (its bounds against q are the bits the
 // feature's own are). Node indices, slot numbers and where a leaf's range lies
@@ -54,7 +54,7 @@ func canonical(t *testing.T, when string, tr *Tree, f *flatIndex, q *spectral.Pr
 			b.WriteString(" ]\n")
 			return
 		}
-		fmt.Fprintf(&b, "vp id=%d ref=%d median=%x deleted=%v blocks=%d\n", fn.vpID, ref(fn.vpSlot), fn.median, fn.vpDeleted, fn.leafBlocks)
+		fmt.Fprintf(&b, "vp id=%d ref=%d median=%x blocks=%d\n", fn.vpID, ref(fn.vpSlot), fn.median, fn.leafBlocks)
 		walk(fn.left)
 		walk(fn.right)
 	}
@@ -70,17 +70,16 @@ func rederived(tr *Tree) *Tree {
 	return fresh
 }
 
-// churn drives seeded inserts and deletes against a fixture's dynamic tree.
+// churn drives seeded inserts against a fixture's dynamic tree.
 type churn struct {
-	fx      *fixture
-	rng     *rand.Rand
-	pool    [][]float64 // series not inserted yet
-	deleted map[int]bool
+	fx   *fixture
+	rng  *rand.Rand
+	pool [][]float64 // series not inserted yet
 }
 
 func newChurn(t *testing.T, fx *fixture, extra, seqLen int, seed int64) *churn {
 	t.Helper()
-	c := &churn{fx: fx, rng: rand.New(rand.NewSource(seed)), deleted: map[int]bool{}}
+	c := &churn{fx: fx, rng: rand.New(rand.NewSource(seed))}
 	g := querylog.NewGenerator(querylog.DefaultStart, seqLen, seed)
 	for _, s := range querylog.StandardizeAll(g.Dataset(extra)) {
 		c.pool = append(c.pool, s.Values)
@@ -102,45 +101,16 @@ func (c *churn) insert(t *testing.T, id int, values []float64) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.fx.tree.Insert(spec, id); err != nil {
-		return err
-	}
-	delete(c.deleted, id)
-	return nil
+	return c.fx.tree.Insert(spec, id)
 }
 
-func (c *churn) delete(t *testing.T, id int) {
-	t.Helper()
-	if ok, err := c.fx.tree.Delete(id); err != nil || !ok {
-		t.Fatalf("delete %d: ok=%v err=%v", id, ok, err)
-	}
-	c.deleted[id] = true
-}
-
-// live lists the IDs in the tree, ascending.
-func (c *churn) live() []int {
-	var ids []int
-	for id := range c.fx.values {
-		if !c.deleted[id] {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
-// oracle is the brute-force top k over the live series.
+// oracle is the brute-force top k over the series.
 func (c *churn) oracle(t *testing.T, q []float64, k int) []Result {
 	t.Helper()
-	var want []Result
-	for _, r := range bruteKNN(t, c.fx.values, q, len(c.fx.values)) {
-		if !c.deleted[r.ID] && len(want) < k {
-			want = append(want, r)
-		}
-	}
-	return want
+	return bruteKNN(t, c.fx.values, q, k)
 }
 
-// checkInPlace asserts the flat index Insert and Delete have been keeping is,
+// checkInPlace asserts the flat index Insert has been keeping is,
 // to a search, the one rebuildFlat derives from the same pointer tree; that
 // what is out of walk order in it stays within the repack rule; and that
 // searches through it return the fresh index's results and Stats and the
@@ -160,8 +130,8 @@ func (c *churn) checkInPlace(t *testing.T, when string, q []float64) {
 		t.Fatalf("%s: maxLeaf %d (fresh %d), covers its own table: %v", when, tr.flat.maxLeaf, fresh.flat.maxLeaf, tr.flat.covers(tr.features))
 	}
 	ks := tr.KernelStats()
-	if live := tr.flat.live(); ks.OutOfOrder*repackDen > live {
-		t.Fatalf("%s: %d slots out of order among %d live ones, more than one in %d", when, ks.OutOfOrder, live, repackDen)
+	if slots := len(tr.flat.slotRef); ks.OutOfOrder*repackDen > slots {
+		t.Fatalf("%s: %d slots out of order among %d, more than one in %d", when, ks.OutOfOrder, slots, repackDen)
 	}
 	got := searchWith(t, tr, q, 5, 0, tr.Features(), c.fx.store, nil)
 	sameOutcome(t, when+": in place vs fresh", got, searchWith(t, fresh, q, 5, 0, fresh.Features(), c.fx.store, nil))
@@ -169,10 +139,10 @@ func (c *churn) checkInPlace(t *testing.T, when string, q []float64) {
 }
 
 // After each of 600 seeded operations — inserts that grow leaves in place,
-// relocate them and split them, deletes that cut leaf entries and tombstone
-// vantage points (the root among them), a deleted ID inserted again — the flat
-// index is the one a wholesale derivation would give, across several repacks,
-// for fixed-size features and for the energy scheme's variable-size ones.
+// relocate them and split them, and now and then an insert of an ID the tree
+// already holds, which must change nothing — the flat index is the one a
+// wholesale derivation would give, across several repacks, for fixed-size
+// features and for the energy scheme's variable-size ones.
 func TestFlatInPlaceMatchesRebuild(t *testing.T) {
 	const seqLen, ops = 64, 600
 	for name, opts := range map[string]Options{
@@ -184,50 +154,30 @@ func TestFlatInPlaceMatchesRebuild(t *testing.T) {
 			c := newChurn(t, fx, ops, seqLen, 43)
 			tr := fx.tree
 			nodes := len(tr.flat.nodes)
-			reinserted := 0
+			duplicates := 0
 			for op := 0; op < ops; op++ {
 				when := fmt.Sprintf("op %d", op)
-				live := c.live()
-				switch {
-				case op == 40 && !tr.root.vpDeleted:
-					when += ": delete the root's vantage point"
-					c.delete(t, tr.root.vpID)
-				case op%50 == 49:
-					// A deleted leaf entry comes back under its old ID; a
-					// tombstoned vantage point still holds its.
-					for id := range fx.values {
-						if !c.deleted[id] {
-							continue
-						}
-						_, tombstone := tr.specByID[id]
-						err := c.insert(t, id, fx.values[id])
-						if tombstone && !errors.Is(err, ErrDuplicateID) || !tombstone && err != nil {
-							t.Fatalf("%s: reinsert %d (tombstone: %v): %v", when, id, tombstone, err)
-						}
-						if !tombstone {
-							when += fmt.Sprintf(": reinsert %d", id)
-							reinserted++
-							break
-						}
+				if op%50 == 49 {
+					id := c.rng.Intn(len(fx.values))
+					when += fmt.Sprintf(": insert %d again", id)
+					if err := c.insert(t, id, c.pool[0]); !errors.Is(err, ErrDuplicateID) {
+						t.Fatalf("%s: %v, want ErrDuplicateID", when, err)
 					}
-				case len(c.pool) > 0 && (c.rng.Intn(5) < 3 || len(live) < 100):
+					duplicates++
+				} else {
 					when += fmt.Sprintf(": insert %d", len(fx.values))
 					if err := c.insert(t, len(fx.values), c.pool[0]); err != nil {
 						t.Fatalf("%s: %v", when, err)
 					}
 					c.pool = c.pool[1:]
-				default:
-					id := live[c.rng.Intn(len(live))]
-					when += fmt.Sprintf(": delete %d", id)
-					c.delete(t, id)
 				}
-				if tr.Len() != len(c.live()) {
-					t.Fatalf("%s: Len %d, %d live", when, tr.Len(), len(c.live()))
+				if tr.Len() != len(fx.values) {
+					t.Fatalf("%s: Len %d, %d series", when, tr.Len(), len(fx.values))
 				}
 				c.checkInPlace(t, when, fx.queries[op%len(fx.queries)])
 			}
-			if !tr.root.vpDeleted || reinserted == 0 || len(tr.flat.nodes) <= nodes && tr.repacks == 0 {
-				t.Fatalf("the run missed a case: root tombstoned %v, %d reinserts, nodes %d -> %d", tr.root.vpDeleted, reinserted, nodes, len(tr.flat.nodes))
+			if duplicates == 0 || len(tr.flat.nodes) <= nodes && tr.repacks == 0 {
+				t.Fatalf("the run missed a case: %d duplicate inserts, nodes %d -> %d", duplicates, nodes, len(tr.flat.nodes))
 			}
 			t.Logf("%d repacks, nodes %d -> %d", tr.repacks, nodes, len(tr.flat.nodes))
 			if ks := tr.KernelStats(); ks.Repacks < 2 {
@@ -239,8 +189,8 @@ func TestFlatInPlaceMatchesRebuild(t *testing.T) {
 
 // A tree without an arena (two entries naming one ref, as a file can) and a
 // search through a substituted feature source take their bounds per entry
-// through slotRef; in-place inserts and deletes, splits and repacks included,
-// keep that path answering like the oracle.
+// through slotRef; in-place inserts, splits and repacks included, keep that
+// path answering like the oracle.
 func TestFlatInPlaceWithoutArena(t *testing.T) {
 	const seqLen = 64
 	fx := buildFixture(t, 40, seqLen, Options{Dynamic: true, LeafSize: 4, Seed: 9}, 19)
@@ -256,9 +206,6 @@ func TestFlatInPlaceWithoutArena(t *testing.T) {
 	for i, values := range c.pool {
 		if err := c.insert(t, len(fx.values), values); err != nil {
 			t.Fatal(err)
-		}
-		if i%7 == 3 {
-			c.delete(t, len(fx.values)-2)
 		}
 		if tr.flat.arena != nil {
 			t.Fatal("an arena was packed for a tree that names a ref twice")
@@ -335,7 +282,7 @@ func TestFlatInPlaceFailedInsertChangesNothing(t *testing.T) {
 			t.Fatal("the insert rebuilt a leaf without one of its spectra")
 		}
 		if tr.Len() != n || len(tr.Features()) != feats || len(tr.flat.slotRef) != slots || len(tr.flat.nodes) != nodes ||
-			tr.flat.arena.Len() != slots || tr.flat.arena.Coeffs() != rows || tr.Contains(id) {
+			tr.flat.arena.Len() != slots || tr.flat.arena.Coeffs() != rows {
 			t.Fatalf("the failed insert left its mark: Len %d -> %d, features %d -> %d, slots %d -> %d (arena %d), nodes %d -> %d",
 				n, tr.Len(), feats, len(tr.Features()), slots, len(tr.flat.slotRef), tr.flat.arena.Len(), nodes, len(tr.flat.nodes))
 		}
@@ -344,6 +291,9 @@ func TestFlatInPlaceFailedInsertChangesNothing(t *testing.T) {
 		}
 		if got := canonical(t, "after", tr, tr.flat, pq); got != walk {
 			t.Fatalf("the failed insert changed the flat index:\n got:\n%s\n want:\n%s", got, walk)
+		}
+		if fresh := rederived(tr); canonical(t, "after, derived afresh", fresh, fresh.flat, pq) != walk {
+			t.Fatal("the failed insert changed the pointer tree")
 		}
 		sameOutcome(t, "after the failed insert", searchWith(t, tr, q, 5, 0, tr.Features(), fx.store, nil), before)
 
@@ -360,34 +310,27 @@ func TestFlatInPlaceFailedInsertChangesNothing(t *testing.T) {
 	t.Fatal("no insert reached a full leaf")
 }
 
-// insertCost measures one Insert that splits nothing into a tree of n objects
-// (and the Delete that makes room for the next): heap allocations and bytes.
+// insertCost measures one Insert that splits nothing into a tree of n objects:
+// heap allocations and bytes. Every measured insert adds the same spectrum
+// under a new ID, so all of them land in one leaf, which LeafSize leaves room
+// for.
 func insertCost(t *testing.T, n int) (allocs float64, bytes uint64) {
 	t.Helper()
 	const seqLen, runs = 64, 8
-	fx := buildFixture(t, n, seqLen, Options{Dynamic: true, Seed: 7}, 11)
+	const inserts = 2*runs + 1 // AllocsPerRun's warm-up, its runs, then ours
+	fx := buildFixture(t, n, seqLen, Options{Dynamic: true, Seed: 7, LeafSize: inserts}, 11)
 	tr := fx.tree
-	var spec *spectral.HalfSpectrum
-	for _, s := range querylog.StandardizeAll(querylog.NewGenerator(querylog.DefaultStart, seqLen, 5).Dataset(32)) {
-		h, err := spectral.FromValues(s.Values)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(routedLeaf(t, tr, h).leaf) < 2*tr.opts.LeafSize {
-			spec = h
-			break
-		}
+	spec, err := spectral.FromValues(querylog.StandardizeAll(querylog.NewGenerator(querylog.DefaultStart, seqLen, 5).Dataset(1))[0].Values)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if spec == nil {
-		t.Fatal("every candidate routes to a full leaf")
-	}
+	leaf := routedLeaf(t, tr, spec)
+	id := n
 	op := func() {
-		if err := tr.Insert(spec, n); err != nil {
+		if err := tr.Insert(spec, id); err != nil {
 			t.Fatal(err)
 		}
-		if ok, err := tr.Delete(n); err != nil || !ok {
-			t.Fatalf("delete: ok=%v err=%v", ok, err)
-		}
+		id++
 	}
 	// AllocsPerRun's warm-up call is the one that moves the leaf to where it has
 	// room and grows the slices that were sized exactly.
@@ -398,8 +341,8 @@ func insertCost(t *testing.T, n int) (allocs float64, bytes uint64) {
 		op()
 	}
 	runtime.ReadMemStats(&after)
-	if tr.repacks != 0 {
-		t.Fatalf("n=%d: the measured inserts ran into a repack", n)
+	if tr.repacks != 0 || routedLeaf(t, tr, spec) != leaf || id != n+inserts {
+		t.Fatalf("n=%d: the measured inserts ran into a repack or a split", n)
 	}
 	return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
 }
@@ -418,14 +361,15 @@ func TestFlatInPlaceInsertAllocatesIndependentOfN(t *testing.T) {
 	t.Logf("an insert allocates %v times, %d B", smallAllocs, smallBytes)
 }
 
-// BenchmarkDynamicInsert times Insert into a tree of n objects, which a Delete
-// outside the timer then brings back to n: the cost should follow the depth of
-// the tree, not its size (the occasional leaf split and the amortised repack
-// are in it).
+// BenchmarkDynamicInsert times Insert into a tree of n objects, rebuilt outside
+// the timer after every fresh inserts so that it holds n to n+fresh: the cost
+// should follow the depth of the tree, not its size (the occasional leaf split
+// and the amortised repack are in it).
 func BenchmarkDynamicInsert(b *testing.B) {
-	const seqLen, fresh = 128, 1024
+	const seqLen = 128
 	for _, n := range []int{512, 4096, 32768} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			fresh := min(n/2, 1024)
 			g := querylog.NewGenerator(querylog.DefaultStart, seqLen, 35)
 			data := querylog.StandardizeAll(g.Dataset(n + fresh))
 			specs := make([]*spectral.HalfSpectrum, len(data))
@@ -437,21 +381,21 @@ func BenchmarkDynamicInsert(b *testing.B) {
 				}
 				ids[i] = i
 			}
-			tree, err := Build(specs[:n], ids[:n], Options{Budget: 10, Dynamic: true})
-			if err != nil {
-				b.Fatal(err)
-			}
+			var tree *Tree
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := tree.Insert(specs[n+i%fresh], n+i); err != nil {
+				if i%fresh == 0 {
+					b.StopTimer()
+					var err error
+					if tree, err = Build(specs[:n], ids[:n], Options{Budget: 10, Dynamic: true}); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if err := tree.Insert(specs[n+i%fresh], n+i%fresh); err != nil {
 					b.Fatal(err)
 				}
-				b.StopTimer()
-				if _, err := tree.Delete(n + i); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
 			}
 		})
 	}

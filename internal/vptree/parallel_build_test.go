@@ -20,7 +20,7 @@ func equalNodes(t *testing.T, path string, a, b *node) bool {
 	if a == nil {
 		return true
 	}
-	if a.vpID != b.vpID || a.vpRef != b.vpRef || a.median != b.median || a.vpDeleted != b.vpDeleted {
+	if a.vpID != b.vpID || a.vpRef != b.vpRef || a.median != b.median {
 		t.Errorf("%s: node differs: {id %d ref %d med %v} vs {id %d ref %d med %v}",
 			path, a.vpID, a.vpRef, a.median, b.vpID, b.vpRef, b.median)
 		return false

@@ -27,7 +27,11 @@ import (
 //	node section, preorder:
 //	  tag u8 (1 = leaf, 2 = internal)
 //	  leaf:     count u32, then count × { id u32, ref u32 }
-//	  internal: id u32, ref u32, deleted u8, median f64, left, right
+//	  internal: id u32, ref u32, reserved u8 (0), median f64, left, right
+//
+// n is the number of objects the node section names: every leaf entry and
+// every internal node's vantage point. Load refuses what no Save writes: a
+// reserved byte other than 0, or an n the node section does not match.
 
 const (
 	persistMagic   = uint32(0x53515650) // "SQVP"
@@ -89,11 +93,7 @@ func writeNode(w *bufio.Writer, nd *node) error {
 	w.WriteByte(tagInternal)
 	binary.Write(w, binary.LittleEndian, uint32(nd.vpID))
 	binary.Write(w, binary.LittleEndian, uint32(nd.vpRef))
-	del := byte(0)
-	if nd.vpDeleted {
-		del = 1
-	}
-	w.WriteByte(del)
+	w.WriteByte(0)
 	binary.Write(w, binary.LittleEndian, math.Float64bits(nd.median))
 	if err := writeNode(w, nd.left); err != nil {
 		return err
@@ -149,7 +149,8 @@ func Load(path string) (*Tree, error) {
 	if featCount > 1<<28 {
 		return nil, ErrCorrupt
 	}
-	t.features = make(MemoryFeatures, 0, featCount)
+	// Counts come from the file: a corrupt one must not size an allocation.
+	t.features = make(MemoryFeatures, 0, min(featCount, 1<<20))
 	for i := uint32(0); i < featCount; i++ {
 		var recLen uint32
 		if err := binary.Read(r, binary.LittleEndian, &recLen); err != nil {
@@ -168,8 +169,12 @@ func Load(path string) (*Tree, error) {
 		}
 		t.features = append(t.features, c)
 	}
-	if t.root, err = readNode(r, len(t.features)); err != nil {
+	named := 0
+	if t.root, err = readNode(r, len(t.features), &named); err != nil {
 		return nil, err
+	}
+	if named != t.n {
+		return nil, ErrCorrupt
 	}
 	// The stream must be fully consumed.
 	if _, err := r.ReadByte(); err != io.EOF {
@@ -179,7 +184,8 @@ func Load(path string) (*Tree, error) {
 	return t, nil
 }
 
-func readNode(r *bufio.Reader, featCount int) (*node, error) {
+// readNode reads one subtree and adds the objects it names to *named.
+func readNode(r *bufio.Reader, featCount int, named *int) (*node, error) {
 	tag, err := r.ReadByte()
 	if err != nil {
 		return nil, ErrCorrupt
@@ -193,7 +199,7 @@ func readNode(r *bufio.Reader, featCount int) (*node, error) {
 		if count > 1<<24 {
 			return nil, ErrCorrupt
 		}
-		nd := &node{leaf: make([]entry, 0, count)}
+		nd := &node{leaf: make([]entry, 0, min(count, 1<<10))}
 		for i := uint32(0); i < count; i++ {
 			var id, ref uint32
 			if err := binary.Read(r, binary.LittleEndian, &id); err != nil {
@@ -207,6 +213,7 @@ func readNode(r *bufio.Reader, featCount int) (*node, error) {
 			}
 			nd.leaf = append(nd.leaf, entry{id: int(id), ref: int(ref)})
 		}
+		*named += len(nd.leaf)
 		return nd, nil
 	case tagInternal:
 		var id, ref uint32
@@ -219,8 +226,7 @@ func readNode(r *bufio.Reader, featCount int) (*node, error) {
 		if int(ref) >= featCount {
 			return nil, ErrCorrupt
 		}
-		del, err := r.ReadByte()
-		if err != nil {
+		if zero, err := r.ReadByte(); err != nil || zero != 0 {
 			return nil, ErrCorrupt
 		}
 		var medBits uint64
@@ -228,15 +234,15 @@ func readNode(r *bufio.Reader, featCount int) (*node, error) {
 			return nil, ErrCorrupt
 		}
 		nd := &node{
-			vpID:      int(id),
-			vpRef:     int(ref),
-			vpDeleted: del != 0,
-			median:    math.Float64frombits(medBits),
+			vpID:   int(id),
+			vpRef:  int(ref),
+			median: math.Float64frombits(medBits),
 		}
-		if nd.left, err = readNode(r, featCount); err != nil {
+		*named++
+		if nd.left, err = readNode(r, featCount, named); err != nil {
 			return nil, err
 		}
-		if nd.right, err = readNode(r, featCount); err != nil {
+		if nd.right, err = readNode(r, featCount, named); err != nil {
 			return nil, err
 		}
 		return nd, nil

@@ -1,10 +1,14 @@
 package vptree
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/spectral"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -43,45 +47,41 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	// Loaded trees are static.
+	h, err := spectral.FromValues(fx.values[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Insert(h, 999); err != ErrStatic {
+		t.Errorf("Insert on loaded tree: %v", err)
+	}
 }
 
-func TestSaveLoadWithTombstones(t *testing.T) {
-	fx := buildDynFixture(t, 40, 0, 64, 51)
-	// Delete a handful (some become tombstoned vantage points).
-	for id := 0; id < 10; id++ {
-		if _, err := fx.tree.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-		delete(fx.values, id)
+// layout locates two fields of a saved tree: the header's object count n,
+// and the byte after the first internal node's IDs (always 0), given that the
+// node section starts with one.
+func layout(t testing.TB, data []byte) (nAt, zeroAt int) {
+	t.Helper()
+	const nAt0 = 4 + 4 + 1 + 4 + 4 + 4 // magic, version, method, budget, leafSize, seqLen
+	p := nAt0 + 4
+	feats := binary.LittleEndian.Uint32(data[p:])
+	p += 4
+	for i := uint32(0); i < feats; i++ {
+		p += 4 + int(binary.LittleEndian.Uint32(data[p:]))
 	}
-	path := filepath.Join(t.TempDir(), "tree.bin")
-	if err := fx.tree.Save(path); err != nil {
-		t.Fatal(err)
+	if data[p] != tagInternal {
+		t.Fatal("the saved tree's root is a leaf")
 	}
-	loaded, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
+	return nAt0, p + 1 + 4 + 4
+}
+
+// named counts the objects a subtree names: its leaf entries and its vantage
+// points.
+func named(nd *node) int {
+	if nd.leaf != nil {
+		return len(nd.leaf)
 	}
-	if loaded.Len() != 30 {
-		t.Fatalf("loaded Len = %d, want 30", loaded.Len())
-	}
-	// Deleted objects never surface in results.
-	got, _, err := loaded.Search(fx.queries[0], 30, loaded.Features(), fx.store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 30 {
-		t.Fatalf("got %d results, want 30 live objects", len(got))
-	}
-	for _, r := range got {
-		if r.ID < 10 {
-			t.Errorf("deleted id %d resurfaced", r.ID)
-		}
-	}
-	// Loaded trees are static.
-	if _, err := loaded.Delete(15); err != ErrStatic {
-		t.Errorf("Delete on loaded tree: %v", err)
-	}
+	return 1 + named(nd.left) + named(nd.right)
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
@@ -123,6 +123,69 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(junk); err == nil {
 		t.Error("expected error for trailing junk")
 	}
+	// What no Save writes: the reserved byte set, and a header
+	// count other than the objects the node section names.
+	nAt, zeroAt := layout(t, data)
+	for name, mutate := range map[string]func(b []byte){
+		"tombstone byte 1": func(b []byte) { b[zeroAt] = 1 },
+		"n one low":        func(b []byte) { binary.LittleEndian.PutUint32(b[nAt:], uint32(fx.tree.Len()-1)) },
+		"n one high":       func(b []byte) { binary.LittleEndian.PutUint32(b[nAt:], uint32(fx.tree.Len()+1)) },
+	} {
+		mut := bytes.Clone(data)
+		mutate(mut)
+		path := filepath.Join(dir, "mutant.bin")
+		if err := os.WriteFile(path, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err != ErrCorrupt {
+			t.Errorf("%s: Load err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// FuzzTreeLoad sets one byte of a saved 40-series tree and truncates it.
+// Load either refuses the result, or returns a tree whose Len is the number
+// of objects its node section names and whose searches do not panic; the
+// unchanged file loads.
+func FuzzTreeLoad(f *testing.F) {
+	fx := buildFixture(f, 40, 64, Options{Budget: 6, Seed: 3}, 61)
+	dir := f.TempDir()
+	good := filepath.Join(dir, "good.bin")
+	if err := fx.tree.Save(good); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(good)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The checked-in seeds (testdata/fuzz/FuzzTreeLoad) are the file as
+	// saved, its first reserved byte set to 1, and n one low.
+	f.Fuzz(func(t *testing.T, at uint32, val byte, keep uint32) {
+		mut := bytes.Clone(data)
+		if int(at) < len(mut) {
+			mut[at] = val
+		}
+		if int(keep) < len(mut) {
+			mut = mut[:keep]
+		}
+		path := filepath.Join(t.TempDir(), "tree.bin")
+		if err := os.WriteFile(path, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := Load(path)
+		if err != nil {
+			if bytes.Equal(mut, data) {
+				t.Fatalf("the saved file does not load: %v", err)
+			}
+			return
+		}
+		if got := named(tr.root); tr.Len() != got {
+			t.Fatalf("Len %d, but the node section names %d objects", tr.Len(), got)
+		}
+		for _, q := range fx.queries {
+			tr.Search(q, 5, tr.Features(), fx.store) // may fail; must not panic
+		}
+	})
 }
 
 func TestSaveLoadEnergyFractionTree(t *testing.T) {

@@ -52,8 +52,8 @@ type Options struct {
 	// provably sound SafeBounds. The default (false) uses SafeBounds so that
 	// search results are exact.
 	PaperBounds bool
-	// Dynamic retains the uncompressed spectra so Insert and Delete work
-	// after construction, trading the compact-index property for
+	// Dynamic retains the uncompressed spectra so Insert works after
+	// construction, trading the compact-index property for
 	// updatability (see dynamic.go).
 	Dynamic bool
 	// EnergyFraction, when in (0,1], switches to the paper's §8 extension:
@@ -127,13 +127,12 @@ func (m MemoryFeatures) NumFeatures() int { return len(m) }
 // node is one tree node: internal nodes carry a vantage point and a median;
 // leaves carry a bucket of entries.
 type node struct {
-	vpID      int // sequence ID of the vantage point
-	vpRef     int // feature reference of the vantage point
-	vpDeleted bool
-	median    float64
-	left      *node
-	right     *node
-	leaf      []entry // non-nil ⇒ leaf node
+	vpID   int // sequence ID of the vantage point
+	vpRef  int // feature reference of the vantage point
+	median float64
+	left   *node
+	right  *node
+	leaf   []entry // non-nil ⇒ leaf node
 }
 
 type entry struct {
@@ -151,9 +150,9 @@ type Tree struct {
 	// specByID retains the uncompressed spectra in Dynamic mode.
 	specByID map[int]*spectral.HalfSpectrum
 	// flat is the search representation of the node tree (see flat.go):
-	// derived from it by Build and Load, kept in step with it by Insert and
-	// Delete, and derived again — repacks counts how often — when those have
-	// left enough of it out of walk order.
+	// derived from it by Build and Load, kept in step with it by Insert, and
+	// derived again — repacks counts how often — when inserts have left
+	// enough of it out of walk order.
 	flat    *flatIndex
 	repacks int
 	// kernels accumulates traversal kernel work across searches.
