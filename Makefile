@@ -24,8 +24,11 @@ vet-lostcancel:
 
 # api-check enforces the one query surface: exported Engine/ShardedEngine
 # query methods take ctx first, handlers accept core.Searcher, /v2 JSON is
-# snake_case and cmd/s2 mounts exactly one search route; and it keeps
-# internal/ to packages a command imports. See scripts/api_check.sh.
+# snake_case and cmd/s2 mounts exactly one search route; it keeps internal/
+# to packages a command imports; and (rule 6, one request, one record) it
+# allows wide-event literals only in core's request envelope and admission's
+# shed path, and one place that starts the "http_request" trace root. See
+# scripts/api_check.sh.
 api-check:
 	sh scripts/api_check.sh
 

@@ -23,8 +23,9 @@
 // cross-shard merge (sql, common, -save, -db) need the unpartitioned
 // engine and say so. With -debug-addr a debug HTTP
 // server exposes /debug/vars, /debug/metrics (Prometheus text format),
-// /debug/traces, /debug/requests (request-scoped wide events),
-// /debug/healthz, /debug/explain, /debug/slow and /debug/pprof (see
+// /debug/traces, /debug/requests (one wide event per request),
+// /debug/healthz, /debug/explain (the explain reports of the kept traces,
+// e.g. after the REPL's explain), /debug/slow and /debug/pprof (see
 // docs/observability.md), plus the /v2/search JSON endpoint serving every
 // search family concurrently under the engine's read lock (see
 // docs/api.md), behind admission control (-max-inflight,
@@ -82,7 +83,7 @@ func run() error {
 	load := flag.String("load", "", "load a dataset (.csv, or a genlog binary) instead of generating one")
 	db := flag.String("db", "", "open a saved engine directory (see -save) instead of building")
 	save := flag.String("save", "", "after building, save the engine state to this directory")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/{vars,metrics,traces,explain,slow,pprof} on this address (e.g. localhost:6060)")
+	debugAddr := flag.String("debug-addr", "", "serve /v2/search and /debug/{vars,metrics,traces,requests,healthz,explain,slow,pprof} on this address (e.g. localhost:6060); /debug/explain reads the kept traces")
 	slowQuery := flag.Duration("slow-query", 0, "log and retain queries slower than this (e.g. 50ms; 0 disables)")
 	maxInFlight := flag.Int("max-inflight", 64, "search requests served concurrently before queueing")
 	maxQueue := flag.Int("max-queue", 0, "search requests allowed to queue for a slot (default 2x -max-inflight)")
@@ -633,7 +634,8 @@ func dispatch(e core.Searcher, line string) error {
 // runExplain handles `explain similar|qbb <query> [k]`: it runs the search
 // through Query with Request.Explain set and renders the report (per-level
 // traversal, per-bound prune attribution, phase wall times; one per shard
-// under -shards). The report is also retained at /debug/explain/last.
+// under -shards). The report rides on the request's trace, which the tail
+// sampler always keeps, so /debug/explain/last serves it.
 func runExplain(e core.Searcher, args []string, w io.Writer) error {
 	if len(args) < 2 {
 		return fmt.Errorf("usage: explain similar|qbb <query> [k]")

@@ -71,33 +71,18 @@ func shedCause(err error) string {
 // in responses and traces.
 //
 // When SetTracer installed a tracer, Middleware is also the trace root: it
-// extracts the inbound W3C `traceparent`/`tracestate` headers (minting a
-// fresh trace when absent or malformed), opens an "http_request" root span
-// with an "admission" child covering the Acquire, echoes `traceparent`
-// back on the response, and finishes the trace when the handler returns.
-// Shed requests finish their trace too — with a Shed outcome, so the tail
-// sampler always keeps them and 429/503s stay traceable. A nil controller
-// passes everything through untouched.
+// opens the "http_request" root through obs.StartHTTPRequest (inbound W3C
+// `traceparent`/`tracestate` adopted or a fresh trace minted, `traceparent`
+// echoed back) with an "admission" child covering the Acquire, and finishes
+// the trace when the handler returns. Shed requests finish their trace too —
+// with a Shed outcome, so the tail sampler always keeps them and 429/503s
+// stay traceable. A nil controller passes everything through untouched.
 func Middleware(c *Controller, next http.Handler) http.Handler {
 	if c == nil {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, rid := obs.EnsureRequestID(r.Context())
-		w.Header().Set("X-Request-Id", rid)
-		ctx = obs.ContextWithTraceparent(ctx, r.Header.Get("traceparent"), r.Header.Get("tracestate"))
-		var tr *obs.Trace
-		if t := c.Tracer(); t != nil {
-			tr, ctx = t.StartTraceCtx(ctx, "http_request")
-			tr.Annotate("request_id", rid)
-			tr.Annotate("http_method", r.Method)
-			tr.Annotate("http_path", r.URL.Path)
-			sc := tr.SpanContext()
-			w.Header().Set("traceparent", sc.Traceparent())
-			if sc.State != "" {
-				w.Header().Set("tracestate", sc.State)
-			}
-		}
+		ctx, rid, tr, owned := obs.StartHTTPRequest(c.Tracer(), w, r)
 		r = r.WithContext(ctx)
 		start := time.Now()
 		adm := tr.Span("admission")
@@ -113,7 +98,9 @@ func Middleware(c *Controller, next http.Handler) http.Handler {
 			adm.Finish()
 			tr.Annotate("queue_wait_ms", strconv.FormatFloat(waitMS, 'f', -1, 64))
 			tr.SetOutcome(obs.Outcome{Shed: true, Error: err.Error(), HTTPStatus: code})
-			tr.Finish()
+			if owned {
+				tr.Finish()
+			}
 			c.RequestLog().Record(obs.WideEvent{
 				RequestID:   rid,
 				TraceID:     tr.TraceID().String(),
@@ -134,7 +121,9 @@ func Middleware(c *Controller, next http.Handler) http.Handler {
 		}
 		adm.Finish()
 		defer release()
-		defer tr.Finish()
+		if owned {
+			defer tr.Finish()
+		}
 		if wait > 0 {
 			tr.Annotate("queue_wait_ms", strconv.FormatFloat(waitMS, 'f', -1, 64))
 			r = r.WithContext(WithQueueWait(r.Context(), wait))

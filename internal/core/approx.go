@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/lifecycle"
 )
@@ -68,22 +67,14 @@ func (a Approx) limits(l lifecycle.Limits) lifecycle.Limits {
 	return l
 }
 
-// GateLimits resolves the request's budget AND approximation spec into the
-// lifecycle limits its gate enforces, anchored at now. A scatter-gather
-// layer uses it to build the one parent gate whose Split children the
-// shards run under (see Engine.QueryGated and internal/shard).
-func (r Request) GateLimits(now time.Time) lifecycle.Limits {
-	return r.Approx.limits(r.Budget.limits(now))
-}
-
-// StampApprox finalizes a response's approximation report from the gate
+// stampApprox finalizes a response's approximation report from the gate
 // that ran it: when any approximation decision was taken it sets
 // Approximate, echoes the ε in force, publishes the gate's proven
 // BoundFloor and computes every neighbour's BoundGap from it. Exact runs
 // (no decision taken) leave the response untouched — all fields stay zero.
-// Exported for scatter-gather layers, which re-stamp the merged response
-// from the absorbed parent gate (internal/shard).
-func StampApprox(resp *Response, epsilon float64, g *lifecycle.Gate) {
+// The Envelope stamps a whole request (a scatter's merged response from the
+// absorbed parent gate), QueryGated a shard's part of one.
+func stampApprox(resp *Response, epsilon float64, g *lifecycle.Gate) {
 	if resp == nil || !g.Approximate() {
 		return
 	}

@@ -189,10 +189,9 @@ type Engine struct {
 	burstsS  *burstdb.DB // short-window burst features
 	burstsL  *burstdb.DB // long-window burst features
 	hub      *obs.Hub
-	tracer   *obs.Tracer
 	met      engineMetrics
-	// reqlog receives one wide event per Engine.Query (nil without a hub).
-	reqlog *obs.RequestLog
+	// env is the request lifecycle every Query runs in.
+	env *Envelope
 	// buildTimes is where NewEngine's wall time went (see BuildTimes).
 	buildTimes struct{ derive, index time.Duration }
 	// failNextInsert is what the next Add's index insert returns instead of
@@ -229,16 +228,15 @@ var _ Searcher = (*Engine)(nil)
 
 // Tracer exposes the engine's tracer (nil without an obs hub; the nil
 // tracer is a valid no-op).
-func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
+func (e *Engine) Tracer() *obs.Tracer { return e.hub.Tracer() }
 
 // wireObs installs the observability hub: registry instruments, per-query
 // tracing, store read/write accounting and burst-database counters. Safe
 // with hub == nil (everything becomes a no-op).
 func (e *Engine) wireObs(hub *obs.Hub) {
 	e.hub = hub
-	e.tracer = hub.Tracer()
 	e.met = newEngineMetrics(hub.Registry())
-	e.reqlog = hub.RequestLog()
+	e.env = NewEnvelope(hub, e, false)
 	if hub.Registry() != nil {
 		e.store = seqstore.Instrument(e.store, hub.Registry())
 	}
@@ -974,7 +972,7 @@ func filterBursts(det *burst.Detection, minPeak float64) []burst.Burst {
 // mu. The gate bounds interval probes and BSim rankings; on budget
 // exhaustion the best-so-far matches are returned with truncated=true. The
 // burst-probe phase is recorded as a child of the request's family span (see
-// Engine.joinTrace). With explain set the same gated query also fills the
+// Envelope). With explain set the same gated query also fills the
 // per-burst overlap-scan report.
 func (e *Engine) queryBursts(ctx context.Context, q []burst.Burst, k int, exclude int64, w BurstWindow, g *lifecycle.Gate, explain bool) ([]BurstMatch, *BurstExplain, bool, error) {
 	defer e.met.qbbLat.StartCtx(ctx)()
@@ -1002,7 +1000,6 @@ func (e *Engine) queryBursts(ctx context.Context, q []burst.Burst, k int, exclud
 	sp.Annotate("plan", st.Plan.String())
 	sp.Annotate("rows_scanned", strconv.Itoa(st.RowsScanned))
 	sp.Annotate("rows_matched", strconv.Itoa(st.RowsMatched))
-	annotateOutcome(fam, truncated)
 	e.met.qbbResults.Add(int64(len(matches)))
 	out := make([]BurstMatch, len(matches))
 	for i, m := range matches {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/burstdb"
-	"repro/internal/obs"
 	"repro/internal/vptree"
 )
 
@@ -91,8 +90,8 @@ func msSince(t time.Time) float64 {
 
 // Finish stamps the request-level header of a report from the response it
 // explains — creating the report when the kind's handler had no index or
-// burst detail to add — and returns it. Engine.query and the sharded
-// scatter layer both end an explained request here.
+// burst detail to add — and returns it. The Envelope ends an explained
+// request here, and QueryGated a shard's part of one.
 func (r *ExplainReport) Finish(op string, k int, resp *Response, start time.Time) *ExplainReport {
 	if r == nil {
 		r = &ExplainReport{}
@@ -103,13 +102,6 @@ func (r *ExplainReport) Finish(op string, k int, resp *Response, start time.Time
 	r.EpsilonUsed, r.BoundFloor = resp.EpsilonUsed, resp.BoundFloor
 	r.TotalMS = msSince(start)
 	return r
-}
-
-// RecordExplain attaches the report to the query's trace (so a slow query
-// retains it) and commits it to the hub's explain ring.
-func RecordExplain(hub *obs.Hub, tr *obs.Trace, rep *ExplainReport) {
-	tr.Attach(rep)
-	hub.ExplainStore().Record(rep)
 }
 
 // Render writes the report as the human-readable text the `explain` REPL

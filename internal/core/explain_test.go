@@ -29,7 +29,7 @@ func explained(t *testing.T, e Searcher, req Request) *Response {
 
 // TestExplainSimilar checks that an explained query returns the same answer
 // as the plain one, that the prune attribution balances, and that the report
-// lands in the hub's explain ring.
+// rides on the request's kept trace.
 func TestExplainSimilar(t *testing.T) {
 	hub := obs.NewHub()
 	e, g := buildEngine(t, 60, Config{Budget: 12, Obs: hub}, 7)
@@ -70,13 +70,13 @@ func TestExplainSimilar(t *testing.T) {
 		t.Error("no phases recorded")
 	}
 
-	// The report must be retrievable from the hub.
-	entry, ok := hub.ExplainStore().Last()
-	if !ok {
-		t.Fatal("explain ring is empty")
+	// The report must be retrievable from the hub's kept traces.
+	entries := hub.Tracer().Explains()
+	if len(entries) == 0 {
+		t.Fatal("no kept trace carries an explain report")
 	}
-	if got, ok := entry.Report.(*ExplainReport); !ok || got != rep {
-		t.Errorf("ring holds %T %v, want the returned report", entry.Report, entry.Report)
+	if got, ok := entries[0].Report.(*ExplainReport); !ok || got != rep {
+		t.Errorf("last explained trace holds %T %v, want the returned report", entries[0].Report, entries[0].Report)
 	}
 
 	// Rendering must show the balanced attribution line.

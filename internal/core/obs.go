@@ -48,9 +48,7 @@ type engineMetrics struct {
 	dtwFull      *obs.Counter
 	dtwAbandoned *obs.Counter
 
-	queryAborted   *obs.Counter
-	queryTruncated *obs.Counter
-	queryPrepares  *obs.Counter
+	queryPrepares *obs.Counter
 
 	writeLockWait *obs.Timer
 	writeLockHold *obs.Timer
@@ -99,9 +97,7 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 		dtwFull:      reg.Counter("dtw_full_total", "exact banded DTW computations started (candidates the bound cascade did not prune)"),
 		dtwAbandoned: reg.Counter("dtw_abandoned_total", "exact DTW computations cut short by early abandoning"),
 
-		queryAborted:   reg.Counter("engine_query_aborted_total", "queries aborted by context cancellation or deadline expiry"),
-		queryTruncated: reg.Counter("engine_query_truncated_total", "queries returning budget-truncated partial results"),
-		queryPrepares:  QueryPreparesCounter(reg),
+		queryPrepares: QueryPreparesCounter(reg),
 
 		writeLockWait: reg.Timer("engine_write_lock_wait_seconds", "time spent acquiring the engine write lock (Add)"),
 		writeLockHold: reg.Timer("engine_write_lock_hold_seconds", "time Add holds the engine write lock: store append, index insert, burst rows"),

@@ -116,11 +116,6 @@ type Budget struct {
 	MaxExactDistances int
 }
 
-// zero reports whether the budget imposes no limit.
-func (b Budget) zero() bool {
-	return b.Deadline == 0 && b.MaxNodeVisits <= 0 && b.MaxExactDistances <= 0
-}
-
 // limits resolves the budget against the request's entry instant.
 func (b Budget) limits(now time.Time) lifecycle.Limits {
 	l := lifecycle.Limits{MaxNodes: b.MaxNodeVisits, MaxExact: b.MaxExactDistances}
@@ -129,11 +124,6 @@ func (b Budget) limits(now time.Time) lifecycle.Limits {
 	}
 	return l
 }
-
-// Limits resolves the budget into lifecycle.Limits anchored at now. A
-// scatter-gather layer uses it to build the one parent gate whose Split
-// children the shards run under (see Engine.QueryGated).
-func (b Budget) Limits(now time.Time) lifecycle.Limits { return b.limits(now) }
 
 // Request is one query against the engine. Kind selects the search family
 // and which of the other fields apply:
@@ -236,7 +226,8 @@ type Response struct {
 	// it; see docs/approx.md for the bound algebra.
 	BoundFloor float64
 	// Explain is the report Request.Explain asked for (nil otherwise). It is
-	// also attached to the query's trace and kept in the hub's explain ring.
+	// also attached to the query's trace, which the tail sampler then keeps
+	// (served at /debug/explain).
 	Explain *ExplainReport
 }
 
@@ -252,32 +243,90 @@ var errBadK = errors.New("core: k must be >= 1")
 //   - Request.Budget expiry degrades gracefully: the best-so-far answer is
 //     returned with Response.Truncated set.
 //
-// Every call runs under a request ID: one already on ctx (see
-// obs.WithRequestID) is reused, otherwise Query mints one. The ID is
-// annotated on the query's trace, echoed by /v2/search, and one structured
-// wide event per request is recorded in the hub's RequestLog, resolvable at
-// /debug/requests?id=<id>. See docs/api.md.
+// Every call runs under a request ID, reused from ctx (obs.WithRequestID)
+// or minted, which the query's trace, its one wide event (the hub's
+// RequestLog, /debug/requests?id=<id>) and /v2/search's answer all carry.
+// See Envelope and docs/api.md.
 func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
-	return e.query(ctx, req, nil, false)
+	return e.env.Run(ctx, req, e.search)
 }
 
-// QueryGated is Query under a caller-owned lifecycle gate: the request's
-// own Budget field is ignored and every unit of work is accounted against
-// g instead. A scatter-gather layer builds one gate for the whole request,
-// Splits it, runs each shard's sub-query through QueryGated with a child
-// gate, and Absorbs the children back — so the aggregate work stays within
-// one budget while each shard keeps the engine's full per-query lifecycle
-// (tracing, wide events, metrics). A nil gate means unlimited.
+// search is the single engine's QueryBody: the request's family, no scatter.
+func (e *Engine) search(ctx context.Context, g *lifecycle.Gate, req Request) (*Response, []int64, error) {
+	resp, err := e.dispatch(ctx, g, req)
+	return resp, nil, err
+}
+
+// QueryGated runs one shard's part of a request whose Envelope the caller
+// runs: Budget and Approx are ignored and all work is accounted against g, a
+// Split child of the request's gate (nil = unlimited), which the caller
+// Absorbs back. It opens the family span under the caller's span on ctx,
+// counts the family metrics and, with Request.Explain, returns the shard's
+// own report; the wide event, outcome and abort/truncation counts are the
+// caller's one request's.
 func (e *Engine) QueryGated(ctx context.Context, req Request, g *lifecycle.Gate) (*Response, error) {
-	req.Budget = Budget{}
-	req.Approx = Approx{}
-	return e.query(ctx, req, g, true)
+	req.K = min(req.K, e.Len())
+	if g == nil {
+		g = lifecycle.NewGate(ctx, lifecycle.Limits{})
+	}
+	start := time.Now()
+	sp := obs.SpanFromContext(ctx).Child(traceName(req.Kind))
+	defer sp.Finish()
+	sp.Annotate("k", strconv.Itoa(req.K))
+	resp, err := e.dispatch(obs.ContextWithSpan(ctx, sp), g, req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.Truncated {
+		sp.Annotate("truncated", "true")
+	}
+	stampApprox(resp, g.Epsilon(), g)
+	if req.Explain {
+		resp.Explain = resp.Explain.Finish(traceName(req.Kind), req.K, resp, start)
+	}
+	return resp, nil
 }
 
-// query runs one request under ext, or a gate of its own when ext is nil.
-// gated marks a QueryGated sub-query, which leaves recording its explain
-// report to the caller that merges it.
-func (e *Engine) query(ctx context.Context, req Request, ext *lifecycle.Gate, gated bool) (*Response, error) {
+// QueryBody is the engine-specific part of one request that an Envelope
+// runs: the search itself, under the request's gate and with the family
+// span on ctx. A scatter-gather body also returns how many results each
+// live shard gave (the wide event's worker_spread); a single engine, nil.
+type QueryBody func(ctx context.Context, g *lifecycle.Gate, req Request) (resp *Response, spread []int64, err error)
+
+// Envelope is the one request lifecycle every Query runs in, on a single
+// engine and on a sharded one alike: validation and the k clamp, the
+// request ID, the trace (joined or started) and its lifecycle annotations,
+// the request's one wide event, its outcome and the abort and truncation
+// counters, the approximation stamp, and the explain header and attach.
+// What differs between engines is only the QueryBody.
+type Envelope struct {
+	served    Searcher
+	sharded   bool // names the request "sharded_<kind>"
+	tracer    *obs.Tracer
+	reqlog    *obs.RequestLog
+	aborted   *obs.Counter
+	truncated *obs.Counter
+}
+
+// NewEnvelope builds the lifecycle of the engine served, recording into hub
+// (nil disables every record). sharded names the requests of a
+// scatter-gather engine "sharded_<kind>" in the trace, the wide event and
+// the explain report.
+func NewEnvelope(hub *obs.Hub, served Searcher, sharded bool) *Envelope {
+	reg := hub.Registry()
+	return &Envelope{
+		served:    served,
+		sharded:   sharded,
+		tracer:    hub.Tracer(),
+		reqlog:    hub.RequestLog(),
+		aborted:   reg.Counter("engine_query_aborted_total", "queries aborted by context cancellation or deadline expiry"),
+		truncated: reg.Counter("engine_query_truncated_total", "queries returning budget-truncated partial results"),
+	}
+}
+
+// Run runs one request through body inside the lifecycle (see Engine.Query
+// for the contract).
+func (v *Envelope) Run(ctx context.Context, req Request, body QueryBody) (*Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -296,65 +345,65 @@ func (e *Engine) query(ctx context.Context, req Request, ext *lifecycle.Gate, ga
 	// A corpus never has more than Len() neighbours, so a larger k changes
 	// no answer — but every family sizes buffers by k, and an absurd one
 	// from the wire must not be able to exhaust memory.
-	req.K = min(req.K, e.Len())
+	req.K = min(req.K, v.served.Len())
 	ctx, rid := obs.EnsureRequestID(ctx)
 	start := time.Now()
-	// Start or join the request's trace: when the HTTP layer (admission
-	// middleware or /v2/search) already owns an "http_request" root on ctx,
-	// the family span becomes its child; otherwise the engine starts its
-	// own trace whose root IS the family span (REPL, tests, embedding).
-	tr, sp, ctx, finishTrace := e.joinTrace(ctx, traceName(req.Kind))
+	op, name := req.Kind.String(), traceName(req.Kind)
+	if v.sharded {
+		op = "sharded_" + op
+		name = op
+	}
+	tr, sp, ctx, finishTrace := v.joinTrace(ctx, name)
 	defer finishTrace()
 	sp.Annotate("k", strconv.Itoa(req.K))
 	if req.Explain {
 		sp.Annotate("explain", "true")
 	}
-	annotateLifecycle(ctx, sp, req)
+	annotateLifecycle(sp, rid, req)
 	ev := obs.WideEvent{
 		RequestID:   rid,
 		TraceID:     tr.TraceID().String(),
 		Time:        start,
-		Op:          req.Kind.String(),
+		Op:          op,
 		K:           req.K,
 		DeadlineMS:  req.Budget.Deadline.Milliseconds(),
 		MaxNodes:    req.Budget.MaxNodeVisits,
 		MaxExact:    req.Budget.MaxExactDistances,
 		QueueWaitMS: float64(req.QueueWait) / float64(time.Millisecond),
 	}
+	var resp *Response
+	g := lifecycle.NewGate(ctx, req.Approx.limits(req.Budget.limits(start)))
 	// An already-dead context does zero index work: O(1) return from every
 	// search family.
-	if err := ctx.Err(); err != nil {
-		e.met.queryAborted.Inc()
-		ev.Abort = abortCause(err)
-		ev.Error = err.Error()
-		tr.SetOutcome(obs.Outcome{Error: err.Error(), Aborted: true})
-		e.reqlog.Record(ev)
-		return nil, err
+	err := ctx.Err()
+	if err == nil {
+		resp, ev.WorkerSpread, err = body(ctx, g, req)
+		ev.Workers = len(ev.WorkerSpread)
 	}
-	g := ext
-	if g == nil {
-		g = lifecycle.NewGate(ctx, req.GateLimits(start))
-	}
-	resp, err := e.dispatch(ctx, g, req)
-	ev.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
+	ev.DurationMS = msSince(start)
 	if err != nil {
-		aborted := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+		ev.Abort, ev.Error = abortCause(err), err.Error()
+		aborted := ev.Abort != "error"
 		if aborted {
-			e.met.queryAborted.Inc()
+			v.aborted.Inc()
 		}
-		ev.Abort = abortCause(err)
-		ev.Error = err.Error()
-		tr.SetOutcome(obs.Outcome{Error: err.Error(), Aborted: aborted})
-		e.reqlog.Record(ev)
+		tr.SetOutcome(obs.Outcome{Error: ev.Error, Aborted: aborted})
+		v.reqlog.Record(ev)
 		return nil, err
 	}
 	if resp.Truncated {
-		e.met.queryTruncated.Inc()
+		// Budget degradation is worth seeing in /debug/slow even when the
+		// query itself was fast.
+		sp.Annotate("truncated", "true")
+		v.truncated.Inc()
 		ev.Truncated = true
 		ev.Abort = "budget"
 		tr.SetOutcome(obs.Outcome{Truncated: true})
 	}
-	StampApprox(resp, g.Epsilon(), g)
+	// A scatter's children folded their ε/δ/ng decisions (and proven bound
+	// floors) into g by Absorb, so every merged neighbour's BoundGap is
+	// computed against the request-wide floor.
+	stampApprox(resp, g.Epsilon(), g)
 	if resp.Approximate {
 		sp.Annotate("approximate", "true")
 		sp.Annotate("epsilon_used", strconv.FormatFloat(resp.EpsilonUsed, 'g', -1, 64))
@@ -366,15 +415,13 @@ func (e *Engine) query(ctx context.Context, req Request, ext *lifecycle.Gate, ga
 	ev.LBPrunes = resp.Stats.LBPrunes
 	ev.UBPrunes = resp.Stats.UBPrunes
 	ev.Results = len(resp.Neighbors) + len(resp.Matches)
-	e.reqlog.Record(ev)
+	v.reqlog.Record(ev)
 	if req.Explain {
-		resp.Explain = resp.Explain.Finish(traceName(req.Kind), req.K, resp, start)
+		resp.Explain = resp.Explain.Finish(name, req.K, resp, start)
 		if req.Values == nil && req.Prepared == nil && req.QueryBursts == nil {
-			resp.Explain.Query = e.Name(req.ID)
+			resp.Explain.Query = v.served.Name(req.ID)
 		}
-		if !gated {
-			RecordExplain(e.hub, tr, resp.Explain)
-		}
+		tr.Attach(resp.Explain)
 	}
 	return resp, nil
 }
@@ -403,33 +450,27 @@ func traceName(k Kind) string {
 
 // joinTrace starts or joins the trace one request runs under and returns
 // the trace, the family span, a context carrying both, and the finish
-// function the caller must defer:
-//
-//   - ctx already carries a live trace (the HTTP layer owns the root):
-//     the family span is opened as a child of that root and finish closes
-//     only the span — the owner finishes (and tail-samples) the trace.
-//   - otherwise the engine starts its own trace whose root is the family
-//     span, adopting any remote W3C context on ctx, and finish commits it.
-//
+// function the caller must defer. When ctx carries a live trace (the HTTP
+// layer owns the root) the family span is a child of its root and finish
+// closes only the span; otherwise the family span is the root of a new
+// trace, adopting any remote W3C context on ctx, and finish commits it.
 // With tracing disabled everything returned is nil/no-op.
-func (e *Engine) joinTrace(ctx context.Context, name string) (*obs.Trace, *obs.Span, context.Context, func()) {
+func (v *Envelope) joinTrace(ctx context.Context, name string) (*obs.Trace, *obs.Span, context.Context, func()) {
 	if tr := obs.TraceFromContext(ctx); tr != nil {
 		sp := tr.Root().Child(name)
 		return tr, sp, obs.ContextWithSpan(ctx, sp), sp.Finish
 	}
-	tr, ctx := e.tracer.StartTraceCtx(ctx, name)
+	tr, ctx := v.tracer.StartTraceCtx(ctx, name)
 	sp := tr.Root()
 	return tr, sp, obs.ContextWithSpan(ctx, sp), tr.Finish
 }
 
 // abortCause classifies why a request failed for the wide event's abort
 // field: "canceled" and "deadline" for the context outcomes, "error" for
-// everything else ("" on nil). Budget truncation is not an abort — it is
-// flagged via WideEvent.Truncated with cause "budget".
+// everything else. Budget truncation is not an abort — it is flagged via
+// WideEvent.Truncated with cause "budget".
 func abortCause(err error) string {
 	switch {
-	case err == nil:
-		return ""
 	case errors.Is(err, context.Canceled):
 		return "canceled"
 	case errors.Is(err, context.DeadlineExceeded):
@@ -461,13 +502,11 @@ func (e *Engine) dispatch(ctx context.Context, g *lifecycle.Gate, req Request) (
 // annotateLifecycle attaches the request ID plus budget and admission
 // metadata to the family span so the slow-query log shows why a query was
 // truncated or where it waited, and can be joined with /debug/requests.
-func annotateLifecycle(ctx context.Context, sp *obs.Span, req Request) {
+func annotateLifecycle(sp *obs.Span, rid string, req Request) {
 	if sp == nil {
 		return
 	}
-	if rid := obs.RequestIDFrom(ctx); rid != "" {
-		sp.Annotate("request_id", rid)
-	}
+	sp.Annotate("request_id", rid)
 	if req.Budget.Deadline != 0 {
 		sp.Annotate("deadline_ms", strconv.FormatInt(req.Budget.Deadline.Milliseconds(), 10))
 	}
@@ -490,15 +529,6 @@ func annotateLifecycle(ctx context.Context, sp *obs.Span, req Request) {
 		sp.Annotate("queue_wait_ms", strconv.FormatFloat(
 			float64(req.QueueWait)/float64(time.Millisecond), 'f', 3, 64))
 	}
-}
-
-// annotateOutcome marks a span truncated (budget degradation is worth
-// seeing in /debug/slow even when the query itself was fast).
-func annotateOutcome(sp *obs.Span, truncated bool) {
-	if sp == nil || !truncated {
-		return
-	}
-	sp.Annotate("truncated", "true")
 }
 
 // prepare builds the spectrum and bound context of the standardized query
@@ -571,7 +601,6 @@ func (e *Engine) querySimilar(ctx context.Context, g *lifecycle.Gate, req Reques
 		return nil, err
 	}
 	e.met.similarResults.Add(int64(len(res)))
-	annotateOutcome(fam, truncated)
 	resp := &Response{
 		Kind: req.Kind, Neighbors: e.toNeighborsLocked(res),
 		Stats: st, Truncated: truncated,
@@ -622,7 +651,6 @@ func (e *Engine) querySimilarID(ctx context.Context, g *lifecycle.Gate, req Requ
 		}
 	}
 	e.met.similarResults.Add(int64(len(out)))
-	annotateOutcome(fam, truncated)
 	resp := &Response{
 		Kind: req.Kind, Neighbors: e.toNeighborsLocked(out),
 		Stats: st, Truncated: truncated,
@@ -650,7 +678,6 @@ func (e *Engine) queryLinear(ctx context.Context, g *lifecycle.Gate, req Request
 		return nil, err
 	}
 	truncated := g.Truncated()
-	annotateOutcome(fam, truncated)
 	return &Response{Kind: req.Kind, Neighbors: best, Truncated: truncated}, nil
 }
 
@@ -727,7 +754,6 @@ func (e *Engine) queryDTW(ctx context.Context, g *lifecycle.Gate, req Request) (
 		}
 		out[i] = Neighbor{ID: id, Name: e.nameLocked(id), Dist: r.Dist}
 	}
-	annotateOutcome(fam, truncated)
 	return &Response{Kind: req.Kind, Neighbors: out, Truncated: truncated}, nil
 }
 
@@ -803,7 +829,6 @@ func (e *Engine) querySimilarPeriods(ctx context.Context, g *lifecycle.Gate, req
 		best = insertNeighbor(best, Neighbor{ID: other, Name: e.nameLocked(other), Dist: d}, req.K)
 	}
 	truncated := g.Truncated()
-	annotateOutcome(fam, truncated)
 	return &Response{Kind: req.Kind, Neighbors: best, Truncated: truncated}, nil
 }
 

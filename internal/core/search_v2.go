@@ -344,8 +344,8 @@ const maxV2Body = 1 << 20
 //
 // Trace contract: when the middleware already owns an "http_request" trace
 // on the context, the handler (and engine) join it; when mounted bare, the
-// handler extracts/mints W3C trace context itself, echoes `traceparent`
-// back, and finishes the trace. Either way every terminal path — 400, 404,
+// handler opens that root itself through the same obs.StartHTTPRequest and
+// finishes it. Either way every terminal path — 400, 404,
 // 413, 500, 503, success — stamps the trace's outcome, so error responses
 // are tail-kept and traceable, and the response body carries trace_id and
 // request_id. See docs/api.md.
@@ -362,23 +362,9 @@ func V2SearchHandler(e Searcher) http.Handler {
 		panics = h.Hub().Registry().Counter("engine_query_panics_total", "panics recovered while serving /v2/search")
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, rid := obs.EnsureRequestID(r.Context())
-		w.Header().Set("X-Request-Id", rid)
-		tr := obs.TraceFromContext(ctx)
-		if tr == nil {
-			tctx := obs.ContextWithTraceparent(ctx, r.Header.Get("traceparent"), r.Header.Get("tracestate"))
-			if owned, octx := e.Tracer().StartTraceCtx(tctx, "http_request"); owned != nil {
-				owned.Annotate("request_id", rid)
-				owned.Annotate("http_method", r.Method)
-				owned.Annotate("http_path", r.URL.Path)
-				sc := owned.SpanContext()
-				w.Header().Set("traceparent", sc.Traceparent())
-				if sc.State != "" {
-					w.Header().Set("tracestate", sc.State)
-				}
-				defer owned.Finish()
-				tr, ctx = owned, octx
-			}
+		ctx, rid, tr, owned := obs.StartHTTPRequest(e.Tracer(), w, r)
+		if owned {
+			defer tr.Finish()
 		}
 		fail := func(ve *V2Error) {
 			tr.SetOutcome(obs.Outcome{Error: ve.Message, HTTPStatus: ve.Status})
@@ -537,16 +523,7 @@ func (s *v2server) serveSingle(ctx context.Context, fail func(*V2Error)) {
 	out, err := s.e.Query(ctx, s.req)
 	if err != nil {
 		ve := queryError(err)
-		if ve.Code == "aborted" {
-			s.tr.SetOutcome(obs.Outcome{Error: err.Error(), Aborted: true, HTTPStatus: ve.Status})
-			s.w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			s.w.WriteHeader(ve.Status)
-			json.NewEncoder(s.w).Encode(v2ErrorEnvelope{ //nolint:errcheck
-				SchemaVersion: V2SchemaVersion, RequestID: s.rid,
-				TraceID: s.tr.TraceID().String(), Error: ve,
-			})
-			return
-		}
+		s.tr.SetOutcome(obs.Outcome{Aborted: ve.Code == "aborted"})
 		fail(ve)
 		return
 	}
@@ -726,14 +703,12 @@ func (s *v2server) serveProgressive(ctx context.Context, fail func(*V2Error)) {
 		out, err := s.e.Query(ctx, rreq)
 		if err != nil {
 			ve := queryError(err)
+			s.tr.SetOutcome(obs.Outcome{Error: ve.Message, HTTPStatus: ve.Status})
 			if s.seq == 0 && !sse {
 				// Nothing streamed yet: a plain structured error is still
 				// possible on the NDJSON path (headers carry the stream
 				// content type, the body a single error frame).
-				s.tr.SetOutcome(obs.Outcome{Error: ve.Message, HTTPStatus: ve.Status})
 				s.w.WriteHeader(ve.Status)
-			} else {
-				s.tr.SetOutcome(obs.Outcome{Error: ve.Message, HTTPStatus: ve.Status})
 			}
 			s.emit(&V2Snapshot{Final: true, Error: ve, Results: merge.top()})
 			return

@@ -47,8 +47,8 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 //	/debug/requests      recent request-scoped wide events (?id=/?trace=
 //	                     resolve a request or trace ID)
 //	/debug/healthz       readiness: 200 when every registered probe passes
-//	/debug/explain       recent query explain reports (most recent first)
-//	/debug/explain/last  the most recent explain report
+//	/debug/explain       explain reports on the kept traces (most recent first)
+//	/debug/explain/last  the most recent of them
 //	/debug/slow          retained slow queries (span tree + explain report)
 //	/debug/pprof/*       the standard runtime profiles
 //
@@ -81,11 +81,7 @@ func Handler(h *Hub, extra ...Route) http.Handler {
 		// ?id= / ?trace= resolve one retained trace by W3C trace ID or
 		// request ID — the same keys /debug/requests accepts, so either
 		// surface reaches the same request.
-		key := r.URL.Query().Get("id")
-		if key == "" {
-			key = r.URL.Query().Get("trace")
-		}
-		if key != "" {
+		if key := lookupKey(r); key != "" {
 			rec, ok := h.Tracer().Find(key)
 			if !ok {
 				writeJSONStatus(w, http.StatusNotFound,
@@ -102,25 +98,12 @@ func Handler(h *Hub, extra ...Route) http.Handler {
 			})
 			return
 		}
-		traces := h.Tracer().Snapshot()
-		if nStr := r.URL.Query().Get("n"); nStr != "" {
-			if n, err := strconv.Atoi(nStr); err == nil && n >= 0 && n < len(traces) {
-				traces = traces[:n]
-			}
-		}
-		if traces == nil {
-			traces = []TraceRecord{}
-		}
-		writeJSON(w, traces)
+		writeJSON(w, firstN(r, h.Tracer().Snapshot()))
 	})
 	mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {
 		// ?id= (request ID or trace ID) and ?trace= are equivalent — the
 		// wide-event ring indexes both keys.
-		key := r.URL.Query().Get("id")
-		if key == "" {
-			key = r.URL.Query().Get("trace")
-		}
-		if key != "" {
+		if key := lookupKey(r); key != "" {
 			ev, ok := h.RequestLog().FindByKey(key)
 			if !ok {
 				writeJSONStatus(w, http.StatusNotFound,
@@ -130,16 +113,7 @@ func Handler(h *Hub, extra ...Route) http.Handler {
 			writeJSON(w, ev)
 			return
 		}
-		events := h.RequestLog().Snapshot()
-		if nStr := r.URL.Query().Get("n"); nStr != "" {
-			if n, err := strconv.Atoi(nStr); err == nil && n >= 0 && n < len(events) {
-				events = events[:n]
-			}
-		}
-		if events == nil {
-			events = []WideEvent{}
-		}
-		writeJSON(w, events)
+		writeJSON(w, firstN(r, h.RequestLog().Snapshot()))
 	})
 	mux.HandleFunc("/debug/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		status := http.StatusOK
@@ -159,20 +133,20 @@ func Handler(h *Hub, extra ...Route) http.Handler {
 		writeJSONStatus(w, status, body)
 	})
 	mux.HandleFunc("/debug/explain", func(w http.ResponseWriter, _ *http.Request) {
-		entries := h.ExplainStore().Snapshot()
+		entries := h.Tracer().Explains()
 		if entries == nil {
 			entries = []ExplainEntry{}
 		}
 		writeJSON(w, entries)
 	})
 	mux.HandleFunc("/debug/explain/last", func(w http.ResponseWriter, _ *http.Request) {
-		entry, ok := h.ExplainStore().Last()
-		if !ok {
+		entries := h.Tracer().Explains()
+		if len(entries) == 0 {
 			writeJSONStatus(w, http.StatusNotFound,
 				map[string]string{"error": "no explain reports recorded yet"})
 			return
 		}
-		writeJSON(w, entry)
+		writeJSON(w, entries[0])
 	})
 	mux.HandleFunc("/debug/slow", func(w http.ResponseWriter, _ *http.Request) {
 		entries := h.SlowLog().Snapshot()
@@ -187,6 +161,27 @@ func Handler(h *Hub, extra ...Route) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// lookupKey is the request or trace ID a lookup names in ?id= (or ?trace=);
+// "" asks for the listing.
+func lookupKey(r *http.Request) string {
+	if key := r.URL.Query().Get("id"); key != "" {
+		return key
+	}
+	return r.URL.Query().Get("trace")
+}
+
+// firstN trims a most-recent-first listing to the ?n= newest entries, and
+// gives an empty one as [] rather than null.
+func firstN[T any](r *http.Request, all []T) []T {
+	if n, err := strconv.Atoi(r.URL.Query().Get("n")); err == nil && n >= 0 && n < len(all) {
+		return all[:n]
+	}
+	if all == nil {
+		return []T{}
+	}
+	return all
 }
 
 // Serve starts the debug server on addr (e.g. "localhost:6060"; use port 0

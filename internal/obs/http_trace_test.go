@@ -189,3 +189,36 @@ func TestTimerObserveCtxLinksExemplar(t *testing.T) {
 		t.Error("ObserveCtx stored no exemplar")
 	}
 }
+
+// TestStartHTTPRequest covers both callers' cases of the one place an
+// "http_request" root is opened: a fresh request adopts the inbound
+// traceparent and owns the root; a request whose context already carries a
+// trace joins it and owns nothing.
+func TestStartHTTPRequest(t *testing.T) {
+	t.Parallel()
+	tc := NewTracer(4)
+	r := httptest.NewRequest(http.MethodGet, "/v2/search?q=x", nil)
+	r.Header.Set("traceparent", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	w := httptest.NewRecorder()
+	ctx, rid, tr, owned := StartHTTPRequest(tc, w, r)
+	if !owned || tr == nil || TraceFromContext(ctx) != tr || RequestIDFrom(ctx) != rid {
+		t.Fatalf("fresh request: owned=%v trace=%v rid=%q", owned, tr, rid)
+	}
+	if got := tr.TraceID().String(); got != "4bf92f3577b34da6a3ce929d0e0e4736" {
+		t.Errorf("trace ID %s, want the inbound one", got)
+	}
+	if w.Header().Get("X-Request-Id") != rid || w.Header().Get("traceparent") != tr.SpanContext().Traceparent() {
+		t.Errorf("headers %v", w.Header())
+	}
+
+	w2 := httptest.NewRecorder()
+	_, rid2, joined, owned2 := StartHTTPRequest(tc, w2, r.WithContext(ctx))
+	if owned2 || joined != tr || rid2 != rid || w2.Header().Get("traceparent") != "" {
+		t.Errorf("nested call: owned=%v joined=%v rid=%q headers %v", owned2, joined == tr, rid2, w2.Header())
+	}
+	tr.Finish()
+	if rec := tc.Snapshot()[0]; rec.Root.Name != "http_request" || rootAttr(rec, "request_id") != rid ||
+		rootAttr(rec, "http_method") != http.MethodGet || rootAttr(rec, "http_path") != "/v2/search" {
+		t.Errorf("root %+v", rec.Root)
+	}
+}

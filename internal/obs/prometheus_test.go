@@ -139,14 +139,14 @@ func TestDebugExplainAndSlowEndpoints(t *testing.T) {
 		}
 	}
 
-	// Populate: one explained slow query.
+	// Populate: one explained slow query. Its kept trace is where both
+	// /debug/explain and /debug/slow find the report.
 	h.Slow.SetThreshold(time.Nanosecond)
 	h.Slow.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
 	tr := h.Traces.StartTrace("similar_queries")
 	tr.Attach(map[string]string{"op": "similar_queries"})
 	time.Sleep(time.Millisecond)
 	tr.Finish()
-	h.Explains.Record(map[string]string{"op": "similar_queries"})
 
 	code, body = get(t, srv, "/debug/explain/last")
 	if code != http.StatusOK || !strings.Contains(body, "similar_queries") {

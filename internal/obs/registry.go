@@ -491,8 +491,6 @@ type Hub struct {
 	// Slow is the slow-query log. It starts disabled (threshold 0); call
 	// Slow.SetThreshold to turn it on.
 	Slow *SlowLog
-	// Explains rings the most recent query explain reports.
-	Explains *ExplainStore
 	// Requests rings recent request-scoped wide events (/debug/requests).
 	Requests *RequestLog
 
@@ -501,15 +499,15 @@ type Hub struct {
 }
 
 // NewHub creates a hub with a fresh registry, a tracer keeping the last 128
-// traces, a disabled slow-query log holding up to 32 entries, an explain
-// ring of 16 reports, and a request-event ring of 256 unsampled wide
-// events. The tracer feeds finished traces into the slow log automatically.
+// traces, a disabled slow-query log holding up to 32 entries, and a
+// request-event ring of 256 unsampled wide events. The tracer feeds finished
+// traces into the slow log automatically. Explain reports need no store of
+// their own: they ride on the kept traces (see Trace.Attach).
 func NewHub() *Hub {
 	h := &Hub{
 		Metrics:  NewRegistry(),
 		Traces:   NewTracer(128),
 		Slow:     NewSlowLog(32),
-		Explains: NewExplainStore(16),
 		Requests: NewRequestLog(256, 1),
 	}
 	h.Traces.SetSlowLog(h.Slow)
@@ -538,14 +536,6 @@ func (h *Hub) SlowLog() *SlowLog {
 		return nil
 	}
 	return h.Slow
-}
-
-// ExplainStore returns the hub's explain ring (nil on a nil hub).
-func (h *Hub) ExplainStore() *ExplainStore {
-	if h == nil {
-		return nil
-	}
-	return h.Explains
 }
 
 // RequestLog returns the hub's wide-event ring (nil on a nil hub).

@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -74,11 +73,7 @@ type WideEvent struct {
 type RequestLog struct {
 	sample atomic.Int64
 	seen   atomic.Int64
-
-	mu     sync.Mutex
-	ring   []WideEvent
-	next   int
-	filled bool
+	ring   *ring[WideEvent]
 }
 
 // NewRequestLog creates a ring retaining the last `capacity` sampled
@@ -88,7 +83,7 @@ func NewRequestLog(capacity, sample int) *RequestLog {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	l := &RequestLog{ring: make([]WideEvent, capacity)}
+	l := &RequestLog{ring: newRing[WideEvent](capacity)}
 	if sample <= 0 {
 		sample = 1
 	}
@@ -125,13 +120,7 @@ func (l *RequestLog) Record(ev WideEvent) bool {
 	if (k-1)%l.sample.Load() != 0 {
 		return false
 	}
-	l.mu.Lock()
-	l.ring[l.next] = ev
-	l.next = (l.next + 1) % len(l.ring)
-	if l.next == 0 {
-		l.filled = true
-	}
-	l.mu.Unlock()
+	l.ring.push(ev)
 	return true
 }
 
@@ -150,18 +139,7 @@ func (l *RequestLog) Snapshot() []WideEvent {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	total := l.next
-	if l.filled {
-		total = len(l.ring)
-	}
-	out := make([]WideEvent, 0, total)
-	for i := 0; i < total; i++ {
-		idx := (l.next - 1 - i + len(l.ring)) % len(l.ring)
-		out = append(out, l.ring[idx])
-	}
-	return out
+	return l.ring.snapshot()
 }
 
 // Find returns the most recent retained event with the given request ID.
@@ -194,12 +172,7 @@ func (l *RequestLog) Len() int {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.filled {
-		return len(l.ring)
-	}
-	return l.next
+	return l.ring.len()
 }
 
 // ---------------------------------------------------------------------------

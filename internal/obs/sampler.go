@@ -19,6 +19,10 @@ import (
 //     decided deterministically from the trace ID so every process
 //     observing the same distributed trace makes the same call.
 //
+// An explained trace (one with a report attached, see Trace.Attach) is
+// never offered to the sampler: Trace.Finish keeps it ("explain"), since
+// /debug/explain reads reports from the kept traces.
+//
 // Keep/drop counts are exposed for /debug/vars and metrics. All methods
 // are nil-safe; a nil sampler keeps everything.
 type TailSampler struct {
@@ -35,6 +39,7 @@ type TailSampler struct {
 const (
 	KeepSlow    = "slow"    // duration >= slow-log threshold
 	KeepOutcome = "outcome" // errored / aborted / shed / truncated
+	KeepExplain = "explain" // an explain report is attached
 	KeepSampled = "sampled" // healthy, within the probabilistic fraction
 )
 

@@ -157,3 +157,37 @@ func TestTailSamplerConcurrent(t *testing.T) {
 		t.Errorf("accounted %d decisions, want %d", st.KeptSampled+st.SampledOut, 8*200)
 	}
 }
+
+// TestExplainedTraceAlwaysKept: EXPLAIN lives on the trace, so a sampler
+// that drops every healthy trace still keeps an explained one, and
+// Explains serves its report from the kept traces, most recent first.
+func TestExplainedTraceAlwaysKept(t *testing.T) {
+	t.Parallel()
+	tc := NewTracer(8)
+	tc.SetSampler(NewTailSampler(0, nil))
+	for i, report := range []any{nil, "first", nil, "second"} {
+		tr := tc.StartTrace("q")
+		if report != nil {
+			tr.Attach(report)
+		}
+		tr.Finish()
+		if i == 0 && tc.Len() != 0 {
+			t.Fatal("a healthy unexplained trace survived a zero sampling fraction")
+		}
+	}
+	snap := tc.Snapshot()
+	if len(snap) != 2 || snap[0].KeepReason != KeepExplain || snap[0].Explain != "second" {
+		t.Fatalf("kept %+v, want the two explained traces", snap)
+	}
+	ex := tc.Explains()
+	if len(ex) != 2 || ex[0].Report != "second" || ex[1].Report != "first" || ex[0].ID <= ex[1].ID {
+		t.Errorf("Explains = %+v, want second then first", ex)
+	}
+	if st := tc.Sampler().Stats(); st.SampledOut != 2 || st.KeptSampled+st.KeptOutcome+st.KeptSlow != 0 {
+		t.Errorf("sampler stats %+v: only the two unexplained traces are its decisions", st)
+	}
+	var nilTracer *Tracer
+	if nilTracer.Explains() != nil {
+		t.Error("nil tracer has explain reports")
+	}
+}

@@ -3,13 +3,12 @@ package obs
 import (
 	"log/slog"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // SlowEntry is one retained slow query: its finished span tree plus the
-// explain report that was attached to the trace (if any).
+// explain report the trace carries (if any).
 type SlowEntry struct {
 	// Time is when the slow query finished.
 	Time time.Time `json:"time"`
@@ -30,7 +29,7 @@ type SlowEntry struct {
 	// Trace is the query's full span tree.
 	Trace TraceRecord `json:"trace"`
 	// Explain is the explain report attached via Trace.Attach, when the
-	// query ran through an explained entry point (JSON-marshalable).
+	// request asked for one (JSON-marshalable).
 	Explain any `json:"explain,omitempty"`
 }
 
@@ -41,11 +40,7 @@ type SlowLog struct {
 	threshold atomic.Int64 // nanoseconds; 0 = disabled
 	logger    atomic.Pointer[slog.Logger]
 	total     atomic.Int64
-
-	mu     sync.Mutex
-	ring   []SlowEntry
-	next   int
-	filled bool
+	ring      *ring[SlowEntry]
 }
 
 // NewSlowLog creates a disabled slow-query log retaining the last
@@ -55,7 +50,7 @@ func NewSlowLog(capacity int) *SlowLog {
 	if capacity <= 0 {
 		capacity = 32
 	}
-	return &SlowLog{ring: make([]SlowEntry, capacity)}
+	return &SlowLog{ring: newRing[SlowEntry](capacity)}
 }
 
 // SetThreshold sets the latency threshold at or above which queries are
@@ -98,9 +93,9 @@ func (l *SlowLog) slogger() *slog.Logger {
 }
 
 // Observe offers one finished query to the log: when d meets the threshold
-// the span tree and explain payload are retained and a structured record is
-// logged. No-op on a nil log or below the threshold.
-func (l *SlowLog) Observe(rec TraceRecord, d time.Duration, explain any) {
+// the span tree and the explain report it carries are retained and a
+// structured record is logged. No-op on a nil log or below the threshold.
+func (l *SlowLog) Observe(rec TraceRecord, d time.Duration) {
 	if l == nil {
 		return
 	}
@@ -117,15 +112,9 @@ func (l *SlowLog) Observe(rec TraceRecord, d time.Duration, explain any) {
 		QueueWaitMS: rootAttrFloat(rec, "queue_wait_ms"),
 		ThresholdMS: float64(thr) / float64(time.Millisecond),
 		Trace:       rec,
-		Explain:     explain,
+		Explain:     rec.Explain,
 	}
-	l.mu.Lock()
-	l.ring[l.next] = entry
-	l.next = (l.next + 1) % len(l.ring)
-	if l.next == 0 {
-		l.filled = true
-	}
-	l.mu.Unlock()
+	l.ring.push(entry)
 	l.slogger().Warn("slow query",
 		slog.String("op", rec.Root.Name),
 		slog.String("trace_id", rec.TraceID),
@@ -135,7 +124,7 @@ func (l *SlowLog) Observe(rec TraceRecord, d time.Duration, explain any) {
 		slog.Float64("queue_wait_ms", entry.QueueWaitMS),
 		slog.Float64("threshold_ms", entry.ThresholdMS),
 		slog.Int("spans", countSpans(rec.Root)),
-		slog.Bool("explained", explain != nil),
+		slog.Bool("explained", rec.Explain != nil),
 	)
 }
 
@@ -177,18 +166,7 @@ func (l *SlowLog) Snapshot() []SlowEntry {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	total := l.next
-	if l.filled {
-		total = len(l.ring)
-	}
-	out := make([]SlowEntry, 0, total)
-	for i := 0; i < total; i++ {
-		idx := (l.next - 1 - i + len(l.ring)) % len(l.ring)
-		out = append(out, l.ring[idx])
-	}
-	return out
+	return l.ring.snapshot()
 }
 
 // Len returns the number of retained entries.
@@ -196,12 +174,7 @@ func (l *SlowLog) Len() int {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.filled {
-		return len(l.ring)
-	}
-	return l.next
+	return l.ring.len()
 }
 
 // Total returns the number of slow queries seen over the log's lifetime

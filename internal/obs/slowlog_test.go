@@ -22,7 +22,7 @@ func TestSlowLogThresholdGate(t *testing.T) {
 		t.Error("fresh slow log should be disabled")
 	}
 	rec := TraceRecord{Root: SpanRecord{Name: "q"}}
-	l.Observe(rec, time.Second, nil) // disabled: dropped
+	l.Observe(rec, time.Second) // disabled: dropped
 	if l.Len() != 0 || l.Total() != 0 {
 		t.Errorf("disabled log retained an entry: len=%d total=%d", l.Len(), l.Total())
 	}
@@ -31,11 +31,12 @@ func TestSlowLogThresholdGate(t *testing.T) {
 	if !l.Enabled() || l.Threshold() != 10*time.Millisecond {
 		t.Errorf("threshold = %v enabled=%v", l.Threshold(), l.Enabled())
 	}
-	l.Observe(rec, 5*time.Millisecond, nil) // under threshold: dropped
+	l.Observe(rec, 5*time.Millisecond) // under threshold: dropped
 	if l.Len() != 0 {
 		t.Error("under-threshold query retained")
 	}
-	l.Observe(rec, 20*time.Millisecond, "report")
+	rec.Explain = "report"
+	l.Observe(rec, 20*time.Millisecond)
 	if l.Len() != 1 || l.Total() != 1 {
 		t.Errorf("len=%d total=%d, want 1/1", l.Len(), l.Total())
 	}
@@ -53,7 +54,7 @@ func TestSlowLogRingEviction(t *testing.T) {
 	l := quietLog(NewSlowLog(3))
 	l.SetThreshold(time.Nanosecond)
 	for i := 0; i < 5; i++ {
-		l.Observe(TraceRecord{Root: SpanRecord{Name: string(rune('a' + i))}}, time.Millisecond, nil)
+		l.Observe(TraceRecord{Root: SpanRecord{Name: string(rune('a' + i))}}, time.Millisecond)
 	}
 	if l.Len() != 3 {
 		t.Fatalf("ring len = %d, want 3", l.Len())
@@ -78,7 +79,7 @@ func TestSlowLogLogger(t *testing.T) {
 	l.SetThreshold(time.Millisecond)
 	var buf bytes.Buffer
 	l.SetLogger(slog.New(slog.NewTextHandler(&buf, nil)))
-	l.Observe(TraceRecord{ID: 7, TraceID: "0123456789abcdef0123456789abcdef", Root: SpanRecord{Name: "similar_queries"}}, 3*time.Millisecond, struct{}{})
+	l.Observe(TraceRecord{ID: 7, TraceID: "0123456789abcdef0123456789abcdef", Root: SpanRecord{Name: "similar_queries"}, Explain: struct{}{}}, 3*time.Millisecond)
 	out := buf.String()
 	for _, want := range []string{"slow query", "op=similar_queries", "trace_id=0123456789abcdef0123456789abcdef", "trace_seq=7", "explained=true"} {
 		if !strings.Contains(out, want) {
@@ -91,7 +92,7 @@ func TestSlowLogNilSafety(t *testing.T) {
 	t.Parallel()
 	var l *SlowLog
 	l.SetThreshold(time.Second)
-	l.Observe(TraceRecord{}, time.Second, nil)
+	l.Observe(TraceRecord{}, time.Second)
 	if l.Enabled() || l.Len() != 0 || l.Total() != 0 || l.Snapshot() != nil || l.Threshold() != 0 {
 		t.Error("nil SlowLog methods misbehaved")
 	}

@@ -25,12 +25,9 @@ import (
 // installed (SetSink) they are also offered to the export pipeline, which
 // never blocks Finish.
 type Tracer struct {
-	mu     sync.Mutex
-	ring   []TraceRecord
-	next   int
-	filled bool
-	seq    atomic.Uint64
-	slow   atomic.Pointer[SlowLog]
+	ring *ring[TraceRecord]
+	seq  atomic.Uint64
+	slow atomic.Pointer[SlowLog]
 
 	sampler atomic.Pointer[TailSampler]
 	sink    atomic.Pointer[sinkHolder]
@@ -93,7 +90,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 64
 	}
-	return &Tracer{ring: make([]TraceRecord, capacity)}
+	return &Tracer{ring: newRing[TraceRecord](capacity)}
 }
 
 // Attr is one key/value annotation on a span.
@@ -161,9 +158,12 @@ type Trace struct {
 	outcome Outcome
 }
 
-// Attach associates an explain payload with the trace; when the trace
-// finishes slow it is retained alongside the span tree in the slow-query
-// log. No-op on a nil trace. Not safe for concurrent use with Finish.
+// Attach associates an explain report with the trace: EXPLAIN is a detail
+// level of the trace, not a store of its own. The finished record carries
+// it (TraceRecord.Explain), the tail sampler always keeps an explained
+// trace, /debug/explain serves it from the kept traces, and a slow trace
+// retains it in the slow-query log. No-op on a nil trace. Not safe for
+// concurrent use with Finish.
 func (tr *Trace) Attach(explain any) {
 	if tr == nil {
 		return
@@ -280,7 +280,8 @@ func (tr *Trace) Annotate(key, value string) { tr.Root().Annotate(key, value) }
 // sampler. Kept traces are committed to the ring buffer (evicting the
 // oldest record when full), offered to the slow-query log, and enqueued on
 // the export sink; sampled-out traces are counted and discarded. Without a
-// sampler every trace is kept. No-op on a nil trace.
+// sampler every trace is kept, and so is an explained one with one
+// (KeepExplain). No-op on a nil trace.
 func (tr *Trace) Finish() {
 	if tr == nil {
 		return
@@ -290,8 +291,10 @@ func (tr *Trace) Finish() {
 	rec.ID = tr.id
 	rec.TraceID = tr.sc.TraceID.String()
 	rec.ParentSpanID = tr.remote.String()
-	if out := tr.CurrentOutcome(); !out.zero() {
-		o := out
+	rec.Explain = tr.explain
+	out := tr.CurrentOutcome()
+	if !out.zero() {
+		o := out // only a non-zero outcome is copied to the heap
 		rec.Outcome = &o
 	}
 	tr.root.mu.Lock()
@@ -299,22 +302,20 @@ func (tr *Trace) Finish() {
 	tr.root.mu.Unlock()
 
 	t := tr.tracer
-	if s := t.sampler.Load(); s != nil {
-		keep, reason := s.Decide(tr.sc.TraceID, d, tr.CurrentOutcome())
+	switch s := t.sampler.Load(); {
+	case s == nil:
+	case rec.Explain != nil:
+		rec.KeepReason = KeepExplain
+	default:
+		keep, reason := s.Decide(tr.sc.TraceID, d, out)
 		if !keep {
 			return
 		}
 		rec.KeepReason = reason
 	}
-	t.mu.Lock()
-	t.ring[t.next] = rec
-	t.next = (t.next + 1) % len(t.ring)
-	if t.next == 0 {
-		t.filled = true
-	}
-	t.mu.Unlock()
+	t.ring.push(rec)
 	if sl := t.slow.Load(); sl != nil {
-		sl.Observe(rec, d, tr.explain)
+		sl.Observe(rec, d)
 	}
 	if h := t.sink.Load(); h != nil {
 		h.sink.Enqueue(rec)
@@ -395,11 +396,15 @@ type TraceRecord struct {
 	// traceparent header ("" when this process started the trace).
 	ParentSpanID string `json:"parent_span_id,omitempty"`
 	// KeepReason is why the tail sampler retained this trace ("" without a
-	// sampler): "slow", "outcome" or "sampled".
+	// sampler): "slow", "outcome", "explain" or "sampled".
 	KeepReason string `json:"keep_reason,omitempty"`
 	// Outcome is how the traced request ended (nil = completed normally).
 	Outcome *Outcome   `json:"outcome,omitempty"`
 	Root    SpanRecord `json:"root"`
+	// Explain is the report attached with Trace.Attach (nil when the
+	// request was not explained). It is served by /debug/explain and the
+	// slow log, not inline in the trace's own JSON.
+	Explain any `json:"-"`
 }
 
 // record freezes the span tree. Unfinished descendants are stamped with the
@@ -437,21 +442,30 @@ func (t *Tracer) Snapshot() []TraceRecord {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := t.next
-	if !t.filled && n == 0 {
-		return nil
-	}
-	var out []TraceRecord
-	// Walk backwards from the most recently written slot.
-	total := n
-	if t.filled {
-		total = len(t.ring)
-	}
-	for i := 0; i < total; i++ {
-		idx := (n - 1 - i + len(t.ring)) % len(t.ring)
-		out = append(out, t.ring[idx])
+	return t.ring.snapshot()
+}
+
+// ExplainEntry is one explain report served by /debug/explain.
+type ExplainEntry struct {
+	// ID is the sequence number of the kept trace that carries the report
+	// (monotonically increasing).
+	ID uint64 `json:"id"`
+	// Time is when the explained request finished.
+	Time time.Time `json:"time"`
+	// Report is the explain payload (JSON-marshalable; the engine attaches
+	// a *core.ExplainReport — obs stays dependency-free by holding any).
+	Report any `json:"report"`
+}
+
+// Explains returns the reports attached to the retained traces, most
+// recent first (nil when none).
+func (t *Tracer) Explains() []ExplainEntry {
+	var out []ExplainEntry
+	for _, rec := range t.Snapshot() {
+		if rec.Explain != nil {
+			end := rec.Root.Start.Add(time.Duration(rec.Root.DurationMS * float64(time.Millisecond)))
+			out = append(out, ExplainEntry{ID: rec.ID, Time: end, Report: rec.Explain})
+		}
 	}
 	return out
 }
@@ -476,12 +490,7 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.filled {
-		return len(t.ring)
-	}
-	return t.next
+	return t.ring.len()
 }
 
 // ---------------------------------------------------------------------------

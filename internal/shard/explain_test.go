@@ -83,7 +83,7 @@ func TestShardedExplain(t *testing.T) {
 	}
 
 	// By ID: the merged report names the query, and it — not a shard's — is
-	// what the explain ring retains.
+	// what the request's kept trace carries.
 	resp, err := se.Query(ctx, core.Request{Kind: core.KindSimilarID, ID: 2, K: 3, Explain: true})
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +91,8 @@ func TestShardedExplain(t *testing.T) {
 	if resp.Explain.Query != se.Name(2) {
 		t.Errorf("report query = %q, want %q", resp.Explain.Query, se.Name(2))
 	}
-	if last, ok := hub.ExplainStore().Last(); !ok || last.Report != any(resp.Explain) {
-		t.Errorf("explain ring's last entry is not the merged report: %+v", last.Report)
+	if ex := hub.Tracer().Explains(); len(ex) == 0 || ex[0].Report != any(resp.Explain) {
+		t.Errorf("the last explained trace does not carry the merged report: %+v", ex)
 	}
 	var sb strings.Builder
 	resp.Explain.Render(&sb)

@@ -78,10 +78,9 @@ type ShardedEngine struct {
 	byName map[string]int
 	seqLen int
 
-	hub    *obs.Hub
-	tracer *obs.Tracer
-	reqlog *obs.RequestLog
-	met    shardMetrics
+	hub *obs.Hub
+	env *core.Envelope // the request lifecycle every Query runs in
+	met shardMetrics
 
 	scatters atomic.Int64 // scatter fan-outs performed
 	gatherNS atomic.Int64 // cumulative wall time in the gather/merge stage
@@ -101,7 +100,7 @@ func newShardMetrics(reg *obs.Registry) shardMetrics {
 	return shardMetrics{
 		scatterTotal: reg.Counter("shard_scatter_total", "queries fanned out across engine shards"),
 		gatherLat:    reg.Timer("shard_gather_seconds", "time merging per-shard answers into the final top-k"),
-		queryErrors:  reg.Counter("shard_query_errors_total", "scattered sub-queries that returned an error"),
+		queryErrors:  reg.Counter("shard_query_errors_total", "scattered shard sub-queries that returned an error (a request that fails before its scatter is not counted)"),
 		prepares:     core.QueryPreparesCounter(reg),
 	}
 }
@@ -126,10 +125,9 @@ func New(data []*series.Series, cfg core.Config) (*ShardedEngine, error) {
 		global: make([][]int, n),
 		byName: make(map[string]int, len(data)),
 		hub:    cfg.Obs,
-		tracer: cfg.Obs.Tracer(),
-		reqlog: cfg.Obs.RequestLog(),
 		met:    newShardMetrics(cfg.Obs.Registry()),
 	}
+	s.env = core.NewEnvelope(cfg.Obs, s, true)
 	parts := make([][]*series.Series, n)
 	for gid, ser := range data {
 		if ser.Len() != data[0].Len() {
@@ -314,7 +312,7 @@ func noSequence(id int) error {
 }
 
 // Tracer exposes the tracer queries run under (nil-safe, may be nil).
-func (s *ShardedEngine) Tracer() *obs.Tracer { return s.tracer }
+func (s *ShardedEngine) Tracer() *obs.Tracer { return s.hub.Tracer() }
 
 // Hub returns the observability hub the engine was built with (nil when
 // observability is disabled).
@@ -377,121 +375,22 @@ func (s *ShardedEngine) ShardNodes() []int {
 // ---------------------------------------------------------------------------
 // Scatter-gather query path
 
-// errBadK mirrors core's uniform k validation error.
-var errBadK = errors.New("core: k must be >= 1")
-
 // Query fans one request out to every live shard and merges the answers
 // into the exact single-engine result (see the package comment for the
-// merge contract). The request lifecycle matches core.Engine.Query: ctx
-// cancellation aborts with the context's error, budget expiry returns the
-// merged best-so-far with Truncated set, and the whole scatter runs under
-// one trace with a per-shard span recorded by each shard's engine.
+// merge contract). It runs core.Engine.Query's lifecycle, core.Envelope:
+// one trace with a span per shard, one wide event ("sharded_<kind>"), one
+// explain report at most.
 func (s *ShardedEngine) Query(ctx context.Context, req core.Request) (*core.Response, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if req.Kind <= core.KindUnknown || req.Kind > core.KindBurstID {
-		return nil, fmt.Errorf("core: unknown request kind %d", int(req.Kind))
-	}
-	if req.K < 1 {
-		return nil, errBadK
-	}
-	if err := req.Approx.Validate(); err != nil {
-		return nil, err
-	}
-	if err := core.CheckFinite("the query", req.Values); err != nil {
-		return nil, err
-	}
-	ctx, rid := obs.EnsureRequestID(ctx)
-	start := time.Now()
-	tr, sp, ctx, finish := s.joinTrace(ctx, "sharded_"+req.Kind.String())
-	defer finish()
-	sp.Annotate("k", strconv.Itoa(req.K))
-	sp.Annotate("shards", strconv.Itoa(len(s.shards)))
-	ev := obs.WideEvent{
-		RequestID:   rid,
-		TraceID:     tr.TraceID().String(),
-		Time:        start,
-		Op:          "sharded_" + req.Kind.String(),
-		K:           req.K,
-		DeadlineMS:  req.Budget.Deadline.Milliseconds(),
-		MaxNodes:    req.Budget.MaxNodeVisits,
-		MaxExact:    req.Budget.MaxExactDistances,
-		QueueWaitMS: float64(req.QueueWait) / float64(time.Millisecond),
-	}
-	fail := func(err error) (*core.Response, error) {
-		ev.Abort = "error"
-		if errors.Is(err, context.Canceled) {
-			ev.Abort = "canceled"
-		} else if errors.Is(err, context.DeadlineExceeded) {
-			ev.Abort = "deadline"
-		}
-		ev.Error = err.Error()
-		ev.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
-		tr.SetOutcome(obs.Outcome{Error: err.Error(), Aborted: ev.Abort != "error"})
-		s.reqlog.Record(ev)
-		s.met.queryErrors.Inc()
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return fail(err)
-	}
-
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	// No answer has more results than there are series; an absurd k must not
-	// size the gather buffers (see core.Engine.Query).
-	req.K = min(req.K, len(s.loc))
-	g := lifecycle.NewGate(ctx, req.GateLimits(start))
-	resp, spread, err := s.scatterLocked(ctx, g, req)
-	if err != nil {
-		return fail(err)
-	}
-	// Re-stamp the merged response from the absorbed parent gate: the
-	// children's ε/δ/ng decisions (and proven bound floors) were folded
-	// into g by Absorb, so every merged neighbour's BoundGap is recomputed
-	// against the request-wide floor.
-	core.StampApprox(resp, g.Epsilon(), g)
-	if resp.Approximate {
-		sp.Annotate("approximate", "true")
-		sp.Annotate("epsilon_used", strconv.FormatFloat(resp.EpsilonUsed, 'g', -1, 64))
-	}
-	ev.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
-	ev.Workers = len(spread)
-	ev.WorkerSpread = spread
-	ev.Truncated = resp.Truncated
-	if resp.Truncated {
-		ev.Abort = "budget"
-		tr.SetOutcome(obs.Outcome{Truncated: true})
-	}
-	ev.NodesVisited = resp.Stats.NodesVisited
-	ev.BoundsComputed = resp.Stats.BoundsComputed
-	ev.Candidates = resp.Stats.Candidates
-	ev.FullRetrievals = resp.Stats.FullRetrievals
-	ev.LBPrunes = resp.Stats.LBPrunes
-	ev.UBPrunes = resp.Stats.UBPrunes
-	ev.Results = len(resp.Neighbors) + len(resp.Matches)
-	s.reqlog.Record(ev)
-	if req.Explain {
-		// resp.Explain holds the shards' reports; give it the request's header.
-		resp.Explain.Finish("sharded_"+req.Kind.String(), req.K, resp, start)
-		if req.Values == nil && req.QueryBursts == nil && req.ID >= 0 && req.ID < len(s.names) {
-			resp.Explain.Query = s.names[req.ID]
-		}
-		core.RecordExplain(s.hub, tr, resp.Explain)
-	}
-	return resp, nil
+	return s.env.Run(ctx, req, s.scatter)
 }
 
-// joinTrace mirrors core.Engine.joinTrace for the scatter layer's span.
-func (s *ShardedEngine) joinTrace(ctx context.Context, name string) (*obs.Trace, *obs.Span, context.Context, func()) {
-	if tr := obs.TraceFromContext(ctx); tr != nil {
-		sp := tr.Root().Child(name)
-		return tr, sp, obs.ContextWithSpan(ctx, sp), sp.Finish
-	}
-	tr, ctx := s.tracer.StartTraceCtx(ctx, name)
-	sp := tr.Root()
-	return tr, sp, obs.ContextWithSpan(ctx, sp), tr.Finish
+// scatter is the sharded engine's core.QueryBody: the scatter-gather under
+// the routing read lock.
+func (s *ShardedEngine) scatter(ctx context.Context, g *lifecycle.Gate, req core.Request) (*core.Response, []int64, error) {
+	obs.SpanFromContext(ctx).Annotate("shards", strconv.Itoa(len(s.shards)))
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.scatterLocked(ctx, g, req)
 }
 
 // plan is the resolved scatter: one sub-request per live shard plus the
@@ -536,10 +435,17 @@ func (s *ShardedEngine) scatterLocked(ctx context.Context, g *lifecycle.Gate, re
 	}
 	wg.Wait()
 	g.Absorb(kids...)
+	var failed error
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			s.met.queryErrors.Inc()
+			if failed == nil {
+				failed = err
+			}
 		}
+	}
+	if failed != nil {
+		return nil, nil, failed
 	}
 
 	gatherStart := time.Now()
@@ -622,12 +528,10 @@ func (s *ShardedEngine) planLocked(req core.Request, nLive int) (plan, error) {
 		K:       req.K,
 		Window:  req.Window,
 		Band:    req.Band,
+		Periods: req.Periods,
 		RelTol:  req.RelTol,
 		ID:      -1,
 		Explain: req.Explain,
-	}
-	if req.Periods != nil {
-		sub.Periods = req.Periods
 	}
 
 	switch req.Kind {

@@ -1,7 +1,7 @@
 #!/bin/sh
 # api_check.sh enforces the one query surface (run via `make api-check`).
 #
-# Five checks:
+# Six checks:
 #   1. Every exported Engine / ShardedEngine method on the query surface —
 #      names starting with Similar, Query, Linear, or Search — takes a
 #      context.Context as its first parameter. No exceptions: the
@@ -14,6 +14,11 @@
 #   5. Every package under internal/ except the test-only internal/israce is
 #      something a command builds on: a package only examples or tests reach
 #      lives beside them, not in internal/.
+#   6. One request, one record: an obs.WideEvent literal is built only in
+#      core's request envelope (internal/core/request.go) and admission's
+#      shed path (internal/admit/middleware.go), and the "http_request"
+#      trace root is started in exactly one place (obs.StartHTTPRequest) —
+#      so no layer grows a mirror of the request lifecycle again.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -64,6 +69,24 @@ done)"
 if [ -n "$orphans" ]; then
 	echo "api-check: internal packages no command imports (move them beside their users):" >&2
 	echo "$orphans" >&2
+	fail=1
+fi
+
+# --- 6. one request, one record ------------------------------------------
+# Non-test Go code only, comment lines dropped.
+code_lines() {
+	grep -rn --include='*.go' "$1" cmd internal examples | grep -v '_test\.go:' | grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//' || true
+}
+events="$(code_lines 'obs\.WideEvent{')"
+if [ "$(echo "$events" | cut -d: -f1 | sort | tr '\n' ' ')" != "internal/admit/middleware.go internal/core/request.go " ]; then
+	echo "api-check: obs.WideEvent literals belong to core's request envelope and admission's shed path only:" >&2
+	echo "$events" >&2
+	fail=1
+fi
+roots="$(code_lines '"http_request"')"
+if [ "$(echo "$roots" | grep -c .)" -ne 1 ] || ! echo "$roots" | grep -q 'StartTraceCtx('; then
+	echo "api-check: the \"http_request\" trace root must be started in exactly one place (obs.StartHTTPRequest); found:" >&2
+	echo "$roots" >&2
 	fail=1
 fi
 
