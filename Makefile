@@ -27,7 +27,9 @@ vet-lostcancel:
 # snake_case and cmd/s2 mounts exactly one search route; it keeps internal/
 # to packages a command imports; and (rule 6, one request, one record) it
 # allows wide-event literals only in core's request envelope and admission's
-# shed path, and one place that starts the "http_request" trace root. See
+# shed path, and one place that starts the "http_request" trace root; and
+# (rule 7, no Config field without a setter) every core.Config field is set
+# by a command or the benchmark, or allowlisted with its reason. See
 # scripts/api_check.sh.
 api-check:
 	sh scripts/api_check.sh

@@ -26,7 +26,7 @@ func blockController(t *testing.T, maxQueue int, maxWait time.Duration, reqlog *
 
 func TestMiddlewareShedResponseCarriesRequestID(t *testing.T) {
 	t.Parallel()
-	reqlog := obs.NewRequestLog(8, 1)
+	reqlog := obs.NewRequestLog(8)
 	c, release := blockController(t, 1, time.Minute, reqlog)
 	// Occupy the single queue slot so the next request sheds with 429
 	// immediately.
@@ -83,7 +83,7 @@ func TestMiddlewareShedResponseCarriesRequestID(t *testing.T) {
 
 func TestMiddlewareWaitTimeoutShedEvent(t *testing.T) {
 	t.Parallel()
-	reqlog := obs.NewRequestLog(8, 1)
+	reqlog := obs.NewRequestLog(8)
 	c, release := blockController(t, 4, 5*time.Millisecond, reqlog)
 	defer release()
 
@@ -169,7 +169,7 @@ func TestControllerSaturated(t *testing.T) {
 	if nilc.Saturated() {
 		t.Error("nil controller saturated")
 	}
-	nilc.SetRequestLog(obs.NewRequestLog(1, 1)) // must not panic
+	nilc.SetRequestLog(obs.NewRequestLog(1)) // must not panic
 	if nilc.RequestLog() != nil {
 		t.Error("nil controller has a request log")
 	}

@@ -56,22 +56,6 @@ type IndexCell struct {
 	Correct bool
 }
 
-// SpeedupDisk returns measured LinearScan / IndexDisk.
-func (c IndexCell) SpeedupDisk() float64 {
-	if c.IndexDisk == 0 {
-		return math.Inf(1)
-	}
-	return float64(c.LinearScan) / float64(c.IndexDisk)
-}
-
-// SpeedupMemory returns measured LinearScan / IndexMemory.
-func (c IndexCell) SpeedupMemory() float64 {
-	if c.IndexMemory == 0 {
-		return math.Inf(1)
-	}
-	return float64(c.LinearScan) / float64(c.IndexMemory)
-}
-
 // Modeled returns the three workload times under the I/O model: measured
 // compute time plus charged read latencies.
 func (c IndexCell) Modeled(m IOModel) (linear, idxDisk, idxMem time.Duration) {

@@ -68,36 +68,30 @@ func TestNewEngineInvariantToWorkersAndBlockEdges(t *testing.T) {
 	corpus := g.Dataset(2*deriveBlock + 3)
 	queries := g.Queries(3)
 	for _, n := range []int{deriveBlock - 1, deriveBlock, deriveBlock + 1, 2*deriveBlock + 3} {
-		for _, onDisk := range []bool{false, true} {
-			var wantFiles map[string]string
-			var wantAnswers []*Response
-			for _, procs := range []int{1, 2, 8} {
-				runtime.GOMAXPROCS(procs)
-				cfg := Config{Budget: 8}
-				if onDisk {
-					cfg.StorePath = filepath.Join(t.TempDir(), "z.bin")
+		var wantFiles map[string]string
+		var wantAnswers []*Response
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			e, err := NewEngine(corpus[:n], Config{Budget: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			files, answers := savedBytes(t, e), buildAnswers(t, e, queries)
+			e.Close()
+			if procs == 1 {
+				wantFiles, wantAnswers = files, answers
+				continue
+			}
+			for name, want := range wantFiles {
+				if files[name] != want {
+					t.Errorf("n=%d GOMAXPROCS=%d: saved %s differs from the one-worker build's", n, procs, name)
 				}
-				e, err := NewEngine(corpus[:n], cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				files, answers := savedBytes(t, e), buildAnswers(t, e, queries)
-				e.Close()
-				if procs == 1 {
-					wantFiles, wantAnswers = files, answers
-					continue
-				}
-				for name, want := range wantFiles {
-					if files[name] != want {
-						t.Errorf("n=%d disk=%v GOMAXPROCS=%d: saved %s differs from the one-worker build's", n, onDisk, procs, name)
-					}
-				}
-				if len(files) != len(wantFiles) {
-					t.Errorf("n=%d disk=%v GOMAXPROCS=%d: saved %d files, want %d", n, onDisk, procs, len(files), len(wantFiles))
-				}
-				if !reflect.DeepEqual(answers, wantAnswers) {
-					t.Errorf("n=%d disk=%v GOMAXPROCS=%d: answers or Stats differ from the one-worker build's", n, onDisk, procs)
-				}
+			}
+			if len(files) != len(wantFiles) {
+				t.Errorf("n=%d GOMAXPROCS=%d: saved %d files, want %d", n, procs, len(files), len(wantFiles))
+			}
+			if !reflect.DeepEqual(answers, wantAnswers) {
+				t.Errorf("n=%d GOMAXPROCS=%d: answers or Stats differ from the one-worker build's", n, procs)
 			}
 		}
 	}
@@ -136,56 +130,27 @@ func TestNewEngineFailureLeavesNothingBehind(t *testing.T) {
 		data := badAt(corpus, positions...)
 		for _, procs := range []int{1, 2, 8} {
 			runtime.GOMAXPROCS(procs)
-			for _, cfg := range []Config{
-				{},
-				{StorePath: filepath.Join(t.TempDir(), "z.bin")},
-				{StorePath: filepath.Join(t.TempDir(), "z.bin"), FeaturesPath: filepath.Join(t.TempDir(), "f.bin")},
-			} {
-				hub := obs.NewHub()
-				cfg.Obs = hub
-				goroutines, fds := runtime.NumGoroutine(), openFDs(t)
-				_, err := NewEngine(data, cfg)
-				if err == nil {
-					t.Fatal("NewEngine accepted a wrong-length series")
-				}
-				if first := data[positions[0]].Name; !strings.Contains(err.Error(), first) || !errors.Is(err, spectral.ErrMismatch) {
-					t.Errorf("bad at %v, GOMAXPROCS=%d: error %q, want series %q's length mismatch", positions, procs, err, first)
-				}
-				if got := openFDs(t); got > fds {
-					t.Errorf("bad at %v, GOMAXPROCS=%d, store %q: %d descriptors open before the failed build, %d after", positions, procs, cfg.StorePath, fds, got)
-				}
-				if got := counterValue(t, hub.Registry(), "engine_series_ingested_total"); got != 0 {
-					t.Errorf("failed build counted %d series as ingested", got)
-				}
-				for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
-					if time.Now().After(deadline) {
-						t.Fatalf("goroutines: %d before the failed build, %d after", goroutines, runtime.NumGoroutine())
-					}
+			hub := obs.NewHub()
+			goroutines, fds := runtime.NumGoroutine(), openFDs(t)
+			_, err := NewEngine(data, Config{Obs: hub})
+			if err == nil {
+				t.Fatal("NewEngine accepted a wrong-length series")
+			}
+			if first := data[positions[0]].Name; !strings.Contains(err.Error(), first) || !errors.Is(err, spectral.ErrMismatch) {
+				t.Errorf("bad at %v, GOMAXPROCS=%d: error %q, want series %q's length mismatch", positions, procs, err, first)
+			}
+			if got := openFDs(t); got > fds {
+				t.Errorf("bad at %v, GOMAXPROCS=%d: %d descriptors open before the failed build, %d after", positions, procs, fds, got)
+			}
+			if got := counterValue(t, hub.Registry(), "engine_series_ingested_total"); got != 0 {
+				t.Errorf("failed build counted %d series as ingested", got)
+			}
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines: %d before the failed build, %d after", goroutines, runtime.NumGoroutine())
 				}
 			}
 		}
-	}
-}
-
-// A failure after the derive stage — here the features file cannot be
-// created — closes the store the build had opened and filled.
-func TestNewEngineIndexFailureClosesStore(t *testing.T) {
-	g := querylog.NewGenerator(querylog.DefaultStart, 64, 47)
-	hub := obs.NewHub()
-	fds := openFDs(t)
-	_, err := NewEngine(g.Dataset(20), Config{
-		StorePath:    filepath.Join(t.TempDir(), "z.bin"),
-		FeaturesPath: filepath.Join(t.TempDir(), "no-such-dir", "f.bin"),
-		Obs:          hub,
-	})
-	if err == nil {
-		t.Fatal("NewEngine wrote features into a directory that does not exist")
-	}
-	if got := openFDs(t); got > fds {
-		t.Errorf("%d descriptors open before the failed build, %d after", fds, got)
-	}
-	if got := counterValue(t, hub.Registry(), "engine_series_ingested_total"); got != 0 {
-		t.Errorf("failed build counted %d series as ingested", got)
 	}
 }
 

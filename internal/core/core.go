@@ -37,53 +37,35 @@ import (
 	"repro/internal/vptree"
 )
 
-// Config tunes the engine. The zero value selects the paper defaults.
+// Config tunes the engine. The zero value selects the paper defaults. The
+// representation (BestMinError at Budget, safe bounds), the burst cutoff and
+// peak floor and the period confidence are the paper's and not knobs: what
+// the index stores is the index's decision (vptree), and a loaded engine takes
+// it from the tree it loads.
 type Config struct {
-	// Method is the compressed representation (default BestMinError).
-	Method spectral.Method
 	// Budget is the per-sequence memory budget c of "2c+1 doubles"
 	// (default 16).
 	Budget int
-	// StorePath, when non-empty, keeps the uncompressed sequences in a disk
-	// file at that path instead of in memory.
-	StorePath string
-	// FeaturesPath, when non-empty, spills the compressed features to disk
-	// and makes searches read them back per access (fig. 23's disk index).
-	FeaturesPath string
-	// BurstCutoff is the moving-average std multiplier (default 1.5).
-	BurstCutoff float64
-	// BurstMinPeak filters which detected bursts become stored features: a
-	// burst qualifies only if its moving average peaks at least this many
-	// standard deviations above the series mean (z-units; default 0.5).
-	// The x·std(MA) cutoff of §6.1 is relative to each series' own MA
-	// spread, so nearly-flat periodic series otherwise contribute swarms of
-	// micro-bursts that drown query-by-burst rankings (BSim sums over burst
-	// pairs). Set negative to store everything.
-	BurstMinPeak float64
-	// PeriodConfidence is the false-alarm probability for period detection
-	// (default 1e-4, i.e. 99.99 % confidence).
-	PeriodConfidence float64
-	// LeafSize, Seed and PaperBounds are forwarded to the index.
-	LeafSize    int
-	Seed        int64
-	PaperBounds bool
+	// Seed drives the index's vantage-point sampling (default 1). Only tests
+	// set it: the core and shard goldens were recorded under seeds 5 and 9.
+	Seed int64
 	// DynamicIndex builds the VP-tree in dynamic mode so Engine.Add can
 	// ingest new series after construction (a live search service appends
-	// query terms continuously). Costs the retained spectra and is
-	// incompatible with FeaturesPath.
+	// query terms continuously). Costs the retained spectra.
 	DynamicIndex bool
 	// Shards selects horizontal partitioning: 0 or 1 builds today's
 	// single engine, N > 1 asks for N independent engine shards behind a
 	// scatter-gather layer. NewEngine itself only ever builds one shard —
 	// construct sharded engines with shard.New / shard.NewFromConfig
-	// (internal/shard), which consume this field; NewEngine rejects
-	// Shards > 1 so a sharding config can never silently degrade to a
-	// single unpartitioned engine.
+	// (internal/shard), which consume this field; NewEngine and LoadEngine
+	// reject Shards > 1 so a sharding config can never silently degrade to
+	// a single unpartitioned engine.
 	Shards int
 	// Workers bounds the goroutines used by the parallel linear scan and by
 	// index construction (default runtime.GOMAXPROCS(0)). Set to 1 to force
 	// both serial; results are identical either way (see
-	// docs/concurrency.md).
+	// docs/concurrency.md). Only tests set it: the budget-truncation tests
+	// need the serial scan's truncation points.
 	Workers int
 	// Obs, when non-nil, turns on the observability layer: every hot path
 	// updates metrics in Obs.Metrics (see docs/observability.md for the
@@ -92,22 +74,15 @@ type Config struct {
 	Obs *obs.Hub
 }
 
+// burstMinPeak filters which detected bursts become stored features: a burst
+// qualifies only if its moving average peaks at least this many standard
+// deviations above the series mean (z-units). The x·std(MA) cutoff of §6.1 is
+// relative to each series' own MA spread, so nearly-flat periodic series
+// otherwise contribute swarms of micro-bursts that drown query-by-burst
+// rankings (BSim sums over burst pairs).
+const burstMinPeak = 0.5
+
 func (c *Config) fill() {
-	if c.Method == 0 {
-		c.Method = spectral.BestMinError
-	}
-	if c.Budget == 0 {
-		c.Budget = 16
-	}
-	if c.BurstCutoff == 0 {
-		c.BurstCutoff = burst.DefaultCutoff
-	}
-	if c.BurstMinPeak == 0 {
-		c.BurstMinPeak = 0.5
-	}
-	if c.PeriodConfidence == 0 {
-		c.PeriodConfidence = periods.DefaultConfidence
-	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -119,11 +94,8 @@ func (c *Config) fill() {
 // treeOptions is the VP-tree a (filled) Config asks for.
 func (c Config) treeOptions() vptree.Options {
 	return vptree.Options{
-		Method:       c.Method,
 		Budget:       c.Budget,
-		LeafSize:     c.LeafSize,
 		Seed:         c.Seed,
-		PaperBounds:  c.PaperBounds,
 		Dynamic:      c.DynamicIndex,
 		BuildWorkers: c.Workers,
 	}
@@ -179,17 +151,15 @@ type Engine struct {
 	names []string
 	// size mirrors len(names) for Len, which Query calls on every request:
 	// reading it must not queue behind a writer the way mu.RLock does.
-	size     atomic.Int64
-	byName   map[string]int
-	raw      []*series.Series // original (unstandardized) series
-	store    seqstore.Store   // standardized values
-	tree     *vptree.Tree
-	features vptree.FeatureSource
-	diskFeat *vptree.DiskFeatures
-	burstsS  *burstdb.DB // short-window burst features
-	burstsL  *burstdb.DB // long-window burst features
-	hub      *obs.Hub
-	met      engineMetrics
+	size    atomic.Int64
+	byName  map[string]int
+	raw     []*series.Series // original (unstandardized) series
+	store   seqstore.Store   // standardized values
+	tree    *vptree.Tree
+	burstsS *burstdb.DB // short-window burst features
+	burstsL *burstdb.DB // long-window burst features
+	hub     *obs.Hub
+	met     engineMetrics
 	// env is the request lifecycle every Query runs in.
 	env *Envelope
 	// buildTimes is where NewEngine's wall time went (see BuildTimes).
@@ -252,8 +222,9 @@ func (e *Engine) setBurstDBs(short, long *burstdb.DB) {
 
 // NewEngine builds an engine over the given series. All series must share
 // one length. The engine keeps references to the originals and stores
-// standardized copies internally. A build that fails closes what it opened.
-func NewEngine(data []*series.Series, cfg Config) (_ *Engine, err error) {
+// standardized copies internally, in memory (an engine whose rows are on
+// disk is one LoadEngine opened).
+func NewEngine(data []*series.Series, cfg Config) (*Engine, error) {
 	if len(data) == 0 {
 		return nil, errors.New("core: empty dataset")
 	}
@@ -261,29 +232,16 @@ func NewEngine(data []*series.Series, cfg Config) (_ *Engine, err error) {
 		return nil, fmt.Errorf("core: Config.Shards=%d needs the scatter-gather layer; build with shard.New (internal/shard)", cfg.Shards)
 	}
 	cfg.fill()
-	if cfg.DynamicIndex && cfg.FeaturesPath != "" {
-		return nil, errors.New("core: DynamicIndex is incompatible with FeaturesPath")
-	}
-	n := data[0].Len()
 	e := &Engine{
 		cfg:    cfg,
 		byName: make(map[string]int, len(data)),
 		raw:    data,
 	}
-	if cfg.StorePath != "" {
-		e.store, err = seqstore.Create(cfg.StorePath, n)
-	} else {
-		e.store, err = seqstore.NewMemory(n)
-	}
-	if err != nil {
+	var err error
+	if e.store, err = seqstore.NewMemory(data[0].Len()); err != nil {
 		return nil, err
 	}
 	e.wireObs(cfg.Obs)
-	defer func() {
-		if err != nil {
-			e.Close() //nolint:errcheck // the build's error is the one to report
-		}
-	}()
 
 	began := time.Now()
 	specs, ids, err := e.deriveAll(data)
@@ -297,15 +255,6 @@ func NewEngine(data []*series.Series, cfg Config) (_ *Engine, err error) {
 	if err != nil {
 		return nil, err
 	}
-	e.features = e.tree.Features()
-	if cfg.FeaturesPath != "" {
-		e.diskFeat, err = vptree.WriteFeatures(cfg.FeaturesPath, e.tree.Features())
-		if err != nil {
-			return nil, err
-		}
-		e.features = e.diskFeat
-	}
-	e.warmSketch()
 	e.buildTimes.index = time.Since(began)
 	e.met.seriesIngested.Add(int64(len(data)))
 	return e, nil
@@ -358,7 +307,7 @@ func firstNonFinite(values []float64) int {
 // derived is what the engine keeps of one series besides the series itself:
 // its standardized values (the store's row), their spectrum (what the index is
 // built from and, in a dynamic tree, routes by) and the burst features of both
-// windows, already through the BurstMinPeak floor.
+// windows, already through the burstMinPeak floor.
 type derived struct {
 	z      []float64
 	spec   *spectral.HalfSpectrum
@@ -369,9 +318,9 @@ type derived struct {
 // workers and PrepareAdd both call it, so boots and ingests cannot come to
 // keep different things. The standardized values are written to z when it has
 // the series' length (a buffer the caller owns and may reuse once it has
-// copied the row out) and to a fresh slice otherwise. It reads cfg and s and
-// writes only z, so any number run side by side.
-func derive(cfg *Config, seqLen int, s *series.Series, z []float64) (derived, error) {
+// copied the row out) and to a fresh slice otherwise. It reads s and writes
+// only z, so any number run side by side.
+func derive(seqLen int, s *series.Series, z []float64) (derived, error) {
 	if s.Len() != seqLen {
 		return derived{}, fmt.Errorf("core: series %q has length %d, want %d: %w", s.Name, s.Len(), seqLen, spectral.ErrMismatch)
 	}
@@ -390,13 +339,13 @@ func derive(cfg *Config, seqLen int, s *series.Series, z []float64) (derived, er
 		return derived{}, fmt.Errorf("core: spectrum of %q: %w", s.Name, err)
 	}
 	for _, w := range []BurstWindow{Short, Long} {
-		det, err := burst.Detect(z, burst.Options{Window: windowDays(w), Cutoff: cfg.BurstCutoff})
+		det, err := burst.Detect(z, burst.Options{Window: windowDays(w)})
 		if err != nil {
 			return derived{}, fmt.Errorf("core: bursts for %q: %w", s.Name, err)
 		}
 		// Only the filtered triplets leave: det's moving average and mask
 		// are 9 KB a window that nothing reads again.
-		d.bursts[w] = filterBursts(det, cfg.BurstMinPeak)
+		d.bursts[w] = filterBursts(det)
 	}
 	return d, nil
 }
@@ -436,7 +385,7 @@ func (e *Engine) deriveAll(data []*series.Series) ([]*spectral.HalfSpectrum, []i
 			go func() {
 				defer wg.Done()
 				for i := int(next.Add(1)) - 1; i < len(block); i = int(next.Add(1)) - 1 {
-					out[i], errs[i] = derive(&e.cfg, n, block[i], rows[i*n:(i+1)*n])
+					out[i], errs[i] = derive(n, block[i], rows[i*n:(i+1)*n])
 				}
 			}()
 		}
@@ -474,16 +423,11 @@ func (e *Engine) deriveAll(data []*series.Series) ([]*spectral.HalfSpectrum, []i
 }
 
 // BuildTimes reports how long NewEngine spent deriving (standardize, store,
-// spectra, bursts) and indexing (compress, tree, sketch warm-up). Zero for an
-// engine opened by LoadEngine, which does neither.
+// spectra, bursts) and indexing (compress, tree). Zero for an engine opened
+// by LoadEngine, which does neither.
 func (e *Engine) BuildTimes() (derive, index time.Duration) {
 	return e.buildTimes.derive, e.buildTimes.index
 }
-
-// warmSketch brings the store's sketch up to date at construction, so that a
-// disk-backed store's pass over its file is part of set-up and not of the
-// first query (a memory store's is already current).
-func (e *Engine) warmSketch() { seqstore.NewReader(e.store).Sketch() }
 
 // Add ingests one new series into a DynamicIndex engine: the standardized
 // values go to the store, the spectrum into the VP-tree, and the burst
@@ -518,8 +462,7 @@ type PreparedAdd struct {
 // writer runs it beside the readers it will later wait for, and a sharded
 // engine — one Config for every shard — runs it before it knows the shard.
 func PrepareAdd(cfg Config, seqLen int, s *series.Series) (*PreparedAdd, error) {
-	cfg.fill()
-	d, err := derive(&cfg, seqLen, s, nil)
+	d, err := derive(seqLen, s, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -563,8 +506,6 @@ func (e *Engine) AddPrepared(p *PreparedAdd) (int, error) {
 		return 0, err
 	}
 	// Everything below is infallible bookkeeping.
-	// The feature table may have been reallocated by the insert.
-	e.features = e.tree.Features()
 	e.raw = append(e.raw, p.series)
 	e.names = append(e.names, p.series.Name)
 	e.size.Add(1)
@@ -583,18 +524,7 @@ func (e *Engine) AddPrepared(p *PreparedAdd) (int, error) {
 }
 
 // Close releases any disk resources.
-func (e *Engine) Close() error {
-	var first error
-	if err := e.store.Close(); err != nil {
-		first = err
-	}
-	if e.diskFeat != nil {
-		if err := e.diskFeat.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+func (e *Engine) Close() error { return e.store.Close() }
 
 func windowDays(w BurstWindow) int {
 	if w == Short {
@@ -676,11 +606,11 @@ func (e *Engine) Store() seqstore.Store { return e.store }
 // route updates through Add, which holds the engine's write lock.
 func (e *Engine) Tree() *vptree.Tree { return e.tree }
 
-// Features exposes the active feature source (memory or disk).
+// Features exposes the index's feature table.
 func (e *Engine) Features() vptree.FeatureSource {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.features
+	return e.tree.Features()
 }
 
 // ---------------------------------------------------------------------------
@@ -854,7 +784,9 @@ type Reconstruction struct {
 	Coefficients int
 }
 
-// Reconstruct rebuilds sequence id from its compressed representation.
+// Reconstruct rebuilds sequence id from the compressed representation the
+// index holds for it — the tree's, whatever the engine was built or loaded
+// with.
 func (e *Engine) Reconstruct(id int) (*Reconstruction, error) {
 	z, err := e.store.Get(id)
 	if err != nil {
@@ -864,7 +796,7 @@ func (e *Engine) Reconstruct(id int) (*Reconstruction, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := spectral.Compress(h, e.cfg.Method, e.cfg.Budget)
+	c, err := e.tree.Compress(h)
 	if err != nil {
 		return nil, err
 	}
@@ -882,12 +814,12 @@ func (e *Engine) Reconstruct(id int) (*Reconstruction, error) {
 // ---------------------------------------------------------------------------
 // Periods
 
-// Periods runs the §5 period detector on arbitrary raw values at the
-// engine's configured confidence.
+// Periods runs the §5 period detector on arbitrary raw values at
+// periods.DefaultConfidence.
 func (e *Engine) Periods(values []float64) (*periods.Detection, error) {
 	defer e.met.periodsLat.Start()()
 	e.met.periodsTotal.Inc()
-	return periods.Detect(values, e.cfg.PeriodConfidence)
+	return periods.Detect(values, periods.DefaultConfidence)
 }
 
 // PeriodsOf runs the period detector on an indexed series.
@@ -916,14 +848,14 @@ func (e *Engine) PeriodsOfSet(ids []int) (*periods.Detection, error) {
 		set = append(set, s.Values)
 	}
 	e.mu.RUnlock()
-	return periods.DetectSet(set, e.cfg.PeriodConfidence)
+	return periods.DetectSet(set, periods.DefaultConfidence)
 }
 
 // ---------------------------------------------------------------------------
 // Bursts
 
 // Bursts runs the §6.1 burst detector on arbitrary raw values with the
-// engine's cutoff and the chosen window, z-scoring them as a stored series is.
+// default cutoff and the chosen window, z-scoring them as a stored series is.
 func (e *Engine) Bursts(values []float64, w BurstWindow) (*burst.Detection, error) {
 	defer e.met.burstsLat.Start()()
 	e.met.burstsTotal.Inc()
@@ -931,7 +863,7 @@ func (e *Engine) Bursts(values []float64, w BurstWindow) (*burst.Detection, erro
 	if err := Standardize(z, values); err != nil {
 		return nil, fmt.Errorf("core: the curve: %w", err)
 	}
-	return burst.Detect(z, burst.Options{Window: windowDays(w), Cutoff: e.cfg.BurstCutoff})
+	return burst.Detect(z, burst.Options{Window: windowDays(w)})
 }
 
 // BurstsOf returns the stored burst features of an indexed series.
@@ -954,13 +886,13 @@ type BurstMatch struct {
 	Score float64
 }
 
-// filterBursts applies the BurstMinPeak intensity floor: the burst's moving
-// average must reach BurstMinPeak z-units somewhere in its span.
-func filterBursts(det *burst.Detection, minPeak float64) []burst.Burst {
+// filterBursts applies the burstMinPeak intensity floor: the burst's moving
+// average must reach burstMinPeak z-units somewhere in its span.
+func filterBursts(det *burst.Detection) []burst.Burst {
 	out := det.Bursts[:0:0]
 	for _, b := range det.Bursts {
 		peak := stats.Max(det.MA[b.Start : b.End+1])
-		if peak >= minPeak {
+		if peak >= burstMinPeak {
 			out = append(out, b)
 		}
 	}

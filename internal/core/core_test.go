@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 	"math"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/querylog"
+	"repro/internal/seqstore"
 	"repro/internal/series"
 	"repro/internal/spectral"
 )
@@ -123,19 +123,19 @@ func TestSemanticSimilarity(t *testing.T) {
 	}
 }
 
+// A disk-backed engine is a loaded one (Save, then LoadEngine: `s2 -db`), and
+// its index answers what its linear scan does.
 func TestDiskBackedEngine(t *testing.T) {
-	dir := t.TempDir()
 	g := querylog.NewGenerator(querylog.DefaultStart, 256, 5)
-	data := g.Dataset(30)
-	e, err := NewEngine(data, Config{
-		Budget:       8,
-		StorePath:    filepath.Join(dir, "seqs.bin"),
-		FeaturesPath: filepath.Join(dir, "feats.bin"),
-	})
+	built, err := NewEngine(g.Dataset(30), Config{Budget: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
+	defer built.Close()
+	e := reopen(t, built, Config{})
+	if _, ok := e.Store().(*seqstore.Disk); !ok {
+		t.Fatalf("a loaded engine's store is %T, want *seqstore.Disk", e.Store())
+	}
 	q := g.Queries(1)[0]
 	idx, _, err := similarQueries(e, q.Values, 2)
 	if err != nil {
@@ -446,7 +446,7 @@ func TestAddRequiresDynamic(t *testing.T) {
 	if _, err := e.Add(g.Dataset(1)[0]); err == nil {
 		t.Error("expected error on static engine")
 	}
-	// Dynamic engine rejects wrong lengths and incompatible configs.
+	// Dynamic engine rejects wrong lengths.
 	d, err := NewEngine(g.Dataset(5), Config{Budget: 4, DynamicIndex: true})
 	if err != nil {
 		t.Fatal(err)
@@ -454,10 +454,6 @@ func TestAddRequiresDynamic(t *testing.T) {
 	defer d.Close()
 	if _, err := d.Add(&series.Series{Name: "short", Values: make([]float64, 5)}); err == nil {
 		t.Error("expected length error")
-	}
-	if _, err := NewEngine(g.Dataset(5), Config{DynamicIndex: true,
-		FeaturesPath: filepath.Join(t.TempDir(), "f.bin")}); err == nil {
-		t.Error("expected DynamicIndex+FeaturesPath rejection")
 	}
 }
 

@@ -65,6 +65,22 @@ func queryByBurstOf(e Searcher, id, k int, w BurstWindow) ([]BurstMatch, error) 
 	return resp.Matches, nil
 }
 
+// reopen saves e and loads the directory back under cfg: the engine
+// `s2 -db` serves, its standardized rows in a disk store.
+func reopen(t *testing.T, e *Engine, cfg Config) *Engine {
+	t.Helper()
+	dir := t.TempDir()
+	if err := e.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadEngine(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { loaded.Close() })
+	return loaded
+}
+
 // attrEngine builds a small engine with a hub and twelve held-out queries.
 func attrEngine(t *testing.T, workers int) (*Engine, *obs.Hub, [][]float64) {
 	t.Helper()

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"path/filepath"
 	"slices"
 	"testing"
 
@@ -17,24 +16,29 @@ import (
 )
 
 // periodSearchers builds the corpus into every configuration a period search
-// runs under: one engine or three shards, rows in memory or on disk.
+// runs under: one engine or three shards with rows in memory, and one engine
+// loaded from a save with rows on disk.
 func periodSearchers(t *testing.T, data []*series.Series) map[string]core.Searcher {
 	t.Helper()
 	out := map[string]core.Searcher{}
 	for _, shards := range []int{1, 3} {
-		for _, store := range []string{"memory", "disk"} {
-			cfg := core.Config{Budget: 8, Shards: shards}
-			if store == "disk" {
-				cfg.StorePath = filepath.Join(t.TempDir(), "z.bin")
-			}
-			s, err := shard.NewFromConfig(data, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { s.Close() })
-			out[fmt.Sprintf("%d shard(s), %s", shards, store)] = s
+		s, err := shard.NewFromConfig(data, core.Config{Budget: 8, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
 		}
+		t.Cleanup(func() { s.Close() })
+		out[fmt.Sprintf("%d shard(s), memory", shards)] = s
 	}
+	dir := t.TempDir()
+	if err := out["1 shard(s), memory"].(*core.Engine).Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := core.LoadEngine(dir, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { loaded.Close() })
+	out["1 shard(s), disk"] = loaded
 	return out
 }
 

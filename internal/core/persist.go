@@ -105,11 +105,19 @@ func (e *Engine) Save(dir string) error {
 	return e.burstsL.Save(filepath.Join(dir, "burst_long.bin"))
 }
 
-// LoadEngine reopens an engine saved with Save. cfg supplies the query-time
-// knobs (PeriodConfidence, BurstCutoff, ...); index-construction fields are
-// ignored — the stored tree is used as-is. The standardized sequences stay
-// on disk (random access per refinement, as in the paper's setup).
+// LoadEngine reopens an engine saved with Save. The stored tree is used
+// as-is, representation included, so cfg's Budget and Seed are ignored; of
+// the rest only Workers and Obs apply. A saved directory is one static
+// engine: a cfg asking for shards or a DynamicIndex is refused rather than
+// silently served by something else. The standardized sequences stay on disk
+// (random access per refinement, as in the paper's setup).
 func LoadEngine(dir string, cfg Config) (*Engine, error) {
+	if cfg.Shards > 1 {
+		return nil, fmt.Errorf("core: Config.Shards=%d: a saved engine loads as one unpartitioned engine", cfg.Shards)
+	}
+	if cfg.DynamicIndex {
+		return nil, errors.New("core: Config.DynamicIndex: a saved engine loads with a static index")
+	}
 	cfg.fill()
 
 	metaBytes, err := os.ReadFile(filepath.Join(dir, "meta.txt"))
@@ -197,7 +205,6 @@ func LoadEngine(dir string, cfg Config) (*Engine, error) {
 		z.Close()
 		return nil, fmt.Errorf("core: tree.bin indexes %d series, meta says %d: %w", e.tree.Len(), count, vptree.ErrCorrupt)
 	}
-	e.features = e.tree.Features()
 	var tables [2]*burstdb.DB
 	for i, name := range []string{"burst_short.bin", "burst_long.bin"} {
 		if tables[i], err = loadBursts(filepath.Join(dir, name), count); err != nil {
@@ -208,7 +215,9 @@ func LoadEngine(dir string, cfg Config) (*Engine, error) {
 	e.wireObs(cfg.Obs)
 	e.setBurstDBs(tables[0], tables[1])
 	e.met.seriesIngested.Add(int64(count))
-	e.warmSketch()
+	// The disk store's pass over its file, which brings its sketch up to
+	// date, is part of set-up and not of the first query.
+	seqstore.NewReader(e.store).Sketch()
 	return e, nil
 }
 

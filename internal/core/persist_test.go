@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -56,43 +57,40 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("raw value %d differs", i)
 		}
 	}
-	// Searches agree exactly.
-	for _, q := range g.Queries(3) {
-		a, _, err := similarQueries(orig, q.Values, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _, err := similarQueries(loaded, q.Values, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a {
-			if a[i].ID != b[i].ID || math.Abs(a[i].Dist-b[i].Dist) > 1e-12 {
-				t.Errorf("rank %d: %+v vs %+v", i, a[i], b[i])
-			}
-		}
-	}
-	// Burst features and query-by-burst survive.
+	// Every family answers bit for bit what it answered before the save:
+	// the same IDs, the same distance or score bits, the same Stats.
 	hid, _ := loaded.Lookup(querylog.Halloween)
-	bo := orig.BurstsOf(hid, Long)
-	bl := loaded.BurstsOf(hid, Long)
-	if len(bo) != len(bl) {
-		t.Fatalf("burst features %d vs %d", len(bl), len(bo))
+	eid, _ := loaded.Lookup(querylog.Easter)
+	easter, _ := orig.Series(eid)
+	for _, req := range roundTripRequests(g.Queries(1)[0].Values, easter.Values, id, hid) {
+		want, err := orig.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := loaded.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Neighbors)+len(want.Matches) == 0 {
+			t.Fatalf("%v: no answer to compare", req.Kind)
+		}
+		sameAnswer(t, req.Kind.String(), got, want)
 	}
-	mo, err := queryByBurstOf(orig, hid, 3, Long)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ml, err := queryByBurstOf(loaded, hid, 3, Long)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mo) != len(ml) {
-		t.Fatalf("qbb results %d vs %d", len(ml), len(mo))
-	}
-	for i := range mo {
-		if mo[i].ID != ml[i].ID || math.Abs(mo[i].Score-ml[i].Score) > 1e-12 {
-			t.Errorf("qbb rank %d: %+v vs %+v", i, ml[i], mo[i])
+	// The loaded index holds the representation it was saved with: every
+	// series reconstructs from the same coefficients, to the same bits.
+	for id := 0; id < orig.Len(); id++ {
+		want, err := orig.Reconstruct(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := loaded.Reconstruct(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Coefficients != want.Coefficients || math.Float64bits(got.Error) != math.Float64bits(want.Error) ||
+			!slices.Equal(got.Values, want.Values) {
+			t.Fatalf("series %d reconstructs from %d coefficients (E = %v) after the load, %d (E = %v) before",
+				id, got.Coefficients, got.Error, want.Coefficients, want.Error)
 		}
 	}
 	// Periods work on the loaded engine too.
@@ -102,6 +100,43 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 	}
 	if !det.HasPeriodNear(7, 0.3) {
 		t.Errorf("weekly period lost: %v", det.Top(3))
+	}
+}
+
+// roundTripRequests is one request of every search family, query-by-burst
+// over each window: by the values q (burstQ for the burst kinds) and by the
+// IDs id (burstID).
+func roundTripRequests(q, burstQ []float64, id, burstID int) []Request {
+	return []Request{
+		{Kind: KindSimilar, Values: q, K: 5},
+		{Kind: KindSimilarID, ID: id, K: 5},
+		{Kind: KindLinear, Values: q, K: 5},
+		{Kind: KindDTW, ID: id, K: 5, Band: 7},
+		{Kind: KindSimilarPeriods, ID: id, K: 5, Periods: []float64{7}},
+		{Kind: KindBurst, Values: burstQ, K: 5, Window: Short},
+		{Kind: KindBurstID, ID: burstID, K: 5, Window: Short},
+		{Kind: KindBurst, Values: burstQ, K: 5, Window: Long},
+		{Kind: KindBurstID, ID: burstID, K: 5, Window: Long},
+	}
+}
+
+// sameAnswer fails unless got and want hold the same IDs in the same order
+// with the same distance or score bits, and the same Stats.
+func sameAnswer(t *testing.T, label string, got, want *Response) {
+	t.Helper()
+	if len(got.Neighbors) != len(want.Neighbors) || len(got.Matches) != len(want.Matches) || got.Stats != want.Stats {
+		t.Fatalf("%s: %d neighbours, %d matches, %+v; want %d, %d, %+v", label,
+			len(got.Neighbors), len(got.Matches), got.Stats, len(want.Neighbors), len(want.Matches), want.Stats)
+	}
+	for i, n := range got.Neighbors {
+		if w := want.Neighbors[i]; n.ID != w.ID || math.Float64bits(n.Dist) != math.Float64bits(w.Dist) {
+			t.Errorf("%s rank %d: %d@%v, want %d@%v", label, i, n.ID, n.Dist, w.ID, w.Dist)
+		}
+	}
+	for i, m := range got.Matches {
+		if w := want.Matches[i]; m.ID != w.ID || math.Float64bits(m.Score) != math.Float64bits(w.Score) {
+			t.Errorf("%s rank %d: %d@%v, want %d@%v", label, i, m.ID, m.Score, w.ID, w.Score)
+		}
 	}
 }
 
@@ -149,6 +184,17 @@ func TestLoadEngineErrors(t *testing.T) {
 	}
 	if _, err := LoadEngine(good, Config{}); err == nil {
 		t.Error("expected error for missing tree file")
+	}
+	// A saved directory is one static engine: a config asking for shards or
+	// a dynamic index is refused, not served by something else.
+	if err := e.Save(good); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{{Shards: 4}, {DynamicIndex: true}, {Shards: 4, DynamicIndex: true}} {
+		if l, err := LoadEngine(good, cfg); err == nil {
+			l.Close()
+			t.Errorf("LoadEngine(%+v) loaded a static, unsharded engine without an error", cfg)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -42,53 +41,43 @@ func TestSimilarQueryAllocCeiling(t *testing.T) {
 
 // Pool poisoning at engine level: an engine that has just answered a
 // many-candidate query answers a few-candidate one exactly — neighbours and
-// Stats — as a new engine starting from new buffers does. Both bound sources
-// of the VP-tree traversal: memory and disk features.
+// Stats — as a new engine starting from new buffers does.
 func TestEngineAnswersIndependentOfEarlierQueries(t *testing.T) {
 	g := querylog.NewGenerator(querylog.DefaultStart, 128, 31)
 	data := g.Dataset(150)
 	wide := Request{Kind: KindSimilar, Values: g.Queries(1)[0].Values, K: len(data)}
 	narrow := Request{Kind: KindSimilar, Values: data[7].Values, K: 1}
-	for name, cfg := range map[string]Config{
-		"memory features": {Budget: 8},
-		"disk features":   {Budget: 8, FeaturesPath: "features.bin"},
-	} {
-		build := func() *Engine {
-			cfg := cfg
-			if cfg.FeaturesPath != "" {
-				cfg.FeaturesPath = filepath.Join(t.TempDir(), cfg.FeaturesPath)
-			}
-			e, err := NewEngine(data, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { e.Close() })
-			return e
+	build := func() *Engine {
+		e, err := NewEngine(data, Config{Budget: 8})
+		if err != nil {
+			t.Fatal(err)
 		}
-		used, fresh := build(), build()
+		t.Cleanup(func() { e.Close() })
+		return e
+	}
+	used, fresh := build(), build()
 
-		// Two collections empty every sync.Pool, victim cache included.
-		runtime.GC()
-		runtime.GC()
-		want, err := fresh.Query(context.Background(), narrow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		big, err := used.Query(context.Background(), wide)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(big.Neighbors) != len(data) || big.Stats.Candidates <= 4*want.Stats.Candidates {
-			t.Fatalf("%s: poisoning query too small: %+v vs %+v", name, big.Stats, want.Stats)
-		}
-		got, err := used.Query(context.Background(), narrow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameNeighbors(t, name, got.Neighbors, want.Neighbors)
-		if got.Stats != want.Stats {
-			t.Fatalf("%s: stats after a large query %+v, new engine %+v", name, got.Stats, want.Stats)
-		}
+	// Two collections empty every sync.Pool, victim cache included.
+	runtime.GC()
+	runtime.GC()
+	want, err := fresh.Query(context.Background(), narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := used.Query(context.Background(), wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(big.Neighbors) != len(data) || big.Stats.Candidates <= 4*want.Stats.Candidates {
+		t.Fatalf("poisoning query too small: %+v vs %+v", big.Stats, want.Stats)
+	}
+	got, err := used.Query(context.Background(), narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameNeighbors(t, "after a large query", got.Neighbors, want.Neighbors)
+	if got.Stats != want.Stats {
+		t.Fatalf("stats after a large query %+v, new engine %+v", got.Stats, want.Stats)
 	}
 }
 
@@ -158,7 +147,7 @@ func TestStandardizedViewIsInPlaceOverMemory(t *testing.T) {
 		t.Error("out-of-range id must fail")
 	}
 
-	disk, _ := buildEngine(t, 10, Config{StorePath: filepath.Join(t.TempDir(), "seq.bin")}, 8)
+	disk := reopen(t, mem, Config{})
 	c, err := disk.StandardizedView(2)
 	if err != nil {
 		t.Fatal(err)

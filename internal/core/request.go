@@ -544,7 +544,7 @@ func (e *Engine) prepare(z []float64) (*spectral.Prepared, error) {
 // between the gate's amortized checks. exp, when non-nil, receives the
 // search's explain report.
 func (e *Engine) searchIndexLimited(ctx context.Context, q *spectral.Prepared, k int, g *lifecycle.Gate, exp *vptree.Explain) ([]vptree.Result, vptree.Stats, bool, error) {
-	return e.tree.SearchPrepared(q, k, e.features, seqstore.WithContext(ctx, e.store), g, exp)
+	return e.tree.SearchPrepared(q, k, nil, seqstore.WithContext(ctx, e.store), g, exp)
 }
 
 // explainDetail returns the collector an explained index search fills: nil
@@ -845,7 +845,7 @@ func (e *Engine) queryBurst(ctx context.Context, g *lifecycle.Gate, req Request)
 		if err != nil {
 			return nil, err
 		}
-		q, exclude = filterBursts(det, e.cfg.BurstMinPeak), -1
+		q, exclude = filterBursts(det), -1
 		phases = append(phases, Phase{Name: "burst_detect", MS: msSince(began)})
 	}
 	e.mu.RLock()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -57,16 +56,16 @@ func TestScanQueryAllocationsIndependentOfN(t *testing.T) {
 
 // Every DTW and period search costs one counted read per stored row it
 // measures plus one for a query named by ID — by view over Memory, by copy
-// over Disk.
+// over Disk (a loaded engine's store).
 func TestScanQueriesCountOneReadPerRow(t *testing.T) {
 	const n = 40
-	for name, cfg := range map[string]Config{
-		"memory": {Budget: 8},
-		"disk":   {Budget: 8, StorePath: filepath.Join(t.TempDir(), "seq.bin")},
-	} {
+	for _, name := range []string{"memory", "disk"} {
 		hub := obs.NewHub()
-		cfg.Obs = hub
-		e, data := scanEngine(t, n, cfg)
+		e, data := scanEngine(t, n, Config{Budget: 8, Obs: hub})
+		if name == "disk" {
+			hub = obs.NewHub()
+			e = reopen(t, e, Config{Obs: hub})
+		}
 		reads := hub.Registry().Counter("seqstore_reads_total", "")
 		for _, c := range []struct {
 			req  Request

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/querylog"
@@ -57,59 +56,43 @@ func sketchInStep(t *testing.T, e *Engine) (skips int) {
 
 // The sketch is owned by whatever owns the rows, so every way rows come and
 // go has to leave it in step: construction, Add, a failed Add's rollback
-// followed by another series taking the same ID, Save/Load (a disk store
-// re-sketched on open) and a disk-backed store from the start.
+// followed by another series taking the same ID, and Save/Load (a disk store
+// re-sketched on open).
 func TestSketchTracksTheStore(t *testing.T) {
 	g := querylog.NewGenerator(querylog.DefaultStart, 128, 5)
 	data := g.Dataset(60)
 	extra := querylog.NewGenerator(querylog.DefaultStart, 128, 91).Queries(8)
 
-	for _, disk := range []bool{false, true} {
-		cfg := Config{Budget: 8, DynamicIndex: true}
-		if disk {
-			cfg.StorePath = filepath.Join(t.TempDir(), "z.bin")
-		}
-		e, err := NewEngine(data, cfg)
-		if err != nil {
+	e, err := NewEngine(data, Config{Budget: 8, DynamicIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if skips := sketchInStep(t, e); skips == 0 {
+		t.Errorf("the sketch spared no read over %d queries", e.Len())
+	}
+	for _, s := range extra[:4] {
+		if _, err := e.Add(s); err != nil {
 			t.Fatal(err)
 		}
-		defer e.Close()
-		skips := sketchInStep(t, e)
-		if skips == 0 {
-			t.Errorf("disk=%v: the sketch spared no read over %d queries", disk, e.Len())
-		}
-		for _, s := range extra[:4] {
-			if _, err := e.Add(s); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sketchInStep(t, e)
+	}
+	sketchInStep(t, e)
 
-		// A failed Add appends the row, fails the index insert and truncates
-		// the row back out; the next Add reuses the ID for another series.
-		nextID := e.Len()
-		e.FailNextIndexInsert(errInjected)
-		if _, err := e.Add(extra[5]); !errors.Is(err, errInjected) {
-			t.Fatalf("sabotaged Add: err = %v, want the injected failure", err)
-		}
-		sketchInStep(t, e)
-		if id, err := e.Add(extra[6]); err != nil || id != nextID {
-			t.Fatalf("Add after the rollback: id %d err %v, want id %d", id, err, nextID)
-		}
-		sketchInStep(t, e)
+	// A failed Add appends the row, fails the index insert and truncates
+	// the row back out; the next Add reuses the ID for another series.
+	nextID := e.Len()
+	e.FailNextIndexInsert(errInjected)
+	if _, err := e.Add(extra[5]); !errors.Is(err, errInjected) {
+		t.Fatalf("sabotaged Add: err = %v, want the injected failure", err)
+	}
+	sketchInStep(t, e)
+	if id, err := e.Add(extra[6]); err != nil || id != nextID {
+		t.Fatalf("Add after the rollback: id %d err %v, want id %d", id, err, nextID)
+	}
+	sketchInStep(t, e)
 
-		dir := t.TempDir()
-		if err := e.Save(dir); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := LoadEngine(dir, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer loaded.Close()
-		if got := sketchInStep(t, loaded); got == 0 {
-			t.Errorf("disk=%v: the loaded engine's sketch spared no read", disk)
-		}
+	if got := sketchInStep(t, reopen(t, e, Config{})); got == 0 {
+		t.Error("the loaded engine's sketch spared no read")
 	}
 }
 

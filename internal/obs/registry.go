@@ -500,7 +500,7 @@ type Hub struct {
 
 // NewHub creates a hub with a fresh registry, a tracer keeping the last 128
 // traces, a disabled slow-query log holding up to 32 entries, and a
-// request-event ring of 256 unsampled wide events. The tracer feeds finished
+// request-event ring of the last 256 wide events. The tracer feeds finished
 // traces into the slow log automatically. Explain reports need no store of
 // their own: they ride on the kept traces (see Trace.Attach).
 func NewHub() *Hub {
@@ -508,7 +508,7 @@ func NewHub() *Hub {
 		Metrics:  NewRegistry(),
 		Traces:   NewTracer(128),
 		Slow:     NewSlowLog(32),
-		Requests: NewRequestLog(256, 1),
+		Requests: NewRequestLog(256),
 	}
 	h.Traces.SetSlowLog(h.Slow)
 	return h

@@ -14,7 +14,7 @@ import (
 // kind, its budgets, how long it queued for admission, how much index work
 // it did, how it ended, and (for sharded requests) how the work spread over
 // the shards. One event is emitted per request at completion; the
-// sampled RequestLog ring retains recent events for /debug/requests.
+// RequestLog ring retains recent events for /debug/requests.
 type WideEvent struct {
 	// RequestID joins the event with the /v2/search response, the admission
 	// shed response, the query's trace and the slow-query log.
@@ -65,72 +65,27 @@ type WideEvent struct {
 	WorkerSpread []int64 `json:"worker_spread,omitempty"`
 }
 
-// RequestLog rings the last N wide events, sampled 1-in-S. Sampling is
-// deterministic: the k-th event offered (1-based) is retained iff
-// (k-1) mod S == 0, so a fixed request sequence always retains the same
-// events — tests and incident reconstructions are reproducible. All
-// methods are nil-safe.
+// RequestLog rings the last N wide events, every one of them. All methods
+// are nil-safe.
 type RequestLog struct {
-	sample atomic.Int64
-	seen   atomic.Int64
-	ring   *ring[WideEvent]
+	ring *ring[WideEvent]
 }
 
-// NewRequestLog creates a ring retaining the last `capacity` sampled
-// events (default 256 when capacity <= 0), keeping every `sample`-th event
-// (default 1 = keep all when sample <= 0).
-func NewRequestLog(capacity, sample int) *RequestLog {
+// NewRequestLog creates a ring retaining the last `capacity` events
+// (default 256 when capacity <= 0).
+func NewRequestLog(capacity int) *RequestLog {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	l := &RequestLog{ring: newRing[WideEvent](capacity)}
-	if sample <= 0 {
-		sample = 1
-	}
-	l.sample.Store(int64(sample))
-	return l
+	return &RequestLog{ring: newRing[WideEvent](capacity)}
 }
 
-// SetSample changes the sampling rate (1 = keep all; n <= 0 resets to 1).
-func (l *RequestLog) SetSample(n int) {
+// Record adds one event to the log (no-op on a nil log).
+func (l *RequestLog) Record(ev WideEvent) {
 	if l == nil {
 		return
 	}
-	if n <= 0 {
-		n = 1
-	}
-	l.sample.Store(int64(n))
-}
-
-// Sample returns the current 1-in-N sampling rate (0 on a nil log).
-func (l *RequestLog) Sample() int {
-	if l == nil {
-		return 0
-	}
-	return int(l.sample.Load())
-}
-
-// Record offers one event to the log and reports whether it was retained
-// (dropped by sampling otherwise). No-op false on a nil log.
-func (l *RequestLog) Record(ev WideEvent) bool {
-	if l == nil {
-		return false
-	}
-	k := l.seen.Add(1)
-	if (k-1)%l.sample.Load() != 0 {
-		return false
-	}
 	l.ring.push(ev)
-	return true
-}
-
-// Seen returns how many events were offered over the log's lifetime,
-// retained or sampled out (0 on a nil log).
-func (l *RequestLog) Seen() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.seen.Load()
 }
 
 // Snapshot returns the retained events, most recent first (nil on a nil

@@ -27,7 +27,7 @@ import (
 // are nil-safe; a nil sampler keeps everything.
 type TailSampler struct {
 	fraction atomic.Uint64 // math.Float64bits of the healthy-keep fraction
-	slow     atomic.Pointer[SlowLog]
+	slow     *SlowLog
 
 	keptSlow    atomic.Int64
 	keptOutcome atomic.Int64
@@ -47,9 +47,8 @@ const (
 // traces (clamped to [0,1]). slow provides the always-keep latency
 // threshold; nil (or a disabled log) means no latency-based retention.
 func NewTailSampler(fraction float64, slow *SlowLog) *TailSampler {
-	s := &TailSampler{}
+	s := &TailSampler{slow: slow}
 	s.SetFraction(fraction)
-	s.slow.Store(slow)
 	return s
 }
 
@@ -76,14 +75,6 @@ func (s *TailSampler) Fraction() float64 {
 	return math.Float64frombits(s.fraction.Load())
 }
 
-// SetSlowLog swaps the slow log supplying the always-keep threshold.
-func (s *TailSampler) SetSlowLog(l *SlowLog) {
-	if s == nil {
-		return
-	}
-	s.slow.Store(l)
-}
-
 // Decide returns whether a finished trace is kept and why (KeepSlow,
 // KeepOutcome or KeepSampled; reason is "" on drop). A nil sampler keeps
 // everything with no reason recorded.
@@ -91,8 +82,8 @@ func (s *TailSampler) Decide(id TraceID, d time.Duration, out Outcome) (bool, st
 	if s == nil {
 		return true, ""
 	}
-	if sl := s.slow.Load(); sl != nil {
-		if thr := sl.Threshold(); thr > 0 && d >= thr {
+	if s.slow != nil {
+		if thr := s.slow.Threshold(); thr > 0 && d >= thr {
 			s.keptSlow.Add(1)
 			return true, KeepSlow
 		}

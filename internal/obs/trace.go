@@ -335,20 +335,6 @@ func (s *Span) Child(name string) *Span {
 	return c
 }
 
-// ChildAt opens a sub-span with explicit start and end times — for phases
-// whose timing was measured before the trace joined them (e.g. the
-// admission queue wait). The span is already finished. Nil-safe.
-func (s *Span) ChildAt(name string, start, end time.Time) *Span {
-	if s == nil {
-		return nil
-	}
-	c := &Span{name: name, id: NewSpanID(), start: start, end: end}
-	s.mu.Lock()
-	s.children = append(s.children, c)
-	s.mu.Unlock()
-	return c
-}
-
 // Annotate attaches a key/value pair (no-op on a nil span).
 func (s *Span) Annotate(key, value string) {
 	if s == nil {

@@ -69,10 +69,19 @@ func TestOneRequestOneRecord(t *testing.T) {
 		t.Run(r.name, func(t *testing.T) {
 			// run issues one request and returns the wide events it left.
 			run := func(ctx context.Context, req core.Request) (*core.Response, []obs.WideEvent, error) {
-				seen := hub.RequestLog().Seen()
+				before := hub.RequestLog().Snapshot()
 				resp, err := r.e.Query(ctx, req)
-				n := int(hub.RequestLog().Seen() - seen)
-				return resp, hub.RequestLog().Snapshot()[:n], err
+				after := hub.RequestLog().Snapshot()
+				// The events newer than the newest one before (all of them
+				// when the ring was empty or has cycled past it).
+				n := -1
+				if len(before) > 0 {
+					n = slices.IndexFunc(after, func(ev obs.WideEvent) bool { return ev.RequestID == before[0].RequestID })
+				}
+				if n < 0 {
+					n = len(after)
+				}
+				return resp, after[:n], err
 			}
 			req := core.Request{Kind: core.KindSimilarID, ID: 5, K: k}
 

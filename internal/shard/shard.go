@@ -108,7 +108,6 @@ func newShardMetrics(reg *obs.Registry) shardMetrics {
 // New builds a sharded engine over the given series, partitioned across
 // cfg.Shards (minimum 1) independent engine shards. Series are routed by
 // Route over their global ID (their index in data, and later Add order).
-// Disk paths (StorePath/FeaturesPath) get a per-shard ".shardN" suffix.
 // A shard the hash leaves empty stays dormant (skipped by queries) until
 // a DynamicIndex Add routes a first series to it.
 func New(data []*series.Series, cfg core.Config) (*ShardedEngine, error) {
@@ -146,7 +145,7 @@ func New(data []*series.Series, cfg core.Config) (*ShardedEngine, error) {
 		if len(parts[sh]) == 0 {
 			continue
 		}
-		eng, err := core.NewEngine(parts[sh], s.shardConfig(sh))
+		eng, err := core.NewEngine(parts[sh], s.shardConfig())
 		if err != nil {
 			s.Close() //nolint:errcheck // best-effort cleanup of earlier shards
 			return nil, fmt.Errorf("shard: building shard %d: %w", sh, err)
@@ -168,16 +167,10 @@ func NewFromConfig(data []*series.Series, cfg core.Config) (core.Searcher, error
 	return New(data, cfg)
 }
 
-// shardConfig derives shard sh's engine config from the template.
-func (s *ShardedEngine) shardConfig(sh int) core.Config {
+// shardConfig is every shard's engine config: the template, unsharded.
+func (s *ShardedEngine) shardConfig() core.Config {
 	cfg := s.cfg
 	cfg.Shards = 0
-	if cfg.StorePath != "" {
-		cfg.StorePath = fmt.Sprintf("%s.shard%d", cfg.StorePath, sh)
-	}
-	if cfg.FeaturesPath != "" {
-		cfg.FeaturesPath = fmt.Sprintf("%s.shard%d", cfg.FeaturesPath, sh)
-	}
 	return cfg
 }
 
@@ -228,7 +221,7 @@ func (s *ShardedEngine) Add(ser *series.Series) (int, error) {
 	eng := s.shards[sh]
 	if eng == nil {
 		// First series routed to a dormant shard: build its engine now.
-		built, err := core.NewEngine([]*series.Series{ser}, s.shardConfig(sh))
+		built, err := core.NewEngine([]*series.Series{ser}, s.shardConfig())
 		if err != nil {
 			return 0, err
 		}

@@ -40,11 +40,17 @@ func Compress(spec *spectral.HalfSpectrum, opts Options) (*spectral.Compressed, 
 	return compressOne(spec, opts)
 }
 
+// Compress returns the feature the tree stores for spec, in the
+// representation it was built with (a loaded tree: the one it was saved with).
+func (t *Tree) Compress(spec *spectral.HalfSpectrum) (*spectral.Compressed, error) {
+	return compressOne(spec, t.opts)
+}
+
 // Insert adds a new object to a dynamic tree. The spectrum must have the
 // tree's sequence length; id must address the object in the seqstore used
 // at query time. An Insert that fails leaves the tree as it was.
 func (t *Tree) Insert(spec *spectral.HalfSpectrum, id int) error {
-	c, err := compressOne(spec, t.opts)
+	c, err := t.Compress(spec)
 	if err != nil {
 		return err
 	}

@@ -58,9 +58,10 @@ func TestSearchPreparedMatchesSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// One prepared query serves any number of searches.
-		for i := 0; i < 2; i++ {
-			got, gotSt, truncated, err := fx.tree.SearchPrepared(q, 7, feats, fx.store, nil, nil)
+		// One prepared query serves any number of searches, over the table
+		// passed in or (nil) the tree's own.
+		for _, src := range []FeatureSource{feats, nil} {
+			got, gotSt, truncated, err := fx.tree.SearchPrepared(q, 7, src, fx.store, nil, nil)
 			if err != nil || truncated {
 				t.Fatalf("SearchPrepared: truncated %v err %v", truncated, err)
 			}

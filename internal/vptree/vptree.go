@@ -40,12 +40,6 @@ type Options struct {
 	Budget int
 	// LeafSize is the max number of objects in a leaf (default 4).
 	LeafSize int
-	// Candidates is how many vantage-point candidates to evaluate per split
-	// (default 8).
-	Candidates int
-	// Sample is how many distances to sample per candidate when estimating
-	// the distance spread (default 32).
-	Sample int
 	// Seed drives candidate sampling (default 1).
 	Seed int64
 	// PaperBounds selects the paper-faithful fig. 9 bounds instead of the
@@ -81,12 +75,6 @@ func (o *Options) fill() {
 	}
 	if o.LeafSize == 0 {
 		o.LeafSize = 4
-	}
-	if o.Candidates == 0 {
-		o.Candidates = 8
-	}
-	if o.Sample == 0 {
-		o.Sample = 32
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -449,18 +437,20 @@ func (b *builder) build(idx []int, path uint64) (*node, error) {
 	return nd, nil
 }
 
+// vpCandidates is how many vantage-point candidates selectVP evaluates per
+// split, and vpSample how many distances it samples per candidate when
+// estimating the distance spread.
+const (
+	vpCandidates = 8
+	vpSample     = 32
+)
+
 // selectVP implements the §4.1 heuristic: among sampled candidates pick the
 // one with the highest standard deviation of distances to sampled objects —
 // "an analogue of the largest eigenvector in SVD decomposition".
 func (t *Tree) selectVP(specs []*spectral.HalfSpectrum, idx []int, rng *rand.Rand) (int, error) {
-	nc := t.opts.Candidates
-	if nc > len(idx) {
-		nc = len(idx)
-	}
-	ns := t.opts.Sample
-	if ns > len(idx)-1 {
-		ns = len(idx) - 1
-	}
+	nc := min(vpCandidates, len(idx))
+	ns := min(vpSample, len(idx)-1)
 	bestPos, bestSpread := 0, -1.0
 	for c := 0; c < nc; c++ {
 		pos := rng.Intn(len(idx))
@@ -575,7 +565,8 @@ func (t *Tree) admit(k, queryLen int, g *lifecycle.Gate) error {
 // once. A non-nil exp additionally receives the structured explain report of
 // this very search — per-level traversal accounting, per-bound prune
 // attribution and phase timings; results and Stats are the same with or
-// without it, and the plain path pays one nil check per node.
+// without it, and the plain path pays one nil check per node. A nil feats
+// searches the tree's own feature table, the one Features returns.
 func (t *Tree) SearchPrepared(q *spectral.Prepared, k int, feats FeatureSource, store seqstore.Store, g *lifecycle.Gate, exp *Explain) ([]Result, Stats, bool, error) {
 	return t.search(q, k, feats, store, g, exp, spectral.AbandonCut)
 }
@@ -608,12 +599,15 @@ func (t *Tree) search(q *spectral.Prepared, k int, feats FeatureSource, store se
 		ctx: q.Context(), Scratch: sc, cut: cut,
 	}
 	// Bounds come from the arena's batched kernel when feats is the table the
-	// arena was packed from, and per entry from feats otherwise (disk
-	// features, a test double). Both evaluate the same floating-point
-	// operations in the same order, so results and Stats do not depend on
-	// which one ran (see spectral.Arena).
-	if s.f.covers(feats) {
+	// arena was packed from (nil: the tree's own), and per entry from feats
+	// otherwise (disk features, a test double). Both evaluate the same
+	// floating-point operations in the same order, so results and Stats do
+	// not depend on which one ran (see spectral.Arena).
+	if feats == nil || s.f.covers(feats) {
 		s.arena = s.f.arena
+	}
+	if s.arena == nil && feats == nil { // a table the arena refused
+		s.feats = t.features
 	}
 	s.lbBuf, s.ubBuf = sc.BoundBufs(s.f.maxLeaf)
 	st := &s.st

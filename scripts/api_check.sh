@@ -1,7 +1,7 @@
 #!/bin/sh
 # api_check.sh enforces the one query surface (run via `make api-check`).
 #
-# Six checks:
+# Seven checks:
 #   1. Every exported Engine / ShardedEngine method on the query surface —
 #      names starting with Similar, Query, Linear, or Search — takes a
 #      context.Context as its first parameter. No exceptions: the
@@ -19,6 +19,11 @@
 #      shed path (internal/admit/middleware.go), and the "http_request"
 #      trace root is started in exactly one place (obs.StartHTTPRequest) —
 #      so no layer grows a mirror of the request lifecycle again.
+#   7. No Config field without a setter: every core.Config field is set by
+#      non-test code under cmd/ or bench/ — in a one-line core.Config{...}
+#      literal or by a `.Field =` assignment — or is on the rule's allowlist
+#      with its reason. A knob only tests turn is a dimension every test
+#      matrix has to cover for nothing.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -87,6 +92,25 @@ roots="$(code_lines '"http_request"')"
 if [ "$(echo "$roots" | grep -c .)" -ne 1 ] || ! echo "$roots" | grep -q 'StartTraceCtx('; then
 	echo "api-check: the \"http_request\" trace root must be started in exactly one place (obs.StartHTTPRequest); found:" >&2
 	echo "$roots" >&2
+	fail=1
+fi
+
+# --- 7. no Config field without a setter ---------------------------------
+# Allowlisted, with the reason (one "Field: reason" a line):
+config_allow='Seed: the core and shard goldens were recorded under seeds 5 and 9
+Workers: the budget-truncation tests need the serial scan (Workers 1)'
+fields="$(awk '/^type Config struct \{/ { body = 1; next } body && /^\}/ { exit }
+	body && /^\t[A-Z][A-Za-z0-9]*[ \t]/ { print $1 }' internal/core/core.go)"
+setters="$(grep -rh --include='*.go' --exclude='*_test.go' -E 'core\.Config\{|\.[A-Z][A-Za-z0-9]* = ' cmd bench 2>/dev/null | grep -v '^[[:space:]]*//' || true)"
+unset_fields=""
+for f in $fields; do
+	echo "$config_allow" | grep -q "^$f:" && continue
+	if ! echo "$setters" | grep -q -E "core\.Config\{[^}]*\b$f:|\.$f = "; then
+		unset_fields="$unset_fields $f"
+	fi
+done
+if [ -z "$fields" ] || [ -n "$unset_fields" ]; then
+	echo "api-check: core.Config fields no command or benchmark sets (delete them, or allowlist them in rule 7 with a reason):$unset_fields" >&2
 	fail=1
 fi
 
