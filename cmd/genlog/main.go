@@ -52,6 +52,12 @@ func main() {
 }
 
 func run(n, days int, seed int64, format, out string, exemplars bool) error {
+	if days < 1 {
+		return fmt.Errorf("-days %d: need at least 1", days)
+	}
+	if n < 0 {
+		return fmt.Errorf("-n %d: need at least 0", n)
+	}
 	g := querylog.NewGenerator(querylog.DefaultStart, days, seed)
 	var data []*series.Series
 	if exemplars {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -70,6 +71,15 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(1, 8, 1, "binary", "/nonexistent-dir/file.bin", false); err == nil {
 		t.Error("expected create error (binary)")
+	}
+	for _, c := range []struct{ n, days int }{{1, 0}, {1, -5}, {-3, 8}} {
+		out := filepath.Join(t.TempDir(), "x.csv")
+		if err := run(c.n, c.days, 1, "csv", out, false); err == nil {
+			t.Errorf("-n %d -days %d: expected an error", c.n, c.days)
+		}
+		if _, err := os.Stat(out); err == nil {
+			t.Errorf("-n %d -days %d: wrote %s anyway", c.n, c.days, out)
+		}
 	}
 }
 

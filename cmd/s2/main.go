@@ -210,6 +210,19 @@ func newTraceExporter(target string) (obs.SpanExporter, error) {
 // load is how long it took to have the series in memory (for -db, the whole
 // open).
 func buildEngine(db, path string, n, days int, seed int64, budget, shards int, hub *obs.Hub) (_ core.Searcher, load time.Duration, err error) {
+	// Refuse out-of-range flags before building anything: the generator
+	// panics on days < 1 or n < 0, and a budget or shard count below 1
+	// would silently turn into a default.
+	switch {
+	case shards < 1:
+		return nil, 0, fmt.Errorf("-shards %d: need at least 1", shards)
+	case budget < 1:
+		return nil, 0, fmt.Errorf("-budget %d: need at least 1", budget)
+	case db == "" && path == "" && days < 1:
+		return nil, 0, fmt.Errorf("-days %d: need at least 1", days)
+	case db == "" && path == "" && n < 0:
+		return nil, 0, fmt.Errorf("-n %d: need at least 0", n)
+	}
 	began := time.Now()
 	if db != "" {
 		if shards > 1 {
@@ -566,8 +579,7 @@ func dispatch(e core.Searcher, line string) error {
 		if err != nil {
 			return err
 		}
-		resp, err := eng.Query(context.Background(),
-			core.NewRequest(core.KindSimilarID, core.WithID(id), core.WithK(k)))
+		resp, err := eng.Query(context.Background(), core.Request{Kind: core.KindSimilarID, ID: id, K: k})
 		if err != nil {
 			return err
 		}

@@ -257,3 +257,25 @@ func TestLoadRefusesNonFiniteRow(t *testing.T) {
 		}
 	}
 }
+
+// Out-of-range flags are refused before anything is built, not turned into
+// a panic or a silent default.
+func TestBuildEngineRefusesOutOfRangeFlags(t *testing.T) {
+	for _, c := range []struct {
+		flag                    string
+		n, days, budget, shards int
+	}{
+		{"-days", 3, 0, 16, 1},
+		{"-days", 3, -5, 16, 1},
+		{"-n", -3, 32, 16, 1},
+		{"-budget", 3, 32, 0, 1},
+		{"-budget", 3, 32, -1, 1},
+		{"-shards", 3, 32, 16, 0},
+		{"-shards", 3, 32, 16, -3},
+	} {
+		e, _, err := buildEngine("", "", c.n, c.days, 1, c.budget, c.shards, nil)
+		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
+			t.Errorf("%+v: engine %v, error %v; want an error naming %s", c, e, err, c.flag)
+		}
+	}
+}

@@ -68,8 +68,7 @@ func main() {
 		if !ok {
 			continue
 		}
-		resp, err := engine.Query(context.Background(), core.NewRequest(core.KindBurstID,
-			core.WithID(id), core.WithK(4), core.WithWindow(core.Long)))
+		resp, err := engine.Query(context.Background(), core.Request{Kind: core.KindBurstID, ID: id, K: 4, Window: core.Long})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func main() {
 	//    "cinema" (weekly moviegoing peaks)?
 	id, _ := engine.Lookup(querylog.Cinema)
 	ctx := context.Background()
-	resp, err := engine.Query(ctx, core.NewRequest(core.KindSimilarID, core.WithID(id), core.WithK(3)))
+	resp, err := engine.Query(ctx, core.Request{Kind: core.KindSimilarID, ID: id, K: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,8 +75,7 @@ func main() {
 
 	// 6. Query-by-burst: which queries burst when "halloween" does?
 	hid, _ := engine.Lookup(querylog.Halloween)
-	resp, err = engine.Query(ctx, core.NewRequest(core.KindBurstID,
-		core.WithID(hid), core.WithK(3), core.WithWindow(core.Long)))
+	resp, err = engine.Query(ctx, core.Request{Kind: core.KindBurstID, ID: hid, K: 3, Window: core.Long})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func main() {
 		}
 
 		start := time.Now()
-		resp, err := engine.Query(ctx, core.NewRequest(core.KindSimilarID, core.WithID(id), core.WithK(5)))
+		resp, err := engine.Query(ctx, core.Request{Kind: core.KindSimilarID, ID: id, K: 5})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func main() {
 		s, _ := engine.Series(id)
 		start = time.Now()
 		// The scan searches by values, so its answer includes the probe itself.
-		scan, err := engine.Query(ctx, core.NewRequest(core.KindLinear, core.WithValues(s.Values), core.WithK(6)))
+		scan, err := engine.Query(ctx, core.Request{Kind: core.KindLinear, Values: s.Values, K: 6})
 		if err != nil {
 			log.Fatal(err)
 		}

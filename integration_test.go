@@ -13,7 +13,6 @@ import (
 	"repro/internal/burst"
 	"repro/internal/burstdb"
 	"repro/internal/core"
-	"repro/internal/dtw"
 	"repro/internal/minisql"
 	"repro/internal/querylog"
 	"repro/internal/seqstore"
@@ -35,10 +34,6 @@ func TestThreeSearchEnginesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer engine.Close()
-	values := make([][]float64, len(data))
-	for i, s := range data {
-		values[i] = s.Values
-	}
 
 	for qi, q := range queries {
 		ctx := context.Background()
@@ -51,10 +46,11 @@ func TestThreeSearchEnginesAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		lin := resp.Neighbors
-		dt, _, err := dtw.Search(values, q.Values, 0)
-		if err != nil {
+		// Values-mode DTW: ID -1 excludes no series.
+		if resp, err = engine.Query(ctx, core.Request{Kind: core.KindDTW, Values: q.Values, ID: -1, Band: 0, K: 1}); err != nil {
 			t.Fatal(err)
 		}
+		dt := resp.Neighbors[0]
 		d := idx[0].Dist
 		for name, other := range map[string]float64{
 			"linear scan": lin[0].Dist,

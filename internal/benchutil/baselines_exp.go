@@ -91,10 +91,10 @@ func RunBaselines(seed int64, n int) ([]BaselineRow, error) {
 
 // PrintBaselines renders the comparison table.
 func PrintBaselines(w io.Writer, rows []BaselineRow) {
-	Fprintf(w, "§6 comparators — burst detection baselines (per 1024-day sequence)\n")
-	Fprintf(w, "  %-24s %12s %14s %10s\n", "method", "time/seq", "storage(f64)", "bursts")
+	fprintf(w, "§6 comparators — burst detection baselines (per 1024-day sequence)\n")
+	fprintf(w, "  %-24s %12s %14s %10s\n", "method", "time/seq", "storage(f64)", "bursts")
 	for _, r := range rows {
-		Fprintf(w, "  %-24s %12s %14.1f %10.1f\n",
+		fprintf(w, "  %-24s %12s %14.1f %10.1f\n",
 			r.Name, r.TimePerSeq.Round(time.Microsecond), r.StorageFloats, r.Bursts)
 	}
 }

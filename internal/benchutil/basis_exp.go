@@ -90,9 +90,9 @@ func RunBasisComparison(c *Corpus, size int, budgets []int) ([]BasisRow, error) 
 
 // PrintBasisComparison renders the comparison table.
 func PrintBasisComparison(w io.Writer, rows []BasisRow, size int) {
-	Fprintf(w, "Orthogonal-decomposition generalization (§3) — BestMinError, N=%d\n", size)
-	Fprintf(w, "  %8s %8s %14s %10s\n", "basis", "budget", "mean-recon-E", "F(1NN)")
+	fprintf(w, "Orthogonal-decomposition generalization (§3) — BestMinError, N=%d\n", size)
+	fprintf(w, "  %8s %8s %14s %10s\n", "basis", "budget", "mean-recon-E", "F(1NN)")
 	for _, r := range rows {
-		Fprintf(w, "  %8s %8d %14.2f %10.4f\n", r.Basis, r.Budget, r.MeanReconErr, r.FractionExamined)
+		fprintf(w, "  %8s %8d %14.2f %10.4f\n", r.Basis, r.Budget, r.MeanReconErr, r.FractionExamined)
 	}
 }

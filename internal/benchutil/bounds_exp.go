@@ -117,14 +117,14 @@ func (e *BoundsExperiment) UBImprovement(budget int) float64 {
 
 // PrintLB renders the fig. 20 panels.
 func (e *BoundsExperiment) PrintLB(w io.Writer, budgets []int) {
-	Fprintf(w, "Fig. 20 — Lower-bound tightness (cumulative over %d pairs)\n", e.Pairs)
-	Fprintf(w, "Full Euclidean (reference): %.0f\n", e.CumEuclidean)
+	fprintf(w, "Fig. 20 — Lower-bound tightness (cumulative over %d pairs)\n", e.Pairs)
+	fprintf(w, "Full Euclidean (reference): %.0f\n", e.CumEuclidean)
 	for _, b := range budgets {
-		Fprintf(w, "\n  Memory = 2*(%d)+1 doubles   Improvement(BestMinError vs Wang) = %.3f%%\n",
+		fprintf(w, "\n  Memory = 2*(%d)+1 doubles   Improvement(BestMinError vs Wang) = %.3f%%\n",
 			b, e.LBImprovement(b))
 		for _, m := range spectral.Methods() {
 			if cell, ok := e.Cell(b, m); ok {
-				Fprintf(w, "    %-22s %10.0f\n", "LB_"+m.String(), cell.CumLB)
+				fprintf(w, "    %-22s %10.0f\n", "LB_"+m.String(), cell.CumLB)
 			}
 		}
 	}
@@ -132,10 +132,10 @@ func (e *BoundsExperiment) PrintLB(w io.Writer, budgets []int) {
 
 // PrintUB renders the fig. 21 panels.
 func (e *BoundsExperiment) PrintUB(w io.Writer, budgets []int) {
-	Fprintf(w, "Fig. 21 — Upper-bound tightness (cumulative over %d pairs)\n", e.Pairs)
-	Fprintf(w, "Full Euclidean (reference): %.0f\n", e.CumEuclidean)
+	fprintf(w, "Fig. 21 — Upper-bound tightness (cumulative over %d pairs)\n", e.Pairs)
+	fprintf(w, "Full Euclidean (reference): %.0f\n", e.CumEuclidean)
 	for _, b := range budgets {
-		Fprintf(w, "\n  Memory = 2*(%d)+1 doubles   Improvement(BestMinError vs Wang) = %.3f%%\n",
+		fprintf(w, "\n  Memory = 2*(%d)+1 doubles   Improvement(BestMinError vs Wang) = %.3f%%\n",
 			b, e.UBImprovement(b))
 		for _, m := range spectral.Methods() {
 			cell, ok := e.Cell(b, m)
@@ -143,10 +143,10 @@ func (e *BoundsExperiment) PrintUB(w io.Writer, budgets []int) {
 				continue
 			}
 			if math.IsInf(cell.CumUB, 1) {
-				Fprintf(w, "    %-22s %10s\n", "UB_"+m.String(), "N/A")
+				fprintf(w, "    %-22s %10s\n", "UB_"+m.String(), "N/A")
 				continue
 			}
-			Fprintf(w, "    %-22s %10.0f\n", "UB_"+m.String(), cell.CumUB)
+			fprintf(w, "    %-22s %10.0f\n", "UB_"+m.String(), cell.CumUB)
 		}
 	}
 }

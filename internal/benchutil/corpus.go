@@ -54,10 +54,10 @@ func NewCorpus(n, q, seqLen int, seed int64) (*Corpus, error) {
 	return c, nil
 }
 
-// Fprintf is fmt.Fprintf with the error intentionally discarded; experiment
+// fprintf is fmt.Fprintf with the error intentionally discarded; experiment
 // printers write to in-memory or terminal writers where short writes are not
 // actionable.
-func Fprintf(w io.Writer, format string, args ...any) {
+func fprintf(w io.Writer, format string, args ...any) {
 	fmt.Fprintf(w, format, args...)
 }
 

@@ -68,11 +68,11 @@ func RunEnergySweep(c *Corpus, size int, fractions []float64) ([]EnergyRow, erro
 
 // PrintEnergySweep renders the sweep table.
 func PrintEnergySweep(w io.Writer, rows []EnergyRow, size int) {
-	Fprintf(w, "§8 extension — variable coefficients by captured energy (N=%d)\n", size)
-	Fprintf(w, "  %8s %12s %8s %8s %12s %10s\n",
+	fprintf(w, "§8 extension — variable coefficients by captured energy (N=%d)\n", size)
+	fprintf(w, "  %8s %12s %8s %8s %12s %10s\n",
 		"energy", "mean-coeffs", "min", "max", "mean-doubles", "F(1NN)")
 	for _, r := range rows {
-		Fprintf(w, "  %7.0f%% %12.1f %8d %8d %12.1f %10.4f\n",
+		fprintf(w, "  %7.0f%% %12.1f %8d %8d %12.1f %10.4f\n",
 			100*r.Fraction, r.MeanCoeffs, r.MinCoeffs, r.MaxCoeffs, r.MeanDoubles, r.FractionExamined)
 	}
 }

@@ -16,11 +16,11 @@ import (
 // PrintIntro echoes figs. 1–3: the demand curves of "cinema", "easter" and
 // "elvis" as terminal sparklines.
 func PrintIntro(w io.Writer, seed int64) {
-	Fprintf(w, "Figs. 1-3 — Query demand curves (2000-2002, synthetic MSN logs)\n")
+	fprintf(w, "Figs. 1-3 — Query demand curves (2000-2002, synthetic MSN logs)\n")
 	g := querylog.New(seed)
 	for _, name := range []string{querylog.Cinema, querylog.Easter, querylog.Elvis} {
 		s := g.Exemplar(name)
-		Fprintf(w, "  %-8s |%s|\n", name, Sparkline(s.Values, 96))
+		fprintf(w, "  %-8s |%s|\n", name, Sparkline(s.Values, 96))
 	}
 }
 
@@ -52,10 +52,10 @@ func RunFig4(seed int64) ([]Fig4Row, error) {
 
 // PrintFig4 renders the fig. 4 rows.
 func PrintFig4(w io.Writer, rows []Fig4Row) {
-	Fprintf(w, "Fig. 4 — First 7 DFT components of 'cinema' (standardized)\n")
-	Fprintf(w, "  %4s %10s %10s\n", "bin", "period", "|X(k)|")
+	fprintf(w, "Fig. 4 — First 7 DFT components of 'cinema' (standardized)\n")
+	fprintf(w, "  %4s %10s %10s\n", "bin", "period", "|X(k)|")
 	for _, r := range rows {
-		Fprintf(w, "  a%-3d %10.2f %10.4f\n", r.Bin, r.Period, r.Magnitude)
+		fprintf(w, "  a%-3d %10.2f %10.4f\n", r.Bin, r.Period, r.Magnitude)
 	}
 }
 
@@ -101,16 +101,16 @@ func RunFig5(seed int64) ([]Fig5Row, error) {
 
 // PrintFig5 renders the fig. 5 rows.
 func PrintFig5(w io.Writer, rows []Fig5Row) {
-	Fprintf(w, "Fig. 5 — Reconstruction error: first 5 vs best 4 coefficients\n")
-	Fprintf(w, "  %-14s %12s %12s\n", "query", "E(first 5)", "E(best 4)")
+	fprintf(w, "Fig. 5 — Reconstruction error: first 5 vs best 4 coefficients\n")
+	fprintf(w, "  %-14s %12s %12s\n", "query", "E(first 5)", "E(best 4)")
 	for _, r := range rows {
-		Fprintf(w, "  %-14s %12.2f %12.2f\n", r.Query, r.ErrFirst5, r.ErrBest4)
+		fprintf(w, "  %-14s %12.2f %12.2f\n", r.Query, r.ErrFirst5, r.ErrBest4)
 	}
 }
 
 // PrintTable1 renders Table 1: the equal-memory accounting for each method.
 func PrintTable1(w io.Writer, budgets []int) {
-	Fprintf(w, "Table 1 — Storage layout per method (equal memory budgets)\n")
+	fprintf(w, "Table 1 — Storage layout per method (equal memory budgets)\n")
 	layout := map[spectral.Method]string{
 		spectral.GEMINI:       "first coeffs + middle coeff",
 		spectral.Wang:         "first coeffs + error",
@@ -118,17 +118,17 @@ func PrintTable1(w io.Writer, budgets []int) {
 		spectral.BestError:    "best coeffs + error",
 		spectral.BestMinError: "best coeffs + error",
 	}
-	Fprintf(w, "  %-14s %-30s", "method", "layout")
+	fprintf(w, "  %-14s %-30s", "method", "layout")
 	for _, b := range budgets {
-		Fprintf(w, " c=%-4d", b)
+		fprintf(w, " c=%-4d", b)
 	}
-	Fprintf(w, "\n")
+	fprintf(w, "\n")
 	for _, m := range spectral.Methods() {
-		Fprintf(w, "  %-14s %-30s", m, layout[m])
+		fprintf(w, "  %-14s %-30s", m, layout[m])
 		for _, b := range budgets {
-			Fprintf(w, " %-6d", spectral.CoeffBudget(m, b))
+			fprintf(w, " %-6d", spectral.CoeffBudget(m, b))
 		}
-		Fprintf(w, "\n")
+		fprintf(w, "\n")
 	}
 }
 
@@ -172,10 +172,10 @@ func RunFig12(seed int64) ([]Fig12Row, error) {
 
 // PrintFig12 renders the fig. 12 rows.
 func PrintFig12(w io.Writer, rows []Fig12Row) {
-	Fprintf(w, "Fig. 12 — PSD histograms of non-periodic sequences vs exponential fit\n")
-	Fprintf(w, "  %-12s %10s %10s %12s\n", "sequence", "lambda", "fit-err", "rel-fit-err")
+	fprintf(w, "Fig. 12 — PSD histograms of non-periodic sequences vs exponential fit\n")
+	fprintf(w, "  %-12s %10s %10s %12s\n", "sequence", "lambda", "fit-err", "rel-fit-err")
 	for _, r := range rows {
-		Fprintf(w, "  %-12s %10.3f %10.4f %12.4f\n", r.Name, r.Lambda, r.FitError, r.RelFitError)
+		fprintf(w, "  %-12s %10.3f %10.4f %12.4f\n", r.Name, r.Lambda, r.FitError, r.RelFitError)
 	}
 }
 
@@ -205,17 +205,17 @@ func RunFig13(seed int64) ([]Fig13Row, error) {
 
 // PrintFig13 renders the fig. 13 rows.
 func PrintFig13(w io.Writer, rows []Fig13Row) {
-	Fprintf(w, "Fig. 13 — Discovered periods (power-density threshold, 99.99%% conf.)\n")
+	fprintf(w, "Fig. 13 — Discovered periods (power-density threshold, 99.99%% conf.)\n")
 	for _, r := range rows {
-		Fprintf(w, "  %-14s threshold=%.4f", r.Query, r.Threshold)
+		fprintf(w, "  %-14s threshold=%.4f", r.Query, r.Threshold)
 		if len(r.Top) == 0 {
-			Fprintf(w, "  (no significant periods)\n")
+			fprintf(w, "  (no significant periods)\n")
 			continue
 		}
 		for i, p := range r.Top {
-			Fprintf(w, "  P%d=%.2f", i+1, p.Length)
+			fprintf(w, "  P%d=%.2f", i+1, p.Length)
 		}
-		Fprintf(w, "\n")
+		fprintf(w, "\n")
 	}
 }
 
@@ -247,12 +247,12 @@ func RunBurstFigure(seed int64, name string, window int) (*BurstReport, error) {
 
 // Print renders the burst report with calendar dates (fig. 14–16 style).
 func (r *BurstReport) Print(w io.Writer) {
-	Fprintf(w, "  %-12s (MA window %d, cutoff %.2f): %d burst(s)\n",
+	fprintf(w, "  %-12s (MA window %d, cutoff %.2f): %d burst(s)\n",
 		r.Query, r.Window, r.Cutoff, len(r.Bursts))
 	for _, b := range r.Bursts {
 		from := r.Start.AddDate(0, 0, b.Start).Format("2006-01-02")
 		to := r.Start.AddDate(0, 0, b.End).Format("2006-01-02")
-		Fprintf(w, "      [%s .. %s]  avg=%.2f  (%d days)\n", from, to, b.Avg, b.Len())
+		fprintf(w, "      [%s .. %s]  avg=%.2f  (%d days)\n", from, to, b.Avg, b.Len())
 	}
 }
 
@@ -330,12 +330,12 @@ func RunFig19(seed int64, background int) ([]Fig19Row, error) {
 
 // PrintFig19 renders the fig. 19 rows.
 func PrintFig19(w io.Writer, rows []Fig19Row) {
-	Fprintf(w, "Fig. 19 — 'Query-by-burst' examples (top BSim matches)\n")
+	fprintf(w, "Fig. 19 — 'Query-by-burst' examples (top BSim matches)\n")
 	for _, r := range rows {
-		Fprintf(w, "  query = %-20s ->", r.Query)
+		fprintf(w, "  query = %-20s ->", r.Query)
 		for _, m := range r.Matches {
-			Fprintf(w, "  %q", m)
+			fprintf(w, "  %q", m)
 		}
-		Fprintf(w, "\n")
+		fprintf(w, "\n")
 	}
 }

@@ -202,11 +202,11 @@ func (e *IndexExperiment) Cell(size, budget int) (IndexCell, bool) {
 // Print renders the fig. 23 table: measured wall times, I/O counts, and
 // speedups under the 2004-disk model.
 func (e *IndexExperiment) Print(w io.Writer) {
-	Fprintf(w, "Fig. 23 — 1NN cost, %d queries (linear scan vs index)\n", e.Queries)
-	Fprintf(w, "  (modeled columns charge %v per sequence read and %v per feature read;\n",
+	fprintf(w, "Fig. 23 — 1NN cost, %d queries (linear scan vs index)\n", e.Queries)
+	fprintf(w, "  (modeled columns charge %v per sequence read and %v per feature read;\n",
 		e.Model.SeqRead, e.Model.FeatRead)
-	Fprintf(w, "   see EXPERIMENTS.md for the 2004-disk calibration)\n")
-	Fprintf(w, "  %8s %9s %11s %11s %11s %9s %9s | %9s %9s %8s\n",
+	fprintf(w, "   see EXPERIMENTS.md for the 2004-disk calibration)\n")
+	fprintf(w, "  %8s %9s %11s %11s %11s %9s %9s | %9s %9s %8s\n",
 		"dataset", "doubles", "linear", "idx-disk", "idx-mem",
 		"seq-rd/q", "feat-rd/q", "mod-disk", "mod-mem", "correct")
 	for _, c := range e.Cells {
@@ -215,7 +215,7 @@ func (e *IndexExperiment) Print(w io.Writer) {
 			q = 1
 		}
 		mDisk, mMem := c.ModeledSpeedups(e.Model)
-		Fprintf(w, "  %8d 2*(%2d)+1 %11s %11s %11s %9d %9d | %8.1fx %8.1fx %8v\n",
+		fprintf(w, "  %8d 2*(%2d)+1 %11s %11s %11s %9d %9d | %8.1fx %8.1fx %8v\n",
 			c.DatasetSize, c.Budget,
 			c.LinearScan.Round(time.Microsecond),
 			c.IndexDisk.Round(time.Microsecond),

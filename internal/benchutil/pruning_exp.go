@@ -147,21 +147,21 @@ func (e *PruningExperiment) Cell(size, budget int, m spectral.Method) (PruneCell
 
 // Print renders the fig. 22 table.
 func (e *PruningExperiment) Print(w io.Writer, sizes, budgets []int, methods []spectral.Method) {
-	Fprintf(w, "Fig. 22 — Fraction of database examined for 1NN (avg over %d queries)\n", e.Queries)
+	fprintf(w, "Fig. 22 — Fraction of database examined for 1NN (avg over %d queries)\n", e.Queries)
 	for _, size := range sizes {
-		Fprintf(w, "\n  Dataset size = %d\n", size)
-		Fprintf(w, "    %-14s", "doubles/seq")
+		fprintf(w, "\n  Dataset size = %d\n", size)
+		fprintf(w, "    %-14s", "doubles/seq")
 		for _, m := range methods {
-			Fprintf(w, " %14s", m)
+			fprintf(w, " %14s", m)
 		}
-		Fprintf(w, " %14s\n", "vs-next-best")
+		fprintf(w, " %14s\n", "vs-next-best")
 		for _, b := range budgets {
-			Fprintf(w, "    2*(%2d)+1      ", b)
+			fprintf(w, "    2*(%2d)+1      ", b)
 			var fracs []float64
 			for _, m := range methods {
 				cell, _ := e.Cell(size, b, m)
 				fracs = append(fracs, cell.Fraction)
-				Fprintf(w, " %14.4f", cell.Fraction)
+				fprintf(w, " %14.4f", cell.Fraction)
 			}
 			// Relative reduction of the last method vs the best other.
 			if len(fracs) >= 2 {
@@ -172,10 +172,10 @@ func (e *PruningExperiment) Print(w io.Writer, sizes, budgets []int, methods []s
 					}
 				}
 				if bestOther > 0 {
-					Fprintf(w, " %13.1f%%", 100*(fracs[len(fracs)-1]-bestOther)/bestOther)
+					fprintf(w, " %13.1f%%", 100*(fracs[len(fracs)-1]-bestOther)/bestOther)
 				}
 			}
-			Fprintf(w, "\n")
+			fprintf(w, "\n")
 		}
 	}
 }

@@ -93,7 +93,7 @@ type ScanStats struct {
 // (and nil counters) disables every increment, so DBs can update metrics
 // unconditionally.
 type Metrics struct {
-	// Queries counts overlap scans (each QueryByBurst issues one per query
+	// Queries counts overlap scans (each query-by-burst issues one per query
 	// burst).
 	Queries *obs.Counter
 	// RowsScanned counts rows touched by any plan (index entries followed
@@ -132,7 +132,7 @@ type seqRows struct {
 // DB is the burst-feature database.
 //
 // Concurrency contract: DB has no internal locking. Reads (Overlapping,
-// QueryByBurst, BurstsOf, Len) are safe to run concurrently with each
+// QueryByBurstLimited, BurstsOf, Len) are safe to run concurrently with each
 // other — they only walk the heap table and B-trees, and the obs metric
 // counters they bump are atomic — but Insert/InsertBursts mutate those
 // structures and must be serialized against all other access by the
@@ -520,21 +520,15 @@ type Match struct {
 	Score float64
 }
 
-// QueryByBurst finds the k sequences whose burst patterns are most similar
-// to the query burst set (§6.3): candidate rows are located with the overlap
-// index query for each query burst, then candidates are ranked by BSim.
-// exclude (optional, may be -1) drops one sequence ID from the results —
-// typically the query itself when it is already in the database.
-func (db *DB) QueryByBurst(query []burst.Burst, k int, exclude int64, plan Plan) ([]Match, ScanStats, error) {
-	matches, st, _, err := db.queryByBurst(query, k, exclude, plan, nil, nil)
-	return matches, st, err
-}
-
-// QueryByBurstLimited is QueryByBurst under a request-lifecycle gate: every
-// row touched by the overlap scans and every candidate ranked by BSim is
-// one gated unit. Cancellation aborts with the context's error; budget
-// exhaustion returns the matches ranked so far with truncated=true. A nil
-// gate makes it identical to QueryByBurst.
+// QueryByBurstLimited finds the k sequences whose burst patterns are most
+// similar to the query burst set (§6.3): candidate rows are located with the
+// overlap index query for each query burst, then candidates are ranked by
+// BSim. exclude (optional, may be -1) drops one sequence ID from the results
+// — typically the query itself when it is already in the database. Every
+// row touched by the overlap scans and every candidate ranked by BSim is one
+// unit of the request-lifecycle gate g: cancellation aborts with the
+// context's error; budget exhaustion returns the matches ranked so far with
+// truncated=true. A nil gate never stops it.
 func (db *DB) QueryByBurstLimited(query []burst.Burst, k int, exclude int64, plan Plan, g *lifecycle.Gate) ([]Match, ScanStats, bool, error) {
 	return db.queryByBurst(query, k, exclude, plan, nil, g)
 }

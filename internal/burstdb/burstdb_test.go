@@ -10,6 +10,12 @@ import (
 	"repro/internal/querylog"
 )
 
+// QueryByBurst is an ungated QueryByBurstLimited.
+func (db *DB) QueryByBurst(query []burst.Burst, k int, exclude int64, plan Plan) ([]Match, ScanStats, error) {
+	matches, st, _, err := db.QueryByBurstLimited(query, k, exclude, plan, nil)
+	return matches, st, err
+}
+
 func TestInsertGetDelete(t *testing.T) {
 	db := New()
 	r := Record{SeqID: 7, Start: 10, End: 20, Avg: 1.5}

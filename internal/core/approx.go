@@ -91,16 +91,16 @@ func stampApprox(resp *Response, epsilon float64, g *lifecycle.Gate) {
 // applyBoundGaps recomputes every neighbour's BoundGap against floor.
 func applyBoundGaps(ns []Neighbor, floor float64) {
 	for i := range ns {
-		ns[i].BoundGap = BoundGap(ns[i].Dist, floor)
+		ns[i].BoundGap = boundGap(ns[i].Dist, floor)
 	}
 }
 
-// BoundGap returns the sound per-result error bound for a reported distance
+// boundGap returns the sound per-result error bound for a reported distance
 // d against the proven bound floor: the true distance at that rank is
 // ≥ min(d, floor), so the relative error d/true − 1 is at most
 // max(0, d/floor − 1). A floor of 0 (ng stop — unexplored territory) yields
 // +Inf: no guarantee. Serving layers encode the unbounded gap as −1.
-func BoundGap(d, floor float64) float64 {
+func boundGap(d, floor float64) float64 {
 	if floor <= 0 {
 		return math.Inf(1)
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/querylog"
 )
@@ -237,49 +236,5 @@ func TestApproxValidate(t *testing.T) {
 	}
 	if !(Approx{Epsilon: 0.1}).Enabled() || !(Approx{Delta: 0.1}).Enabled() || !(Approx{NProbe: 1}).Enabled() {
 		t.Error("non-zero dial reports disabled")
-	}
-}
-
-// NewRequest with options must build exactly the Request literal it
-// documents, and answer identically through Engine.Query.
-func TestNewRequestBuilder(t *testing.T) {
-	req := NewRequest(KindSimilarID,
-		WithID(3), WithK(4),
-		WithDeadline(time.Second), WithMaxNodeVisits(100), WithMaxExactDistances(50),
-		WithEpsilon(0.1), WithDelta(0.05), WithNProbe(2),
-	)
-	want := Request{
-		Kind: KindSimilarID, ID: 3, K: 4,
-		Budget: Budget{Deadline: time.Second, MaxNodeVisits: 100, MaxExactDistances: 50},
-		Approx: Approx{Epsilon: 0.1, Delta: 0.05, NProbe: 2},
-	}
-	if req.Kind != want.Kind || req.ID != want.ID || req.K != want.K ||
-		req.Budget != want.Budget || req.Approx != want.Approx {
-		t.Fatalf("NewRequest = %+v, want %+v", req, want)
-	}
-	if d := NewRequest(KindDTW, WithBand(5)); d.Band != 5 || d.K != 1 || d.ID != -1 {
-		t.Errorf("defaults: %+v", d)
-	}
-	if p := NewRequest(KindSimilarPeriods, WithPeriods([]float64{7, 30}, 0.1)); len(p.Periods) != 2 || p.RelTol != 0.1 {
-		t.Errorf("periods: %+v", p)
-	}
-
-	e, _ := buildEngine(t, 30, Config{}, 21)
-	ctx := context.Background()
-	a, err := e.Query(ctx, NewRequest(KindSimilarID, WithID(2), WithK(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := e.Query(ctx, Request{Kind: KindSimilarID, ID: 2, K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Neighbors) != len(b.Neighbors) {
-		t.Fatalf("builder answer differs: %d vs %d", len(a.Neighbors), len(b.Neighbors))
-	}
-	for i := range a.Neighbors {
-		if a.Neighbors[i] != b.Neighbors[i] {
-			t.Fatalf("rank %d: %+v vs %+v", i, a.Neighbors[i], b.Neighbors[i])
-		}
 	}
 }

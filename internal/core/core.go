@@ -56,8 +56,8 @@ type Config struct {
 	// Shards selects horizontal partitioning: 0 or 1 builds today's
 	// single engine, N > 1 asks for N independent engine shards behind a
 	// scatter-gather layer. NewEngine itself only ever builds one shard —
-	// construct sharded engines with shard.New / shard.NewFromConfig
-	// (internal/shard), which consume this field; NewEngine and LoadEngine
+	// construct sharded engines with shard.NewFromConfig (internal/shard),
+	// which consumes this field; NewEngine and LoadEngine
 	// reject Shards > 1 so a sharding config can never silently degrade to
 	// a single unpartitioned engine.
 	Shards int
@@ -229,7 +229,7 @@ func NewEngine(data []*series.Series, cfg Config) (*Engine, error) {
 		return nil, errors.New("core: empty dataset")
 	}
 	if cfg.Shards > 1 {
-		return nil, fmt.Errorf("core: Config.Shards=%d needs the scatter-gather layer; build with shard.New (internal/shard)", cfg.Shards)
+		return nil, fmt.Errorf("core: Config.Shards=%d needs the scatter-gather layer; build with shard.NewFromConfig (internal/shard)", cfg.Shards)
 	}
 	cfg.fill()
 	e := &Engine{
@@ -285,9 +285,9 @@ func Standardize(z, values []float64) error {
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// CheckFinite returns an error wrapping ErrNonFinite that names what (a
+// checkFinite returns an error wrapping ErrNonFinite that names what (a
 // series, the query) and the first NaN or ±Inf among values, or nil.
-func CheckFinite(what string, values []float64) error {
+func checkFinite(what string, values []float64) error {
 	if i := firstNonFinite(values); i >= 0 {
 		return fmt.Errorf("core: %s has %v at point %d: %w", what, values[i], i, ErrNonFinite)
 	}
@@ -325,7 +325,7 @@ func derive(seqLen int, s *series.Series, z []float64) (derived, error) {
 		return derived{}, fmt.Errorf("core: series %q has length %d, want %d: %w", s.Name, s.Len(), seqLen, spectral.ErrMismatch)
 	}
 	if firstNonFinite(s.Values) >= 0 { // the name is quoted only for the error
-		return derived{}, CheckFinite(fmt.Sprintf("series %q", s.Name), s.Values)
+		return derived{}, checkFinite(fmt.Sprintf("series %q", s.Name), s.Values)
 	}
 	if len(z) != seqLen {
 		z = make([]float64, seqLen)

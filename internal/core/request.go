@@ -75,28 +75,6 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind inverts Kind.String.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "similar":
-		return KindSimilar, nil
-	case "similar_id":
-		return KindSimilarID, nil
-	case "linear":
-		return KindLinear, nil
-	case "dtw":
-		return KindDTW, nil
-	case "periods":
-		return KindSimilarPeriods, nil
-	case "qbb":
-		return KindBurst, nil
-	case "qbb_id":
-		return KindBurstID, nil
-	default:
-		return KindUnknown, fmt.Errorf("core: unknown request kind %q", s)
-	}
-}
-
 // Budget caps the work one Query may perform. The zero value is unlimited.
 // Budgets degrade gracefully: when one expires mid-search the engine stops,
 // refines what it already collected, and returns the best-so-far answer
@@ -243,7 +221,7 @@ var errBadK = errors.New("core: k must be >= 1")
 //   - Request.Budget expiry degrades gracefully: the best-so-far answer is
 //     returned with Response.Truncated set.
 //
-// Every call runs under a request ID, reused from ctx (obs.WithRequestID)
+// Every call runs under a request ID, reused from ctx (obs.EnsureRequestID)
 // or minted, which the query's trace, its one wide event (the hub's
 // RequestLog, /debug/requests?id=<id>) and /v2/search's answer all carry.
 // See Envelope and docs/api.md.
@@ -339,7 +317,7 @@ func (v *Envelope) Run(ctx context.Context, req Request, body QueryBody) (*Respo
 	if err := req.Approx.Validate(); err != nil {
 		return nil, err
 	}
-	if err := CheckFinite("the query", req.Values); err != nil {
+	if err := checkFinite("the query", req.Values); err != nil {
 		return nil, err
 	}
 	// A corpus never has more than Len() neighbours, so a larger k changes

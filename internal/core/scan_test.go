@@ -115,7 +115,9 @@ func TestDTWStatsAreExported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRes, want, err := dtw.SearchK(coll, z, band, k)
+	scratch := dtw.Get()
+	wantRes, want, _, err := scratch.SearchKLimited(coll, z, band, k, nil)
+	scratch.Release()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -677,7 +677,7 @@ func (s *v2server) serveProgressive(ctx context.Context, fail func(*V2Error)) {
 			if floor > 0 {
 				gap = 0
 				for i := range rs {
-					rs[i].BoundGap = jsonGap(BoundGap(rs[i].Dist, floor))
+					rs[i].BoundGap = jsonGap(boundGap(rs[i].Dist, floor))
 					if rs[i].BoundGap > gap {
 						gap = rs[i].BoundGap
 					}

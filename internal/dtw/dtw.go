@@ -6,13 +6,14 @@
 //   - DTW is the classic dynamic program under a Sakoe–Chiba band of radius
 //     r (r = 0 degenerates to Euclidean distance; computed on squared costs
 //     with a square root at the end so the two scales agree).
-//   - LBKeogh [Keogh, VLDB'02 — the paper's citation [9]] lower-bounds DTW
+//   - LB_Keogh [Keogh, VLDB'02 — the paper's citation [9]] lower-bounds DTW
 //     in O(n) using the band envelope of the query.
 //   - Euclidean distance upper-bounds DTW (the diagonal is a legal warping
-//     path), giving the linear-cost upper bound the paper asks for.
+//     path), the linear-cost upper bound the paper asks for; the tests hold
+//     DTW between the two bounds, and no search uses the upper one yet.
 //
-// Search composes them: candidates are ranked by LBKeogh, pruned against
-// the best-so-far exact DTW, and refined with an early-abandoning DP.
+// SearchKLimited composes them: candidates are ranked by LB_Keogh, pruned
+// against the best-so-far exact DTW, and refined with an early-abandoning DP.
 package dtw
 
 import (
@@ -22,7 +23,6 @@ import (
 	"sync"
 
 	"repro/internal/lifecycle"
-	"repro/internal/series"
 )
 
 // ErrLength is returned when inputs have mismatched or empty lengths.
@@ -30,23 +30,6 @@ var ErrLength = errors.New("dtw: sequences must be non-empty and equal length")
 
 // ErrBand is returned for a negative band radius.
 var ErrBand = errors.New("dtw: band radius must be >= 0")
-
-// Distance returns the Dynamic Time Warping distance between a and b under
-// a Sakoe–Chiba band of radius r (|i−j| ≤ r). Cell costs are squared
-// differences; the result is the square root of the optimal path cost, so
-// Distance(a, b, 0) equals the Euclidean distance.
-func Distance(a, b []float64, r int) (float64, error) {
-	d, _, err := DistanceEarlyAbandon(a, b, r, math.Inf(1))
-	return d, err
-}
-
-// DistanceEarlyAbandon is Distance but gives up once every entry of the
-// current DP row exceeds bound², returning (+Inf, true, nil).
-func DistanceEarlyAbandon(a, b []float64, r int, bound float64) (float64, bool, error) {
-	s := Get()
-	defer s.Release()
-	return s.distance(a, b, r, bound)
-}
 
 // infBits is the bit pattern of +Inf. The DP rows hold float64 bit
 // patterns: every finite cell value is ≥ +0, so unsigned integer order on
@@ -128,16 +111,6 @@ type Envelope struct {
 	R int
 }
 
-// NewEnvelope computes the band envelope of q:
-// Upper[i] = max(q[i−r .. i+r]), Lower[i] = min(q[i−r .. i+r]).
-func NewEnvelope(q []float64, r int) (*Envelope, error) {
-	e := new(Envelope)
-	if err := e.fill(q, r); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
 // fill rebuilds e for (q, r), reusing its slices.
 func (e *Envelope) fill(q []float64, r int) error {
 	n := len(q)
@@ -175,7 +148,7 @@ func (e *Envelope) fill(q []float64, r int) error {
 	return nil
 }
 
-// LBKeogh returns the LB_Keogh lower bound on DTW(q, x, r) where e is the
+// lbKeogh returns the LB_Keogh lower bound on DTW(q, x, r) where e is the
 // envelope of q at radius r: points of x outside [L, U] contribute their
 // squared excursion.
 //
@@ -185,7 +158,7 @@ func (e *Envelope) fill(q []float64, r int) error {
 // +0, which leaves the non-negative sum unchanged. The terms and their order
 // are those of the three-way switch it replaces, so the bound is
 // bit-identical; what is left is the latency of one add per element.
-func LBKeogh(e *Envelope, x []float64) (float64, error) {
+func lbKeogh(e *Envelope, x []float64) (float64, error) {
 	if len(x) != len(e.Upper) {
 		return 0, ErrLength
 	}
@@ -207,12 +180,6 @@ func LBKeogh(e *Envelope, x []float64) (float64, error) {
 	return math.Sqrt(sum), nil
 }
 
-// UpperBound returns the Euclidean distance, a linear-cost upper bound on
-// DTW (the diagonal is always a legal warping path).
-func UpperBound(a, b []float64) (float64, error) {
-	return series.Euclidean(a, b)
-}
-
 // Result is one DTW nearest neighbour.
 type Result struct {
 	// Index is the candidate's position in the searched collection.
@@ -221,7 +188,7 @@ type Result struct {
 	Dist float64
 }
 
-// Stats reports the filter-and-refine work of one Search.
+// Stats reports the filter-and-refine work of one SearchKLimited.
 type Stats struct {
 	// LBComputed counts LB_Keogh evaluations (always = collection size).
 	LBComputed int
@@ -268,32 +235,15 @@ func (s *Scratch) Collection(n int) [][]float64 {
 	return s.coll
 }
 
-// Search returns the 1NN of query under DTW with band radius r, over the
-// candidate collection, using the LB_Keogh → early-abandon-DTW cascade. It
-// mirrors the paper's filter-and-refine structure (§8).
-func Search(collection [][]float64, query []float64, r int) (Result, Stats, error) {
-	res, st, err := SearchK(collection, query, r, 1)
-	if err != nil {
-		return Result{}, st, err
-	}
-	return res[0], st, nil
-}
-
-// SearchK returns the k nearest neighbours of query under banded DTW,
-// sorted by increasing distance, with the same bound cascade as Search.
-func SearchK(collection [][]float64, query []float64, r, k int) ([]Result, Stats, error) {
-	s := Get()
-	defer s.Release()
-	res, st, _, err := s.SearchKLimited(collection, query, r, k, nil)
-	return res, st, err
-}
-
-// SearchKLimited is SearchK under a request-lifecycle gate: each LB_Keogh
-// evaluation is a gated scan unit and each exact DTW a gated refinement
-// unit, so cancellation aborts within a bounded number of distance
-// computations and budget exhaustion returns the best-so-far neighbours
-// with truncated=true. A nil gate makes it identical to SearchK. The
-// collection is only read: its sequences may be views of stored rows.
+// SearchKLimited returns the k nearest neighbours of query under DTW with
+// band radius r, sorted by increasing distance, using the LB_Keogh →
+// early-abandon-DTW cascade — the paper's filter-and-refine structure (§8).
+// It runs under a request-lifecycle gate: each LB_Keogh evaluation is a
+// gated scan unit and each exact DTW a gated refinement unit, so
+// cancellation aborts within a bounded number of distance computations and
+// budget exhaustion returns the best-so-far neighbours with truncated=true.
+// A nil gate never stops it. The collection is only read: its sequences may
+// be views of stored rows.
 func (s *Scratch) SearchKLimited(collection [][]float64, query []float64, r, k int, g *lifecycle.Gate) ([]Result, Stats, bool, error) {
 	var st Stats
 	if len(collection) == 0 {
@@ -322,7 +272,7 @@ func (s *Scratch) SearchKLimited(collection [][]float64, query []float64, r, k i
 		if !g.Leaf() {
 			break // ng leaf budget exhausted: best-so-far, flagged approximate
 		}
-		lb, err := LBKeogh(env, x)
+		lb, err := lbKeogh(env, x)
 		if err != nil {
 			return nil, st, false, err
 		}

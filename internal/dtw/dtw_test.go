@@ -103,7 +103,7 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 func checkKernelMatchesRef(t *testing.T, a, b []float64, r int, bound float64) {
 	t.Helper()
 	wantD, wantAb := refDistance(a, b, r, bound)
-	gotD, gotAb, err := DistanceEarlyAbandon(a, b, r, bound)
+	gotD, gotAb, err := distanceEarlyAbandon(a, b, r, bound)
 	if err != nil {
 		t.Fatalf("n=%d r=%d bound=%v: %v", len(a), r, bound, err)
 	}
@@ -203,7 +203,7 @@ func TestLBKeoghMatchesSwitch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := LBKeogh(env, x)
+				got, err := lbKeogh(env, x)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -228,7 +228,7 @@ func TestLBKeoghMatchesSwitch(t *testing.T) {
 	// An envelope whose curves cross (only a caller can build one) still
 	// takes the upper excursion first, as the switch did.
 	crossed := &Envelope{Upper: []float64{0, 1}, Lower: []float64{2, 3}}
-	got, _ := LBKeogh(crossed, []float64{1, 2})
+	got, _ := lbKeogh(crossed, []float64{1, 2})
 	if want := refLBKeogh(crossed, []float64{1, 2}); !sameBits(got, want) {
 		t.Fatalf("crossed envelope: %v vs switch %v", got, want)
 	}
@@ -259,7 +259,7 @@ func TestDistanceErrors(t *testing.T) {
 		t.Error("expected ErrBand from NewEnvelope")
 	}
 	e, _ := NewEnvelope([]float64{1, 2}, 1)
-	if _, err := LBKeogh(e, []float64{1}); err != ErrLength {
+	if _, err := lbKeogh(e, []float64{1}); err != ErrLength {
 		t.Error("expected ErrLength from LBKeogh")
 	}
 }
@@ -322,7 +322,7 @@ func TestBoundSandwichProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lb, err := LBKeogh(env, b)
+		lb, err := lbKeogh(env, b)
 		if err != nil {
 			return false
 		}
@@ -353,11 +353,11 @@ func TestEarlyAbandonConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a, b := randSeq(rng, 64), randSeq(rng, 64)
 	exact, _ := Distance(a, b, 5)
-	d, abandoned, err := DistanceEarlyAbandon(a, b, 5, exact+1)
+	d, abandoned, err := distanceEarlyAbandon(a, b, 5, exact+1)
 	if err != nil || abandoned || math.Abs(d-exact) > 1e-9 {
 		t.Errorf("loose bound: d=%v abandoned=%v err=%v want %v", d, abandoned, err, exact)
 	}
-	d, abandoned, err = DistanceEarlyAbandon(a, b, 5, exact/2)
+	d, abandoned, err = distanceEarlyAbandon(a, b, 5, exact/2)
 	if err != nil || !abandoned || !math.IsInf(d, 1) {
 		t.Errorf("tight bound: d=%v abandoned=%v err=%v", d, abandoned, err)
 	}
@@ -376,7 +376,7 @@ func TestEnvelopeContainsQuery(t *testing.T) {
 		}
 	}
 	// LBKeogh of the query against its own envelope is 0.
-	lb, _ := LBKeogh(e, q)
+	lb, _ := lbKeogh(e, q)
 	if lb != 0 {
 		t.Errorf("self LBKeogh = %v", lb)
 	}
@@ -391,10 +391,11 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 		coll[i] = s.Values
 	}
 	for _, q := range queries {
-		res, st, err := Search(coll, q.Values, 6)
+		got, st, err := searchK(coll, q.Values, 6, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := got[0]
 		// Brute force.
 		bestD, bestI := math.Inf(1), -1
 		for i, x := range coll {
@@ -420,7 +421,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 }
 
 func TestSearchEmptyCollection(t *testing.T) {
-	if _, _, err := Search(nil, []float64{1}, 1); err == nil {
+	if _, _, err := searchK(nil, []float64{1}, 1, 1); err == nil {
 		t.Error("expected error for empty collection")
 	}
 }
@@ -463,7 +464,7 @@ func BenchmarkLBKeogh1024(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LBKeogh(env, y); err != nil {
+		if _, err := lbKeogh(env, y); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -480,7 +481,7 @@ func BenchmarkSearchCascade(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Search(coll, q.Values, 12); err != nil {
+		if _, _, err := searchK(coll, q.Values, 12, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -495,7 +496,7 @@ func TestSearchKMatchesBruteForce(t *testing.T) {
 		coll[i] = s.Values
 	}
 	for _, k := range []int{1, 3, 7, 60} {
-		got, _, err := SearchK(coll, q.Values, 5, k)
+		got, _, err := searchK(coll, q.Values, 5, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -522,7 +523,7 @@ func TestSearchKMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := SearchK(coll, q.Values, 5, 0); err == nil {
+	if _, _, err := searchK(coll, q.Values, 5, 0); err == nil {
 		t.Error("expected error for k=0")
 	}
 }

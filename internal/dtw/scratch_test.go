@@ -8,13 +8,54 @@ import (
 
 	"repro/internal/israce"
 	"repro/internal/querylog"
+	"repro/internal/series"
 )
+
+// Distance returns the DTW distance between a and b under a Sakoe–Chiba
+// band of radius r, never abandoning: the brute-force side of the tests.
+func Distance(a, b []float64, r int) (float64, error) {
+	d, _, err := distanceEarlyAbandon(a, b, r, math.Inf(1))
+	return d, err
+}
+
+// distanceEarlyAbandon runs the DTW kernel on a pooled Scratch: it gives
+// up once every entry of the current DP row exceeds bound², returning
+// (+Inf, true, nil).
+func distanceEarlyAbandon(a, b []float64, r int, bound float64) (float64, bool, error) {
+	s := Get()
+	defer s.Release()
+	return s.distance(a, b, r, bound)
+}
+
+// searchK is an ungated SearchKLimited on a pooled Scratch.
+func searchK(collection [][]float64, query []float64, r, k int) ([]Result, Stats, error) {
+	s := Get()
+	defer s.Release()
+	res, st, _, err := s.SearchKLimited(collection, query, r, k, nil)
+	return res, st, err
+}
+
+// NewEnvelope computes the band envelope of q:
+// Upper[i] = max(q[i−r .. i+r]), Lower[i] = min(q[i−r .. i+r]).
+func NewEnvelope(q []float64, r int) (*Envelope, error) {
+	e := new(Envelope)
+	if err := e.fill(q, r); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// UpperBound returns the Euclidean distance, a linear-cost upper bound on
+// DTW (the diagonal is always a legal warping path).
+func UpperBound(a, b []float64) (float64, error) {
+	return series.Euclidean(a, b)
+}
 
 // refSearchK is the ungated cascade built from the reference pieces: the
 // switch LB_Keogh, an (lb, index) sort, the strict cutoff and the reference
-// DP under the k-th best distance. SearchK must return its neighbours bit
+// DP under the k-th best distance. SearchKLimited must return its neighbours bit
 // for bit and count the same work.
-func refSearchK(collection [][]float64, query []float64, r, k int) ([]Result, Stats) {
+func refsearchK(collection [][]float64, query []float64, r, k int) ([]Result, Stats) {
 	var st Stats
 	env, _ := NewEnvelope(query, r)
 	cands := make([]lbCand, 0, len(collection))
@@ -95,14 +136,14 @@ func TestSearchStatsPinned(t *testing.T) {
 		{3, 5, Stats{120, 119, 114}, []int{41, 68, 11, 113, 33}},
 	}
 	for _, p := range pinned {
-		got, st, err := SearchK(coll, queries[p.query], 7, p.k)
+		got, st, err := searchK(coll, queries[p.query], 7, p.k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st != p.st {
 			t.Errorf("query %d k=%d: stats %+v, pinned %+v", p.query, p.k, st, p.st)
 		}
-		want, wantSt := refSearchK(coll, queries[p.query], 7, p.k)
+		want, wantSt := refsearchK(coll, queries[p.query], 7, p.k)
 		if st != wantSt {
 			t.Errorf("query %d k=%d: stats %+v, reference cascade %+v", p.query, p.k, st, wantSt)
 		}
@@ -130,14 +171,14 @@ func TestSteadyStateAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := DistanceEarlyAbandon(a, b, 7, bound); err != nil {
+		if _, _, err := distanceEarlyAbandon(a, b, 7, bound); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
 		t.Errorf("DistanceEarlyAbandon allocates %.0f objects in steady state, want 0", allocs)
 	}
 	search := func() {
-		if _, _, err := SearchK(coll, queries[0], 7, 5); err != nil {
+		if _, _, err := searchK(coll, queries[0], 7, 5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,7 +198,7 @@ func TestScratchReuseIsClean(t *testing.T) {
 		short[i] = coll[i][:40:40]
 	}
 	narrow := func() ([]Result, Stats) {
-		res, st, err := SearchK(short, queries[1][:40:40], 1, 2)
+		res, st, err := searchK(short, queries[1][:40:40], 1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

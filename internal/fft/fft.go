@@ -26,21 +26,8 @@ var ErrEmpty = errors.New("fft: empty input")
 
 var errDstLength = errors.New("fft: destination length mismatch")
 
-// Forward computes the normalized DFT of x and returns a freshly allocated
-// coefficient vector of the same length.
-func Forward(x []complex128) ([]complex128, error) {
-	if len(x) == 0 {
-		return nil, ErrEmpty
-	}
-	out := make([]complex128, len(x))
-	copy(out, x)
-	transform(out, false)
-	scale(out, 1/math.Sqrt(float64(len(x))))
-	return out, nil
-}
-
-// Inverse computes the inverse of Forward: Inverse(Forward(x)) == x.
-func Inverse(X []complex128) ([]complex128, error) {
+// inverseComplex computes the inverse of the normalized DFT.
+func inverseComplex(X []complex128) ([]complex128, error) {
 	if len(X) == 0 {
 		return nil, ErrEmpty
 	}
@@ -54,16 +41,16 @@ func Inverse(X []complex128) ([]complex128, error) {
 // ForwardReal computes the normalized DFT of a real-valued sequence.
 func ForwardReal(x []float64) ([]complex128, error) {
 	c := make([]complex128, len(x))
-	if err := ForwardRealInto(c, x); err != nil {
+	if err := forwardRealInto(c, x); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// ForwardRealInto is ForwardReal into caller-owned storage: dst, which must
+// forwardRealInto is ForwardReal into caller-owned storage: dst, which must
 // have len(x), receives the coefficients — ForwardRealHalf's bins and their
 // conjugate mirror, X(N−k) = conj(X(k)).
-func ForwardRealInto(dst []complex128, x []float64) error {
+func forwardRealInto(dst []complex128, x []float64) error {
 	n := len(x)
 	if n == 0 {
 		return ErrEmpty
@@ -197,7 +184,7 @@ func splitTwiddles(n int) []complex128 {
 // InverseReal inverts a spectrum known to come from a real sequence and
 // returns the real parts (imaginary residue is numerical noise).
 func InverseReal(X []complex128) ([]float64, error) {
-	c, err := Inverse(X)
+	c, err := inverseComplex(X)
 	if err != nil {
 		return nil, err
 	}
@@ -365,16 +352,6 @@ func bluestein(x []complex128, inverse bool) {
 	}
 }
 
-// Periodogram returns the power spectral density estimate of the spectrum X:
-// P(k) = |X(k)|² for k = 0 .. ⌊(N−1)/2⌋ (§2.2). Frequencies above the Nyquist
-// limit are redundant for real signals and are not reported.
-func Periodogram(X []complex128) []float64 {
-	if len(X) == 0 {
-		return nil
-	}
-	return power(X[:(len(X)-1)/2+1])
-}
-
 // PeriodogramReal computes the periodogram of a real-valued sequence directly
 // from its half spectrum.
 func PeriodogramReal(x []float64) ([]float64, error) {
@@ -393,26 +370,6 @@ func power(X []complex128) []float64 {
 		p[k] = m * m
 	}
 	return p
-}
-
-// Magnitudes returns |X(k)| for every coefficient.
-func Magnitudes(X []complex128) []float64 {
-	out := make([]float64, len(X))
-	for i, v := range X {
-		out[i] = cmplx.Abs(v)
-	}
-	return out
-}
-
-// Energy returns Σ|X(k)|², which by Parseval equals the time-domain energy of
-// the original sequence (the transform is unitary).
-func Energy(X []complex128) float64 {
-	e := 0.0
-	for _, v := range X {
-		re, im := real(v), imag(v)
-		e += re*re + im*im
-	}
-	return e
 }
 
 // FrequencyOf returns the normalized frequency (cycles per sample) of

@@ -326,14 +326,6 @@ func (g *Gate) BoundFloor() float64 {
 	return g.boundFloor
 }
 
-// Nodes returns the accounted traversal/scan units (0 on the nil gate).
-func (g *Gate) Nodes() int {
-	if g == nil {
-		return 0
-	}
-	return g.nodes
-}
-
 // ExactDistances returns the accounted exact computations.
 func (g *Gate) ExactDistances() int {
 	if g == nil {

@@ -129,8 +129,8 @@ func TestSkipSpendsNothingButObservesTheGate(t *testing.T) {
 			t.Fatalf("Skip #%d = (%v, %v)", i, ok, err)
 		}
 	}
-	if g.Nodes() != 0 || g.ExactDistances() != 0 || g.Truncated() {
-		t.Fatalf("100 skips spent budget: nodes %d exact %d truncated %v", g.Nodes(), g.ExactDistances(), g.Truncated())
+	if g.nodes != 0 || g.ExactDistances() != 0 || g.Truncated() {
+		t.Fatalf("100 skips spent budget: nodes %d exact %d truncated %v", g.nodes, g.ExactDistances(), g.Truncated())
 	}
 	cancel()
 	calls := 0
@@ -242,8 +242,8 @@ func TestSplitSharesBudgetAndAbsorbMerges(t *testing.T) {
 	if !g.Truncated() {
 		t.Fatal("parent should absorb child truncation")
 	}
-	if g.Nodes() != total {
-		t.Fatalf("parent nodes = %d, want %d", g.Nodes(), total)
+	if g.nodes != total {
+		t.Fatalf("parent nodes = %d, want %d", g.nodes, total)
 	}
 }
 

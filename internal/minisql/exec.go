@@ -85,20 +85,6 @@ type Result struct {
 	Scanned int
 }
 
-// Project returns the projected values of one record in Columns order
-// (all four columns for SELECT *).
-func (r *Result) Project(rec burstdb.Record) []float64 {
-	cols := r.Columns
-	if cols == nil {
-		cols = []Column{ColSeqID, ColStart, ColEnd, ColAvg}
-	}
-	out := make([]float64, len(cols))
-	for i, c := range cols {
-		out[i] = colValue(rec, c)
-	}
-	return out
-}
-
 func colValue(r burstdb.Record, c Column) float64 {
 	switch c {
 	case ColSeqID:
@@ -133,27 +119,31 @@ func (p Predicate) matches(r burstdb.Record) bool {
 
 // intRange tightens an integer key range [lo, hi] with one predicate.
 // Ranges on ColStart/ColEnd are integral day indices, so `< v` becomes
-// `≤ ceil(v)−1` and `> v` becomes `≥ floor(v)+1`.
+// `≤ ceil(v)−1` and `> v` becomes `≥ floor(v)+1`. The literal is first
+// clamped into [unboundedLo, unboundedHi]: no key lies beyond those ends,
+// and converting a float outside int64's range to int64 is undefined (on
+// amd64 it yields MinInt64, which would empty the range).
 func intRange(lo, hi int64, p Predicate) (int64, int64) {
+	v := math.Max(float64(unboundedLo), math.Min(p.Value, float64(unboundedHi)))
 	switch p.Op {
 	case OpLT:
-		if b := int64(math.Ceil(p.Value)) - 1; b < hi {
+		if b := int64(math.Ceil(v)) - 1; b < hi {
 			hi = b
 		}
 	case OpLE:
-		if b := int64(math.Floor(p.Value)); b < hi {
+		if b := int64(math.Floor(v)); b < hi {
 			hi = b
 		}
 	case OpGT:
-		if b := int64(math.Floor(p.Value)) + 1; b > lo {
+		if b := int64(math.Floor(v)) + 1; b > lo {
 			lo = b
 		}
 	case OpGE:
-		if b := int64(math.Ceil(p.Value)); b > lo {
+		if b := int64(math.Ceil(v)); b > lo {
 			lo = b
 		}
 	case OpEQ:
-		if v := p.Value; v == math.Trunc(v) {
+		if v == math.Trunc(v) {
 			if int64(v) > lo {
 				lo = int64(v)
 			}
@@ -175,8 +165,8 @@ const (
 	unboundedHi = int64(math.MaxInt64 / 4)
 )
 
-// Exec plans and runs the query against db.
-func Exec(db *burstdb.DB, q *Query) (*Result, error) {
+// exec plans and runs the query against db.
+func exec(db *burstdb.DB, q *Query) (*Result, error) {
 	startLo, startHi := unboundedLo, unboundedHi
 	endLo, endHi := unboundedLo, unboundedHi
 	for _, p := range q.Where {
@@ -263,9 +253,9 @@ func Exec(db *burstdb.DB, q *Query) (*Result, error) {
 
 // Run parses and executes input against db in one call.
 func Run(db *burstdb.DB, input string) (*Result, error) {
-	q, err := Parse(input)
+	q, err := parse(input)
 	if err != nil {
 		return nil, err
 	}
-	return Exec(db, q)
+	return exec(db, q)
 }

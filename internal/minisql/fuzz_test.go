@@ -6,7 +6,7 @@ import (
 	"repro/internal/burstdb"
 )
 
-// FuzzParse hammers the SQL front end: Parse must never panic, and any
+// FuzzParse hammers the SQL front end: parse must never panic, and any
 // statement it accepts must execute without panicking and agree with a
 // naive filter.
 func FuzzParse(f *testing.F) {
@@ -32,11 +32,11 @@ func FuzzParse(f *testing.F) {
 		all = append(all, r)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
-		q, err := Parse(input)
+		q, err := parse(input)
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
-		res, err := Exec(db, q)
+		res, err := exec(db, q)
 		if err != nil {
 			t.Fatalf("accepted statement failed to execute: %q: %v", input, err)
 		}

@@ -32,7 +32,7 @@ func insert(tb testing.TB, db *burstdb.DB, rows ...burstdb.Record) {
 }
 
 func TestParseBasics(t *testing.T) {
-	q, err := Parse("SELECT * FROM bursts")
+	q, err := parse("SELECT * FROM bursts")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestParseBasics(t *testing.T) {
 		t.Errorf("bare select parsed wrong: %+v", q)
 	}
 
-	q, err = Parse("select seqid, avgvalue from bursts where startdate < 26 and enddate > 9 order by avgvalue desc limit 2")
+	q, err = parse("select seqid, avgvalue from bursts where startdate < 26 and enddate > 9 order by avgvalue desc limit 2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestParseBasics(t *testing.T) {
 
 func TestParsePaperFig18(t *testing.T) {
 	// The paper's query, with table-qualified columns.
-	q, err := Parse("SELECT * FROM Database WHERE B.startDate < 26 AND B.endDate > 9")
+	q, err := parse("SELECT * FROM Database WHERE B.startDate < 26 AND B.endDate > 9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +94,14 @@ func TestParseErrors(t *testing.T) {
 		"SELECT * FROM bursts WHERE startdate < 3 ; drop",
 	}
 	for _, s := range bad {
-		if _, err := Parse(s); err == nil {
+		if _, err := parse(s); err == nil {
 			t.Errorf("expected parse error for %q", s)
 		}
 	}
 }
 
 func TestSyntaxErrorMessage(t *testing.T) {
-	_, err := Parse("SELECT ? FROM bursts")
+	_, err := parse("SELECT ? FROM bursts")
 	se, ok := err.(*SyntaxError)
 	if !ok {
 		t.Fatalf("want *SyntaxError, got %T", err)
@@ -150,13 +150,11 @@ func TestExecProjectionOrderLimit(t *testing.T) {
 	if res.Records[0].SeqID != 4 || res.Records[1].SeqID != 2 {
 		t.Errorf("order wrong: %v", res.Records)
 	}
-	row := res.Project(res.Records[0])
-	if len(row) != 2 || row[0] != 4 || row[1] != 3.0 {
-		t.Errorf("projection: %v", row)
+	if len(res.Columns) != 2 || res.Columns[0] != ColSeqID || res.Columns[1] != ColAvg {
+		t.Errorf("projection: %v", res.Columns)
 	}
-	star := &Result{}
-	if got := star.Project(burstdb.Record{SeqID: 9, Start: 1, End: 2, Avg: 0.25}); len(got) != 4 {
-		t.Errorf("star projection: %v", got)
+	if res.Records[0].Avg != 3.0 {
+		t.Errorf("top avgvalue = %v, want 3", res.Records[0].Avg)
 	}
 }
 
@@ -219,6 +217,8 @@ func TestExecEmptyTable(t *testing.T) {
 func TestExecMatchesNaiveProperty(t *testing.T) {
 	cols := []string{"seqid", "startdate", "enddate", "avgvalue"}
 	ops := []string{"<", "<=", ">", ">=", "=", "<>"}
+	// Literals beyond every key, some beyond int64's range.
+	extremes := []string{"1e19", "-1e19", "9223372036854775807", "-9223372036854775808", "4e18"}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		db := burstdb.New()
@@ -234,6 +234,32 @@ func TestExecMatchesNaiveProperty(t *testing.T) {
 			}
 			insert(t, db, r)
 			all = append(all, r)
+		}
+		agrees := func(query string, preds []Predicate) bool {
+			res, err := Run(db, query)
+			if err != nil {
+				t.Logf("query %q: %v", query, err)
+				return false
+			}
+			naive := 0
+			for _, r := range all {
+				ok := true
+				for _, p := range preds {
+					if !p.matches(r) {
+						ok = false
+						break
+					}
+				}
+				if ok {
+					naive++
+				}
+			}
+			if len(res.Records) != naive {
+				t.Logf("query %q: exec %d rows, naive %d (plan %v)",
+					query, len(res.Records), naive, res.Plan)
+				return false
+			}
+			return true
 		}
 		for trial := 0; trial < 10; trial++ {
 			var sb strings.Builder
@@ -256,28 +282,18 @@ func TestExecMatchesNaiveProperty(t *testing.T) {
 				sb.WriteString(strconv.Itoa(int(v)))
 				preds = append(preds, Predicate{Col: Column(c), Op: Op(o), Value: v})
 			}
-			res, err := Run(db, sb.String())
-			if err != nil {
-				t.Logf("query %q: %v", sb.String(), err)
+			if !agrees(sb.String(), preds) {
 				return false
 			}
-			naive := 0
-			for _, r := range all {
-				ok := true
-				for _, p := range preds {
-					if !p.matches(r) {
-						ok = false
-						break
+		}
+		for c, col := range cols {
+			for o, op := range ops {
+				for _, lit := range extremes {
+					v, _ := strconv.ParseFloat(lit, 64)
+					if !agrees("SELECT * FROM bursts WHERE "+col+" "+op+" "+lit, []Predicate{{Col: Column(c), Op: Op(o), Value: v}}) {
+						return false
 					}
 				}
-				if ok {
-					naive++
-				}
-			}
-			if len(res.Records) != naive {
-				t.Logf("query %q: exec %d rows, naive %d (plan %v)",
-					sb.String(), len(res.Records), naive, res.Plan)
-				return false
 			}
 		}
 		return true

@@ -139,8 +139,8 @@ func operator(t token) (Op, error) {
 	return 0, &SyntaxError{Pos: t.pos, Msg: fmt.Sprintf("expected comparison operator, got %q", t.text)}
 }
 
-// Parse parses one SELECT statement.
-func Parse(input string) (*Query, error) {
+// parse parses one SELECT statement.
+func parse(input string) (*Query, error) {
 	toks, err := lex(input)
 	if err != nil {
 		return nil, err

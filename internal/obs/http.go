@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -71,7 +70,7 @@ func Handler(h *Hub, extra ...Route) http.Handler {
 		// reject exemplar syntax in.
 		if wantsOpenMetrics(r) {
 			w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-			WriteOpenMetrics(w, h.Registry().Snapshot())
+			writeOpenMetrics(w, h.Registry().Snapshot())
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -222,7 +221,10 @@ func varsPayload(r *Registry) map[string]any {
 	return out
 }
 
-// quantileFromSnapshot mirrors Histogram.Quantile over a frozen snapshot.
+// quantileFromSnapshot returns an upper-bound estimate of the q-quantile
+// (0 ≤ q ≤ 1) of a frozen histogram: the smallest bucket bound whose
+// cumulative count reaches q·Count. It returns 0 with no observations and
+// +Inf when the quantile falls in the overflow bucket.
 func quantileFromSnapshot(h HistogramSnapshot, q float64) float64 {
 	if h.Count == 0 {
 		return 0
@@ -285,12 +287,12 @@ func wantsOpenMetrics(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text")
 }
 
-// WriteOpenMetrics renders a snapshot as OpenMetrics text: the same series
+// writeOpenMetrics renders a snapshot as OpenMetrics text: the same series
 // as WritePrometheus, plus per-bucket exemplars linking histogram buckets
 // to the trace that most recently landed in them
 // (`... # {trace_id="<id>"} <value> <unix-seconds>`) and the mandatory
 // `# EOF` terminator. Classic 0.0.4 scrapes never see exemplar syntax.
-func WriteOpenMetrics(w io.Writer, s Snapshot) {
+func writeOpenMetrics(w io.Writer, s Snapshot) {
 	for _, c := range s.Counters {
 		writeHeader(w, c.Name, c.Help, "counter")
 		fmt.Fprintf(w, "%s %d\n", c.Name, c.Value)
@@ -337,21 +339,4 @@ func formatFloat(v float64) string {
 		return strconv.FormatFloat(v, 'f', -1, 64)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// SortedNames returns every metric name in a snapshot, sorted (handy for the
-// REPL `stats` command and for tests asserting snapshot determinism).
-func (s Snapshot) SortedNames() []string {
-	var names []string
-	for _, c := range s.Counters {
-		names = append(names, c.Name)
-	}
-	for _, g := range s.Gauges {
-		names = append(names, g.Name)
-	}
-	for _, h := range s.Histograms {
-		names = append(names, h.Name)
-	}
-	sort.Strings(names)
-	return names
 }

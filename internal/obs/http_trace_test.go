@@ -19,7 +19,7 @@ func traceHub(t *testing.T) (*Hub, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := ContextWithSpanContext(t.Context(), sc)
+	ctx := contextWithSpanContext(t.Context(), sc)
 	tr, _ := h.Traces.StartTraceCtx(ctx, "similar_queries")
 	tr.Annotate("request_id", "q-cross-1")
 	tr.Span("index_search").Finish()

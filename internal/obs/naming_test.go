@@ -8,13 +8,13 @@ import (
 func TestValidMetricName(t *testing.T) {
 	t.Parallel()
 	for _, good := range []string{"a", "engine_similar_total", "ns:sub:metric", "_hidden", "Abc123"} {
-		if !ValidMetricName(good) {
-			t.Errorf("ValidMetricName(%q) = false", good)
+		if !validMetricName(good) {
+			t.Errorf("validMetricName(%q) = false", good)
 		}
 	}
 	for _, bad := range []string{"", "1abc", "has space", "dash-ed", "dot.ted", "uni·code"} {
-		if ValidMetricName(bad) {
-			t.Errorf("ValidMetricName(%q) = true", bad)
+		if validMetricName(bad) {
+			t.Errorf("validMetricName(%q) = true", bad)
 		}
 	}
 }

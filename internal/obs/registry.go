@@ -198,37 +198,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Quantile returns an upper-bound estimate of the q-quantile (the smallest
-// bucket bound whose cumulative count reaches q·Count). It returns 0 with no
-// observations and +Inf when the quantile falls in the overflow bucket.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum >= rank {
-			return h.bounds[i]
-		}
-	}
-	return math.Inf(1)
-}
-
 // Timer observes durations (in seconds) into a histogram.
 type Timer struct {
 	h *Histogram
@@ -248,7 +217,7 @@ func (t *Timer) ObserveCtx(ctx context.Context, d time.Duration) {
 	if t == nil {
 		return
 	}
-	t.h.ObserveExemplar(d.Seconds(), TraceIDFromContext(ctx))
+	t.h.ObserveExemplar(d.Seconds(), traceIDFromContext(ctx))
 }
 
 // Start returns a function that, when called, observes the elapsed time
@@ -308,9 +277,9 @@ func NewRegistry() *Registry {
 	}
 }
 
-// ValidMetricName reports whether name matches the Prometheus metric-name
+// validMetricName reports whether name matches the Prometheus metric-name
 // grammar [a-zA-Z_:][a-zA-Z0-9_:]*.
-func ValidMetricName(name string) bool {
+func validMetricName(name string) bool {
 	if name == "" {
 		return false
 	}
@@ -329,7 +298,7 @@ func ValidMetricName(name string) bool {
 }
 
 func (r *Registry) claim(name, kind, help string) {
-	if !ValidMetricName(name) {
+	if !validMetricName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
 	if got, ok := r.kinds[name]; ok && got != kind {
@@ -507,7 +476,7 @@ func NewHub() *Hub {
 	h := &Hub{
 		Metrics:  NewRegistry(),
 		Traces:   NewTracer(128),
-		Slow:     NewSlowLog(32),
+		Slow:     newSlowLog(32),
 		Requests: NewRequestLog(256),
 	}
 	h.Traces.SetSlowLog(h.Slow)

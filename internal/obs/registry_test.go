@@ -93,13 +93,14 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	}
 	// 0.5 and 1 land in bucket le=1; 1.5 in le=2; 3 in le=4; 7 in le=8;
 	// 100 overflows.
-	if q := h.Quantile(0.5); q != 2 {
+	snap := r.Snapshot().Histograms[0]
+	if q := quantileFromSnapshot(snap, 0.5); q != 2 {
 		t.Errorf("p50 = %v, want 2", q)
 	}
-	if q := h.Quantile(1); !math.IsInf(q, 1) {
+	if q := quantileFromSnapshot(snap, 1); !math.IsInf(q, 1) {
 		t.Errorf("p100 = %v, want +Inf (overflow)", q)
 	}
-	if q := h.Quantile(0); q != 1 {
+	if q := quantileFromSnapshot(snap, 0); q != 1 {
 		t.Errorf("p0 = %v, want 1", q)
 	}
 }
@@ -161,7 +162,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	h.Observe(1)
 	tm.Observe(time.Second)
 	tm.Start()()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil instruments recorded values")
 	}
 	if snap := r.Snapshot(); len(snap.Counters) != 0 {
@@ -185,9 +186,12 @@ func TestSnapshotDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(s1, s2) {
 		t.Errorf("snapshots differ by registration order:\n%v\nvs\n%v", s1, s2)
 	}
-	wantNames := []string{"a_hist", "alpha", "beta", "gamma", "z_gauge"}
-	if got := s1.SortedNames(); !reflect.DeepEqual(got, wantNames) {
-		t.Errorf("SortedNames = %v, want %v", got, wantNames)
+	var names []string
+	for _, c := range s1.Counters {
+		names = append(names, c.Name)
+	}
+	if want := []string{"alpha", "beta", "gamma"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("counter names = %v, want %v", names, want)
 	}
 }
 

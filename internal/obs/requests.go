@@ -148,16 +148,16 @@ var (
 	reqSeq atomic.Uint64
 )
 
-// NewRequestID mints a process-unique request ID ("q-<nonce>-<seq>").
-func NewRequestID() string {
+// newRequestID mints a process-unique request ID ("q-<nonce>-<seq>").
+func newRequestID() string {
 	return fmt.Sprintf("q-%s-%d", reqNonce, reqSeq.Add(1))
 }
 
 // requestIDKey carries a request ID through a context.
 type requestIDKey struct{}
 
-// WithRequestID returns ctx annotated with the request ID.
-func WithRequestID(ctx context.Context, id string) context.Context {
+// withRequestID returns ctx annotated with the request ID.
+func withRequestID(ctx context.Context, id string) context.Context {
 	if id == "" {
 		return ctx
 	}
@@ -182,6 +182,6 @@ func EnsureRequestID(ctx context.Context) (context.Context, string) {
 	if id := RequestIDFrom(ctx); id != "" {
 		return ctx, id
 	}
-	id := NewRequestID()
-	return WithRequestID(ctx, id), id
+	id := newRequestID()
+	return withRequestID(ctx, id), id
 }

@@ -47,7 +47,7 @@ func TestRequestLogNilSafe(t *testing.T) {
 
 func TestRequestIDMintingAndContext(t *testing.T) {
 	t.Parallel()
-	a, b := NewRequestID(), NewRequestID()
+	a, b := newRequestID(), newRequestID()
 	if a == b {
 		t.Fatalf("two minted IDs collide: %s", a)
 	}
@@ -77,7 +77,7 @@ func TestRequestIDMintingAndContext(t *testing.T) {
 	if _, id := EnsureRequestID(nil); id == "" { //nolint:staticcheck // nil-safety contract
 		t.Error("EnsureRequestID(nil) should still mint")
 	}
-	if got := WithRequestID(context.Background(), ""); RequestIDFrom(got) != "" {
-		t.Error("WithRequestID(\"\") should be a no-op")
+	if got := withRequestID(context.Background(), ""); RequestIDFrom(got) != "" {
+		t.Error("withRequestID(\"\") should be a no-op")
 	}
 }

@@ -8,14 +8,14 @@ import (
 
 func TestTailSamplerSlowAlwaysKept(t *testing.T) {
 	t.Parallel()
-	slow := NewSlowLog(8)
+	slow := newSlowLog(8)
 	slow.SetThreshold(10 * time.Millisecond)
 	s := NewTailSampler(0, slow) // fraction 0: only policy keeps survive
-	kept, reason := s.Decide(NewTraceID(), 20*time.Millisecond, Outcome{})
+	kept, reason := s.Decide(newTraceID(), 20*time.Millisecond, Outcome{})
 	if !kept || reason != KeepSlow {
 		t.Errorf("slow trace: kept=%v reason=%q", kept, reason)
 	}
-	kept, reason = s.Decide(NewTraceID(), time.Millisecond, Outcome{})
+	kept, reason = s.Decide(newTraceID(), time.Millisecond, Outcome{})
 	if kept || reason != "" {
 		t.Errorf("fast healthy trace at fraction 0: kept=%v reason=%q", kept, reason)
 	}
@@ -36,13 +36,13 @@ func TestTailSamplerOutcomeAlwaysKept(t *testing.T) {
 		"http-4xx":  {HTTPStatus: 429},
 		"http-5xx":  {HTTPStatus: 503},
 	} {
-		kept, reason := s.Decide(NewTraceID(), time.Microsecond, out)
+		kept, reason := s.Decide(newTraceID(), time.Microsecond, out)
 		if !kept || reason != KeepOutcome {
 			t.Errorf("%s: kept=%v reason=%q", name, kept, reason)
 		}
 	}
 	// A 2xx status is a healthy outcome.
-	if kept, _ := s.Decide(NewTraceID(), time.Microsecond, Outcome{HTTPStatus: 200}); kept {
+	if kept, _ := s.Decide(newTraceID(), time.Microsecond, Outcome{HTTPStatus: 200}); kept {
 		t.Error("healthy 200 trace kept at fraction 0")
 	}
 	if st := s.Stats(); st.KeptOutcome != 6 || st.SampledOut != 1 {
@@ -54,7 +54,7 @@ func TestTailSamplerFractionDeterministic(t *testing.T) {
 	t.Parallel()
 	s := NewTailSampler(0.5, nil)
 	for i := 0; i < 200; i++ {
-		id := NewTraceID()
+		id := newTraceID()
 		first, _ := s.Decide(id, time.Microsecond, Outcome{})
 		for j := 0; j < 3; j++ {
 			if again, _ := s.Decide(id, time.Microsecond, Outcome{}); again != first {
@@ -75,7 +75,7 @@ func TestTailSamplerFractionDeterministic(t *testing.T) {
 func TestTailSamplerFractionBounds(t *testing.T) {
 	t.Parallel()
 	s := NewTailSampler(1, nil)
-	if kept, reason := s.Decide(NewTraceID(), time.Microsecond, Outcome{}); !kept || reason != KeepSampled {
+	if kept, reason := s.Decide(newTraceID(), time.Microsecond, Outcome{}); !kept || reason != KeepSampled {
 		t.Errorf("fraction 1: kept=%v reason=%q", kept, reason)
 	}
 	s.SetFraction(2.5)
@@ -87,7 +87,7 @@ func TestTailSamplerFractionBounds(t *testing.T) {
 		t.Errorf("fraction clamped to %v, want 0", s.Fraction())
 	}
 	var nilSampler *TailSampler
-	if kept, _ := nilSampler.Decide(NewTraceID(), time.Hour, Outcome{}); !kept {
+	if kept, _ := nilSampler.Decide(newTraceID(), time.Hour, Outcome{}); !kept {
 		t.Error("nil sampler dropped a trace")
 	}
 	if nilSampler.Fraction() != 1 || nilSampler.Stats().Fraction != 1 {
@@ -100,7 +100,7 @@ func TestTailSamplerFractionBounds(t *testing.T) {
 func TestTracerTailSampling(t *testing.T) {
 	t.Parallel()
 	tc := NewTracer(64)
-	slow := NewSlowLog(8)
+	slow := newSlowLog(8)
 	slow.SetThreshold(time.Hour) // nothing is slow in this test
 	tc.SetSampler(NewTailSampler(0, slow))
 
@@ -143,7 +143,7 @@ func TestTailSamplerConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				s.Decide(NewTraceID(), time.Microsecond, Outcome{})
+				s.Decide(newTraceID(), time.Microsecond, Outcome{})
 				if i%50 == 0 {
 					s.SetFraction(float64(w) / 8)
 					s.Stats()

@@ -43,10 +43,10 @@ type SlowLog struct {
 	ring      *ring[SlowEntry]
 }
 
-// NewSlowLog creates a disabled slow-query log retaining the last
+// newSlowLog creates a disabled slow-query log retaining the last
 // `capacity` entries (default 32 when capacity <= 0). Entries are logged
 // through slog.Default until SetLogger installs another logger.
-func NewSlowLog(capacity int) *SlowLog {
+func newSlowLog(capacity int) *SlowLog {
 	if capacity <= 0 {
 		capacity = 32
 	}

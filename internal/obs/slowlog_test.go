@@ -17,7 +17,7 @@ func quietLog(l *SlowLog) *SlowLog {
 
 func TestSlowLogThresholdGate(t *testing.T) {
 	t.Parallel()
-	l := quietLog(NewSlowLog(4))
+	l := quietLog(newSlowLog(4))
 	if l.Enabled() {
 		t.Error("fresh slow log should be disabled")
 	}
@@ -51,7 +51,7 @@ func TestSlowLogThresholdGate(t *testing.T) {
 
 func TestSlowLogRingEviction(t *testing.T) {
 	t.Parallel()
-	l := quietLog(NewSlowLog(3))
+	l := quietLog(newSlowLog(3))
 	l.SetThreshold(time.Nanosecond)
 	for i := 0; i < 5; i++ {
 		l.Observe(TraceRecord{Root: SpanRecord{Name: string(rune('a' + i))}}, time.Millisecond)
@@ -75,7 +75,7 @@ func TestSlowLogRingEviction(t *testing.T) {
 
 func TestSlowLogLogger(t *testing.T) {
 	t.Parallel()
-	l := NewSlowLog(2)
+	l := newSlowLog(2)
 	l.SetThreshold(time.Millisecond)
 	var buf bytes.Buffer
 	l.SetLogger(slog.New(slog.NewTextHandler(&buf, nil)))
@@ -107,7 +107,7 @@ func TestSlowLogNilSafety(t *testing.T) {
 func TestTracerFeedsSlowLog(t *testing.T) {
 	t.Parallel()
 	tr := NewTracer(8)
-	sl := quietLog(NewSlowLog(8))
+	sl := quietLog(newSlowLog(8))
 	sl.SetThreshold(time.Nanosecond)
 	tr.SetSlowLog(sl)
 

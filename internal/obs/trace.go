@@ -201,13 +201,6 @@ func (tr *Trace) CurrentOutcome() Outcome {
 	return tr.outcome
 }
 
-// StartTrace begins a trace whose root span has the given name, minting a
-// fresh trace ID. A nil tracer returns a nil (no-op) trace.
-func (t *Tracer) StartTrace(name string) *Trace {
-	tr, _ := t.StartTraceCtx(context.Background(), name)
-	return tr
-}
-
 // StartTraceCtx begins a trace whose root span has the given name,
 // adopting the trace context on ctx when one is present (the new root span
 // becomes a child of the propagated remote span) and minting a fresh trace
@@ -224,15 +217,15 @@ func (t *Tracer) StartTraceCtx(ctx context.Context, name string) (*Trace, contex
 	}
 	sc := SpanContext{Flags: FlagSampled}
 	var remote SpanID
-	if parent, ok := SpanContextFromContext(ctx); ok && parent.Valid() {
+	if parent, ok := spanContextFromContext(ctx); ok && parent.Valid() {
 		sc.TraceID = parent.TraceID
 		sc.Flags = parent.Flags | FlagSampled
 		sc.State = parent.State
 		remote = parent.SpanID
 	} else {
-		sc.TraceID = NewTraceID()
+		sc.TraceID = newTraceID()
 	}
-	sc.SpanID = NewSpanID()
+	sc.SpanID = newSpanID()
 	tr := &Trace{
 		tracer: t,
 		id:     t.seq.Add(1),
@@ -240,8 +233,8 @@ func (t *Tracer) StartTraceCtx(ctx context.Context, name string) (*Trace, contex
 		remote: remote,
 		root:   &Span{name: name, id: sc.SpanID, start: time.Now()},
 	}
-	ctx = ContextWithSpanContext(ctx, sc)
-	ctx = ContextWithTrace(ctx, tr)
+	ctx = contextWithSpanContext(ctx, sc)
+	ctx = contextWithTrace(ctx, tr)
 	return tr, ctx
 }
 
@@ -328,7 +321,7 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{name: name, id: NewSpanID(), start: time.Now()}
+	c := &Span{name: name, id: newSpanID(), start: time.Now()}
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()
@@ -485,9 +478,9 @@ func (t *Tracer) Len() int {
 // traceKey carries the live *Trace through a request context.
 type traceKey struct{}
 
-// ContextWithTrace returns ctx carrying the live trace (nil tr returns ctx
+// contextWithTrace returns ctx carrying the live trace (nil tr returns ctx
 // unchanged).
-func ContextWithTrace(ctx context.Context, tr *Trace) context.Context {
+func contextWithTrace(ctx context.Context, tr *Trace) context.Context {
 	if tr == nil {
 		return ctx
 	}
@@ -527,14 +520,14 @@ func SpanFromContext(ctx context.Context) *Span {
 	return sp
 }
 
-// TraceIDFromContext returns the hex trace ID of the live trace or
+// traceIDFromContext returns the hex trace ID of the live trace or
 // propagated span context on ctx ("" when none) — the join key wide
 // events, slow-log entries and metric exemplars share.
-func TraceIDFromContext(ctx context.Context) string {
+func traceIDFromContext(ctx context.Context) string {
 	if tr := TraceFromContext(ctx); tr != nil {
 		return tr.TraceID().String()
 	}
-	if sc, ok := SpanContextFromContext(ctx); ok {
+	if sc, ok := spanContextFromContext(ctx); ok {
 		return sc.TraceID.String()
 	}
 	return ""

@@ -1,10 +1,18 @@
 package obs
 
 import (
+	"context"
 	"strconv"
 	"sync"
 	"testing"
 )
+
+// StartTrace begins a trace whose root span has the given name, minting a
+// fresh trace ID. A nil tracer returns a nil (no-op) trace.
+func (t *Tracer) StartTrace(name string) *Trace {
+	tr, _ := t.StartTraceCtx(context.Background(), name)
+	return tr
+}
 
 func TestTraceSpanTree(t *testing.T) {
 	t.Parallel()

@@ -65,9 +65,6 @@ type SpanContext struct {
 // Valid reports whether both IDs are non-zero (the W3C validity rule).
 func (sc SpanContext) Valid() bool { return !sc.TraceID.IsZero() && !sc.SpanID.IsZero() }
 
-// Sampled reports whether the sampled flag bit is set.
-func (sc SpanContext) Sampled() bool { return sc.Flags&FlagSampled != 0 }
-
 // Traceparent renders the version-00 wire form
 // "00-<trace-id>-<parent-id>-<flags>" ("" for an invalid context).
 func (sc SpanContext) Traceparent() string {
@@ -166,11 +163,11 @@ func isLowerHex(s string) bool {
 // spec allows receivers to discard oversized lists.
 const maxTracestateLen = 512
 
-// SanitizeTracestate validates a tracestate header for passthrough: the
+// sanitizeTracestate validates a tracestate header for passthrough: the
 // value is kept verbatim when it is printable ASCII within the retention
 // bound, and dropped ("") otherwise. The list entries are never parsed —
 // this system only forwards other tracers' state.
-func SanitizeTracestate(s string) string {
+func sanitizeTracestate(s string) string {
 	s = strings.TrimSpace(s)
 	if s == "" || len(s) > maxTracestateLen {
 		return ""
@@ -183,10 +180,10 @@ func SanitizeTracestate(s string) string {
 	return s
 }
 
-// NewTraceID mints a random non-zero trace ID. IDs come from math/rand/v2's
+// newTraceID mints a random non-zero trace ID. IDs come from math/rand/v2's
 // process-seeded generator: minting must stay cheap on the serving hot
 // path, and trace IDs need uniqueness, not unpredictability.
-func NewTraceID() TraceID {
+func newTraceID() TraceID {
 	var t TraceID
 	for t.IsZero() {
 		hi, lo := mrand.Uint64(), mrand.Uint64()
@@ -198,8 +195,8 @@ func NewTraceID() TraceID {
 	return t
 }
 
-// NewSpanID mints a random non-zero span ID.
-func NewSpanID() SpanID {
+// newSpanID mints a random non-zero span ID.
+func newSpanID() SpanID {
 	var s SpanID
 	for s.IsZero() {
 		v := mrand.Uint64()
@@ -216,18 +213,18 @@ func NewSpanID() SpanID {
 // spanContextKey carries the propagated (remote or current) SpanContext.
 type spanContextKey struct{}
 
-// ContextWithTraceparent parses inbound traceparent/tracestate header
+// contextWithTraceparent parses inbound traceparent/tracestate header
 // values and returns ctx carrying the remote trace context. A missing or
 // malformed traceparent leaves ctx unchanged (the spec says restart the
 // trace rather than fail the request); tracestate rides along only when
 // the traceparent was valid.
-func ContextWithTraceparent(ctx context.Context, traceparent, tracestate string) context.Context {
+func contextWithTraceparent(ctx context.Context, traceparent, tracestate string) context.Context {
 	sc, err := ParseTraceparent(strings.TrimSpace(traceparent))
 	if err != nil {
 		return ctx
 	}
-	sc.State = SanitizeTracestate(tracestate)
-	return ContextWithSpanContext(ctx, sc)
+	sc.State = sanitizeTracestate(tracestate)
+	return contextWithSpanContext(ctx, sc)
 }
 
 // StartHTTPRequest opens the record of one HTTP request at the serving
@@ -248,7 +245,7 @@ func StartHTTPRequest(t *Tracer, w http.ResponseWriter, r *http.Request) (ctx co
 	if tr = TraceFromContext(ctx); tr != nil {
 		return ctx, rid, tr, false
 	}
-	ctx = ContextWithTraceparent(ctx, r.Header.Get("traceparent"), r.Header.Get("tracestate"))
+	ctx = contextWithTraceparent(ctx, r.Header.Get("traceparent"), r.Header.Get("tracestate"))
 	if tr, ctx = t.StartTraceCtx(ctx, "http_request"); tr == nil {
 		return ctx, rid, nil, false
 	}
@@ -263,18 +260,18 @@ func StartHTTPRequest(t *Tracer, w http.ResponseWriter, r *http.Request) (ctx co
 	return ctx, rid, tr, true
 }
 
-// ContextWithSpanContext returns ctx carrying sc as the current trace
+// contextWithSpanContext returns ctx carrying sc as the current trace
 // context. Invalid contexts are not stored.
-func ContextWithSpanContext(ctx context.Context, sc SpanContext) context.Context {
+func contextWithSpanContext(ctx context.Context, sc SpanContext) context.Context {
 	if !sc.Valid() {
 		return ctx
 	}
 	return context.WithValue(ctx, spanContextKey{}, sc)
 }
 
-// SpanContextFromContext returns the trace context carried by ctx (zero
+// spanContextFromContext returns the trace context carried by ctx (zero
 // value + false when none).
-func SpanContextFromContext(ctx context.Context) (SpanContext, bool) {
+func spanContextFromContext(ctx context.Context) (SpanContext, bool) {
 	if ctx == nil {
 		return SpanContext{}, false
 	}

@@ -22,7 +22,7 @@ func TestParseTraceparentValid(t *testing.T) {
 	if sc.TraceID.String() != validTraceID || sc.SpanID.String() != validSpanID {
 		t.Errorf("ids = %s / %s", sc.TraceID, sc.SpanID)
 	}
-	if !sc.Sampled() || sc.Flags != 0x01 {
+	if sc.Flags&FlagSampled == 0 || sc.Flags != 0x01 {
 		t.Errorf("flags = %02x, want sampled", sc.Flags)
 	}
 	if !sc.Valid() {
@@ -36,7 +36,7 @@ func TestParseTraceparentFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Sampled() {
+	if sc.Flags&FlagSampled != 0 {
 		t.Error("flags 00 reported sampled")
 	}
 	// Unknown flag bits are carried, sampled bit still honoured.
@@ -44,7 +44,7 @@ func TestParseTraceparentFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Flags != 0xff || !sc.Sampled() {
+	if sc.Flags != 0xff || sc.Flags&FlagSampled == 0 {
 		t.Errorf("flags = %02x", sc.Flags)
 	}
 }
@@ -92,7 +92,7 @@ func TestParseTraceparentRejects(t *testing.T) {
 func TestTraceparentRoundTrip(t *testing.T) {
 	t.Parallel()
 	for i := 0; i < 100; i++ {
-		sc := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Flags: FlagSampled}
+		sc := SpanContext{TraceID: newTraceID(), SpanID: newSpanID(), Flags: FlagSampled}
 		back, err := ParseTraceparent(sc.Traceparent())
 		if err != nil {
 			t.Fatalf("minted header %q does not parse: %v", sc.Traceparent(), err)
@@ -110,7 +110,7 @@ func TestNewIDsNonZeroAndDistinct(t *testing.T) {
 	t.Parallel()
 	seen := map[string]bool{}
 	for i := 0; i < 1000; i++ {
-		id := NewTraceID()
+		id := newTraceID()
 		if id.IsZero() {
 			t.Fatal("minted zero trace ID")
 		}
@@ -118,7 +118,7 @@ func TestNewIDsNonZeroAndDistinct(t *testing.T) {
 			t.Fatalf("trace ID %s repeated within 1000 mints", id)
 		}
 		seen[id.String()] = true
-		if NewSpanID().IsZero() {
+		if newSpanID().IsZero() {
 			t.Fatal("minted zero span ID")
 		}
 	}
@@ -126,7 +126,7 @@ func TestNewIDsNonZeroAndDistinct(t *testing.T) {
 
 func TestSanitizeTracestate(t *testing.T) {
 	t.Parallel()
-	if got := SanitizeTracestate(" vendor=abc,other=def "); got != "vendor=abc,other=def" {
+	if got := sanitizeTracestate(" vendor=abc,other=def "); got != "vendor=abc,other=def" {
 		t.Errorf("trimmed state = %q", got)
 	}
 	for name, s := range map[string]string{
@@ -135,7 +135,7 @@ func TestSanitizeTracestate(t *testing.T) {
 		"oversize":  strings.Repeat("a", maxTracestateLen+1),
 		"empty":     "   ",
 	} {
-		if got := SanitizeTracestate(s); got != "" {
+		if got := sanitizeTracestate(s); got != "" {
 			t.Errorf("%s: kept %q", name, got)
 		}
 	}
@@ -143,17 +143,17 @@ func TestSanitizeTracestate(t *testing.T) {
 
 func TestContextWithTraceparent(t *testing.T) {
 	t.Parallel()
-	ctx := ContextWithTraceparent(context.Background(), validTraceparent, "vendor=abc")
-	sc, ok := SpanContextFromContext(ctx)
+	ctx := contextWithTraceparent(context.Background(), validTraceparent, "vendor=abc")
+	sc, ok := spanContextFromContext(ctx)
 	if !ok || sc.TraceID.String() != validTraceID || sc.State != "vendor=abc" {
 		t.Fatalf("context carries %+v (ok=%v)", sc, ok)
 	}
 	// Malformed headers leave the context untouched (restart the trace).
-	ctx = ContextWithTraceparent(context.Background(), "garbage", "vendor=abc")
-	if _, ok := SpanContextFromContext(ctx); ok {
+	ctx = contextWithTraceparent(context.Background(), "garbage", "vendor=abc")
+	if _, ok := spanContextFromContext(ctx); ok {
 		t.Error("malformed traceparent stored a span context")
 	}
-	if _, ok := SpanContextFromContext(nil); ok { //nolint:staticcheck // nil safety is the point
+	if _, ok := spanContextFromContext(nil); ok { //nolint:staticcheck // nil safety is the point
 		t.Error("nil context returned a span context")
 	}
 }

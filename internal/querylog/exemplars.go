@@ -47,7 +47,7 @@ func (g *Generator) Exemplar(name string) *series.Series {
 	case Easter:
 		// Fig. 2/15: accumulate toward (moving) Easter, sharp drop after.
 		return g.build(name, 20, 3,
-			seasonalRampBurst(120, 70, 4, EasterSunday))
+			seasonalRampBurst(120, 70, 4, easterSunday))
 	case Halloween:
 		// Fig. 14: burst through October, gone by mid November.
 		return g.build(name, 25, 4, seasonalBoxBurst(130, time.October, 28, 18))

@@ -184,10 +184,10 @@ func (g *Generator) randomWalk(scale float64) component {
 	}
 }
 
-// EasterSunday returns the date of Easter Sunday for the given year
+// easterSunday returns the date of Easter Sunday for the given year
 // (Anonymous Gregorian computus), used to place the "easter" ramp bursts on
 // the true, moving holiday like the real log data would.
-func EasterSunday(year int) time.Time {
+func easterSunday(year int) time.Time {
 	a := year % 19
 	b := year / 100
 	c := year % 100

@@ -41,12 +41,6 @@ func (s *Series) DateOf(i int) time.Time {
 	return s.Start.AddDate(0, 0, i)
 }
 
-// IndexOf returns the observation index of date d, which may be out of range
-// if d falls outside the series.
-func (s *Series) IndexOf(d time.Time) int {
-	return int(d.Sub(s.Start).Hours() / 24)
-}
-
 // Clone returns a deep copy of the series.
 func (s *Series) Clone() *Series {
 	v := make([]float64, len(s.Values))
@@ -150,46 +144,4 @@ func EuclideanEarlyAbandon(a, b []float64, bound float64) (dist float64, abandon
 		}
 	}
 	return math.Sqrt(sum), false, nil
-}
-
-// SquaredEuclidean returns the squared Euclidean distance.
-func SquaredEuclidean(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, ErrLengthMismatch
-	}
-	sum := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		sum += d * d
-	}
-	return sum, nil
-}
-
-// Reconstruct rebuilds a time-domain sequence of length n from a sparse set
-// of spectrum coefficients given as position→value. Positions refer to the
-// full-length DFT vector; conjugate mirrors must be present explicitly (the
-// helpers in package spectral add them). Used to reproduce fig. 5.
-func Reconstruct(n int, coeffs map[int]complex128) ([]float64, error) {
-	if n <= 0 {
-		return nil, errors.New("series: reconstruct needs positive length")
-	}
-	X := make([]complex128, n)
-	for pos, c := range coeffs {
-		if pos < 0 || pos >= n {
-			return nil, fmt.Errorf("series: coefficient position %d out of range [0,%d)", pos, n)
-		}
-		X[pos] = c
-	}
-	return fft.InverseReal(X)
-}
-
-// ReconstructionError returns the Euclidean distance between x and its
-// reconstruction from the given sparse coefficients — the quantity "E"
-// annotated on fig. 5.
-func ReconstructionError(x []float64, coeffs map[int]complex128) (float64, error) {
-	rec, err := Reconstruct(len(x), coeffs)
-	if err != nil {
-		return 0, err
-	}
-	return Euclidean(x, rec)
 }

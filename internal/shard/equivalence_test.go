@@ -115,7 +115,7 @@ func TestShardedQueryEquivalence(t *testing.T) {
 
 	sharded := make(map[int]*ShardedEngine, len(eqShardCounts))
 	for _, n := range eqShardCounts {
-		se, err := New(data, eqConfig(n))
+		se, err := newSharded(data, eqConfig(n))
 		if err != nil {
 			t.Fatalf("sharded engine (%d shards): %v", n, err)
 		}

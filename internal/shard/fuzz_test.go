@@ -12,10 +12,10 @@ import (
 // on top of it (run in CI via `make fuzz-smoke`; seed corpus under
 // testdata/fuzz/FuzzShardRoute). Three properties must hold for any input:
 //
-//   - Route is total: every (id, n>0) pair lands in [0, n).
-//   - Route is stable: the owner of an ID never changes for a fixed n.
+//   - route is total: every (id, n>0) pair lands in [0, n).
+//   - route is stable: the owner of an ID never changes for a fixed n.
 //   - Add → query-by-ID resolves on the owning shard: after ingest, every
-//     global ID's Owner agrees with Route, the owner's local store holds
+//     global ID's Owner agrees with route, the owner's local store holds
 //     that exact series, and an ID-addressed query resolves it (returning
 //     neighbours that exclude the series itself).
 func FuzzShardRoute(f *testing.F) {
@@ -27,15 +27,15 @@ func FuzzShardRoute(f *testing.F) {
 		n := 1 + int(nRaw%16)
 
 		// Totality and stability of the pure hash.
-		sh := Route(idRaw, n)
+		sh := route(idRaw, n)
 		if sh < 0 || sh >= n {
-			t.Fatalf("Route(%d, %d) = %d, out of range", idRaw, n, sh)
+			t.Fatalf("route(%d, %d) = %d, out of range", idRaw, n, sh)
 		}
-		if again := Route(idRaw, n); again != sh {
-			t.Fatalf("Route(%d, %d) unstable: %d then %d", idRaw, n, sh, again)
+		if again := route(idRaw, n); again != sh {
+			t.Fatalf("route(%d, %d) unstable: %d then %d", idRaw, n, sh, again)
 		}
-		if got := Route(idRaw, 1); got != 0 {
-			t.Fatalf("Route(%d, 1) = %d, want 0", idRaw, got)
+		if got := route(idRaw, 1); got != 0 {
+			t.Fatalf("route(%d, 1) = %d, want 0", idRaw, got)
 		}
 
 		// Model check against a real partition: seed a small engine, Add a
@@ -44,9 +44,9 @@ func FuzzShardRoute(f *testing.F) {
 		adds := int(addsRaw % 4)
 		gen := querylog.NewGenerator(querylog.DefaultStart, 64, int64(idRaw%1024))
 		data := gen.Dataset(1 + int(idRaw%5))
-		se, err := New(data, core.Config{Budget: 8, DynamicIndex: true, Shards: engineShards})
+		se, err := newSharded(data, core.Config{Budget: 8, DynamicIndex: true, Shards: engineShards})
 		if err != nil {
-			t.Fatalf("New: %v", err)
+			t.Fatalf("newSharded: %v", err)
 		}
 		defer se.Close()
 		for _, extra := range gen.Queries(adds) {
@@ -54,7 +54,7 @@ func FuzzShardRoute(f *testing.F) {
 			if err != nil {
 				t.Fatalf("Add: %v", err)
 			}
-			if want := Route(uint64(gid), engineShards); se.mustOwner(t, gid) != want {
+			if want := route(uint64(gid), engineShards); se.mustOwner(t, gid) != want {
 				t.Fatalf("Add(%q) routed to shard %d, want %d", extra.Name, se.mustOwner(t, gid), want)
 			}
 		}
@@ -64,8 +64,8 @@ func FuzzShardRoute(f *testing.F) {
 			if !ok {
 				t.Fatalf("Owner(%d) unknown", gid)
 			}
-			if want := Route(uint64(gid), engineShards); osh != want {
-				t.Fatalf("Owner(%d) = shard %d, want Route = %d", gid, osh, want)
+			if want := route(uint64(gid), engineShards); osh != want {
+				t.Fatalf("Owner(%d) = shard %d, want route = %d", gid, osh, want)
 			}
 			eng := se.Engine(osh)
 			if eng == nil {

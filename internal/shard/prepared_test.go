@@ -21,7 +21,7 @@ func TestScatterPreparesTheQueryOnce(t *testing.T) {
 	const shards = 8
 	hub := obs.NewHub()
 	gen := querylog.NewGenerator(querylog.DefaultStart, 128, 11)
-	se, err := New(gen.Dataset(96), core.Config{Budget: 8, Seed: 3, Shards: shards, Obs: hub})
+	se, err := newSharded(gen.Dataset(96), core.Config{Budget: 8, Seed: 3, Shards: shards, Obs: hub})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestConcurrentScattersShareTheirPreparedQueries(t *testing.T) {
 	const shards = 8
 	gen := querylog.NewGenerator(querylog.DefaultStart, 128, 13)
 	data := gen.Dataset(160)
-	se, err := New(data, core.Config{Budget: 8, Seed: 3, Shards: shards})
+	se, err := newSharded(data, core.Config{Budget: 8, Seed: 3, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}

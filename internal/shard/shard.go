@@ -39,11 +39,11 @@ import (
 	"repro/internal/spectral"
 )
 
-// Route maps a global sequence ID onto one of n shards with a stable
+// route maps a global sequence ID onto one of n shards with a stable
 // integer hash (the splitmix64 finalizer). It is total — every (id, n>0)
 // pair yields a shard in [0, n) — and pure, so the owner of an ID never
 // changes for a fixed shard count.
-func Route(id uint64, n int) int {
+func route(id uint64, n int) int {
 	if n <= 1 {
 		return 0
 	}
@@ -105,12 +105,12 @@ func newShardMetrics(reg *obs.Registry) shardMetrics {
 	}
 }
 
-// New builds a sharded engine over the given series, partitioned across
+// newSharded builds a sharded engine over the given series, partitioned across
 // cfg.Shards (minimum 1) independent engine shards. Series are routed by
-// Route over their global ID (their index in data, and later Add order).
+// route over their global ID (their index in data, and later Add order).
 // A shard the hash leaves empty stays dormant (skipped by queries) until
 // a DynamicIndex Add routes a first series to it.
-func New(data []*series.Series, cfg core.Config) (*ShardedEngine, error) {
+func newSharded(data []*series.Series, cfg core.Config) (*ShardedEngine, error) {
 	if len(data) == 0 {
 		return nil, errors.New("shard: empty dataset")
 	}
@@ -132,7 +132,7 @@ func New(data []*series.Series, cfg core.Config) (*ShardedEngine, error) {
 		if ser.Len() != data[0].Len() {
 			return nil, fmt.Errorf("shard: series %q has length %d, want %d", ser.Name, ser.Len(), data[0].Len())
 		}
-		sh := Route(uint64(gid), n)
+		sh := route(uint64(gid), n)
 		parts[sh] = append(parts[sh], ser)
 		s.loc = append(s.loc, location{shard: sh, local: len(parts[sh]) - 1})
 		s.global[sh] = append(s.global[sh], gid)
@@ -164,7 +164,7 @@ func NewFromConfig(data []*series.Series, cfg core.Config) (core.Searcher, error
 	if cfg.Shards <= 1 {
 		return core.NewEngine(data, cfg)
 	}
-	return New(data, cfg)
+	return newSharded(data, cfg)
 }
 
 // shardConfig is every shard's engine config: the template, unsharded.
@@ -196,7 +196,7 @@ func (s *ShardedEngine) Owner(id int) (shard, local int, ok bool) {
 	return l.shard, l.local, true
 }
 
-// Add routes one new series to its owning shard (Route over the next
+// Add routes one new series to its owning shard (route over the next
 // global ID) and ingests it there. Like core.Engine.Add it requires
 // DynamicIndex and is atomic: a failed shard insert leaves the routing
 // tables untouched. Adding to a dormant shard builds that shard's engine
@@ -217,7 +217,7 @@ func (s *ShardedEngine) Add(ser *series.Series) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	gid := len(s.loc)
-	sh := Route(uint64(gid), len(s.shards))
+	sh := route(uint64(gid), len(s.shards))
 	eng := s.shards[sh]
 	if eng == nil {
 		// First series routed to a dormant shard: build its engine now.
@@ -347,20 +347,6 @@ func (s *ShardedEngine) ShardSizes() []int {
 	out := make([]int, len(s.shards))
 	for sh := range s.shards {
 		out[sh] = len(s.global[sh])
-	}
-	return out
-}
-
-// ShardNodes returns the per-shard VP-tree node counts (0 for dormant
-// shards).
-func (s *ShardedEngine) ShardNodes() []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]int, len(s.shards))
-	for sh, eng := range s.shards {
-		if eng != nil {
-			out[sh] = eng.Tree().Len()
-		}
 	}
 	return out
 }

@@ -17,15 +17,15 @@ import (
 )
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, core.Config{Shards: 2}); err == nil {
-		t.Fatal("New(empty dataset) succeeded")
+	if _, err := newSharded(nil, core.Config{Shards: 2}); err == nil {
+		t.Fatal("newSharded(empty dataset) succeeded")
 	}
 	gen := querylog.NewGenerator(querylog.DefaultStart, 64, 7)
 	data := gen.Dataset(4)
 	data = append(data, &series.Series{Name: "short", Values: make([]float64, 32)})
-	if _, err := New(data, core.Config{Budget: 8, Shards: 2}); err == nil ||
+	if _, err := newSharded(data, core.Config{Budget: 8, Shards: 2}); err == nil ||
 		!strings.Contains(err.Error(), "length") {
-		t.Fatalf("New(mixed lengths) err = %v, want length rejection", err)
+		t.Fatalf("newSharded(mixed lengths) err = %v, want length rejection", err)
 	}
 }
 
@@ -37,7 +37,7 @@ func TestAddDormantShard(t *testing.T) {
 	const shards = 8
 	gen := querylog.NewGenerator(querylog.DefaultStart, 64, 7)
 	all := gen.Dataset(24)
-	se, err := New(all[:1], core.Config{Budget: 8, DynamicIndex: true, Shards: shards})
+	se, err := newSharded(all[:1], core.Config{Budget: 8, DynamicIndex: true, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +72,8 @@ func TestAddDormantShard(t *testing.T) {
 			t.Fatalf("Add(%q) = id %d, want %d", all[gid].Name, id, gid)
 		}
 		sh, local, ok := se.Owner(id)
-		if !ok || sh != Route(uint64(id), shards) {
-			t.Fatalf("Owner(%d) = (%d, %v), want shard %d", id, sh, ok, Route(uint64(id), shards))
+		if !ok || sh != route(uint64(id), shards) {
+			t.Fatalf("Owner(%d) = (%d, %v), want shard %d", id, sh, ok, route(uint64(id), shards))
 		}
 		if eng := se.Engine(sh); eng == nil {
 			t.Fatalf("owner shard %d still dormant after Add", sh)
@@ -100,10 +100,9 @@ func TestAddDormantShard(t *testing.T) {
 	if total != len(all) {
 		t.Fatalf("ShardSizes sum to %d, want %d", total, len(all))
 	}
-	nodes := se.ShardNodes()
-	for sh, n := range nodes {
-		if n != sizes[sh] {
-			t.Fatalf("shard %d: %d tree nodes, %d series", sh, n, sizes[sh])
+	for sh, n := range sizes {
+		if eng := se.Engine(sh); eng != nil && eng.Tree().Len() != n {
+			t.Fatalf("shard %d: %d tree nodes, %d series", sh, eng.Tree().Len(), n)
 		}
 	}
 
@@ -121,7 +120,7 @@ func TestAddDormantShard(t *testing.T) {
 
 func TestAddWithoutDynamicIndex(t *testing.T) {
 	gen := querylog.NewGenerator(querylog.DefaultStart, 64, 7)
-	se, err := New(gen.Dataset(4), core.Config{Budget: 8, Shards: 2})
+	se, err := newSharded(gen.Dataset(4), core.Config{Budget: 8, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestAddWithoutDynamicIndex(t *testing.T) {
 // holds that lock.
 func TestAddFailsBeforeTheRoutingLock(t *testing.T) {
 	gen := querylog.NewGenerator(querylog.DefaultStart, 64, 7)
-	se, err := New(gen.Dataset(6), core.Config{Budget: 8, DynamicIndex: true, Shards: 2})
+	se, err := newSharded(gen.Dataset(6), core.Config{Budget: 8, DynamicIndex: true, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +176,11 @@ func TestNonFiniteInputIsRefused(t *testing.T) {
 	bad.Values[10] = math.NaN()
 	poisonedSet := append([]*series.Series(nil), data...)
 	poisonedSet[4] = &bad
-	if _, err := New(poisonedSet, core.Config{Budget: 8, Shards: 3}); !errors.Is(err, core.ErrNonFinite) || !strings.Contains(err.Error(), bad.Name) {
+	if _, err := newSharded(poisonedSet, core.Config{Budget: 8, Shards: 3}); !errors.Is(err, core.ErrNonFinite) || !strings.Contains(err.Error(), bad.Name) {
 		t.Errorf("build: %v, want ErrNonFinite naming %q", err, bad.Name)
 	}
 
-	se, err := New(data, core.Config{Budget: 8, DynamicIndex: true, Shards: 3})
+	se, err := newSharded(data, core.Config{Budget: 8, DynamicIndex: true, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +219,11 @@ func TestOverflowingInputIsRefused(t *testing.T) {
 			}
 			poisonedSet := append([]*series.Series(nil), data...)
 			poisonedSet[4] = &bad
-			if _, err := New(poisonedSet, core.Config{Budget: 8, Shards: shards}); !errors.Is(err, core.ErrNonFinite) || !strings.Contains(err.Error(), bad.Name) {
+			if _, err := newSharded(poisonedSet, core.Config{Budget: 8, Shards: shards}); !errors.Is(err, core.ErrNonFinite) || !strings.Contains(err.Error(), bad.Name) {
 				t.Errorf("%d shard(s), ±%g: build: %v, want ErrNonFinite naming %q", shards, v, err, bad.Name)
 			}
 
-			se, err := New(data, core.Config{Budget: 8, DynamicIndex: true, Shards: shards})
+			se, err := newSharded(data, core.Config{Budget: 8, DynamicIndex: true, Shards: shards})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,7 +258,7 @@ func TestUnknownIDIsNotFound(t *testing.T) {
 	defer single.Close()
 	engines := map[string]core.Searcher{"single engine": single}
 	for _, shards := range []int{1, 3} {
-		se, err := New(data, core.Config{Budget: 8, Shards: shards})
+		se, err := newSharded(data, core.Config{Budget: 8, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}

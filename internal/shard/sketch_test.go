@@ -19,7 +19,7 @@ import (
 func TestSketchTracksEveryShard(t *testing.T) {
 	const shards = 8
 	g := querylog.NewGenerator(querylog.DefaultStart, 128, 31)
-	se, err := New(g.Dataset(120), core.Config{Budget: 8, Seed: 2, Workers: 2, Shards: shards, DynamicIndex: true})
+	se, err := newSharded(g.Dataset(120), core.Config{Budget: 8, Seed: 2, Workers: 2, Shards: shards, DynamicIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestSketchTracksEveryShard(t *testing.T) {
 	extra := querylog.NewGenerator(querylog.DefaultStart, 128, 77).Queries(12)
 	for i, s := range extra {
 		gid := se.Len()
-		if eng := se.Engine(Route(uint64(gid), shards)); eng != nil && i%2 == 0 {
+		if eng := se.Engine(route(uint64(gid), shards)); eng != nil && i%2 == 0 {
 			eng.FailNextIndexInsert(errInjected)
 			if _, err := se.Add(extra[(i+1)%len(extra)]); !errors.Is(err, errInjected) {
 				t.Fatalf("sabotaged Add: err = %v, want the injected failure", err)

@@ -34,7 +34,7 @@ func TestShardedStressWithRollback(t *testing.T) {
 	g := querylog.NewGenerator(querylog.DefaultStart, 128, 7)
 	data := append(g.Exemplars(), g.Dataset(16)...)
 	cfg := core.Config{Budget: 8, Seed: 7, DynamicIndex: true, Workers: 4, Shards: shards, Obs: hub}
-	se, err := New(data, cfg)
+	se, err := newSharded(data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestShardedStressWithRollback(t *testing.T) {
 			// The writer is the only mutator, so the next global ID — and
 			// with it the owning shard — is stable from here.
 			gid := se.Len()
-			sh := Route(uint64(gid), shards)
+			sh := route(uint64(gid), shards)
 			eng := se.Engine(sh)
 			if eng != nil {
 				eng.FailNextIndexInsert(errInjected)
@@ -188,7 +188,7 @@ func TestShardedStressWithRollback(t *testing.T) {
 func TestShardedCancellationPropagates(t *testing.T) {
 	g := querylog.NewGenerator(querylog.DefaultStart, 128, 7)
 	data := g.Dataset(48) // enough per-shard work for DTW to be mid-flight
-	se, err := New(data, core.Config{Budget: 8, Seed: 7, Workers: 2, Shards: 4})
+	se, err := newSharded(data, core.Config{Budget: 8, Seed: 7, Workers: 2, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

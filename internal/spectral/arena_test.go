@@ -231,7 +231,7 @@ func TestArenaRejectsMixedFeatures(t *testing.T) {
 	if _, err := NewArena([]*Compressed{cBME, cLong}); err != ErrArenaMixed {
 		t.Errorf("mixed length: got %v", err)
 	}
-	if _, err := NewArena([]*Compressed{{Method: methodUnset, N: 16}}); err == nil {
+	if _, err := NewArena([]*Compressed{{Method: 0, N: 16}}); err == nil {
 		t.Error("expected error for unset method")
 	}
 }

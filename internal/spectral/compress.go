@@ -11,16 +11,15 @@ import (
 )
 
 // Method selects which compressed representation (and bound algebra) to use.
+// Methods are numbered from 1, as saved trees and feature files record them;
+// the zero value is no method.
 type Method int
 
 const (
-	// methodUnset is the zero value, reserved so that callers' option
-	// structs can distinguish "not configured" from GEMINI.
-	methodUnset Method = iota
 	// GEMINI keeps the first c coefficients plus the middle (Nyquist)
 	// coefficient and lower-bounds the distance with the symmetric property
 	// (LB-GEMINI). It provides no upper bound.
-	GEMINI
+	GEMINI Method = iota + 1
 	// Wang keeps the first c coefficients plus the energy of the omitted
 	// ones; bounds follow Wang & Wang '00.
 	Wang

@@ -60,7 +60,7 @@ func TestHaarDistancePreservationProperty(t *testing.T) {
 		if math.Abs(dH-dT) > 1e-7*(1+dT) {
 			return false
 		}
-		return math.Abs(hx.Energy()-stats.Energy(x)) < 1e-7*(1+stats.Energy(x))
+		return math.Abs(hx.Energy()-sumSquares(x)) < 1e-7*(1+sumSquares(x))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -134,7 +134,7 @@ func TestHaarReconstructionOnSmoothSeries(t *testing.T) {
 	if math.Abs(re-math.Sqrt(c.Err)) > 1e-8 {
 		t.Errorf("haar reconstruction error %v != sqrt(err) %v", re, math.Sqrt(c.Err))
 	}
-	total := math.Sqrt(stats.Energy(v))
+	total := math.Sqrt(sumSquares(v))
 	if re > 0.6*total {
 		t.Errorf("haar best-32 keeps too little energy: err %v of %v", re, total)
 	}

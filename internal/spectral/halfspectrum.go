@@ -90,16 +90,6 @@ func (h *HalfSpectrum) Power(k int) float64 {
 	return h.Weight(k) * m * m
 }
 
-// Energy returns the total weighted energy, which by Parseval equals the
-// time-domain energy of the original sequence.
-func (h *HalfSpectrum) Energy() float64 {
-	e := 0.0
-	for k := range h.Coeffs {
-		e += h.Power(k)
-	}
-	return e
-}
-
 // Distance returns the exact Euclidean distance between the two underlying
 // time-domain sequences, computed in the coefficient domain: the Parseval-
 // weighted sum of |A_k − B_k|² = re² + im², taken without rooting each term
@@ -138,29 +128,13 @@ func sqDiff(a, b []complex128) float64 {
 	return sum
 }
 
-// MaskedDistance returns the Euclidean distance restricted to the given
-// half-spectrum bins — the §7.5 S2 feature ("it is at the user's discretion
-// to use all or some of the best-k periods for similarity search, therefore
-// effectively concentrating on just the periods of interest"):
-//
-//	sqrt( Σ_{k∈bins} w_k · |A_k − B_k|² )
-//
-// Duplicate bins are counted once; out-of-range bins are an error. A scan
-// that measures many spectra under one mask builds the Mask once instead.
-func MaskedDistance(a, b *HalfSpectrum, bins []int) (float64, error) {
-	if a.N != b.N || a.basis != b.basis {
-		return 0, ErrMismatch
-	}
-	m, err := a.Mask(bins)
-	if err != nil {
-		return 0, err
-	}
-	return m.Distance(a, b)
-}
-
 // Mask is a validated bin mask for spectra shaped like the one it was built
 // from: each distinct bin once, in order of first appearance, with its
-// Parseval weight.
+// Parseval weight. It is the §7.5 S2 feature ("it is at the user's
+// discretion to use all or some of the best-k periods for similarity
+// search, therefore effectively concentrating on just the periods of
+// interest"); a scan that measures many spectra under one mask builds it
+// once.
 type Mask struct {
 	n       int
 	basis   basis
@@ -183,7 +157,9 @@ func (h *HalfSpectrum) Mask(bins []int) (*Mask, error) {
 	return m, nil
 }
 
-// Distance is MaskedDistance under m's bins.
+// Distance returns the Euclidean distance restricted to m's bins:
+//
+//	sqrt( Σ_{k∈bins} w_k · |A_k − B_k|² )
 func (m *Mask) Distance(a, b *HalfSpectrum) (float64, error) {
 	if a.N != m.n || b.N != m.n || a.basis != m.basis || b.basis != m.basis {
 		return 0, ErrMismatch

@@ -35,28 +35,12 @@ func (e Exponential) PDF(x float64) float64 {
 	return e.Lambda * math.Exp(-e.Lambda*x)
 }
 
-// CDF returns P(X ≤ x) = 1 − e^(−λx), or 0 for x < 0.
-func (e Exponential) CDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	return 1 - math.Exp(-e.Lambda*x)
-}
-
 // Tail returns the survival probability P(X ≥ x) = e^(−λx).
 func (e Exponential) Tail(x float64) float64 {
 	if x < 0 {
 		return 1
 	}
 	return math.Exp(-e.Lambda * x)
-}
-
-// Quantile returns the value q such that P(X ≤ q) = p, for p in [0,1).
-func (e Exponential) Quantile(p float64) float64 {
-	if p < 0 || p >= 1 {
-		return math.NaN()
-	}
-	return -math.Log(1-p) / e.Lambda
 }
 
 // TailThreshold returns the power threshold Tp such that P(X ≥ Tp) = p,
@@ -88,7 +72,7 @@ func NewHistogram(x []float64, bins int) (*Histogram, error) {
 	if len(x) == 0 {
 		return nil, ErrEmpty
 	}
-	lo, hi := Min(x), Max(x)
+	lo, hi := minOf(x), Max(x)
 	if lo == hi {
 		hi = lo + 1 // degenerate span: everything in bin 0
 	}

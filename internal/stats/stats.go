@@ -9,7 +9,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by functions that cannot operate on empty input.
@@ -27,29 +26,9 @@ func Mean(x []float64) float64 {
 	return sum / float64(len(x))
 }
 
-// Variance returns the population variance of x (denominator n).
-// It returns 0 for inputs of length < 1.
-func Variance(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	m := Mean(x)
-	ss := 0.0
-	for _, v := range x {
-		d := v - m
-		ss += d * d
-	}
-	return ss / float64(len(x))
-}
-
-// Std returns the population standard deviation of x.
-func Std(x []float64) float64 {
-	return math.Sqrt(Variance(x))
-}
-
 // MeanStd returns both the mean and population standard deviation of x in a
 // single pass (Welford's algorithm), which is cheaper and more numerically
-// stable than calling Mean and Std separately.
+// stable than a two-pass mean and variance.
 func MeanStd(x []float64) (mean, std float64) {
 	if len(x) == 0 {
 		return 0, 0
@@ -62,28 +41,6 @@ func MeanStd(x []float64) (mean, std float64) {
 	}
 	return m, math.Sqrt(m2 / float64(len(x)))
 }
-
-// Sum returns the sum of x.
-func Sum(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
-// SumSquares returns Σ x_i².
-func SumSquares(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v * v
-	}
-	return s
-}
-
-// Energy returns the signal energy Σ x_i² (an alias of SumSquares kept for
-// readability at call sites that reason about spectra).
-func Energy(x []float64) float64 { return SumSquares(x) }
 
 // Standardize returns a new slice holding (x - mean) / std.
 // If the standard deviation is zero (constant series) the returned slice is
@@ -135,31 +92,8 @@ func MovingAverage(x []float64, w int) ([]float64, error) {
 	return out, nil
 }
 
-// CenteredMovingAverage returns the moving average with a window centered on
-// each element (half-window on each side), shrinking near the boundaries.
-// It is used for display purposes; the burst detector uses the trailing form.
-func CenteredMovingAverage(x []float64, w int) ([]float64, error) {
-	if w < 1 {
-		return nil, errors.New("stats: moving-average window must be >= 1")
-	}
-	half := w / 2
-	out := make([]float64, len(x))
-	for i := range x {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + half
-		if hi >= len(x) {
-			hi = len(x) - 1
-		}
-		out[i] = Mean(x[lo : hi+1])
-	}
-	return out, nil
-}
-
-// Min returns the minimum of x. It returns +Inf for empty input.
-func Min(x []float64) float64 {
+// minOf returns the minimum of x. It returns +Inf for empty input.
+func minOf(x []float64) float64 {
 	m := math.Inf(1)
 	for _, v := range x {
 		if v < m {
@@ -178,69 +112,4 @@ func Max(x []float64) float64 {
 		}
 	}
 	return m
-}
-
-// ArgMax returns the index of the maximum element, or -1 for empty input.
-func ArgMax(x []float64) int {
-	idx := -1
-	m := math.Inf(-1)
-	for i, v := range x {
-		if v > m {
-			m = v
-			idx = i
-		}
-	}
-	return idx
-}
-
-// Pearson returns the Pearson correlation coefficient between x and y.
-// It returns an error if the lengths differ or either input is empty or flat.
-func Pearson(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(x) == 0 {
-		return 0, ErrEmpty
-	}
-	mx, sx := MeanStd(x)
-	my, sy := MeanStd(y)
-	if sx == 0 || sy == 0 {
-		return 0, errors.New("stats: correlation undefined for constant series")
-	}
-	cov := 0.0
-	for i := range x {
-		cov += (x[i] - mx) * (y[i] - my)
-	}
-	cov /= float64(len(x))
-	return cov / (sx * sy), nil
-}
-
-// Quantile returns the q-th quantile of x (0 ≤ q ≤ 1) using linear
-// interpolation between order statistics (the R-7/NumPy default). It
-// returns an error for empty input or q outside [0,1].
-func Quantile(x []float64, q float64) (float64, error) {
-	if len(x) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 {
-		return 0, errors.New("stats: quantile must be in [0,1]")
-	}
-	sorted := append([]float64(nil), x...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Median returns the 50th percentile of x.
-func Median(x []float64) (float64, error) {
-	return Quantile(x, 0.5)
 }

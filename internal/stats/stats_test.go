@@ -30,14 +30,11 @@ func TestMeanBasics(t *testing.T) {
 
 func TestVarianceAndStd(t *testing.T) {
 	x := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(x); !almostEq(got, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", got)
+	if m, sd := MeanStd(x); !almostEq(m, 5, 1e-12) || !almostEq(sd*sd, 4, 1e-12) || !almostEq(sd, 2, 1e-12) {
+		t.Errorf("MeanStd = %v, %v; want mean 5, variance 4, std 2", m, sd)
 	}
-	if got := Std(x); !almostEq(got, 2, 1e-12) {
-		t.Errorf("Std = %v, want 2", got)
-	}
-	if got := Variance(nil); got != 0 {
-		t.Errorf("Variance(nil) = %v, want 0", got)
+	if m, sd := MeanStd(nil); m != 0 || sd != 0 {
+		t.Errorf("MeanStd(nil) = %v, %v; want 0, 0", m, sd)
 	}
 }
 
@@ -53,8 +50,12 @@ func TestMeanStdMatchesTwoPass(t *testing.T) {
 		if !almostEq(m, Mean(x), 1e-9) {
 			t.Fatalf("MeanStd mean %v != Mean %v", m, Mean(x))
 		}
-		if !almostEq(s, Std(x), 1e-9) {
-			t.Fatalf("MeanStd std %v != Std %v", s, Std(x))
+		ss := 0.0
+		for _, v := range x {
+			ss += (v - Mean(x)) * (v - Mean(x))
+		}
+		if std := math.Sqrt(ss / float64(n)); !almostEq(s, std, 1e-9) {
+			t.Fatalf("MeanStd std %v != two-pass std %v", s, std)
 		}
 	}
 }
@@ -92,7 +93,7 @@ func TestStandardizeIdempotentProperty(t *testing.T) {
 			x[i] = rng.NormFloat64() * 5
 		}
 		z1 := Standardize(x)
-		if Std(z1) == 0 {
+		if _, sd := MeanStd(z1); sd == 0 {
 			return true // degenerate draw; nothing to check
 		}
 		z2 := Standardize(z1)
@@ -153,7 +154,7 @@ func TestMovingAverageBoundsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lo, hi := Min(x), Max(x)
+		lo, hi := minOf(x), Max(x)
 		for _, v := range ma {
 			if v < lo-1e-9 || v > hi+1e-9 {
 				return false
@@ -166,59 +167,13 @@ func TestMovingAverageBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestCenteredMovingAverage(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	ma, err := CenteredMovingAverage(x, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// center elements average their neighborhood
-	if !almostEq(ma[2], 3, 1e-12) {
-		t.Errorf("centered MA[2] = %v, want 3", ma[2])
-	}
-	// boundary shrinks
-	if !almostEq(ma[0], 1.5, 1e-12) {
-		t.Errorf("centered MA[0] = %v, want 1.5", ma[0])
-	}
-}
-
 func TestMinMaxArgMax(t *testing.T) {
 	x := []float64{3, -1, 7, 2}
-	if Min(x) != -1 || Max(x) != 7 || ArgMax(x) != 2 {
-		t.Errorf("Min/Max/ArgMax = %v/%v/%v", Min(x), Max(x), ArgMax(x))
+	if minOf(x) != -1 || Max(x) != 7 {
+		t.Errorf("minOf/Max = %v/%v", minOf(x), Max(x))
 	}
-	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) || ArgMax(nil) != -1 {
+	if !math.IsInf(minOf(nil), 1) || !math.IsInf(Max(nil), -1) {
 		t.Error("empty-input sentinels wrong")
-	}
-}
-
-func TestPearson(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{2, 4, 6, 8, 10}
-	r, err := Pearson(x, y)
-	if err != nil || !almostEq(r, 1, 1e-12) {
-		t.Errorf("Pearson = %v (err %v), want 1", r, err)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	r, err = Pearson(x, neg)
-	if err != nil || !almostEq(r, -1, 1e-12) {
-		t.Errorf("Pearson = %v (err %v), want -1", r, err)
-	}
-	if _, err := Pearson(x, x[:2]); err == nil {
-		t.Error("expected length-mismatch error")
-	}
-	if _, err := Pearson([]float64{1, 1}, []float64{1, 2}); err == nil {
-		t.Error("expected constant-series error")
-	}
-}
-
-func TestSumSquaresEnergy(t *testing.T) {
-	x := []float64{3, 4}
-	if SumSquares(x) != 25 || Energy(x) != 25 {
-		t.Errorf("SumSquares/Energy = %v/%v, want 25", SumSquares(x), Energy(x))
-	}
-	if Sum(x) != 7 {
-		t.Errorf("Sum = %v, want 7", Sum(x))
 	}
 }
 
@@ -248,16 +203,10 @@ func TestExponentialFitAndThreshold(t *testing.T) {
 
 func TestExponentialCDFAndQuantileRoundTrip(t *testing.T) {
 	d := Exponential{Lambda: 1.7}
-	for _, p := range []float64{0.01, 0.25, 0.5, 0.9, 0.999} {
-		q := d.Quantile(p)
-		if !almostEq(d.CDF(q), p, 1e-12) {
-			t.Errorf("CDF(Quantile(%v)) = %v", p, d.CDF(q))
-		}
-	}
-	if d.CDF(-1) != 0 || d.PDF(-1) != 0 || d.Tail(-1) != 1 {
+	if d.PDF(-1) != 0 || d.Tail(-1) != 1 {
 		t.Error("negative-argument conventions wrong")
 	}
-	if !math.IsNaN(d.Quantile(1)) || !math.IsNaN(d.TailThreshold(0)) {
+	if !math.IsNaN(d.TailThreshold(0)) || !math.IsNaN(d.TailThreshold(1)) {
 		t.Error("out-of-domain arguments should give NaN")
 	}
 }
@@ -369,63 +318,5 @@ func BenchmarkMovingAverage(b *testing.B) {
 		if _, err := MovingAverage(x, 30); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	x := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	med, err := Median(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(med, 3.5, 1e-12) {
-		t.Errorf("median = %v, want 3.5", med)
-	}
-	q0, _ := Quantile(x, 0)
-	q1, _ := Quantile(x, 1)
-	if q0 != 1 || q1 != 9 {
-		t.Errorf("extremes %v/%v, want 1/9", q0, q1)
-	}
-	q25, _ := Quantile(x, 0.25)
-	if !almostEq(q25, 1.75, 1e-12) {
-		t.Errorf("q25 = %v, want 1.75", q25)
-	}
-	if one, _ := Quantile([]float64{7}, 0.9); one != 7 {
-		t.Errorf("single-element quantile = %v", one)
-	}
-	if x[0] != 3 {
-		t.Error("Quantile mutated its input")
-	}
-	if _, err := Quantile(nil, 0.5); err != ErrEmpty {
-		t.Error("expected ErrEmpty")
-	}
-	if _, err := Quantile(x, 1.5); err == nil {
-		t.Error("expected range error")
-	}
-}
-
-// Property: quantiles are monotone in q and bounded by min/max.
-func TestQuantileMonotoneProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(200)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64() * 10
-		}
-		prev := math.Inf(-1)
-		for q := 0.0; q <= 1.0; q += 0.1 {
-			v, err := Quantile(x, q)
-			if err != nil || v < prev-1e-12 {
-				return false
-			}
-			prev = v
-		}
-		lo, _ := Quantile(x, 0)
-		hi, _ := Quantile(x, 1)
-		return lo == Min(x) && hi == Max(x)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -127,9 +127,6 @@ func (d *DiskFeatures) Feature(ref int) (*spectral.Compressed, error) {
 	return decodeFeature(rec)
 }
 
-// NumFeatures implements FeatureSource.
-func (d *DiskFeatures) NumFeatures() int { return len(d.offsets) }
-
 // Reads returns the number of feature reads served.
 func (d *DiskFeatures) Reads() int64 { return d.reads.Load() }
 

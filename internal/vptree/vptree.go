@@ -94,8 +94,6 @@ func (o *Options) fill() {
 type FeatureSource interface {
 	// Feature returns the compressed representation for ref.
 	Feature(ref int) (*spectral.Compressed, error)
-	// NumFeatures returns the number of stored features.
-	NumFeatures() int
 }
 
 // MemoryFeatures is the in-memory FeatureSource.
@@ -108,9 +106,6 @@ func (m MemoryFeatures) Feature(ref int) (*spectral.Compressed, error) {
 	}
 	return m[ref], nil
 }
-
-// NumFeatures implements FeatureSource.
-func (m MemoryFeatures) NumFeatures() int { return len(m) }
 
 // node is one tree node: internal nodes carry a vantage point and a median;
 // leaves carry a bucket of entries.

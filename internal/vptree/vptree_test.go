@@ -291,8 +291,8 @@ func TestDiskFeaturesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disk.Close()
-	if disk.NumFeatures() != len(fx.tree.Features()) {
-		t.Fatalf("NumFeatures = %d", disk.NumFeatures())
+	if len(disk.offsets) != len(fx.tree.Features()) {
+		t.Fatalf("%d features on disk", len(disk.offsets))
 	}
 	for ref, want := range fx.tree.Features() {
 		got, err := disk.Feature(ref)
@@ -318,7 +318,7 @@ func TestDiskFeaturesRoundTrip(t *testing.T) {
 	if _, err := disk.Feature(-1); err == nil {
 		t.Error("expected error for bad ref")
 	}
-	if _, err := disk.Feature(disk.NumFeatures()); err == nil {
+	if _, err := disk.Feature(len(disk.offsets)); err == nil {
 		t.Error("expected error for out-of-range ref")
 	}
 }

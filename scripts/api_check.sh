@@ -1,7 +1,7 @@
 #!/bin/sh
 # api_check.sh enforces the one query surface (run via `make api-check`).
 #
-# Seven checks:
+# Eight checks:
 #   1. Every exported Engine / ShardedEngine method on the query surface —
 #      names starting with Similar, Query, Linear, or Search — takes a
 #      context.Context as its first parameter. No exceptions: the
@@ -24,6 +24,13 @@
 #      literal or by a `.Field =` assignment — or is on the rule's allowlist
 #      with its reason. A knob only tests turn is a dimension every test
 #      matrix has to cover for nothing.
+#   8. No declaration without a caller: every top-level func, type, var and
+#      const under internal/, exported or not, and every exported method
+#      there is referenced by non-test Go in cmd/, examples/, bench/ or
+#      another internal/ file (not from its own body), or is on the rule's
+#      allowlist with its reason. The checker is the root package's
+#      TestNoDeclarationWithoutACaller (exports_test.go; go/parser and
+#      go/ast only), which also runs under `go test ./...`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -111,6 +118,13 @@ for f in $fields; do
 done
 if [ -z "$fields" ] || [ -n "$unset_fields" ]; then
 	echo "api-check: core.Config fields no command or benchmark sets (delete them, or allowlist them in rule 7 with a reason):$unset_fields" >&2
+	fail=1
+fi
+
+# --- 8. no declaration without a caller ----------------------------------
+if ! out="$(go test -count=1 -run '^TestNoDeclarationWithoutACaller$' . 2>&1)"; then
+	echo "api-check: declarations under internal/ with no non-test caller (rule 8):" >&2
+	echo "$out" >&2
 	fail=1
 fi
 
