@@ -25,9 +25,10 @@ vet-lostcancel:
 # api-check enforces the one query surface: exported Engine/ShardedEngine
 # query methods take ctx first, handlers accept core.Searcher, /v2 JSON is
 # snake_case and cmd/s2 mounts exactly one search route; it keeps internal/
-# to packages a command imports; and (rule 6, one request, one record) it
-# allows wide-event literals only in core's request envelope and admission's
-# shed path, and one place that starts the "http_request" trace root; and
+# to packages a command imports; and (rule 6, one request, one record, one
+# ID) it allows wide-event literals only in core's request envelope and
+# admission's shed path, one place that starts the "http_request" trace root,
+# and no request_id JSON field or X-Request-Id header in non-test Go; and
 # (rule 7, no Config field without a setter) every core.Config field is set
 # by a command or the benchmark, or allowlisted with its reason; and (rule 8,
 # no declaration without a caller) every top-level declaration and exported
@@ -90,9 +91,9 @@ kernel-check:
 	$(GO) test -tags purego ./internal/sketch ./internal/knn ./internal/seqstore
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
-# trace-smoke boots cmd/s2 with a file span exporter, sends a traced
-# /v2/search request and asserts the exported trace's spans and parentage.
-# See scripts/trace_smoke.sh.
+# trace-smoke boots cmd/s2, sends a traced /v2/search request, reads the kept
+# trace back from /debug/traces?id=<trace_id> and asserts its spans and
+# parentage. See scripts/trace_smoke.sh.
 trace-smoke:
 	sh scripts/trace_smoke.sh
 

@@ -88,10 +88,12 @@ func run() error {
 	maxInFlight := flag.Int("max-inflight", 64, "search requests served concurrently before queueing")
 	maxQueue := flag.Int("max-queue", 0, "search requests allowed to queue for a slot (default 2x -max-inflight)")
 	queueWait := flag.Duration("queue-wait", time.Second, "longest a queued search request waits before being shed with 503")
-	traceExport := flag.String("trace-export", "", "export kept traces as OTLP-style NDJSON to this file (or POST batches to an http(s):// collector URL)")
 	traceSample := flag.Float64("trace-sample", 1, "fraction of healthy traces the tail sampler keeps (slow/errored/shed traces are always kept)")
 	serve := flag.Bool("serve", false, "serve until interrupted instead of reading REPL commands from stdin (requires -debug-addr)")
 	flag.Parse()
+	if err := checkServingFlags(*traceSample, *maxInFlight, *maxQueue, *queueWait, *slowQuery); err != nil {
+		return err
+	}
 
 	fmt.Printf("S2 — query-log similarity tool (paper §7.5 reproduction)\n")
 
@@ -105,16 +107,6 @@ func run() error {
 	// of the healthy rest. One latency knob: the slow-log threshold IS the
 	// sampler's always-keep signal.
 	hub.Traces.SetSampler(obs.NewTailSampler(*traceSample, hub.Slow))
-	if *traceExport != "" {
-		exp, err := newTraceExporter(*traceExport)
-		if err != nil {
-			return err
-		}
-		sink := obs.NewBatchExporter(exp, obs.BatchExporterOptions{FlushInterval: 500 * time.Millisecond})
-		defer sink.Close()
-		hub.Traces.SetSink(sink)
-		slog.Info("trace export enabled", "target", *traceExport)
-	}
 
 	began := time.Now()
 	engine, loadTime, err := buildEngine(*db, *load, *n, *days, *seed, *budget, *shards, hub)
@@ -185,8 +177,6 @@ func run() error {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
-		// Returning runs the deferred closes: the trace sink drains and
-		// flushes before the process exits, so no exported trace is lost.
 		return nil
 	}
 	fmt.Printf("ready: %s. Type 'help'.\n", setupSummary(engine, time.Since(began), loadTime))
@@ -194,13 +184,24 @@ func run() error {
 	return nil
 }
 
-// newTraceExporter builds the exporter behind -trace-export: an NDJSON
-// file appender, or an HTTP collector when the target is an http(s) URL.
-func newTraceExporter(target string) (obs.SpanExporter, error) {
-	if strings.HasPrefix(target, "http://") || strings.HasPrefix(target, "https://") {
-		return obs.NewHTTPExporter(target, nil), nil
+// checkServingFlags refuses out-of-range serving and telemetry flags before
+// anything is built, rather than letting the sampler or the admission
+// controller turn them into a default. -max-queue 0 is the documented
+// default (2x -max-inflight) and -slow-query 0 turns the log off.
+func checkServingFlags(traceSample float64, maxInFlight, maxQueue int, queueWait, slowQuery time.Duration) error {
+	switch {
+	case !(traceSample >= 0 && traceSample <= 1):
+		return fmt.Errorf("-trace-sample %v: need a fraction in [0, 1]", traceSample)
+	case maxInFlight < 1:
+		return fmt.Errorf("-max-inflight %d: need at least 1", maxInFlight)
+	case maxQueue < 0:
+		return fmt.Errorf("-max-queue %d: need at least 0 (0 = 2x -max-inflight)", maxQueue)
+	case queueWait <= 0:
+		return fmt.Errorf("-queue-wait %v: need a positive duration", queueWait)
+	case slowQuery < 0:
+		return fmt.Errorf("-slow-query %v: need at least 0 (0 disables)", slowQuery)
 	}
-	return obs.NewFileExporter(target)
+	return nil
 }
 
 // buildEngine opens, loads or generates the database. On every error path

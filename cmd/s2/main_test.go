@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -276,6 +277,46 @@ func TestBuildEngineRefusesOutOfRangeFlags(t *testing.T) {
 		e, _, err := buildEngine("", "", c.n, c.days, 1, c.budget, c.shards, nil)
 		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
 			t.Errorf("%+v: engine %v, error %v; want an error naming %s", c, e, err, c.flag)
+		}
+	}
+}
+
+// TestServingFlagsRefuseOutOfRange: a serving or telemetry flag out of its
+// range is refused, naming the flag, where the sampler or the admission
+// controller would have quietly turned it into a default.
+func TestServingFlagsRefuseOutOfRange(t *testing.T) {
+	type flags struct {
+		sample          float64
+		inflight, queue int
+		wait, slowQuery time.Duration
+	}
+	ok := flags{1, 64, 0, time.Second, 0}
+	for _, c := range []struct {
+		flag string
+		mod  func(*flags)
+	}{
+		{"-trace-sample", func(f *flags) { f.sample = 5 }},
+		{"-trace-sample", func(f *flags) { f.sample = -1 }},
+		{"-trace-sample", func(f *flags) { f.sample = math.NaN() }},
+		{"-max-inflight", func(f *flags) { f.inflight = 0 }},
+		{"-max-inflight", func(f *flags) { f.inflight = -3 }},
+		{"-max-queue", func(f *flags) { f.queue = -1 }},
+		{"-queue-wait", func(f *flags) { f.wait = 0 }},
+		{"-queue-wait", func(f *flags) { f.wait = -time.Second }},
+		{"-slow-query", func(f *flags) { f.slowQuery = -5 * time.Millisecond }},
+	} {
+		f := ok
+		c.mod(&f)
+		err := checkServingFlags(f.sample, f.inflight, f.queue, f.wait, f.slowQuery)
+		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
+			t.Errorf("%+v: error %v; want an error naming %s", f, err, c.flag)
+		}
+	}
+	// The edges stay accepted: the defaults, a sampler keeping nothing, a
+	// slow log that is off.
+	for _, f := range []flags{ok, {0, 1, 0, time.Nanosecond, 0}, {0.5, 1, 3, time.Minute, time.Millisecond}} {
+		if err := checkServingFlags(f.sample, f.inflight, f.queue, f.wait, f.slowQuery); err != nil {
+			t.Errorf("%+v refused: %v", f, err)
 		}
 	}
 }

@@ -34,12 +34,13 @@ func QueueWaitFrom(ctx context.Context) time.Duration {
 }
 
 // ShedResponse is the JSON body of a 429/503 admission rejection. The
-// request ID lets a shed client's report be joined with the server-side
-// wide event at /debug/requests, and queue_wait_ms shows how long the
-// request sat queued before being turned away.
+// trace ID (that of the echoed traceparent) lets a shed client's report be
+// joined with the server-side wide event and trace at /debug/requests and
+// /debug/traces, and queue_wait_ms shows how long the request sat queued
+// before being turned away.
 type ShedResponse struct {
 	Error       string  `json:"error"`
-	RequestID   string  `json:"request_id"`
+	TraceID     string  `json:"trace_id,omitempty"`
 	QueueWaitMS float64 `json:"queue_wait_ms"`
 }
 
@@ -62,27 +63,24 @@ func shedCause(err error) string {
 //	wait timed out        → 503 Service Unavailable (Retry-After: 1)
 //	client context ended  → 503 Service Unavailable
 //
-// Every request — shed or admitted — gets a request ID (minted here unless
-// the context already carries one), echoed in the X-Request-Id header. Shed
-// requests are answered with a ShedResponse body and, when SetRequestLog
-// installed a log, recorded as an "admission_shed" wide event. Admitted
-// requests run with their queue wait and request ID on the context (see
-// QueueWaitFrom, obs.RequestIDFrom), so handlers report admission latency
-// in responses and traces.
-//
-// When SetTracer installed a tracer, Middleware is also the trace root: it
-// opens the "http_request" root through obs.StartHTTPRequest (inbound W3C
+// When SetTracer installed a tracer, Middleware is the trace root: it opens
+// the "http_request" root through obs.StartHTTPRequest (inbound W3C
 // `traceparent`/`tracestate` adopted or a fresh trace minted, `traceparent`
 // echoed back) with an "admission" child covering the Acquire, and finishes
-// the trace when the handler returns. Shed requests finish their trace too —
-// with a Shed outcome, so the tail sampler always keeps them and 429/503s
-// stay traceable. A nil controller passes everything through untouched.
+// the trace when the handler returns. The trace ID is the request's one
+// identifier. Shed requests are answered with a ShedResponse body carrying
+// it, recorded as an "admission_shed" wide event when SetRequestLog
+// installed a log, and finish their trace with a Shed outcome, so the tail
+// sampler always keeps them and 429/503s stay traceable. Admitted requests
+// run with their queue wait and trace on the context (see QueueWaitFrom,
+// obs.TraceFromContext), so handlers report admission latency in responses
+// and traces. A nil controller passes everything through untouched.
 func Middleware(c *Controller, next http.Handler) http.Handler {
 	if c == nil {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, rid, tr, owned := obs.StartHTTPRequest(c.Tracer(), w, r)
+		ctx, tr, owned := obs.StartHTTPRequest(c.Tracer(), w, r)
 		r = r.WithContext(ctx)
 		start := time.Now()
 		adm := tr.Span("admission")
@@ -101,9 +99,9 @@ func Middleware(c *Controller, next http.Handler) http.Handler {
 			if owned {
 				tr.Finish()
 			}
+			traceID := tr.TraceID().String()
 			c.RequestLog().Record(obs.WideEvent{
-				RequestID:   rid,
-				TraceID:     tr.TraceID().String(),
+				TraceID:     traceID,
 				Time:        start,
 				Op:          "admission_shed",
 				QueueWaitMS: waitMS,
@@ -115,7 +113,7 @@ func Middleware(c *Controller, next http.Handler) http.Handler {
 			w.WriteHeader(code)
 			//nolint:errcheck // best-effort shed body
 			json.NewEncoder(w).Encode(ShedResponse{
-				Error: err.Error(), RequestID: rid, QueueWaitMS: waitMS,
+				Error: err.Error(), TraceID: traceID, QueueWaitMS: waitMS,
 			})
 			return
 		}

@@ -4,19 +4,19 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// blockController returns a controller whose only slot is held, plus the
-// release func for the held slot.
+// blockController returns a traced controller whose only slot is held, plus
+// the release func for the held slot.
 func blockController(t *testing.T, maxQueue int, maxWait time.Duration, reqlog *obs.RequestLog) (*Controller, func()) {
 	t.Helper()
 	c := New(Options{MaxInFlight: 1, MaxQueue: maxQueue, MaxWait: maxWait}, nil)
 	c.SetRequestLog(reqlog)
+	c.SetTracer(obs.NewTracer(8))
 	release, _, err := c.Acquire(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -24,6 +24,9 @@ func blockController(t *testing.T, maxQueue int, maxWait time.Duration, reqlog *
 	return c, release
 }
 
+// TestMiddlewareShedResponseCarriesRequestID: a shed answer names its
+// request by the one ID every record of it carries, the trace ID of the
+// echoed traceparent.
 func TestMiddlewareShedResponseCarriesRequestID(t *testing.T) {
 	t.Parallel()
 	reqlog := obs.NewRequestLog(8)
@@ -58,20 +61,21 @@ func TestMiddlewareShedResponseCarriesRequestID(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &shed); err != nil {
 		t.Fatalf("parse shed body: %v", err)
 	}
-	if shed.RequestID == "" || !strings.HasPrefix(shed.RequestID, "q-") {
-		t.Errorf("shed response request_id = %q", shed.RequestID)
+	sc, err := obs.ParseTraceparent(rr.Header().Get("traceparent"))
+	if err != nil || shed.TraceID != sc.TraceID.String() {
+		t.Errorf("shed trace_id %q, echoed traceparent %q (%v)", shed.TraceID, rr.Header().Get("traceparent"), err)
 	}
-	if got := rr.Header().Get("X-Request-Id"); got != shed.RequestID {
-		t.Errorf("X-Request-Id %q != body request_id %q", got, shed.RequestID)
+	if _, ok := c.Tracer().Find(shed.TraceID); !ok {
+		t.Errorf("no kept trace %s", shed.TraceID)
 	}
 	if shed.Error == "" {
 		t.Error("shed response carries no error")
 	}
 
 	// The shed request must be resolvable as a wide event by its ID.
-	ev, ok := reqlog.Find(shed.RequestID)
+	ev, ok := reqlog.Find(shed.TraceID)
 	if !ok {
-		t.Fatalf("no wide event for shed request %s", shed.RequestID)
+		t.Fatalf("no wide event for shed request %s", shed.TraceID)
 	}
 	if ev.Op != "admission_shed" || ev.Abort != "queue_full" {
 		t.Errorf("shed event = %+v, want op=admission_shed abort=queue_full", ev)
@@ -103,7 +107,7 @@ func TestMiddlewareWaitTimeoutShedEvent(t *testing.T) {
 	if shed.QueueWaitMS <= 0 {
 		t.Errorf("queue_wait_ms = %v, want > 0 for a timed-out wait", shed.QueueWaitMS)
 	}
-	ev, ok := reqlog.Find(shed.RequestID)
+	ev, ok := reqlog.Find(shed.TraceID)
 	if !ok || ev.Abort != "wait_timeout" {
 		t.Errorf("wide event = %+v, %v; want abort=wait_timeout", ev, ok)
 	}
@@ -115,9 +119,10 @@ func TestMiddlewareWaitTimeoutShedEvent(t *testing.T) {
 func TestMiddlewareAdmittedRequestCarriesID(t *testing.T) {
 	t.Parallel()
 	c := New(Options{MaxInFlight: 2}, nil)
+	c.SetTracer(obs.NewTracer(8))
 	var seenID string
 	handler := Middleware(c, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		seenID = obs.RequestIDFrom(r.Context())
+		seenID = obs.TraceFromContext(r.Context()).TraceID().String()
 	}))
 	rr := httptest.NewRecorder()
 	handler.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v2/search?q=x", nil))
@@ -125,10 +130,13 @@ func TestMiddlewareAdmittedRequestCarriesID(t *testing.T) {
 		t.Fatalf("status %d", rr.Code)
 	}
 	if seenID == "" {
-		t.Fatal("handler saw no request ID on the context")
+		t.Fatal("handler saw no trace on the context")
 	}
-	if got := rr.Header().Get("X-Request-Id"); got != seenID {
-		t.Errorf("X-Request-Id %q != context ID %q", got, seenID)
+	if sc, err := obs.ParseTraceparent(rr.Header().Get("traceparent")); err != nil || sc.TraceID.String() != seenID {
+		t.Errorf("echoed traceparent %q (%v) != context trace %s", rr.Header().Get("traceparent"), err, seenID)
+	}
+	if got := rr.Header().Get("X-Request-Id"); got != "" {
+		t.Errorf("X-Request-Id %q echoed beside the traceparent", got)
 	}
 }
 

@@ -907,7 +907,7 @@ func filterBursts(det *burst.Detection) []burst.Burst {
 // Envelope). With explain set the same gated query also fills the
 // per-burst overlap-scan report.
 func (e *Engine) queryBursts(ctx context.Context, q []burst.Burst, k int, exclude int64, w BurstWindow, g *lifecycle.Gate, explain bool) ([]BurstMatch, *BurstExplain, bool, error) {
-	defer e.met.qbbLat.StartCtx(ctx)()
+	defer e.met.qbbLat.Start()()
 	e.met.qbbTotal.Inc()
 	fam := obs.SpanFromContext(ctx)
 	fam.Annotate("window", w.String())

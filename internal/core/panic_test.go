@@ -50,7 +50,7 @@ func TestV2SearchRecoversPanics(t *testing.T) {
 		t.Fatalf("500 body is not the error envelope: %v\n%s", err, rec.Body)
 	}
 	if env.Error == nil || env.Error.Code != "internal" || !strings.Contains(env.Error.Message, "index out of range") ||
-		env.RequestID == "" || env.TraceID == "" || env.RequestID != rec.Header().Get("X-Request-Id") {
+		env.TraceID == "" || !strings.HasPrefix(rec.Header().Get("traceparent"), "00-"+env.TraceID+"-") {
 		t.Errorf("envelope = %+v (error %+v)", env, env.Error)
 	}
 	if got := panics.Value(); got != 1 {

@@ -13,10 +13,10 @@ import (
 
 // similarQueryAllocCeiling is the recorded allocation ceiling of one
 // Engine.Query(KindSimilar) without observability: 15 were measured once
-// the search scratch was pooled (what remains is the request ID, the
-// standardized copy, the half-spectrum and bound context, the neighbours
-// and the response); the commit before allocated 48. Raise it only with a
-// reason.
+// the search scratch was pooled, and 12 once the minted request ID and its
+// context value went (what remains is the standardized copy, the
+// half-spectrum and bound context, the neighbours and the response); the
+// commit before the pooling allocated 48. Raise it only with a reason.
 const similarQueryAllocCeiling = 20
 
 func TestSimilarQueryAllocCeiling(t *testing.T) {

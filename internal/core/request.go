@@ -221,10 +221,10 @@ var errBadK = errors.New("core: k must be >= 1")
 //   - Request.Budget expiry degrades gracefully: the best-so-far answer is
 //     returned with Response.Truncated set.
 //
-// Every call runs under a request ID, reused from ctx (obs.EnsureRequestID)
-// or minted, which the query's trace, its one wide event (the hub's
-// RequestLog, /debug/requests?id=<id>) and /v2/search's answer all carry.
-// See Envelope and docs/api.md.
+// Every call runs under one trace, joined from ctx or started, whose trace
+// ID is the request's one identifier: its one wide event (the hub's
+// RequestLog, /debug/requests?id=<trace_id>) and /v2/search's answer carry
+// it. See Envelope and docs/api.md.
 func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	return e.env.Run(ctx, req, e.search)
 }
@@ -272,8 +272,8 @@ func (e *Engine) QueryGated(ctx context.Context, req Request, g *lifecycle.Gate)
 type QueryBody func(ctx context.Context, g *lifecycle.Gate, req Request) (resp *Response, spread []int64, err error)
 
 // Envelope is the one request lifecycle every Query runs in, on a single
-// engine and on a sharded one alike: validation and the k clamp, the
-// request ID, the trace (joined or started) and its lifecycle annotations,
+// engine and on a sharded one alike: validation and the k clamp, the trace
+// (joined or started; its ID names the request) and its lifecycle annotations,
 // the request's one wide event, its outcome and the abort and truncation
 // counters, the approximation stamp, and the explain header and attach.
 // What differs between engines is only the QueryBody.
@@ -324,7 +324,6 @@ func (v *Envelope) Run(ctx context.Context, req Request, body QueryBody) (*Respo
 	// no answer — but every family sizes buffers by k, and an absurd one
 	// from the wire must not be able to exhaust memory.
 	req.K = min(req.K, v.served.Len())
-	ctx, rid := obs.EnsureRequestID(ctx)
 	start := time.Now()
 	op, name := req.Kind.String(), traceName(req.Kind)
 	if v.sharded {
@@ -337,18 +336,13 @@ func (v *Envelope) Run(ctx context.Context, req Request, body QueryBody) (*Respo
 	if req.Explain {
 		sp.Annotate("explain", "true")
 	}
-	annotateLifecycle(sp, rid, req)
-	ev := obs.WideEvent{
-		RequestID:   rid,
-		TraceID:     tr.TraceID().String(),
-		Time:        start,
-		Op:          op,
-		K:           req.K,
-		DeadlineMS:  req.Budget.Deadline.Milliseconds(),
-		MaxNodes:    req.Budget.MaxNodeVisits,
-		MaxExact:    req.Budget.MaxExactDistances,
-		QueueWaitMS: float64(req.QueueWait) / float64(time.Millisecond),
-	}
+	annotateLifecycle(sp, req)
+	ev := wideEvent(tr, start, op)
+	ev.K = req.K
+	ev.DeadlineMS = req.Budget.Deadline.Milliseconds()
+	ev.MaxNodes = req.Budget.MaxNodeVisits
+	ev.MaxExact = req.Budget.MaxExactDistances
+	ev.QueueWaitMS = float64(req.QueueWait) / float64(time.Millisecond)
 	var resp *Response
 	g := lifecycle.NewGate(ctx, req.Approx.limits(req.Budget.limits(start)))
 	// An already-dead context does zero index work: O(1) return from every
@@ -402,6 +396,23 @@ func (v *Envelope) Run(ctx context.Context, req Request, body QueryBody) (*Respo
 		tr.Attach(resp.Explain)
 	}
 	return resp, nil
+}
+
+// recordHTTPError records the one wide event of a /v2/search request that
+// was answered with an error before any query ran — refused by decode or
+// lookup, or a panic — under the request's trace ID, so /debug/requests
+// resolves every answered request, not only those that reached the engine.
+func recordHTTPError(reqlog *obs.RequestLog, tr *obs.Trace, start time.Time, ve *V2Error) {
+	ev := wideEvent(tr, start, "http_error")
+	ev.DurationMS = msSince(start)
+	ev.Abort, ev.Error = "error", ve.Error()
+	reqlog.Record(ev)
+}
+
+// wideEvent begins the one wide event of a request: its trace ID (the
+// request's one identifier), when it began and what it was.
+func wideEvent(tr *obs.Trace, start time.Time, op string) obs.WideEvent {
+	return obs.WideEvent{TraceID: tr.TraceID().String(), Time: start, Op: op}
 }
 
 // traceName maps a request kind onto the family's historical trace root
@@ -477,14 +488,13 @@ func (e *Engine) dispatch(ctx context.Context, g *lifecycle.Gate, req Request) (
 	}
 }
 
-// annotateLifecycle attaches the request ID plus budget and admission
-// metadata to the family span so the slow-query log shows why a query was
-// truncated or where it waited, and can be joined with /debug/requests.
-func annotateLifecycle(sp *obs.Span, rid string, req Request) {
+// annotateLifecycle attaches budget and admission metadata to the family
+// span so the slow-query log shows why a query was truncated or where it
+// waited.
+func annotateLifecycle(sp *obs.Span, req Request) {
 	if sp == nil {
 		return
 	}
-	sp.Annotate("request_id", rid)
 	if req.Budget.Deadline != 0 {
 		sp.Annotate("deadline_ms", strconv.FormatInt(req.Budget.Deadline.Milliseconds(), 10))
 	}
@@ -548,7 +558,7 @@ func (e *Engine) queryValues(req Request) ([]float64, error) {
 }
 
 func (e *Engine) querySimilar(ctx context.Context, g *lifecycle.Gate, req Request) (*Response, error) {
-	defer e.met.similarLat.StartCtx(ctx)()
+	defer e.met.similarLat.Start()()
 	e.met.similarTotal.Inc()
 	e.met.similarK.Observe(float64(req.K))
 	fam := obs.SpanFromContext(ctx)
@@ -590,7 +600,7 @@ func (e *Engine) querySimilar(ctx context.Context, g *lifecycle.Gate, req Reques
 }
 
 func (e *Engine) querySimilarID(ctx context.Context, g *lifecycle.Gate, req Request) (*Response, error) {
-	defer e.met.similarLat.StartCtx(ctx)()
+	defer e.met.similarLat.Start()()
 	e.met.similarTotal.Inc()
 	e.met.similarK.Observe(float64(req.K))
 	fam := obs.SpanFromContext(ctx)
@@ -640,7 +650,7 @@ func (e *Engine) querySimilarID(ctx context.Context, g *lifecycle.Gate, req Requ
 }
 
 func (e *Engine) queryLinear(ctx context.Context, g *lifecycle.Gate, req Request) (*Response, error) {
-	defer e.met.linearLat.StartCtx(ctx)()
+	defer e.met.linearLat.Start()()
 	e.met.linearTotal.Inc()
 	fam := obs.SpanFromContext(ctx)
 	z, err := e.queryValues(req)
@@ -673,7 +683,7 @@ func (e *Engine) scanQuery(rows seqstore.Reader, req Request) ([]float64, error)
 }
 
 func (e *Engine) queryDTW(ctx context.Context, g *lifecycle.Gate, req Request) (*Response, error) {
-	defer e.met.dtwLat.StartCtx(ctx)()
+	defer e.met.dtwLat.Start()()
 	e.met.dtwTotal.Inc()
 	fam := obs.SpanFromContext(ctx)
 	fam.Annotate("id", strconv.Itoa(req.ID))

@@ -22,7 +22,7 @@ import (
 
 // V2SchemaVersion is the schema_version stamped on every /v2/search
 // response, snapshot frame and error envelope.
-const V2SchemaVersion = 2
+const V2SchemaVersion = 3
 
 // UnboundedGap is the JSON sentinel for an unbounded bound_gap (+Inf is not
 // representable in JSON): the search stopped with no quality guarantee.
@@ -76,7 +76,7 @@ func (v V2Request) Budget() Budget {
 
 // V2Error is the structured error of the v2 contract: a stable machine-
 // readable code plus a human-readable message, wrapped in the envelope
-// {"schema_version":2,"request_id":...,"trace_id":...,"error":{...}}.
+// {"schema_version":3,"trace_id":...,"error":{...}}.
 //
 // Codes (docs/api.md#errors):
 //
@@ -132,9 +132,6 @@ func DecodeV2Request(method, rawQuery string, body []byte) (V2Request, *V2Error)
 		}
 		if vq.Mode == "" {
 			vq.Mode = "similar"
-		}
-		if vq.K == 0 {
-			vq.K = 5
 		}
 	default:
 		return vq, v2Errorf(http.StatusMethodNotAllowed, "method_not_allowed", "use GET or POST")
@@ -266,10 +263,11 @@ type V2Result struct {
 	BoundGap float64 `json:"bound_gap"`
 }
 
-// V2Response is the single-shot JSON body of /v2/search (schema_version 2).
+// V2Response is the single-shot JSON body of /v2/search (schema_version 3).
+// TraceID, the trace ID of the echoed traceparent, is the request's one
+// identifier: /debug/requests?id= and /debug/traces?id= resolve it.
 type V2Response struct {
 	SchemaVersion int    `json:"schema_version"`
-	RequestID     string `json:"request_id,omitempty"`
 	TraceID       string `json:"trace_id,omitempty"`
 	Query         string `json:"query"`
 	ID            int    `json:"id"`
@@ -299,7 +297,6 @@ type V2Snapshot struct {
 	SchemaVersion int     `json:"schema_version"`
 	Seq           int     `json:"seq"`
 	Final         bool    `json:"final"`
-	RequestID     string  `json:"request_id,omitempty"`
 	TraceID       string  `json:"trace_id,omitempty"`
 	ElapsedMS     float64 `json:"elapsed_ms"`
 	NodesVisited  int     `json:"nodes_visited"`
@@ -316,7 +313,6 @@ type V2Snapshot struct {
 // v2ErrorEnvelope is the non-stream error body.
 type v2ErrorEnvelope struct {
 	SchemaVersion int      `json:"schema_version"`
-	RequestID     string   `json:"request_id,omitempty"`
 	TraceID       string   `json:"trace_id,omitempty"`
 	Error         *V2Error `json:"error"`
 }
@@ -347,8 +343,11 @@ const maxV2Body = 1 << 20
 // handler opens that root itself through the same obs.StartHTTPRequest and
 // finishes it. Either way every terminal path — 400, 404,
 // 413, 500, 503, success — stamps the trace's outcome, so error responses
-// are tail-kept and traceable, and the response body carries trace_id and
-// request_id. See docs/api.md.
+// are tail-kept and traceable, and the response body carries trace_id, the
+// request's one identifier. A request answered with an error before any
+// query ran (a refused request, or a panic) leaves its one wide event
+// through recordHTTPError; every other request's comes from the Envelope.
+// See docs/api.md.
 //
 // A panic anywhere below — decode, the engine, an index, encode — is one
 // request's failure, not the process's: it is recovered into the structured
@@ -358,24 +357,29 @@ const maxV2Body = 1 << 20
 // middleware's own defer as the handler returns.
 func V2SearchHandler(e Searcher) http.Handler {
 	var panics *obs.Counter
+	var reqlog *obs.RequestLog
 	if h, ok := e.(interface{ Hub() *obs.Hub }); ok {
 		panics = h.Hub().Registry().Counter("engine_query_panics_total", "panics recovered while serving /v2/search")
+		reqlog = h.Hub().RequestLog()
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, rid, tr, owned := obs.StartHTTPRequest(e.Tracer(), w, r)
+		start := time.Now()
+		ctx, tr, owned := obs.StartHTTPRequest(e.Tracer(), w, r)
 		if owned {
 			defer tr.Finish()
 		}
+		var srv *v2server
 		fail := func(ve *V2Error) {
 			tr.SetOutcome(obs.Outcome{Error: ve.Message, HTTPStatus: ve.Status})
+			if srv == nil || !srv.ran {
+				recordHTTPError(reqlog, tr, start, ve)
+			}
 			w.Header().Set("Content-Type", "application/json; charset=utf-8")
 			w.WriteHeader(ve.Status)
 			json.NewEncoder(w).Encode(v2ErrorEnvelope{ //nolint:errcheck
-				SchemaVersion: V2SchemaVersion, RequestID: rid,
-				TraceID: tr.TraceID().String(), Error: ve,
+				SchemaVersion: V2SchemaVersion, TraceID: tr.TraceID().String(), Error: ve,
 			})
 		}
-		var srv *v2server
 		defer func() {
 			p := recover()
 			if p == nil {
@@ -425,7 +429,7 @@ func V2SearchHandler(e Searcher) http.Handler {
 		}
 		req.QueueWait = admit.QueueWaitFrom(r.Context())
 		srv = &v2server{
-			e: e, w: w, tr: tr, rid: rid, vq: vq, req: req,
+			e: e, w: w, tr: tr, vq: vq, req: req,
 			id: id, filterSelf: filterSelf, start: time.Now(),
 		}
 		if vq.Stream == "" {
@@ -476,7 +480,6 @@ type v2server struct {
 	e          Searcher
 	w          http.ResponseWriter
 	tr         *obs.Trace
-	rid        string
 	vq         V2Request
 	req        Request
 	id         int
@@ -484,6 +487,9 @@ type v2server struct {
 	start      time.Time
 	// seq counts the frames a progressive response has emitted.
 	seq int
+	// ran is set once a query has returned: its Envelope has recorded the
+	// request's wide event.
+	ran bool
 }
 
 // queryError classifies an engine error for the v2 taxonomy.
@@ -521,6 +527,7 @@ func (s *v2server) results(out *Response) []V2Result {
 
 func (s *v2server) serveSingle(ctx context.Context, fail func(*V2Error)) {
 	out, err := s.e.Query(ctx, s.req)
+	s.ran = true
 	if err != nil {
 		ve := queryError(err)
 		s.tr.SetOutcome(obs.Outcome{Aborted: ve.Code == "aborted"})
@@ -529,7 +536,6 @@ func (s *v2server) serveSingle(ctx context.Context, fail func(*V2Error)) {
 	}
 	resp := &V2Response{
 		SchemaVersion: V2SchemaVersion,
-		RequestID:     s.rid,
 		TraceID:       s.tr.TraceID().String(),
 		Query:         s.vq.Query, ID: s.id, Mode: s.vq.Mode, K: s.vq.K,
 		Truncated:    out.Truncated,
@@ -626,7 +632,6 @@ func (s *v2server) emit(snap *V2Snapshot) {
 	snap.SchemaVersion = V2SchemaVersion
 	s.seq++
 	snap.Seq = s.seq
-	snap.RequestID = s.rid
 	snap.TraceID = s.tr.TraceID().String()
 	snap.ElapsedMS = float64(time.Since(s.start)) / float64(time.Millisecond)
 	if sse {
@@ -701,6 +706,7 @@ func (s *v2server) serveProgressive(ctx context.Context, fail func(*V2Error)) {
 		rreq := s.req
 		rreq.Budget.MaxNodeVisits = rung
 		out, err := s.e.Query(ctx, rreq)
+		s.ran = true
 		if err != nil {
 			ve := queryError(err)
 			s.tr.SetOutcome(obs.Outcome{Error: ve.Message, HTTPStatus: ve.Status})

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -58,6 +59,42 @@ func TestV2DecodeDefaults(t *testing.T) {
 	}
 }
 
+// TestV2DecodeGETAndPOSTAgree: the same parameters decode to the same
+// V2Request, or the same error, whether they come as a GET query string or
+// a POST JSON body — a zero or negative k is refused both ways, not served
+// as the default by one of them.
+func TestV2DecodeGETAndPOSTAgree(t *testing.T) {
+	for _, c := range []struct {
+		name, get, post string
+		code            string // "" = accepted
+	}{
+		{"k absent", "q=a", `{"q":"a"}`, ""},
+		{"k zero", "q=a&k=0", `{"q":"a","k":0}`, "invalid_argument"},
+		{"k negative", "q=a&k=-1", `{"q":"a","k":-1}`, "invalid_argument"},
+		{"k set", "q=a&k=3", `{"q":"a","k":3}`, ""},
+		{"mode absent", "q=a", `{"q":"a"}`, ""},
+		{"mode empty", "q=a&mode=", `{"q":"a","mode":""}`, ""},
+		{"band absent", "q=a&mode=dtw", `{"q":"a","mode":"dtw"}`, ""},
+		{"band zero", "q=a&mode=dtw&band=0", `{"q":"a","mode":"dtw","band":0}`, ""},
+	} {
+		g, gerr := DecodeV2Request(http.MethodGet, c.get, nil)
+		p, perr := DecodeV2Request(http.MethodPost, "", []byte(c.post))
+		code := func(ve *V2Error) string {
+			if ve == nil {
+				return ""
+			}
+			return ve.Code
+		}
+		if code(gerr) != c.code || code(perr) != c.code {
+			t.Errorf("%s: GET error %v, POST error %v; want code %q both ways", c.name, gerr, perr, c.code)
+			continue
+		}
+		if c.code == "" && !reflect.DeepEqual(g, p) {
+			t.Errorf("%s: GET decodes to %+v, POST to %+v", c.name, g, p)
+		}
+	}
+}
+
 func TestV2DecodeErrors(t *testing.T) {
 	cases := []struct {
 		name, method, raw, body string
@@ -96,7 +133,7 @@ func TestV2DecodeErrors(t *testing.T) {
 }
 
 func TestV2SearchSchema(t *testing.T) {
-	e, _ := buildEngine(t, 30, Config{}, 1)
+	e, _ := buildEngine(t, 30, Config{Obs: obs.NewHub()}, 1)
 	h := V2SearchHandler(e)
 
 	rec, resp := doV2(t, h, http.MethodGet, "/v2/search?q="+querylog.Cinema+"&k=3", "")
@@ -117,8 +154,8 @@ func TestV2SearchSchema(t *testing.T) {
 			t.Errorf("exact result %d carries bound_gap %v", r.ID, r.BoundGap)
 		}
 	}
-	if rec.Header().Get("X-Request-Id") == "" {
-		t.Error("missing X-Request-Id")
+	if resp.TraceID == "" || !strings.HasPrefix(rec.Header().Get("traceparent"), "00-"+resp.TraceID+"-") {
+		t.Errorf("trace_id %q does not match the echoed traceparent %q", resp.TraceID, rec.Header().Get("traceparent"))
 	}
 	if resp.Stats == nil {
 		t.Error("similar mode must report index stats")
@@ -510,8 +547,8 @@ func FuzzV2Decode(f *testing.F) {
 }
 
 // TestV2SearchRequestIDResolvable is the acceptance criterion end to end:
-// the /v2/search response's request_id resolves at /debug/requests to a
-// wide event describing the same search.
+// the /v2/search response's one ID, its trace_id, resolves at
+// /debug/requests to a wide event describing the same search.
 func TestV2SearchRequestIDResolvable(t *testing.T) {
 	t.Parallel()
 	e, hub, _ := attrEngine(t, 2)
@@ -531,20 +568,17 @@ func TestV2SearchRequestIDResolvable(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("search status %d", resp.StatusCode)
 	}
-	if sr.RequestID == "" {
-		t.Fatal("search response carries no request_id")
-	}
-	if hdr := resp.Header.Get("X-Request-Id"); hdr != sr.RequestID {
-		t.Errorf("X-Request-Id %q != body request_id %q", hdr, sr.RequestID)
+	if sr.TraceID == "" {
+		t.Fatal("search response carries no trace_id")
 	}
 
-	resp, err = srv.Client().Get(srv.URL + "/debug/requests?id=" + sr.RequestID)
+	resp, err = srv.Client().Get(srv.URL + "/debug/requests?id=" + sr.TraceID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/requests?id=%s status %d", sr.RequestID, resp.StatusCode)
+		t.Fatalf("/debug/requests?id=%s status %d", sr.TraceID, resp.StatusCode)
 	}
 	var ev obs.WideEvent
 	if err := json.NewDecoder(resp.Body).Decode(&ev); err != nil {

@@ -112,34 +112,20 @@ func TestTracePipelineEndToEnd(t *testing.T) {
 			t.Errorf("span %q has no span ID", name)
 		}
 	}
-	// The flattened export form preserves the parent chain.
-	flat := obs.FlattenTrace(rec)
-	parentOf := map[string]string{}
-	idToName := map[string]string{}
-	for _, sp := range flat.Spans {
-		parentOf[sp.Name] = sp.ParentSpanID
-		idToName[sp.SpanID] = sp.Name
-	}
-	if idToName[parentOf["admission"]] != "http_request" {
-		t.Error("admission span not parented under http_request")
-	}
-	if idToName[parentOf["similar_dtw"]] != "http_request" {
-		t.Error("family span not parented under http_request")
-	}
-	if idToName[parentOf["dtw_cascade"]] != "similar_dtw" {
-		t.Error("index-phase span not parented under the family span")
+	// Every span links to its parent by span ID.
+	fam, _ := findSpan(rec.Root, "similar_dtw")
+	for child, parent := range map[string]obs.SpanRecord{"admission": rec.Root, "similar_dtw": rec.Root, "dtw_cascade": fam} {
+		if sp, _ := findSpan(rec.Root, child); sp.ParentSpanID == "" || sp.ParentSpanID != parent.SpanID {
+			t.Errorf("span %q parent = %q, want %q's %q", child, sp.ParentSpanID, parent.Name, parent.SpanID)
+		}
 	}
 
-	// Unification: the wide event resolves by trace ID and its duration
+	// Unification: the wide event resolves by the trace ID and its duration
 	// agrees with the family span's within 5%.
-	ev, ok := hub.RequestLog().FindByKey(e2eTraceID)
+	ev, ok := hub.RequestLog().Find(e2eTraceID)
 	if !ok {
 		t.Fatal("wide event not resolvable by trace ID")
 	}
-	if ev.TraceID != e2eTraceID || ev.RequestID != body.RequestID {
-		t.Errorf("wide event identity = %q/%q, want %s/%s", ev.TraceID, ev.RequestID, e2eTraceID, body.RequestID)
-	}
-	fam, _ := findSpan(rec.Root, "similar_dtw")
 	if diff := fam.DurationMS - ev.DurationMS; diff < 0 {
 		diff = -diff
 	} else if ev.DurationMS <= 0 {

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 )
 
 // Route mounts an application handler onto the debug surface, so callers
@@ -39,12 +38,11 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 // Handler returns the debug HTTP surface for a hub:
 //
 //	/debug/vars          expvar-style JSON snapshot of every metric
-//	/debug/metrics       Prometheus text exposition (hand-rolled, format 0.0.4;
-//	                     ?format=openmetrics adds trace-linked exemplars)
-//	/debug/traces        recent kept traces as JSON (?id=/?trace= resolve a
-//	                     trace or request ID; ?stats=1 for sampler counters)
-//	/debug/requests      recent request-scoped wide events (?id=/?trace=
-//	                     resolve a request or trace ID)
+//	/debug/metrics       Prometheus text exposition (hand-rolled, format 0.0.4)
+//	/debug/traces        recent kept traces as JSON (?id=<trace_id> resolves
+//	                     one; ?stats=1 for sampler counters)
+//	/debug/requests      recent request-scoped wide events (?id=<trace_id>
+//	                     resolves one)
 //	/debug/healthz       readiness: 200 when every registered probe passes
 //	/debug/explain       explain reports on the kept traces (most recent first)
 //	/debug/explain/last  the most recent of them
@@ -63,28 +61,18 @@ func Handler(h *Hub, extra ...Route) http.Handler {
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, varsPayload(h.Registry()))
 	})
-	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, r *http.Request) {
-		// OpenMetrics (opt-in via ?format=openmetrics or content
-		// negotiation) adds trace-linked exemplars to histogram buckets;
-		// the default stays classic 0.0.4 text, which many parsers would
-		// reject exemplar syntax in.
-		if wantsOpenMetrics(r) {
-			w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-			writeOpenMetrics(w, h.Registry().Snapshot())
-			return
-		}
+	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		WritePrometheus(w, h.Registry().Snapshot())
 	})
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		// ?id= / ?trace= resolve one retained trace by W3C trace ID or
-		// request ID — the same keys /debug/requests accepts, so either
-		// surface reaches the same request.
-		if key := lookupKey(r); key != "" {
-			rec, ok := h.Tracer().Find(key)
+		// ?id= resolves one retained trace by its trace ID — the same key
+		// /debug/requests takes, so either surface reaches the same request.
+		if id := r.URL.Query().Get("id"); id != "" {
+			rec, ok := h.Tracer().Find(id)
 			if !ok {
 				writeJSONStatus(w, http.StatusNotFound,
-					map[string]string{"error": fmt.Sprintf("no kept trace for key %q", key)})
+					map[string]string{"error": fmt.Sprintf("no kept trace %q", id)})
 				return
 			}
 			writeJSON(w, rec)
@@ -100,13 +88,11 @@ func Handler(h *Hub, extra ...Route) http.Handler {
 		writeJSON(w, firstN(r, h.Tracer().Snapshot()))
 	})
 	mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {
-		// ?id= (request ID or trace ID) and ?trace= are equivalent — the
-		// wide-event ring indexes both keys.
-		if key := lookupKey(r); key != "" {
-			ev, ok := h.RequestLog().FindByKey(key)
+		if id := r.URL.Query().Get("id"); id != "" {
+			ev, ok := h.RequestLog().Find(id)
 			if !ok {
 				writeJSONStatus(w, http.StatusNotFound,
-					map[string]string{"error": fmt.Sprintf("no wide event retained for request %q", key)})
+					map[string]string{"error": fmt.Sprintf("no wide event retained for request %q", id)})
 				return
 			}
 			writeJSON(w, ev)
@@ -160,15 +146,6 @@ func Handler(h *Hub, extra ...Route) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// lookupKey is the request or trace ID a lookup names in ?id= (or ?trace=);
-// "" asks for the listing.
-func lookupKey(r *http.Request) string {
-	if key := r.URL.Query().Get("id"); key != "" {
-		return key
-	}
-	return r.URL.Query().Get("trace")
 }
 
 // firstN trims a most-recent-first listing to the ?n= newest entries, and
@@ -275,56 +252,6 @@ func WritePrometheus(w io.Writer, s Snapshot) {
 		fmt.Fprintf(w, "%s_sum %s\n", h.Name, formatFloat(h.Sum))
 		fmt.Fprintf(w, "%s_count %d\n", h.Name, h.Count)
 	}
-}
-
-// wantsOpenMetrics reports whether the scrape asked for the OpenMetrics
-// exposition (explicit ?format=openmetrics, or an Accept header naming
-// application/openmetrics-text).
-func wantsOpenMetrics(r *http.Request) bool {
-	if r.URL.Query().Get("format") == "openmetrics" {
-		return true
-	}
-	return strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text")
-}
-
-// writeOpenMetrics renders a snapshot as OpenMetrics text: the same series
-// as WritePrometheus, plus per-bucket exemplars linking histogram buckets
-// to the trace that most recently landed in them
-// (`... # {trace_id="<id>"} <value> <unix-seconds>`) and the mandatory
-// `# EOF` terminator. Classic 0.0.4 scrapes never see exemplar syntax.
-func writeOpenMetrics(w io.Writer, s Snapshot) {
-	for _, c := range s.Counters {
-		writeHeader(w, c.Name, c.Help, "counter")
-		fmt.Fprintf(w, "%s %d\n", c.Name, c.Value)
-	}
-	for _, g := range s.Gauges {
-		writeHeader(w, g.Name, g.Help, "gauge")
-		fmt.Fprintf(w, "%s %s\n", g.Name, formatFloat(g.Value))
-	}
-	for _, h := range s.Histograms {
-		writeHeader(w, h.Name, h.Help, "histogram")
-		var cum int64
-		for _, b := range h.Buckets {
-			cum += b.Count
-			fmt.Fprintf(w, "%s_bucket{le=%q} %d%s\n",
-				h.Name, formatFloat(b.UpperBound), cum, formatExemplar(b.Exemplar))
-		}
-		cum += h.Overflow
-		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", h.Name, cum)
-		fmt.Fprintf(w, "%s_sum %s\n", h.Name, formatFloat(h.Sum))
-		fmt.Fprintf(w, "%s_count %d\n", h.Name, h.Count)
-	}
-	fmt.Fprintf(w, "# EOF\n")
-}
-
-// formatExemplar renders the OpenMetrics exemplar suffix for one bucket
-// ("" when the bucket has none).
-func formatExemplar(e *Exemplar) string {
-	if e == nil || e.TraceID == "" {
-		return ""
-	}
-	return fmt.Sprintf(" # {trace_id=%q} %s %s",
-		e.TraceID, formatFloat(e.Value), formatFloat(float64(e.Time.UnixNano())/1e9))
 }
 
 func writeHeader(w io.Writer, name, help, kind string) {

@@ -11,8 +11,8 @@ import (
 func TestDebugRequestsEndpoint(t *testing.T) {
 	t.Parallel()
 	h := NewHub()
-	h.RequestLog().Record(WideEvent{RequestID: "q-aa-1", Op: "similar", Results: 5})
-	h.RequestLog().Record(WideEvent{RequestID: "q-aa-2", Op: "linear", Results: 3})
+	h.RequestLog().Record(WideEvent{TraceID: "t-aa-1", Op: "similar", Results: 5})
+	h.RequestLog().Record(WideEvent{TraceID: "t-aa-2", Op: "linear", Results: 3})
 	srv := httptest.NewServer(Handler(h))
 	defer srv.Close()
 
@@ -24,7 +24,7 @@ func TestDebugRequestsEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &events); err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if len(events) != 2 || events[0].RequestID != "q-aa-2" {
+	if len(events) != 2 || events[0].TraceID != "t-aa-2" {
 		t.Fatalf("events = %+v, want 2 most-recent-first", events)
 	}
 
@@ -33,7 +33,7 @@ func TestDebugRequestsEndpoint(t *testing.T) {
 		t.Fatalf("?n=1 returned %d events (%v)", len(events), err)
 	}
 
-	code, body = get(t, srv, "/debug/requests?id=q-aa-1")
+	code, body = get(t, srv, "/debug/requests?id=t-aa-1")
 	if code != http.StatusOK {
 		t.Fatalf("?id= status %d", code)
 	}
@@ -45,7 +45,7 @@ func TestDebugRequestsEndpoint(t *testing.T) {
 		t.Errorf("resolved event = %+v", ev)
 	}
 
-	code, body = get(t, srv, "/debug/requests?id=q-missing")
+	code, body = get(t, srv, "/debug/requests?id=t-missing")
 	if code != http.StatusNotFound {
 		t.Fatalf("missing id status %d, want 404: %s", code, body)
 	}
@@ -105,7 +105,7 @@ func TestDebugHealthzEndpoint(t *testing.T) {
 func TestDebugJSONContentTypeConsistency(t *testing.T) {
 	t.Parallel()
 	h := NewHub()
-	h.RequestLog().Record(WideEvent{RequestID: "q-ct-1"})
+	h.RequestLog().Record(WideEvent{TraceID: "t-ct-1"})
 	srv := httptest.NewServer(Handler(h))
 	defer srv.Close()
 
@@ -114,8 +114,8 @@ func TestDebugJSONContentTypeConsistency(t *testing.T) {
 		"/debug/vars",
 		"/debug/traces",
 		"/debug/requests",
-		"/debug/requests?id=q-ct-1",
-		"/debug/requests?id=q-nope", // 404 path
+		"/debug/requests?id=t-ct-1",
+		"/debug/requests?id=t-nope", // 404 path
 		"/debug/healthz",
 		"/debug/explain",
 		"/debug/explain/last", // 404 path

@@ -13,7 +13,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -93,23 +92,6 @@ type Histogram struct {
 	over    atomic.Int64
 	count   atomic.Int64
 	sumBits atomic.Uint64 // float64 bits of the running sum
-	// exemplars holds the most recent trace-linked observation per bucket
-	// (last slot = overflow bucket); nil entries mean "no exemplar yet".
-	// Exposed only in the OpenMetrics rendering, never in classic
-	// Prometheus text.
-	exemplars []atomic.Pointer[Exemplar]
-}
-
-// Exemplar links one concrete observation to the trace that produced it,
-// per the OpenMetrics exemplar model: a metrics spike becomes a click
-// through to the exact kept trace behind it.
-type Exemplar struct {
-	// TraceID is the W3C trace ID of the request that made the observation.
-	TraceID string `json:"trace_id"`
-	// Value is the observed value (seconds for timers).
-	Value float64 `json:"value"`
-	// Time is when the observation happened.
-	Time time.Time `json:"time"`
 }
 
 // HistogramOpts shapes a histogram's exponential bucket layout.
@@ -139,9 +121,8 @@ func (o *HistogramOpts) fill() {
 func newHistogram(opts HistogramOpts) *Histogram {
 	opts.fill()
 	h := &Histogram{
-		bounds:    make([]float64, opts.Buckets),
-		counts:    make([]atomic.Int64, opts.Buckets),
-		exemplars: make([]atomic.Pointer[Exemplar], opts.Buckets+1),
+		bounds: make([]float64, opts.Buckets),
+		counts: make([]atomic.Int64, opts.Buckets),
 	}
 	b := opts.Start
 	for i := range h.bounds {
@@ -152,13 +133,7 @@ func newHistogram(opts HistogramOpts) *Histogram {
 }
 
 // Observe records one value (no-op on a nil histogram; NaN is ignored).
-func (h *Histogram) Observe(v float64) { h.ObserveExemplar(v, "") }
-
-// ObserveExemplar records one value and, when traceID is non-empty,
-// stamps it as the matched bucket's exemplar — the OpenMetrics rendering
-// then links that bucket to the trace. No-op on a nil histogram; NaN is
-// ignored.
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
+func (h *Histogram) Observe(v float64) {
 	if h == nil || math.IsNaN(v) {
 		return
 	}
@@ -168,9 +143,6 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 		h.counts[i].Add(1)
 	} else {
 		h.over.Add(1)
-	}
-	if traceID != "" {
-		h.exemplars[i].Store(&Exemplar{TraceID: traceID, Value: v, Time: time.Now()})
 	}
 	h.count.Add(1)
 	for {
@@ -211,15 +183,6 @@ func (t *Timer) Observe(d time.Duration) {
 	t.h.Observe(d.Seconds())
 }
 
-// ObserveCtx records one duration, stamping the bucket's exemplar with the
-// trace ID carried by ctx (plain Observe when ctx carries none).
-func (t *Timer) ObserveCtx(ctx context.Context, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.h.ObserveExemplar(d.Seconds(), traceIDFromContext(ctx))
-}
-
 // Start returns a function that, when called, observes the elapsed time
 // since Start. On a nil timer the returned function is a no-op (never nil),
 // so callers can always `defer t.Start()()`.
@@ -229,17 +192,6 @@ func (t *Timer) Start() func() {
 	}
 	begin := time.Now()
 	return func() { t.Observe(time.Since(begin)) }
-}
-
-// StartCtx is Start with exemplar linkage: the observation recorded when
-// the returned function runs carries ctx's trace ID, so latency histogram
-// buckets point back at concrete kept traces.
-func (t *Timer) StartCtx(ctx context.Context) func() {
-	if t == nil {
-		return func() {}
-	}
-	begin := time.Now()
-	return func() { t.ObserveCtx(ctx, time.Since(begin)) }
 }
 
 // Histogram returns the backing histogram (nil on a nil timer).
@@ -393,12 +345,10 @@ type GaugeSnapshot struct {
 }
 
 // BucketSnapshot is one histogram bucket: the count of observations at or
-// below UpperBound (non-cumulative). Exemplar, when present, is the most
-// recent trace-linked observation that landed in this bucket.
+// below UpperBound (non-cumulative).
 type BucketSnapshot struct {
-	UpperBound float64   `json:"le"`
-	Count      int64     `json:"count"`
-	Exemplar   *Exemplar `json:"exemplar,omitempty"`
+	UpperBound float64 `json:"le"`
+	Count      int64   `json:"count"`
 }
 
 // HistogramSnapshot is one histogram's frozen state. Buckets with zero
@@ -439,7 +389,7 @@ func (r *Registry) Snapshot() Snapshot {
 		hs := HistogramSnapshot{Name: name, Help: r.help[name], Count: h.Count(), Sum: h.Sum(), Overflow: h.over.Load()}
 		for i := range h.counts {
 			if n := h.counts[i].Load(); n > 0 {
-				hs.Buckets = append(hs.Buckets, BucketSnapshot{UpperBound: h.bounds[i], Count: n, Exemplar: h.exemplars[i].Load()})
+				hs.Buckets = append(hs.Buckets, BucketSnapshot{UpperBound: h.bounds[i], Count: n})
 			}
 		}
 		s.Histograms = append(s.Histograms, hs)

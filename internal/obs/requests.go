@@ -1,13 +1,6 @@
 package obs
 
-import (
-	"context"
-	"crypto/rand"
-	"encoding/hex"
-	"fmt"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // WideEvent is one request-scoped "wide event": everything worth knowing
 // about a single request in one flat, structured JSON record — the query
@@ -16,17 +9,16 @@ import (
 // the shards. One event is emitted per request at completion; the
 // RequestLog ring retains recent events for /debug/requests.
 type WideEvent struct {
-	// RequestID joins the event with the /v2/search response, the admission
-	// shed response, the query's trace and the slow-query log.
-	RequestID string `json:"request_id"`
-	// TraceID is the W3C trace ID of the request's trace ("" when the
-	// request ran untraced) — the join key into /debug/traces, the slow
-	// log and metric exemplars.
+	// TraceID is the W3C trace ID of the request's trace, the request's one
+	// identifier ("" when it ran untraced): the /v2/search response, the
+	// admission shed response, /debug/traces and the slow-query log carry
+	// the same one.
 	TraceID string `json:"trace_id,omitempty"`
 	// Time is when the request entered the engine (or was shed).
 	Time time.Time `json:"time"`
-	// Op is the request kind (similar, linear, dtw, periods, qbb, qbb_id)
-	// or "admission_shed" for requests that never got a slot.
+	// Op is the request kind (similar, linear, dtw, periods, qbb, qbb_id),
+	// "admission_shed" for requests that never got a slot, or "http_error"
+	// for a /v2/search request answered with an error before any query ran.
 	Op string `json:"op"`
 	K  int    `json:"k,omitempty"`
 
@@ -97,25 +89,14 @@ func (l *RequestLog) Snapshot() []WideEvent {
 	return l.ring.snapshot()
 }
 
-// Find returns the most recent retained event with the given request ID.
-func (l *RequestLog) Find(id string) (WideEvent, bool) {
-	for _, ev := range l.Snapshot() {
-		if ev.RequestID == id {
-			return ev, true
-		}
-	}
-	return WideEvent{}, false
-}
-
-// FindByKey returns the most recent retained event whose request ID *or*
-// trace ID equals key — the cross-surface join /debug/requests and
-// /debug/traces share: either identifier resolves the same request.
-func (l *RequestLog) FindByKey(key string) (WideEvent, bool) {
-	if key == "" {
+// Find returns the most recent retained event of the request with the
+// given trace ID.
+func (l *RequestLog) Find(traceID string) (WideEvent, bool) {
+	if traceID == "" {
 		return WideEvent{}, false
 	}
 	for _, ev := range l.Snapshot() {
-		if ev.RequestID == key || (ev.TraceID != "" && ev.TraceID == key) {
+		if ev.TraceID == traceID {
 			return ev, true
 		}
 	}
@@ -128,60 +109,4 @@ func (l *RequestLog) Len() int {
 		return 0
 	}
 	return l.ring.len()
-}
-
-// ---------------------------------------------------------------------------
-// Request IDs
-
-// reqNonce distinguishes processes so IDs from two runs never collide in
-// logs; reqSeq orders IDs within a process.
-var (
-	reqNonce = func() string {
-		var b [4]byte
-		if _, err := rand.Read(b[:]); err != nil {
-			// Degenerate fallback: sequence numbers still make IDs unique
-			// within the process.
-			return "00000000"
-		}
-		return hex.EncodeToString(b[:])
-	}()
-	reqSeq atomic.Uint64
-)
-
-// newRequestID mints a process-unique request ID ("q-<nonce>-<seq>").
-func newRequestID() string {
-	return fmt.Sprintf("q-%s-%d", reqNonce, reqSeq.Add(1))
-}
-
-// requestIDKey carries a request ID through a context.
-type requestIDKey struct{}
-
-// withRequestID returns ctx annotated with the request ID.
-func withRequestID(ctx context.Context, id string) context.Context {
-	if id == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, requestIDKey{}, id)
-}
-
-// RequestIDFrom returns the request ID on ctx ("" when absent).
-func RequestIDFrom(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
-}
-
-// EnsureRequestID returns ctx carrying a request ID, minting one if ctx has
-// none, plus the ID itself. A nil ctx is promoted to context.Background.
-func EnsureRequestID(ctx context.Context) (context.Context, string) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if id := RequestIDFrom(ctx); id != "" {
-		return ctx, id
-	}
-	id := newRequestID()
-	return withRequestID(ctx, id), id
 }

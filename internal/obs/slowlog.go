@@ -12,11 +12,9 @@ import (
 type SlowEntry struct {
 	// Time is when the slow query finished.
 	Time time.Time `json:"time"`
-	// RequestID joins the entry with /debug/requests and the /v2/search
-	// response (empty when the query ran outside the request-ID'd path).
-	RequestID string `json:"request_id,omitempty"`
-	// TraceID is the W3C trace ID of the retained trace — the same join
-	// key /debug/traces, wide events and metric exemplars carry.
+	// TraceID is the W3C trace ID of the retained trace — the request's
+	// one identifier, the same join key /debug/traces, /debug/requests
+	// and the /v2/search response carry.
 	TraceID string `json:"trace_id,omitempty"`
 	// DurationMS is the root span's wall time.
 	DurationMS float64 `json:"duration_ms"`
@@ -106,7 +104,6 @@ func (l *SlowLog) Observe(rec TraceRecord, d time.Duration) {
 	l.total.Add(1)
 	entry := SlowEntry{
 		Time:        time.Now(),
-		RequestID:   rootAttr(rec, "request_id"),
 		TraceID:     rec.TraceID,
 		DurationMS:  float64(d) / float64(time.Millisecond),
 		QueueWaitMS: rootAttrFloat(rec, "queue_wait_ms"),
@@ -119,7 +116,6 @@ func (l *SlowLog) Observe(rec TraceRecord, d time.Duration) {
 		slog.String("op", rec.Root.Name),
 		slog.String("trace_id", rec.TraceID),
 		slog.Uint64("trace_seq", rec.ID),
-		slog.String("request_id", entry.RequestID),
 		slog.Float64("duration_ms", entry.DurationMS),
 		slog.Float64("queue_wait_ms", entry.QueueWaitMS),
 		slog.Float64("threshold_ms", entry.ThresholdMS),

@@ -21,29 +21,14 @@ import (
 // sampling point: the keep/drop decision is made with the trace's full
 // duration and outcome in hand, so slow, errored, aborted and shed traces
 // are always retained while healthy ones are probabilistically sampled.
-// Kept traces go to the ring (and the slow log); when a TraceSink is
-// installed (SetSink) they are also offered to the export pipeline, which
-// never blocks Finish.
+// Kept traces go to the ring and are offered to the slow log.
 type Tracer struct {
 	ring *ring[TraceRecord]
 	seq  atomic.Uint64
 	slow atomic.Pointer[SlowLog]
 
 	sampler atomic.Pointer[TailSampler]
-	sink    atomic.Pointer[sinkHolder]
 }
-
-// TraceSink receives kept traces for export. Enqueue must not block: a
-// bounded implementation drops (and counts) when full. BatchExporter is
-// the standard implementation.
-type TraceSink interface {
-	// Enqueue offers one kept trace; it reports false when the trace was
-	// dropped (queue full / sink closed).
-	Enqueue(rec TraceRecord) bool
-}
-
-// sinkHolder boxes the interface so it can live in an atomic.Pointer.
-type sinkHolder struct{ sink TraceSink }
 
 // SetSlowLog installs a slow-query log that every kept finished trace is
 // offered to (nil detaches it; no-op on a nil tracer).
@@ -69,19 +54,6 @@ func (t *Tracer) Sampler() *TailSampler {
 		return nil
 	}
 	return t.sampler.Load()
-}
-
-// SetSink installs the export sink kept traces are offered to (nil
-// detaches it). No-op on a nil tracer.
-func (t *Tracer) SetSink(s TraceSink) {
-	if t == nil {
-		return
-	}
-	if s == nil {
-		t.sink.Store(nil)
-		return
-	}
-	t.sink.Store(&sinkHolder{sink: s})
 }
 
 // NewTracer creates a tracer retaining the last `capacity` traces
@@ -271,8 +243,8 @@ func (tr *Trace) Annotate(key, value string) { tr.Root().Annotate(key, value) }
 
 // Finish closes the root span and offers the trace to the tracer's tail
 // sampler. Kept traces are committed to the ring buffer (evicting the
-// oldest record when full), offered to the slow-query log, and enqueued on
-// the export sink; sampled-out traces are counted and discarded. Without a
+// oldest record when full) and offered to the slow-query log; sampled-out
+// traces are counted and discarded. Without a
 // sampler every trace is kept, and so is an explained one with one
 // (KeepExplain). No-op on a nil trace.
 func (tr *Trace) Finish() {
@@ -309,9 +281,6 @@ func (tr *Trace) Finish() {
 	t.ring.push(rec)
 	if sl := t.slow.Load(); sl != nil {
 		sl.Observe(rec, d)
-	}
-	if h := t.sink.Load(); h != nil {
-		h.sink.Enqueue(rec)
 	}
 }
 
@@ -449,15 +418,15 @@ func (t *Tracer) Explains() []ExplainEntry {
 	return out
 }
 
-// Find returns the most recent retained trace whose W3C trace ID or
-// request_id root annotation equals key (the cross-surface join: the same
-// key works at /debug/traces and /debug/requests).
-func (t *Tracer) Find(key string) (TraceRecord, bool) {
-	if key == "" {
+// Find returns the most recent retained trace with the given W3C trace ID
+// (the cross-surface join: the same ID works at /debug/traces and
+// /debug/requests).
+func (t *Tracer) Find(traceID string) (TraceRecord, bool) {
+	if traceID == "" {
 		return TraceRecord{}, false
 	}
 	for _, rec := range t.Snapshot() {
-		if rec.TraceID == key || rootAttr(rec, "request_id") == key {
+		if rec.TraceID == traceID {
 			return rec, true
 		}
 	}
@@ -518,17 +487,4 @@ func SpanFromContext(ctx context.Context) *Span {
 	}
 	sp, _ := ctx.Value(spanKey{}).(*Span)
 	return sp
-}
-
-// traceIDFromContext returns the hex trace ID of the live trace or
-// propagated span context on ctx ("" when none) — the join key wide
-// events, slow-log entries and metric exemplars share.
-func traceIDFromContext(ctx context.Context) string {
-	if tr := TraceFromContext(ctx); tr != nil {
-		return tr.TraceID().String()
-	}
-	if sc, ok := spanContextFromContext(ctx); ok {
-		return sc.TraceID.String()
-	}
-	return ""
 }

@@ -228,28 +228,25 @@ func contextWithTraceparent(ctx context.Context, traceparent, tracestate string)
 }
 
 // StartHTTPRequest opens the record of one HTTP request at the serving
-// edge — the one place an "http_request" trace root is started. It takes
-// the request ID on r's context (minting one when absent) and echoes it in
-// X-Request-Id. When the context already carries a live trace it joins
-// that trace and reports owned=false: an outer layer (admission control)
-// owns the root. Otherwise it adopts the inbound W3C
+// edge — the one place an "http_request" trace root is started. Its trace
+// ID is the request's one identifier. When r's context already carries a
+// live trace it joins that trace and reports owned=false: an outer layer
+// (admission control) owns the root. Otherwise it adopts the inbound W3C
 // `traceparent`/`tracestate` headers (a missing or malformed traceparent
 // mints a fresh trace), opens the "http_request" root under them annotated
-// with the request ID and the HTTP method and path, echoes `traceparent`
-// (and `tracestate`) on the response, and reports owned=true: the caller
-// stamps the outcome and Finishes the trace. With a nil tracer the trace
-// is nil (every Trace method is a no-op on it).
-func StartHTTPRequest(t *Tracer, w http.ResponseWriter, r *http.Request) (ctx context.Context, rid string, tr *Trace, owned bool) {
-	ctx, rid = EnsureRequestID(r.Context())
-	w.Header().Set("X-Request-Id", rid)
+// with the HTTP method and path, echoes `traceparent` (and `tracestate`)
+// on the response, and reports owned=true: the caller stamps the outcome
+// and Finishes the trace. With a nil tracer the trace is nil (every Trace
+// method is a no-op on it) and the request has no ID.
+func StartHTTPRequest(t *Tracer, w http.ResponseWriter, r *http.Request) (ctx context.Context, tr *Trace, owned bool) {
+	ctx = r.Context()
 	if tr = TraceFromContext(ctx); tr != nil {
-		return ctx, rid, tr, false
+		return ctx, tr, false
 	}
 	ctx = contextWithTraceparent(ctx, r.Header.Get("traceparent"), r.Header.Get("tracestate"))
 	if tr, ctx = t.StartTraceCtx(ctx, "http_request"); tr == nil {
-		return ctx, rid, nil, false
+		return ctx, nil, false
 	}
-	tr.Annotate("request_id", rid)
 	tr.Annotate("http_method", r.Method)
 	tr.Annotate("http_path", r.URL.Path)
 	sc := tr.SpanContext()
@@ -257,7 +254,7 @@ func StartHTTPRequest(t *Tracer, w http.ResponseWriter, r *http.Request) (ctx co
 	if sc.State != "" {
 		w.Header().Set("tracestate", sc.State)
 	}
-	return ctx, rid, tr, true
+	return ctx, tr, true
 }
 
 // contextWithSpanContext returns ctx carrying sc as the current trace

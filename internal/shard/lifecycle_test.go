@@ -17,8 +17,8 @@ import (
 
 // TestOneRequestOneRecord holds the single engine and the sharded one to the
 // same request lifecycle: one request leaves one wide event, one kept trace
-// that Tracer.Find resolves by the request ID, a slow-log entry carrying that
-// ID, and exactly one count in engine_query_truncated_total or
+// that Tracer.Find resolves by the event's trace ID (the request's one ID), a
+// slow-log entry carrying that ID, and exactly one count in engine_query_truncated_total or
 // engine_query_aborted_total when a budget cut it short or its context was
 // already dead — however many shards answered it.
 func TestOneRequestOneRecord(t *testing.T) {
@@ -76,7 +76,7 @@ func TestOneRequestOneRecord(t *testing.T) {
 				// when the ring was empty or has cycled past it).
 				n := -1
 				if len(before) > 0 {
-					n = slices.IndexFunc(after, func(ev obs.WideEvent) bool { return ev.RequestID == before[0].RequestID })
+					n = slices.IndexFunc(after, func(ev obs.WideEvent) bool { return ev.TraceID == before[0].TraceID })
 				}
 				if n < 0 {
 					n = len(after)
@@ -100,11 +100,11 @@ func TestOneRequestOneRecord(t *testing.T) {
 				t.Errorf("wide event op %q workers %d spread %v, want %q %d %v",
 					ev.Op, ev.Workers, ev.WorkerSpread, r.op, len(r.spread), r.spread)
 			}
-			if rec, ok := hub.Tracer().Find(ev.RequestID); !ok || rec.Root.Name != r.root {
-				t.Errorf("Tracer.Find(%q) = %q, %v; want the %q trace", ev.RequestID, rec.Root.Name, ok, r.root)
+			if rec, ok := hub.Tracer().Find(ev.TraceID); !ok || rec.Root.Name != r.root {
+				t.Errorf("Tracer.Find(%q) = %q, %v; want the %q trace", ev.TraceID, rec.Root.Name, ok, r.root)
 			}
-			if slow := hub.SlowLog().Snapshot(); len(slow) == 0 || slow[0].RequestID != ev.RequestID {
-				t.Errorf("slow-log entry does not carry request_id %q", ev.RequestID)
+			if slow := hub.SlowLog().Snapshot(); len(slow) == 0 || slow[0].TraceID != ev.TraceID {
+				t.Errorf("slow-log entry does not carry trace_id %q", ev.TraceID)
 			}
 
 			budgeted := req

@@ -14,11 +14,14 @@
 #   5. Every package under internal/ except the test-only internal/israce is
 #      something a command builds on: a package only examples or tests reach
 #      lives beside them, not in internal/.
-#   6. One request, one record: an obs.WideEvent literal is built only in
-#      core's request envelope (internal/core/request.go) and admission's
-#      shed path (internal/admit/middleware.go), and the "http_request"
-#      trace root is started in exactly one place (obs.StartHTTPRequest) —
-#      so no layer grows a mirror of the request lifecycle again.
+#   6. One request, one record, one ID: an obs.WideEvent literal is built
+#      only in core's request envelope (internal/core/request.go) and
+#      admission's shed path (internal/admit/middleware.go), the
+#      "http_request" trace root is started in exactly one place
+#      (obs.StartHTTPRequest) — so no layer grows a mirror of the request
+#      lifecycle again — and no non-test Go declares a request_id JSON field
+#      or names an X-Request-Id header: the trace ID is the request's only
+#      identifier.
 #   7. No Config field without a setter: every core.Config field is set by
 #      non-test code under cmd/ or bench/ — in a one-line core.Config{...}
 #      literal or by a `.Field =` assignment — or is on the rule's allowlist
@@ -87,7 +90,7 @@ fi
 # --- 6. one request, one record ------------------------------------------
 # Non-test Go code only, comment lines dropped.
 code_lines() {
-	grep -rn --include='*.go' "$1" cmd internal examples | grep -v '_test\.go:' | grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//' || true
+	grep -rn --include='*.go' "$@" cmd internal examples | grep -v '_test\.go:' | grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//' || true
 }
 events="$(code_lines 'obs\.WideEvent{')"
 if [ "$(echo "$events" | cut -d: -f1 | sort | tr '\n' ' ')" != "internal/admit/middleware.go internal/core/request.go " ]; then
@@ -99,6 +102,12 @@ roots="$(code_lines '"http_request"')"
 if [ "$(echo "$roots" | grep -c .)" -ne 1 ] || ! echo "$roots" | grep -q 'StartTraceCtx('; then
 	echo "api-check: the \"http_request\" trace root must be started in exactly one place (obs.StartHTTPRequest); found:" >&2
 	echo "$roots" >&2
+	fail=1
+fi
+second_ids="$(code_lines 'json:"request_id[,"]'; code_lines -i 'X-Request-Id')"
+if [ -n "$second_ids" ]; then
+	echo "api-check: the trace ID is a request's only identifier; a request_id field or X-Request-Id header is back:" >&2
+	echo "$second_ids" >&2
 	fail=1
 fi
 

@@ -1,15 +1,18 @@
 #!/bin/sh
 # trace_smoke.sh — end-to-end check of the trace pipeline.
 #
-# Boots cmd/s2 with a file span exporter, sends one /v2/search request
-# carrying a W3C traceparent header, shuts the server down (which drains
-# the export queue), and asserts the exported trace:
+# Boots cmd/s2, sends one /v2/search request carrying a W3C traceparent
+# header, reads the kept trace back from /debug/traces?id=<trace_id> before
+# shutting the server down, and asserts:
 #
-#   * adopted the caller's trace ID and echoed a traceparent header
-#   * contains the admission, query-family and index-phase spans
-#   * parents them correctly (admission/family under http_request,
-#     index phase under the family span)
-#   * stamps every span with a non-zero duration
+#   * the server adopted the caller's trace ID and echoed a traceparent
+#     header, the body's trace_id is that ID, no X-Request-Id is sent, and
+#     /debug/requests?id=<trace_id> resolves the request
+#   * the trace contains the admission, query-family and index-phase spans
+#   * it parents them correctly (http_request under the caller's span,
+#     admission/family under http_request, index phase under the family
+#     span)
+#   * it stamps every span with a non-zero duration
 #
 # Requires curl and jq (both in CI's ubuntu image). Exits non-zero with a
 # diagnostic on the first failed assertion.
@@ -19,7 +22,7 @@ PORT="${TRACE_SMOKE_PORT:-17261}"
 ADDR="127.0.0.1:$PORT"
 DIR="$(mktemp -d)"
 BIN="$DIR/s2"
-TRACES="$DIR/traces.ndjson"
+TRACE_JSON="$DIR/trace.json"
 LOG="$DIR/s2.log"
 TRACE_ID="4bf92f3577b34da6a3ce929d0e0e4736"
 PARENT_SPAN="00f067aa0ba902b7"
@@ -28,7 +31,7 @@ fail() { echo "trace-smoke: FAIL: $*" >&2; sed 's/^/  s2: /' "$LOG" >&2 || true;
 
 go build -o "$BIN" ./cmd/s2
 
-"$BIN" -n 64 -days 128 -debug-addr "$ADDR" -trace-export "$TRACES" -serve >"$LOG" 2>&1 &
+"$BIN" -n 64 -days 128 -debug-addr "$ADDR" -serve >"$LOG" 2>&1 &
 S2_PID=$!
 trap 'kill "$S2_PID" 2>/dev/null || true; rm -rf "$DIR"' EXIT
 
@@ -55,8 +58,20 @@ grep -qi "^traceparent: 00-$TRACE_ID-" "$HDRS" \
     || fail "response body trace_id = $(jq -r .trace_id "$BODY"), want $TRACE_ID"
 [ "$(jq '.results | length' "$BODY")" -gt 0 ] \
     || fail "search returned no results"
+! grep -qi '^x-request-id:' "$HDRS" \
+    || fail "response carries an X-Request-Id beside its traceparent"
+curl -fsS -o /dev/null "http://$ADDR/debug/requests?id=$TRACE_ID" \
+    || fail "/debug/requests?id=$TRACE_ID does not resolve the request"
 
-# Graceful shutdown drains and flushes the export queue.
+# The admission middleware keeps the trace as the request ends, which can
+# be just after the answer reached us: poll for it.
+i=0
+until curl -fsS -o "$TRACE_JSON" "http://$ADDR/debug/traces?id=$TRACE_ID" 2>/dev/null; do
+    i=$((i + 1))
+    [ "$i" -le 50 ] || fail "/debug/traces?id=$TRACE_ID never resolved"
+    sleep 0.1
+done
+
 kill -TERM "$S2_PID"
 i=0
 while kill -0 "$S2_PID" 2>/dev/null; do
@@ -65,30 +80,28 @@ while kill -0 "$S2_PID" 2>/dev/null; do
     sleep 0.1
 done
 
-[ -s "$TRACES" ] || fail "no traces exported to $TRACES"
-TRACE_JSON="$(grep "$TRACE_ID" "$TRACES" | head -n 1)"
-[ -n "$TRACE_JSON" ] || fail "exported file has no trace $TRACE_ID"
+[ "$(jq -r .trace_id "$TRACE_JSON")" = "$TRACE_ID" ] \
+    || fail "/debug/traces?id=$TRACE_ID returned trace $(jq -r .trace_id "$TRACE_JSON")"
 
 span_field() { # span_field <name> <jq field> -> value
-    printf '%s' "$TRACE_JSON" | jq -r --arg n "$1" ".spans[] | select(.name == \$n) | $2"
+    jq -r --arg n "$1" "[.root | recurse(.children[]?)] | .[] | select(.name == \$n) | $2" "$TRACE_JSON"
 }
 
 for name in http_request admission similar_to_id index_search; do
-    [ -n "$(span_field "$name" .spanId)" ] || fail "exported trace missing span $name"
-    start="$(span_field "$name" .startTimeUnixNano)"
-    end="$(span_field "$name" .endTimeUnixNano)"
-    [ "$end" -gt "$start" ] || fail "span $name has zero duration ($start .. $end)"
+    [ -n "$(span_field "$name" .span_id)" ] || fail "trace missing span $name"
+    [ "$(span_field "$name" '.duration_ms > 0')" = "true" ] \
+        || fail "span $name has zero duration ($(span_field "$name" .duration_ms) ms)"
 done
 
-ROOT_ID="$(span_field http_request .spanId)"
-FAM_ID="$(span_field similar_to_id .spanId)"
-[ "$(span_field http_request .parentSpanId)" = "$PARENT_SPAN" ] \
-    || fail "http_request parent = $(span_field http_request .parentSpanId), want caller span $PARENT_SPAN"
-[ "$(span_field admission .parentSpanId)" = "$ROOT_ID" ] \
+ROOT_ID="$(span_field http_request .span_id)"
+FAM_ID="$(span_field similar_to_id .span_id)"
+[ "$(jq -r .parent_span_id "$TRACE_JSON")" = "$PARENT_SPAN" ] \
+    || fail "http_request parent = $(jq -r .parent_span_id "$TRACE_JSON"), want caller span $PARENT_SPAN"
+[ "$(span_field admission .parent_span_id)" = "$ROOT_ID" ] \
     || fail "admission span not parented under http_request"
-[ "$(span_field similar_to_id .parentSpanId)" = "$ROOT_ID" ] \
+[ "$(span_field similar_to_id .parent_span_id)" = "$ROOT_ID" ] \
     || fail "similar_to_id span not parented under http_request"
-[ "$(span_field index_search .parentSpanId)" = "$FAM_ID" ] \
+[ "$(span_field index_search .parent_span_id)" = "$FAM_ID" ] \
     || fail "index_search span not parented under similar_to_id"
 
-echo "trace-smoke: ok — trace $TRACE_ID exported with correctly parented admission/query/index spans"
+echo "trace-smoke: ok — trace $TRACE_ID kept with correctly parented admission/query/index spans"
