@@ -62,10 +62,13 @@ type Config struct {
 	// a single unpartitioned engine.
 	Shards int
 	// Workers bounds the goroutines used by the parallel linear scan and by
-	// index construction (default runtime.GOMAXPROCS(0)). Set to 1 to force
-	// both serial; results are identical either way (see
-	// docs/concurrency.md). Only tests set it: the budget-truncation tests
-	// need the serial scan's truncation points.
+	// index construction (default runtime.GOMAXPROCS(0)), and on a sharded
+	// engine sets the width of an index search's first wave: how many
+	// shards search before the rest start from their k-th distance (see
+	// docs/sharding.md). Set to 1 to force the scan and the build serial;
+	// results are identical either way (see docs/concurrency.md). Only tests
+	// set it: the budget-truncation tests need the serial scan's truncation
+	// points.
 	Workers int
 	// Obs, when non-nil, turns on the observability layer: every hot path
 	// updates metrics in Obs.Metrics (see docs/observability.md for the

@@ -48,6 +48,9 @@ type Scratch struct {
 	early   int
 	ubTop   []float64 // max-heap of the k smallest upper bounds seen
 	sigmaUB float64
+	// seed is the radius σ_UB and Refine's k-th best distance start from
+	// (see Seed); +Inf unless seeded.
+	seed float64
 	// spare and counts are Filter's ordering buffers (see order).
 	spare  []candidate
 	counts []int32
@@ -68,7 +71,23 @@ func Get(k int) *Scratch {
 	s.early = 0
 	s.ubTop = s.ubTop[:0]
 	s.sigmaUB = math.Inf(1)
+	s.seed = math.Inf(1)
 	return s
+}
+
+// Seed starts the search from the radius of lifecycle.Gate.Seeded: σ_UB is
+// min(seed, the k-th smallest upper bound) from the first Add, and Refine's
+// k-th best distance starts at it, so its cutoff, sketch test and early
+// abandon drop rows beyond the seed before k neighbours are known. Both
+// start at the float just above seed, not at seed itself: the refine
+// abandons against the bound's square, and a row whose distance computes to
+// exactly seed can have a squared sum that rounds above seed² (the sketch
+// proves against the same square), so a tie with the seed's own row would be
+// dropped. One ulp up, every sum whose square root rounds to seed is within
+// the bound. A +Inf seed changes nothing.
+func (s *Scratch) Seed(seed float64) {
+	s.seed = math.Nextafter(seed, math.Inf(1))
+	s.sigmaUB = s.seed
 }
 
 // Release returns s to the pool. s must not be used afterwards.
@@ -82,8 +101,8 @@ func (s *Scratch) BoundBufs(n int) (lb, ub []float64) {
 }
 
 // SigmaUB returns the k-th smallest upper bound of any candidate added so
-// far (+Inf until k have been) — with k=1 exactly the paper's best-so-far
-// σ_UB.
+// far (+Inf until k have been), or the seed when that is smaller — with k=1
+// and no seed exactly the paper's best-so-far σ_UB.
 func (s *Scratch) SigmaUB() float64 { return s.sigmaUB }
 
 // Collected returns how many candidates have been added and not yet
@@ -116,12 +135,12 @@ func (s *Scratch) Add(id int, lb, ub float64) {
 		s.ubTop = append(s.ubTop, ub)
 		siftUpMax(s.ubTop, len(s.ubTop)-1)
 		if len(s.ubTop) == s.k {
-			s.sigmaUB = s.ubTop[0]
+			s.sigmaUB = min(s.seed, s.ubTop[0])
 		}
 	} else if ub < s.ubTop[0] {
 		s.ubTop[0] = ub
 		siftDownMax(s.ubTop, 0)
-		s.sigmaUB = s.ubTop[0]
+		s.sigmaUB = min(s.seed, s.ubTop[0])
 	}
 }
 
@@ -322,6 +341,8 @@ type RefineStats struct {
 // engine's per-shard top-k lists merge to exactly the single-engine answer
 // (see internal/shard).
 //
+// The k-th best distance starts at the seed (see Seed), +Inf unless the
+// search was seeded, and falls to the k-th neighbour's once k are known.
 // A candidate about to be read is first put to the store's sketch (package
 // sketch): one the sketch proves farther than the k-th best distance is
 // skipped, at no budget. The proof implies the exact evaluation below would
@@ -341,12 +362,12 @@ func (s *Scratch) Refine(q *spectral.Prepared, store seqstore.Store, g *lifecycl
 	}
 	sk, skq := rows.Sketch(), q.Sketch()
 	var best []Result
-	worst := math.Inf(1) // k-th best distance once k neighbours are known
+	worst := s.seed // the seed until k neighbours are known, then the k-th's distance
 	for ci, c := range s.cands {
 		// ε-relaxed cutoff: stop once every remaining lower bound exceeds
 		// worst/(1+ε). A cutoff that would not have fired at ε=0 records
 		// the skipped candidate's lower bound as the proven floor.
-		if len(best) >= s.k && c.lb > g.Relax(worst) {
+		if c.lb > g.Relax(worst) {
 			if c.lb <= worst {
 				g.MarkRelaxed(c.lb)
 			}

@@ -181,7 +181,7 @@ func TestScratchReuseIsClean(t *testing.T) {
 		return res, st, sigma
 	}
 	fresh := new(Scratch)
-	fresh.k, fresh.sigmaUB = 2, math.Inf(1)
+	fresh.k, fresh.sigmaUB, fresh.seed = 2, math.Inf(1), math.Inf(1)
 	wantRes, wantSt, wantSigma := run(fresh)
 
 	big := Get(40)
@@ -414,5 +414,83 @@ func TestSketchSpendsNoExactBudget(t *testing.T) {
 	}
 	if len(res) != 2 || res[0] != (Result{50, 0}) || res[1] != (Result{51, 1}) {
 		t.Fatalf("got %v", res)
+	}
+}
+
+// A seeded search keeps exactly its rows at or within the seed, however
+// loose the bounds it collected them with: tight bounds drop the farther rows
+// as they are added, loose ones leave them to the refine's sketch test and
+// early abandon. The row at the seed itself is a tie and stays, and the
+// search returns fewer than k rows rather than any beyond the seed.
+func TestSeedBoundsTheWalkAndTheRefine(t *testing.T) {
+	store := lineStore(t, 10, false)
+	ids := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	for _, tight := range []bool{true, false} {
+		s := Get(5)
+		s.Seed(3)
+		collectLine(s, 0, ids, tight)
+		kept, dropped := s.Filter(nil)
+		if tight && (kept != 4 || dropped != 6) {
+			t.Errorf("tight bounds: Filter kept %d, dropped %d; want 4 and 6", kept, dropped)
+		}
+		res, _, err := s.Refine(prep(t, 0), store, nil)
+		s.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []Result{{0, 0}, {1, 1}, {2, 2}, {3, 3}}
+		if len(res) != len(want) {
+			t.Fatalf("tight=%v: got %v, want %v", tight, res, want)
+		}
+		for i := range want {
+			if res[i] != want[i] {
+				t.Fatalf("tight=%v: got %v, want %v", tight, res, want)
+			}
+		}
+	}
+}
+
+// The seed is a distance another search computed, and a row here at exactly
+// that distance must survive. Its squared sum can round above the seed's
+// square: for the row {1, 1.7609624449125756} and the query at the origin it
+// does, so abandoning against the seed itself would drop the tie.
+func TestSeedKeepsARowAtTheSeed(t *testing.T) {
+	near, far := []float64{1, 1.7609624449125756}, []float64{3, 3}
+	store, err := seqstore.NewMemory(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range [][]float64{near, far} {
+		if _, err := store.Append(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q, err := spectral.Prepare([]float64{0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := series.Euclidean(q.Values(), near)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for _, v := range near {
+		sum += v * v
+	}
+	if !(seed*seed < sum) {
+		t.Fatalf("seed² %v is not below the row's sum %v: the row no longer tests the rounding", seed*seed, sum)
+	}
+	s := Get(2)
+	defer s.Release()
+	s.Seed(seed)
+	s.Add(0, 0, math.Inf(1))
+	s.Add(1, 0, math.Inf(1))
+	s.Filter(nil)
+	res, _, err := s.Refine(q, store, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || res[0] != (Result{0, seed}) {
+		t.Fatalf("got %v, want only the row at the seed {0 %v}", res, seed)
 	}
 }

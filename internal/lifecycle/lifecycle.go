@@ -87,6 +87,10 @@ type Gate struct {
 	ngStopped  bool    // sticky: the leaf budget stopped the traversal
 	approx     bool    // any approximation decision was taken
 	boundFloor float64 // min proven lower bound over everything discarded
+	// seed is the k-NN pruning radius the search starts from (see Seeded);
+	// meaningful only when seeded.
+	seed   float64
+	seeded bool
 }
 
 // NewGate builds a gate for one request. It returns nil — the unlimited
@@ -168,15 +172,25 @@ func (g *Gate) Exact() (bool, error) {
 // spare work — but it runs the same amortized context/deadline check as
 // Exact, so a long run of rejections still aborts within checkStride events
 // of a cancellation. The return contract matches Visit; once a budget has
-// truncated the search it reports (false, nil). (Grace does not apply: a
-// filter can reject only after k neighbours are known, and a truncated
-// search's grace is exactly those k evaluations.)
+// truncated the search it reports (false, nil) unless a Grace allowance is
+// outstanding, which, as in Exact, only cancellation overrides. (A filter
+// rejects before k neighbours are known only in a Seeded search: without a
+// seed the k evaluations that precede the first rejection have spent a
+// truncated search's grace.)
 func (g *Gate) Skip() (bool, error) {
 	if g == nil {
 		return true, nil
 	}
 	if g.truncated {
-		return false, nil
+		if g.grace == 0 {
+			return false, nil
+		}
+		if g.ctx != nil {
+			if err := g.ctx.Err(); err != nil {
+				return false, err
+			}
+		}
+		return true, nil
 	}
 	return g.tick()
 }
@@ -324,6 +338,30 @@ func (g *Gate) BoundFloor() float64 {
 		return math.Inf(1)
 	}
 	return g.boundFloor
+}
+
+// Seeded starts g's k-NN search from the pruning radius seed instead of +Inf
+// and returns g — a new gate that limits nothing when g is nil. seed must be
+// the exact distance of a row the caller's answer could keep, with at least
+// k such rows at or within it: the search may then drop anything it can
+// prove farther than seed, and still returns every row at or within it that
+// belongs to its own top k. The sharded scatter seeds its second wave's
+// children with the first wave's k-th distance (package shard).
+func (g *Gate) Seeded(seed float64) *Gate {
+	if g == nil {
+		g = &Gate{boundFloor: math.Inf(1), credit: 1}
+	}
+	g.seed, g.seeded = seed, true
+	return g
+}
+
+// Seed returns the radius Seeded set: +Inf on the nil gate and on a gate
+// never seeded.
+func (g *Gate) Seed() float64 {
+	if g == nil || !g.seeded {
+		return math.Inf(1)
+	}
+	return g.seed
 }
 
 // ExactDistances returns the accounted exact computations.

@@ -3,6 +3,7 @@ package lifecycle
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -273,5 +274,61 @@ func TestCheckReportsContextState(t *testing.T) {
 	cancel()
 	if err := g.Check(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Check after cancel = %v, want Canceled", err)
+	}
+}
+
+// Seeded carries a radius and nothing else: on the nil gate it makes a gate
+// that limits nothing, on a real one it keeps the limits, and Seed is +Inf
+// wherever no seed was set.
+func TestSeededCarriesOnlyTheRadius(t *testing.T) {
+	var none *Gate
+	if !math.IsInf(none.Seed(), 1) || !math.IsInf(NewGate(nil, Limits{MaxNodes: 1}).Seed(), 1) {
+		t.Fatal("an unseeded gate's Seed is not +Inf")
+	}
+	g := none.Seeded(2)
+	if g == nil || g.Seed() != 2 {
+		t.Fatalf("nil.Seeded(2) = %v", g)
+	}
+	for i := 0; i < 100; i++ {
+		if ok, err := g.Visit(); !ok || err != nil {
+			t.Fatalf("seeded unlimited gate Visit = (%v, %v)", ok, err)
+		}
+		if ok, err := g.Exact(); !ok || err != nil {
+			t.Fatalf("seeded unlimited gate Exact = (%v, %v)", ok, err)
+		}
+	}
+	if g.Truncated() || g.Approximate() || !math.IsInf(g.BoundFloor(), 1) || g.Relax(3) != 3 {
+		t.Fatal("a seed changed the gate's outcome or radius algebra")
+	}
+	lim := NewGate(nil, Limits{MaxNodes: 1}).Seeded(0)
+	if lim.Seed() != 0 {
+		t.Fatalf("Seeded(0).Seed() = %v", lim.Seed())
+	}
+	lim.Visit()
+	if ok, _ := lim.Visit(); ok || !lim.Truncated() {
+		t.Fatal("Seeded dropped the gate's node budget")
+	}
+}
+
+// A truncated search's grace lets sketch rejections through, as it does
+// exact distances; without grace a rejection reports the truncation.
+func TestSkipHonoursGrace(t *testing.T) {
+	g := NewGate(context.Background(), Limits{MaxNodes: 1})
+	g.Visit()
+	g.Visit() // truncates
+	if ok, err := g.Skip(); ok || err != nil {
+		t.Fatalf("truncated Skip without grace = (%v, %v), want (false, nil)", ok, err)
+	}
+	g.Grace(1)
+	for i := 0; i < 20; i++ {
+		if ok, err := g.Skip(); !ok || err != nil {
+			t.Fatalf("truncated Skip under grace = (%v, %v), want (true, nil)", ok, err)
+		}
+	}
+	if ok, err := g.Exact(); !ok || err != nil {
+		t.Fatalf("Exact under grace = (%v, %v); skips must not spend grace", ok, err)
+	}
+	if ok, _ := g.Skip(); ok {
+		t.Fatal("Skip after the grace was spent admitted")
 	}
 }

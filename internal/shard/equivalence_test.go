@@ -29,7 +29,24 @@ const (
 	eqDups    = 4 // copied series force exact distance ties in every merge
 )
 
-var eqShardCounts = []int{1, 2, 3, 8}
+// eqLayout is one sharded engine every trial runs on.
+type eqLayout struct{ shards, workers int }
+
+// eqLayouts is one shard, and shard counts {2, 3, 8} × Workers {1, 2, 8}.
+// Workers is the width of an index search's first, unseeded wave, so the
+// table holds second waves that are empty (Workers ≥ shards), seeded by one
+// shard or by several, and unseeded because no first-wave shard holds k
+// rows (eight shards over eqDataset+eqDups series hold three rows each).
+var eqLayouts = []eqLayout{
+	{1, 2},
+	{2, 1}, {2, 2}, {2, 8},
+	{3, 1}, {3, 2}, {3, 8},
+	{8, 1}, {8, 2}, {8, 8},
+}
+
+func (l eqLayout) String() string {
+	return fmt.Sprintf("%d shards, %d workers", l.shards, l.workers)
+}
 
 // eqCorpus builds the shared dataset (with duplicated series for distance
 // ties) and a pool of fresh query curves not present in the dataset.
@@ -113,16 +130,18 @@ func TestShardedQueryEquivalence(t *testing.T) {
 	}
 	defer single.Close()
 
-	sharded := make(map[int]*ShardedEngine, len(eqShardCounts))
-	for _, n := range eqShardCounts {
-		se, err := newSharded(data, eqConfig(n))
+	sharded := make(map[eqLayout]*ShardedEngine, len(eqLayouts))
+	for _, l := range eqLayouts {
+		cfg := eqConfig(l.shards)
+		cfg.Workers = l.workers
+		se, err := newSharded(data, cfg)
 		if err != nil {
-			t.Fatalf("sharded engine (%d shards): %v", n, err)
+			t.Fatalf("sharded engine (%v): %v", l, err)
 		}
 		defer se.Close()
-		sharded[n] = se
+		sharded[l] = se
 		if got := se.Len(); got != total {
-			t.Fatalf("%d shards: Len() = %d, want %d", n, got, total)
+			t.Fatalf("%v: Len() = %d, want %d", l, got, total)
 		}
 	}
 
@@ -131,10 +150,11 @@ func TestShardedQueryEquivalence(t *testing.T) {
 	for trial := 0; trial < eqTrials; trial++ {
 		req := eqRequest(rng, trial, total, queries)
 		want, werr := single.Query(ctx, req)
-		for _, n := range eqShardCounts {
-			label := fmt.Sprintf("trial %d (%s, k=%d, budget=%+v) on %d shards",
-				trial, req.Kind, req.K, req.Budget, n)
-			got, gerr := sharded[n].Query(ctx, req)
+		for _, l := range eqLayouts {
+			n := l.shards
+			label := fmt.Sprintf("trial %d (%s, k=%d, budget=%+v) on %v",
+				trial, req.Kind, req.K, req.Budget, l)
+			got, gerr := sharded[l].Query(ctx, req)
 			if (werr != nil) != (gerr != nil) {
 				t.Fatalf("%s: error mismatch: single=%v sharded=%v", label, werr, gerr)
 			}
@@ -163,6 +183,29 @@ func TestShardedQueryEquivalence(t *testing.T) {
 			}
 		}
 	}
+
+	// The index searches at every k from 1 to n+5, by value and by ID: as k
+	// grows the seed comes from every first-wave shard, from some, then
+	// from none.
+	for k := 1; k <= total+5; k++ {
+		for _, req := range []core.Request{
+			{Kind: core.KindSimilar, Values: queries[k%len(queries)].Values, K: k},
+			{Kind: core.KindSimilarID, ID: k % total, K: k},
+		} {
+			want, err := single.Query(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range eqLayouts {
+				label := fmt.Sprintf("%s k=%d on %v", req.Kind, k, l)
+				got, err := sharded[l].Query(ctx, req)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				requireSameResponse(t, label, want, got)
+			}
+		}
+	}
 }
 
 // requireSameResponse asserts got is bit-identical to want in every
@@ -181,7 +224,7 @@ func requireSameResponse(t *testing.T, label string, want, got *core.Response) {
 	}
 	for i := range want.Neighbors {
 		w, g := want.Neighbors[i], got.Neighbors[i]
-		if g.ID != w.ID || g.Name != w.Name || g.Dist != w.Dist {
+		if g.ID != w.ID || g.Name != w.Name || math.Float64bits(g.Dist) != math.Float64bits(w.Dist) {
 			t.Fatalf("%s: neighbour %d = {%d %q %v}, want {%d %q %v}",
 				label, i, g.ID, g.Name, g.Dist, w.ID, w.Name, w.Dist)
 		}
@@ -192,7 +235,7 @@ func requireSameResponse(t *testing.T, label string, want, got *core.Response) {
 	}
 	for i := range want.Matches {
 		w, g := want.Matches[i], got.Matches[i]
-		if g.ID != w.ID || g.Name != w.Name || g.Score != w.Score {
+		if g.ID != w.ID || g.Name != w.Name || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
 			t.Fatalf("%s: match %d = {%d %q %v}, want {%d %q %v}",
 				label, i, g.ID, g.Name, g.Score, w.ID, w.Name, w.Score)
 		}

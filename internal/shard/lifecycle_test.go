@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/querylog"
+	"repro/internal/series"
 )
 
 // TestOneRequestOneRecord holds the single engine and the sharded one to the
@@ -31,9 +34,10 @@ func TestOneRequestOneRecord(t *testing.T) {
 	type row struct {
 		name   string
 		e      core.Searcher
-		op     string  // the wide event's op
-		root   string  // the in-process trace's root span
-		spread []int64 // per live shard results of the probe below (nil = unsharded)
+		op     string     // the wide event's op
+		root   string     // the in-process trace's root span
+		spread []int64    // per live shard results of the probe below (nil = unsharded)
+		fanout []obs.Attr // the trace root's wave1 and seed annotations (nil = unsharded)
 	}
 	single, err := core.NewEngine(data, cfg)
 	if err != nil {
@@ -50,16 +54,13 @@ func TestOneRequestOneRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer se.Close()
-		// Every live shard answers the query series' k+1 nearest (the
-		// over-fetch that survives dropping the series itself).
-		var spread []int64
-		for _, size := range se.ShardSizes() {
-			if size > 0 {
-				spread = append(spread, int64(min(k+1, size)))
-			}
-		}
+		spread, fanout := seededSpread(t, se, 5, k, cfg.Workers)
 		rows = append(rows, row{name: fmt.Sprintf("shards=%d", n), e: se,
-			op: "sharded_similar_id", root: "sharded_similar_id", spread: spread})
+			op: "sharded_similar_id", root: "sharded_similar_id", spread: spread, fanout: fanout})
+	}
+	want, err := single.Query(context.Background(), core.Request{Kind: core.KindSimilarID, ID: 5, K: k})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	reg := hub.Registry()
@@ -85,10 +86,11 @@ func TestOneRequestOneRecord(t *testing.T) {
 			}
 			req := core.Request{Kind: core.KindSimilarID, ID: 5, K: k}
 
-			_, evs, err := run(context.Background(), req)
+			resp, evs, err := run(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
+			requireSameResponse(t, r.name, want, resp)
 			if len(evs) != 1 {
 				t.Errorf("one request recorded %d wide events, want 1", len(evs))
 			}
@@ -100,8 +102,13 @@ func TestOneRequestOneRecord(t *testing.T) {
 				t.Errorf("wide event op %q workers %d spread %v, want %q %d %v",
 					ev.Op, ev.Workers, ev.WorkerSpread, r.op, len(r.spread), r.spread)
 			}
-			if rec, ok := hub.Tracer().Find(ev.TraceID); !ok || rec.Root.Name != r.root {
+			rec, ok := hub.Tracer().Find(ev.TraceID)
+			if !ok || rec.Root.Name != r.root {
 				t.Errorf("Tracer.Find(%q) = %q, %v; want the %q trace", ev.TraceID, rec.Root.Name, ok, r.root)
+			}
+			fanout := slices.DeleteFunc(slices.Clone(rec.Root.Attrs), func(a obs.Attr) bool { return a.Key != "wave1" && a.Key != "seed" })
+			if !slices.Equal(fanout, r.fanout) {
+				t.Errorf("trace fan-out annotations %v, want %v", fanout, r.fanout)
 			}
 			if slow := hub.SlowLog().Snapshot(); len(slow) == 0 || slow[0].TraceID != ev.TraceID {
 				t.Errorf("slow-log entry does not carry trace_id %q", ev.TraceID)
@@ -110,7 +117,7 @@ func TestOneRequestOneRecord(t *testing.T) {
 			budgeted := req
 			budgeted.Budget.MaxNodeVisits = 8
 			before := truncated.Value()
-			resp, evs, err := run(context.Background(), budgeted)
+			resp, evs, err = run(context.Background(), budgeted)
 			if err != nil || !resp.Truncated {
 				t.Fatalf("MaxNodeVisits=8: err %v, truncated %v; want a truncated answer", err, resp != nil && resp.Truncated)
 			}
@@ -130,4 +137,65 @@ func TestOneRequestOneRecord(t *testing.T) {
 			}
 		})
 	}
+}
+
+// seededSpread is, by brute force over the stored curves, how many
+// neighbours each live shard of se returns for the by-ID request (id, k),
+// and the fan-out annotations its trace carries. Every sub-request asks for
+// k+1 (the over-fetch that survives dropping the series itself). The first
+// wave — the first min(workers, live) shards — returns min(k+1, its rows).
+// The seed is the smallest (k+1)-th distance among first-wave shards that
+// hold k+1 rows, and every later shard returns min(k+1, its rows at
+// distance ≤ seed): all its rows when there is no seed.
+func seededSpread(t *testing.T, se *ShardedEngine, id, k, workers int) ([]int64, []obs.Attr) {
+	t.Helper()
+	q, err := se.StandardizedValues(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dists [][]float64 // per live shard, ascending
+	for _, gids := range se.global {
+		if len(gids) == 0 {
+			continue
+		}
+		var d []float64
+		for _, gid := range gids {
+			z, err := se.StandardizedValues(gid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dist, err := series.Euclidean(q, z)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d = append(d, dist)
+		}
+		slices.Sort(d)
+		dists = append(dists, d)
+	}
+	wave1 := min(workers, len(dists))
+	fanout := []obs.Attr{{Key: "wave1", Value: strconv.Itoa(wave1)}}
+	seed := math.Inf(1)
+	for _, d := range dists[:wave1] {
+		if len(d) > k {
+			seed = min(seed, d[k])
+		}
+	}
+	if wave1 < len(dists) && !math.IsInf(seed, 1) {
+		fanout = append(fanout, obs.Attr{Key: "seed", Value: strconv.FormatFloat(seed, 'g', -1, 64)})
+	}
+	spread := make([]int64, len(dists))
+	for i, d := range dists {
+		n := len(d)
+		if i >= wave1 {
+			n = 0
+			for _, dist := range d {
+				if dist <= seed {
+					n++
+				}
+			}
+		}
+		spread[i] = int64(min(k+1, n))
+	}
+	return spread, fanout
 }

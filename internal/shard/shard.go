@@ -2,7 +2,9 @@
 // partitions series across N independent core.Engine shards (each with its
 // own VP-tree, sequence store and burst tables), routes ingest by a stable
 // hash of the sequence ID, fans every Query out to all shards concurrently
-// and gathers the per-shard answers with a tie-preserving top-k merge.
+// and gathers the per-shard answers with a tie-preserving top-k merge. An
+// index search fans out in two waves: the shards after the first
+// Config.Workers start from the first wave's k-th distance (seedOf).
 //
 // The merge contract is exact, not approximate: every kNN family ranks its
 // results in canonical (distance, ID) lexicographic order — tree-shape
@@ -25,6 +27,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -117,6 +122,9 @@ func newSharded(data []*series.Series, cfg core.Config) (*ShardedEngine, error) 
 	n := cfg.Shards
 	if n < 1 {
 		n = 1
+	}
+	if cfg.Workers == 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0) // core's default, which sets the first wave's width
 	}
 	s := &ShardedEngine{
 		cfg:    cfg,
@@ -379,6 +387,7 @@ type plan struct {
 	keep      int            // merged results to keep
 	dropSelf  int            // global ID filtered from merged neighbours (-1 = none)
 	burstKind bool           // merge Matches instead of Neighbors
+	seeded    bool           // index searches: fan out in seeded waves
 }
 
 // scatterLocked resolves the request against the owning shard, fans the
@@ -404,15 +413,35 @@ func (s *ShardedEngine) scatterLocked(ctx context.Context, g *lifecycle.Gate, re
 	kids := g.Split(len(live))
 	resps := make([]*core.Response, len(live))
 	errs := make([]error, len(live))
-	var wg sync.WaitGroup
-	for i, sh := range live {
-		wg.Add(1)
-		go func(i, sh int) {
-			defer wg.Done()
-			resps[i], errs[i] = s.shards[sh].QueryGated(ctx, pl.subs[i], kids[i])
-		}(i, sh)
+	// An index search fans out in two waves: the first Config.Workers live
+	// shards, then the rest, each of which starts its σ_UB and its refine
+	// from the first wave's seed (see seedOf). Every other kind runs one.
+	wave1 := len(live)
+	if pl.seeded {
+		wave1 = min(max(s.cfg.Workers, 1), len(live))
 	}
-	wg.Wait()
+	sp := obs.SpanFromContext(ctx)
+	sp.Annotate("wave1", strconv.Itoa(wave1))
+	for lo, hi := 0, wave1; lo < len(live); lo, hi = hi, len(live) {
+		if lo > 0 && slices.ContainsFunc(errs[:lo], func(err error) bool { return err != nil }) {
+			break // the request fails: nothing waits for the second wave
+		}
+		if seed, ok := seedOf(resps[:lo], pl.subs[0].K); ok {
+			sp.Annotate("seed", strconv.FormatFloat(seed, 'g', -1, 64))
+			for i := lo; i < hi; i++ {
+				kids[i] = kids[i].Seeded(seed)
+			}
+		}
+		var wg sync.WaitGroup
+		for i := lo; i < hi; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				resps[i], errs[i] = s.shards[live[i]].QueryGated(ctx, pl.subs[i], kids[i])
+			}(i)
+		}
+		wg.Wait()
+	}
 	g.Absorb(kids...)
 	var failed error
 	for _, err := range errs {
@@ -494,6 +523,24 @@ func (s *ShardedEngine) scatterLocked(ctx context.Context, g *lifecycle.Gate, re
 	return resp, spread, nil
 }
 
+// seedOf is the radius a second wave starts from: the smallest k-th
+// neighbour distance among the first wave's responses that hold k
+// neighbours (ok is false when none does, or before any wave has run).
+// Such a response's k rows are rows the merge could keep — a by-ID
+// sub-request asks for K+1 so that the query's own series, which the merge
+// drops, is counted once at most — so every row of the merged answer lies at
+// or within the seed, and a second-wave shard that drops only rows provably
+// farther (lifecycle.Gate.Seeded) still returns each of its answer rows.
+func seedOf(resps []*core.Response, k int) (seed float64, ok bool) {
+	seed = math.Inf(1)
+	for _, r := range resps {
+		if r != nil && len(r.Neighbors) == k {
+			seed, ok = min(seed, r.Neighbors[k-1].Dist), true
+		}
+	}
+	return seed, ok
+}
+
 // planLocked builds the per-shard sub-requests for one request. ID-
 // addressed kinds resolve against the owning shard only (fetching the
 // stored curve or burst pattern), then scatter by value to every shard
@@ -529,6 +576,7 @@ func (s *ShardedEngine) planLocked(req core.Request, nLive int) (plan, error) {
 		if err := s.prepareInto(&sub, z); err != nil {
 			return pl, err
 		}
+		pl.seeded = true
 
 	case core.KindSimilarID:
 		// Resolve the stored curve on the owner, then search by value
@@ -545,6 +593,7 @@ func (s *ShardedEngine) planLocked(req core.Request, nLive int) (plan, error) {
 		}
 		sub.K = req.K + 1
 		pl.dropSelf = req.ID
+		pl.seeded = true
 
 	case core.KindDTW, core.KindSimilarPeriods:
 		var z []float64

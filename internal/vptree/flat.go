@@ -261,10 +261,11 @@ func (s *searcher) boundsAt(slot int32) (lb, ub float64, err error) {
 // kernel call over the arena, or one feats lookup per entry. The arena's
 // kernel does not finish the bound of an entry it can tell is beyond σ_UB as
 // it stands — σ_UB itself, not its ε-relaxed radius, so that what is
-// abandoned is what Scratch.Add drops without a word to the gate, and +Inf,
-// which abandons nothing, until k candidates exist. Leaves only: a vantage
-// point routes the walk on both of its bounds (boundsAt), so the walk, and
-// σ_UB's whole history with it, is the one a search without the cut takes.
+// abandoned is what Scratch.Add drops without a word to the gate, and until
+// k candidates exist the gate's seed, +Inf (abandoning nothing) unless the
+// search was seeded. Leaves only: a vantage point routes the walk on both of
+// its bounds (boundsAt), so the walk, and σ_UB's whole history with it, is
+// the one a search without the cut takes.
 func (s *searcher) boundsBlock(slots []int32) error {
 	if s.arena != nil {
 		abandoned, err := s.arena.BoundsBlockCut(s.ctx, slots, !s.t.opts.PaperBounds, s.cut(s.SigmaUB()), s.lbBuf, s.ubBuf)

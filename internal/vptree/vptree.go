@@ -586,9 +586,11 @@ func (t *Tree) search(q *spectral.Prepared, k int, feats FeatureSource, store se
 		}
 		phase = time.Now()
 	}
-	// Phase 1: traverse, collecting candidates and shrinking σ_UB.
+	// Phase 1: traverse, collecting candidates and shrinking σ_UB from the
+	// gate's seed (+Inf unless a sharded scatter seeded it).
 	sc := knn.Get(k)
 	defer sc.Release()
+	sc.Seed(g.Seed())
 	s := &searcher{
 		t: t, f: t.flat, feats: feats, exp: exp, g: g,
 		ctx: q.Context(), Scratch: sc, cut: cut,

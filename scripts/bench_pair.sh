@@ -32,6 +32,16 @@
 # design: the scan is bounded on both sides and touches ≈ 12× fewer rows on
 # `families`. Every other per-request count stays exact.
 #
+# Per-request counts and the seeded shard fan-out: across the commit that
+# made a sharded index search run a first wave of Config.Workers shards and
+# start the rest from its k-th distance, TRACE=1 on `sharded_knn` reports
+# exactly seven counts as DIFFERS — seqstore.reads_per_q,
+# seqstore.read_bytes_per_q, vptree.full_retrievals_per_q,
+# vptree.candidates_per_q, vptree.bounds_per_q, vptree.kernel_evals_per_q
+# and vptree.nodes_per_q — all downward, and by design: the seed prunes
+# what the one-wave scatter read, with answers byte-identical. The other
+# workloads never fan out and stay exact.
+#
 # Everything it writes is git-ignored: the worktree under .bench_build/,
 # the records under bench/out/pair/.
 set -eu
