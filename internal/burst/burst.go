@@ -14,6 +14,7 @@ package burst
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -74,41 +75,55 @@ type Options struct {
 
 // Detect runs the §6.1 algorithm on values with the given options.
 func Detect(values []float64, opts Options) (*Detection, error) {
+	det := new(Detection)
+	if err := DetectInto(det, values, opts); err != nil {
+		return nil, err
+	}
+	return det, nil
+}
+
+// DetectInto is Detect into caller-owned storage: det is overwritten with
+// the detection of values, reusing its moving-average, mask and burst
+// slices, so a caller that scans series after series allocates nothing once
+// they have grown. What it read of det before is no longer valid.
+func DetectInto(det *Detection, values []float64, opts Options) error {
 	if opts.Window < 1 {
-		return nil, errors.New("burst: window must be >= 1")
+		return errors.New("burst: window must be >= 1")
 	}
 	if opts.Window > len(values) {
-		return nil, errors.New("burst: window longer than series")
+		return errors.New("burst: window longer than series")
 	}
 	if opts.Cutoff == 0 {
 		opts.Cutoff = DefaultCutoff
 	}
 	if opts.Cutoff < 0 {
-		return nil, errors.New("burst: cutoff must be positive")
+		return errors.New("burst: cutoff must be positive")
 	}
 	x := values
 	if opts.Standardize {
 		x = stats.Standardize(values)
 	}
-	ma, err := stats.MovingAverage(x, opts.Window)
+	ma, err := stats.MovingAverage(det.MA, x, opts.Window)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	mean, std := stats.MeanStd(ma)
-	det := &Detection{
+	*det = Detection{
+		Bursts: det.Bursts[:0],
 		MA:     ma,
 		Cutoff: mean + opts.Cutoff*std,
-		Mask:   make([]bool, len(x)),
+		Mask:   slices.Grow(det.Mask[:0], len(x))[:len(x)],
 	}
 	if std == 0 {
 		// Flat moving average: nothing bursts.
-		return det, nil
+		clear(det.Mask)
+		return nil
 	}
 	for i, v := range ma {
 		det.Mask[i] = v > det.Cutoff
 	}
-	det.Bursts = compact(x, det.Mask)
-	return det, nil
+	det.Bursts = compact(det.Bursts, x, det.Mask)
+	return nil
 }
 
 // DetectStandardized is Detect with z-scoring enabled — the configuration
@@ -117,10 +132,9 @@ func DetectStandardized(values []float64, window int, cutoff float64) (*Detectio
 	return Detect(values, Options{Window: window, Cutoff: cutoff, Standardize: true})
 }
 
-// compact collapses maximal flagged runs into triplets, averaging the
+// compact appends to out the maximal flagged runs as triplets, averaging the
 // underlying (possibly standardized) values over the run (§6.2).
-func compact(values []float64, mask []bool) []Burst {
-	var out []Burst
+func compact(out []Burst, values []float64, mask []bool) []Burst {
 	i := 0
 	for i < len(mask) {
 		if !mask[i] {

@@ -247,7 +247,7 @@ func NewEngine(data []*series.Series, cfg Config) (*Engine, error) {
 	e.wireObs(cfg.Obs)
 
 	began := time.Now()
-	specs, ids, err := e.deriveAll(data)
+	specs, ids, moments, err := e.deriveAll(data)
 	if err != nil {
 		return nil, err
 	}
@@ -259,6 +259,20 @@ func NewEngine(data []*series.Series, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.buildTimes.index = time.Since(began)
+
+	// The rows are committed only now, so the spectra (dead from here: a
+	// static tree keeps none) and the rows are never live at once. The one
+	// collection is what makes that so: without it the dead spectra would
+	// still count towards the heap goal the last build-time collection set,
+	// and the rows would be allocated on top of them — the process would peak
+	// at raw + spectra + rows, not at the larger of raw + spectra and
+	// raw + rows.
+	began = time.Now()
+	runtime.GC()
+	if err := e.commitRows(data, moments); err != nil {
+		return nil, err
+	}
+	e.buildTimes.derive += time.Since(began)
 	e.met.seriesIngested.Add(int64(len(data)))
 	return e, nil
 }
@@ -279,11 +293,18 @@ var ErrNonFinite = errors.New("core: non-finite value")
 // wrapping ErrNonFinite. Every other curve comes out exactly as
 // stats.StandardizeInPlace leaves it.
 func Standardize(z, values []float64) error {
+	_, err := standardize(z, values)
+	return err
+}
+
+// standardize is Standardize, also returning the moments it z-scored with:
+// stats.ZScore(z, values, m[0], m[1]) writes the same z again.
+func standardize(z, values []float64) (m [2]float64, err error) {
 	copy(z, values)
-	if m, s := stats.StandardizeInPlace(z); !finite(m) || !finite(s) {
-		return fmt.Errorf("z-scores overflow (mean %v, standard deviation %v): %w", m, s, ErrNonFinite)
+	if m[0], m[1] = stats.StandardizeInPlace(z); !finite(m[0]) || !finite(m[1]) {
+		return m, fmt.Errorf("z-scores overflow (mean %v, standard deviation %v): %w", m[0], m[1], ErrNonFinite)
 	}
-	return nil
+	return m, nil
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
@@ -312,95 +333,115 @@ func firstNonFinite(values []float64) int {
 // built from and, in a dynamic tree, routes by) and the burst features of both
 // windows, already through the burstMinPeak floor.
 type derived struct {
-	z      []float64
-	spec   *spectral.HalfSpectrum
-	bursts [2][]burst.Burst // by BurstWindow
+	z       []float64
+	moments [2]float64 // z's mean and standard deviation (see standardize)
+	spec    *spectral.HalfSpectrum
+	bursts  [2][]burst.Burst // by BurstWindow
+}
+
+// deriver derives series one after another: det holds the burst detector's
+// moving average and mask from one series to the next, so a block worker
+// leaves no garbage but what it keeps. One goroutine uses one deriver.
+type deriver struct {
+	seqLen int
+	det    burst.Detection
 }
 
 // derive is the one place a series becomes a derived: NewEngine's block
 // workers and PrepareAdd both call it, so boots and ingests cannot come to
 // keep different things. The standardized values are written to z when it has
 // the series' length (a buffer the caller owns and may reuse once it has
-// copied the row out) and to a fresh slice otherwise. It reads s and writes
-// only z, so any number run side by side.
-func derive(seqLen int, s *series.Series, z []float64) (derived, error) {
-	if s.Len() != seqLen {
-		return derived{}, fmt.Errorf("core: series %q has length %d, want %d: %w", s.Name, s.Len(), seqLen, spectral.ErrMismatch)
+// copied the row out) and to a fresh slice otherwise; the spectrum goes to
+// spec, whose coefficient slice is reused when it has the room, or to a new
+// one when spec is nil. It reads s and writes only z, spec and d's buffers, so
+// derivers run side by side.
+func (d *deriver) derive(s *series.Series, z []float64, spec *spectral.HalfSpectrum) (derived, error) {
+	if s.Len() != d.seqLen {
+		return derived{}, fmt.Errorf("core: series %q has length %d, want %d: %w", s.Name, s.Len(), d.seqLen, spectral.ErrMismatch)
 	}
 	if firstNonFinite(s.Values) >= 0 { // the name is quoted only for the error
 		return derived{}, checkFinite(fmt.Sprintf("series %q", s.Name), s.Values)
 	}
-	if len(z) != seqLen {
-		z = make([]float64, seqLen)
+	if len(z) != d.seqLen {
+		z = make([]float64, d.seqLen)
 	}
-	if err := Standardize(z, s.Values); err != nil {
+	moments, err := standardize(z, s.Values)
+	if err != nil {
 		return derived{}, fmt.Errorf("core: series %q: %w", s.Name, err)
 	}
-	d := derived{z: z}
-	var err error
-	if d.spec, err = spectral.FromValues(z); err != nil {
+	if spec == nil {
+		spec = new(spectral.HalfSpectrum)
+	}
+	if err := spectral.FromValuesInto(spec, z); err != nil {
 		return derived{}, fmt.Errorf("core: spectrum of %q: %w", s.Name, err)
 	}
+	out := derived{z: z, moments: moments, spec: spec}
 	for _, w := range []BurstWindow{Short, Long} {
-		det, err := burst.Detect(z, burst.Options{Window: windowDays(w)})
-		if err != nil {
+		if err := burst.DetectInto(&d.det, z, burst.Options{Window: windowDays(w)}); err != nil {
 			return derived{}, fmt.Errorf("core: bursts for %q: %w", s.Name, err)
 		}
-		// Only the filtered triplets leave: det's moving average and mask
-		// are 9 KB a window that nothing reads again.
-		d.bursts[w] = filterBursts(det)
+		// Only the filtered triplets leave: the moving average and mask
+		// are the next detection's buffers.
+		out.bursts[w] = filterBursts(&d.det)
 	}
-	return d, nil
+	return out, nil
 }
 
 // deriveBlock is how many series NewEngine derives at a time. Within a block
-// the workers share nothing; between blocks the rows, names and burst rows
-// are committed in input order. The block bounds what the derive stage holds
-// beyond its output — the standardized rows of one block (2 MB at 1 024
-// points) instead of a second copy of the corpus — and 256 series are ≈ 20 ms
-// of work at that length, next to which starting a block's workers and
-// joining them costs nothing.
+// the workers share nothing; between blocks the block's results are committed
+// in input order. The block bounds what the derive stage holds beyond its
+// output — the standardized rows of one block (2 MB at 1 024 points) instead
+// of a second copy of the corpus — and 256 series are ≈ 20 ms of work at that
+// length, next to which starting a block's workers and joining them costs
+// nothing.
 const deriveBlock = 256
 
-// deriveAll runs derive over the corpus and commits what it yields — store
-// rows, names, burst rows — returning the spectra, which is all of a series'
-// derivation the index build still needs, beside their sequence IDs. Commits
-// happen in input order whatever Config.Workers is, so sequence IDs, the
-// store's bytes and the burst tables are those of a serial build, and the
-// error returned is that of the first bad series by input position. The burst
-// rows are collected as they are committed and each window's table is built
-// once, bottom-up, after the last block.
-func (e *Engine) deriveAll(data []*series.Series) ([]*spectral.HalfSpectrum, []int, error) {
-	n := e.store.SeqLen()
+// deriveAll runs derive over the corpus and commits names and burst rows,
+// returning what of a series' derivation is still needed: the spectra, which
+// the index is built from, their sequence IDs — input positions, since
+// commitRows appends the store's rows in input order once the index is
+// built — and each row's moments, which commitRows z-scores with. The spectra
+// share one exactly sized slab. Commits happen in input order whatever
+// Config.Workers is, so sequence IDs and the burst tables are those of a
+// serial build, and the error returned is that of the first bad series by
+// input position. The burst rows are collected as they are committed and
+// each window's table is built once, bottom-up, after the last block.
+func (e *Engine) deriveAll(data []*series.Series) ([]*spectral.HalfSpectrum, []int, [][2]float64, error) {
+	n, bins := e.store.SeqLen(), e.store.SeqLen()/2+1
+	slab := make([]complex128, len(data)*bins)
+	spectra := make([]spectral.HalfSpectrum, len(data))
 	specs := make([]*spectral.HalfSpectrum, 0, len(data))
 	ids := make([]int, 0, len(data))
+	moments := make([][2]float64, 0, len(data))
 	var burstRows [2][]burstdb.Record // by BurstWindow
+	derivers := make([]deriver, min(e.cfg.Workers, deriveBlock, len(data)))
+	for w := range derivers {
+		derivers[w].seqLen = n
+	}
 	rows := make([]float64, min(deriveBlock, len(data))*n)
 	out := make([]derived, deriveBlock)
 	errs := make([]error, deriveBlock)
-	for len(data) > 0 {
-		block := data[:min(deriveBlock, len(data))]
-		data = data[len(block):]
+	for lo := 0; lo < len(data); lo += deriveBlock {
+		block := data[lo:min(lo+deriveBlock, len(data))]
 		var next atomic.Int64
 		var wg sync.WaitGroup
-		for w := min(e.cfg.Workers, len(block)); w > 0; w-- {
+		for w := range min(len(derivers), len(block)) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for i := int(next.Add(1)) - 1; i < len(block); i = int(next.Add(1)) - 1 {
-					out[i], errs[i] = derive(n, block[i], rows[i*n:(i+1)*n])
+					spec := &spectra[lo+i]
+					spec.Coeffs = slab[(lo+i)*bins : (lo+i+1)*bins : (lo+i+1)*bins]
+					out[i], errs[i] = derivers[w].derive(block[i], rows[i*n:(i+1)*n], spec)
 				}
 			}()
 		}
 		wg.Wait()
 		for i, s := range block {
 			if errs[i] != nil {
-				return nil, nil, errs[i]
+				return nil, nil, nil, errs[i]
 			}
-			id, err := e.store.Append(out[i].z)
-			if err != nil {
-				return nil, nil, err
-			}
+			id := lo + i
 			e.names = append(e.names, s.Name)
 			if _, dup := e.byName[s.Name]; !dup {
 				e.byName[s.Name] = id
@@ -410,24 +451,40 @@ func (e *Engine) deriveAll(data []*series.Series) ([]*spectral.HalfSpectrum, []i
 					burstRows[w] = append(burstRows[w], burstdb.Record{SeqID: int64(id), Start: int64(b.Start), End: int64(b.End), Avg: b.Avg})
 				}
 			}
-			specs, ids = append(specs, out[i].spec), append(ids, id)
+			specs, ids, moments = append(specs, out[i].spec), append(ids, id), append(moments, out[i].moments)
 		}
 	}
 	var dbs [2]*burstdb.DB
 	for w, recs := range burstRows {
 		var err error
 		if dbs[w], err = burstdb.FromRecords(recs); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
 	e.setBurstDBs(dbs[Short], dbs[Long])
 	e.size.Store(int64(len(e.names)))
-	return specs, ids, nil
+	return specs, ids, moments, nil
 }
 
-// BuildTimes reports how long NewEngine spent deriving (standardize, store,
-// spectra, bursts) and indexing (compress, tree). Zero for an engine opened
-// by LoadEngine, which does neither.
+// commitRows appends the corpus' standardized rows — store row and sketch —
+// in input order, so that row i is sequence ID i as deriveAll numbered it.
+// Each row is z-scored again with the moments derive found for it, which
+// writes the row derive wrote.
+func (e *Engine) commitRows(data []*series.Series, moments [][2]float64) error {
+	row := make([]float64, e.store.SeqLen())
+	for i, s := range data {
+		stats.ZScore(row, s.Values, moments[i][0], moments[i][1])
+		if _, err := e.store.Append(row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// BuildTimes reports where NewEngine's wall time went: deriving (standardize,
+// spectra and bursts before the index; the collection after it and the
+// store's rows) and indexing (compress, tree). The two add up to the build.
+// Zero for an engine opened by LoadEngine, which does neither.
 func (e *Engine) BuildTimes() (derive, index time.Duration) {
 	return e.buildTimes.derive, e.buildTimes.index
 }
@@ -465,7 +522,7 @@ type PreparedAdd struct {
 // writer runs it beside the readers it will later wait for, and a sharded
 // engine — one Config for every shard — runs it before it knows the shard.
 func PrepareAdd(cfg Config, seqLen int, s *series.Series) (*PreparedAdd, error) {
-	d, err := derive(seqLen, s, nil)
+	d, err := (&deriver{seqLen: seqLen}).derive(s, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -2,22 +2,26 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
 	"repro/internal/israce"
 	"repro/internal/obs"
 	"repro/internal/querylog"
+	"repro/internal/series"
 	"repro/internal/spectral"
 )
 
 // similarQueryAllocCeiling is the recorded allocation ceiling of one
 // Engine.Query(KindSimilar) without observability: 15 were measured once
-// the search scratch was pooled, and 12 once the minted request ID and its
-// context value went (what remains is the standardized copy, the
-// half-spectrum and bound context, the neighbours and the response); the
-// commit before the pooling allocated 48. Raise it only with a reason.
-const similarQueryAllocCeiling = 20
+// the search scratch was pooled, 12 once the minted request ID and its
+// context value went, and 5 once the prepared query was pooled too (what
+// remains is the standardized copy, the neighbours and the response); the
+// commit before the scratch pooling allocated 48. Raise it only with a
+// reason.
+const similarQueryAllocCeiling = 8
 
 func TestSimilarQueryAllocCeiling(t *testing.T) {
 	if israce.Enabled {
@@ -39,15 +43,71 @@ func TestSimilarQueryAllocCeiling(t *testing.T) {
 	}
 }
 
+// similarQueryByteCeiling is the recorded byte ceiling of one Engine.Query
+// of an index-search kind (KindSimilar, KindSimilarID) at 1 024 points,
+// without observability. The query's preparation — spectrum, bound context,
+// sketch codes — is pooled (spectral.Prepare / Release), so what remains is
+// the neighbours, the response and, by values, the 8 KB standardized copy:
+// 8 960 B by values and 944 B by ID were measured with the pool, 71 984 B
+// and 63 968 B before it. Raise it only with a reason.
+const similarQueryByteCeiling = 16 << 10
+
+// minBytesPerRun is the fewest bytes one call of op allocated over three
+// measurements of ten calls each, on one P: a collection that empties a pool
+// mid-measurement, or another goroutine allocating, can only add bytes.
+func minBytesPerRun(op func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const calls = 10
+	best := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range calls {
+			op()
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, (after.TotalAlloc-before.TotalAlloc)/calls)
+	}
+	return best
+}
+
+func TestSimilarQueryByteCeiling(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	g := querylog.NewGenerator(querylog.DefaultStart, 1024, 3)
+	e, err := NewEngine(g.Dataset(200), Config{Budget: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ctx := context.Background()
+	for _, req := range []Request{
+		{Kind: KindSimilar, Values: g.Queries(1)[0].Values, K: 10},
+		{Kind: KindSimilarID, ID: 7, K: 10},
+	} {
+		query := func() {
+			resp, err := e.Query(ctx, req)
+			if err != nil || len(resp.Neighbors) != 10 {
+				t.Fatalf("%s: %v", req.Kind, err)
+			}
+		}
+		query() // size the pooled scratch and prepared query
+		if b := minBytesPerRun(query); b > similarQueryByteCeiling {
+			t.Errorf("Engine.Query(%s) at 1 024 points allocates %d B, ceiling %d", req.Kind, b, similarQueryByteCeiling)
+		} else {
+			t.Logf("Engine.Query(%s) at 1 024 points allocates %d B", req.Kind, b)
+		}
+	}
+}
+
 // Pool poisoning at engine level: an engine that has just answered a
-// many-candidate query answers a few-candidate one exactly — neighbours and
-// Stats — as a new engine starting from new buffers does.
+// many-candidate query, right after another engine released a 1 024-point
+// prepared query, answers a few-candidate one exactly — neighbours and
+// Stats — as a new engine starting from new buffers does, by values and by
+// ID, at an even and at an odd length.
 func TestEngineAnswersIndependentOfEarlierQueries(t *testing.T) {
-	g := querylog.NewGenerator(querylog.DefaultStart, 128, 31)
-	data := g.Dataset(150)
-	wide := Request{Kind: KindSimilar, Values: g.Queries(1)[0].Values, K: len(data)}
-	narrow := Request{Kind: KindSimilar, Values: data[7].Values, K: 1}
-	build := func() *Engine {
+	build := func(data []*series.Series) *Engine {
 		e, err := NewEngine(data, Config{Budget: 8})
 		if err != nil {
 			t.Fatal(err)
@@ -55,29 +115,50 @@ func TestEngineAnswersIndependentOfEarlierQueries(t *testing.T) {
 		t.Cleanup(func() { e.Close() })
 		return e
 	}
-	used, fresh := build(), build()
+	long := querylog.NewGenerator(querylog.DefaultStart, 1024, 37)
+	big := build(long.Dataset(60))
+	bigReq := Request{Kind: KindSimilar, Values: long.Queries(1)[0].Values, K: 5}
+	for _, days := range []int{128, 129} {
+		g := querylog.NewGenerator(querylog.DefaultStart, days, 31)
+		data := g.Dataset(150)
+		wide := Request{Kind: KindSimilar, Values: g.Queries(1)[0].Values, K: len(data)}
+		narrow := []Request{
+			{Kind: KindSimilar, Values: data[7].Values, K: 1},
+			{Kind: KindSimilarID, ID: 7, K: 1},
+		}
+		used, fresh := build(data), build(data)
 
-	// Two collections empty every sync.Pool, victim cache included.
-	runtime.GC()
-	runtime.GC()
-	want, err := fresh.Query(context.Background(), narrow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := used.Query(context.Background(), wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(big.Neighbors) != len(data) || big.Stats.Candidates <= 4*want.Stats.Candidates {
-		t.Fatalf("poisoning query too small: %+v vs %+v", big.Stats, want.Stats)
-	}
-	got, err := used.Query(context.Background(), narrow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameNeighbors(t, "after a large query", got.Neighbors, want.Neighbors)
-	if got.Stats != want.Stats {
-		t.Fatalf("stats after a large query %+v, new engine %+v", got.Stats, want.Stats)
+		// Two collections empty every sync.Pool, victim cache included.
+		runtime.GC()
+		runtime.GC()
+		want := make([]*Response, len(narrow))
+		for i, req := range narrow {
+			var err error
+			if want[i], err = fresh.Query(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, req := range narrow {
+			big1, err := used.Query(context.Background(), wide)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(big1.Neighbors) != len(data) || big1.Stats.FullRetrievals <= 4*want[i].Stats.FullRetrievals {
+				t.Fatalf("poisoning query too small: %+v vs %+v", big1.Stats, want[i].Stats)
+			}
+			if _, err := big.Query(context.Background(), bigReq); err != nil {
+				t.Fatal(err)
+			}
+			got, err := used.Query(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("%d points, %s after a large query", days, req.Kind)
+			sameNeighbors(t, what, got.Neighbors, want[i].Neighbors)
+			if got.Stats != want[i].Stats {
+				t.Fatalf("%s: stats %+v, new engine %+v", what, got.Stats, want[i].Stats)
+			}
+		}
 	}
 }
 

@@ -141,7 +141,8 @@ type Request struct {
 	// one query to N engines: built once per request, the same pointer in
 	// every shard's sub-request, so the FFT and bound context are computed
 	// once, not once per shard. It is only ever read (see
-	// spectral.Prepared).
+	// spectral.Prepared); whoever prepared it releases it, after the
+	// Query returns.
 	Prepared *spectral.Prepared
 	// QueryBursts, when non-nil, is a pre-detected burst pattern for the
 	// burst kinds: detection is skipped and the pattern is matched as-is,
@@ -521,7 +522,8 @@ func annotateLifecycle(sp *obs.Span, req Request) {
 
 // prepare builds the spectrum and bound context of the standardized query
 // z — the work a search does before it touches the index, done once per
-// request (engine_query_prepares_total counts it).
+// request (engine_query_prepares_total counts it). The caller releases the
+// result once the search has returned.
 func (e *Engine) prepare(z []float64) (*spectral.Prepared, error) {
 	e.met.queryPrepares.Inc()
 	return spectral.Prepare(z)
@@ -575,6 +577,7 @@ func (e *Engine) querySimilar(ctx context.Context, g *lifecycle.Gate, req Reques
 		if q, err = e.prepare(z); err != nil {
 			return nil, err
 		}
+		defer q.Release() // a caller's Prepared is the caller's to release
 	}
 	pre := Phase{Name: "standardize", MS: msSince(began)}
 	e.mu.RLock()
@@ -619,6 +622,7 @@ func (e *Engine) querySimilarID(ctx context.Context, g *lifecycle.Gate, req Requ
 	if err != nil {
 		return nil, err
 	}
+	defer q.Release()
 	pre := Phase{Name: "fetch_standardized", MS: msSince(began)}
 	sp = fam.Child("index_search")
 	vexp := e.explainDetail(req)

@@ -13,7 +13,7 @@ import (
 // farFrom reports, through the store's sketch, whether row id is provably
 // more than bound away from the two-point query (x, y).
 func farFrom(s Store, id int, x, y, bound float64) bool {
-	return sketch.NewQuery([]float64{x, y}).Exceeds(NewReader(s).Sketch(), id, bound)
+	return new(sketch.Query).Set([]float64{x, y}).Exceeds(NewReader(s).Sketch(), id, bound)
 }
 
 // sumsInStep fails the test if a sketch row's stored ΣX² (what the vector
@@ -118,7 +118,7 @@ func TestSketchConcurrentWithWriter(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				q := sketch.NewQuery([]float64{0, 0.25})
+				q := new(sketch.Query).Set([]float64{0, 0.25})
 				for {
 					select {
 					case <-stop:

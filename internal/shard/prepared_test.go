@@ -65,11 +65,14 @@ func TestScatterPreparesTheQueryOnce(t *testing.T) {
 	}
 }
 
-// Under -race: 8 shards read one shared prepared query per request while
-// many requests run at once and others are cancelled mid-flight. Every
-// completed answer must equal the serial one, a cancelled request must
-// surface the context's error, and no scatter goroutine may outlive its
-// request.
+// Under -race (run it with -count=10): 8 shards read one shared prepared
+// query per request while many requests run at once and others are
+// cancelled mid-flight. Every completed answer must equal the serial one, a
+// cancelled request must surface the context's error, and no scatter
+// goroutine may outlive its request. The scatter releases each prepared query
+// to a pool that the next request draws from: a shard still reading one after
+// its release would race with that request's Prepare, or find the released
+// query's values gone and fail with a length mismatch.
 func TestConcurrentScattersShareTheirPreparedQueries(t *testing.T) {
 	const shards = 8
 	gen := querylog.NewGenerator(querylog.DefaultStart, 128, 13)
@@ -86,8 +89,11 @@ func TestConcurrentScattersShareTheirPreparedQueries(t *testing.T) {
 			core.Request{Kind: core.KindSimilar, Values: q.Values, K: 3 + i},
 			core.Request{Kind: core.KindSimilarID, ID: 9 * (i + 1), K: 2 + i})
 	}
-	// A query that refines most of the corpus, so a cancel lands mid-refine.
-	heavy := core.Request{Kind: core.KindSimilar, Values: gen.Queries(5)[4].Values, K: len(data)}
+	// Queries that refine most of the corpus, so a cancel lands mid-refine.
+	heavy := []core.Request{
+		{Kind: core.KindSimilar, Values: gen.Queries(5)[4].Values, K: len(data)},
+		{Kind: core.KindSimilarID, ID: 11, K: len(data) - 1},
+	}
 	want := make([]*core.Response, len(reqs))
 	for i, req := range reqs {
 		if want[i], err = se.Query(context.Background(), req); err != nil {
@@ -118,7 +124,7 @@ func TestConcurrentScattersShareTheirPreparedQueries(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		errc := make(chan error, 1)
 		go func() {
-			_, err := se.Query(ctx, heavy)
+			_, err := se.Query(ctx, heavy[i%len(heavy)])
 			errc <- err
 		}()
 		time.Sleep(time.Duration(i%6) * 50 * time.Microsecond)

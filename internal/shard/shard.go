@@ -442,6 +442,10 @@ func (s *ShardedEngine) scatterLocked(ctx context.Context, g *lifecycle.Gate, re
 		}
 		wg.Wait()
 	}
+	// Every wave has joined, so no shard reads the query any more.
+	if q := pl.subs[0].Prepared; q != nil {
+		q.Release()
+	}
 	g.Absorb(kids...)
 	var failed error
 	for _, err := range errs {
@@ -649,6 +653,7 @@ func (s *ShardedEngine) planLocked(req core.Request, nLive int) (plan, error) {
 // spectrum and bound context are computed here, once: every shard's copy of
 // sub then carries the same *spectral.Prepared, which the shards only read,
 // so the scatter costs one FFT and one context whatever the shard count.
+// scatterLocked releases it once every wave has joined.
 func (s *ShardedEngine) prepareInto(sub *core.Request, z []float64) error {
 	q, err := spectral.Prepare(z)
 	if err != nil {

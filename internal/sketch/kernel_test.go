@@ -171,10 +171,10 @@ func TestNoKernelDecidesTheUnsketched(t *testing.T) {
 	rows.Append(fine)
 	rows.Append(bad)
 	ForEachKernel(func(kernel string) {
-		if NewQuery(fine).Exceeds(rows, 1, 0) || NewQuery(bad).Exceeds(rows, 0, 0) {
+		if new(Query).Set(fine).Exceeds(rows, 1, 0) || new(Query).Set(bad).Exceeds(rows, 0, 0) {
 			t.Errorf("%s: decided an unsketched row or query", kernel)
 		}
-		if !NewQuery(bad[:40]).Exceeds(Rows{n: 40, codes: rows.codes[:40], meta: rows.meta[:1]}, 0, 1) {
+		if !new(Query).Set(bad[:40]).Exceeds(Rows{n: 40, codes: rows.codes[:40], meta: rows.meta[:1]}, 0, 1) {
 			t.Errorf("%s: a sketched pair 30 apart was not rejected at bound 1", kernel)
 		}
 	})

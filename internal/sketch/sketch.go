@@ -23,6 +23,7 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 const (
@@ -177,8 +178,9 @@ func quantizeRow(values []float64, codes []int8) rowMeta {
 	return rowMeta{err: err, sumSq: sumSq, exp: int8(e)}
 }
 
-// Query is a query quantised for Exceeds. It is immutable once built, so
-// concurrent searches (the shards of one request) share one.
+// Query is a query quantised for Exceeds. Set fills it; between two Sets it
+// is only read, so concurrent searches (the shards of one request) share one.
+// The zero Query is ready for Set.
 type Query struct {
 	codes []int16
 	exp   int     // step 2^exp
@@ -187,12 +189,15 @@ type Query struct {
 	sumSq uint64  // ΣQ² over codes
 }
 
-// NewQuery quantises values on the query grid. A query the sketch cannot
-// represent is still returned; Exceeds is false for it against every row.
-func NewQuery(values []float64) *Query {
-	q := &Query{codes: make([]int16, len(values)), err: unsketched}
+// Set quantises values on the query grid into q, reusing q's codes, and
+// returns q. A query the sketch cannot represent is still set; Exceeds is
+// false for it against every row.
+func (q *Query) Set(values []float64) *Query {
+	codes := slices.Grow(q.codes[:0], len(values))[:len(values)]
+	*q = Query{codes: codes, err: unsketched}
 	e, ok := scale(absMax(values), queryBits)
 	if !ok || len(values) > maxLen {
+		clear(codes)
 		return q
 	}
 	q.exp, q.inv = e, math.Ldexp(1, -e)

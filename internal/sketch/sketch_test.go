@@ -19,7 +19,7 @@ func checkSound(t testing.TB, q, x []float64, bound float64) (exceeds bool) {
 	t.Helper()
 	rows := NewRows(len(x))
 	rows.Append(x)
-	exceeds = exceedsOnEveryKernel(t, NewQuery(q), rows, bound, "q=%v\n x=%v", q, x)
+	exceeds = exceedsOnEveryKernel(t, new(Query).Set(q), rows, bound, "q=%v\n x=%v", q, x)
 	if !exceeds {
 		return false
 	}
@@ -199,10 +199,10 @@ func TestUnsketchableIsMarked(t *testing.T) {
 		if !math.IsInf(rows.meta[0].err, 1) {
 			t.Errorf("%s: row not marked unsketched: %+v", name, rows.meta[0])
 		}
-		if q := NewQuery(v); !math.IsInf(q.err, 1) {
+		if q := new(Query).Set(v); !math.IsInf(q.err, 1) {
 			t.Errorf("%s: query not marked unsketched", name)
 		}
-		if NewQuery([]float64{0, 0, 0}).Exceeds(rows, 0, 0) {
+		if new(Query).Set([]float64{0, 0, 0}).Exceeds(rows, 0, 0) {
 			t.Errorf("%s: unsketched row skipped", name)
 		}
 	}
@@ -220,15 +220,15 @@ func TestShiftOutOfRange(t *testing.T) {
 	rows := NewRows(2)
 	rows.Append([]float64{1, -1})
 	for _, q := range [][]float64{{1e9, 1e9}, {1e-9, 1e-9}} {
-		if NewQuery(q).Exceeds(rows, 0, 0) {
+		if new(Query).Set(q).Exceeds(rows, 0, 0) {
 			t.Errorf("query %v: decided across an inexpressible shift", q)
 		}
 	}
-	if !NewQuery([]float64{40, 40}).Exceeds(rows, 0, 1) {
+	if !new(Query).Set([]float64{40, 40}).Exceeds(rows, 0, 1) {
 		t.Error("a query 40 away was not rejected at bound 1")
 	}
-	if NewQuery([]float64{1, 2, 3}).Exceeds(rows, 0, 0) || NewQuery([]float64{5, 5}).Exceeds(rows, 1, 0) ||
-		NewQuery([]float64{5, 5}).Exceeds(Rows{}, 0, 0) {
+	if new(Query).Set([]float64{1, 2, 3}).Exceeds(rows, 0, 0) || new(Query).Set([]float64{5, 5}).Exceeds(rows, 1, 0) ||
+		new(Query).Set([]float64{5, 5}).Exceeds(Rows{}, 0, 0) {
 		t.Error("a length mismatch, an uncovered id or the empty sketch decided a skip")
 	}
 }
@@ -247,7 +247,7 @@ func TestRowsSnapshotIsStable(t *testing.T) {
 		t.Fatalf("lengths after truncate: owner %d snapshot %d", rows.Len(), snap.Len())
 	}
 	rows.Append([]float64{100, 100, 100, 100})
-	q := NewQuery([]float64{2, 1, 2, 3}) // equals old row 2
+	q := new(Query).Set([]float64{2, 1, 2, 3}) // equals old row 2
 	if q.Exceeds(snap, 2, 0.5) {
 		t.Error("snapshot row 2 was overwritten by an append after truncate")
 	}
@@ -314,7 +314,7 @@ func BenchmarkSketchExceeds(b *testing.B) {
 		rows.Append(data[i])
 	}
 	query := zscored(rng, n)
-	q := NewQuery(query)
+	q := new(Query).Set(query)
 	order := rng.Perm(rowsN)
 	bound := math.Sqrt(2 * n) // beyond any pair of z-scored rows: no abandon
 	ForEachKernel(func(kernel string) {

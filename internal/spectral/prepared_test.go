@@ -3,10 +3,12 @@ package spectral
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/sketch"
 	"repro/internal/stats"
 )
 
@@ -109,17 +111,50 @@ func TestPrepare(t *testing.T) {
 	if _, err := Prepare(nil); err == nil {
 		t.Error("Prepare(nil) must fail")
 	}
+
+	// A released Prepared drops its values, and a Prepared that is handed
+	// out again — buffers sized by a longer query — holds exactly what new
+	// ones would: spectrum, sketch codes and context, padded table rows
+	// included, at an even and at an odd length.
+	p.Release()
+	if p.Values() != nil {
+		t.Error("Release must drop the values")
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{1024, 128, 129, 8} {
+		v := stats.Standardize(randSeries(rng, n))
+		p, err := Prepare(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := mustSpectrum(t, v)
+		want := NewQueryContext(spec)
+		got := p.Context()
+		if !slices.Equal(got.q.Coeffs, spec.Coeffs) || got.q.N != n ||
+			!sameBits(got.sorted, want.sorted) || !sameBits(got.pw, want.pw) ||
+			!sameBits(got.pwm, want.pwm) || !sameBits(got.pwm2, want.pwm2) ||
+			!slices.Equal(got.tab, want.tab) || got.totalWM2 != want.totalWM2 {
+			t.Errorf("n=%d: a reused Prepared's spectrum or context differs from new ones", n)
+		}
+		if !reflect.DeepEqual(p.Sketch(), new(sketch.Query).Set(v)) {
+			t.Errorf("n=%d: a reused Prepared's sketch query differs from a new one", n)
+		}
+		p.Release()
+	}
 }
 
-// BenchmarkPrepare1024 is a query's preparation at the served length: the
-// half spectrum, the bound context and the sketch query of one z-scored row.
+// BenchmarkPrepare1024 is a query's preparation at the served length, as a
+// request pays it: the half spectrum, the bound context and the sketch query
+// of one z-scored row, into pooled buffers, and their release.
 func BenchmarkPrepare1024(b *testing.B) {
 	x := stats.Standardize(randSeries(rand.New(rand.NewSource(5)), 1024))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Prepare(x); err != nil {
+		p, err := Prepare(x)
+		if err != nil {
 			b.Fatal(err)
 		}
+		p.Release()
 	}
 }

@@ -42,6 +42,7 @@ type QueryContext struct {
 	// first i sorted bins).
 	sorted          []float64
 	pw, pwm, pwm2   []float64
+	back            []float64 // the one array the four tables above are cut from
 	totalW, totalWM float64
 	totalWM2        float64
 }
@@ -125,11 +126,15 @@ func NewQueryContext(q *HalfSpectrum) *QueryContext {
 	return ctx
 }
 
-// init fills a zero context for q (Prepare holds its context by value).
+// init fills ctx for q, reusing the tables of an earlier init when they are
+// large enough (Prepare holds its context by value and pools it). Every
+// entry a kernel reads is written: the bins' rows and moments here, the
+// padded rows past Bins() cleared.
 func (ctx *QueryContext) init(q *HalfSpectrum) {
 	bins := q.Bins()
 	// One backing array for the four moment tables.
-	back := make([]float64, bins+3*(bins+1))
+	full := slices.Grow(ctx.back[:0], bins+3*(bins+1))[:bins+3*(bins+1)]
+	back := full
 	take := func(n int) []float64 {
 		s := back[:n:n]
 		back = back[n:]
@@ -139,14 +144,18 @@ func (ctx *QueryContext) init(q *HalfSpectrum) {
 	for rows < bins {
 		rows <<= 1
 	}
+	tab := slices.Grow(ctx.tab[:0], rows)[:rows]
+	clear(tab[bins:])
 	*ctx = QueryContext{
 		q:      q,
-		tab:    make([]qbin, rows),
+		tab:    tab,
+		back:   full,
 		sorted: take(bins),
 		pw:     take(bins + 1),
 		pwm:    take(bins + 1),
 		pwm2:   take(bins + 1),
 	}
+	ctx.pw[0], ctx.pwm[0], ctx.pwm2[0] = 0, 0, 0
 	sp := sortScratch.Get().(*[]magBin)
 	buf := slices.Grow((*sp)[:0], 2*bins)[:2*bins]
 	tmp := buf[:bins]

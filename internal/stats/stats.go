@@ -9,6 +9,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 )
 
 // ErrEmpty is returned by functions that cannot operate on empty input.
@@ -58,27 +59,34 @@ func Standardize(x []float64) []float64 {
 // caller that must not store or search such a row checks the moments.
 func StandardizeInPlace(x []float64) (mean, std float64) {
 	m, s := MeanStd(x)
-	if s == 0 {
-		for i := range x {
-			x[i] = 0
-		}
-		return m, s
-	}
-	for i := range x {
-		x[i] = (x[i] - m) / s
-	}
+	ZScore(x, x, m, s)
 	return m, s
+}
+
+// ZScore writes (x[i] − mean) / std to dst, which has x's length and may be
+// x: the z-scores StandardizeInPlace computes, from moments already known. A
+// zero std writes zeros.
+func ZScore(dst, x []float64, mean, std float64) {
+	dst = dst[:len(x)]
+	if std == 0 {
+		clear(dst)
+		return
+	}
+	for i, v := range x {
+		dst[i] = (v - mean) / std
+	}
 }
 
 // MovingAverage returns the trailing moving average of x with window w.
 // Element i of the result averages x[max(0,i-w+1) .. i]; the warm-up prefix
 // therefore averages over fewer than w points instead of being dropped, so the
-// output has the same length as the input. w must be >= 1.
-func MovingAverage(x []float64, w int) ([]float64, error) {
+// output has the same length as the input. w must be >= 1. The result is
+// written over dst's backing array when it has the room (dst may be nil).
+func MovingAverage(dst, x []float64, w int) ([]float64, error) {
 	if w < 1 {
 		return nil, errors.New("stats: moving-average window must be >= 1")
 	}
-	out := make([]float64, len(x))
+	out := slices.Grow(dst[:0], len(x))[:len(x)]
 	sum := 0.0
 	for i, v := range x {
 		sum += v

@@ -111,7 +111,7 @@ func TestStandardizeIdempotentProperty(t *testing.T) {
 
 func TestMovingAverage(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
-	ma, err := MovingAverage(x, 3)
+	ma, err := MovingAverage(nil, x, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +121,14 @@ func TestMovingAverage(t *testing.T) {
 			t.Errorf("MA[%d] = %v, want %v", i, ma[i], want[i])
 		}
 	}
-	if _, err := MovingAverage(x, 0); err == nil {
+	if _, err := MovingAverage(nil, x, 0); err == nil {
 		t.Error("expected error for window 0")
 	}
 }
 
 func TestMovingAverageWindowOne(t *testing.T) {
 	x := []float64{4, -2, 9}
-	ma, err := MovingAverage(x, 1)
+	ma, err := MovingAverage(nil, x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestMovingAverageBoundsProperty(t *testing.T) {
 		for i := range x {
 			x[i] = rng.Float64()*100 - 50
 		}
-		ma, err := MovingAverage(x, w)
+		ma, err := MovingAverage(nil, x, w)
 		if err != nil {
 			return false
 		}
@@ -315,7 +315,7 @@ func BenchmarkMovingAverage(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := MovingAverage(x, 30); err != nil {
+		if _, err := MovingAverage(nil, x, 30); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -149,5 +149,5 @@ func (t *Tree) rebuildLeaf(leaf []entry, newSpec *spectral.HalfSpectrum) (*node,
 	}
 	// The salt is the feature count with the new entry in.
 	b := &builder{t: t, specs: specs, ids: ids, refs: refs, salt: uint64(leaf[len(leaf)-1].ref + 1)}
-	return b.build(idx, rootPath)
+	return b.build(idx, rootPath, newRand())
 }

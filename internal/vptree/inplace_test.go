@@ -3,6 +3,7 @@ package vptree
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -313,11 +314,14 @@ func TestFlatInPlaceFailedInsertChangesNothing(t *testing.T) {
 // insertCost measures one Insert that splits nothing into a tree of n objects:
 // heap allocations and bytes. Every measured insert adds the same spectrum
 // under a new ID, so all of them land in one leaf, which LeafSize leaves room
-// for.
+// for. The bytes are the fewest of three measurements on one P: TotalAlloc
+// counts the whole process, and whatever else allocates meanwhile (a
+// collection's workers, a timer) can only add to it.
 func insertCost(t *testing.T, n int) (allocs float64, bytes uint64) {
 	t.Helper()
-	const seqLen, runs = 64, 8
-	const inserts = 2*runs + 1 // AllocsPerRun's warm-up, its runs, then ours
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const seqLen, runs, measurements = 64, 8, 3
+	const inserts = 1 + runs + measurements*runs // AllocsPerRun's warm-up, its runs, then ours
 	fx := buildFixture(t, n, seqLen, Options{Dynamic: true, Seed: 7, LeafSize: inserts}, 11)
 	tr := fx.tree
 	spec, err := spectral.FromValues(querylog.StandardizeAll(querylog.NewGenerator(querylog.DefaultStart, seqLen, 5).Dataset(1))[0].Values)
@@ -335,16 +339,20 @@ func insertCost(t *testing.T, n int) (allocs float64, bytes uint64) {
 	// AllocsPerRun's warm-up call is the one that moves the leaf to where it has
 	// room and grows the slices that were sized exactly.
 	allocs = testing.AllocsPerRun(runs, op)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		op()
+	bytes = math.MaxUint64
+	for range measurements {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			op()
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/runs)
 	}
-	runtime.ReadMemStats(&after)
 	if tr.repacks != 0 || routedLeaf(t, tr, spec) != leaf || id != n+inserts {
 		t.Fatalf("n=%d: the measured inserts ran into a repack or a split", n)
 	}
-	return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	return allocs, bytes
 }
 
 // What an Insert allocates does not depend on how much the tree holds: the

@@ -245,7 +245,7 @@ func Build(specs []*spectral.HalfSpectrum, ids []int, opts Options) (*Tree, erro
 	if opts.BuildWorkers > 1 {
 		b.sem = make(chan struct{}, opts.BuildWorkers-1)
 	}
-	t.root, err = b.build(idx, rootPath)
+	t.root, err = b.build(idx, rootPath, newRand())
 	if err != nil {
 		return nil, err
 	}
@@ -334,13 +334,19 @@ func splitmix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// rng returns the sampling RNG for the node at path. Deriving it from the
-// tree position rather than threading one stream through the DFS is what
-// makes parallel construction deterministic.
-func (b *builder) rng(path uint64) *rand.Rand {
-	h := splitmix64(uint64(b.t.opts.Seed) ^ splitmix64(b.salt) ^ splitmix64(path))
-	return rand.New(rand.NewSource(int64(h)))
+// rng reseeds r, the building goroutine's own, as the sampling RNG for the
+// node at path and returns it. Deriving the stream from the tree position
+// rather than threading one stream through the DFS is what makes parallel
+// construction deterministic. Seed restarts exactly the stream a new
+// rand.New(rand.NewSource(seed)) draws, so one Rand serves every node its
+// goroutine builds.
+func (b *builder) rng(r *rand.Rand, path uint64) *rand.Rand {
+	r.Seed(int64(splitmix64(uint64(b.t.opts.Seed) ^ splitmix64(b.salt) ^ splitmix64(path))))
+	return r
 }
+
+// newRand is a building goroutine's RNG, reseeded per node by builder.rng.
+func newRand() *rand.Rand { return rand.New(rand.NewSource(0)) }
 
 func (b *builder) leafNode(idx []int) *node {
 	nd := &node{leaf: make([]entry, 0, len(idx))}
@@ -350,12 +356,12 @@ func (b *builder) leafNode(idx []int) *node {
 	return nd
 }
 
-func (b *builder) build(idx []int, path uint64) (*node, error) {
+func (b *builder) build(idx []int, path uint64, r *rand.Rand) (*node, error) {
 	if len(idx) <= b.t.opts.LeafSize {
 		return b.leafNode(idx), nil
 	}
 
-	vpPos, err := b.t.selectVP(b.specs, idx, b.rng(path))
+	vpPos, err := b.t.selectVP(b.specs, idx, b.rng(r, path))
 	if err != nil {
 		return nil, err
 	}
@@ -408,9 +414,9 @@ func (b *builder) build(idx []int, path uint64) (*node, error) {
 			go func() {
 				defer wg.Done()
 				defer func() { <-b.sem }()
-				rnd, rerr = b.build(rightIdx, 2*path+1)
+				rnd, rerr = b.build(rightIdx, 2*path+1, newRand())
 			}()
-			lnd, lerr := b.build(leftIdx, 2*path)
+			lnd, lerr := b.build(leftIdx, 2*path, r)
 			wg.Wait()
 			if lerr != nil {
 				return nil, lerr
@@ -423,10 +429,10 @@ func (b *builder) build(idx []int, path uint64) (*node, error) {
 		default:
 		}
 	}
-	if nd.left, err = b.build(leftIdx, 2*path); err != nil {
+	if nd.left, err = b.build(leftIdx, 2*path, r); err != nil {
 		return nil, err
 	}
-	if nd.right, err = b.build(rightIdx, 2*path+1); err != nil {
+	if nd.right, err = b.build(rightIdx, 2*path+1, r); err != nil {
 		return nil, err
 	}
 	return nd, nil
@@ -539,6 +545,7 @@ func (t *Tree) SearchLimited(query []float64, k int, feats FeatureSource, store 
 	if err != nil {
 		return nil, Stats{}, false, err
 	}
+	defer q.Release()
 	return t.SearchPrepared(q, k, feats, store, g, nil)
 }
 

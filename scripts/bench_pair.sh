@@ -42,6 +42,14 @@
 # what the one-wave scatter read, with answers byte-identical. The other
 # workloads never fan out and stay exact.
 #
+# Per-request counts and the pooled query preparation: across the commit
+# that committed the store's rows after the index and made spectral.Prepare
+# draw from a pool, every TRACE=1 per-request count stays exact on every
+# workload, while core.query_bytes_per_op and core.query_allocs_per_op fall
+# by design — a kNN query no longer leaves its spectrum, bound context and
+# sketch codes behind (≈ 63 KB at 1 024 points). They are per-layer rows,
+# not counts, and read as improvements.
+#
 # Everything it writes is git-ignored: the worktree under .bench_build/,
 # the records under bench/out/pair/.
 set -eu
