@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/querylog"
-	"repro/internal/seqstore"
 	"repro/internal/spectral"
 )
 
@@ -67,50 +66,13 @@ func TestEnergyFractionAdaptsToContent(t *testing.T) {
 }
 
 func TestEnergyFractionWithDynamicInsert(t *testing.T) {
-	g := querylog.NewGenerator(querylog.DefaultStart, 64, 42)
-	data := querylog.StandardizeAll(g.Dataset(20))
-	store, err := seqstore.NewMemory(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := make([]*spectral.HalfSpectrum, 10)
-	ids := make([]int, 10)
-	for i := 0; i < 10; i++ {
-		if ids[i], err = store.Append(data[i].Values); err != nil {
-			t.Fatal(err)
-		}
-		if specs[i], err = spectral.FromValues(data[i].Values); err != nil {
+	fx := buildFixture(t, 10, 64, Options{EnergyFraction: 0.85, Dynamic: true}, 42)
+	c := newChurn(t, fx, 10, 64, 43)
+	for _, v := range c.pool {
+		if err := c.insert(t, len(fx.values), v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	tree, err := Build(specs, ids, Options{EnergyFraction: 0.85, Dynamic: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 10; i < 20; i++ {
-		id, err := store.Append(data[i].Values)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := spectral.FromValues(data[i].Values)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tree.Insert(h, id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := querylog.StandardizeAll(g.Queries(1))[0]
-	values := make([][]float64, 20)
-	for i := range values {
-		values[i] = data[i].Values
-	}
-	want := bruteKNN(t, values, q.Values, 1)[0]
-	got, _, err := tree.Search(q.Values, 1, tree.Features(), store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got[0].Dist-want.Dist) > 1e-9 {
-		t.Errorf("energy+dynamic: %v vs %v", got[0].Dist, want.Dist)
-	}
+	q := fx.queries[0]
+	checkAgainstOracle(t, "energy+dynamic", fx, q, 1, searchWith(t, fx.tree, q, 1, 0, nil, fx.store, nil))
 }

@@ -248,45 +248,38 @@ func TestFlatSurvivesPersistence(t *testing.T) {
 }
 
 // checkWalkOrder asserts the flat index numbers features by their place in
-// the walk: going through the pointer tree in DFS pre-order — a vantage
+// the walk: going through its nodes in DFS pre-order from node 0 — a vantage
 // point, then its left and right subtrees, a leaf's entries in order — meets
-// slots 0, 1, 2, … in turn, slotRef names the feature-table ref of each, and
-// the arena holds that very feature in that slot (its bounds against q are
-// the bits the feature's own scalar bounds are).
+// slots 0, 1, 2, … in turn, and the arena holds in each slot the feature
+// slotRef names (its bounds against q are the bits the feature's own scalar
+// bounds are).
 func checkWalkOrder(t *testing.T, when string, tr *Tree, q []float64) {
 	t.Helper()
 	f := tr.flat
-	var refs []int32
-	ni := int32(0)
-	var walk func(nd *node)
-	walk = func(nd *node) {
+	next := int32(0)
+	var walk func(ni int32)
+	walk = func(ni int32) {
 		fn := f.nodes[ni]
-		ni++
-		if nd.leaf != nil {
-			if int(fn.leafHi-fn.leafLo) != len(nd.leaf) {
-				t.Fatalf("%s: flat leaf holds %d entries, the tree's %d", when, fn.leafHi-fn.leafLo, len(nd.leaf))
-			}
-			for i, e := range nd.leaf {
-				if slot := f.leafSlots[int(fn.leafLo)+i]; int(slot) != len(refs) || f.leafIDs[int(fn.leafLo)+i] != e.id {
-					t.Fatalf("%s: leaf entry id %d sits in slot %d, the walk reaches it at %d", when, e.id, slot, len(refs))
+		if fn.leafLo >= 0 {
+			for j := fn.leafLo; j < fn.leafHi; j++ {
+				if f.leafSlots[j] != next {
+					t.Fatalf("%s: leaf entry id %d sits in slot %d, the walk reaches it at %d", when, f.leafIDs[j], f.leafSlots[j], next)
 				}
-				refs = append(refs, int32(e.ref))
+				next++
 			}
 			return
 		}
-		if int(fn.vpSlot) != len(refs) || fn.vpID != nd.vpID {
-			t.Fatalf("%s: vantage point id %d sits in slot %d, the walk reaches it at %d", when, nd.vpID, fn.vpSlot, len(refs))
+		if fn.vpSlot != next {
+			t.Fatalf("%s: vantage point id %d sits in slot %d, the walk reaches it at %d", when, fn.vpID, fn.vpSlot, next)
 		}
-		refs = append(refs, int32(nd.vpRef))
-		walk(nd.left)
-		walk(nd.right)
+		next++
+		walk(fn.left)
+		walk(fn.right)
 	}
-	walk(tr.root)
-	if !slices.Equal(f.slotRef, refs) {
-		t.Fatalf("%s: slotRef is not the walk's refs:\n got  %v\n want %v", when, f.slotRef, refs)
-	}
-	if f.arena == nil || f.arena.Len() != len(refs) {
-		t.Fatalf("%s: arena %v for %d slots", when, f.arena, len(refs))
+	walk(0)
+	refs := f.slotRef
+	if int(next) != len(refs) || f.arena.Len() != len(refs) {
+		t.Fatalf("%s: the walk meets %d slots, slotRef has %d, the arena %d", when, next, len(refs), f.arena.Len())
 	}
 	pq, err := spectral.Prepare(q)
 	if err != nil {
@@ -402,40 +395,14 @@ func TestArenaIsInWalkOrder(t *testing.T) {
 	if len(loaded.flat.slotRef) != len(loaded.features) {
 		t.Fatalf("%d slots for %d features: every feature is one object's", len(loaded.flat.slotRef), len(loaded.features))
 	}
-	// Load derives wholesale; so does a repack of the tree that was saved.
-	fx.tree.rebuildFlat()
-	if !slices.Equal(loaded.flat.slotRef, fx.tree.flat.slotRef) {
+	// Load lays the tree out afresh; so does a repack of the tree that was saved.
+	packed, err := layout(fx.tree.flat.walk(), fx.tree.features)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(loaded.flat.slotRef, packed.slotRef) {
 		t.Fatal("the loaded tree numbers its slots differently from the tree it was saved from")
 	}
-}
-
-// A file can be written so that two objects name one feature ref (Load checks
-// only that refs are in range). No arena order can say that, so such a tree
-// goes without an arena and bounds every entry through the feature source —
-// the same bounds the parent's ref-ordered arena gave it.
-func TestDuplicateRefGoesWithoutArena(t *testing.T) {
-	fx := buildFixture(t, 40, 64, Options{Seed: 9}, 19)
-	var leaves []*node
-	var collect func(nd *node)
-	collect = func(nd *node) {
-		if nd.leaf != nil {
-			leaves = append(leaves, nd)
-			return
-		}
-		collect(nd.left)
-		collect(nd.right)
-	}
-	collect(fx.tree.root)
-	leaves[0].leaf[0].ref = leaves[1].leaf[0].ref
-	fx.tree.rebuildFlat()
-	if fx.tree.flat.arena != nil {
-		t.Fatal("an arena was packed for a tree that names a ref twice")
-	}
-	got := searchWith(t, fx.tree, fx.queries[0], 40, 0, fx.tree.Features(), fx.store, nil)
-	if got.st.BoundsComputed != 40 || len(got.res) != 40 {
-		t.Fatalf("exhaustive search over the arena-less tree: %d results, %+v", len(got.res), got.st)
-	}
-	sameOutcome(t, "disk features", searchWith(t, fx.tree, fx.queries[0], 40, 0, diskCopy(t, fx.tree), fx.store, nil), got)
 }
 
 // The blocks-pruned counter must account exactly: over one search, blocks

@@ -1,42 +1,13 @@
 package vptree
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/querylog"
 	"repro/internal/seqstore"
 	"repro/internal/spectral"
 )
-
-// equalNodes compares two subtrees structurally: same vantage points,
-// medians, leaf contents and shape. Used to prove the parallel build is
-// bit-identical to the serial one.
-func equalNodes(t *testing.T, path string, a, b *node) bool {
-	t.Helper()
-	if (a == nil) != (b == nil) {
-		t.Errorf("%s: nil mismatch (%v vs %v)", path, a == nil, b == nil)
-		return false
-	}
-	if a == nil {
-		return true
-	}
-	if a.vpID != b.vpID || a.vpRef != b.vpRef || a.median != b.median {
-		t.Errorf("%s: node differs: {id %d ref %d med %v} vs {id %d ref %d med %v}",
-			path, a.vpID, a.vpRef, a.median, b.vpID, b.vpRef, b.median)
-		return false
-	}
-	if (a.leaf == nil) != (b.leaf == nil) || len(a.leaf) != len(b.leaf) {
-		t.Errorf("%s: leaf shape differs (%d vs %d entries)", path, len(a.leaf), len(b.leaf))
-		return false
-	}
-	for i := range a.leaf {
-		if a.leaf[i] != b.leaf[i] {
-			t.Errorf("%s: leaf entry %d differs: %+v vs %+v", path, i, a.leaf[i], b.leaf[i])
-			return false
-		}
-	}
-	return equalNodes(t, path+"L", a.left, b.left) && equalNodes(t, path+"R", a.right, b.right)
-}
 
 func buildSpecs(t *testing.T, n, seqLen int, seed int64) ([]*spectral.HalfSpectrum, []int, *seqstore.Memory, [][]float64) {
 	t.Helper()
@@ -64,9 +35,9 @@ func buildSpecs(t *testing.T, n, seqLen int, seed int64) ([]*spectral.HalfSpectr
 }
 
 // TestParallelBuildDeterministic: the bounded-pool parallel build must
-// produce a tree identical to the serial build for any worker count — same
-// vantage point choices (per-node RNG is derived from the node's path, not
-// from goroutine scheduling), same medians, same leaves.
+// produce a flat index identical to the serial build's for any worker count —
+// same vantage point choices (per-node RNG is derived from the node's path,
+// not from goroutine scheduling), same medians, same leaves, same slots.
 func TestParallelBuildDeterministic(t *testing.T) {
 	// 200 series exceeds parallelSubtreeMin at several levels, so the
 	// parallel path actually dispatches goroutines.
@@ -82,8 +53,8 @@ func TestParallelBuildDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("BuildWorkers=%d: %v", workers, err)
 		}
-		if !equalNodes(t, "•", serial.root, par.root) {
-			t.Fatalf("BuildWorkers=%d: tree structure differs from serial build", workers)
+		if !reflect.DeepEqual(serial.flat, par.flat) {
+			t.Fatalf("BuildWorkers=%d: the flat index differs from the serial build's", workers)
 		}
 		if serial.Height() != par.Height() || serial.Len() != par.Len() {
 			t.Errorf("BuildWorkers=%d: height/len differ", workers)

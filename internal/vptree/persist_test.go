@@ -3,7 +3,6 @@ package vptree
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -28,24 +27,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.Height() != fx.tree.Height() {
 		t.Errorf("height %d vs %d", loaded.Height(), fx.tree.Height())
 	}
-	// Searches on the loaded tree return identical answers.
+	// Searches on the loaded tree return identical answers and Stats.
 	for _, q := range fx.queries {
-		want, _, err := fx.tree.Search(q, 3, fx.tree.Features(), fx.store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := loaded.Search(q, 3, loaded.Features(), fx.store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("result count %d vs %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i].ID != want[i].ID || math.Abs(got[i].Dist-want[i].Dist) > 1e-12 {
-				t.Errorf("rank %d: %+v vs %+v", i, got[i], want[i])
-			}
-		}
+		want := searchWith(t, fx.tree, q, 3, 0, fx.tree.Features(), fx.store, nil)
+		sameOutcome(t, "loaded", searchWith(t, loaded, q, 3, 0, loaded.Features(), fx.store, nil), want)
 	}
 	// Loaded trees are static.
 	h, err := spectral.FromValues(fx.values[0])
@@ -57,10 +42,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// layout locates two fields of a saved tree: the header's object count n,
-// and the byte after the first internal node's IDs (always 0), given that the
-// node section starts with one.
-func layout(t testing.TB, data []byte) (nAt, zeroAt int) {
+// offsets locates fields of a saved tree: the header's object count n, the
+// byte after the first internal node's IDs (always 0), given that the node
+// section starts with one, and the first leaf's first ref.
+func offsets(t testing.TB, data []byte) (nAt, zeroAt, refAt int) {
 	t.Helper()
 	const nAt0 = 4 + 4 + 1 + 4 + 4 + 4 // magic, version, method, budget, leafSize, seqLen
 	p := nAt0 + 4
@@ -72,16 +57,25 @@ func layout(t testing.TB, data []byte) (nAt, zeroAt int) {
 	if data[p] != tagInternal {
 		t.Fatal("the saved tree's root is a leaf")
 	}
-	return nAt0, p + 1 + 4 + 4
+	zeroAt = p + 1 + 4 + 4
+	for data[p] == tagInternal {
+		p += 1 + 4 + 4 + 1 + 8
+	}
+	return nAt0, zeroAt, p + 1 + 4 + 4
 }
 
-// named counts the objects a subtree names: its leaf entries and its vantage
-// points.
-func named(nd *node) int {
-	if nd.leaf != nil {
-		return len(nd.leaf)
+// named counts the objects a flat index names: its leaf entries and its
+// vantage points.
+func named(f *flatIndex) int {
+	n := 0
+	for _, fn := range f.nodes {
+		if fn.leafLo < 0 {
+			n++
+		} else {
+			n += int(fn.leafHi - fn.leafLo)
+		}
 	}
-	return 1 + named(nd.left) + named(nd.right)
+	return n
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
@@ -123,13 +117,21 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(junk); err == nil {
 		t.Error("expected error for trailing junk")
 	}
-	// What no Save writes: the reserved byte set, and a header
-	// count other than the objects the node section names.
-	nAt, zeroAt := layout(t, data)
+	// What no Save writes: a header method, budget or leaf size of 0, a
+	// method no feature has or none at all, the reserved byte set, a header
+	// count other than the objects the node section names, and a ref named
+	// twice.
+	nAt, zeroAt, refAt := offsets(t, data)
 	for name, mutate := range map[string]func(b []byte){
-		"tombstone byte 1": func(b []byte) { b[zeroAt] = 1 },
-		"n one low":        func(b []byte) { binary.LittleEndian.PutUint32(b[nAt:], uint32(fx.tree.Len()-1)) },
-		"n one high":       func(b []byte) { binary.LittleEndian.PutUint32(b[nAt:], uint32(fx.tree.Len()+1)) },
+		"method 0":          func(b []byte) { b[8] = 0 },
+		"budget 0":          func(b []byte) { b[9] = 0 },
+		"leaf size 0":       func(b []byte) { b[13] = 0 },
+		"unknown method":    func(b []byte) { b[8] = 0xff },
+		"another method":    func(b []byte) { b[8] = byte(spectral.Wang) },
+		"tombstone byte 1":  func(b []byte) { b[zeroAt] = 1 },
+		"n one low":         func(b []byte) { binary.LittleEndian.PutUint32(b[nAt:], uint32(fx.tree.Len()-1)) },
+		"n one high":        func(b []byte) { binary.LittleEndian.PutUint32(b[nAt:], uint32(fx.tree.Len()+1)) },
+		"a ref named twice": func(b []byte) { copy(b[refAt:refAt+4], b[zeroAt-4:zeroAt]) },
 	} {
 		mut := bytes.Clone(data)
 		mutate(mut)
@@ -145,8 +147,8 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 // FuzzTreeLoad sets one byte of a saved 40-series tree and truncates it.
 // Load either refuses the result, or returns a tree whose Len is the number
-// of objects its node section names and whose searches do not panic; the
-// unchanged file loads.
+// of objects its node section names, which saves back byte for byte and
+// whose searches do not panic; the unchanged file loads.
 func FuzzTreeLoad(f *testing.F) {
 	fx := buildFixture(f, 40, 64, Options{Budget: 6, Seed: 3}, 61)
 	dir := f.TempDir()
@@ -159,7 +161,8 @@ func FuzzTreeLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	// The checked-in seeds (testdata/fuzz/FuzzTreeLoad) are the file as
-	// saved, its first reserved byte set to 1, and n one low.
+	// saved, its first reserved byte set to 1, n one low, and the header's
+	// method, budget and leaf size each zeroed in its low byte.
 	f.Fuzz(func(t *testing.T, at uint32, val byte, keep uint32) {
 		mut := bytes.Clone(data)
 		if int(at) < len(mut) {
@@ -179,8 +182,15 @@ func FuzzTreeLoad(f *testing.F) {
 			}
 			return
 		}
-		if got := named(tr.root); tr.Len() != got {
+		if got := named(tr.flat); tr.Len() != got {
 			t.Fatalf("Len %d, but the node section names %d objects", tr.Len(), got)
+		}
+		again := filepath.Join(t.TempDir(), "again.bin")
+		if err := tr.Save(again); err != nil {
+			t.Fatal(err)
+		}
+		if back, err := os.ReadFile(again); err != nil || !bytes.Equal(back, mut) {
+			t.Fatalf("a file Load accepts saves back differently (err %v, first difference at byte %d)", err, firstDiff(back, mut))
 		}
 		for _, q := range fx.queries {
 			tr.Search(q, 5, tr.Features(), fx.store) // may fail; must not panic
@@ -199,15 +209,6 @@ func TestSaveLoadEnergyFractionTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := fx.queries[0]
-	want, _, err := fx.tree.Search(q, 1, fx.tree.Features(), fx.store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := loaded.Search(q, 1, loaded.Features(), fx.store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].ID != want[0].ID || math.Abs(got[0].Dist-want[0].Dist) > 1e-12 {
-		t.Errorf("%+v vs %+v", got[0], want[0])
-	}
+	want := searchWith(t, fx.tree, q, 1, 0, fx.tree.Features(), fx.store, nil)
+	sameOutcome(t, "loaded", searchWith(t, loaded, q, 1, 0, loaded.Features(), fx.store, nil), want)
 }
