@@ -19,7 +19,7 @@ import (
 var declAllowlist = map[string]string{
 	"benchutil.PruneSearch1NN":        "the §7.3 pruning procedure ablation_test.go's benchmarks drive",
 	"burstdb.DB.Overlapping":          "the fig. 18 overlap query, the oracle of the burstdb, minisql and integration tests",
-	"core.Engine.FailNextIndexInsert": "the fault hook the core and shard tests use to drive Add's rollback",
+	"core.Engine.FailNextIndexInsert": "the fault hook the core tests use to drive Add's rollback",
 	"israce.Enabled":                  "the allocation guards of six test packages skip themselves under -race",
 	"obs.SlowLog.SetLogger":           "the obs, core and shard tests capture or silence slow-query logs through it",
 	"sketch.ForEachKernel":            "runs the sketch and knn tests under every kernel the CPU offers",

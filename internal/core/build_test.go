@@ -154,7 +154,7 @@ func TestNewEngineFailureLeavesNothingBehind(t *testing.T) {
 	}
 }
 
-// PrepareAdd and the build's block workers derive through one function: an
+// prepareAdd and the build's block workers derive through one function: an
 // engine grown by Add holds what one built over the same series holds.
 func TestAddDerivesWhatBuildDerives(t *testing.T) {
 	g := querylog.NewGenerator(querylog.DefaultStart, 64, 53)

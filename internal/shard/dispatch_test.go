@@ -49,4 +49,9 @@ func TestNewFromConfigDispatch(t *testing.T) {
 	if got := se.Shards(); got != 3 {
 		t.Fatalf("Shards() = %d, want 3", got)
 	}
+	// A sharded engine takes no inserts, so it refuses an insertable index.
+	if s, err := NewFromConfig(data, core.Config{Budget: 8, Shards: 3, DynamicIndex: true}); err == nil {
+		s.Close()
+		t.Fatal("NewFromConfig(Shards=3, DynamicIndex) succeeded")
+	}
 }

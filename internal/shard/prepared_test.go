@@ -32,9 +32,8 @@ func TestScatterPreparesTheQueryOnce(t *testing.T) {
 		{Kind: core.KindSimilarID, ID: 17, K: 5},
 	}
 
-	se.mu.RLock()
 	for _, req := range reqs {
-		pl, err := se.planLocked(req, shards)
+		pl, err := se.plan(req, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +46,6 @@ func TestScatterPreparesTheQueryOnce(t *testing.T) {
 			}
 		}
 	}
-	se.mu.RUnlock()
 
 	prepares := core.QueryPreparesCounter(hub.Registry())
 	before := prepares.Value()
