@@ -33,6 +33,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -265,6 +266,15 @@ func (m *Memory) Len() int {
 // SeqLen implements Store.
 func (m *Memory) SeqLen() int { return m.seqLen }
 
+// Grow makes room for rows more rows and their sketch, for a caller that
+// knows how many it is about to append.
+func (m *Memory) Grow(rows int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.data = slices.Grow(m.data, rows)
+	m.sketch.Grow(rows)
+}
+
 // Truncate implements Store.
 func (m *Memory) Truncate(n int) error {
 	m.mu.Lock()
@@ -397,6 +407,7 @@ func (d *Disk) Sketch() sketch.Rows {
 	r := bufio.NewReaderSize(io.NewSectionReader(d.f, headerSize+int64(from)*recBytes, int64(to-from)*recBytes), 1<<20)
 	buf := make([]byte, recBytes)
 	row := make([]float64, d.seqLen)
+	d.sketch.Grow(to - from)
 	for id := from; id < to; id++ {
 		if _, err := io.ReadFull(r, buf); err != nil {
 			break

@@ -2,10 +2,13 @@ package seqstore
 
 import (
 	"context"
+	"math"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/israce"
 	"repro/internal/obs"
 	"repro/internal/sketch"
 )
@@ -148,4 +151,54 @@ func TestSketchConcurrentWithWriter(t *testing.T) {
 		close(stop)
 		wg.Wait()
 	}
+}
+
+// Sketching a reopened store sizes its codes once: 4 096 rows of 1 024
+// points allocate the codes, their row metadata and the read buffers, not
+// the ≈ 5× the codes that growing them a row at a time costs.
+func TestSketchOfAReopenedStoreAllocatesItsCodesOnce(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const rows, n = 4096, 1024
+	path := filepath.Join(t.TempDir(), "z.bin")
+	d, err := Create(path, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]float64, n)
+	for i := range rows {
+		for j := range row {
+			row[j] = math.Sin(float64(i*n + j))
+		}
+		if _, err := d.Append(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	allocated := uint64(math.MaxUint64)
+	for range 3 { // the fewest bytes of three: whatever else allocates only adds
+		d, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := d.Sketch().Len()
+		runtime.ReadMemStats(&after)
+		d.Close()
+		if got != rows {
+			t.Fatalf("the sketch covers %d rows of %d", got, rows)
+		}
+		allocated = min(allocated, after.TotalAlloc-before.TotalAlloc)
+	}
+	const codes = rows * n
+	const readBuffers = 1<<20 + 2*8*n // the sequential reader, a record and a row
+	if limit := uint64(codes*11/10 + readBuffers); allocated > limit {
+		t.Fatalf("sketching %d rows allocated %d B, more than %d: 1.1× the %d B of codes and the read buffers", rows, allocated, limit, codes)
+	}
+	t.Logf("sketching %d rows allocated %d B for %d B of codes", rows, allocated, codes)
 }

@@ -115,6 +115,13 @@ func NewRows(n int) Rows { return Rows{n: n} }
 // Len returns the number of rows sketched.
 func (r Rows) Len() int { return len(r.meta) }
 
+// Grow makes room for rows more rows, so that appending that many allocates
+// nothing: the codes are sized once, not grown a row at a time.
+func (r *Rows) Grow(rows int) {
+	r.codes = slices.Grow(r.codes, rows*r.n)
+	r.meta = slices.Grow(r.meta, rows)
+}
+
 // Append sketches one more row; values must have the sketch's row length.
 func (r *Rows) Append(values []float64) {
 	base := len(r.codes)
