@@ -76,11 +76,12 @@ fuzz-smoke:
 # brute-force oracle (both bound sources, explain on and off), the three
 # moves a search saves work by (leaf bounds abandoned against σ_UB, candidates
 # dropped on sight, the bucketed candidate order) against the search that does
-# none of them, the in-place suite (TestFlatInPlace…: the flat index
-# Insert/Delete mutate against a fresh derivation after every operation; one
-# writer beside readers) and the sketch tier (bound soundness, the store
-# keeping it in step, refinement skipping only what would abandon, the vector
-# kernel against the portable one), all under the race detector; then the
+# none of them, the in-place suite (TestFlatInPlace…: the flat index Insert
+# changes in place against a fresh layout of itself after every operation;
+# one writer beside readers), the pinned tree.bin bytes (TestGoldenTreeFiles)
+# and the sketch tier (bound soundness, the store keeping it in step,
+# refinement skipping only what would abandon, the vector kernel against the
+# portable one), all under the race detector; then the
 # sketch's portable path on its own (-tags purego builds without the assembly,
 # as every other architecture does) and a vet and build for arm64, so neither
 # the path this machine does not run nor the build it does not do can rot.

@@ -50,6 +50,12 @@
 # sketch codes behind (≈ 63 KB at 1 024 points). They are per-layer rows,
 # not counts, and read as improvements.
 #
+# Per-request counts and the one tree: across the commit that made the flat
+# index the only copy of the VP-tree (build, insert, repack, save and load
+# work on it; the pointer node tree is gone), every TRACE=1 per-request
+# count reads exact on every workload: the tree's shape, its slots and
+# every search are what they were.
+#
 # Everything it writes is git-ignored: the worktree under .bench_build/,
 # the records under bench/out/pair/.
 set -eu
