@@ -23,7 +23,7 @@ func sameNeighbors(t *testing.T, label string, a, b []Neighbor) {
 // standardized query, ranked in canonical (dist, id) order, top k.
 func bruteNeighbors(t *testing.T, e *Engine, values []float64, k int) []Neighbor {
 	t.Helper()
-	z, err := e.standardizeQuery(values)
+	z, err := standardizeQuery(values, e.SeqLen(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
