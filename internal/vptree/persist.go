@@ -33,8 +33,9 @@ import (
 // the number of objects it names: every leaf entry and every internal node's
 // vantage point. Load refuses what no Save writes: a method, budget or leaf
 // size of 0, a feature whose method or length is not the header's, a feature
-// count other than n, a ref out of range or named twice, a reserved byte
-// other than 0, or an n the node section does not match. A file it accepts
+// count other than n, a ref out of range or named twice, a sequence ID named
+// twice, a reserved byte other than 0, or an n the node section does not
+// match. A file it accepts
 // therefore saves back byte for byte.
 
 const (
@@ -163,13 +164,13 @@ func Load(path string) (*Tree, error) {
 		}
 		t.features = append(t.features, c)
 	}
-	named := 0
-	walk, err := readWalk(d, nil, len(t.features), &named)
+	named := make(map[int]struct{}, len(t.features))
+	walk, err := readWalk(d, nil, len(t.features), named)
 	if err != nil {
 		return nil, err
 	}
 	// The stream must be fully consumed.
-	if _, err := d.r.ReadByte(); err != io.EOF || named != t.Len() {
+	if _, err := d.r.ReadByte(); err != io.EOF || len(named) != t.Len() {
 		return nil, ErrCorrupt
 	}
 	// The arena refuses a ref named twice and a method it does not know.
@@ -180,8 +181,13 @@ func Load(path string) (*Tree, error) {
 }
 
 // readWalk appends the subtree the node section continues with to walk, and
-// the objects it names to *named.
-func readWalk(d *decoder, walk []step, featCount int, named *int) ([]step, error) {
+// the IDs of the objects it names to named; it refuses an ID named twice.
+func readWalk(d *decoder, walk []step, featCount int, named map[int]struct{}) ([]step, error) {
+	name := func(id uint32) bool {
+		_, dup := named[int(id)]
+		named[int(id)] = struct{}{}
+		return !dup
+	}
 	switch d.u8() {
 	case tagLeaf:
 		count := d.u32()
@@ -191,21 +197,19 @@ func readWalk(d *decoder, walk []step, featCount int, named *int) ([]step, error
 		walk = append(walk, step{leaf: int(count)})
 		for range count {
 			id, ref := d.u32(), d.u32()
-			if d.bad || int(ref) >= featCount {
+			if d.bad || int(ref) >= featCount || !name(id) {
 				return nil, ErrCorrupt
 			}
 			walk = append(walk, step{id: int(id), ref: int(ref)})
 		}
-		*named += int(count)
 		return walk, nil
 	case tagInternal:
 		id, ref, zero := d.u32(), d.u32(), d.u8()
 		median := math.Float64frombits(binary.LittleEndian.Uint64(d.read(8)))
-		if d.bad || int(ref) >= featCount || zero != 0 {
+		if d.bad || int(ref) >= featCount || zero != 0 || !name(id) {
 			return nil, ErrCorrupt
 		}
 		walk = append(walk, step{id: int(id), ref: int(ref), median: median, leaf: -1})
-		*named++
 		walk, err := readWalk(d, walk, featCount, named)
 		if err != nil {
 			return nil, err

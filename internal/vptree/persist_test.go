@@ -64,18 +64,20 @@ func offsets(t testing.TB, data []byte) (nAt, zeroAt, refAt int) {
 	return nAt0, zeroAt, p + 1 + 4 + 4
 }
 
-// named counts the objects a flat index names: its leaf entries and its
-// vantage points.
+// named counts the distinct sequence IDs a flat index names: its leaf
+// entries' and its vantage points'.
 func named(f *flatIndex) int {
-	n := 0
+	ids := map[int]bool{}
 	for _, fn := range f.nodes {
 		if fn.leafLo < 0 {
-			n++
-		} else {
-			n += int(fn.leafHi - fn.leafLo)
+			ids[fn.vpID] = true
+			continue
+		}
+		for _, id := range f.leafIDs[fn.leafLo:fn.leafHi] {
+			ids[id] = true
 		}
 	}
-	return n
+	return len(ids)
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
@@ -119,8 +121,8 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	// What no Save writes: a header method, budget or leaf size of 0, a
 	// method no feature has or none at all, the reserved byte set, a header
-	// count other than the objects the node section names, and a ref named
-	// twice.
+	// count other than the objects the node section names, a ref named
+	// twice, and the first leaf entry naming the root's sequence ID.
 	nAt, zeroAt, refAt := offsets(t, data)
 	for name, mutate := range map[string]func(b []byte){
 		"method 0":          func(b []byte) { b[8] = 0 },
@@ -132,6 +134,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		"n one low":         func(b []byte) { binary.LittleEndian.PutUint32(b[nAt:], uint32(fx.tree.Len()-1)) },
 		"n one high":        func(b []byte) { binary.LittleEndian.PutUint32(b[nAt:], uint32(fx.tree.Len()+1)) },
 		"a ref named twice": func(b []byte) { copy(b[refAt:refAt+4], b[zeroAt-4:zeroAt]) },
+		"an ID named twice": func(b []byte) { copy(b[refAt-4:refAt], b[zeroAt-8:zeroAt-4]) },
 	} {
 		mut := bytes.Clone(data)
 		mutate(mut)
@@ -147,8 +150,8 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 // FuzzTreeLoad sets one byte of a saved 40-series tree and truncates it.
 // Load either refuses the result, or returns a tree whose Len is the number
-// of objects its node section names, which saves back byte for byte and
-// whose searches do not panic; the unchanged file loads.
+// of distinct sequences its node section names, which saves back byte for
+// byte and whose searches do not panic; the unchanged file loads.
 func FuzzTreeLoad(f *testing.F) {
 	fx := buildFixture(f, 40, 64, Options{Budget: 6, Seed: 3}, 61)
 	dir := f.TempDir()
@@ -161,8 +164,9 @@ func FuzzTreeLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	// The checked-in seeds (testdata/fuzz/FuzzTreeLoad) are the file as
-	// saved, its first reserved byte set to 1, n one low, and the header's
-	// method, budget and leaf size each zeroed in its low byte.
+	// saved, its first reserved byte set to 1, n one low, the header's
+	// method, budget and leaf size each zeroed in its low byte, and the first
+	// leaf entry given the root's sequence ID (37).
 	f.Fuzz(func(t *testing.T, at uint32, val byte, keep uint32) {
 		mut := bytes.Clone(data)
 		if int(at) < len(mut) {
@@ -183,7 +187,7 @@ func FuzzTreeLoad(f *testing.F) {
 			return
 		}
 		if got := named(tr.flat); tr.Len() != got {
-			t.Fatalf("Len %d, but the node section names %d objects", tr.Len(), got)
+			t.Fatalf("Len %d, but the node section names %d distinct sequences", tr.Len(), got)
 		}
 		again := filepath.Join(t.TempDir(), "again.bin")
 		if err := tr.Save(again); err != nil {

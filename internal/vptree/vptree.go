@@ -209,6 +209,13 @@ func Build(specs []*spectral.HalfSpectrum, ids []int, opts Options) (*Tree, erro
 	if len(specs) != len(ids) {
 		return nil, errors.New("vptree: specs/ids length mismatch")
 	}
+	seen := make(map[int]struct{}, len(ids))
+	for _, id := range ids {
+		if _, dup := seen[id]; dup {
+			return nil, fmt.Errorf("vptree: sequence %d given twice: %w", id, ErrDuplicateID)
+		}
+		seen[id] = struct{}{}
+	}
 	opts.fill()
 	n := specs[0].N
 	for _, s := range specs {

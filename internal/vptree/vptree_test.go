@@ -1,6 +1,7 @@
 package vptree
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -91,6 +92,16 @@ func TestBuildErrors(t *testing.T) {
 	h2, _ := spectral.FromValues(make([]float64, 16))
 	if _, err := Build([]*spectral.HalfSpectrum{h, h2}, []int{0, 1}, Options{}); err == nil {
 		t.Error("expected error on length mismatch")
+	}
+	// One ID given twice: Save would write a tree Load refuses.
+	specs := make([]*spectral.HalfSpectrum, 20)
+	ids := make([]int, 20)
+	for i := range specs {
+		specs[i], ids[i] = h, i
+	}
+	ids[5] = 3
+	if _, err := Build(specs, ids, Options{}); !errors.Is(err, ErrDuplicateID) {
+		t.Errorf("a build naming ID 3 twice: error %v, want ErrDuplicateID", err)
 	}
 }
 
