@@ -33,7 +33,9 @@ vet-lostcancel:
 # by a command or the benchmark, or allowlisted with its reason; and (rule 8,
 # no declaration without a caller) every top-level declaration and exported
 # method under internal/ has a non-test reference, or is allowlisted with
-# its reason. See scripts/api_check.sh.
+# its reason; and (rule 9, one resolver) non-test internal/shard names no
+# core.Kind identifier and core.Request has no Prepared or QueryBursts
+# field. See scripts/api_check.sh.
 api-check:
 	sh scripts/api_check.sh
 

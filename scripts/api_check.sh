@@ -1,7 +1,7 @@
 #!/bin/sh
 # api_check.sh enforces the one query surface (run via `make api-check`).
 #
-# Eight checks:
+# Nine checks:
 #   1. Every exported Engine / ShardedEngine method on the query surface —
 #      names starting with Similar, Query, Linear, or Search — takes a
 #      context.Context as its first parameter. No exceptions: the
@@ -11,9 +11,9 @@
 #      sharded deployments alike.
 #   3. Every JSON field on the /v2 wire structs is snake_case.
 #   4. cmd/s2 mounts exactly one search route, /v2/search.
-#   5. Every package under internal/ except the test-only internal/israce is
-#      something a command builds on: a package only examples or tests reach
-#      lives beside them, not in internal/.
+#   5. Every package under internal/ except the test-only internal/israce and
+#      internal/leakcheck is something a command builds on: a package only
+#      examples or tests reach lives beside them, not in internal/.
 #   6. One request, one record, one ID: an obs.WideEvent literal is built
 #      only in core's request envelope (internal/core/request.go) and
 #      admission's shed path (internal/admit/middleware.go), the
@@ -34,6 +34,11 @@
 #      allowlist with its reason. The checker is the root package's
 #      TestNoDeclarationWithoutACaller (exports_test.go; go/parser and
 #      go/ast only), which also runs under `go test ./...`.
+#   9. One resolver: core.Envelope turns a request's ID or curve into the
+#      query once, for the single and the sharded engine alike. Non-test
+#      internal/shard names no core.Kind identifier (no per-kind planning
+#      in the scatter), and core.Request has no Prepared or QueryBursts
+#      field (no side door for a layer's own resolution).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -78,7 +83,7 @@ fi
 
 # --- 5. no internal package that only examples or tests reach -------------
 deps="$(go list -deps ./cmd/...)"
-orphans="$(go list ./internal/... | grep -v -x 'repro/internal/israce' | while read -r p; do
+orphans="$(go list ./internal/... | grep -v -x -e 'repro/internal/israce' -e 'repro/internal/leakcheck' | while read -r p; do
 	echo "$deps" | grep -q -x "$p" || echo "$p"
 done)"
 if [ -n "$orphans" ]; then
@@ -134,6 +139,21 @@ fi
 if ! out="$(go test -count=1 -run '^TestNoDeclarationWithoutACaller$' . 2>&1)"; then
 	echo "api-check: declarations under internal/ with no non-test caller (rule 8):" >&2
 	echo "$out" >&2
+	fail=1
+fi
+
+# --- 9. one resolver -------------------------------------------------------
+kinds="$(grep -n 'core\.Kind' internal/shard/*.go | grep -v '_test\.go:' | grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//' || true)"
+if [ -n "$kinds" ]; then
+	echo "api-check: the scatter plans by kind again; resolving a request is core.Envelope's (rule 9):" >&2
+	echo "$kinds" >&2
+	fail=1
+fi
+side_doors="$(awk '/^type Request struct \{/ { body = 1; next } body && /^\}/ { body = 0 }
+	body && /^\t(Prepared|QueryBursts)[ \t]/ { print FILENAME ":" FNR ":" $0 }' internal/core/*.go)"
+if [ -n "$side_doors" ]; then
+	echo "api-check: core.Request carries a pre-resolved query again; the Envelope resolves every request (rule 9):" >&2
+	echo "$side_doors" >&2
 	fail=1
 fi
 
