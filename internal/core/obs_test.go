@@ -102,12 +102,18 @@ func TestSimilarQueriesObservability(t *testing.T) {
 		t.Errorf("trace spans = %v, want an index_search span", names)
 	}
 
-	// A second call through SimilarToID reuses the same instruments.
-	if _, _, err := similarToID(e, 0, 2); err != nil {
-		t.Fatal(err)
+	// A second call through SimilarToID reuses the same instruments. Its
+	// search runs k+1 and finds the query's own series too, which the answer
+	// leaves out: the engine counts the search's k and results.
+	results := counterValue(t, reg, "engine_similar_results_total")
+	if res, _, err := similarToID(e, 0, 2); err != nil || len(res) != 2 {
+		t.Fatalf("SimilarToID k = 2: %v (%v)", res, err)
 	}
 	if got := counterValue(t, reg, "engine_similar_total"); got != 10 {
 		t.Errorf("engine_similar_total after SimilarToID = %d, want 10", got)
+	}
+	if got := counterValue(t, reg, "engine_similar_results_total") - results; got != 3 {
+		t.Errorf("engine_similar_results_total rose by %d after SimilarToID k = 2, want 3", got)
 	}
 	if lat.Count() != 10 {
 		t.Errorf("latency count after SimilarToID = %d, want 10", lat.Count())
