@@ -59,7 +59,6 @@ import (
 	"repro/internal/minisql"
 	"repro/internal/obs"
 	"repro/internal/querylog"
-	"repro/internal/series"
 	"repro/internal/shard"
 	"repro/internal/sketch"
 )
@@ -206,10 +205,12 @@ func checkServingFlags(traceSample float64, maxInFlight, maxQueue int, queueWait
 
 // buildEngine opens, loads or generates the database. On every error path
 // nothing is left open (the engine only escapes on success). With shards > 1
-// the dataset is partitioned via shard.NewFromConfig; saved engine
+// the dataset is partitioned via shard.NewFromSource; saved engine
 // directories are single-engine snapshots, so -db refuses a shard count.
-// load is how long it took to have the series in memory (for -db, the whole
-// open).
+// A genlog binary is not loaded at all: the engine reads its rows from the
+// file (core.FileSource), which it closes with itself. load is how long it
+// took to have the series at hand — to open the file, to parse the CSV or to
+// generate the series (for -db, the whole open).
 func buildEngine(db, path string, n, days int, seed int64, budget, shards int, hub *obs.Hub) (_ core.Searcher, load time.Duration, err error) {
 	// Refuse out-of-range flags before building anything: the generator
 	// panics on days < 1 or n < 0, and a budget or shard count below 1
@@ -236,25 +237,30 @@ func buildEngine(db, path string, n, days int, seed int64, budget, shards int, h
 		e, err := core.LoadEngine(db, core.Config{Obs: hub})
 		return e, time.Since(began), err
 	}
-	var data []*series.Series
-	if path != "" {
+	var src core.Source
+	switch {
+	case path != "" && strings.HasSuffix(path, ".csv"):
 		fmt.Printf("loading database from %s...\n", path)
-		if strings.HasSuffix(path, ".csv") {
-			data, err = querylog.LoadCSVFile(path, querylog.DefaultStart)
-		} else {
-			data, err = querylog.LoadBinary(path, querylog.DefaultStart)
-		}
+		data, err := querylog.LoadCSVFile(path, querylog.DefaultStart)
 		if err != nil {
 			return nil, 0, err
 		}
-	} else {
+		src = core.SliceSource(data)
+	case path != "":
+		fmt.Printf("opening database %s...\n", path)
+		st, names, err := querylog.OpenBinary(path)
+		if err != nil {
+			return nil, 0, err
+		}
+		src = core.FileSource(st, names, querylog.DefaultStart)
+	default:
 		fmt.Printf("building database: %d exemplars + %d background series x %d days...\n",
 			len(querylog.ExemplarNames()), n, days)
 		g := querylog.NewGenerator(querylog.DefaultStart, days, seed)
-		data = append(g.Exemplars(), g.Dataset(n)...)
+		src = core.SliceSource(append(g.Exemplars(), g.Dataset(n)...))
 	}
 	load = time.Since(began)
-	s, err := shard.NewFromConfig(data, core.Config{Budget: budget, Shards: shards, Obs: hub})
+	s, err := shard.NewFromSource(src, core.Config{Budget: budget, Shards: shards, Obs: hub})
 	if err != nil {
 		return nil, 0, err
 	}

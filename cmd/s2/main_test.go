@@ -12,8 +12,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/obs"
 	"repro/internal/querylog"
+	"repro/internal/seqstore"
 	"repro/internal/shard"
 	"repro/internal/sketch"
 )
@@ -230,31 +232,51 @@ func TestWriteIndexStats(t *testing.T) {
 	}
 }
 
-// -load refuses a file with a poisoned row, single engine or sharded, with an
-// error that names the row.
+// -load refuses a file with a poisoned row — a CSV or a genlog binary, single
+// engine or sharded — with an error that names the row, and leaves no file
+// open: the binary's rows are read from the file by the build, which closes
+// it on its error path.
 func TestLoadRefusesNonFiniteRow(t *testing.T) {
 	g := querylog.NewGenerator(querylog.DefaultStart, 32, 3)
 	data := g.Dataset(12)
-	var csv strings.Builder
+	dir := t.TempDir()
+	var csv, names strings.Builder
+	bin, err := seqstore.Create(filepath.Join(dir, "poisoned.bin"), 32)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, s := range data {
+		values := append([]float64(nil), s.Values...)
+		if i == 7 {
+			values[20] = math.NaN()
+		}
+		if _, err := bin.Append(values); err != nil {
+			t.Fatal(err)
+		}
+		names.WriteString(s.Name + "\n")
 		csv.WriteString(s.Name)
-		for j, v := range s.Values {
-			if i == 7 && j == 20 {
-				csv.WriteString(",NaN")
-				continue
-			}
+		for _, v := range values {
 			fmt.Fprintf(&csv, ",%g", v)
 		}
 		csv.WriteByte('\n')
 	}
-	path := filepath.Join(t.TempDir(), "poisoned.csv")
-	if err := os.WriteFile(path, []byte(csv.String()), 0o644); err != nil {
+	if err := bin.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 3} {
-		e, _, err := buildEngine("", path, 0, 0, 0, 8, shards, nil)
-		if !errors.Is(err, core.ErrNonFinite) || !strings.Contains(err.Error(), data[7].Name) {
-			t.Errorf("-load with %d shard(s): engine %v, error %v, want ErrNonFinite naming %q", shards, e, err, data[7].Name)
+	for name, text := range map[string]string{"poisoned.csv": csv.String(), "poisoned.bin.names": names.String()} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, file := range []string{"poisoned.csv", "poisoned.bin"} {
+		for _, shards := range []int{1, 3} {
+			what := fmt.Sprintf("-load %s with %d shard(s)", file, shards)
+			leakcheck.Files(t, what, func() {
+				e, _, err := buildEngine("", filepath.Join(dir, file), 0, 0, 0, 8, shards, nil)
+				if !errors.Is(err, core.ErrNonFinite) || !strings.Contains(err.Error(), data[7].Name) {
+					t.Errorf("%s: engine %v, error %v, want ErrNonFinite naming %q", what, e, err, data[7].Name)
+				}
+			})
 		}
 	}
 }

@@ -21,6 +21,7 @@ var declAllowlist = map[string]string{
 	"burstdb.DB.Overlapping":          "the fig. 18 overlap query, the oracle of the burstdb, minisql and integration tests",
 	"core.Engine.FailNextIndexInsert": "the fault hook the core tests use to drive Add's rollback",
 	"israce.Enabled":                  "the allocation guards of six test packages skip themselves under -race",
+	"leakcheck.Files":                 "the file-descriptor checks of the core, shard and s2 tests",
 	"leakcheck.Main":                  "the goroutine-leak check of every package whose TestMain calls it",
 	"obs.SlowLog.SetLogger":           "the obs, core and shard tests capture or silence slow-query logs through it",
 	"sketch.ForEachKernel":            "runs the sketch and knn tests under every kernel the CPU offers",

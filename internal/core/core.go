@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"runtime"
 	"slices"
@@ -156,8 +157,8 @@ type Engine struct {
 	// reading it must not queue behind a writer the way mu.RLock does.
 	size    atomic.Int64
 	byName  map[string]int
-	raw     []*series.Series // original (unstandardized) series
-	store   seqstore.Store   // standardized values
+	src     Source         // original (unstandardized) series
+	store   seqstore.Store // standardized values
 	tree    *vptree.Tree
 	burstsS *burstdb.DB // short-window burst features
 	burstsL *burstdb.DB // long-window burst features
@@ -223,24 +224,36 @@ func (e *Engine) setBurstDBs(short, long *burstdb.DB) {
 	long.SetMetrics(e.met.burstdb)
 }
 
-// NewEngine builds an engine over the given series. All series must share
-// one length. The engine keeps references to the originals and stores
-// standardized copies internally, in memory (an engine whose rows are on
-// disk is one LoadEngine opened).
+// NewEngine builds an engine over the given series: NewEngineFrom over
+// SliceSource(data).
 func NewEngine(data []*series.Series, cfg Config) (*Engine, error) {
-	if len(data) == 0 {
+	return NewEngineFrom(SliceSource(data), cfg)
+}
+
+// NewEngineFrom builds an engine over the series src holds. All series must
+// share one length. The engine keeps src, which it reads its original series
+// from (see Source), and stores standardized copies internally, in memory (an
+// engine whose rows are on disk is one LoadEngine opened). It owns src from
+// here: Close closes it, and so does a failed build. Only a SliceSource takes
+// a DynamicIndex, since Add appends to it.
+func NewEngineFrom(src Source, cfg Config) (_ *Engine, err error) {
+	defer closeOnError(&err, src)
+	if src.Len() == 0 {
 		return nil, errors.New("core: empty dataset")
 	}
 	if cfg.Shards > 1 {
 		return nil, fmt.Errorf("core: Config.Shards=%d needs the scatter-gather layer; build with shard.NewFromConfig (internal/shard)", cfg.Shards)
 	}
+	if _, ok := src.(*sliceSource); cfg.DynamicIndex && !ok {
+		return nil, errors.New("core: Config.DynamicIndex needs a SliceSource, which Add appends to")
+	}
 	cfg.fill()
 	e := &Engine{
 		cfg:    cfg,
-		byName: make(map[string]int, len(data)),
-		raw:    data,
+		byName: make(map[string]int, src.Len()),
+		src:    src,
 	}
-	mem, err := seqstore.NewMemory(data[0].Len())
+	mem, err := seqstore.NewMemory(src.SeqLen())
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +261,7 @@ func NewEngine(data []*series.Series, cfg Config) (*Engine, error) {
 	e.wireObs(cfg.Obs)
 
 	began := time.Now()
-	specs, ids, moments, err := e.deriveAll(data)
+	specs, ids, moments, err := e.deriveAll()
 	if err != nil {
 		return nil, err
 	}
@@ -266,17 +279,25 @@ func NewEngine(data []*series.Series, cfg Config) (*Engine, error) {
 	// collection is what makes that so: without it the dead spectra would
 	// still count towards the heap goal the last build-time collection set,
 	// and the rows would be allocated on top of them — the process would peak
-	// at raw + spectra + rows, not at the larger of raw + spectra and
-	// raw + rows.
+	// at spectra + rows, not at the larger of the two (plus, over a
+	// SliceSource, the caller's series).
 	began = time.Now()
 	runtime.GC()
-	mem.Grow(len(data))
-	if err := e.commitRows(data, moments); err != nil {
+	mem.Grow(len(moments))
+	if err := e.commitRows(moments); err != nil {
 		return nil, err
 	}
 	e.buildTimes.derive += time.Since(began)
-	e.met.seriesIngested.Add(int64(len(data)))
+	e.met.seriesIngested.Add(int64(len(moments)))
 	return e, nil
+}
+
+// closeOnError closes c when *err holds an error: the deferred cleanup of a
+// constructor that owns c until it returns it inside what it built.
+func closeOnError(err *error, c io.Closer) {
+	if *err != nil {
+		c.Close() //nolint:errcheck // the constructor's error is the one reported
+	}
 }
 
 // ErrNonFinite is wrapped by the error NewEngine, Add and Query return for a
@@ -351,36 +372,37 @@ type deriver struct {
 
 // derive is the one place a series becomes a derived: NewEngine's block
 // workers and prepareAdd both call it, so boots and ingests cannot come to
-// keep different things. The standardized values are written to z when it has
-// the series' length (a buffer the caller owns and may reuse once it has
-// copied the row out) and to a fresh slice otherwise; the spectrum goes to
-// spec, whose coefficient slice is reused when it has the room, or to a new
-// one when spec is nil. It reads s and writes only z, spec and d's buffers, so
-// derivers run side by side.
-func (d *deriver) derive(s *series.Series, z []float64, spec *spectral.HalfSpectrum) (derived, error) {
-	if s.Len() != d.seqLen {
-		return derived{}, fmt.Errorf("core: series %q has length %d, want %d: %w", s.Name, s.Len(), d.seqLen, spectral.ErrMismatch)
+// keep different things. name is the series' query term, which only errors
+// quote, and values its original values. The standardized values are written
+// to z when it has the series' length (a buffer the caller owns and may reuse
+// once it has copied the row out) and to a fresh slice otherwise; the
+// spectrum goes to spec, whose coefficient slice is reused when it has the
+// room, or to a new one when spec is nil. It reads values and writes only z,
+// spec and d's buffers, so derivers run side by side.
+func (d *deriver) derive(name string, values, z []float64, spec *spectral.HalfSpectrum) (derived, error) {
+	if len(values) != d.seqLen {
+		return derived{}, fmt.Errorf("core: series %q has length %d, want %d: %w", name, len(values), d.seqLen, spectral.ErrMismatch)
 	}
-	if firstNonFinite(s.Values) >= 0 { // the name is quoted only for the error
-		return derived{}, checkFinite(fmt.Sprintf("series %q", s.Name), s.Values)
+	if firstNonFinite(values) >= 0 { // the name is quoted only for the error
+		return derived{}, checkFinite(fmt.Sprintf("series %q", name), values)
 	}
 	if len(z) != d.seqLen {
 		z = make([]float64, d.seqLen)
 	}
-	moments, err := standardize(z, s.Values)
+	moments, err := standardize(z, values)
 	if err != nil {
-		return derived{}, fmt.Errorf("core: series %q: %w", s.Name, err)
+		return derived{}, fmt.Errorf("core: series %q: %w", name, err)
 	}
 	if spec == nil {
 		spec = new(spectral.HalfSpectrum)
 	}
 	if err := spectral.FromValuesInto(spec, z); err != nil {
-		return derived{}, fmt.Errorf("core: spectrum of %q: %w", s.Name, err)
+		return derived{}, fmt.Errorf("core: spectrum of %q: %w", name, err)
 	}
 	out := derived{z: z, moments: moments, spec: spec}
 	for _, w := range []BurstWindow{Short, Long} {
 		if err := burst.DetectInto(&d.det, z, burst.Options{Window: windowDays(w)}); err != nil {
-			return derived{}, fmt.Errorf("core: bursts for %q: %w", s.Name, err)
+			return derived{}, fmt.Errorf("core: bursts for %q: %w", name, err)
 		}
 		// Only the filtered triplets leave: the moving average and mask
 		// are the next detection's buffers.
@@ -392,13 +414,14 @@ func (d *deriver) derive(s *series.Series, z []float64, spec *spectral.HalfSpect
 // deriveBlock is how many series NewEngine derives at a time. Within a block
 // the workers share nothing; between blocks the block's results are committed
 // in input order. The block bounds what the derive stage holds beyond its
-// output — the standardized rows of one block (2 MB at 1 024 points) instead
-// of a second copy of the corpus — and 256 series are ≈ 20 ms of work at that
+// output — the standardized rows of one block and, where the Source reads
+// them from a file, their original values (2 MB each at 1 024 points) instead
+// of a copy of the corpus — and 256 series are ≈ 20 ms of work at that
 // length, next to which starting a block's workers and joining them costs
 // nothing.
 const deriveBlock = 256
 
-// deriveAll runs derive over the corpus and commits names and burst rows,
+// deriveAll runs derive over the Source and commits names and burst rows,
 // returning what of a series' derivation is still needed: the spectra, which
 // the index is built from, their sequence IDs — input positions, since
 // commitRows appends the store's rows in input order once the index is
@@ -408,45 +431,52 @@ const deriveBlock = 256
 // serial build, and the error returned is that of the first bad series by
 // input position. The burst rows are collected as they are committed and
 // each window's table is built once, bottom-up, after the last block.
-func (e *Engine) deriveAll(data []*series.Series) ([]*spectral.HalfSpectrum, []int, [][2]float64, error) {
-	n, bins := e.store.SeqLen(), e.store.SeqLen()/2+1
-	slab := make([]complex128, len(data)*bins)
-	spectra := make([]spectral.HalfSpectrum, len(data))
-	specs := make([]*spectral.HalfSpectrum, 0, len(data))
-	ids := make([]int, 0, len(data))
-	moments := make([][2]float64, 0, len(data))
+func (e *Engine) deriveAll() ([]*spectral.HalfSpectrum, []int, [][2]float64, error) {
+	count, n, bins := e.src.Len(), e.store.SeqLen(), e.store.SeqLen()/2+1
+	slab := make([]complex128, count*bins)
+	spectra := make([]spectral.HalfSpectrum, count)
+	specs := make([]*spectral.HalfSpectrum, 0, count)
+	ids := make([]int, 0, count)
+	moments := make([][2]float64, 0, count)
 	var burstRows [2][]burstdb.Record // by BurstWindow
-	derivers := make([]deriver, min(e.cfg.Workers, deriveBlock, len(data)))
+	derivers := make([]deriver, min(e.cfg.Workers, deriveBlock, count))
 	for w := range derivers {
 		derivers[w].seqLen = n
 	}
-	rows := make([]float64, min(deriveBlock, len(data))*n)
+	originals := make([]float64, min(deriveBlock, count)*n)
+	rows := make([]float64, min(deriveBlock, count)*n)
 	out := make([]derived, deriveBlock)
 	errs := make([]error, deriveBlock)
-	for lo := 0; lo < len(data); lo += deriveBlock {
-		block := data[lo:min(lo+deriveBlock, len(data))]
+	for lo := 0; lo < count; lo += deriveBlock {
+		size := min(deriveBlock, count-lo)
 		var next atomic.Int64
 		var wg sync.WaitGroup
-		for w := range min(len(derivers), len(block)) {
+		for w := range min(len(derivers), size) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for i := int(next.Add(1)) - 1; i < len(block); i = int(next.Add(1)) - 1 {
+				for i := int(next.Add(1)) - 1; i < size; i = int(next.Add(1)) - 1 {
 					spec := &spectra[lo+i]
 					spec.Coeffs = slab[(lo+i)*bins : (lo+i+1)*bins : (lo+i+1)*bins]
-					out[i], errs[i] = derivers[w].derive(block[i], rows[i*n:(i+1)*n], spec)
+					values, err := e.src.Values(lo+i, originals[i*n:(i+1)*n])
+					if err != nil {
+						errs[i] = err
+						continue
+					}
+					out[i], errs[i] = derivers[w].derive(e.src.Name(lo+i), values, rows[i*n:(i+1)*n], spec)
 				}
 			}()
 		}
 		wg.Wait()
-		for i, s := range block {
+		for i := range size {
 			if errs[i] != nil {
 				return nil, nil, nil, errs[i]
 			}
 			id := lo + i
-			e.names = append(e.names, s.Name)
-			if _, dup := e.byName[s.Name]; !dup {
-				e.byName[s.Name] = id
+			name := e.src.Name(id)
+			e.names = append(e.names, name)
+			if _, dup := e.byName[name]; !dup {
+				e.byName[name] = id
 			}
 			for w, bs := range out[i].bursts {
 				for _, b := range bs {
@@ -470,12 +500,16 @@ func (e *Engine) deriveAll(data []*series.Series) ([]*spectral.HalfSpectrum, []i
 
 // commitRows appends the corpus' standardized rows — store row and sketch —
 // in input order, so that row i is sequence ID i as deriveAll numbered it.
-// Each row is z-scored again with the moments derive found for it, which
-// writes the row derive wrote.
-func (e *Engine) commitRows(data []*series.Series, moments [][2]float64) error {
-	row := make([]float64, e.store.SeqLen())
-	for i, s := range data {
-		stats.ZScore(row, s.Values, moments[i][0], moments[i][1])
+// Each series is read from the Source again and z-scored with the moments
+// derive found for it, which writes the row derive wrote.
+func (e *Engine) commitRows(moments [][2]float64) error {
+	row, buf := make([]float64, e.store.SeqLen()), make([]float64, e.store.SeqLen())
+	for i, m := range moments {
+		values, err := e.src.Values(i, buf)
+		if err != nil {
+			return err
+		}
+		stats.ZScore(row, values, m[0], m[1])
 		if _, err := e.store.Append(row); err != nil {
 			return err
 		}
@@ -523,7 +557,7 @@ type preparedAdd struct {
 // never changes — its Config and its series length — and takes no lock, so a
 // writer runs it beside the readers it will later wait for.
 func (e *Engine) prepareAdd(s *series.Series) (*preparedAdd, error) {
-	d, err := (&deriver{seqLen: e.SeqLen()}).derive(s, nil, nil)
+	d, err := (&deriver{seqLen: e.SeqLen()}).derive(s.Name, s.Values, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -566,8 +600,10 @@ func (e *Engine) addPrepared(p *preparedAdd) (int, error) {
 		}
 		return 0, err
 	}
-	// Everything below is infallible bookkeeping.
-	e.raw = append(e.raw, p.series)
+	// Everything below is infallible bookkeeping. A DynamicIndex engine's
+	// source is a SliceSource (NewEngineFrom).
+	raw := e.src.(*sliceSource)
+	raw.data = append(raw.data, p.series)
 	e.names = append(e.names, p.series.Name)
 	e.size.Add(1)
 	if _, dup := e.byName[p.series.Name]; !dup {
@@ -584,8 +620,8 @@ func (e *Engine) addPrepared(p *preparedAdd) (int, error) {
 	return id, nil
 }
 
-// Close releases any disk resources.
-func (e *Engine) Close() error { return e.store.Close() }
+// Close releases any disk resources: the store's and the Source's.
+func (e *Engine) Close() error { return errors.Join(e.store.Close(), e.src.Close()) }
 
 func windowDays(w BurstWindow) int {
 	if w == Short {
@@ -633,14 +669,19 @@ func (e *Engine) Lookup(name string) (int, bool) {
 func (e *Engine) Series(id int) (*series.Series, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.seriesLocked(id)
-}
-
-func (e *Engine) seriesLocked(id int) (*series.Series, error) {
-	if id < 0 || id >= len(e.raw) {
+	if id < 0 || id >= e.src.Len() {
 		return nil, NoSequence(id)
 	}
-	return e.raw[id], nil
+	return e.src.Series(id)
+}
+
+// valuesLocked returns the original values of sequence id, read-only (see
+// Source.Values); caller holds mu.
+func (e *Engine) valuesLocked(id int) ([]float64, error) {
+	if id < 0 || id >= e.src.Len() {
+		return nil, NoSequence(id)
+	}
+	return e.src.Values(id, nil)
 }
 
 // StandardizedValues returns the stored z-scored values of sequence id.
@@ -889,11 +930,13 @@ func (e *Engine) Periods(values []float64) (*periods.Detection, error) {
 
 // PeriodsOf runs the period detector on an indexed series.
 func (e *Engine) PeriodsOf(id int) (*periods.Detection, error) {
-	s, err := e.Series(id) // takes the read lock; Periods below is stateless
+	e.mu.RLock()
+	values, err := e.valuesLocked(id)
+	e.mu.RUnlock() // Periods below is stateless
 	if err != nil {
 		return nil, err
 	}
-	return e.Periods(s.Values)
+	return e.Periods(values)
 }
 
 // PeriodsOfSet finds the periods shared by a set of indexed series — the §5
@@ -905,12 +948,12 @@ func (e *Engine) PeriodsOfSet(ids []int) (*periods.Detection, error) {
 	set := make([][]float64, 0, len(ids))
 	e.mu.RLock()
 	for _, id := range ids {
-		s, err := e.seriesLocked(id)
+		values, err := e.valuesLocked(id)
 		if err != nil {
 			e.mu.RUnlock()
 			return nil, err
 		}
-		set = append(set, s.Values)
+		set = append(set, values)
 	}
 	e.mu.RUnlock()
 	return periods.DetectSet(set, periods.DefaultConfidence)

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/burstdb"
 	"repro/internal/seqstore"
-	"repro/internal/series"
 	"repro/internal/vptree"
 )
 
@@ -26,7 +25,7 @@ import (
 //
 //	meta.txt         version + start date + series length
 //	names.txt        one query term per line (sequence-ID order)
-//	raw.bin          original values        (seqstore format)
+//	raw.bin          original values        (seqstore format; read on demand)
 //	z.bin            standardized values    (seqstore format)
 //	tree.bin         VP-tree + features     (vptree format)
 //	burst_short.bin  7-day burst features   (burstdb format)
@@ -46,8 +45,12 @@ func (e *Engine) Save(dir string) error {
 
 	// meta + names.
 	start := time.Time{}
-	if len(e.raw) > 0 {
-		start = e.raw[0].Start
+	if e.src.Len() > 0 {
+		first, err := e.src.Series(0)
+		if err != nil {
+			return err
+		}
+		start = first.Start
 	}
 	meta := fmt.Sprintf("version %d\nstart %s\nseqlen %d\ncount %d\n",
 		engineMetaVersion, start.Format(time.RFC3339), e.SeqLen(), e.Len())
@@ -69,8 +72,13 @@ func (e *Engine) Save(dir string) error {
 		return err
 	}
 	defer raw.Close()
-	for _, s := range e.raw {
-		if _, err := raw.Append(s.Values); err != nil {
+	buf := make([]float64, e.SeqLen())
+	for id := 0; id < e.src.Len(); id++ {
+		values, err := e.src.Values(id, buf)
+		if err != nil {
+			return err
+		}
+		if _, err := raw.Append(values); err != nil {
 			return err
 		}
 	}
@@ -82,7 +90,6 @@ func (e *Engine) Save(dir string) error {
 		return err
 	}
 	defer z.Close()
-	buf := make([]float64, e.SeqLen())
 	for id := 0; id < e.store.Len(); id++ {
 		if err := e.store.GetInto(id, buf); err != nil {
 			return err
@@ -109,9 +116,11 @@ func (e *Engine) Save(dir string) error {
 // as-is, representation included, so cfg's Budget and Seed are ignored; of
 // the rest only Workers and Obs apply. A saved directory is one static
 // engine: a cfg asking for shards or a DynamicIndex is refused rather than
-// silently served by something else. The standardized sequences stay on disk
-// (random access per refinement, as in the paper's setup).
-func LoadEngine(dir string, cfg Config) (*Engine, error) {
+// silently served by something else. Both sequence files stay on disk, open
+// read-only until Close: the standardized rows (random access per
+// refinement, as in the paper's setup) and the original values, the engine's
+// FileSource.
+func LoadEngine(dir string, cfg Config) (_ *Engine, err error) {
 	if cfg.Shards > 1 {
 		return nil, fmt.Errorf("core: Config.Shards=%d: a saved engine loads as one unpartitioned engine", cfg.Shards)
 	}
@@ -165,30 +174,25 @@ func LoadEngine(dir string, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer raw.Close()
+	defer closeOnError(&err, raw)
 	z, err := seqstore.Open(filepath.Join(dir, "z.bin"))
 	if err != nil {
 		return nil, err
 	}
+	defer closeOnError(&err, z)
 	if raw.Len() != count || z.Len() != count || raw.SeqLen() != seqLen || z.SeqLen() != seqLen {
-		z.Close()
 		return nil, errors.New("core: sequence stores do not match meta")
 	}
 
 	e := &Engine{
 		cfg:    cfg,
 		byName: make(map[string]int, count),
+		src:    FileSource(raw, names, start),
 		store:  z,
 		names:  names,
 	}
 	e.size.Store(int64(count))
 	for id, name := range names {
-		values, err := raw.Get(id)
-		if err != nil {
-			z.Close()
-			return nil, err
-		}
-		e.raw = append(e.raw, &series.Series{ID: id, Name: name, Start: start, Values: values})
 		if _, dup := e.byName[name]; !dup {
 			e.byName[name] = id
 		}
@@ -198,17 +202,14 @@ func LoadEngine(dir string, cfg Config) (*Engine, error) {
 	// from another save of another corpus can be valid and still not this
 	// directory's.
 	if e.tree, err = vptree.Load(filepath.Join(dir, "tree.bin")); err != nil {
-		z.Close()
 		return nil, err
 	}
 	if e.tree.Len() != count {
-		z.Close()
 		return nil, fmt.Errorf("core: tree.bin indexes %d series, meta says %d: %w", e.tree.Len(), count, vptree.ErrCorrupt)
 	}
 	var tables [2]*burstdb.DB
 	for i, name := range []string{"burst_short.bin", "burst_long.bin"} {
 		if tables[i], err = loadBursts(filepath.Join(dir, name), count); err != nil {
-			z.Close()
 			return nil, err
 		}
 	}

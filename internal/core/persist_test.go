@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -156,44 +157,62 @@ func TestEngineSaveErrors(t *testing.T) {
 	}
 }
 
-func TestLoadEngineErrors(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := LoadEngine(dir, Config{}); err == nil {
-		t.Error("expected error for empty dir")
-	}
-	// Corrupt meta.
-	if err := os.WriteFile(filepath.Join(dir, "meta.txt"), []byte("version 99\n"), 0o644); err != nil {
+// loadErrorCase is a directory LoadEngine refuses, with the Config it is
+// opened with.
+type loadErrorCase struct {
+	name string
+	dir  string
+	cfg  Config
+}
+
+// loadErrorCases are the refusals TestLoadEngineErrors checks: a directory
+// with no save in it, a save of another version, a valid save with one file
+// removed, and a valid save opened with a config asking for shards or a
+// dynamic index — a saved directory is one static engine, not served by
+// something else.
+func loadErrorCases(t *testing.T) []loadErrorCase {
+	t.Helper()
+	badVersion := t.TempDir()
+	if err := os.WriteFile(filepath.Join(badVersion, "meta.txt"), []byte("version 99\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadEngine(dir, Config{}); err == nil {
-		t.Error("expected version error")
-	}
-	// Valid save with one file removed.
 	g := querylog.NewGenerator(querylog.DefaultStart, 64, 32)
 	e, err := NewEngine(g.Dataset(8), Config{Budget: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	good := t.TempDir()
-	if err := e.Save(good); err != nil {
-		t.Fatal(err)
+	save := func(without string) string {
+		dir := t.TempDir()
+		if err := e.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		if without != "" {
+			if err := os.Remove(filepath.Join(dir, without)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
 	}
-	if err := os.Remove(filepath.Join(good, "tree.bin")); err != nil {
-		t.Fatal(err)
+	good := save("")
+	cases := []loadErrorCase{
+		{"an empty directory", t.TempDir(), Config{}},
+		{"version 99", badVersion, Config{}},
 	}
-	if _, err := LoadEngine(good, Config{}); err == nil {
-		t.Error("expected error for missing tree file")
-	}
-	// A saved directory is one static engine: a config asking for shards or
-	// a dynamic index is refused, not served by something else.
-	if err := e.Save(good); err != nil {
-		t.Fatal(err)
+	for _, file := range []string{"raw.bin", "z.bin", "tree.bin", "burst_long.bin"} {
+		cases = append(cases, loadErrorCase{"a save without " + file, save(file), Config{}})
 	}
 	for _, cfg := range []Config{{Shards: 4}, {DynamicIndex: true}, {Shards: 4, DynamicIndex: true}} {
-		if l, err := LoadEngine(good, cfg); err == nil {
+		cases = append(cases, loadErrorCase{fmt.Sprintf("a save under %+v", cfg), good, cfg})
+	}
+	return cases
+}
+
+func TestLoadEngineErrors(t *testing.T) {
+	for _, c := range loadErrorCases(t) {
+		if l, err := LoadEngine(c.dir, c.cfg); err == nil {
 			l.Close()
-			t.Errorf("LoadEngine(%+v) loaded a static, unsharded engine without an error", cfg)
+			t.Errorf("LoadEngine of %s: loaded without an error", c.name)
 		}
 	}
 }

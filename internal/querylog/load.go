@@ -78,42 +78,57 @@ func LoadCSVFile(path string, start time.Time) ([]*series.Series, error) {
 	return LoadCSV(f, start)
 }
 
-// LoadBinary reads a seqstore binary file written by cmd/genlog, with the
-// term names taken from the "<path>.names" sidecar (one name per line; rows
-// beyond the name list get synthetic names).
+// LoadBinary reads a seqstore binary file written by cmd/genlog into memory,
+// with the term names OpenBinary gives its rows.
 func LoadBinary(path string, start time.Time) ([]*series.Series, error) {
-	st, err := seqstore.Open(path)
+	st, names, err := OpenBinary(path)
 	if err != nil {
 		return nil, err
 	}
 	defer st.Close()
-
-	var names []string
-	if nf, err := os.Open(path + ".names"); err == nil {
-		sc := bufio.NewScanner(nf)
-		for sc.Scan() {
-			names = append(names, strings.TrimSpace(sc.Text()))
-		}
-		nf.Close()
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("querylog: read names: %w", err)
-		}
-	}
-
 	out := make([]*series.Series, 0, st.Len())
-	for id := 0; id < st.Len(); id++ {
+	for id, name := range names {
 		values, err := st.Get(id)
 		if err != nil {
 			return nil, err
 		}
-		name := fmt.Sprintf("series-%05d", id)
-		if id < len(names) && names[id] != "" {
-			name = names[id]
-		}
 		out = append(out, &series.Series{ID: id, Name: name, Start: start, Values: values})
 	}
-	if len(out) == 0 {
-		return nil, errors.New("querylog: empty binary store")
-	}
 	return out, nil
+}
+
+// OpenBinary opens a seqstore binary file written by cmd/genlog read-only
+// and returns it with one term name per row, taken from the "<path>.names"
+// sidecar (one name per line); a row beyond the list, or with an empty line,
+// gets the synthetic name series-%05d. The caller closes the store.
+func OpenBinary(path string) (*seqstore.Disk, []string, error) {
+	st, err := seqstore.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if st.Len() == 0 {
+		st.Close()
+		return nil, nil, errors.New("querylog: empty binary store")
+	}
+	names := make([]string, 0, st.Len())
+	if nf, err := os.Open(path + ".names"); err == nil {
+		sc := bufio.NewScanner(nf)
+		for len(names) < st.Len() && sc.Scan() {
+			names = append(names, strings.TrimSpace(sc.Text()))
+		}
+		nf.Close()
+		if err := sc.Err(); err != nil {
+			st.Close()
+			return nil, nil, fmt.Errorf("querylog: read names: %w", err)
+		}
+	}
+	for id := range names {
+		if names[id] == "" {
+			names[id] = fmt.Sprintf("series-%05d", id)
+		}
+	}
+	for id := len(names); id < st.Len(); id++ {
+		names = append(names, fmt.Sprintf("series-%05d", id))
+	}
+	return st, names, nil
 }

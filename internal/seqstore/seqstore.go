@@ -174,6 +174,9 @@ var ErrBadLength = errors.New("seqstore: sequence length mismatch")
 // shrink it below zero records.
 var ErrBadTruncate = errors.New("seqstore: truncate out of range")
 
+// ErrReadOnly is returned by Append and Truncate on a store Open opened.
+var ErrReadOnly = errors.New("seqstore: store opened read-only")
+
 // ---------------------------------------------------------------------------
 // In-memory backend
 
@@ -312,9 +315,10 @@ const (
 // published atomically only after the record's bytes are fully written, so
 // a concurrent reader can never observe a half-written row.
 type Disk struct {
-	mu     sync.Mutex // serializes Append/Truncate
-	f      *os.File
-	seqLen int
+	mu       sync.Mutex // serializes Append/Truncate
+	f        *os.File
+	readOnly bool // opened by Open: Append and Truncate refuse
+	seqLen   int
 	// sketch covers rows [0, sketch.Len()) — a prefix of the file that
 	// Sketch extends to every published row; under mu.
 	sketch sketch.Rows
@@ -354,9 +358,12 @@ func Create(path string, seqLen int) (*Disk, error) {
 	return newDisk(f, seqLen, 0), nil
 }
 
-// Open opens an existing disk store.
+// Open opens an existing disk store for reading: the file is opened
+// O_RDONLY, so a world-readable file serves a process that may not write it,
+// and Append and Truncate return ErrReadOnly. A store is written only through
+// the Disk that Create returned.
 func Open(path string) (*Disk, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("seqstore: open: %w", err)
 	}
@@ -385,7 +392,9 @@ func Open(path string) (*Disk, error) {
 		f.Close()
 		return nil, errors.New("seqstore: truncated record data")
 	}
-	return newDisk(f, seqLen, int(body/recBytes)), nil
+	d := newDisk(f, seqLen, int(body/recBytes))
+	d.readOnly = true
+	return d, nil
 }
 
 // Sketch returns a snapshot of the rows' sketch, first sketching, in one
@@ -426,6 +435,9 @@ func decodeRow(dst []float64, buf []byte) {
 
 // Append implements Store.
 func (d *Disk) Append(values []float64) (int, error) {
+	if d.readOnly {
+		return 0, ErrReadOnly
+	}
 	if len(values) != d.seqLen {
 		return 0, ErrBadLength
 	}
@@ -486,6 +498,9 @@ func (d *Disk) SeqLen() int { return d.seqLen }
 
 // Truncate implements Store.
 func (d *Disk) Truncate(n int) error {
+	if d.readOnly {
+		return ErrReadOnly
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	cur := int(d.count.Load())

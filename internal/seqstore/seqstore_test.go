@@ -183,10 +183,15 @@ func TestDiskReopen(t *testing.T) {
 			t.Fatalf("elem %d: %v != %v", i, got[i], v[i])
 		}
 	}
-	// Appending after reopen must continue the ID sequence.
-	id, err := re.Append(v)
-	if err != nil || id != 1 {
-		t.Fatalf("append after reopen: id=%d err=%v", id, err)
+	// A reopened store is read-only: a write is refused and changes nothing.
+	if _, err := re.Append(v); !errors.Is(err, ErrReadOnly) {
+		t.Errorf("append after reopen: error %v, want ErrReadOnly", err)
+	}
+	if err := re.Truncate(0); !errors.Is(err, ErrReadOnly) {
+		t.Errorf("truncate after reopen: error %v, want ErrReadOnly", err)
+	}
+	if re.Len() != 1 {
+		t.Errorf("refused writes left %d rows, want 1", re.Len())
 	}
 }
 

@@ -29,7 +29,7 @@ func TestShardedApproxEquivalence(t *testing.T) {
 	counts := []int{1, 2, 8}
 	sharded := make(map[int]*ShardedEngine, len(counts))
 	for _, n := range counts {
-		se, err := newSharded(data, eqConfig(n))
+		se, err := newSharded(core.SliceSource(data), eqConfig(n))
 		if err != nil {
 			t.Fatalf("sharded engine (%d shards): %v", n, err)
 		}

@@ -134,7 +134,7 @@ func TestShardedQueryEquivalence(t *testing.T) {
 	for _, l := range eqLayouts {
 		cfg := eqConfig(l.shards)
 		cfg.Workers = l.workers
-		se, err := newSharded(data, cfg)
+		se, err := newSharded(core.SliceSource(data), cfg)
 		if err != nil {
 			t.Fatalf("sharded engine (%v): %v", l, err)
 		}

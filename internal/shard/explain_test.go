@@ -18,7 +18,7 @@ func TestShardedExplain(t *testing.T) {
 	hub := obs.NewHub()
 	cfg := eqConfig(3)
 	cfg.Obs = hub
-	se, err := newSharded(data, cfg)
+	se, err := newSharded(core.SliceSource(data), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

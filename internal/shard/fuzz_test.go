@@ -43,7 +43,7 @@ func FuzzShardRoute(f *testing.F) {
 		engineShards := 1 + int(nRaw%8)
 		gen := querylog.NewGenerator(querylog.DefaultStart, 64, int64(idRaw%1024))
 		data := gen.Dataset(1 + int(idRaw%5) + int(sizeRaw%4))
-		se, err := newSharded(data, core.Config{Budget: 8, Shards: engineShards})
+		se, err := newSharded(core.SliceSource(data), core.Config{Budget: 8, Shards: engineShards})
 		if err != nil {
 			t.Fatalf("newSharded: %v", err)
 		}

@@ -49,7 +49,7 @@ func TestOneRequestOneRecord(t *testing.T) {
 	for _, n := range []int{1, 2, 8} {
 		c := cfg
 		c.Shards = n
-		se, err := newSharded(data, c)
+		se, err := newSharded(core.SliceSource(data), c)
 		if err != nil {
 			t.Fatal(err)
 		}

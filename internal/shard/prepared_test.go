@@ -64,7 +64,7 @@ func TestConcurrentScattersShareTheirPreparedQueries(t *testing.T) {
 	const shards = 8
 	gen := querylog.NewGenerator(querylog.DefaultStart, 128, 13)
 	data := gen.Dataset(160)
-	se, err := newSharded(data, core.Config{Budget: 8, Seed: 3, Shards: shards})
+	se, err := newSharded(core.SliceSource(data), core.Config{Budget: 8, Seed: 3, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}

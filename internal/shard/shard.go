@@ -71,6 +71,7 @@ type location struct {
 // afterwards, so any number of queries read them at once without a lock.
 type ShardedEngine struct {
 	cfg    core.Config    // per-shard template (Shards retained for reporting)
+	src    core.Source    // the original series every shard reads a view of
 	shards []*core.Engine // nil entries: shards that never received a series
 	loc    []location     // global ID -> owner
 	global [][]int        // per shard: local ID -> global ID (ascending)
@@ -103,13 +104,20 @@ func newShardMetrics(reg *obs.Registry) shardMetrics {
 	}
 }
 
-// newSharded builds a sharded engine over the given series, partitioned across
-// cfg.Shards (minimum 1) independent engine shards. Series are routed by
-// route over their global ID (their index in data). A shard the hash leaves
-// empty stays dormant: queries skip it. A sharded engine takes no inserts,
-// so it refuses DynamicIndex.
-func newSharded(data []*series.Series, cfg core.Config) (*ShardedEngine, error) {
-	if len(data) == 0 {
+// newSharded builds a sharded engine over the series src holds, partitioned
+// across cfg.Shards (minimum 1) independent engine shards. Series are routed
+// by route over their global ID (their index in src), and each shard's engine
+// reads a view of src holding its own, in ascending global ID. A shard the
+// hash leaves empty stays dormant: queries skip it. A sharded engine takes no
+// inserts, so it refuses DynamicIndex. The engine owns src: its Close closes
+// it, and so does a failed build.
+func newSharded(src core.Source, cfg core.Config) (_ *ShardedEngine, err error) {
+	defer func() {
+		if err != nil {
+			src.Close() //nolint:errcheck // the build's error is the one reported
+		}
+	}()
+	if src.Len() == 0 {
 		return nil, errors.New("shard: empty dataset")
 	}
 	if cfg.DynamicIndex {
@@ -124,53 +132,72 @@ func newSharded(data []*series.Series, cfg core.Config) (*ShardedEngine, error) 
 	}
 	s := &ShardedEngine{
 		cfg:    cfg,
+		src:    src,
 		shards: make([]*core.Engine, n),
 		global: make([][]int, n),
-		byName: make(map[string]int, len(data)),
+		byName: make(map[string]int, src.Len()),
+		seqLen: src.SeqLen(),
 		hub:    cfg.Obs,
 		met:    newShardMetrics(cfg.Obs.Registry()),
 	}
 	s.env = core.NewEnvelope(cfg.Obs, s, s.locate, true)
-	parts := make([][]*series.Series, n)
-	for gid, ser := range data {
-		if ser.Len() != data[0].Len() {
-			return nil, fmt.Errorf("shard: series %q has length %d, want %d", ser.Name, ser.Len(), data[0].Len())
-		}
+	for gid := range src.Len() {
 		sh := route(uint64(gid), n)
-		parts[sh] = append(parts[sh], ser)
-		s.loc = append(s.loc, location{shard: sh, local: len(parts[sh]) - 1})
+		s.loc = append(s.loc, location{shard: sh, local: len(s.global[sh])})
 		s.global[sh] = append(s.global[sh], gid)
-		s.names = append(s.names, ser.Name)
-		if _, dup := s.byName[ser.Name]; !dup {
-			s.byName[ser.Name] = gid
+		name := src.Name(gid)
+		s.names = append(s.names, name)
+		if _, dup := s.byName[name]; !dup {
+			s.byName[name] = gid
 		}
 	}
 	shardCfg := cfg // every shard's engine config: the template, unsharded
 	shardCfg.Shards = 0
-	for sh := 0; sh < n; sh++ {
-		if len(parts[sh]) == 0 {
+	for sh, ids := range s.global {
+		if len(ids) == 0 {
 			continue
 		}
-		eng, err := core.NewEngine(parts[sh], shardCfg)
+		eng, err := core.NewEngineFrom(view{src, ids}, shardCfg)
 		if err != nil {
-			s.Close() //nolint:errcheck // best-effort cleanup of earlier shards
+			s.closeShards() //nolint:errcheck // best-effort cleanup of earlier shards
 			return nil, fmt.Errorf("shard: building shard %d: %w", sh, err)
 		}
 		s.shards[sh] = eng
 	}
-	s.seqLen = data[0].Len()
 	return s, nil
 }
 
-// NewFromConfig builds whichever engine cfg.Shards asks for: the plain
-// single core.Engine for Shards <= 1 (bit-for-bit today's behaviour), a
-// ShardedEngine otherwise. This is the one switch serving layers should
-// use, so a sharding config can never silently bypass the partition.
+// view is one shard's core.Source: the series of src at the global IDs ids,
+// local ID i being ids[i]. The sharded engine owns src, so a view's Close
+// leaves it open.
+type view struct {
+	src core.Source
+	ids []int
+}
+
+func (v view) Len() int                                       { return len(v.ids) }
+func (v view) SeqLen() int                                    { return v.src.SeqLen() }
+func (v view) Name(i int) string                              { return v.src.Name(v.ids[i]) }
+func (v view) Values(i int, buf []float64) ([]float64, error) { return v.src.Values(v.ids[i], buf) }
+func (v view) Series(i int) (*series.Series, error)           { return v.src.Series(v.ids[i]) }
+func (v view) Close() error                                   { return nil }
+
+// NewFromConfig builds whichever engine cfg.Shards asks for over data:
+// NewFromSource over core.SliceSource(data).
 func NewFromConfig(data []*series.Series, cfg core.Config) (core.Searcher, error) {
+	return NewFromSource(core.SliceSource(data), cfg)
+}
+
+// NewFromSource builds whichever engine cfg.Shards asks for over the series
+// src holds: the plain single core.Engine for Shards <= 1 (bit-for-bit
+// today's behaviour), a ShardedEngine otherwise. This is the one switch
+// serving layers should use, so a sharding config can never silently bypass
+// the partition. The engine owns src (see core.NewEngineFrom).
+func NewFromSource(src core.Source, cfg core.Config) (core.Searcher, error) {
 	if cfg.Shards <= 1 {
-		return core.NewEngine(data, cfg)
+		return core.NewEngineFrom(src, cfg)
 	}
-	return newSharded(data, cfg)
+	return newSharded(src, cfg)
 }
 
 // Shards returns the configured shard count.
@@ -243,8 +270,14 @@ func (s *ShardedEngine) Tracer() *obs.Tracer { return s.hub.Tracer() }
 // observability is disabled).
 func (s *ShardedEngine) Hub() *obs.Hub { return s.hub }
 
-// Close releases every shard's resources, returning the first error.
+// Close releases every shard's resources and the source they read,
+// returning the first error.
 func (s *ShardedEngine) Close() error {
+	return errors.Join(s.closeShards(), s.src.Close())
+}
+
+// closeShards closes every live shard's engine, returning the first error.
+func (s *ShardedEngine) closeShards() error {
 	var first error
 	for _, eng := range s.shards {
 		if eng == nil {

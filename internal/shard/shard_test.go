@@ -16,15 +16,15 @@ import (
 )
 
 func TestNewValidation(t *testing.T) {
-	if _, err := newSharded(nil, core.Config{Shards: 2}); err == nil {
+	if _, err := newSharded(core.SliceSource(nil), core.Config{Shards: 2}); err == nil {
 		t.Fatal("newSharded(empty dataset) succeeded")
 	}
 	gen := querylog.NewGenerator(querylog.DefaultStart, 64, 7)
 	data := gen.Dataset(4)
 	data = append(data, &series.Series{Name: "short", Values: make([]float64, 32)})
-	if _, err := newSharded(data, core.Config{Budget: 8, Shards: 2}); err == nil ||
+	if _, err := newSharded(core.SliceSource(data), core.Config{Budget: 8, Shards: 2}); err == nil ||
 		!strings.Contains(err.Error(), "length") {
-		t.Fatalf("newSharded(mixed lengths) err = %v, want length rejection", err)
+		t.Fatalf("newSharded(core.SliceSource(mixed lengths) err = %v), want length rejection", err)
 	}
 }
 
@@ -41,7 +41,7 @@ func engines(t *testing.T, data []*series.Series, cfg core.Config, shardCounts .
 	for _, shards := range shardCounts {
 		c := cfg
 		c.Shards = shards
-		se, err := newSharded(data, c)
+		se, err := newSharded(core.SliceSource(data), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func buildRefuses(t *testing.T, data []*series.Series, what string, values []flo
 		t.Errorf("single engine build with %s: %v, want ErrNonFinite naming %q", what, err, bad.Name)
 	}
 	for _, shards := range []int{1, 3} {
-		if _, err := newSharded(set, core.Config{Budget: 8, Shards: shards}); !errors.Is(err, core.ErrNonFinite) || !strings.Contains(err.Error(), bad.Name) {
+		if _, err := newSharded(core.SliceSource(set), core.Config{Budget: 8, Shards: shards}); !errors.Is(err, core.ErrNonFinite) || !strings.Contains(err.Error(), bad.Name) {
 			t.Errorf("%d shard(s) build with %s: %v, want ErrNonFinite naming %q", shards, what, err, bad.Name)
 		}
 	}

@@ -1,9 +1,11 @@
 #!/bin/sh
 # trace_smoke.sh — end-to-end check of the trace pipeline.
 #
-# Boots cmd/s2, sends one /v2/search request carrying a W3C traceparent
-# header, reads the kept trace back from /debug/traces?id=<trace_id> before
-# shutting the server down, and asserts:
+# Writes the paper's exemplar queries as a genlog binary and boots
+# `cmd/s2 -load` on it — the boot every served benchmark workload takes, the
+# engine reading its series from the file — then sends one /v2/search
+# request carrying a W3C traceparent header, reads the kept trace back from
+# /debug/traces?id=<trace_id> before shutting the server down, and asserts:
 #
 #   * the server adopted the caller's trace ID and echoed a traceparent
 #     header, the body's trace_id is that ID, no X-Request-Id is sent, and
@@ -22,6 +24,7 @@ PORT="${TRACE_SMOKE_PORT:-17261}"
 ADDR="127.0.0.1:$PORT"
 DIR="$(mktemp -d)"
 BIN="$DIR/s2"
+CORPUS="$DIR/exemplars.bin"
 TRACE_JSON="$DIR/trace.json"
 LOG="$DIR/s2.log"
 TRACE_ID="4bf92f3577b34da6a3ce929d0e0e4736"
@@ -30,8 +33,10 @@ PARENT_SPAN="00f067aa0ba902b7"
 fail() { echo "trace-smoke: FAIL: $*" >&2; sed 's/^/  s2: /' "$LOG" >&2 || true; exit 1; }
 
 go build -o "$BIN" ./cmd/s2
+go run ./cmd/genlog -exemplars -format binary -days 128 -out "$CORPUS" >"$LOG" 2>&1 \
+    || fail "cmd/genlog could not write $CORPUS"
 
-"$BIN" -n 64 -days 128 -debug-addr "$ADDR" -serve >"$LOG" 2>&1 &
+"$BIN" -load "$CORPUS" -debug-addr "$ADDR" -serve >"$LOG" 2>&1 &
 S2_PID=$!
 trap 'kill "$S2_PID" 2>/dev/null || true; rm -rf "$DIR"' EXIT
 
