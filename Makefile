@@ -35,7 +35,10 @@ vet-lostcancel:
 # method under internal/ has a non-test reference, or is allowlisted with
 # its reason; and (rule 9, one resolver) non-test internal/shard names no
 # core.Kind identifier and core.Request has no Prepared or QueryBursts
-# field. See scripts/api_check.sh.
+# field; and (rule 10, one served index) non-test core and shard neither
+# build, load, search nor insert into a vptree.Tree, and non-test core, shard
+# and cmd/ do not call Engine.Tree, outside the one file that holds it. See
+# scripts/api_check.sh.
 api-check:
 	sh scripts/api_check.sh
 
@@ -74,11 +77,14 @@ fuzz-smoke:
 # O(N²) DFT and the cached tables it reads, the query context's magnitude
 # order against the comparator sort, the period scan against a direct per-bin
 # DFT, the arena property
-# tests, the one traversal against its parent-recorded goldens and the
-# brute-force oracle (both bound sources, explain on and off), the three
-# moves a search saves work by (leaf bounds abandoned against σ_UB, candidates
-# dropped on sight, the bucketed candidate order) against the search that does
-# none of them, the in-place suite (TestFlatInPlace…: the flat index Insert
+# tests, the served scan against its parent-recorded goldens and the linear
+# oracle (TestScanMatchesTheLinearOracle: single engine and one and three
+# shards, block edges, duplicate rows, k >= n, after Add and a save and
+# load), the paper's tree against its goldens and the brute-force oracle, the
+# three moves a search saves work by (bounds abandoned against σ_UB —
+# TestScanInvariantToAbandon for the scan —, candidates dropped on sight, the
+# bucketed candidate order) against the search that does none of them, the
+# in-place suite (TestFlatInPlace…: the flat index Insert
 # changes in place against a fresh layout of itself after every operation;
 # one writer beside readers), the pinned tree.bin bytes (TestGoldenTreeFiles)
 # and the sketch tier (bound soundness, the store keeping it in step,
@@ -89,7 +95,7 @@ fuzz-smoke:
 # the path this machine does not run nor the build it does not do can rot.
 kernel-check:
 	$(GO) test -race -run 'TestForwardRealHalf|TestCachedTwiddles|TestTwiddleTables|TestQueryContext|TestSimilarPeriodsMatchesDirectDFT' ./internal/fft ./internal/spectral ./internal/core
-	$(GO) test -race -run 'TestArena|TestFlat|TestGolden|TestBoundsAbandon|TestSearchInvariantToAbandon|TestFilterOrder|TestAddDrops|TestConcurrentFlatStress|TestConcurrentEngineStress' ./internal/spectral ./internal/vptree ./internal/knn ./internal/core
+	$(GO) test -race -run 'TestArena|TestFlat|TestGolden|TestBoundsAbandon|TestSearchInvariantToAbandon|TestScanInvariantToAbandon|TestScanMatchesTheLinearOracle|TestFilterOrder|TestAddDrops|TestConcurrentFlatStress|TestConcurrentEngineStress' ./internal/spectral ./internal/vptree ./internal/knn ./internal/core ./internal/shard
 	$(GO) test -race -run 'Sketch|TestExceeds|TestRows|TestUnsketchable|TestShiftOutOfRange|TestVector|TestClosedForm|Kernel' ./internal/sketch ./internal/seqstore ./internal/knn ./internal/core ./internal/shard
 	$(GO) test -tags purego ./internal/sketch ./internal/knn ./internal/seqstore
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...

@@ -156,12 +156,8 @@ func run() error {
 	}
 
 	if *save != "" {
-		eng, ok := engine.(*core.Engine)
-		if !ok {
-			return fmt.Errorf("-save needs the unpartitioned engine (run without -shards)")
-		}
-		if err := eng.Save(*save); err != nil {
-			return fmt.Errorf("save: %w", err)
+		if err := saveEngine(engine, *save); err != nil {
+			return err
 		}
 		fmt.Printf("engine state saved to %s (reopen with -db %s)\n", *save, *save)
 	}
@@ -180,6 +176,19 @@ func run() error {
 	}
 	fmt.Printf("ready: %s. Type 'help'.\n", setupSummary(engine, time.Since(began), loadTime))
 	repl(engine, hub)
+	return nil
+}
+
+// saveEngine is -save: the unpartitioned engine's state into dir, which may
+// be the directory -db opened it from.
+func saveEngine(s core.Searcher, dir string) error {
+	e, ok := s.(*core.Engine)
+	if !ok {
+		return fmt.Errorf("-save needs the unpartitioned engine (run without -shards)")
+	}
+	if err := e.Save(dir); err != nil {
+		return fmt.Errorf("save: %w", err)
+	}
 	return nil
 }
 
@@ -348,11 +357,9 @@ func repl(engine core.Searcher, hub *obs.Hub) {
 	}
 }
 
-// writeIndexStats prints, for the engine or each live shard, what its flat
-// index looks like: the largest leaf block, the bounds its searches have
-// evaluated and the share of them the kernel abandoned unfinished, and what
-// dynamic inserts and deletes have done to it since it was last packed in
-// walk order.
+// writeIndexStats prints, for the engine or each live shard, what its
+// similarity searches have scanned: how many ran, the blocks and bounds they
+// ran the kernel on, and the share of the bounds it abandoned unfinished.
 func writeIndexStats(w io.Writer, s core.Searcher) {
 	var engines []*core.Engine
 	switch v := s.(type) {
@@ -367,13 +374,13 @@ func writeIndexStats(w io.Writer, s core.Searcher) {
 		if e == nil {
 			continue
 		}
-		ks := e.Tree().KernelStats()
+		ts := e.ScanTotals()
 		share := 0.0
-		if ks.KernelEvals > 0 {
-			share = 100 * float64(ks.BoundsAbandoned) / float64(ks.KernelEvals)
+		if ts.Bounds > 0 {
+			share = 100 * float64(ts.Abandoned) / float64(ts.Bounds)
 		}
-		fmt.Fprintf(w, "  flat index %d: max block %d, %d kernel evals (%.1f%% abandoned), %d repacks, %d slots out of walk order\n",
-			i, ks.MaxBlock, ks.KernelEvals, share, ks.Repacks, ks.OutOfOrder)
+		fmt.Fprintf(w, "  scan %d: %d rows, %d searches, %d blocks, %d bounds (%.1f%% abandoned)\n",
+			i, e.Len(), ts.Searches, ts.Blocks, ts.Bounds, share)
 	}
 }
 
@@ -537,8 +544,8 @@ func dispatch(e core.Searcher, line string) error {
 			fmt.Printf("  %2d. %-24s dist=%.2f\n", i+1, r.Name, r.Dist)
 		}
 		st := resp.Stats
-		fmt.Printf("  (examined %d of %d full sequences; %d sketch-skips, %d lb-prunes, %d ub-prunes)\n",
-			st.FullRetrievals, e.Len(), st.SketchSkips, st.LBPrunes, st.UBPrunes)
+		fmt.Printf("  (examined %d of %d full sequences; %d sketch-skips, %d lb-prunes of %d bounds)\n",
+			st.FullRetrievals, e.Len(), st.SketchSkips, st.LBPrunes, st.BoundsComputed)
 	case "periods":
 		eng, local, err := ownerEngine(e, id)
 		if err != nil {

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -194,14 +196,13 @@ func TestWriteStatsDeterministic(t *testing.T) {
 	}
 }
 
-// stats ends with one flat-index line per engine: the numbers a dynamic
-// engine's inserts move, zero on the engines cmd/s2 builds.
+// stats ends with one scan line per engine: what its similarity searches
+// scanned, zero before the first.
 func TestWriteIndexStats(t *testing.T) {
 	var single strings.Builder
 	e := testEngine(t)
 	writeIndexStats(&single, e)
-	if out := single.String(); !strings.HasPrefix(out, "  flat index 0: max block ") ||
-		!strings.HasSuffix(out, " 0 kernel evals (0.0% abandoned), 0 repacks, 0 slots out of walk order\n") || strings.Count(out, "\n") != 1 {
+	if out := single.String(); out != fmt.Sprintf("  scan 0: %d rows, 0 searches, 0 blocks, 0 bounds (0.0%% abandoned)\n", e.Len()) {
 		t.Errorf("single engine: %q", out)
 	}
 	// After searches the line carries what they evaluated, and the share is
@@ -211,12 +212,12 @@ func TestWriteIndexStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ks := e.Tree().KernelStats()
+	ts := e.ScanTotals()
 	single.Reset()
 	writeIndexStats(&single, e)
-	want := fmt.Sprintf(" %d kernel evals (%.1f%% abandoned),", ks.KernelEvals, 100*float64(ks.BoundsAbandoned)/float64(ks.KernelEvals))
-	if out := single.String(); ks.KernelEvals == 0 || ks.BoundsAbandoned > ks.KernelEvals || !strings.Contains(out, want) {
-		t.Errorf("after three searches (%+v): %q, want it to contain %q", ks, out, want)
+	want := fmt.Sprintf(" 3 searches, %d blocks, %d bounds (%.1f%% abandoned)", ts.Blocks, ts.Bounds, 100*float64(ts.Abandoned)/float64(ts.Bounds))
+	if out := single.String(); ts.Bounds != 3*int64(e.Len()) || ts.Abandoned > ts.Bounds || !strings.Contains(out, want) {
+		t.Errorf("after three searches (%+v): %q, want it to contain %q", ts, out, want)
 	}
 
 	g := querylog.NewGenerator(querylog.DefaultStart, 256, 1)
@@ -227,7 +228,7 @@ func TestWriteIndexStats(t *testing.T) {
 	defer se.Close()
 	var sharded strings.Builder
 	writeIndexStats(&sharded, se)
-	if out := sharded.String(); strings.Count(out, "\n") != 3 || !strings.Contains(out, "  flat index 2: max block ") {
+	if out := sharded.String(); strings.Count(out, "\n") != 3 || !strings.Contains(out, "  scan 2: ") {
 		t.Errorf("three shards: %q", out)
 	}
 }
@@ -279,6 +280,51 @@ func TestLoadRefusesNonFiniteRow(t *testing.T) {
 			})
 		}
 	}
+}
+
+// s2 -db D -save D saves into the directory the engine reads its rows from:
+// D still opens, and answers as the engine that first saved it.
+func TestSaveIntoTheOpenedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	built, _, err := buildEngine("", "", 40, 128, 1, 8, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer built.Close()
+	if err := saveEngine(built, dir); err != nil {
+		t.Fatal(err)
+	}
+	leakcheck.Files(t, "-db D -save D", func() {
+		e, _, err := buildEngine(dir, "", 0, 0, 0, 8, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if err := saveEngine(e, dir); err != nil {
+			t.Errorf("-db D -save D: %v", err)
+		}
+	})
+	leakcheck.Files(t, "-db D after the save", func() {
+		e, _, err := buildEngine(dir, "", 0, 0, 0, 8, 1, nil)
+		if err != nil {
+			t.Fatalf("-db D after -db D -save D: %v", err)
+		}
+		defer e.Close()
+		for id := range built.Len() {
+			req := core.Request{Kind: core.KindSimilarID, ID: id, K: 5}
+			want, err := built.Query(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.Query(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Neighbors, want.Neighbors) {
+				t.Fatalf("similar %d: %v after the save, %v before", id, got.Neighbors, want.Neighbors)
+			}
+		}
+	})
 }
 
 // Out-of-range flags are refused before anything is built, not turned into

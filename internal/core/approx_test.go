@@ -50,7 +50,7 @@ func approxTrialRequest(rng *rand.Rand, trial, total int) Request {
 // sound (conservative) certificate, never an underestimate. An unbounded
 // gap (+Inf, after an ng stop) promises nothing and is skipped.
 func TestApproxBoundGapSound(t *testing.T) {
-	e, _ := buildEngine(t, 60, Config{Budget: 8, Seed: 9}, 9)
+	e, _ := buildEngine(t, 60, Config{Budget: 8}, 9)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(17))
 	total := e.Len()
@@ -113,7 +113,7 @@ func TestApproxBoundGapSound(t *testing.T) {
 // travels the relaxed code paths but must answer bit-identically to the
 // plain exact request — including the Approximate stamp staying false.
 func TestApproxZeroIsExact(t *testing.T) {
-	e, _ := buildEngine(t, 50, Config{Budget: 8, Seed: 13}, 13)
+	e, _ := buildEngine(t, 50, Config{Budget: 8}, 13)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(29))
 	total := e.Len()
@@ -167,7 +167,7 @@ func TestApproxRecallFloor(t *testing.T) {
 	} {
 		g := querylog.NewGenerator(querylog.DefaultStart, c.days, 1)
 		data := append(g.Exemplars(), g.Dataset(c.series)...)
-		e, err := NewEngine(data, Config{Budget: c.budget, Seed: 1})
+		e, err := NewEngine(data, Config{Budget: c.budget})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,8 +14,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/querylog"
 	"repro/internal/seqstore"
-	"repro/internal/spectral"
-	"repro/internal/vptree"
 )
 
 // TestConcurrentEngineStress exercises the single-writer/many-reader
@@ -30,7 +28,7 @@ func TestConcurrentEngineStress(t *testing.T) {
 	hub := obs.NewHub()
 	g := querylog.NewGenerator(querylog.DefaultStart, 128, 7)
 	data := append(g.Exemplars(), g.Dataset(16)...)
-	e, err := NewEngine(data, Config{Budget: 8, Seed: 7, DynamicIndex: true, Workers: 4, Obs: hub})
+	e, err := NewEngine(data, Config{Budget: 8, DynamicIndex: true, Workers: 4, Obs: hub})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,9 +177,8 @@ func TestConcurrentEngineStress(t *testing.T) {
 			t.Fatalf("series %d: index and linear scan disagree after the churn:\n index  %+v\n linear %+v", id, got, want)
 		}
 	}
-	ks := e.Tree().KernelStats()
-	if ks.Repacks == 0 {
-		t.Errorf("%d concurrent adds never repacked the flat index: %+v", len(extra), ks)
+	if n := e.arena.Len(); n != e.Len() {
+		t.Errorf("the arena holds %d features for %d series after %d concurrent adds", n, e.Len(), len(extra))
 	}
 	if hold := e.met.writeLockHold.Histogram().Count(); hold != int64(len(extra)) {
 		t.Errorf("engine_write_lock_hold_seconds observed %d times for %d adds", hold, len(extra))
@@ -196,7 +193,7 @@ func TestLinearScanShardedMatchesSerial(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(2000 + trial)))
 		g := querylog.NewGenerator(querylog.DefaultStart, 64, int64(3000+trial))
-		e, err := NewEngine(g.Dataset(6+rng.Intn(30)), Config{Budget: 6, Seed: 1})
+		e, err := NewEngine(g.Dataset(6+rng.Intn(30)), Config{Budget: 6})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -281,18 +278,12 @@ func TestAddRollbackStoreFailure(t *testing.T) {
 	}
 	defer e.Close()
 	extra := querylog.NewGenerator(querylog.DefaultStart, 128, 78).Queries(1)[0]
-	nextID := e.Len()
-	h, err := spectral.FromValues(extra.Standardized().Values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.tree.Insert(h, nextID); err != nil {
-		t.Fatal(err)
-	}
+	injected := errors.New("injected append failure")
+	e.FailNextIndexInsert(injected)
 	e.store = failTruncateStore{e.store}
 	_, err = e.Add(extra)
-	if err == nil || !errors.Is(err, vptree.ErrDuplicateID) {
-		t.Fatalf("err = %v, want wrapped ErrDuplicateID", err)
+	if err == nil || !errors.Is(err, injected) {
+		t.Fatalf("err = %v, want the wrapped append failure", err)
 	}
 	if !errors.Is(err, errTruncateBroken) {
 		t.Fatalf("err = %v, want wrapped rollback failure", err)

@@ -2,18 +2,20 @@
 // that owns a collection of query-demand time series and exposes the three
 // capabilities of the paper's S2 tool (§7.5):
 //
-//   - similarity search over compressed spectral features via the VP-tree
-//     index (with a linear-scan baseline),
+//   - similarity search over compressed spectral features, fig. 11's
+//     filter-and-refine over every feature in sequence-ID order (with a
+//     linear-scan baseline),
 //   - automatic discovery of important periods,
 //   - burst detection and 'query-by-burst' via the relational burst store.
 //
 // Construction standardizes every series (the paper z-scores all data),
-// computes spectra, compresses them with the configured method/budget,
-// builds the VP-tree on exact distances, and extracts short- and long-term
-// burst features into indexed burst databases.
+// computes spectra, compresses them at the configured budget into one arena,
+// and extracts short- and long-term burst features into indexed burst
+// databases. The paper's VP-tree is built only on request (Engine.Tree).
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -28,6 +30,7 @@ import (
 
 	"repro/internal/burst"
 	"repro/internal/burstdb"
+	"repro/internal/knn"
 	"repro/internal/lifecycle"
 	"repro/internal/obs"
 	"repro/internal/periods"
@@ -40,19 +43,14 @@ import (
 
 // Config tunes the engine. The zero value selects the paper defaults. The
 // representation (BestMinError at Budget, safe bounds), the burst cutoff and
-// peak floor and the period confidence are the paper's and not knobs: what
-// the index stores is the index's decision (vptree), and a loaded engine takes
-// it from the tree it loads.
+// peak floor and the period confidence are the paper's and not knobs (a
+// loaded engine takes its budget from the directory it loads).
 type Config struct {
 	// Budget is the per-sequence memory budget c of "2c+1 doubles"
 	// (default 16).
 	Budget int
-	// Seed drives the index's vantage-point sampling (default 1). Only tests
-	// set it: the core and shard goldens were recorded under seeds 5 and 9.
-	Seed int64
-	// DynamicIndex builds the VP-tree in dynamic mode so Engine.Add can
-	// ingest new series after construction (a live search service appends
-	// query terms continuously). Costs the retained spectra.
+	// DynamicIndex lets Engine.Add ingest new series after construction (a
+	// live search service appends query terms continuously).
 	DynamicIndex bool
 	// Shards selects horizontal partitioning: 0 or 1 builds today's
 	// single engine, N > 1 asks for N independent engine shards behind a
@@ -63,7 +61,7 @@ type Config struct {
 	// a single unpartitioned engine.
 	Shards int
 	// Workers bounds the goroutines used by the parallel linear scan and by
-	// index construction (default runtime.GOMAXPROCS(0)), and on a sharded
+	// the build's derive stage (default runtime.GOMAXPROCS(0)), and on a sharded
 	// engine sets the width of an index search's first wave: how many
 	// shards search before the rest start from their k-th distance (see
 	// docs/sharding.md). Set to 1 to force the scan and the build serial;
@@ -87,6 +85,9 @@ type Config struct {
 const burstMinPeak = 0.5
 
 func (c *Config) fill() {
+	if c.Budget == 0 {
+		c.Budget = 16
+	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -95,14 +96,10 @@ func (c *Config) fill() {
 	}
 }
 
-// treeOptions is the VP-tree a (filled) Config asks for.
-func (c Config) treeOptions() vptree.Options {
-	return vptree.Options{
-		Budget:       c.Budget,
-		Seed:         c.Seed,
-		Dynamic:      c.DynamicIndex,
-		BuildWorkers: c.Workers,
-	}
+// compress is the feature the engine keeps of spec: the paper's tree's
+// (vptree.Compress) at the (filled) Config's budget.
+func (c Config) compress(spec *spectral.HalfSpectrum) (*spectral.Compressed, error) {
+	return vptree.Compress(spec, vptree.Options{Budget: c.Budget})
 }
 
 // BurstWindow selects the short- or long-term burst database.
@@ -155,20 +152,28 @@ type Engine struct {
 	names []string
 	// size mirrors len(names) for Len, which Query calls on every request:
 	// reading it must not queue behind a writer the way mu.RLock does.
-	size    atomic.Int64
-	byName  map[string]int
-	src     Source         // original (unstandardized) series
-	store   seqstore.Store // standardized values
-	tree    *vptree.Tree
-	burstsS *burstdb.DB // short-window burst features
-	burstsL *burstdb.DB // long-window burst features
-	hub     *obs.Hub
-	met     engineMetrics
+	size   atomic.Int64
+	byName map[string]int
+	src    Source         // original (unstandardized) series
+	store  seqstore.Store // standardized values
+	// arena holds every sequence's feature (Config.compress), slot i
+	// sequence i: what a similarity search scans (knn.Scan). Add appends to
+	// it under the write lock.
+	arena *spectral.Arena
+	scans knn.Totals
+	// tree is the paper's VP-tree, built by the first Tree call; no search
+	// reads it (see Tree).
+	treeOnce sync.Once
+	tree     *vptree.Tree
+	burstsS  *burstdb.DB // short-window burst features
+	burstsL  *burstdb.DB // long-window burst features
+	hub      *obs.Hub
+	met      engineMetrics
 	// env is the request lifecycle every Query runs in.
 	env *Envelope
 	// buildTimes is where NewEngine's wall time went (see BuildTimes).
 	buildTimes struct{ derive, index time.Duration }
-	// failNextInsert is what the next Add's index insert returns instead of
+	// failNextInsert is what the next Add's arena append returns instead of
 	// running (see FailNextIndexInsert); nil almost always.
 	failNextInsert error
 }
@@ -261,26 +266,24 @@ func NewEngineFrom(src Source, cfg Config) (_ *Engine, err error) {
 	e.wireObs(cfg.Obs)
 
 	began := time.Now()
-	specs, ids, moments, err := e.deriveAll()
+	feats, moments, err := e.deriveAll()
 	if err != nil {
 		return nil, err
 	}
 	e.buildTimes.derive = time.Since(began)
 
 	began = time.Now()
-	e.tree, err = vptree.Build(specs, ids, cfg.treeOptions())
-	if err != nil {
+	if e.arena, err = spectral.NewArena(feats); err != nil {
 		return nil, err
 	}
 	e.buildTimes.index = time.Since(began)
 
-	// The rows are committed only now, so the spectra (dead from here: a
-	// static tree keeps none) and the rows are never live at once. The one
-	// collection is what makes that so: without it the dead spectra would
-	// still count towards the heap goal the last build-time collection set,
-	// and the rows would be allocated on top of them — the process would peak
-	// at spectra + rows, not at the larger of the two (plus, over a
-	// SliceSource, the caller's series).
+	// The rows are committed only now, behind one collection that separates
+	// the derive's garbage (the features, now packed, and the derivers'
+	// buffers) from the rows: without it that garbage would still count
+	// towards the heap goal the last build-time collection set, and the rows
+	// would be allocated on top of it. Appending the rows inside the derive
+	// instead raised the peak (docs/kernels.md, *Fig. 11 over the arena*).
 	began = time.Now()
 	runtime.GC()
 	mem.Grow(len(moments))
@@ -352,21 +355,24 @@ func firstNonFinite(values []float64) int {
 }
 
 // derived is what the engine keeps of one series besides the series itself:
-// its standardized values (the store's row), their spectrum (what the index is
-// built from and, in a dynamic tree, routes by) and the burst features of both
-// windows, already through the burstMinPeak floor.
+// its standardized values (the store's row), their compressed feature (the
+// arena's row) and the burst features of both windows, already through the
+// burstMinPeak floor.
 type derived struct {
 	z       []float64
 	moments [2]float64 // z's mean and standard deviation (see standardize)
-	spec    *spectral.HalfSpectrum
+	feature *spectral.Compressed
 	bursts  [2][]burst.Burst // by BurstWindow
 }
 
-// deriver derives series one after another: det holds the burst detector's
-// moving average and mask from one series to the next, so a block worker
-// leaves no garbage but what it keeps. One goroutine uses one deriver.
+// deriver derives series one after another under one Config: spec and det
+// hold the spectrum and the burst detector's moving average and mask from one
+// series to the next, so a block worker leaves no garbage but what it keeps.
+// One goroutine uses one deriver.
 type deriver struct {
+	cfg    Config
 	seqLen int
+	spec   spectral.HalfSpectrum
 	det    burst.Detection
 }
 
@@ -375,11 +381,9 @@ type deriver struct {
 // keep different things. name is the series' query term, which only errors
 // quote, and values its original values. The standardized values are written
 // to z when it has the series' length (a buffer the caller owns and may reuse
-// once it has copied the row out) and to a fresh slice otherwise; the
-// spectrum goes to spec, whose coefficient slice is reused when it has the
-// room, or to a new one when spec is nil. It reads values and writes only z,
-// spec and d's buffers, so derivers run side by side.
-func (d *deriver) derive(name string, values, z []float64, spec *spectral.HalfSpectrum) (derived, error) {
+// once it has copied the row out) and to a fresh slice otherwise. It reads
+// values and writes only z and d's buffers, so derivers run side by side.
+func (d *deriver) derive(name string, values, z []float64) (derived, error) {
 	if len(values) != d.seqLen {
 		return derived{}, fmt.Errorf("core: series %q has length %d, want %d: %w", name, len(values), d.seqLen, spectral.ErrMismatch)
 	}
@@ -393,13 +397,14 @@ func (d *deriver) derive(name string, values, z []float64, spec *spectral.HalfSp
 	if err != nil {
 		return derived{}, fmt.Errorf("core: series %q: %w", name, err)
 	}
-	if spec == nil {
-		spec = new(spectral.HalfSpectrum)
-	}
-	if err := spectral.FromValuesInto(spec, z); err != nil {
+	if err := spectral.FromValuesInto(&d.spec, z); err != nil {
 		return derived{}, fmt.Errorf("core: spectrum of %q: %w", name, err)
 	}
-	out := derived{z: z, moments: moments, spec: spec}
+	feature, err := d.cfg.compress(&d.spec)
+	if err != nil {
+		return derived{}, fmt.Errorf("core: feature of %q: %w", name, err)
+	}
+	out := derived{z: z, moments: moments, feature: feature}
 	for _, w := range []BurstWindow{Short, Long} {
 		if err := burst.DetectInto(&d.det, z, burst.Options{Window: windowDays(w)}); err != nil {
 			return derived{}, fmt.Errorf("core: bursts for %q: %w", name, err)
@@ -422,26 +427,22 @@ func (d *deriver) derive(name string, values, z []float64, spec *spectral.HalfSp
 const deriveBlock = 256
 
 // deriveAll runs derive over the Source and commits names and burst rows,
-// returning what of a series' derivation is still needed: the spectra, which
-// the index is built from, their sequence IDs — input positions, since
-// commitRows appends the store's rows in input order once the index is
-// built — and each row's moments, which commitRows z-scores with. The spectra
-// share one exactly sized slab. Commits happen in input order whatever
+// returning what of a series' derivation is still needed: the features, in
+// input order — the sequence IDs, since commitRows appends the store's rows in
+// that order once the arena is packed — and each row's moments, which
+// commitRows z-scores with. Commits happen in input order whatever
 // Config.Workers is, so sequence IDs and the burst tables are those of a
 // serial build, and the error returned is that of the first bad series by
 // input position. The burst rows are collected as they are committed and
 // each window's table is built once, bottom-up, after the last block.
-func (e *Engine) deriveAll() ([]*spectral.HalfSpectrum, []int, [][2]float64, error) {
-	count, n, bins := e.src.Len(), e.store.SeqLen(), e.store.SeqLen()/2+1
-	slab := make([]complex128, count*bins)
-	spectra := make([]spectral.HalfSpectrum, count)
-	specs := make([]*spectral.HalfSpectrum, 0, count)
-	ids := make([]int, 0, count)
+func (e *Engine) deriveAll() ([]*spectral.Compressed, [][2]float64, error) {
+	count, n := e.src.Len(), e.store.SeqLen()
+	feats := make([]*spectral.Compressed, 0, count)
 	moments := make([][2]float64, 0, count)
 	var burstRows [2][]burstdb.Record // by BurstWindow
 	derivers := make([]deriver, min(e.cfg.Workers, deriveBlock, count))
 	for w := range derivers {
-		derivers[w].seqLen = n
+		derivers[w].cfg, derivers[w].seqLen = e.cfg, n
 	}
 	originals := make([]float64, min(deriveBlock, count)*n)
 	rows := make([]float64, min(deriveBlock, count)*n)
@@ -456,21 +457,19 @@ func (e *Engine) deriveAll() ([]*spectral.HalfSpectrum, []int, [][2]float64, err
 			go func() {
 				defer wg.Done()
 				for i := int(next.Add(1)) - 1; i < size; i = int(next.Add(1)) - 1 {
-					spec := &spectra[lo+i]
-					spec.Coeffs = slab[(lo+i)*bins : (lo+i+1)*bins : (lo+i+1)*bins]
 					values, err := e.src.Values(lo+i, originals[i*n:(i+1)*n])
 					if err != nil {
 						errs[i] = err
 						continue
 					}
-					out[i], errs[i] = derivers[w].derive(e.src.Name(lo+i), values, rows[i*n:(i+1)*n], spec)
+					out[i], errs[i] = derivers[w].derive(e.src.Name(lo+i), values, rows[i*n:(i+1)*n])
 				}
 			}()
 		}
 		wg.Wait()
 		for i := range size {
 			if errs[i] != nil {
-				return nil, nil, nil, errs[i]
+				return nil, nil, errs[i]
 			}
 			id := lo + i
 			name := e.src.Name(id)
@@ -483,19 +482,19 @@ func (e *Engine) deriveAll() ([]*spectral.HalfSpectrum, []int, [][2]float64, err
 					burstRows[w] = append(burstRows[w], burstdb.Record{SeqID: int64(id), Start: int64(b.Start), End: int64(b.End), Avg: b.Avg})
 				}
 			}
-			specs, ids, moments = append(specs, out[i].spec), append(ids, id), append(moments, out[i].moments)
+			feats, moments = append(feats, out[i].feature), append(moments, out[i].moments)
 		}
 	}
 	var dbs [2]*burstdb.DB
 	for w, recs := range burstRows {
 		var err error
 		if dbs[w], err = burstdb.FromRecords(recs); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
 	e.setBurstDBs(dbs[Short], dbs[Long])
 	e.size.Store(int64(len(e.names)))
-	return specs, ids, moments, nil
+	return feats, moments, nil
 }
 
 // commitRows appends the corpus' standardized rows — store row and sketch —
@@ -518,20 +517,20 @@ func (e *Engine) commitRows(moments [][2]float64) error {
 }
 
 // BuildTimes reports where NewEngine's wall time went: deriving (standardize,
-// spectra and bursts before the index; the collection after it and the
-// store's rows) and indexing (compress, tree). The two add up to the build.
+// spectra, features and bursts; the collection after the arena and the
+// store's rows) and indexing (packing the arena). The two add up to the build.
 // Zero for an engine opened by LoadEngine, which does neither.
 func (e *Engine) BuildTimes() (derive, index time.Duration) {
 	return e.buildTimes.derive, e.buildTimes.index
 }
 
 // Add ingests one new series into a DynamicIndex engine: the standardized
-// values go to the store, the spectrum into the VP-tree, and the burst
+// values go to the store, the compressed feature to the arena, and the burst
 // features into both burst databases. The new sequence ID is returned.
 //
 // Add is atomic: every fallible derivation (spectrum, compressed feature,
 // burst detection) runs before any engine state is touched (prepareAdd), and
-// if the index insert fails — which leaves the tree as it was — the
+// if the arena append fails — which leaves the arena as it was — the
 // already-appended store row is truncated back out, so a failed Add leaves the
 // engine exactly as it was. It is also the engine's single write path, and
 // holds the write lock only for the commit (addPrepared).
@@ -544,33 +543,25 @@ func (e *Engine) Add(s *series.Series) (int, error) {
 }
 
 // preparedAdd is one series with everything Add derives from it, all of it
-// fallible and none of it dependent on what the engine holds: the standardized
-// values, their spectrum and burst features (derive), and the compressed
-// feature the tree will store.
+// fallible and none of it dependent on what the engine holds (derive).
 type preparedAdd struct {
 	series *series.Series
 	derived
-	feature *spectral.Compressed
 }
 
 // prepareAdd derives a series' preparedAdd. It reads only what the engine
 // never changes — its Config and its series length — and takes no lock, so a
 // writer runs it beside the readers it will later wait for.
 func (e *Engine) prepareAdd(s *series.Series) (*preparedAdd, error) {
-	d, err := (&deriver{seqLen: e.SeqLen()}).derive(s.Name, s.Values, nil, nil)
+	d, err := (&deriver{cfg: e.cfg, seqLen: e.SeqLen()}).derive(s.Name, s.Values, nil)
 	if err != nil {
 		return nil, err
 	}
-	p := &preparedAdd{series: s, derived: d}
-	if p.feature, err = vptree.Compress(p.spec, e.cfg.treeOptions()); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return &preparedAdd{series: s, derived: d}, nil
 }
 
 // addPrepared commits a preparedAdd made under this engine's Config: under
-// the write lock, the store append, the tree insert — a descent, a few appends
-// and now and then a leaf split or a repack — and the burst rows.
+// the write lock, the store append, the arena append and the burst rows.
 func (e *Engine) addPrepared(p *preparedAdd) (int, error) {
 	if !e.cfg.DynamicIndex {
 		return 0, errors.New("core: engine built without DynamicIndex")
@@ -590,11 +581,11 @@ func (e *Engine) addPrepared(p *preparedAdd) (int, error) {
 	err = e.failNextInsert
 	e.failNextInsert = nil
 	if err == nil {
-		err = e.tree.InsertCompressed(p.spec, p.feature, id)
+		_, err = e.arena.Append(p.feature)
 	}
 	if err != nil {
-		// Roll the store back to its pre-Add length; a failed insert leaves
-		// the tree untouched.
+		// Roll the store back to its pre-Add length; a failed append leaves
+		// the arena untouched.
 		if terr := e.store.Truncate(id); terr != nil {
 			return 0, fmt.Errorf("core: add failed (%w) and store rollback failed: %w", err, terr)
 		}
@@ -703,18 +694,6 @@ func (e *Engine) StandardizedView(id int) ([]float64, error) {
 // Store exposes the sequence store (for experiment instrumentation).
 func (e *Engine) Store() seqstore.Store { return e.store }
 
-// Tree exposes the VP-tree (for experiment instrumentation). Do not call
-// mutating tree methods directly while other goroutines use the engine —
-// route updates through Add, which holds the engine's write lock.
-func (e *Engine) Tree() *vptree.Tree { return e.tree }
-
-// Features exposes the index's feature table.
-func (e *Engine) Features() vptree.FeatureSource {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.tree.Features()
-}
-
 // ---------------------------------------------------------------------------
 // Similarity search
 
@@ -735,7 +714,7 @@ func standardizeQuery(values []float64, seqLen int, standardized bool) ([]float6
 }
 
 // toNeighborsLocked resolves result IDs to names; caller holds mu.
-func (e *Engine) toNeighborsLocked(res []vptree.Result) []Neighbor {
+func (e *Engine) toNeighborsLocked(res []knn.Result) []Neighbor {
 	out := make([]Neighbor, len(res))
 	for i, r := range res {
 		out[i] = Neighbor{ID: r.ID, Name: e.nameLocked(r.ID), Dist: r.Dist}
@@ -842,16 +821,7 @@ func (e *Engine) linearScanSharded(z []float64, k, n, workers int, g *lifecycle.
 		}
 		merged = append(merged, bests[w]...)
 	}
-	slices.SortStableFunc(merged, func(a, b Neighbor) int {
-		switch {
-		case a.Dist < b.Dist:
-			return -1
-		case a.Dist > b.Dist:
-			return 1
-		default:
-			return 0
-		}
-	})
+	slices.SortStableFunc(merged, func(a, b Neighbor) int { return cmp.Compare(a.Dist, b.Dist) })
 	if len(merged) > k {
 		merged = merged[:k]
 	}
@@ -891,8 +861,7 @@ type Reconstruction struct {
 }
 
 // Reconstruct rebuilds sequence id from the compressed representation the
-// index holds for it — the tree's, whatever the engine was built or loaded
-// with.
+// engine holds for it, at the budget it was built or loaded with.
 func (e *Engine) Reconstruct(id int) (*Reconstruction, error) {
 	z, err := e.store.Get(id)
 	if err != nil {
@@ -902,7 +871,7 @@ func (e *Engine) Reconstruct(id int) (*Reconstruction, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := e.tree.Compress(h)
+	c, err := e.cfg.compress(h)
 	if err != nil {
 		return nil, err
 	}

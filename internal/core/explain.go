@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/burstdb"
+	"repro/internal/knn"
 	"repro/internal/vptree"
 )
 
@@ -17,7 +18,10 @@ import (
 // Version 3: the index detail has a `sketch_skips` term (candidates the
 // store's sketch kept from being fetched; `SketchSkips` in the stats), which
 // joins the checked identity.
-const ExplainSchemaVersion = 3
+// Version 4: the index is the scan ("kind": "scan"): the detail reports
+// blocks, bounds and abandoned bounds, and the tree's height, per-level rows
+// and guided descent are gone.
+const ExplainSchemaVersion = 4
 
 // Phase is one timed stage of an explained query.
 type Phase struct {
@@ -27,13 +31,17 @@ type Phase struct {
 
 // IndexExplain describes the index side of an explained similarity search.
 type IndexExplain struct {
-	// Kind names the index: always "vptree". The key stays on the wire so
-	// readers of schema-3 reports keep parsing them.
-	Kind string `json:"kind"`
+	// Kind names the index: "scan" (schema 3 reports said "vptree"). Method,
+	// Budget and Size describe the features scanned: their representation
+	// and how many the arena holds.
+	Kind   string `json:"kind"`
+	Method string `json:"method"`
+	Budget int    `json:"budget"`
+	Size   int    `json:"size"`
 	// Stats is the flat per-search work summary.
 	Stats vptree.Stats `json:"stats"`
-	// Detail is the per-level traversal and prune-attribution report.
-	Detail *vptree.Explain `json:"detail,omitempty"`
+	// Detail is the scan's work and prune-attribution report.
+	Detail *knn.ScanStats `json:"detail,omitempty"`
 }
 
 // BurstExplain describes the burst-database side of an explained
@@ -144,20 +152,12 @@ func (r *ExplainReport) Render(w io.Writer) {
 
 func (x *IndexExplain) render(w io.Writer) {
 	d := x.Detail
-	fmt.Fprintf(w, "  index: %s method=%s budget=%d size=%d height=%d sigma_ub=%.3f\n",
-		x.Kind, d.Method, d.Budget, d.TreeSize, d.TreeHeight, d.SigmaUB)
-	fmt.Fprintf(w, "  %5s %8s %6s %6s %6s %8s %8s %6s\n",
-		"level", "internal", "leaves", "bounds", "cands", "lb-prune", "ub-prune", "guided")
-	for _, l := range d.Levels {
-		fmt.Fprintf(w, "  %5d %8d %6d %6d %6d %8d %8d %6d\n",
-			l.Depth, l.InternalNodes, l.Leaves, l.BoundsComputed,
-			l.Candidates, l.LBSubtreePrunes, l.UBSubtreePrunes, l.GuidedDescentHits)
-	}
-	lbSub, ubSub := d.TotalSubtreePrunes()
-	fmt.Fprintf(w, "  subtree prunes: %d by lower bound (%s), %d by upper bound; guided descent reordered %d nodes\n",
-		lbSub, d.Method, ubSub, d.Stats.GuidedDescentHits)
+	fmt.Fprintf(w, "  index: %s method=%s budget=%d size=%d sigma_ub=%.3f\n",
+		x.Kind, x.Method, x.Budget, x.Size, d.SigmaUB)
+	fmt.Fprintf(w, "  scan: %d blocks, %d bounds, %d abandoned past sigma_ub\n",
+		d.Blocks, d.BoundsComputed, d.Abandoned)
 	fmt.Fprintf(w, "  prune attribution over %d collected candidates:\n", d.Collected)
-	fmt.Fprintf(w, "    pruned by %s lower bound (final sigma_ub filter) %6d\n", d.Method, d.FilterLBPrunes)
+	fmt.Fprintf(w, "    pruned by %s lower bound (final sigma_ub filter) %6d\n", x.Method, d.FilterLBPrunes)
 	fmt.Fprintf(w, "    skipped by lower-bound cutoff during refinement   %6d\n", d.CutoffSkips)
 	fmt.Fprintf(w, "    rejected by the store's sketch before the read    %6d\n", d.SketchSkips)
 	fmt.Fprintf(w, "    examined (full sequences retrieved)               %6d\n", d.FullRetrievals)
@@ -171,8 +171,8 @@ func (x *IndexExplain) render(w io.Writer) {
 		d.FilterLBPrunes, d.CutoffSkips, d.SketchSkips, d.FullRetrievals, d.Unrefined, sum, d.Collected, check)
 	fmt.Fprintf(w, "  refinement: %d exact distances, %d early abandons\n",
 		d.ExactDistances, d.EarlyAbandons)
-	fmt.Fprintf(w, "  phase wall: traverse %.3f ms, filter %.3f ms, refine %.3f ms\n",
-		d.TraverseMS, d.FilterMS, d.RefineMS)
+	fmt.Fprintf(w, "  phase wall: scan %.3f ms, filter %.3f ms, refine %.3f ms\n",
+		d.ScanMS, d.FilterMS, d.RefineMS)
 }
 
 func (b *BurstExplain) render(w io.Writer) {
@@ -191,14 +191,11 @@ func (b *BurstExplain) render(w io.Writer) {
 }
 
 // indexReport is the handler-side half of an explained index search: the
-// phase before the index (standardize or fetch), then the index's own.
-func indexReport(pre Phase, vexp *vptree.Explain, st vptree.Stats) *ExplainReport {
+// phase before the index (standardize or fetch), then the scan's own, over
+// size features at budget.
+func indexReport(pre Phase, budget, size int, ss knn.ScanStats, st vptree.Stats) *ExplainReport {
 	return &ExplainReport{
-		Phases: []Phase{pre,
-			{Name: "traverse", MS: vexp.TraverseMS},
-			{Name: "filter", MS: vexp.FilterMS},
-			{Name: "refine", MS: vexp.RefineMS},
-		},
-		Index: &IndexExplain{Kind: "vptree", Stats: st, Detail: vexp},
+		Phases: []Phase{pre, {Name: "scan", MS: ss.ScanMS}, {Name: "filter", MS: ss.FilterMS}, {Name: "refine", MS: ss.RefineMS}},
+		Index:  &IndexExplain{Kind: "scan", Method: "BestMinError", Budget: budget, Size: size, Stats: st, Detail: &ss},
 	}
 }

@@ -63,8 +63,8 @@ func TestExplainSimilar(t *testing.T) {
 		t.Errorf("prune attribution of an ungated search: collected %d != %d+%d+%d+%d, unrefined %d",
 			d.Collected, d.FilterLBPrunes, d.CutoffSkips, d.SketchSkips, d.FullRetrievals, d.Unrefined)
 	}
-	if d.Stats != resp.Stats {
-		t.Errorf("detail stats %+v, response stats %+v", d.Stats, resp.Stats)
+	if rep.Index.Stats != resp.Stats {
+		t.Errorf("report stats %+v, response stats %+v", rep.Index.Stats, resp.Stats)
 	}
 	if len(rep.Phases) == 0 {
 		t.Error("no phases recorded")

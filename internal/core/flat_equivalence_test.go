@@ -67,7 +67,7 @@ func TestFlatEngineEquivalenceSweep(t *testing.T) {
 		}
 		sameNeighbors(t, "linear", lin, want)
 	}
-	if ks := e.Tree().KernelStats(); ks.FlatSearches == 0 || ks.KernelEvals == 0 {
-		t.Fatalf("engine never used the kernels: %+v", ks)
+	if ts := e.ScanTotals(); ts.Searches == 0 || ts.Bounds == 0 {
+		t.Fatalf("engine never used the kernels: %+v", ts)
 	}
 }

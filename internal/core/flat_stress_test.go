@@ -25,7 +25,7 @@ func TestConcurrentFlatStressWithRollback(t *testing.T) {
 	hub := obs.NewHub()
 	g := querylog.NewGenerator(querylog.DefaultStart, 128, 7)
 	data := append(g.Exemplars(), g.Dataset(16)...)
-	e, err := NewEngine(data, Config{Budget: 8, Seed: 7, DynamicIndex: true, Workers: 8, Obs: hub})
+	e, err := NewEngine(data, Config{Budget: 8, DynamicIndex: true, Workers: 8, Obs: hub})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +121,8 @@ func TestConcurrentFlatStressWithRollback(t *testing.T) {
 	if got := e.Len(); got != len(data)+len(extra) {
 		t.Errorf("engine holds %d series after stress, want %d", got, len(data)+len(extra))
 	}
-	if ks := e.Tree().KernelStats(); ks.FlatSearches == 0 || ks.KernelEvals == 0 {
-		t.Errorf("kernels unused during stress: %+v", ks)
+	if ts := e.ScanTotals(); ts.Searches == 0 || ts.Bounds == 0 {
+		t.Errorf("kernels unused during stress: %+v", ts)
 	}
 	// The engine must still answer exactly like brute force after churn.
 	res, _, err := similarQueries(e, probe, 5)

@@ -87,7 +87,7 @@ func attrEngine(t *testing.T, workers int) (*Engine, *obs.Hub, [][]float64) {
 	hub := obs.NewHub()
 	g := querylog.NewGenerator(querylog.DefaultStart, 128, 7)
 	data := append(g.Exemplars(), g.Dataset(24)...)
-	e, err := NewEngine(data, Config{Budget: 8, Seed: 7, Workers: workers, Obs: hub})
+	e, err := NewEngine(data, Config{Budget: 8, Workers: workers, Obs: hub})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func TestCancelledContextAbortsEveryFamily(t *testing.T) {
 
 	aborted := counterValue(t, hub.Registry(), "engine_query_aborted_total")
 	for kind, req := range reqs {
-		nodes := counterValue(t, hub.Registry(), "vptree_nodes_visited_total")
+		bounds := counterValue(t, hub.Registry(), "vptree_bounds_computed_total")
 		rows := counterValue(t, hub.Registry(), "burstdb_rows_scanned_total")
 		resp, err := e.Query(ctx, req)
 		if !errors.Is(err, context.Canceled) {
@@ -71,8 +71,8 @@ func TestCancelledContextAbortsEveryFamily(t *testing.T) {
 		if resp != nil {
 			t.Errorf("%v: got a response alongside the abort", kind)
 		}
-		if got := counterValue(t, hub.Registry(), "vptree_nodes_visited_total"); got != nodes {
-			t.Errorf("%v: index nodes visited after abort (%d -> %d)", kind, nodes, got)
+		if got := counterValue(t, hub.Registry(), "vptree_bounds_computed_total"); got != bounds {
+			t.Errorf("%v: index bounds computed after abort (%d -> %d)", kind, bounds, got)
 		}
 		if got := counterValue(t, hub.Registry(), "burstdb_rows_scanned_total"); got != rows {
 			t.Errorf("%v: burst rows scanned after abort (%d -> %d)", kind, rows, got)

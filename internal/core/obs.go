@@ -48,8 +48,6 @@ type engineMetrics struct {
 	treeCandidates *obs.Counter
 	treeRetrievals *obs.Counter
 	treeLBPrunes   *obs.Counter
-	treeUBPrunes   *obs.Counter
-	treeGuided     *obs.Counter
 	treeExact      *obs.Counter
 	treeSketch     *obs.Counter
 
@@ -90,13 +88,11 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 		writeLockWait: reg.Timer("engine_write_lock_wait_seconds", "time spent acquiring the engine write lock (Add)"),
 		writeLockHold: reg.Timer("engine_write_lock_hold_seconds", "time Add holds the engine write lock: store append, index insert, burst rows"),
 
-		treeNodes:      reg.Counter("vptree_nodes_visited_total", "index nodes traversed"),
+		treeNodes:      reg.Counter("vptree_nodes_visited_total", "index nodes traversed (0: the similarity search scans, it walks no tree)"),
 		treeBounds:     reg.Counter("vptree_bounds_computed_total", "lower/upper bound evaluations against compressed objects"),
-		treeCandidates: reg.Counter("vptree_candidates_total", "compressed candidates surviving traversal"),
+		treeCandidates: reg.Counter("vptree_candidates_total", "compressed candidates surviving the scan's filter"),
 		treeRetrievals: reg.Counter("vptree_full_retrievals_total", "uncompressed sequences fetched for refinement"),
-		treeLBPrunes:   reg.Counter("vptree_lb_prunes_total", "prunes justified by a lower bound (subtrees + candidates)"),
-		treeUBPrunes:   reg.Counter("vptree_ub_prunes_total", "subtrees pruned by the query upper bound"),
-		treeGuided:     reg.Counter("vptree_guided_descent_hits_total", "internal nodes where guided descent reordered traversal"),
+		treeLBPrunes:   reg.Counter("vptree_lb_prunes_total", "candidates dropped by their lower bound"),
 		treeExact:      reg.Counter("vptree_exact_distances_total", "exact distance evaluations during refinement"),
 		treeSketch:     reg.Counter("vptree_sketch_skips_total", "refinement candidates the store's sketch kept from being fetched"),
 
@@ -112,8 +108,6 @@ func (m *engineMetrics) recordSearch(st vptree.Stats) {
 	m.treeCandidates.Add(int64(st.Candidates))
 	m.treeRetrievals.Add(int64(st.FullRetrievals))
 	m.treeLBPrunes.Add(int64(st.LBPrunes))
-	m.treeUBPrunes.Add(int64(st.UBPrunes))
-	m.treeGuided.Add(int64(st.GuidedDescentHits))
 	m.treeExact.Add(int64(st.ExactDistances))
 	m.treeSketch.Add(int64(st.SketchSkips))
 }
@@ -144,13 +138,11 @@ func annotateSearch(sp *obs.Span, st vptree.Stats) {
 	if sp == nil {
 		return
 	}
-	sp.Annotate("nodes_visited", strconv.Itoa(st.NodesVisited))
 	sp.Annotate("bounds_computed", strconv.Itoa(st.BoundsComputed))
 	sp.Annotate("candidates", strconv.Itoa(st.Candidates))
 	sp.Annotate("full_retrievals", strconv.Itoa(st.FullRetrievals))
 	sp.Annotate("sketch_skips", strconv.Itoa(st.SketchSkips))
 	sp.Annotate("lb_prunes", strconv.Itoa(st.LBPrunes))
-	sp.Annotate("ub_prunes", strconv.Itoa(st.UBPrunes))
 }
 
 // annotateDTW attaches a DTW cascade's work counters to its span.

@@ -44,8 +44,8 @@ func TestSimilarQueriesObservability(t *testing.T) {
 	// The promoted vptree counters must agree with the returned Stats.
 	for name, want := range map[string]int{
 		"vptree_nodes_visited_total":   st.NodesVisited,
+		"vptree_bounds_computed_total": st.BoundsComputed,
 		"vptree_lb_prunes_total":       st.LBPrunes,
-		"vptree_ub_prunes_total":       st.UBPrunes,
 		"vptree_exact_distances_total": st.ExactDistances,
 		"vptree_full_retrievals_total": st.FullRetrievals,
 		"vptree_sketch_skips_total":    st.SketchSkips,
@@ -54,8 +54,9 @@ func TestSimilarQueriesObservability(t *testing.T) {
 			t.Errorf("%s = %d, want %d (returned Stats)", name, got, want)
 		}
 	}
-	if counterValue(t, reg, "vptree_nodes_visited_total") == 0 {
-		t.Error("vptree_nodes_visited_total is zero after a search")
+	// The scan walks no tree: every search bounds rows and visits no node.
+	if counterValue(t, reg, "vptree_bounds_computed_total") == 0 || counterValue(t, reg, "vptree_nodes_visited_total") != 0 {
+		t.Error("vptree_bounds_computed_total is zero, or vptree_nodes_visited_total is not, after a search")
 	}
 	// A single query may prune nothing on a tiny dataset; a small workload
 	// must show lower-bound pruning at work.

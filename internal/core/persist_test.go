@@ -8,10 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/burstdb"
+	"repro/internal/leakcheck"
 	"repro/internal/querylog"
 	"repro/internal/series"
 	"repro/internal/vptree"
@@ -199,13 +201,82 @@ func loadErrorCases(t *testing.T) []loadErrorCase {
 		{"an empty directory", t.TempDir(), Config{}},
 		{"version 99", badVersion, Config{}},
 	}
-	for _, file := range []string{"raw.bin", "z.bin", "tree.bin", "burst_long.bin"} {
+	for _, file := range []string{"raw.bin", "z.bin", "features.bin", "burst_long.bin"} {
 		cases = append(cases, loadErrorCase{"a save without " + file, save(file), Config{}})
 	}
 	for _, cfg := range []Config{{Shards: 4}, {DynamicIndex: true}, {Shards: 4, DynamicIndex: true}} {
 		cases = append(cases, loadErrorCase{fmt.Sprintf("a save under %+v", cfg), good, cfg})
 	}
 	return cases
+}
+
+// TestLoadEngineRefusesVersion1 opens a directory a build with a VP-tree
+// saved (meta version 1, tree.bin): the error names the version.
+func TestLoadEngineRefusesVersion1(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "meta.txt"), []byte("version 1\nstart 2002-01-01T00:00:00Z\nseqlen 64\ncount 8\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadEngine(dir, Config{}); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("LoadEngine of a version 1 save = %v, want an error naming version 1", err)
+	}
+}
+
+// TestSaveIntoTheLoadedDirectory saves a loaded engine into the directory it
+// was loaded from, whose files it reads as it writes: the directory loads
+// again and answers every request as before, with the same series bits.
+func TestSaveIntoTheLoadedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	g := querylog.NewGenerator(querylog.DefaultStart, 256, 30)
+	data := append(g.Exemplars(), g.Dataset(40)...)
+	orig, err := NewEngine(data, Config{Budget: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer orig.Close()
+	if err := orig.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadEngine(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leakcheck.Files(t, "Save into the loaded directory", func() {
+		if err := loaded.Save(dir); err != nil {
+			t.Fatalf("Save into the loaded directory: %v", err)
+		}
+	})
+	defer loaded.Close()
+	again, err := LoadEngine(dir, Config{})
+	if err != nil {
+		t.Fatalf("the directory does not load after the save: %v", err)
+	}
+	defer again.Close()
+	id, _ := orig.Lookup(querylog.Cinema)
+	hid, _ := orig.Lookup(querylog.Halloween)
+	eid, _ := orig.Lookup(querylog.Easter)
+	easter, _ := orig.Series(eid)
+	for _, req := range roundTripRequests(g.Queries(1)[0].Values, easter.Values, id, hid) {
+		want, err := orig.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := again.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAnswer(t, req.Kind.String(), got, want)
+	}
+	for id := range orig.Len() {
+		want, _ := orig.Series(id)
+		got, err := again.Series(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.Start.Equal(got.Start) || !slices.Equal(got.Values, want.Values) {
+			t.Fatalf("series %d changed across the save into its own directory", id)
+		}
+	}
 }
 
 func TestLoadEngineErrors(t *testing.T) {
@@ -224,7 +295,7 @@ func TestLoadEngineErrors(t *testing.T) {
 func TestSaveBesideAdd(t *testing.T) {
 	dir := t.TempDir()
 	g := querylog.NewGenerator(querylog.DefaultStart, 128, 7)
-	e, err := NewEngine(g.Dataset(16), Config{Budget: 8, Seed: 7, DynamicIndex: true})
+	e, err := NewEngine(g.Dataset(16), Config{Budget: 8, DynamicIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,14 +342,14 @@ func TestSaveBesideAdd(t *testing.T) {
 	if n < 16 || n > 16+len(extra) {
 		t.Fatalf("snapshot holds %d series, want between 16 and %d", n, 16+len(extra))
 	}
-	if len(loaded.names) != n || loaded.store.Len() != n || loaded.tree.Len() != n {
+	if len(loaded.names) != n || loaded.store.Len() != n || loaded.arena.Len() != n {
 		t.Errorf("snapshot disagrees with itself: Len %d, %d names, %d rows, %d indexed",
-			n, len(loaded.names), loaded.store.Len(), loaded.tree.Len())
+			n, len(loaded.names), loaded.store.Len(), loaded.arena.Len())
 	}
 }
 
 // A save directory whose files come from saves of different corpora does not
-// load: each file is valid on its own, but the tree or a burst table names
+// load: each file is valid on its own, but the features or a burst table name
 // sequences the directory does not hold (or misses some it does).
 func TestLoadEngineRefusesMixedSaves(t *testing.T) {
 	g := querylog.NewGenerator(querylog.DefaultStart, 256, 30)
@@ -303,8 +374,8 @@ func TestLoadEngineRefusesMixedSaves(t *testing.T) {
 		files    []string
 		want     error
 	}{
-		{"smaller corpus's tree", small, large, []string{"tree.bin"}, vptree.ErrCorrupt},
-		{"larger corpus's tree", large, small, []string{"tree.bin"}, vptree.ErrCorrupt},
+		{"smaller corpus's features", small, large, []string{"features.bin"}, vptree.ErrCorrupt},
+		{"larger corpus's features", large, small, []string{"features.bin"}, vptree.ErrCorrupt},
 		{"larger corpus's burst tables", large, small, []string{"burst_short.bin", "burst_long.bin"}, burstdb.ErrCorrupt},
 	} {
 		dir := t.TempDir()

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/burst"
 	"repro/internal/dtw"
+	"repro/internal/knn"
 	"repro/internal/lifecycle"
 	"repro/internal/obs"
 	"repro/internal/seqstore"
@@ -86,8 +87,8 @@ type Budget struct {
 	// Deadline is the wall-clock budget measured from Query entry (0 =
 	// none). A negative value is already expired and truncates immediately.
 	Deadline time.Duration
-	// MaxNodeVisits caps traversal/scan units: tree nodes visited, rows
-	// scanned, bursts probed, candidates bounded (0 = unlimited).
+	// MaxNodeVisits caps scan units: rows scanned (by the similarity search's
+	// bound scan too), bursts probed, candidates bounded (0 = unlimited).
 	MaxNodeVisits int
 	// MaxExactDistances caps exact distance computations during refinement
 	// (0 = unlimited). This cap is strict — unlike the other two it is
@@ -171,7 +172,9 @@ type Response struct {
 	Neighbors []Neighbor
 	// Matches holds the results of the burst kinds.
 	Matches []BurstMatch
-	// Stats reports index work for the index-backed kinds.
+	// Stats reports the work of a similarity search: the scan's bounds, the
+	// filter and the refine (NodesVisited and GuidedDescentHits stay 0: no
+	// tree is walked).
 	Stats vptree.Stats
 	// Truncated reports that a budget expired mid-search and Neighbors or
 	// Matches is the best-so-far partial answer rather than the full one.
@@ -680,14 +683,15 @@ func (e *Engine) querySimilar(ctx context.Context, g *lifecycle.Gate, req Reques
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	sp := obs.SpanFromContext(ctx).Child("index_search")
-	var vexp *vptree.Explain // the explain report's index detail, when asked for
-	if req.Explain {
-		vexp = new(vptree.Explain)
-	}
 	// Refinement reads go through a context-aware store view, so a hung-up
 	// caller aborts even between the gate's amortized checks.
-	res, st, truncated, err := e.tree.SearchPrepared(q.prepared, req.K, nil, seqstore.WithContext(ctx, e.store), g, vexp)
+	res, ss, err := knn.Scan(q.prepared, req.K, e.arena, seqstore.WithContext(ctx, e.store), g)
 	sp.Finish()
+	st := vptree.Stats{
+		BoundsComputed: ss.BoundsComputed, Candidates: ss.Candidates, FullRetrievals: ss.FullRetrievals,
+		LBPrunes: ss.FilterLBPrunes, ExactDistances: ss.ExactDistances, SketchSkips: ss.SketchSkips,
+	}
+	e.scans.Add(ss)
 	annotateSearch(sp, st)
 	e.met.recordSearch(st)
 	if err != nil {
@@ -696,10 +700,10 @@ func (e *Engine) querySimilar(ctx context.Context, g *lifecycle.Gate, req Reques
 	e.met.similarResults.Add(int64(len(res)))
 	resp := &Response{
 		Kind: req.Kind, Neighbors: e.toNeighborsLocked(res),
-		Stats: st, Truncated: truncated,
+		Stats: st, Truncated: g.Truncated(),
 	}
 	if req.Explain {
-		resp.Explain = indexReport(q.pre, vexp, st)
+		resp.Explain = indexReport(q.pre, e.cfg.Budget, e.arena.Len(), ss, st)
 	}
 	return resp, nil
 }

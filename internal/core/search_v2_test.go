@@ -579,7 +579,7 @@ func TestV2SearchRequestIDResolvable(t *testing.T) {
 	if ev.Results != 3 {
 		t.Errorf("wide event results = %d, want 3", ev.Results)
 	}
-	if ev.NodesVisited <= 0 {
+	if ev.BoundsComputed <= 0 {
 		t.Error("wide event attributes no index work")
 	}
 }

@@ -41,7 +41,7 @@ func TestTracePipelineEndToEnd(t *testing.T) {
 	hub := obs.NewHub()
 	g := querylog.NewGenerator(querylog.DefaultStart, 365, 3)
 	data := append(g.Exemplars(), g.Dataset(128)...)
-	e, err := NewEngine(data, Config{Budget: 8, Seed: 3, Workers: 4, Obs: hub})
+	e, err := NewEngine(data, Config{Budget: 8, Workers: 4, Obs: hub})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestBareHandlerOwnsTrace(t *testing.T) {
 	hub := obs.NewHub()
 	hub.Traces.SetSampler(obs.NewTailSampler(0, nil)) // only failures survive
 	g := querylog.NewGenerator(querylog.DefaultStart, 64, 5)
-	e, err := NewEngine(g.Dataset(16), Config{Budget: 4, Seed: 5, Obs: hub})
+	e, err := NewEngine(g.Dataset(16), Config{Budget: 4, Obs: hub})
 	if err != nil {
 		t.Fatal(err)
 	}

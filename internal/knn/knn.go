@@ -1,11 +1,11 @@
-// Package knn is the part of a compressed-index k-nearest-neighbour search
-// that does not depend on the index's shape (fig. 11): collecting candidates
-// while maintaining σ_UB, the k-th smallest upper bound seen; discarding the
-// candidates whose lower bound exceeds it; and refining the survivors in
-// increasing lower-bound order against the full sequences, with early
-// abandoning. Package vptree owns the traversal and collects into and refines
-// from a Scratch; the filter and refine stay here, apart from any one walk, so
-// a second candidate source (a scan over the store's sketch) can reuse them.
+// Package knn is fig. 11, the compressed-feature k-nearest-neighbour search:
+// collecting candidates while maintaining σ_UB, the k-th smallest upper bound
+// seen; discarding the candidates whose lower bound exceeds it; and refining
+// the survivors in increasing lower-bound order against the full sequences,
+// with early abandoning. Scan is the search the engines serve: every feature
+// of an arena in sequence-ID order, in blocks. Package vptree's walk (the
+// paper's tree, which figs. 22–23 measure) is the other candidate source; it
+// collects into and refines from the same Scratch.
 //
 // Scratch ownership: a Scratch comes from a process-wide pool (Get) and goes
 // back when the search returns (Release). Nothing reachable from it — the
@@ -48,9 +48,10 @@ type Scratch struct {
 	early   int
 	ubTop   []float64 // max-heap of the k smallest upper bounds seen
 	sigmaUB float64
-	// seed is the radius σ_UB and Refine's k-th best distance start from
-	// (see Seed); +Inf unless seeded.
-	seed float64
+	// seed is the radius Refine's k-th best distance starts from, and
+	// seedLB the one σ_UB and every lower-bound test start from (see Seed);
+	// both +Inf unless seeded.
+	seed, seedLB float64
 	// spare and counts are Filter's ordering buffers (see order).
 	spare  []candidate
 	counts []int32
@@ -71,23 +72,34 @@ func Get(k int) *Scratch {
 	s.early = 0
 	s.ubTop = s.ubTop[:0]
 	s.sigmaUB = math.Inf(1)
-	s.seed = math.Inf(1)
+	s.seed, s.seedLB = math.Inf(1), math.Inf(1)
 	return s
 }
 
-// Seed starts the search from the radius of lifecycle.Gate.Seeded: σ_UB is
-// min(seed, the k-th smallest upper bound) from the first Add, and Refine's
-// k-th best distance starts at it, so its cutoff, sketch test and early
-// abandon drop rows beyond the seed before k neighbours are known. Both
-// start at the float just above seed, not at seed itself: the refine
-// abandons against the bound's square, and a row whose distance computes to
-// exactly seed can have a squared sum that rounds above seed² (the sketch
-// proves against the same square), so a tie with the seed's own row would be
-// dropped. One ulp up, every sum whose square root rounds to seed is within
-// the bound. A +Inf seed changes nothing.
-func (s *Scratch) Seed(seed float64) {
+// Seed starts the search of series of length n from the radius of
+// lifecycle.Gate.Seeded: Refine's k-th best distance starts at it, so its
+// sketch test and early abandon drop rows beyond the seed before k neighbours
+// are known, and σ_UB is min(seed, the k-th smallest upper bound) from the
+// first Add, so Add, Filter and Refine's cutoff drop rows whose lower bound is
+// beyond it.
+//
+// The seed is an exact distance, and a row at exactly that distance — a tie
+// with the seed's own row, whose ID may win the tie — must survive both
+// kinds of test, so each starts a little above it. The exact ones start at
+// the float just above seed: the refine abandons against the bound's square,
+// and a row whose distance computes to exactly seed can have a squared sum
+// that rounds above seed² (the sketch proves against the same square); one
+// ulp up, every sum whose square root rounds to seed is within the bound. The
+// lower-bound ones start at √(seed² + 2⁻³⁶·2n): a lower bound is sound in
+// exact arithmetic, and in floats it can come out above the distance it
+// bounds — a stored row queried by itself, at distance 0, has bounds up to
+// 1.5·10⁻⁶ at n = 1 024, whose square is 1.2·10⁻¹⁵ of 2n, the energy of two
+// standardized series — so the margin leaves a factor of 10⁴ over that,
+// and costs a radius of 10 a part in 10¹⁰. A +Inf seed changes nothing.
+func (s *Scratch) Seed(seed float64, n int) {
 	s.seed = math.Nextafter(seed, math.Inf(1))
-	s.sigmaUB = s.seed
+	s.seedLB = max(s.seed, math.Sqrt(seed*seed+0x1p-36*float64(2*n)))
+	s.sigmaUB = s.seedLB
 }
 
 // Release returns s to the pool. s must not be used afterwards.
@@ -135,12 +147,12 @@ func (s *Scratch) Add(id int, lb, ub float64) {
 		s.ubTop = append(s.ubTop, ub)
 		siftUpMax(s.ubTop, len(s.ubTop)-1)
 		if len(s.ubTop) == s.k {
-			s.sigmaUB = min(s.seed, s.ubTop[0])
+			s.sigmaUB = min(s.seedLB, s.ubTop[0])
 		}
 	} else if ub < s.ubTop[0] {
 		s.ubTop[0] = ub
 		siftDownMax(s.ubTop, 0)
-		s.sigmaUB = min(s.seed, s.ubTop[0])
+		s.sigmaUB = min(s.seedLB, s.ubTop[0])
 	}
 }
 
@@ -316,22 +328,22 @@ func (s *Scratch) order(c []candidate) []candidate {
 // RefineStats reports the work one Refine performed.
 type RefineStats struct {
 	// FullRetrievals counts uncompressed sequences read from the store.
-	FullRetrievals int
+	FullRetrievals int `json:"full_retrievals"`
 	// ExactDistances counts exact Euclidean evaluations, including ones
 	// that early-abandoned partway through the sequence.
-	ExactDistances int
+	ExactDistances int `json:"exact_distances"`
 	// EarlyAbandons counts the evaluations that abandoned.
-	EarlyAbandons int
+	EarlyAbandons int `json:"early_abandons"`
 	// CutoffSkips counts the candidates left unread because every remaining
 	// lower bound exceeded the k-th best distance.
-	CutoffSkips int
+	CutoffSkips int `json:"cutoff_skips"`
 	// SketchSkips counts the candidates left unread because the store's
 	// sketch proved them farther than the k-th best distance — each one a
 	// row that would otherwise have been read and abandoned.
-	SketchSkips int
+	SketchSkips int `json:"sketch_skips"`
 	// BudgetSkips counts the candidates left unread because the gate's
 	// exact-distance budget ran out first.
-	BudgetSkips int
+	BudgetSkips int `json:"budget_skips"`
 }
 
 // Refine measures the filtered candidates against the query in increasing
@@ -362,13 +374,15 @@ func (s *Scratch) Refine(q *spectral.Prepared, store seqstore.Store, g *lifecycl
 	}
 	sk, skq := rows.Sketch(), q.Sketch()
 	var best []Result
-	worst := s.seed // the seed until k neighbours are known, then the k-th's distance
+	// The seed until k neighbours are known, then the k-th's distance: worst
+	// for the exact tests, reach for the lower bounds (see Seed).
+	worst, reach := s.seed, s.seedLB
 	for ci, c := range s.cands {
 		// ε-relaxed cutoff: stop once every remaining lower bound exceeds
-		// worst/(1+ε). A cutoff that would not have fired at ε=0 records
+		// reach/(1+ε). A cutoff that would not have fired at ε=0 records
 		// the skipped candidate's lower bound as the proven floor.
-		if c.lb > g.Relax(worst) {
-			if c.lb <= worst {
+		if c.lb > g.Relax(reach) {
+			if c.lb <= reach {
 				g.MarkRelaxed(c.lb)
 			}
 			st.CutoffSkips = len(s.cands) - ci
@@ -423,6 +437,7 @@ func (s *Scratch) Refine(q *spectral.Prepared, store seqstore.Store, g *lifecycl
 		}
 		if len(best) == s.k {
 			worst = best[s.k-1].Dist
+			reach = worst
 		}
 	}
 	return best, st, nil

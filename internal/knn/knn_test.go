@@ -181,7 +181,7 @@ func TestScratchReuseIsClean(t *testing.T) {
 		return res, st, sigma
 	}
 	fresh := new(Scratch)
-	fresh.k, fresh.sigmaUB, fresh.seed = 2, math.Inf(1), math.Inf(1)
+	fresh.k, fresh.sigmaUB, fresh.seed, fresh.seedLB = 2, math.Inf(1), math.Inf(1), math.Inf(1)
 	wantRes, wantSt, wantSigma := run(fresh)
 
 	big := Get(40)
@@ -427,7 +427,7 @@ func TestSeedBoundsTheWalkAndTheRefine(t *testing.T) {
 	ids := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	for _, tight := range []bool{true, false} {
 		s := Get(5)
-		s.Seed(3)
+		s.Seed(3, 1)
 		collectLine(s, 0, ids, tight)
 		kept, dropped := s.Filter(nil)
 		if tight && (kept != 4 || dropped != 6) {
@@ -482,7 +482,7 @@ func TestSeedKeepsARowAtTheSeed(t *testing.T) {
 	}
 	s := Get(2)
 	defer s.Release()
-	s.Seed(seed)
+	s.Seed(seed, 2)
 	s.Add(0, 0, math.Inf(1))
 	s.Add(1, 0, math.Inf(1))
 	s.Filter(nil)

@@ -65,7 +65,7 @@ func eqCorpus() ([]*series.Series, []*series.Series) {
 }
 
 func eqConfig(shards int) core.Config {
-	return core.Config{Budget: 8, Seed: 3, Workers: 2, Shards: shards}
+	return core.Config{Budget: 8, Workers: 2, Shards: shards}
 }
 
 // eqRequest draws one randomized request. Kinds cycle so 100 trials cover
@@ -299,6 +299,90 @@ func checkResponseInvariants(t *testing.T, label string, single *core.Engine, re
 				t.Fatalf("%s: matches not in canonical (score desc, id) order at %d: %+v, %+v",
 					label, i, p, m)
 			}
+		}
+	}
+}
+
+// TestScanMatchesTheLinearOracle: the similarity search (fig. 11 over the
+// arena) answers as the exact linear scan does, the same IDs with the same
+// distance bits, by values and by ID, on a single engine and on one and
+// three shards: at corpus sizes around the scan's 256-row block, with
+// duplicate rows, for k from 1 to past the corpus, after Add, and after a
+// save and a load.
+func TestScanMatchesTheLinearOracle(t *testing.T) {
+	const k = 5
+	for _, n := range []int{1, k - 1, 255, 256, 257, 600} {
+		g := querylog.NewGenerator(querylog.DefaultStart, 64, int64(n))
+		data := g.Dataset(n)
+		for _, i := range []int{1, n - 1} { // rows 1 and n-1 repeat row 0
+			if i > 0 && i < n {
+				dup := *data[0]
+				dup.Name = fmt.Sprintf("dup-of-0-at-%d", i)
+				data[i] = &dup
+			}
+		}
+		for name, s := range engines(t, data, core.Config{Budget: 8, Workers: 2}, 1, 3) {
+			checkOracle(t, fmt.Sprintf("n=%d, %s", n, name), s, g.Queries(3), []int{1, k, n + 3})
+		}
+	}
+
+	g := querylog.NewGenerator(querylog.DefaultStart, 64, 7)
+	e, err := core.NewEngine(g.Dataset(300), core.Config{Budget: 8, DynamicIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for _, s := range g.Queries(20) {
+		if _, err := e.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries := querylog.NewGenerator(querylog.DefaultStart, 64, 8).Queries(3)
+	checkOracle(t, "after Add", e, queries, []int{1, k, 400})
+	dir := t.TempDir()
+	if err := e.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := core.LoadEngine(dir, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	checkOracle(t, "after Save and LoadEngine", loaded, queries, []int{1, k, 400})
+}
+
+// checkOracle compares, for every k, s's similarity search with its linear
+// scan: by the values of each query, and by ID for a spread of stored series.
+func checkOracle(t *testing.T, label string, s core.Searcher, queries []*series.Series, ks []int) {
+	t.Helper()
+	ask := func(req core.Request) []core.Neighbor {
+		t.Helper()
+		resp, err := s.Query(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s: %+v: %v", label, req, err)
+		}
+		return resp.Neighbors
+	}
+	same := func(what string, got, want []core.Neighbor) {
+		t.Helper()
+		ok := len(got) == len(want)
+		for i := 0; ok && i < len(got); i++ {
+			ok = got[i].ID == want[i].ID && math.Float64bits(got[i].Dist) == math.Float64bits(want[i].Dist)
+		}
+		if !ok {
+			t.Fatalf("%s, %s:\n similar %v\n linear  %v", label, what, got, want)
+		}
+	}
+	for _, k := range ks {
+		for qi, q := range queries {
+			same(fmt.Sprintf("query %d k=%d", qi, k),
+				ask(core.Request{Kind: core.KindSimilar, Values: q.Values, K: k}),
+				ask(core.Request{Kind: core.KindLinear, Values: q.Values, K: k}))
+		}
+		for id := 0; id < s.Len(); id += 1 + s.Len()/7 {
+			same(fmt.Sprintf("id %d k=%d", id, k),
+				ask(core.Request{Kind: core.KindSimilarID, ID: id, K: k}),
+				ask(core.Request{Kind: core.KindLinear, ID: id, K: k}))
 		}
 	}
 }

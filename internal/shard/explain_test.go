@@ -11,8 +11,9 @@ import (
 
 // Explain rides on Query, so a sharded engine fans it out: one report per
 // live shard under one request-level header, the answer unchanged, and each
-// shard's candidate identity balanced — also when a budget or the quality
-// dial (split across the shards' child gates) stops the searches early.
+// shard's scan report balanced and adding up to the merged stats — also when
+// a budget or the quality dial (split across the shards' child gates) stops
+// the scans early, max_nodes and nprobe as row budgets.
 func TestShardedExplain(t *testing.T) {
 	data, queries := eqCorpus()
 	hub := obs.NewHub()
@@ -58,9 +59,14 @@ func TestShardedExplain(t *testing.T) {
 				rep.EpsilonUsed != got.EpsilonUsed || rep.BoundFloor != got.BoundFloor || rep.Results != len(got.Neighbors) {
 				t.Errorf("%s: report header %+v does not carry the response's outcome %+v", name, rep, got)
 			}
-			collected, sketched, fetched := 0, 0, 0
+			collected, sketched, fetched, bounds := 0, 0, 0, 0
 			for i, sh := range rep.Shards {
 				d := sh.Index.Detail
+				if st := sh.Index.Stats; sh.Index.Kind != "scan" || d.BoundsComputed != st.BoundsComputed ||
+					d.Abandoned > d.BoundsComputed || d.Blocks == 0 || st.NodesVisited != 0 || st.GuidedDescentHits != 0 {
+					t.Errorf("%s shard %d: index %q, scan report %+v", name, i, sh.Index.Kind, d)
+				}
+				bounds += d.BoundsComputed
 				if !d.Balanced() {
 					t.Errorf("%s shard %d: collected %d != filter %d + cutoff %d + sketch %d + full %d + unrefined %d",
 						name, i, d.Collected, d.FilterLBPrunes, d.CutoffSkips, d.SketchSkips, d.FullRetrievals, d.Unrefined)
@@ -75,9 +81,12 @@ func TestShardedExplain(t *testing.T) {
 			if collected == 0 {
 				t.Errorf("%s: no shard collected a candidate", name)
 			}
-			if sketched != got.Stats.SketchSkips || fetched != got.Stats.FullRetrievals {
-				t.Errorf("%s: shards report %d sketch skips and %d reads, the merged stats %d and %d",
-					name, sketched, fetched, got.Stats.SketchSkips, got.Stats.FullRetrievals)
+			if sketched != got.Stats.SketchSkips || fetched != got.Stats.FullRetrievals || bounds != got.Stats.BoundsComputed {
+				t.Errorf("%s: shards report %d sketch skips, %d reads and %d bounds, the merged stats %d, %d and %d",
+					name, sketched, fetched, bounds, got.Stats.SketchSkips, got.Stats.FullRetrievals, got.Stats.BoundsComputed)
+			}
+			if name == "max_nodes" && bounds > req.Budget.MaxNodeVisits || name == "nprobe" && bounds > se.Shards() {
+				t.Errorf("%s: the shards bounded %d rows, past the row budget", name, bounds)
 			}
 		}
 	}
@@ -96,7 +105,7 @@ func TestShardedExplain(t *testing.T) {
 	}
 	var sb strings.Builder
 	resp.Explain.Render(&sb)
-	for _, want := range []string{"EXPLAIN sharded_similar_id", "shard 2: EXPLAIN similar_queries", "[ok]"} {
+	for _, want := range []string{"EXPLAIN sharded_similar_id", "shard 2: EXPLAIN similar_queries", "index: scan method=BestMinError", " blocks, ", "[ok]"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("rendered report missing %q:\n%s", want, sb.String())
 		}

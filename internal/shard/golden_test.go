@@ -28,7 +28,7 @@ func TestGoldenShardedSweep(t *testing.T) {
 	queries := gen.Queries(10)
 	var b strings.Builder
 	for _, shards := range []int{3, 8} {
-		e, err := newSharded(core.SliceSource(data), core.Config{Budget: 8, Seed: 9, Workers: 2, Shards: shards})
+		e, err := newSharded(core.SliceSource(data), core.Config{Budget: 8, Workers: 2, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ func TestHugeKIsClampedToTheCorpus(t *testing.T) {
 	g := querylog.NewGenerator(querylog.DefaultStart, 96, 7)
 	data := append(g.Exemplars(), g.Dataset(20)...)
 	for _, shards := range []int{1, 3} {
-		s, err := NewFromConfig(data, core.Config{Budget: 8, Seed: 3, Shards: shards})
+		s, err := NewFromConfig(data, core.Config{Budget: 8, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}

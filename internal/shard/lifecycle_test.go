@@ -29,7 +29,7 @@ func TestOneRequestOneRecord(t *testing.T) {
 	hub := obs.NewHub()
 	hub.Slow.SetThreshold(time.Nanosecond)
 	hub.Slow.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
-	cfg := core.Config{Budget: 8, Seed: 3, Workers: 2, Obs: hub}
+	cfg := core.Config{Budget: 8, Workers: 2, Obs: hub}
 
 	type row struct {
 		name   string

@@ -33,7 +33,7 @@ func TestScatterPreparesTheQueryOnce(t *testing.T) {
 		{Kind: core.KindBurstID, ID: 17, K: 5},
 	}
 	prepares := hub.Registry().Counter("engine_query_prepares_total", "")
-	for name, s := range engines(t, gen.Dataset(96), core.Config{Budget: 8, Seed: 3, Obs: hub}, 1, 3, 8) {
+	for name, s := range engines(t, gen.Dataset(96), core.Config{Budget: 8, Obs: hub}, 1, 3, 8) {
 		before := prepares.Value()
 		const rounds = 5
 		for i := 0; i < rounds; i++ {
@@ -64,7 +64,7 @@ func TestConcurrentScattersShareTheirPreparedQueries(t *testing.T) {
 	const shards = 8
 	gen := querylog.NewGenerator(querylog.DefaultStart, 128, 13)
 	data := gen.Dataset(160)
-	se, err := newSharded(core.SliceSource(data), core.Config{Budget: 8, Seed: 3, Shards: shards})
+	se, err := newSharded(core.SliceSource(data), core.Config{Budget: 8, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 func TestSketchTracksEveryShard(t *testing.T) {
 	const shards = 8
 	g := querylog.NewGenerator(querylog.DefaultStart, 128, 31)
-	se, err := newSharded(core.SliceSource(g.Dataset(120)), core.Config{Budget: 8, Seed: 2, Workers: 2, Shards: shards})
+	se, err := newSharded(core.SliceSource(g.Dataset(120)), core.Config{Budget: 8, Workers: 2, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func TestFileSourceMatchesSlice(t *testing.T) {
 
 	ctx := context.Background()
 	for _, shards := range []int{1, 3} {
-		cfg := core.Config{Budget: 8, Seed: 5, Workers: 2, Shards: shards}
+		cfg := core.Config{Budget: 8, Workers: 2, Shards: shards}
 		fromSlice, err := NewFromConfig(data, cfg)
 		if err != nil {
 			t.Fatal(err)

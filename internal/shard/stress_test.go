@@ -26,7 +26,7 @@ func TestShardedStressWithRollback(t *testing.T) {
 	hub := obs.NewHub()
 	g := querylog.NewGenerator(querylog.DefaultStart, 128, 7)
 	data := append(g.Exemplars(), g.Dataset(16)...)
-	cfg := core.Config{Budget: 8, Seed: 7, Workers: 4, Shards: shards, Obs: hub}
+	cfg := core.Config{Budget: 8, Workers: 4, Shards: shards, Obs: hub}
 	se, err := newSharded(core.SliceSource(data), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestShardedStressWithRollback(t *testing.T) {
 
 	// After the stress the partition must still answer exactly like a
 	// single engine over the same corpus.
-	single, err := core.NewEngine(data, core.Config{Budget: 8, Seed: 7, Workers: 4})
+	single, err := core.NewEngine(data, core.Config{Budget: 8, Workers: 4})
 	if err != nil {
 		t.Fatalf("post-stress twin engine: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestShardedStressWithRollback(t *testing.T) {
 func TestShardedCancellationPropagates(t *testing.T) {
 	g := querylog.NewGenerator(querylog.DefaultStart, 128, 7)
 	data := g.Dataset(48) // enough per-shard work for DTW to be mid-flight
-	se, err := newSharded(core.SliceSource(data), core.Config{Budget: 8, Seed: 7, Workers: 2, Shards: 4})
+	se, err := newSharded(core.SliceSource(data), core.Config{Budget: 8, Workers: 2, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,6 +173,21 @@ func (a *Arena) Append(c *Compressed) (int, error) {
 	return len(a.minPower) - 1, nil
 }
 
+// Feature returns a copy of the feature in slot s: the Compressed NewArena
+// or Append packed there.
+func (a *Arena) Feature(s int) *Compressed {
+	lo, hi := a.starts[s], a.starts[s+1]
+	c := &Compressed{
+		Method: a.method, N: a.n, basis: a.basis, MinPower: a.minPower[s], Err: a.errv[s],
+		Positions: make([]int, hi-lo), Coeffs: make([]complex128, hi-lo),
+	}
+	for j := lo; j < hi; j++ {
+		c.Positions[j-lo] = int(a.positions[j])
+		c.Coeffs[j-lo] = complex(a.re[j], a.im[j])
+	}
+	return c
+}
+
 func knownMethod(m Method) bool {
 	switch m {
 	case GEMINI, Wang, BestMin, BestError, BestMinError:

@@ -69,6 +69,57 @@ func WriteFeatures(path string, feats []*spectral.Compressed) (*DiskFeatures, er
 	return d, nil
 }
 
+// ReadFeatures reads back, whole and in order, the feature table
+// WriteFeatures wrote to path. A file that is not one — a bad header, a record
+// that does not parse or names a coefficient past its spectrum, bytes past the
+// last record — is refused with an error wrapping ErrCorrupt.
+func ReadFeatures(path string) ([]*spectral.Compressed, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("vptree: read features: %w", err)
+	}
+	if len(b) < 8 || binary.LittleEndian.Uint32(b) != featMagic {
+		return nil, fmt.Errorf("vptree: %s is not a feature file: %w", path, ErrCorrupt)
+	}
+	n := int(binary.LittleEndian.Uint32(b[4:]))
+	feats := make([]*spectral.Compressed, 0, min(n, len(b)/23))
+	for b = b[8:]; len(feats) < n; {
+		size := 23
+		if len(b) >= size {
+			size += 18 * int(binary.LittleEndian.Uint16(b[5:]))
+		}
+		if len(b) < size {
+			return nil, fmt.Errorf("vptree: feature %d of %d is cut short: %w", len(feats), n, ErrCorrupt)
+		}
+		c, err := decodeFeature(b[:size])
+		if err == nil {
+			err = checkFeature(c)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("vptree: feature %d: %v: %w", len(feats), err, ErrCorrupt)
+		}
+		feats, b = append(feats, c), b[size:]
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("vptree: %d bytes after the last feature: %w", len(b), ErrCorrupt)
+	}
+	return feats, nil
+}
+
+// checkFeature refuses a decoded feature no spectrum has: one of length < 1,
+// or with a coefficient past the spectrum's last bin.
+func checkFeature(c *spectral.Compressed) error {
+	if c.N < 1 {
+		return fmt.Errorf("sequence length %d", c.N)
+	}
+	for _, p := range c.Positions {
+		if p > c.N/2 {
+			return fmt.Errorf("coefficient %d of a length-%d spectrum", p, c.N)
+		}
+	}
+	return nil
+}
+
 func encodeFeature(c *spectral.Compressed) []byte {
 	k := len(c.Positions)
 	rec := make([]byte, 1+4+2+8+8+k*(2+16))

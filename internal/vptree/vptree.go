@@ -14,6 +14,13 @@
 // subtrees, and the surviving compressed candidates are refined by fetching
 // full sequences from a seqstore.Store in increasing lower-bound order with
 // early abandoning.
+//
+// The engines do not serve their searches from this tree: they run fig. 11
+// over every feature in sequence-ID order (knn.Scan): at 16 384 series the
+// walk bounded 75–100 % of the rows anyway, out of order, and the scan needs
+// no build. The tree is the paper's figs. 22–23
+// artifact (cmd/experiments, internal/benchutil) and what Engine.Tree builds
+// for the benchmark's ledger.
 package vptree
 
 import (
@@ -585,7 +592,7 @@ func (t *Tree) search(q *spectral.Prepared, k int, feats FeatureSource, store se
 	// gate's seed (+Inf unless a sharded scatter seeded it).
 	sc := knn.Get(k)
 	defer sc.Release()
-	sc.Seed(g.Seed())
+	sc.Seed(g.Seed(), len(q.Values()))
 	s := &searcher{
 		t: t, f: t.flat, feats: feats, exp: exp, g: g,
 		ctx: q.Context(), Scratch: sc, cut: cut,

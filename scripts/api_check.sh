@@ -1,7 +1,7 @@
 #!/bin/sh
 # api_check.sh enforces the one query surface (run via `make api-check`).
 #
-# Nine checks:
+# Ten checks:
 #   1. Every exported Engine / ShardedEngine method on the query surface —
 #      names starting with Similar, Query, Linear, or Search — takes a
 #      context.Context as its first parameter. No exceptions: the
@@ -39,6 +39,13 @@
 #      internal/shard names no core.Kind identifier (no per-kind planning
 #      in the scatter), and core.Request has no Prepared or QueryBursts
 #      field (no side door for a layer's own resolution).
+#  10. One served index: similarity search is fig. 11 over the arena
+#      (knn.Scan), and the paper's VP-tree is instrumentation. Non-test
+#      internal/core and internal/shard call neither vptree.Build nor
+#      vptree.Load nor any Search* or Insert* method of vptree.Tree, and
+#      non-test core, shard and cmd/ do not call Engine.Tree — except the
+#      one core file that holds Engine.Tree, which builds the tree for the
+#      benchmark's ledger.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -118,8 +125,7 @@ fi
 
 # --- 7. no Config field without a setter ---------------------------------
 # Allowlisted, with the reason (one "Field: reason" a line):
-config_allow='Seed: the core and shard goldens were recorded under seeds 5 and 9
-Workers: the budget-truncation tests need the serial scan (Workers 1)'
+config_allow='Workers: the budget-truncation tests need the serial scan (Workers 1)'
 fields="$(awk '/^type Config struct \{/ { body = 1; next } body && /^\}/ { exit }
 	body && /^\t[A-Z][A-Za-z0-9]*[ \t]/ { print $1 }' internal/core/core.go)"
 setters="$(grep -rh --include='*.go' --exclude='*_test.go' -E 'core\.Config\{|\.[A-Z][A-Za-z0-9]* = ' cmd bench 2>/dev/null | grep -v '^[[:space:]]*//' || true)"
@@ -154,6 +160,18 @@ side_doors="$(awk '/^type Request struct \{/ { body = 1; next } body && /^\}/ { 
 if [ -n "$side_doors" ]; then
 	echo "api-check: core.Request carries a pre-resolved query again; the Envelope resolves every request (rule 9):" >&2
 	echo "$side_doors" >&2
+	fail=1
+fi
+
+# --- 10. one served index -------------------------------------------------
+tree_file="$(grep -l -E '^func \(e \*Engine\) Tree\(\)' internal/core/*.go || true)"
+tree_methods="$(grep -h -o -E '^func \(t \*Tree\) (Search|Insert)[A-Za-z0-9]*' internal/vptree/*.go | sed 's/.*) //' | sort -u | paste -s -d '|' -)"
+served="$(grep -n -E "vptree\.(Build|Load)\(|\.($tree_methods)\(" internal/core/*.go internal/shard/*.go || true
+	grep -rn --include='*.go' -E '\.Tree\(\)' internal/core internal/shard cmd || true)"
+served="$(echo "$served" | grep -v -e '_test\.go:' -e '^$' | grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//' | grep -v "^$tree_file:" || true)"
+if [ -z "$tree_file" ] || [ -z "$tree_methods" ] || [ -n "$served" ]; then
+	echo "api-check: the served index is the scan; the VP-tree is built, loaded, searched or inserted into outside $tree_file (rule 10):" >&2
+	echo "$served" >&2
 	fail=1
 fi
 

@@ -56,6 +56,22 @@
 # count reads exact on every workload: the tree's shape, its slots and
 # every search are what they were.
 #
+# Per-request counts and fig. 11 over the arena: across the commit that made
+# the similarity search a scan of every compressed feature in sequence-ID
+# order (knn.Scan; no engine builds, keeps or walks a VP-tree), TRACE=1
+# reports three counts as DIFFERS by design: vptree.nodes_per_q (to 0,
+# nothing is walked), vptree.bounds_per_q (up, to every row of every engine
+# a request reaches: 11 846 -> 16 384 on paper_knn, 3 493 -> 4 096 on
+# sharded_knn) and vptree.kernel_evals_per_q (to 0: the ledger reads it off
+# Engine.Tree(), a tree no search uses any more). vptree.candidates_per_q
+# read exact on both, and may differ on other corpora: a subtree the tree
+# pruned by the triangle inequality can hold rows whose compressed lower
+# bound does not exceed σ_UB, which the scan keeps. What must stay exact
+# are the reads: vptree.full_retrievals_per_q, seqstore.reads_per_q and
+# seqstore.read_bytes_per_q (exact on paper_knn and sharded_knn). The
+# ledger's vptree.build_s, insert_us and search_us time that lazily built
+# tree, not the served search.
+#
 # Everything it writes is git-ignored: the worktree under .bench_build/,
 # the records under bench/out/pair/.
 set -eu
