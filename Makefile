@@ -36,9 +36,11 @@ vet-lostcancel:
 # its reason; and (rule 9, one resolver) non-test internal/shard names no
 # core.Kind identifier and core.Request has no Prepared or QueryBursts
 # field; and (rule 10, one served index) non-test core and shard neither
-# build, load, search nor insert into a vptree.Tree, and non-test core, shard
-# and cmd/ do not call Engine.Tree, outside the one file that holds it. See
-# scripts/api_check.sh.
+# build, search nor insert into a vptree.Tree, and non-test core, shard and
+# cmd/ do not call Engine.Tree, outside the one file that holds it; and (rule
+# 11, one filter-and-refine) non-test internal/dtw imports neither lifecycle
+# nor knn, and only internal/knn calls Gate.DeltaCut, so the scan, the tree
+# and DTW share knn's one filter and refine. See scripts/api_check.sh.
 api-check:
 	sh scripts/api_check.sh
 
@@ -68,7 +70,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz FuzzSketchBound -fuzztime $(FUZZTIME) ./internal/sketch
 	$(GO) test -run='^$$' -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz FuzzFlatSearch -fuzztime $(FUZZTIME) ./internal/vptree
-	$(GO) test -run='^$$' -fuzz FuzzTreeLoad -fuzztime $(FUZZTIME) ./internal/vptree
 	$(GO) test -run='^$$' -fuzz FuzzShardRoute -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run='^$$' -fuzz FuzzV2Decode -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz FuzzOverlapPlans -fuzztime $(FUZZTIME) ./internal/burstdb
@@ -80,22 +81,25 @@ fuzz-smoke:
 # tests, the served scan against its parent-recorded goldens and the linear
 # oracle (TestScanMatchesTheLinearOracle: single engine and one and three
 # shards, block edges, duplicate rows, k >= n, after Add and a save and
-# load), the paper's tree against its goldens and the brute-force oracle, the
+# load), the DTW search against banded DTW over every other row
+# (TestDTWMatchesTheBruteForceOracle: the same layouts and sizes, by ID and by
+# values, bands 0, 7 and past the series, after Add and a load) and its work
+# counters on a pinned corpus (TestDTWStatsPinned), the paper's tree against
+# its goldens and the brute-force oracle, the
 # three moves a search saves work by (bounds abandoned against σ_UB —
 # TestScanInvariantToAbandon for the scan —, candidates dropped on sight, the
 # bucketed candidate order) against the search that does none of them, the
 # in-place suite (TestFlatInPlace…: the flat index Insert
 # changes in place against a fresh layout of itself after every operation;
-# one writer beside readers), the pinned tree.bin bytes (TestGoldenTreeFiles)
-# and the sketch tier (bound soundness, the store keeping it in step,
-# refinement skipping only what would abandon, the vector kernel against the
-# portable one), all under the race detector; then the
+# one writer beside readers) and the sketch tier (bound soundness, the store
+# keeping it in step, refinement skipping only what would abandon, the vector
+# kernel against the portable one), all under the race detector; then the
 # sketch's portable path on its own (-tags purego builds without the assembly,
 # as every other architecture does) and a vet and build for arm64, so neither
 # the path this machine does not run nor the build it does not do can rot.
 kernel-check:
 	$(GO) test -race -run 'TestForwardRealHalf|TestCachedTwiddles|TestTwiddleTables|TestQueryContext|TestSimilarPeriodsMatchesDirectDFT' ./internal/fft ./internal/spectral ./internal/core
-	$(GO) test -race -run 'TestArena|TestFlat|TestGolden|TestBoundsAbandon|TestSearchInvariantToAbandon|TestScanInvariantToAbandon|TestScanMatchesTheLinearOracle|TestFilterOrder|TestAddDrops|TestConcurrentFlatStress|TestConcurrentEngineStress' ./internal/spectral ./internal/vptree ./internal/knn ./internal/core ./internal/shard
+	$(GO) test -race -run 'TestArena|TestFlat|TestGolden|TestBoundsAbandon|TestSearchInvariantToAbandon|TestScanInvariantToAbandon|TestScanMatchesTheLinearOracle|TestDTWMatchesTheBruteForceOracle|TestDTWStatsPinned|TestFilterOrder|TestAddDrops|TestConcurrentFlatStress|TestConcurrentEngineStress' ./internal/spectral ./internal/vptree ./internal/knn ./internal/core ./internal/shard
 	$(GO) test -race -run 'Sketch|TestExceeds|TestRows|TestUnsketchable|TestShiftOutOfRange|TestVector|TestClosedForm|Kernel' ./internal/sketch ./internal/seqstore ./internal/knn ./internal/core ./internal/shard
 	$(GO) test -tags purego ./internal/sketch ./internal/knn ./internal/seqstore
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...

@@ -2,7 +2,7 @@
 // an interactive explorer over a query-log database offering the tool's
 // three functions —
 //
-//	similar <query> [k]      similarity search via the compressed VP-tree
+//	similar <query> [k]      similarity search over the compressed features
 //	periods <query>          automatic important-period discovery
 //	bursts  <query> [short]  burst detection (long- or short-term windows)
 //	qbb     <query> [k]      'query-by-burst' search
@@ -658,9 +658,9 @@ func dispatch(e core.Searcher, line string) error {
 }
 
 // runExplain handles `explain similar|qbb <query> [k]`: it runs the search
-// through Query with Request.Explain set and renders the report (per-level
-// traversal, per-bound prune attribution, phase wall times; one per shard
-// under -shards). The report rides on the request's trace, which the tail
+// through Query with Request.Explain set and renders the report (the scan's
+// blocks and bounds, the filter's and the refine's work, phase wall times;
+// one per shard under -shards). The report rides on the request's trace, which the tail
 // sampler always keeps, so /debug/explain/last serves it.
 func runExplain(e core.Searcher, args []string, w io.Writer) error {
 	if len(args) < 2 {

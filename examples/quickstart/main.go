@@ -23,7 +23,8 @@ func main() {
 
 	// 2. Build the engine. The zero config uses the paper defaults:
 	//    BestMinError compression at budget c=16 (2*16+1 doubles per
-	//    sequence), a VP-tree index, and 7/30-day burst databases.
+	//    sequence), scanned in sequence-ID order by fig. 11's search, and
+	//    7/30-day burst databases.
 	engine, err := core.NewEngine(data, core.Config{})
 	if err != nil {
 		log.Fatal(err)

@@ -17,18 +17,16 @@ import (
 // declarations and "pkg.Type.Method" for methods, pkg being the directory
 // under internal/.
 var declAllowlist = map[string]string{
-	"benchutil.PruneSearch1NN":          "the §7.3 pruning procedure ablation_test.go's benchmarks drive",
-	"burstdb.DB.Overlapping":            "the fig. 18 overlap query, the oracle of the burstdb, minisql and integration tests",
-	"core.Engine.FailNextIndexInsert":   "the fault hook the core tests use to drive Add's rollback",
-	"israce.Enabled":                    "the allocation guards of six test packages skip themselves under -race",
-	"leakcheck.Files":                   "the file-descriptor checks of the core, shard and s2 tests",
-	"leakcheck.Main":                    "the goroutine-leak check of every package whose TestMain calls it",
-	"obs.SlowLog.SetLogger":             "the obs, core and shard tests capture or silence slow-query logs through it",
-	"sketch.ForEachKernel":              "runs the sketch and knn tests under every kernel the CPU offers",
-	"sketch.Rows.CheckSums":             "the sketch and seqstore tests check every row's ΣX² against its codes",
-	"spectral.Compressed.SafeBounds":    "the reference form of the sound bounds that SafeBoundsFast and the arena kernel are tested against",
-	"vptree.Explain.TotalSubtreePrunes": "the paper's tree's per-level report, which the vptree explain tests check; no engine walks the tree since the scan",
-	"vptree.Load":                       "reopens what Tree.Save writes, the paper's tree file FuzzTreeLoad checks; engines persist features instead since the scan",
+	"benchutil.PruneSearch1NN":        "the §7.3 pruning procedure ablation_test.go's benchmarks drive",
+	"burstdb.DB.Overlapping":          "the fig. 18 overlap query, the oracle of the burstdb, minisql and integration tests",
+	"core.Engine.FailNextIndexInsert": "the fault hook the core tests use to drive Add's rollback",
+	"israce.Enabled":                  "the allocation guards of six test packages skip themselves under -race",
+	"leakcheck.Files":                 "the file-descriptor checks of the core, shard and s2 tests",
+	"leakcheck.Main":                  "the goroutine-leak check of every package whose TestMain calls it",
+	"obs.SlowLog.SetLogger":           "the obs, core and shard tests capture or silence slow-query logs through it",
+	"sketch.ForEachKernel":            "runs the sketch and knn tests under every kernel the CPU offers",
+	"sketch.Rows.CheckSums":           "the sketch and seqstore tests check every row's ΣX² against its codes",
+	"spectral.Compressed.SafeBounds":  "the reference form of the sound bounds that SafeBoundsFast and the arena kernel are tested against",
 }
 
 // TestNoDeclarationWithoutACaller is api-check rule 8: every top-level

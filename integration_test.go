@@ -13,6 +13,7 @@ import (
 	"repro/internal/burst"
 	"repro/internal/burstdb"
 	"repro/internal/core"
+	"repro/internal/knn"
 	"repro/internal/minisql"
 	"repro/internal/querylog"
 	"repro/internal/seqstore"
@@ -64,7 +65,8 @@ func TestThreeSearchEnginesAgree(t *testing.T) {
 }
 
 // TestPersistencePipeline saves every persistent artifact (sequence store,
-// VP-tree, burst DB) and reopens them into a working query path.
+// compressed features, burst DB) and reopens them into a working query path:
+// fig. 11 over the reopened features, refined against the reopened store.
 func TestPersistencePipeline(t *testing.T) {
 	dir := t.TempDir()
 	g := querylog.NewGenerator(querylog.DefaultStart, 128, 78)
@@ -73,29 +75,32 @@ func TestPersistencePipeline(t *testing.T) {
 
 	// Build phase: everything written to disk.
 	seqPath := filepath.Join(dir, "seqs.bin")
-	treePath := filepath.Join(dir, "tree.bin")
+	featPath := filepath.Join(dir, "features.bin")
 	burstPath := filepath.Join(dir, "bursts.bin")
 	{
 		store, err := seqstore.Create(seqPath, 128)
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs := make([]*spectral.HalfSpectrum, len(data))
-		ids := make([]int, len(data))
+		feats := make([]*spectral.Compressed, len(data))
 		bdb := burstdbFromSeries(t, data)
 		for i, s := range data {
-			if ids[i], err = store.Append(s.Values); err != nil {
+			if _, err = store.Append(s.Values); err != nil {
 				t.Fatal(err)
 			}
-			if specs[i], err = spectral.FromValues(s.Values); err != nil {
+			spec, err := spectral.FromValues(s.Values)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if feats[i], err = vptree.Compress(spec, vptree.Options{Budget: 10}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		tree, err := vptree.Build(specs, ids, vptree.Options{Budget: 10})
+		df, err := vptree.WriteFeatures(featPath, feats)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tree.Save(treePath); err != nil {
+		if err := df.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if err := bdb.Save(burstPath); err != nil {
@@ -113,11 +118,20 @@ func TestPersistencePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	tree, err := vptree.Load(treePath)
+	feats, err := vptree.ReadFeatures(featPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := tree.Search(q.Values, 2, tree.Features(), store)
+	arena, err := spectral.NewArena(feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := spectral.Prepare(q.Values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pq.Release()
+	res, _, err := knn.Scan(pq, 2, arena, store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +155,7 @@ func TestPersistencePipeline(t *testing.T) {
 		}
 	}
 	if math.Abs(res[0].Dist-best) > 1e-9 {
-		t.Errorf("loaded tree 1NN %v vs scan %v", res[0].Dist, best)
+		t.Errorf("reopened features' 1NN %v vs scan %v", res[0].Dist, best)
 	}
 
 	// Burst DB reloads and answers SQL.

@@ -213,20 +213,6 @@ func (t *BTree) AscendRange(minKey, maxKey int64, fn func(key, val int64) bool) 
 	}
 }
 
-// Height returns the tree height (a lone leaf is height 1).
-func (t *BTree) Height() int {
-	h := 1
-	n := t.root
-	for {
-		in, ok := n.(*inner)
-		if !ok {
-			return h
-		}
-		h++
-		n = in.children[0]
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Validation (used by tests)
 

@@ -403,3 +403,17 @@ func BenchmarkBulkLoadVsInserts(b *testing.B) {
 		}
 	})
 }
+
+// Height returns the tree height (a lone leaf is height 1).
+func (t *BTree) Height() int {
+	h := 1
+	n := t.root
+	for {
+		in, ok := n.(*inner)
+		if !ok {
+			return h
+		}
+		h++
+		n = in.children[0]
+	}
+}

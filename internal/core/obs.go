@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"repro/internal/burstdb"
-	"repro/internal/dtw"
 	"repro/internal/obs"
 	"repro/internal/vptree"
 )
@@ -112,11 +111,15 @@ func (m *engineMetrics) recordSearch(st vptree.Stats) {
 	m.treeSketch.Add(int64(st.SketchSkips))
 }
 
-// recordDTW promotes one DTW cascade's transient dtw.Stats into the
-// cumulative registry counters.
-func (m *engineMetrics) recordDTW(st dtw.Stats) {
-	m.dtwLB.Add(int64(st.LBComputed))
-	m.dtwFull.Add(int64(st.FullDTW))
+// dtwStats is the work of one DTW cascade: the LB_Keogh bounds it
+// computed, the exact DTWs it began and the ones that abandoned.
+type dtwStats struct{ LB, Full, Abandoned int }
+
+// recordDTW promotes one DTW cascade's work into the cumulative registry
+// counters.
+func (m *engineMetrics) recordDTW(st dtwStats) {
+	m.dtwLB.Add(int64(st.LB))
+	m.dtwFull.Add(int64(st.Full))
 	m.dtwAbandoned.Add(int64(st.Abandoned))
 }
 
@@ -146,12 +149,12 @@ func annotateSearch(sp *obs.Span, st vptree.Stats) {
 }
 
 // annotateDTW attaches a DTW cascade's work counters to its span.
-func annotateDTW(sp *obs.Span, st dtw.Stats) {
+func annotateDTW(sp *obs.Span, st dtwStats) {
 	if sp == nil {
 		return
 	}
-	sp.Annotate("lb_computed", strconv.Itoa(st.LBComputed))
-	sp.Annotate("full_dtw", strconv.Itoa(st.FullDTW))
+	sp.Annotate("lb_computed", strconv.Itoa(st.LB))
+	sp.Annotate("full_dtw", strconv.Itoa(st.Full))
 	sp.Annotate("abandoned", strconv.Itoa(st.Abandoned))
 }
 

@@ -41,7 +41,7 @@ func eventually(f func() bool) bool {
 // the 429 and 503 sheds all carry the trace ID of the echoed traceparent in
 // every trace_id they have, /debug/requests?id= and /debug/traces?id= both
 // resolve it, no body or header names a request_id or X-Request-Id, and
-// every v2 body is schema_version 3.
+// every v2 body is schema_version 4.
 func TestOneIDEndToEnd(t *testing.T) {
 	hub := obs.NewHub()
 	hub.Traces.SetSampler(obs.NewTailSampler(1, hub.Slow))
@@ -98,8 +98,8 @@ func TestOneIDEndToEnd(t *testing.T) {
 				t.Errorf("%s: no schema_version in the body: %s", name, body)
 			}
 			for _, m := range versions {
-				if m[1] != "3" {
-					t.Errorf("%s: schema_version %s, want 3", name, m[1])
+				if m[1] != "4" {
+					t.Errorf("%s: schema_version %s, want 4", name, m[1])
 				}
 			}
 		}

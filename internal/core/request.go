@@ -441,12 +441,10 @@ func (v *Envelope) Run(ctx context.Context, req Request, body QueryBody) (*Respo
 		sp.Annotate("approximate", "true")
 		sp.Annotate("epsilon_used", strconv.FormatFloat(resp.EpsilonUsed, 'g', -1, 64))
 	}
-	ev.NodesVisited = resp.Stats.NodesVisited
 	ev.BoundsComputed = resp.Stats.BoundsComputed
 	ev.Candidates = resp.Stats.Candidates
 	ev.FullRetrievals = resp.Stats.FullRetrievals
 	ev.LBPrunes = resp.Stats.LBPrunes
-	ev.UBPrunes = resp.Stats.UBPrunes
 	ev.Results = len(resp.Neighbors) + len(resp.Matches)
 	v.reqlog.Record(ev)
 	if req.Explain {
@@ -732,53 +730,70 @@ func (e *Engine) queryDTW(ctx context.Context, g *lifecycle.Gate, req Request, q
 
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	// The collection build is a full pass of store reads; a context-aware
-	// store view makes it abort promptly on cancellation. Budget accounting
-	// happens inside the gated DTW cascade, whose LB phase touches the same
-	// n candidates.
-	rows := seqstore.NewReader(seqstore.WithContext(ctx, e.store))
-	// The collection is views of the stored rows, not copies: the cascade
-	// only reads them and the read lock outlives it. A store without row
-	// views (Disk) fills one fresh buffer per row instead.
-	n := e.store.Len()
-	scratch := dtw.Get()
-	defer scratch.Release()
-	collection := scratch.Collection(n)
-	for other := 0; other < n; other++ {
-		if other == skip {
-			continue
-		}
-		v, err := rows.Row(other, rows.NewBuffer())
-		if err != nil {
-			return nil, err
-		}
-		collection = append(collection, v)
-	}
-	if len(collection) == 0 {
-		// Nothing to compare against (single-series engine, or a shard
-		// whose only series is the excluded one): an empty answer, not an
-		// error — a scatter-gather layer must be able to fan an exclusion
-		// to every shard.
-		return &Response{Kind: req.Kind}, nil
-	}
 	sp := fam.Child("dtw_cascade")
-	res, st, truncated, err := scratch.SearchKLimited(collection, q.z, req.Band, req.K, g)
+	res, st, err := e.dtwCascade(ctx, g, req, q.z, skip)
 	sp.Finish()
 	annotateDTW(sp, st)
 	e.met.recordDTW(st)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Neighbor, len(res))
-	for i, r := range res {
-		// Collection index → sequence ID: the skipped row is the only gap.
-		id := r.Index
-		if skip >= 0 && id >= skip {
-			id++
-		}
-		out[i] = Neighbor{ID: id, Name: e.nameLocked(id), Dist: r.Dist}
+	return &Response{Kind: req.Kind, Neighbors: e.toNeighborsLocked(res), Truncated: g.Truncated()}, nil
+}
+
+// dtwCascade is fig. 11 under banded DTW (§8): a gated pass bounds every
+// row but skip by LB_Keogh against z, collecting it with no upper bound (so
+// σ_UB stays +Inf and only the gate's δ and ε drop candidates before
+// refinement); then knn's Filter and refine measure the rows in bound order
+// with an early-abandoning DTW. Each bounded row is one Visit and one Leaf;
+// a budget that stops the pass still refines up to k. Caller holds the read
+// lock, which keeps the row views valid until the refine ends.
+func (e *Engine) dtwCascade(ctx context.Context, g *lifecycle.Gate, req Request, z []float64, skip int) ([]knn.Result, dtwStats, error) {
+	var st dtwStats
+	dt := dtw.Get()
+	defer dt.Release()
+	if err := dt.Query(z, req.Band); err != nil {
+		return nil, st, err
 	}
-	return &Response{Kind: req.Kind, Neighbors: out, Truncated: truncated}, nil
+	// Reads go through a context-aware store view, so a hung-up caller
+	// aborts between the gate's amortized checks. The refine measures the
+	// pass's row views, not copies: over a store without them (Disk) each
+	// row is read into a buffer of its own.
+	rows := seqstore.NewReader(seqstore.WithContext(ctx, e.store))
+	n := e.store.Len()
+	views := dt.Rows(n)
+	sc := knn.Get(req.K)
+	defer sc.Release()
+	for id := range n {
+		if id == skip {
+			continue
+		}
+		if ok, err := g.Visit(); err != nil {
+			return nil, st, err
+		} else if !ok || !g.Leaf() {
+			break // budget or ng leaf budget exhausted: refine what was bounded
+		}
+		v, err := rows.Row(id, rows.NewBuffer())
+		if err != nil {
+			return nil, st, err
+		}
+		lb, err := dt.LowerBound(v)
+		if err != nil {
+			return nil, st, err
+		}
+		st.LB++
+		views[id] = v
+		sc.Add(id, lb, math.Inf(1))
+	}
+	if g.Truncated() {
+		g.Grace(req.K)
+	}
+	sc.Filter(g)
+	res, rs, err := sc.RefineBy(g, nil, func(id int, bound float64) (float64, bool, error) {
+		return dt.Distance(views[id], bound)
+	})
+	st.Full, st.Abandoned = rs.ExactDistances, rs.EarlyAbandons
+	return res, st, err
 }
 
 // ErrBadPeriods is wrapped by the error a period search returns for a period

@@ -22,7 +22,7 @@ import (
 
 // V2SchemaVersion is the schema_version stamped on every /v2/search
 // response, snapshot frame and error envelope.
-const V2SchemaVersion = 3
+const V2SchemaVersion = 4
 
 // UnboundedGap is the JSON sentinel for an unbounded bound_gap (+Inf is not
 // representable in JSON): the search stopped with no quality guarantee.
@@ -278,14 +278,13 @@ type V2Response struct {
 	// Approximate, EpsilonUsed and BoundFloor report the quality dial's
 	// outcome (see Response); per-result tightness is each Result's
 	// bound_gap (-1 = unbounded).
-	Approximate  bool          `json:"approximate"`
-	EpsilonUsed  float64       `json:"epsilon_used,omitempty"`
-	BoundFloor   float64       `json:"bound_floor,omitempty"`
-	ElapsedMS    float64       `json:"elapsed_ms"`
-	NodesVisited int           `json:"nodes_visited"`
-	QueueWaitMS  float64       `json:"queue_wait_ms,omitempty"`
-	Results      []V2Result    `json:"results"`
-	Stats        *vptree.Stats `json:"stats,omitempty"`
+	Approximate bool          `json:"approximate"`
+	EpsilonUsed float64       `json:"epsilon_used,omitempty"`
+	BoundFloor  float64       `json:"bound_floor,omitempty"`
+	ElapsedMS   float64       `json:"elapsed_ms"`
+	QueueWaitMS float64       `json:"queue_wait_ms,omitempty"`
+	Results     []V2Result    `json:"results"`
+	Stats       *vptree.Stats `json:"stats,omitempty"`
 }
 
 // V2Snapshot is one progressive frame: the current merged top-k plus the
@@ -298,7 +297,6 @@ type V2Snapshot struct {
 	Final         bool    `json:"final"`
 	TraceID       string  `json:"trace_id,omitempty"`
 	ElapsedMS     float64 `json:"elapsed_ms"`
-	NodesVisited  int     `json:"nodes_visited"`
 	Truncated     bool    `json:"truncated"`
 	Approximate   bool    `json:"approximate"`
 	// BoundGap is the worst per-result bound gap in this frame (-1 =
@@ -515,14 +513,13 @@ func (s *v2server) serveSingle(ctx context.Context, fail func(*V2Error)) {
 		SchemaVersion: V2SchemaVersion,
 		TraceID:       s.tr.TraceID().String(),
 		Query:         s.vq.Query, ID: s.id, Mode: s.vq.Mode, K: s.vq.K,
-		Truncated:    out.Truncated,
-		Approximate:  out.Approximate,
-		EpsilonUsed:  out.EpsilonUsed,
-		BoundFloor:   out.BoundFloor,
-		ElapsedMS:    float64(time.Since(s.start)) / float64(time.Millisecond),
-		NodesVisited: out.Stats.NodesVisited,
-		QueueWaitMS:  float64(s.req.QueueWait) / float64(time.Millisecond),
-		Results:      s.results(out),
+		Truncated:   out.Truncated,
+		Approximate: out.Approximate,
+		EpsilonUsed: out.EpsilonUsed,
+		BoundFloor:  out.BoundFloor,
+		ElapsedMS:   float64(time.Since(s.start)) / float64(time.Millisecond),
+		QueueWaitMS: float64(s.req.QueueWait) / float64(time.Millisecond),
+		Results:     s.results(out),
 	}
 	if s.vq.Mode == "qbb" {
 		resp.Window = s.req.Window.String()
@@ -537,7 +534,7 @@ func (s *v2server) serveSingle(ctx context.Context, fail func(*V2Error)) {
 	enc.Encode(resp) //nolint:errcheck // best-effort debug output
 }
 
-// progressiveLadder builds the geometric node-visit budgets the
+// progressiveLadder builds the geometric row budgets (max_nodes) the
 // progressive path re-queries under: 64, ×8, ... capped by the caller's
 // own max_nodes (its final rung), or climbing to an unlimited final rung
 // (0) when the caller set none. At least one rung always precedes the
@@ -644,7 +641,6 @@ func (s *v2server) serveProgressive(ctx context.Context, fail func(*V2Error)) {
 	// stopped on its node budget alone proves nothing about what it never
 	// visited, so its frames report an unbounded gap until the ladder
 	// completes (or the caller's own approximation floor takes over).
-	nodes := 0
 	snapshot := func(out *Response, final bool) *V2Snapshot {
 		rs := merge.top()
 		gap := 0.0
@@ -672,7 +668,7 @@ func (s *v2server) serveProgressive(ctx context.Context, fail func(*V2Error)) {
 			}
 		}
 		return &V2Snapshot{
-			Final: final, NodesVisited: nodes,
+			Final:     final,
 			Truncated: out.Truncated, Approximate: out.Approximate || (out.Truncated && !final),
 			BoundGap: gap, Results: rs,
 		}
@@ -697,7 +693,6 @@ func (s *v2server) serveProgressive(ctx context.Context, fail func(*V2Error)) {
 			return
 		}
 		merge.add(s.results(out))
-		nodes += out.Stats.NodesVisited
 		last = out
 		if !out.Truncated || rung == ladder[len(ladder)-1] {
 			break // complete, or the caller's own budget: the next frame is final

@@ -12,8 +12,10 @@
 //     path), the linear-cost upper bound the paper asks for; the tests hold
 //     DTW between the two bounds, and no search uses the upper one yet.
 //
-// SearchKLimited composes them: candidates are ranked by LB_Keogh, pruned
-// against the best-so-far exact DTW, and refined with an early-abandoning DP.
+// The package holds the kernels only. The search that composes them — every
+// row bounded by LB_Keogh, then refined in bound order with an
+// early-abandoning DTW — is fig. 11's filter and refine (package knn), which
+// the engine's DTW query drives with LowerBound and Distance.
 package dtw
 
 import (
@@ -21,8 +23,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-
-	"repro/internal/lifecycle"
 )
 
 // ErrLength is returned when inputs have mismatched or empty lengths.
@@ -180,40 +180,19 @@ func lbKeogh(e *Envelope, x []float64) (float64, error) {
 	return math.Sqrt(sum), nil
 }
 
-// Result is one DTW nearest neighbour.
-type Result struct {
-	// Index is the candidate's position in the searched collection.
-	Index int
-	// Dist is the exact DTW distance.
-	Dist float64
-}
-
-// Stats reports the filter-and-refine work of one SearchKLimited.
-type Stats struct {
-	// LBComputed counts LB_Keogh evaluations (always = collection size).
-	LBComputed int
-	// FullDTW counts candidates whose exact DTW was computed (not pruned
-	// by the bound cascade).
-	FullDTW int
-	// Abandoned counts DTW computations cut short by early abandoning.
-	Abandoned int
-}
-
-// Scratch is the mutable state of one DTW search: the kernel's two rolling
-// band rows, the query envelope, the LB_Keogh-ranked candidate list and a
-// buffer for the caller's collection of row views.
+// Scratch is the mutable state of one DTW search: the query and its
+// envelope, the kernel's two rolling band rows, and the caller's row views.
 //
 // Ownership follows knn.Scratch: a Scratch comes from a process-wide pool
 // (Get) and goes back when the search returns (Release, on every path).
-// Nothing reachable from it may outlive the search that holds it — the
-// neighbours a search returns are freshly allocated for that reason — and
-// Release drops the collection's row views so a pooled Scratch pins no
+// Nothing reachable from it may outlive the search that holds it, and
+// Release drops the query and the row views so a pooled Scratch pins no
 // store.
 type Scratch struct {
-	dp    []uint64 // two band-relative DP rows as float64 bit patterns
-	env   Envelope
-	cands []lbCand
-	coll  [][]float64
+	dp   []uint64 // two band-relative DP rows as float64 bit patterns
+	q    []float64
+	env  Envelope
+	rows [][]float64
 }
 
 var pool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -221,149 +200,39 @@ var pool = sync.Pool{New: func() any { return new(Scratch) }}
 // Get returns a Scratch for one search. The caller must Release it.
 func Get() *Scratch { return pool.Get().(*Scratch) }
 
-// Release returns s to the pool. s, and the slice Collection handed out,
-// must not be used afterwards.
+// Release returns s to the pool. s, and the slice Rows handed out, must not
+// be used afterwards.
 func (s *Scratch) Release() {
-	clear(s.coll[:cap(s.coll)])
+	s.q = nil
+	clear(s.rows[:cap(s.rows)])
 	pool.Put(s)
 }
 
-// Collection returns an empty collection with room for n sequences, for the
-// caller to append row views to and pass to SearchKLimited.
-func (s *Scratch) Collection(n int) [][]float64 {
-	s.coll = slices.Grow(s.coll[:0], n)
-	return s.coll
+// Query makes q, at band radius r, the query LowerBound and Distance
+// measure against, and builds its envelope. q is only read, and must stay
+// unchanged until Release.
+func (s *Scratch) Query(q []float64, r int) error {
+	if err := s.env.fill(q, r); err != nil {
+		return err
+	}
+	s.q = q
+	return nil
 }
 
-// SearchKLimited returns the k nearest neighbours of query under DTW with
-// band radius r, sorted by increasing distance, using the LB_Keogh →
-// early-abandon-DTW cascade — the paper's filter-and-refine structure (§8).
-// It runs under a request-lifecycle gate: each LB_Keogh evaluation is a
-// gated scan unit and each exact DTW a gated refinement unit, so
-// cancellation aborts within a bounded number of distance computations and
-// budget exhaustion returns the best-so-far neighbours with truncated=true.
-// A nil gate never stops it. The collection is only read: its sequences may
-// be views of stored rows.
-func (s *Scratch) SearchKLimited(collection [][]float64, query []float64, r, k int, g *lifecycle.Gate) ([]Result, Stats, bool, error) {
-	var st Stats
-	if len(collection) == 0 {
-		return nil, st, false, errors.New("dtw: empty collection")
-	}
-	if k < 1 {
-		return nil, st, false, errors.New("dtw: k must be >= 1")
-	}
-	if err := g.Check(); err != nil {
-		return nil, st, false, err
-	}
-	env := &s.env
-	if err := env.fill(query, r); err != nil {
-		return nil, st, false, err
-	}
-	// Grown to the collection's size up front, so the appends below never
-	// leave the scratch's backing array.
-	s.cands = slices.Grow(s.cands[:0], len(collection))
-	cands := s.cands
-	for i, x := range collection {
-		if ok, gerr := g.Visit(); gerr != nil {
-			return nil, st, false, gerr
-		} else if !ok {
-			break // budget exhausted: rank only the candidates bounded so far
-		}
-		if !g.Leaf() {
-			break // ng leaf budget exhausted: best-so-far, flagged approximate
-		}
-		lb, err := lbKeogh(env, x)
-		if err != nil {
-			return nil, st, false, err
-		}
-		st.LBComputed++
-		cands = append(cands, lbCand{idx: i, lb: lb})
-	}
-	// See vptree: a truncated filter phase still refines up to k candidates.
-	if g.Truncated() {
-		g.Grace(k)
-	}
-	// Increasing-LB order, ties by collection index: tightest candidates
-	// first, deterministically.
-	slices.SortFunc(cands, func(a, b lbCand) int {
-		switch {
-		case a.lb < b.lb:
-			return -1
-		case a.lb > b.lb:
-			return 1
-		case a.idx < b.idx:
-			return -1
-		case a.idx > b.idx:
-			return 1
-		default:
-			return 0
-		}
-	})
-	// δ sampled-stop: refine only the first ⌈(1−δ)·n⌉ lb-sorted candidates
-	// (never fewer than k); the first skipped entry's LB_Keogh is the proven
-	// floor of everything skipped. No-op at δ=0.
-	if cut := g.DeltaCut(len(cands), k); cut < len(cands) {
-		g.MarkRelaxed(cands[cut].lb)
-		cands = cands[:cut]
-	}
-	var best []Result
-	worst := math.Inf(1)
-	for _, c := range cands {
-		// Strict cutoff: a candidate whose bound ties the current k-th
-		// distance may still displace it under the canonical (Dist, Index)
-		// tie order below. Under ε-relaxation the cutoff fires once the
-		// bound exceeds worst/(1+ε); a cutoff that would not fire at ε=0
-		// records the skipped bound as the proven floor.
-		if len(best) >= k && c.lb > g.Relax(worst) {
-			if c.lb <= worst {
-				g.MarkRelaxed(c.lb)
-			}
-			break // every later candidate is bounded even further away
-		}
-		if ok, gerr := g.Exact(); gerr != nil {
-			return nil, st, false, gerr
-		} else if !ok {
-			break // budget exhausted: keep the neighbours refined so far
-		}
-		st.FullDTW++
-		bound := math.Inf(1)
-		if len(best) >= k {
-			bound = worst
-		}
-		d, abandoned, err := s.distance(collection[c.idx], query, r, bound)
-		if err != nil {
-			return nil, st, false, err
-		}
-		if abandoned {
-			st.Abandoned++
-			continue
-		}
-		// Insert in canonical (Dist, Index) order, keep k best: tied
-		// distances rank by ascending collection index independently of
-		// refinement order (the sharded gather merge relies on this).
-		if best == nil {
-			best = make([]Result, 0, min(k, len(cands))+1)
-		}
-		pos := len(best)
-		for pos > 0 && (best[pos-1].Dist > d ||
-			(best[pos-1].Dist == d && best[pos-1].Index > c.idx)) {
-			pos--
-		}
-		best = append(best, Result{})
-		copy(best[pos+1:], best[pos:])
-		best[pos] = Result{Index: c.idx, Dist: d}
-		if len(best) > k {
-			best = best[:k]
-		}
-		if len(best) >= k {
-			worst = best[len(best)-1].Dist
-		}
-	}
-	return best, st, g.Truncated(), nil
+// LowerBound returns LB_Keogh of x against the query's envelope: a lower
+// bound on Distance(x, ·).
+func (s *Scratch) LowerBound(x []float64) (float64, error) { return lbKeogh(&s.env, x) }
+
+// Distance returns the banded DTW distance between x and the query, or
+// (+Inf, true) once it is proved above bound (see distance). x is the DP's
+// row sequence.
+func (s *Scratch) Distance(x []float64, bound float64) (float64, bool, error) {
+	return s.distance(x, s.q, s.env.R, bound)
 }
 
-// lbCand pairs a candidate index with its LB_Keogh value.
-type lbCand struct {
-	idx int
-	lb  float64
+// Rows returns n slots for the caller's row views, for the rows a search
+// measures to be kept between its passes; Release drops them.
+func (s *Scratch) Rows(n int) [][]float64 {
+	s.rows = slices.Grow(s.rows[:0], n)[:n]
+	return s.rows
 }

@@ -1,12 +1,14 @@
 package dtw
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/israce"
+	"repro/internal/knn"
 	"repro/internal/querylog"
 	"repro/internal/series"
 )
@@ -382,6 +384,38 @@ func TestEnvelopeContainsQuery(t *testing.T) {
 	}
 }
 
+// searchStats counts one cascade's work: rows bounded by LB_Keogh, full
+// DTW evaluations (abandoned ones included) and the ones that abandoned.
+type searchStats struct{ LBComputed, FullDTW, Abandoned int }
+
+// searchK is the DTW k-NN cascade the engine's DTW query runs, over a plain
+// collection and with no gate: every row bounded by LowerBound, then knn's
+// filter and refine measuring the rows in bound order with Distance.
+func searchK(coll [][]float64, q []float64, r, k int) ([]knn.Result, searchStats, error) {
+	var st searchStats
+	dt := Get()
+	defer dt.Release()
+	if err := dt.Query(q, r); err != nil {
+		return nil, st, err
+	}
+	sc := knn.Get(k)
+	defer sc.Release()
+	for id, x := range coll {
+		lb, err := dt.LowerBound(x)
+		if err != nil {
+			return nil, st, err
+		}
+		st.LBComputed++
+		sc.Add(id, lb, math.Inf(1))
+	}
+	sc.Filter(nil)
+	res, rs, err := sc.RefineBy(nil, nil, func(id int, bound float64) (float64, bool, error) {
+		return dt.Distance(coll[id], bound)
+	})
+	st.FullDTW, st.Abandoned = rs.ExactDistances, rs.EarlyAbandons
+	return res, st, err
+}
+
 func TestSearchMatchesBruteForce(t *testing.T) {
 	g := querylog.NewGenerator(querylog.DefaultStart, 128, 6)
 	data := querylog.StandardizeAll(g.Dataset(60))
@@ -408,8 +442,8 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 			}
 		}
 		if math.Abs(res.Dist-bestD) > 1e-9 {
-			t.Errorf("search 1NN dist %v (idx %d), brute %v (idx %d)",
-				res.Dist, res.Index, bestD, bestI)
+			t.Errorf("search 1NN dist %v (id %d), brute %v (id %d)",
+				res.Dist, res.ID, bestD, bestI)
 		}
 		if st.FullDTW > st.LBComputed {
 			t.Errorf("stats inconsistent: %+v", st)
@@ -420,9 +454,66 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// An empty collection has no neighbours and costs no bound or distance; an
+// empty query is rejected before any row is read.
 func TestSearchEmptyCollection(t *testing.T) {
-	if _, _, err := searchK(nil, []float64{1}, 1, 1); err == nil {
-		t.Error("expected error for empty collection")
+	got, st, err := searchK(nil, []float64{1}, 1, 1)
+	if err != nil || len(got) != 0 || st != (searchStats{}) {
+		t.Errorf("empty collection: %v, %+v, %v; want no neighbours, no work, no error", got, st, err)
+	}
+	if _, _, err := searchK([][]float64{{1}}, nil, 1, 1); !errors.Is(err, ErrLength) {
+		t.Errorf("empty query: err = %v, want ErrLength", err)
+	}
+}
+
+func TestSearchKMatchesBruteForce(t *testing.T) {
+	g := querylog.NewGenerator(querylog.DefaultStart, 96, 10)
+	data := querylog.StandardizeAll(g.Dataset(50))
+	q := querylog.StandardizeAll(g.Queries(1))[0]
+	coll := make([][]float64, len(data))
+	for i, s := range data {
+		coll[i] = s.Values
+	}
+	for _, k := range []int{1, 3, 7, 60} {
+		got, _, err := searchK(coll, q.Values, 5, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Brute force.
+		var all []knnPair
+		for i, x := range coll {
+			d, err := Distance(x, q.Values, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, knnPair{i, d})
+		}
+		sortPairs(all)
+		want := k
+		if want > len(all) {
+			want = len(all)
+		}
+		if len(got) != want {
+			t.Fatalf("k=%d: %d results, want %d", k, len(got), want)
+		}
+		for i := 0; i < want; i++ {
+			if math.Abs(got[i].Dist-all[i].d) > 1e-9 {
+				t.Errorf("k=%d rank %d: %v vs brute %v", k, i, got[i].Dist, all[i].d)
+			}
+		}
+	}
+}
+
+type knnPair struct {
+	i int
+	d float64
+}
+
+func sortPairs(p []knnPair) {
+	for i := 1; i < len(p); i++ {
+		for j := i; j > 0 && p[j].d < p[j-1].d; j-- {
+			p[j], p[j-1] = p[j-1], p[j]
+		}
 	}
 }
 
@@ -483,60 +574,6 @@ func BenchmarkSearchCascade(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := searchK(coll, q.Values, 12, 1); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func TestSearchKMatchesBruteForce(t *testing.T) {
-	g := querylog.NewGenerator(querylog.DefaultStart, 96, 10)
-	data := querylog.StandardizeAll(g.Dataset(50))
-	q := querylog.StandardizeAll(g.Queries(1))[0]
-	coll := make([][]float64, len(data))
-	for i, s := range data {
-		coll[i] = s.Values
-	}
-	for _, k := range []int{1, 3, 7, 60} {
-		got, _, err := searchK(coll, q.Values, 5, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Brute force.
-		var all []knnPair
-		for i, x := range coll {
-			d, err := Distance(x, q.Values, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			all = append(all, knnPair{i, d})
-		}
-		sortPairs(all)
-		want := k
-		if want > len(all) {
-			want = len(all)
-		}
-		if len(got) != want {
-			t.Fatalf("k=%d: %d results, want %d", k, len(got), want)
-		}
-		for i := 0; i < want; i++ {
-			if math.Abs(got[i].Dist-all[i].d) > 1e-9 {
-				t.Errorf("k=%d rank %d: %v vs brute %v", k, i, got[i].Dist, all[i].d)
-			}
-		}
-	}
-	if _, _, err := searchK(coll, q.Values, 5, 0); err == nil {
-		t.Error("expected error for k=0")
-	}
-}
-
-type knnPair struct {
-	i int
-	d float64
-}
-
-func sortPairs(p []knnPair) {
-	for i := 1; i < len(p); i++ {
-		for j := i; j > 0 && p[j].d < p[j-1].d; j-- {
-			p[j], p[j-1] = p[j-1], p[j]
 		}
 	}
 }

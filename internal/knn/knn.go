@@ -329,7 +329,7 @@ func (s *Scratch) order(c []candidate) []candidate {
 type RefineStats struct {
 	// FullRetrievals counts uncompressed sequences read from the store.
 	FullRetrievals int `json:"full_retrievals"`
-	// ExactDistances counts exact Euclidean evaluations, including ones
+	// ExactDistances counts exact distance evaluations, including ones
 	// that early-abandoned partway through the sequence.
 	ExactDistances int `json:"exact_distances"`
 	// EarlyAbandons counts the evaluations that abandoned.
@@ -366,13 +366,40 @@ type RefineStats struct {
 // far; a read or context error aborts with that error. The stats are valid
 // on every return.
 func (s *Scratch) Refine(q *spectral.Prepared, store seqstore.Store, g *lifecycle.Gate) ([]Result, RefineStats, error) {
-	var st RefineStats
 	query := q.Values()
 	rows := seqstore.NewReader(store)
 	if !rows.InPlace() {
 		s.row = slices.Grow(s.row[:0], len(query))[:len(query)]
 	}
 	sk, skq := rows.Sketch(), q.Sketch()
+	// Against worst itself, not worst/(1+ε): the sketch stands in for the
+	// early abandon, which is not relaxed either. A bound this tight applied
+	// at the relaxed radius rejects true neighbours the loose cutoff never
+	// reaches (recall@k at ε = 0.05 fell from ≥ 0.99 to 0.83 when it was
+	// tried).
+	spared := func(id int, worst float64) bool { return skq.Exceeds(sk, id, worst) }
+	res, st, err := s.RefineBy(g, spared, func(id int, worst float64) (float64, bool, error) {
+		row, err := rows.Row(id, s.row)
+		if err != nil {
+			return 0, false, fmt.Errorf("knn: refine id %d: %w", id, err)
+		}
+		return series.EuclideanEarlyAbandon(query, row, worst)
+	})
+	st.FullRetrievals = st.ExactDistances // one read per exact distance
+	return res, st, err
+}
+
+// RefineBy is fig. 11's refinement loop under any exact distance, the one
+// Refine runs with Euclidean distance and DTW with banded DTW: the ε-relaxed
+// cutoff, the gate's Exact unit, exact(id, worst) — candidate id's distance,
+// or abandoned = true once it is proved above worst — and the canonical
+// insert. The distance must be bounded below by the lower bounds the
+// candidates were added with. spared, when not nil, proves a candidate
+// farther than worst without measuring it (Refine's sketch), at no budget;
+// DTW passes nil, since the store's sketch bounds Euclidean distance and DTW
+// can fall below it. The caller reads the rows, so FullRetrievals stays 0.
+func (s *Scratch) RefineBy(g *lifecycle.Gate, spared func(id int, worst float64) bool, exact func(id int, worst float64) (float64, bool, error)) ([]Result, RefineStats, error) {
+	var st RefineStats
 	var best []Result
 	// The seed until k neighbours are known, then the k-th's distance: worst
 	// for the exact tests, reach for the lower bounds (see Seed).
@@ -388,12 +415,7 @@ func (s *Scratch) Refine(q *spectral.Prepared, store seqstore.Store, g *lifecycl
 			st.CutoffSkips = len(s.cands) - ci
 			break // every later candidate has an even larger lower bound
 		}
-		// Against worst itself, not worst/(1+ε): the sketch stands in for the
-		// early abandon below, which is not relaxed either. A bound this
-		// tight applied at the relaxed radius rejects true neighbours the
-		// loose cutoff above never reaches (recall@k at ε = 0.05 fell from
-		// ≥ 0.99 to 0.83 when it was tried).
-		if skq.Exceeds(sk, c.id, worst) {
+		if spared != nil && spared(c.id, worst) {
 			if ok, err := g.Skip(); err != nil {
 				return nil, st, err
 			} else if !ok {
@@ -409,16 +431,11 @@ func (s *Scratch) Refine(q *spectral.Prepared, store seqstore.Store, g *lifecycl
 			st.BudgetSkips = len(s.cands) - ci
 			break // budget exhausted: keep the neighbours refined so far
 		}
-		row, err := rows.Row(c.id, s.row)
-		if err != nil {
-			return nil, st, fmt.Errorf("knn: refine id %d: %w", c.id, err)
-		}
-		st.FullRetrievals++
-		st.ExactDistances++
-		d, abandoned, err := series.EuclideanEarlyAbandon(query, row, worst)
+		d, abandoned, err := exact(c.id, worst)
 		if err != nil {
 			return nil, st, err
 		}
+		st.ExactDistances++
 		if abandoned {
 			st.EarlyAbandons++
 			continue

@@ -1,9 +1,10 @@
 // Package lifecycle is the per-request enforcement point for cancellation
-// and work budgets. Every search family (vptree traversal, sharded linear
-// scan, DTW cascade, burst-overlap probes) drives its inner loop through a
-// *Gate, so one package decides uniformly when a query must stop — and whether stopping is an abort (the caller hung up:
-// return ctx.Err()) or a graceful truncation (a budget ran out: return the
-// best-so-far answer flagged Truncated).
+// and work budgets. Every search family (the similarity scan and the paper's
+// tree, the sharded linear scan, the DTW cascade, burst-overlap probes)
+// drives its inner loop through a *Gate, so one package decides uniformly
+// when a query must stop — and whether stopping is an abort (the caller hung
+// up: return ctx.Err()) or a graceful truncation (a budget ran out: return
+// the best-so-far answer flagged Truncated).
 //
 // The distinction follows Echihabi et al. (VLDB 2020): time/work budgets
 // trade answer quality for latency and must yield a usable partial answer,
@@ -28,8 +29,9 @@ type Limits struct {
 	// truncates (zero = none). Deadline expiry is graceful: the search
 	// returns its best-so-far answer, it does not error.
 	Deadline time.Time
-	// MaxNodes caps accounting units of traversal/scan work: tree nodes
-	// visited, rows scanned, bursts probed (0 = unlimited).
+	// MaxNodes caps accounting units of scan work: rows scanned (by the
+	// similarity scan and the DTW cascade too), bursts probed, nodes of the
+	// paper's tree visited (0 = unlimited).
 	MaxNodes int
 	// MaxExact caps exact distance computations during refinement
 	// (0 = unlimited). Unlike Deadline/MaxNodes truncation, this cap is

@@ -33,13 +33,11 @@ type WideEvent struct {
 	// DurationMS is execution wall time (excluding queue wait).
 	DurationMS float64 `json:"duration_ms"`
 
-	// Index work and prune attribution (index-backed kinds).
-	NodesVisited   int `json:"nodes_visited,omitempty"`
+	// Index work and prune attribution (the similarity kinds).
 	BoundsComputed int `json:"bounds_computed,omitempty"`
 	Candidates     int `json:"candidates,omitempty"`
 	FullRetrievals int `json:"full_retrievals,omitempty"`
 	LBPrunes       int `json:"lb_prunes,omitempty"`
-	UBPrunes       int `json:"ub_prunes,omitempty"`
 
 	// Results is how many neighbours/matches were returned.
 	Results int `json:"results"`

@@ -1,13 +1,16 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dtw"
 	"repro/internal/querylog"
 	"repro/internal/series"
 )
@@ -312,15 +315,7 @@ func checkResponseInvariants(t *testing.T, label string, single *core.Engine, re
 func TestScanMatchesTheLinearOracle(t *testing.T) {
 	const k = 5
 	for _, n := range []int{1, k - 1, 255, 256, 257, 600} {
-		g := querylog.NewGenerator(querylog.DefaultStart, 64, int64(n))
-		data := g.Dataset(n)
-		for _, i := range []int{1, n - 1} { // rows 1 and n-1 repeat row 0
-			if i > 0 && i < n {
-				dup := *data[0]
-				dup.Name = fmt.Sprintf("dup-of-0-at-%d", i)
-				data[i] = &dup
-			}
-		}
+		g, data := oracleCorpus(n)
 		for name, s := range engines(t, data, core.Config{Budget: 8, Workers: 2}, 1, 3) {
 			checkOracle(t, fmt.Sprintf("n=%d, %s", n, name), s, g.Queries(3), []int{1, k, n + 3})
 		}
@@ -349,6 +344,21 @@ func TestScanMatchesTheLinearOracle(t *testing.T) {
 	}
 	defer loaded.Close()
 	checkOracle(t, "after Save and LoadEngine", loaded, queries, []int{1, k, 400})
+}
+
+// oracleCorpus is n series of 64 days whose rows 1 and n-1 repeat row 0,
+// and the generator that made them.
+func oracleCorpus(n int) (*querylog.Generator, []*series.Series) {
+	g := querylog.NewGenerator(querylog.DefaultStart, 64, int64(n))
+	data := g.Dataset(n)
+	for _, i := range []int{1, n - 1} {
+		if i > 0 && i < n {
+			dup := *data[0]
+			dup.Name = fmt.Sprintf("dup-of-0-at-%d", i)
+			data[i] = &dup
+		}
+	}
+	return g, data
 }
 
 // checkOracle compares, for every k, s's similarity search with its linear
@@ -385,4 +395,129 @@ func checkOracle(t *testing.T, label string, s core.Searcher, queries []*series.
 				ask(core.Request{Kind: core.KindLinear, ID: id, K: k}))
 		}
 	}
+}
+
+// TestDTWMatchesTheBruteForceOracle: the DTW search (LB_Keogh bounds, then
+// fig. 11's filter and refine under banded DTW) answers as banded DTW
+// against every other stored row does, the same IDs with the same distance
+// bits: by ID, by values leaving an ID out and by values leaving none out,
+// on a single engine and on one and three shards, at the sizes the linear
+// oracle runs, with duplicate rows, for k from 1 to past the corpus, for a
+// Euclidean band, a narrow one and one wider than the series, after Add,
+// and over a loaded engine's Disk store.
+func TestDTWMatchesTheBruteForceOracle(t *testing.T) {
+	const k = 5
+	for _, n := range []int{1, 4, 255, 256, 257, 600} {
+		g, data := oracleCorpus(n)
+		for name, s := range engines(t, data, core.Config{Budget: 8, Workers: 2}, 1, 3) {
+			checkDTWOracle(t, fmt.Sprintf("n=%d, %s", n, name), s, g.Queries(2), []int{1, k, n + 3})
+		}
+	}
+
+	g := querylog.NewGenerator(querylog.DefaultStart, 64, 7)
+	e, err := core.NewEngine(g.Dataset(250), core.Config{Budget: 8, DynamicIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for _, s := range g.Queries(10) {
+		if _, err := e.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries := querylog.NewGenerator(querylog.DefaultStart, 64, 8).Queries(2)
+	checkDTWOracle(t, "after Add", e, queries, []int{1, k, 300})
+	dir := t.TempDir()
+	if err := e.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := core.LoadEngine(dir, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	checkDTWOracle(t, "after Save and LoadEngine", loaded, queries, []int{1, k, 300})
+}
+
+// checkDTWOracle compares, for every k and band, s's DTW search with banded
+// DTW computed against every stored row but the excluded one, ranked by
+// (distance, ID): by ID for a spread of stored series, and by each query's
+// standardized values, leaving out ID 1 and leaving out nothing.
+func checkDTWOracle(t *testing.T, label string, s core.Searcher, queries []*series.Series, ks []int) {
+	t.Helper()
+	n := s.Len()
+	rows := make([][]float64, n)
+	for id := range rows {
+		z, err := s.StandardizedValues(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[id] = z
+	}
+	type probe struct {
+		z    []float64
+		skip int
+		req  core.Request
+	}
+	var probes []probe
+	for id := 0; id < n; id += 1 + n/7 {
+		probes = append(probes, probe{rows[id], id, core.Request{ID: id}})
+	}
+	for _, q := range queries {
+		z := q.Standardized().Values
+		for _, skip := range []int{1, -1} {
+			probes = append(probes, probe{z, skip, core.Request{Values: z, Standardized: true, ID: skip}})
+		}
+	}
+	for _, band := range []int{0, 7, n + 64} {
+		for _, p := range probes {
+			want := bruteDTW(t, rows, p.z, p.skip, band)
+			for _, k := range ks {
+				req := p.req
+				req.Kind, req.K, req.Band = core.KindDTW, k, band
+				resp, err := s.Query(context.Background(), req)
+				if err != nil {
+					t.Fatalf("%s: %+v: %v", label, req, err)
+				}
+				got, w := resp.Neighbors, want[:min(k, len(want))]
+				ok := len(got) == len(w)
+				for i := 0; ok && i < len(got); i++ {
+					ok = got[i].ID == w[i].ID && math.Float64bits(got[i].Dist) == math.Float64bits(w[i].Dist)
+				}
+				if !ok {
+					t.Fatalf("%s, band %d, id %d, by values %v, k=%d:\n dtw   %v\n brute %v",
+						label, band, req.ID, req.Values != nil, k, got, w)
+				}
+			}
+		}
+	}
+}
+
+// bruteDTW is banded DTW from every row but skip to z, each row as the DP's
+// row sequence, ranked by (distance, ID).
+func bruteDTW(t *testing.T, rows [][]float64, z []float64, skip, band int) []core.Neighbor {
+	t.Helper()
+	dt := dtw.Get()
+	defer dt.Release()
+	if err := dt.Query(z, band); err != nil {
+		t.Fatal(err)
+	}
+	var all []core.Neighbor
+	for id, x := range rows {
+		if id == skip {
+			continue
+		}
+		d, _, err := dt.Distance(x, math.Inf(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, core.Neighbor{ID: id, Dist: d})
+	}
+	slices.SortFunc(all, func(a, b core.Neighbor) int {
+		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+			return c
+		}
+		return a.ID - b.ID
+	})
+	return all
 }

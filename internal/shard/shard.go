@@ -1,6 +1,6 @@
 // Package shard is the horizontal scaling layer: a ShardedEngine that
 // partitions series across N independent core.Engine shards (each with its
-// own VP-tree, sequence store and burst tables) by a stable hash of the
+// own feature arena, sequence store and burst tables) by a stable hash of the
 // sequence ID, fans every Query out to all shards concurrently
 // and gathers the per-shard answers with a tie-preserving top-k merge. An
 // index search fans out in two waves: the shards after the first

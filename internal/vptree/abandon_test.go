@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -18,17 +17,16 @@ import (
 // search without spectral.AbandonCut, and it exists only here.
 func finishEveryBound(float64) float64 { return math.Inf(1) }
 
-// report is everything a search lets a caller see: its answer, its counts, its
-// explain report and what it told the gate.
+// report is everything a search lets a caller see: its answer, its counts and
+// what it told the gate.
 type report struct {
 	outcome
-	exp         Explain
 	approximate bool
 	boundFloor  float64
 }
 
-// searchCut runs one explained search of q under a fresh gate, with the leaf
-// kernel's cut given by cut.
+// searchCut runs one search of q under a fresh gate, with the leaf kernel's
+// cut given by cut.
 func searchCut(t *testing.T, tr *Tree, q []float64, k int, lim lifecycle.Limits, feats FeatureSource, store seqstore.Store, cut func(float64) float64) report {
 	t.Helper()
 	pq, err := spectral.Prepare(q)
@@ -37,11 +35,10 @@ func searchCut(t *testing.T, tr *Tree, q []float64, k int, lim lifecycle.Limits,
 	}
 	g := lifecycle.NewGate(context.Background(), lim)
 	var r report
-	r.res, r.st, r.truncated, err = tr.search(pq, k, feats, store, g, &r.exp, cut)
+	r.res, r.st, r.truncated, err = tr.search(pq, k, feats, store, g, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.exp.TraverseMS, r.exp.FilterMS, r.exp.RefineMS = 0, 0, 0
 	r.approximate, r.boundFloor = g.Approximate(), g.BoundFloor()
 	return r
 }
@@ -61,9 +58,6 @@ func checkAbandonInvisible(t *testing.T, label string, tr *Tree, q []float64, k 
 	if !reflect.DeepEqual(served, full) {
 		t.Fatalf("%s: abandoning %d bounds changed what the search reports:\n served %+v\n full   %+v", label, abandoned, served, full)
 	}
-	if !served.exp.Balanced() {
-		t.Fatalf("%s: explain accounting does not balance: %+v", label, served.exp)
-	}
 	return abandoned
 }
 
@@ -72,12 +66,11 @@ var dials = []lifecycle.Limits{
 	{}, {Epsilon: 0.05}, {Epsilon: 0.25}, {Delta: 0.5}, {Epsilon: 0.05, Delta: 0.5}, {Epsilon: 0.25, Delta: 0.5},
 }
 
-// Abandoning a leaf bound is invisible: results, Stats, truncation, the whole
-// explain report (timings aside) and what the gate is told equal those of a
-// search that finishes every bound — over the seeded corpora of the golden
-// files, under every node budget and quality dial, whichever source the bounds
-// come from, and after the index has been inserted into, repacked, saved and
-// loaded. And it is not vacuous: searches through the
+// Abandoning a leaf bound is invisible: results, Stats, truncation and what
+// the gate is told equal those of a search that finishes every bound — over
+// the seeded corpora of the golden files, under every node budget and quality
+// dial, whichever source the bounds come from, and after the index has been
+// inserted into and repacked. And it is not vacuous: searches through the
 // arena do abandon.
 func TestSearchInvariantToAbandon(t *testing.T) {
 	var abandoned int64
@@ -113,7 +106,7 @@ func TestSearchInvariantToAbandon(t *testing.T) {
 		t.Error("no search through the arena abandoned a bound: the test compares a search with itself")
 	}
 
-	// A dynamic tree through inserts and repacks, then saved and loaded.
+	// A dynamic tree through inserts and repacks.
 	const seqLen = 64
 	fx := buildFixture(t, 60, seqLen, Options{Dynamic: true, LeafSize: 4, Seed: 5}, 29)
 	c := newChurn(t, fx, 120, seqLen, 31)
@@ -133,18 +126,5 @@ func TestSearchInvariantToAbandon(t *testing.T) {
 	}
 	if fx.tree.KernelStats().Repacks == 0 || abandoned == 0 {
 		t.Errorf("dynamic tree: %d repacks, %d bounds abandoned; the test needs some of each", fx.tree.KernelStats().Repacks, abandoned)
-	}
-	path := filepath.Join(t.TempDir(), "tree.vpt")
-	if err := fx.tree.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi, q := range fx.queries {
-		for _, dial := range dials {
-			checkAbandonInvisible(t, fmt.Sprintf("loaded, q=%d, %+v", qi, dial), loaded, q, 5, dial, loaded.Features(), fx.store)
-		}
 	}
 }

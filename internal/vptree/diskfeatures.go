@@ -37,6 +37,10 @@ type DiskFeatures struct {
 
 const featMagic = uint32(0x53514654) // "SQFT"
 
+// ErrCorrupt is wrapped by the error ReadFeatures returns for a file that
+// fails validation.
+var ErrCorrupt = errors.New("vptree: corrupt feature file")
+
 // WriteFeatures writes the feature table to path and returns the handle.
 func WriteFeatures(path string, feats []*spectral.Compressed) (*DiskFeatures, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)

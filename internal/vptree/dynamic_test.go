@@ -21,7 +21,7 @@ func TestDynamicInsert(t *testing.T) {
 	fx := buildFixture(t, 40, 128, Options{Budget: 10, Dynamic: true}, 31)
 	c := newChurn(t, fx, 30, 128, 32)
 	for _, q := range fx.queries {
-		checkAgainstOracle(t, "built", fx, q, 3, searchWith(t, fx.tree, q, 3, 0, nil, fx.store, nil))
+		checkAgainstOracle(t, "built", fx, q, 3, searchWith(t, fx.tree, q, 3, 0, nil, fx.store))
 	}
 	for _, v := range c.pool {
 		if err := c.insert(t, len(fx.values), v); err != nil {
@@ -32,10 +32,10 @@ func TestDynamicInsert(t *testing.T) {
 		t.Fatalf("Len = %d, want 70", fx.tree.Len())
 	}
 	for _, q := range fx.queries {
-		checkAgainstOracle(t, "grown", fx, q, 5, searchWith(t, fx.tree, q, 5, 0, nil, fx.store, nil))
+		checkAgainstOracle(t, "grown", fx, q, 5, searchWith(t, fx.tree, q, 5, 0, nil, fx.store))
 	}
 	for id := 40; id < 70; id++ {
-		got := searchWith(t, fx.tree, fx.values[id], 1, 0, nil, fx.store, nil).res
+		got := searchWith(t, fx.tree, fx.values[id], 1, 0, nil, fx.store).res
 		if len(got) != 1 || got[0].ID != id || got[0].Dist > 1e-9 {
 			t.Errorf("inserted id %d: nearest neighbour of its own series is %v", id, got)
 		}
@@ -69,7 +69,7 @@ func TestDynamicWorkloadProperty(t *testing.T) {
 				return false
 			}
 			q := fx.queries[op%len(fx.queries)]
-			got, want := searchWith(t, fx.tree, q, 3, 0, nil, fx.store, nil).res, c.oracle(t, q, 3)
+			got, want := searchWith(t, fx.tree, q, 3, 0, nil, fx.store).res, c.oracle(t, q, 3)
 			if len(got) == 0 || got[0].Dist != want[0].Dist {
 				t.Logf("after %d inserts: nearest %v, brute force %v", op+1, got, want[0])
 				return false

@@ -74,5 +74,5 @@ func TestEnergyFractionWithDynamicInsert(t *testing.T) {
 		}
 	}
 	q := fx.queries[0]
-	checkAgainstOracle(t, "energy+dynamic", fx, q, 1, searchWith(t, fx.tree, q, 1, 0, nil, fx.store, nil))
+	checkAgainstOracle(t, "energy+dynamic", fx, q, 1, searchWith(t, fx.tree, q, 1, 0, nil, fx.store))
 }

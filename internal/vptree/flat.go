@@ -28,10 +28,10 @@ type flatNode struct {
 	leafBlocks int32
 }
 
-// flatIndex is the tree — the one structure search, insert and persistence
-// work on: every node lives in one slice, every leaf's entries are
-// contiguous, and every compressed feature the tree refers to is packed into
-// a structure-of-arrays spectral.Arena.
+// flatIndex is the tree — the one structure search and insert work on:
+// every node lives in one slice, every leaf's entries are contiguous, and
+// every compressed feature the tree refers to is packed into a
+// structure-of-arrays spectral.Arena.
 //
 // Features are numbered by slot: their position in the DFS pre-order the
 // nodes are in — each vantage point, then its subtree, a leaf's entries in
@@ -114,8 +114,8 @@ func (t *Tree) KernelStats() KernelStats {
 
 // layout lays out the tree walk describes as a flat index in walk order:
 // nodes in DFS pre-order, each leaf's entries contiguous, slots numbered as
-// they are met, and the arena packed by slot from features. Build, Load and the
-// repack all end in it. It fails only where the arena refuses the walk: a
+// they are met, and the arena packed by slot from features. Build and the
+// repack both end in it. It fails only where the arena refuses the walk: a
 // feature it names twice, or features that do not share one representation.
 func layout(walk []step, features MemoryFeatures) (*flatIndex, error) {
 	// Sized so that place appends without growing: a slot is a distinct
@@ -178,8 +178,8 @@ func (f *flatIndex) child(walk []step, numbered bool) (int32, []step) {
 	return i, f.place(i, walk, numbered)
 }
 
-// walk is the tree in DFS pre-order, read off the nodes: what Save writes,
-// and what a repack lays out afresh.
+// walk is the tree in DFS pre-order, read off the nodes: what a repack lays
+// out afresh.
 func (f *flatIndex) walk() []step {
 	return f.appendWalk(make([]step, 0, len(f.nodes)+len(f.slotRef)), 0)
 }
@@ -196,15 +196,6 @@ func (f *flatIndex) appendWalk(dst []step, ni int32) []step {
 	}
 	dst = append(dst, step{id: fn.vpID, ref: int(f.slotRef[fn.vpSlot]), median: fn.median, leaf: -1})
 	return f.appendWalk(f.appendWalk(dst, fn.left), fn.right)
-}
-
-// height is the height of node ni's subtree (a leaf has height 1).
-func (f *flatIndex) height(ni int32) int {
-	fn := &f.nodes[ni]
-	if fn.leafLo >= 0 {
-		return 1
-	}
-	return 1 + max(f.height(fn.left), f.height(fn.right))
 }
 
 // covers reports whether feats is exactly the tree's feature table, the one
@@ -229,7 +220,6 @@ type searcher struct {
 	arena *spectral.Arena
 	feats FeatureSource
 	st    Stats
-	exp   *Explain // nil unless this search is being explained
 	*knn.Scratch
 	// cut gives the leaf kernel's squared cut for the σ_UB of the moment
 	// (spectral.AbandonCut; see boundsBlock).
@@ -282,14 +272,6 @@ func (s *searcher) boundsBlock(slots []int32) error {
 	return nil
 }
 
-// lvl returns the explain row for depth (nil unless explaining).
-func (s *searcher) lvl(depth int) *LevelExplain {
-	if s.exp == nil {
-		return nil
-	}
-	return s.exp.level(depth)
-}
-
 // ubPrune reports whether a subtree whose objects are all at vantage-point
 // distance ≥ median can be discarded given the query↔vp upper bound ub —
 // the paper's σ_UB prune applied at the gate's ε-relaxed radius. When only
@@ -321,9 +303,9 @@ func (s *searcher) lbPrune(lb, median float64) bool {
 	return true
 }
 
-// visitFlat is the fig. 11 traversal, the only one: it walks flat node ni
-// (at tree depth `depth`), collecting candidates and shrinking σ_UB.
-func (s *searcher) visitFlat(ni int32, depth int) error {
+// visitFlat is the fig. 11 traversal, the only one: it walks flat node ni,
+// collecting candidates and shrinking σ_UB.
+func (s *searcher) visitFlat(ni int32) error {
 	// Lifecycle gate: an expired context aborts the traversal with its
 	// error; an exhausted budget stops descending (sticky, so the unwind is
 	// O(depth)) and leaves the candidates collected so far for refinement.
@@ -340,11 +322,6 @@ func (s *searcher) visitFlat(ni int32, depth int) error {
 			return nil // ng leaf budget exhausted: stop collecting, keep best-so-far
 		}
 		m := int(nd.leafHi - nd.leafLo)
-		if l := s.lvl(depth); l != nil {
-			l.Leaves++
-			l.BoundsComputed += m
-			l.Candidates += m
-		}
 		if m == 0 {
 			return nil
 		}
@@ -365,14 +342,6 @@ func (s *searcher) visitFlat(ni int32, depth int) error {
 	}
 	s.st.BoundsComputed++
 	s.kEvals++
-	l := s.lvl(depth)
-	if l != nil {
-		l.InternalNodes++
-		l.BoundsComputed++
-	}
-	if l != nil {
-		l.Candidates++
-	}
 	s.Add(nd.vpID, lb, ub)
 
 	switch {
@@ -380,20 +349,14 @@ func (s *searcher) visitFlat(ni int32, depth int) error {
 		// Every right-subtree object is provably farther than the (relaxed)
 		// pruning radius.
 		s.st.UBPrunes++
-		if l != nil {
-			l.UBSubtreePrunes++
-		}
 		s.pruneBlocks(nd.right)
-		return s.visitFlat(nd.left, depth+1)
+		return s.visitFlat(nd.left)
 	case s.lbPrune(lb, nd.median):
 		// Every left-subtree object is provably farther than the (relaxed)
 		// pruning radius.
 		s.st.LBPrunes++
-		if l != nil {
-			l.LBSubtreePrunes++
-		}
 		s.pruneBlocks(nd.left)
-		return s.visitFlat(nd.right, depth+1)
+		return s.visitFlat(nd.right)
 	default:
 		// Guided descent (§4.1): follow first the child whose region
 		// overlaps the [lb,ub] annulus more.
@@ -406,33 +369,23 @@ func (s *searcher) visitFlat(ni int32, depth int) error {
 				first, second = nd.right, nd.left
 				secondIsRight = false
 				s.st.GuidedDescentHits++
-				if l != nil {
-					l.GuidedDescentHits++
-				}
 			}
 		}
-		if err := s.visitFlat(first, depth+1); err != nil {
+		if err := s.visitFlat(first); err != nil {
 			return err
 		}
 		// Re-check prunability of the second child with the tightened σ_UB.
-		// (l is re-resolved: the recursion may have grown exp.Levels.)
 		if secondIsRight && s.ubPrune(ub, nd.median) {
 			s.st.UBPrunes++
-			if l := s.lvl(depth); l != nil {
-				l.UBSubtreePrunes++
-			}
 			s.pruneBlocks(second)
 			return nil
 		}
 		if !secondIsRight && s.lbPrune(lb, nd.median) {
 			s.st.LBPrunes++
-			if l := s.lvl(depth); l != nil {
-				l.LBSubtreePrunes++
-			}
 			s.pruneBlocks(second)
 			return nil
 		}
-		return s.visitFlat(second, depth+1)
+		return s.visitFlat(second)
 	}
 }
 

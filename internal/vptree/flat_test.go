@@ -36,15 +36,15 @@ type outcome struct {
 }
 
 // searchWith runs one search of q under a fresh gate with the given node
-// budget (0 = unlimited), bounds taken from feats, optionally explained.
-func searchWith(t *testing.T, tr *Tree, q []float64, k, maxNodes int, feats FeatureSource, store seqstore.Store, exp *Explain) outcome {
+// budget (0 = unlimited), bounds taken from feats.
+func searchWith(t *testing.T, tr *Tree, q []float64, k, maxNodes int, feats FeatureSource, store seqstore.Store) outcome {
 	t.Helper()
 	pq, err := spectral.Prepare(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := lifecycle.NewGate(context.Background(), lifecycle.Limits{MaxNodes: maxNodes})
-	res, st, truncated, err := tr.SearchPrepared(pq, k, feats, store, g, exp)
+	res, st, truncated, err := tr.SearchPrepared(pq, k, feats, store, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,50 +110,36 @@ func checkAgainstOracle(t *testing.T, label string, fx *fixture, q []float64, k 
 // The one traversal against the brute-force oracle, over the 100 seeded
 // trees: identical neighbours, bit-identical distances, canonical ties. Its
 // two bound sources (the arena for the tree's own table, per-entry lookups
-// for DiskFeatures) and its explain hook must not change a single result or
-// Stats field.
+// for DiskFeatures) must not change a single result or Stats field.
 func TestFlatSearchMatchesBruteForce100Trials(t *testing.T) {
 	trialCorpus(t, func(trial int, fx *fixture, q []float64, k int) {
-		mem := searchWith(t, fx.tree, q, k, 0, fx.tree.Features(), fx.store, nil)
+		mem := searchWith(t, fx.tree, q, k, 0, fx.tree.Features(), fx.store)
 		if !fx.tree.opts.PaperBounds {
 			// The fig. 9 bounds are not sound on every input (DESIGN §5), so
 			// only SafeBounds trees answer to the oracle; the paper-bounds
 			// trials are pinned by the golden and the equivalences below.
 			checkAgainstOracle(t, "brute", fx, q, k, mem)
 		}
-		disk := searchWith(t, fx.tree, q, k, 0, diskCopy(t, fx.tree), fx.store, nil)
+		disk := searchWith(t, fx.tree, q, k, 0, diskCopy(t, fx.tree), fx.store)
 		sameOutcome(t, "memory-vs-disk", disk, mem)
-
-		var exp Explain
-		explained := searchWith(t, fx.tree, q, k, 0, fx.tree.Features(), fx.store, &exp)
-		sameOutcome(t, "explain-on-vs-off", explained, mem)
-		if !exp.Balanced() || exp.Stats != mem.st {
-			t.Fatalf("trial %d: explain report inconsistent: %+v", trial, exp)
-		}
 	})
 }
 
 // Under a node budget the search truncates: what it returns must still be
 // exact-distance neighbours in canonical order (the brute-force top k once
-// the budget is large enough), identically for both bound sources and with
-// the explain hook on, whose identity must hold with the unrefined term.
+// the budget is large enough), identically for both bound sources.
 func TestFlatSearchUnderBudgets(t *testing.T) {
 	var disk *DiskFeatures
 	budgetCorpus(t, func(fx *fixture, maxNodes, qi int, q []float64) {
 		if disk == nil {
 			disk = diskCopy(t, fx.tree)
 		}
-		mem := searchWith(t, fx.tree, q, 5, maxNodes, fx.tree.Features(), fx.store, nil)
+		mem := searchWith(t, fx.tree, q, 5, maxNodes, fx.tree.Features(), fx.store)
 		checkAgainstOracle(t, "budgeted", fx, q, 5, mem)
 		if (maxNodes == 100000) == mem.truncated {
 			t.Fatalf("budget %d query %d: truncated = %v", maxNodes, qi, mem.truncated)
 		}
-		sameOutcome(t, "memory-vs-disk", searchWith(t, fx.tree, q, 5, maxNodes, disk, fx.store, nil), mem)
-		var exp Explain
-		sameOutcome(t, "explain-on-vs-off", searchWith(t, fx.tree, q, 5, maxNodes, fx.tree.Features(), fx.store, &exp), mem)
-		if !exp.Balanced() {
-			t.Fatalf("budget %d query %d: identity broken under truncation: %+v", maxNodes, qi, exp)
-		}
+		sameOutcome(t, "memory-vs-disk", searchWith(t, fx.tree, q, 5, maxNodes, disk, fx.store), mem)
 	})
 }
 
@@ -169,15 +155,14 @@ func TestFlatSearchCancelledContext(t *testing.T) {
 	}
 }
 
-// There is one traversal: memory features, disk features and explained
-// searches all enter it, so each advances the tree's kernel counters.
+// There is one traversal: searches over memory features and over disk
+// features both enter it, so each advances the tree's kernel counters.
 func TestFlatIsTheOnlyPath(t *testing.T) {
 	fx := buildFixture(t, 60, 64, Options{Seed: 9}, 17)
 	q := fx.queries[0]
 	searches := map[string]func(){
-		"memory":  func() { searchWith(t, fx.tree, q, 3, 0, fx.tree.Features(), fx.store, nil) },
-		"disk":    func() { searchWith(t, fx.tree, q, 3, 0, diskCopy(t, fx.tree), fx.store, nil) },
-		"explain": func() { searchWith(t, fx.tree, q, 3, 0, fx.tree.Features(), fx.store, new(Explain)) },
+		"memory": func() { searchWith(t, fx.tree, q, 3, 0, fx.tree.Features(), fx.store) },
+		"disk":   func() { searchWith(t, fx.tree, q, 3, 0, diskCopy(t, fx.tree), fx.store) },
 	}
 	for name, search := range searches {
 		before := fx.tree.KernelStats()
@@ -226,24 +211,6 @@ func TestFlatDynamicRebuild(t *testing.T) {
 	ks := fx.tree.KernelStats()
 	if slots := len(fx.tree.flat.slotRef); ks.Repacks == 0 || ks.OutOfOrder == 0 || ks.OutOfOrder*repackDen > slots {
 		t.Fatalf("after 25 inserts: %d repacks, %d slots out of order among %d", ks.Repacks, ks.OutOfOrder, slots)
-	}
-}
-
-// A persisted tree answers exactly like the one it was saved from.
-func TestFlatSurvivesPersistence(t *testing.T) {
-	fx := buildFixture(t, 50, 64, Options{Seed: 31}, 37)
-	path := filepath.Join(t.TempDir(), "tree.vpt")
-	if err := fx.tree.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range fx.queries {
-		want := searchWith(t, fx.tree, q, 4, 0, fx.tree.Features(), fx.store, nil)
-		checkAgainstOracle(t, "original", fx, q, 4, want)
-		sameOutcome(t, "persisted", searchWith(t, loaded, q, 4, 0, loaded.Features(), fx.store, nil), want)
 	}
 }
 
@@ -313,8 +280,7 @@ func (c *countingFeatures) Feature(ref int) (*spectral.Compressed, error) {
 	return c.MemoryFeatures.Feature(ref)
 }
 
-// The arena is in walk order after Build, after a repack and after Save and
-// Load. Between repacks dynamic Inserts (leaf splits included) leave slots out
+// The arena is in walk order after Build and after a repack. Between repacks dynamic Inserts (leaf splits included) leave slots out
 // of order, never more than the repack rule allows; and because slots are the arena's business alone, a search that
 // bounds through DiskFeatures or through a substituted source still finds each
 // feature by its ref and returns the same results and Stats.
@@ -325,10 +291,10 @@ func TestArenaIsInWalkOrder(t *testing.T) {
 	sameFromEverySource := func(when string, tr *Tree) {
 		t.Helper()
 		for _, q := range fx.queries {
-			arena := searchWith(t, tr, q, 6, 0, tr.Features(), fx.store, nil)
-			sameOutcome(t, when+": disk features", searchWith(t, tr, q, 6, 0, diskCopy(t, tr), fx.store, nil), arena)
+			arena := searchWith(t, tr, q, 6, 0, tr.Features(), fx.store)
+			sameOutcome(t, when+": disk features", searchWith(t, tr, q, 6, 0, diskCopy(t, tr), fx.store), arena)
 			double := &countingFeatures{MemoryFeatures: tr.Features()}
-			sameOutcome(t, when+": substituted source", searchWith(t, tr, q, 6, 0, double, fx.store, nil), arena)
+			sameOutcome(t, when+": substituted source", searchWith(t, tr, q, 6, 0, double, fx.store), arena)
 			if double.lookups != arena.st.BoundsComputed {
 				t.Fatalf("%s: %d lookups in the substituted source for %d bounds", when, double.lookups, arena.st.BoundsComputed)
 			}
@@ -381,28 +347,6 @@ func TestArenaIsInWalkOrder(t *testing.T) {
 	if repacks == 0 || disordered == 0 {
 		t.Fatalf("%d repacks, %d slots seen out of order; the test needs both", repacks, disordered)
 	}
-
-	path := filepath.Join(t.TempDir(), "tree.vpt")
-	if err := fx.tree.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkWalkOrder(t, "loaded", loaded, q)
-	sameFromEverySource("loaded", loaded)
-	if len(loaded.flat.slotRef) != len(loaded.features) {
-		t.Fatalf("%d slots for %d features: every feature is one object's", len(loaded.flat.slotRef), len(loaded.features))
-	}
-	// Load lays the tree out afresh; so does a repack of the tree that was saved.
-	packed, err := layout(fx.tree.flat.walk(), fx.tree.features)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(loaded.flat.slotRef, packed.slotRef) {
-		t.Fatal("the loaded tree numbers its slots differently from the tree it was saved from")
-	}
 }
 
 // The blocks-pruned counter must account exactly: over one search, blocks
@@ -434,8 +378,7 @@ func TestFlatBlockAccounting(t *testing.T) {
 // fuzz-derived series (int8 values, so distance ties are common), searched
 // under fuzz-derived k and node budgets, must never panic and must answer
 // to the brute-force oracle — the exact canonical top k when it ran to
-// completion, exact-distance neighbours in canonical order when truncated —
-// with the explain hook changing nothing.
+// completion, exact-distance neighbours in canonical order when truncated.
 func FuzzFlatSearch(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, uint8(3), uint8(0))
 	f.Add([]byte("flat-search-roundtrip"), uint8(1), uint8(5))
@@ -476,15 +419,10 @@ func FuzzFlatSearch(f *testing.F) {
 		}
 		k := 1 + int(kRaw)%(n+2)
 		maxNodes := int(budgetRaw) % 24 // 0 = unlimited
-		got := searchWith(t, fx.tree, q, k, maxNodes, fx.tree.Features(), store, nil)
+		got := searchWith(t, fx.tree, q, k, maxNodes, fx.tree.Features(), store)
 		if maxNodes == 0 && got.truncated {
 			t.Fatal("unlimited search reported truncation")
 		}
 		checkAgainstOracle(t, "fuzz", fx, q, k, got)
-		var exp Explain
-		sameOutcome(t, "explain-on-vs-off", searchWith(t, fx.tree, q, k, maxNodes, fx.tree.Features(), store, &exp), got)
-		if !exp.Balanced() {
-			t.Fatalf("explain identity broken: %+v", exp)
-		}
 	})
 }

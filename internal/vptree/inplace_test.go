@@ -137,8 +137,8 @@ func (c *churn) checkInPlace(t *testing.T, when string, q []float64) {
 	if slots := len(tr.flat.slotRef); ks.OutOfOrder*repackDen > slots {
 		t.Fatalf("%s: %d slots out of order among %d, more than one in %d", when, ks.OutOfOrder, slots, repackDen)
 	}
-	got := searchWith(t, tr, q, 5, 0, tr.Features(), c.fx.store, nil)
-	sameOutcome(t, when+": in place vs fresh", got, searchWith(t, fresh, q, 5, 0, fresh.Features(), c.fx.store, nil))
+	got := searchWith(t, tr, q, 5, 0, tr.Features(), c.fx.store)
+	sameOutcome(t, when+": in place vs fresh", got, searchWith(t, fresh, q, 5, 0, fresh.Features(), c.fx.store))
 	sameResults(t, when+": oracle", got.res, c.oracle(t, q, 5))
 }
 
@@ -205,10 +205,10 @@ func TestFlatInPlaceWithoutArena(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range fx.queries {
-			got := searchWith(t, tr, q, 6, 0, tr.Features(), fx.store, nil)
+			got := searchWith(t, tr, q, 6, 0, tr.Features(), fx.store)
 			sameResults(t, "oracle", got.res, c.oracle(t, q, 6))
 			double := &countingFeatures{MemoryFeatures: tr.Features()}
-			sameOutcome(t, "substituted source", searchWith(t, tr, q, 6, 0, double, fx.store, nil), got)
+			sameOutcome(t, "substituted source", searchWith(t, tr, q, 6, 0, double, fx.store), got)
 			if double.lookups != got.st.BoundsComputed {
 				t.Fatalf("insert %d: %d lookups in the substituted source for %d bounds", i, double.lookups, got.st.BoundsComputed)
 			}
@@ -270,7 +270,7 @@ func TestFlatInPlaceFailedInsertChangesNothing(t *testing.T) {
 		n, feats, slots, nodes := tr.Len(), len(tr.Features()), len(tr.flat.slotRef), len(tr.flat.nodes)
 		rows := tr.flat.arena.Coeffs()
 		walk := canonical(t, "before", tr, tr.flat, pq)
-		before := searchWith(t, tr, q, 5, 0, tr.Features(), fx.store, nil)
+		before := searchWith(t, tr, q, 5, 0, tr.Features(), fx.store)
 
 		if err := tr.Insert(spec, id); err == nil {
 			t.Fatal("the insert rebuilt a leaf without one of its spectra")
@@ -286,7 +286,7 @@ func TestFlatInPlaceFailedInsertChangesNothing(t *testing.T) {
 		if got := canonical(t, "after", tr, tr.flat, pq); got != walk {
 			t.Fatalf("the failed insert changed the flat index:\n got:\n%s\n want:\n%s", got, walk)
 		}
-		sameOutcome(t, "after the failed insert", searchWith(t, tr, q, 5, 0, tr.Features(), fx.store, nil), before)
+		sameOutcome(t, "after the failed insert", searchWith(t, tr, q, 5, 0, tr.Features(), fx.store), before)
 
 		tr.specByID[victim] = held
 		if err := c.insert(t, id, values); err != nil {

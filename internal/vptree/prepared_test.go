@@ -34,7 +34,7 @@ func TestPreparedSearchAllocatesOnlyItsResult(t *testing.T) {
 	}
 	var feats FeatureSource = fx.tree.Features() // boxed once, outside the measured call
 	search := func() {
-		res, _, _, err := fx.tree.SearchPrepared(q, 10, feats, fx.store, nil, nil)
+		res, _, _, err := fx.tree.SearchPrepared(q, 10, feats, fx.store, nil)
 		if err != nil || len(res) != 10 {
 			t.Fatalf("search: %d results, err %v", len(res), err)
 		}
@@ -61,7 +61,7 @@ func TestSearchPreparedMatchesSearch(t *testing.T) {
 		// One prepared query serves any number of searches, over the table
 		// passed in or (nil) the tree's own.
 		for _, src := range []FeatureSource{feats, nil} {
-			got, gotSt, truncated, err := fx.tree.SearchPrepared(q, 7, src, fx.store, nil, nil)
+			got, gotSt, truncated, err := fx.tree.SearchPrepared(q, 7, src, fx.store, nil)
 			if err != nil || truncated {
 				t.Fatalf("SearchPrepared: truncated %v err %v", truncated, err)
 			}
@@ -75,7 +75,7 @@ func TestSearchPreparedMatchesSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := fx.tree.SearchPrepared(short, 1, feats, fx.store, nil, nil); err != spectral.ErrMismatch {
+	if _, _, _, err := fx.tree.SearchPrepared(short, 1, feats, fx.store, nil); err != spectral.ErrMismatch {
 		t.Fatalf("wrong-length prepared query: err = %v, want ErrMismatch", err)
 	}
 }
@@ -146,7 +146,7 @@ func TestCancelMidRefineReturnsContextError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantSt, _, err := fx.tree.SearchPrepared(q, 10, feats, fx.store, nil, nil)
+	want, wantSt, _, err := fx.tree.SearchPrepared(q, 10, feats, fx.store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestCancelMidRefineReturnsContextError(t *testing.T) {
 		t.Fatal("test store must keep the zero-copy path")
 	}
 	g := lifecycle.NewGate(ctx, lifecycle.Limits{})
-	res, st, _, err := fx.tree.SearchPrepared(q, 10, feats, store, g, nil)
+	res, st, _, err := fx.tree.SearchPrepared(q, 10, feats, store, g)
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("cancelled mid-refine: res %v err %v, want nil and context.Canceled", res, err)
 	}
@@ -180,7 +180,7 @@ func TestCancelMidRefineReturnsContextError(t *testing.T) {
 	}
 
 	search := func() {
-		got, gotSt, _, err := fx.tree.SearchPrepared(q, 10, feats, fx.store, nil, nil)
+		got, gotSt, _, err := fx.tree.SearchPrepared(q, 10, feats, fx.store, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/knn"
 	"repro/internal/lifecycle"
@@ -134,7 +133,7 @@ type Tree struct {
 	features MemoryFeatures
 	// specByID retains the uncompressed spectra in Dynamic mode.
 	specByID map[int]*spectral.HalfSpectrum
-	// flat is the tree (see flat.go): Build and Load lay it out, Insert
+	// flat is the tree (see flat.go): Build lays it out, Insert
 	// changes it where it stands, and it is laid out afresh — repacks counts
 	// how often — when inserts have left enough of it out of walk order.
 	flat    *flatIndex
@@ -511,9 +510,6 @@ func (t *Tree) SeqLen() int { return t.seqLen }
 // Features returns the in-memory feature table built alongside the tree.
 func (t *Tree) Features() MemoryFeatures { return t.features }
 
-// Height returns the height of the tree (a single leaf has height 1).
-func (t *Tree) Height() int { return t.flat.height(0) }
-
 // Result is one neighbour: the sequence ID and its exact Euclidean distance.
 type Result = knn.Result
 
@@ -541,7 +537,7 @@ func (t *Tree) SearchLimited(query []float64, k int, feats FeatureSource, store 
 		return nil, Stats{}, false, err
 	}
 	defer q.Release()
-	return t.SearchPrepared(q, k, feats, store, g, nil)
+	return t.SearchPrepared(q, k, feats, store, g)
 }
 
 // admit validates a search's arguments and runs the gate's entry check, so a
@@ -559,42 +555,27 @@ func (t *Tree) admit(k, queryLen int, g *lifecycle.Gate) error {
 // SearchPrepared is the one search entry: SearchLimited for a query whose
 // spectrum and bound context already exist (see spectral.Prepared; q is only
 // read), so callers that run one query against several trees prepare it
-// once. A non-nil exp additionally receives the structured explain report of
-// this very search — per-level traversal accounting, per-bound prune
-// attribution and phase timings; results and Stats are the same with or
-// without it, and the plain path pays one nil check per node. A nil feats
-// searches the tree's own feature table, the one Features returns.
-func (t *Tree) SearchPrepared(q *spectral.Prepared, k int, feats FeatureSource, store seqstore.Store, g *lifecycle.Gate, exp *Explain) ([]Result, Stats, bool, error) {
-	return t.search(q, k, feats, store, g, exp, spectral.AbandonCut)
+// once. A nil feats searches the tree's own feature table, the one Features
+// returns.
+func (t *Tree) SearchPrepared(q *spectral.Prepared, k int, feats FeatureSource, store seqstore.Store, g *lifecycle.Gate) ([]Result, Stats, bool, error) {
+	return t.search(q, k, feats, store, g, spectral.AbandonCut)
 }
 
 // search is SearchPrepared with the leaf kernel's cut as a function of σ_UB
 // (see searcher.boundsBlock). Every search passes spectral.AbandonCut; the
 // test that pins what abandoning must not change passes +Inf.
-func (t *Tree) search(q *spectral.Prepared, k int, feats FeatureSource, store seqstore.Store, g *lifecycle.Gate, exp *Explain, cut func(sigmaUB float64) float64) ([]Result, Stats, bool, error) {
+func (t *Tree) search(q *spectral.Prepared, k int, feats FeatureSource, store seqstore.Store, g *lifecycle.Gate, cut func(sigmaUB float64) float64) ([]Result, Stats, bool, error) {
 	if err := t.admit(k, len(q.Values()), g); err != nil {
 		return nil, Stats{}, false, err
 	}
 
-	var phase time.Time
-	if exp != nil {
-		*exp = Explain{
-			K:           k,
-			Method:      t.opts.Method.String(),
-			Budget:      t.opts.Budget,
-			PaperBounds: t.opts.PaperBounds,
-			TreeSize:    t.Len(),
-			TreeHeight:  t.Height(),
-		}
-		phase = time.Now()
-	}
 	// Phase 1: traverse, collecting candidates and shrinking σ_UB from the
 	// gate's seed (+Inf unless a sharded scatter seeded it).
 	sc := knn.Get(k)
 	defer sc.Release()
 	sc.Seed(g.Seed(), len(q.Values()))
 	s := &searcher{
-		t: t, f: t.flat, feats: feats, exp: exp, g: g,
+		t: t, f: t.flat, feats: feats, g: g,
 		ctx: q.Context(), Scratch: sc, cut: cut,
 	}
 	// Bounds come from the arena's batched kernel when feats is the table the
@@ -607,7 +588,7 @@ func (t *Tree) search(q *spectral.Prepared, k int, feats FeatureSource, store se
 	}
 	s.lbBuf, s.ubBuf = sc.BoundBufs(s.f.maxLeaf)
 	st := &s.st
-	err := s.visitFlat(0, 0)
+	err := s.visitFlat(0)
 	s.flushKernelCounters()
 	if err != nil {
 		return nil, *st, false, err
@@ -619,27 +600,12 @@ func (t *Tree) search(q *spectral.Prepared, k int, feats FeatureSource, store se
 		g.Grace(k)
 	}
 
-	if exp != nil {
-		now := time.Now()
-		exp.TraverseMS = float64(now.Sub(phase)) / float64(time.Millisecond)
-		exp.Collected = sc.Collected()
-		exp.SigmaUB = sc.SigmaUB()
-		phase = now
-	}
-
 	// Phase 2: prune by the k-th smallest upper bound (maintained during
 	// traversal as σ_UB) and refine in increasing lower-bound order with
 	// early abandoning (fig. 11 NNSearch).
 	kept, dropped := sc.Filter(g)
 	st.Candidates = kept
 	st.LBPrunes += dropped
-	if exp != nil {
-		exp.FilterLBPrunes = dropped
-		exp.Unrefined = kept - sc.Collected() // the δ cut's tail
-		now := time.Now()
-		exp.FilterMS = float64(now.Sub(phase)) / float64(time.Millisecond)
-		phase = now
-	}
 
 	res, rs, err := sc.Refine(q, store, g)
 	st.FullRetrievals = rs.FullRetrievals
@@ -647,16 +613,6 @@ func (t *Tree) search(q *spectral.Prepared, k int, feats FeatureSource, store se
 	st.SketchSkips = rs.SketchSkips
 	if err != nil {
 		return nil, *st, false, err
-	}
-	if exp != nil {
-		exp.CutoffSkips = rs.CutoffSkips
-		exp.SketchSkips = rs.SketchSkips
-		exp.Unrefined += rs.BudgetSkips
-		exp.EarlyAbandons = rs.EarlyAbandons
-		exp.FullRetrievals = st.FullRetrievals
-		exp.ExactDistances = st.ExactDistances
-		exp.RefineMS = float64(time.Since(phase)) / float64(time.Millisecond)
-		exp.Stats = *st
 	}
 	return res, *st, g.Truncated(), nil
 }

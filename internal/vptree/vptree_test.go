@@ -93,7 +93,7 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build([]*spectral.HalfSpectrum{h, h2}, []int{0, 1}, Options{}); err == nil {
 		t.Error("expected error on length mismatch")
 	}
-	// One ID given twice: Save would write a tree Load refuses.
+	// One ID given twice: a search could return it twice.
 	specs := make([]*spectral.HalfSpectrum, 20)
 	ids := make([]int, 20)
 	for i := range specs {
@@ -421,4 +421,16 @@ func TestDefaultMethodIsBestMinError(t *testing.T) {
 	if got := fx2.tree.Features()[0].Method; got != spectral.GEMINI {
 		t.Fatalf("explicit GEMINI became %v", got)
 	}
+}
+
+// Height returns the height of the tree (a single leaf has height 1).
+func (t *Tree) Height() int { return t.flat.height(0) }
+
+// height is the height of node ni's subtree (a leaf has height 1).
+func (f *flatIndex) height(ni int32) int {
+	fn := &f.nodes[ni]
+	if fn.leafLo >= 0 {
+		return 1
+	}
+	return 1 + max(f.height(fn.left), f.height(fn.right))
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # api_check.sh enforces the one query surface (run via `make api-check`).
 #
-# Ten checks:
+# Eleven checks:
 #   1. Every exported Engine / ShardedEngine method on the query surface —
 #      names starting with Similar, Query, Linear, or Search — takes a
 #      context.Context as its first parameter. No exceptions: the
@@ -41,11 +41,16 @@
 #      field (no side door for a layer's own resolution).
 #  10. One served index: similarity search is fig. 11 over the arena
 #      (knn.Scan), and the paper's VP-tree is instrumentation. Non-test
-#      internal/core and internal/shard call neither vptree.Build nor
-#      vptree.Load nor any Search* or Insert* method of vptree.Tree, and
-#      non-test core, shard and cmd/ do not call Engine.Tree — except the
-#      one core file that holds Engine.Tree, which builds the tree for the
-#      benchmark's ledger.
+#      internal/core and internal/shard call neither vptree.Build nor any
+#      Search* or Insert* method of vptree.Tree, and non-test core, shard
+#      and cmd/ do not call Engine.Tree — except the one core file that
+#      holds Engine.Tree, which builds the tree for the benchmark's ledger.
+#  11. One filter-and-refine: fig. 11's candidate order, δ cut and refine
+#      cutoff live in internal/knn, and every search that filters and
+#      refines (the arena scan, the paper's tree, DTW) runs them there.
+#      Non-test internal/dtw imports neither internal/lifecycle nor
+#      internal/knn (it holds the kernels, not a search), and no non-test
+#      Go outside internal/knn calls Gate.DeltaCut.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -166,12 +171,26 @@ fi
 # --- 10. one served index -------------------------------------------------
 tree_file="$(grep -l -E '^func \(e \*Engine\) Tree\(\)' internal/core/*.go || true)"
 tree_methods="$(grep -h -o -E '^func \(t \*Tree\) (Search|Insert)[A-Za-z0-9]*' internal/vptree/*.go | sed 's/.*) //' | sort -u | paste -s -d '|' -)"
-served="$(grep -n -E "vptree\.(Build|Load)\(|\.($tree_methods)\(" internal/core/*.go internal/shard/*.go || true
+served="$(grep -n -E "vptree\.Build\(|\.($tree_methods)\(" internal/core/*.go internal/shard/*.go || true
 	grep -rn --include='*.go' -E '\.Tree\(\)' internal/core internal/shard cmd || true)"
 served="$(echo "$served" | grep -v -e '_test\.go:' -e '^$' | grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//' | grep -v "^$tree_file:" || true)"
 if [ -z "$tree_file" ] || [ -z "$tree_methods" ] || [ -n "$served" ]; then
-	echo "api-check: the served index is the scan; the VP-tree is built, loaded, searched or inserted into outside $tree_file (rule 10):" >&2
+	echo "api-check: the served index is the scan; the VP-tree is built, searched or inserted into outside $tree_file (rule 10):" >&2
 	echo "$served" >&2
+	fail=1
+fi
+
+# --- 11. one filter-and-refine ---------------------------------------------
+dtw_imports="$(go list -f '{{join .Imports "\n"}}' ./internal/dtw | grep -x -e 'repro/internal/lifecycle' -e 'repro/internal/knn' || true)"
+if [ -n "$dtw_imports" ]; then
+	echo "api-check: internal/dtw holds the DTW kernels; the search that composes them is knn's filter and refine (rule 11). It imports:" >&2
+	echo "$dtw_imports" >&2
+	fail=1
+fi
+delta_cuts="$(code_lines '\.DeltaCut(' | grep -v '^internal/knn/' || true)"
+if [ -n "$delta_cuts" ]; then
+	echo "api-check: Gate.DeltaCut is called outside internal/knn; a second filter-and-refine is back (rule 11):" >&2
+	echo "$delta_cuts" >&2
 	fail=1
 fi
 

@@ -4,7 +4,7 @@
 #
 # Boots cmd/s2, then asserts over live HTTP:
 #
-#   * a plain /v2/search answer carries the v2 schema (schema_version 3,
+#   * a plain /v2/search answer carries the v2 schema (schema_version 4,
 #     snake_case fields, bound_gap per result) and is exact by default
 #   * an ε-dialled request answers with approximate=true and a finite
 #     per-result bound_gap when a shortcut fired
@@ -47,7 +47,7 @@ BODY="$DIR/body.json"
 # 1. Exact-by-default v2 answer.
 curl -fsS -o "$BODY" "http://$ADDR/v2/search?q=cinema&k=3" \
     || fail "plain /v2/search request failed"
-[ "$(jq -r .schema_version "$BODY")" = "3" ] || fail "schema_version != 3"
+[ "$(jq -r .schema_version "$BODY")" = "4" ] || fail "schema_version != 4"
 [ "$(jq -r .approximate "$BODY")" = "false" ] || fail "exact query stamped approximate"
 [ "$(jq '.results | length' "$BODY")" = "3" ] || fail "expected 3 results"
 [ "$(jq '[.results[].bound_gap] | max' "$BODY")" = "0" ] \

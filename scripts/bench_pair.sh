@@ -72,6 +72,13 @@
 # ledger's vptree.build_s, insert_us and search_us time that lazily built
 # tree, not the served search.
 #
+# Per-request counts and DTW through knn's filter and refine: across the
+# commit that deleted dtw's own cascade (KindDTW adds each row's LB_Keogh
+# bound to knn.Scratch and refines through RefineBy), every TRACE=1
+# per-request count reads exact on every workload. A row budget on a DTW
+# request, which no workload sets, now also spares the reads of the rows
+# past it, so seqstore.reads_per_q could only fall there.
+#
 # Everything it writes is git-ignored: the worktree under .bench_build/,
 # the records under bench/out/pair/.
 set -eu
